@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet lint lint-update-baseline lint-sarif test race shardrace bench smoke ci clean
+.PHONY: build vet lint lint-update-baseline lint-sarif test race shardrace bench bench-smoke smoke ci clean
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,14 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) run ./cmd/benchrunner -exp codec -scale small -json BENCH_codec.json
 
+# bench-smoke runs the benchmark's own tiny-scale tests. bench/ is a module of
+# its own, so the root `go test ./...` does not descend into it; its shadow
+# run loop is built from the layers' exported functions and must reproduce
+# core's output digests, so an API or output drift in the real-time layer
+# fails here.
+bench-smoke:
+	cd bench && $(GO) test ./...
+
 # smoke exercises the real binaries end to end on small workloads: a short
 # datacron run with the metric dump enabled, one benchrunner experiment
 # with per-experiment metric rows, and an admin-plane probe — datacron is
@@ -71,5 +79,6 @@ smoke:
 
 # ci is the full gate: compile everything, run go vet, run the static
 # analysis suite (publishing the lint.sarif artifact), the test suite twice
-# — plain and under the race detector — then the CLI smoke runs.
-ci: build vet lint lint-sarif test shardrace race smoke
+# — plain and under the race detector — the benchmark's smoke tests, then the
+# CLI smoke runs.
+ci: build vet lint lint-sarif test shardrace race bench-smoke smoke

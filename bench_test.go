@@ -165,6 +165,7 @@ func BenchmarkLinkDiscoveryMasks(b *testing.B) {
 			d := linkdisc.NewDiscoverer(linkdisc.Config{
 				Extent: experiments.Region, MaskResolution: cfg.maskRes, NearDistanceM: 2_000,
 			}, statics)
+			d.BuildMasks()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cp := cps[i%len(cps)]
@@ -363,4 +364,62 @@ func BenchmarkBrokerRoundTrip(b *testing.B) {
 		}
 	}
 	_ = consumed
+}
+
+// --- Critical-point emit path --------------------------------------------
+
+// benchPointTriples is one critical point's graph as the run loop builds it
+// with weather enrichment: 11 template triples and two annotations.
+func benchPointTriples(seq int) []rdf.Triple {
+	cp := synopses.CriticalPoint{
+		Report: mobility.Report{ID: "v-17", Time: gen.DefaultStart,
+			Pos: geo.Pt(23.6, 37.9), SpeedKn: 11, Heading: 88},
+		Type: synopses.ChangeInHeading,
+	}
+	node := ontology.NodeIRI(cp.ID, seq)
+	return append(rdfgen.CriticalPointGenerator().Generate(rdfgen.CriticalPointRecord(seq, cp)),
+		rdf.Triple{S: node, P: ontology.PropWindSpeed, O: rdf.Float(7.25)},
+		rdf.Triple{S: node, P: ontology.PropWaveHeight, O: rdf.Float(1.5)})
+}
+
+// N-Triples encoding of one triple into a reused buffer.
+func BenchmarkTripleAppend(b *testing.B) {
+	triples := benchPointTriples(4211)
+	buf := make([]byte, 0, 512)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = triples[i%len(triples)].AppendNT(buf[:0])
+	}
+	b.SetBytes(int64(len(buf)))
+}
+
+// Encoding and publishing one 13-triple critical point as one broker batch.
+func BenchmarkPublishCriticalPoint(b *testing.B) {
+	broker := msg.NewBroker()
+	if err := broker.CreateTopic(core.TopicTriples, 4); err != nil {
+		b.Fatal(err)
+	}
+	pub := core.NewTriplePublisher(broker)
+	triples := benchPointTriples(4211)
+	ctx := context.Background()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := pub.Publish(ctx, triples, gen.DefaultStart); err != nil {
+			b.Fatal(err)
+		}
+		if i%4096 == 4095 {
+			// The broker keeps what it is given; drop the log so a long
+			// run measures publishing, not heap growth.
+			b.StopTimer()
+			for part := 0; part < 4; part++ {
+				if err := broker.Truncate(core.TopicTriples, part, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+	}
+	b.ReportMetric(float64(len(triples)), "triples/op")
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -18,47 +17,63 @@ import (
 // an N-Triples archive file and a knowledge graph can be rebuilt from one,
 // so offline analytics survive process restarts.
 
-// ExportTriples drains the pipeline's triples topic and writes every triple
-// as N-Triples to w, returning the count written. The broker log is left
-// intact (drain re-reads from offset zero).
-func (p *Pipeline) ExportTriples(w io.Writer) (int64, error) {
+// drainTriples reads the triples topic from offset zero (the broker log is
+// left intact) and parses each record as one N-Triples line. A record that
+// does not parse is skipped — one corrupt line must not cost the batch layer
+// the rest of the stream — but never silently: the skips are counted in
+// core.triples.unparsable and logged.
+func (p *Pipeline) drainTriples() ([]rdf.Triple, error) {
 	recs, err := p.Broker.Drain(TopicTriples)
+	if err != nil {
+		return nil, err
+	}
+	triples := make([]rdf.Triple, 0, len(recs))
+	for _, rec := range recs {
+		t, err := rdf.ParseNTriple(rec.Value)
+		if err != nil {
+			continue
+		}
+		triples = append(triples, t)
+	}
+	if bad := len(recs) - len(triples); bad > 0 {
+		p.obs.Counter("core.triples.unparsable").Add(int64(bad))
+		p.log.Warn("skipped unparsable triple records", "skipped", bad, "of", len(recs))
+	}
+	return triples, nil
+}
+
+// loadBatched loads triples into st in fixed-size batches, so
+// spatio-temporal subjects whose position/time stamps arrive together get
+// cell-embedding IDs.
+func loadBatched(st *store.Store, triples []rdf.Triple) {
+	const batch = 10_000
+	for i := 0; i < len(triples); i += batch {
+		st.Load(triples[i:min(i+batch, len(triples))])
+	}
+}
+
+// ExportTriples writes every triple of the pipeline's triples topic as
+// N-Triples to w, returning the count written.
+func (p *Pipeline) ExportTriples(w io.Writer) (int64, error) {
+	triples, err := p.drainTriples()
 	if err != nil {
 		return 0, err
 	}
-	var n int64
-	bw := newCountingWriter(w)
-	for _, rec := range recs {
-		ts, err := rdf.ReadNTriples(bytes.NewReader(rec.Value))
-		if err != nil {
-			continue // skip corrupt lines rather than abort the archive
-		}
-		if err := rdf.WriteNTriples(bw, ts); err != nil {
-			return n, fmt.Errorf("core: exporting triples: %w", err)
-		}
-		n += int64(len(ts))
+	if err := rdf.WriteNTriples(w, triples); err != nil {
+		return 0, fmt.Errorf("core: exporting triples: %w", err)
 	}
-	return n, nil
+	return int64(len(triples)), nil
 }
 
 // LoadArchive builds a knowledge graph from an N-Triples archive produced
-// by ExportTriples (or any N-Triples source). Triples are loaded in batches
-// so spatio-temporal subjects whose position/time stamps arrive together
-// get cell-embedding IDs.
+// by ExportTriples (or any N-Triples source).
 func LoadArchive(r io.Reader, cfg store.STCellConfig, layout store.Layout) (*store.Store, error) {
 	triples, err := rdf.ReadNTriples(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading archive: %w", err)
 	}
 	st := store.New(cfg, layout)
-	const batch = 10_000
-	for i := 0; i < len(triples); i += batch {
-		end := i + batch
-		if end > len(triples) {
-			end = len(triples)
-		}
-		st.Load(triples[i:end])
-	}
+	loadBatched(st, triples)
 	return st, nil
 }
 
@@ -103,18 +118,4 @@ func ReplayTopic(ctx context.Context, from *msg.Broker, topic string, to *msg.Br
 		n++
 	}
 	return n, nil
-}
-
-// countingWriter counts bytes for diagnostics while delegating writes.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func newCountingWriter(w io.Writer) *countingWriter { return &countingWriter{w: w} }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

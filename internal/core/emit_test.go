@@ -1,0 +1,212 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"testing"
+	"time"
+
+	"datacron/internal/gen"
+	"datacron/internal/geo"
+	"datacron/internal/mobility"
+	"datacron/internal/msg"
+	"datacron/internal/obs"
+	"datacron/internal/ontology"
+	"datacron/internal/rdf"
+	"datacron/internal/rdfgen"
+	"datacron/internal/store"
+	"datacron/internal/synopses"
+)
+
+func triplesBroker(t testing.TB) *msg.Broker {
+	t.Helper()
+	b := msg.NewBroker()
+	if err := b.CreateTopic(TopicTriples, 4); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// pointTriples is what the run loop builds for one critical point with
+// weather enrichment: 11 template triples plus two annotations.
+func pointTriples(seq int) []rdf.Triple {
+	cp := synopses.CriticalPoint{Type: synopses.ChangeInHeading, Report: mobility.Report{
+		ID: "v-17", Time: gen.DefaultStart.Add(time.Duration(seq) * time.Second),
+		Pos: geo.Pt(23.5+float64(seq)*1e-4, 37.9), SpeedKn: 11.5, Heading: 270,
+	}}
+	triples := rdfgen.CriticalPointGenerator().Generate(rdfgen.CriticalPointRecord(seq, cp))
+	node := ontology.NodeIRI(cp.ID, seq)
+	return append(triples,
+		rdf.Triple{S: node, P: ontology.PropWindSpeed, O: rdf.Float(7.25)},
+		rdf.Triple{S: node, P: ontology.PropWaveHeight, O: rdf.Float(1.5)})
+}
+
+// TestPublishMatchesPerTripleProduce: one batch per point leaves the triples
+// topic record for record what one Produce per triple left — same keys (so
+// same partitions and offsets), same bytes, same times.
+func TestPublishMatchesPerTripleProduce(t *testing.T) {
+	ctx := context.Background()
+	batched, single := triplesBroker(t), triplesBroker(t)
+	pub := NewTriplePublisher(batched)
+	for seq := 0; seq < 40; seq++ {
+		triples := pointTriples(seq)
+		ts := gen.DefaultStart.Add(time.Duration(seq) * time.Minute)
+		if err := pub.Publish(ctx, triples, ts); err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range triples {
+			if _, err := single.Produce(ctx, TopicTriples, tr.S.Key(), []byte(tr.String()), ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, err := batched.Drain(TopicTriples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := single.Drain(TopicTriples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(got) != 40*13 {
+		t.Fatalf("batched log has %d records, per-triple log %d, want %d", len(got), len(want), 40*13)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Partition != w.Partition || g.Offset != w.Offset || g.Key != w.Key ||
+			string(g.Value) != string(w.Value) || !g.Time.Equal(w.Time) {
+			t.Fatalf("record %d differs:\n got %+v\nwant %+v", i, g, w)
+		}
+	}
+}
+
+// TestPublishArenaValuesAreStable: the broker keeps the values it is handed,
+// so later publishes — across slab boundaries, and around lines too large
+// for a slab's remainder or for any slab — must leave earlier ones untouched.
+func TestPublishArenaValuesAreStable(t *testing.T) {
+	ctx := context.Background()
+	b := triplesBroker(t)
+	pub := NewTriplePublisher(b)
+	node := ontology.NodeIRI("v-1", 0)
+	wkt := func(n int) rdf.Triple {
+		return rdf.Triple{S: node, P: ontology.PropAsWKT, O: rdf.WKT("LINESTRING (" + strings.Repeat("23.5 37.9, ", n/11) + "0 0)")}
+	}
+	var want []string
+	publish := func(triples []rdf.Triple) {
+		t.Helper()
+		for _, tr := range triples {
+			want = append(want, tr.String())
+		}
+		if err := pub.Publish(ctx, triples, gen.DefaultStart); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish(pointTriples(0))
+	publish([]rdf.Triple{wkt(tripleSlab - 1000)}) // fits a fresh slab, not the remainder
+	publish(pointTriples(1))
+	publish([]rdf.Triple{wkt(2 * tripleSlab)}) // larger than any slab
+	slabs := 0
+	for seq := 2; slabs < 3; seq++ { // run across three more slab boundaries
+		before := cap(pub.slab) - len(pub.slab)
+		publish(pointTriples(seq))
+		if cap(pub.slab)-len(pub.slab) > before {
+			slabs++
+		}
+	}
+	recs, err := b.Drain(TopicTriples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("log has %d records, published %d", len(recs), len(want))
+	}
+	// One subject key per point, so each point sits in one partition, in order.
+	byPartition := map[string][]string{}
+	for _, tr := range want {
+		parsed, err := rdf.ParseNTriple([]byte(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		byPartition[parsed.S.Key()] = append(byPartition[parsed.S.Key()], tr)
+	}
+	for _, r := range recs {
+		q := byPartition[r.Key]
+		if len(q) == 0 || string(r.Value) != q[0] {
+			t.Fatalf("retained value for key %s was overwritten or reordered:\n got %.120s", r.Key, r.Value)
+		}
+		byPartition[r.Key] = q[1:]
+		if cap(r.Value) != len(r.Value) {
+			t.Fatalf("value has spare capacity %d: an append to it would write into its neighbour", cap(r.Value)-len(r.Value))
+		}
+	}
+}
+
+func TestPublishAllocations(t *testing.T) {
+	ctx := context.Background()
+	b := triplesBroker(t)
+	pub := NewTriplePublisher(b)
+	triples := pointTriples(3)
+	if len(triples) != 13 {
+		t.Fatalf("fixture point has %d triples, want 13", len(triples))
+	}
+	publish := func() {
+		if err := pub.Publish(ctx, triples, gen.DefaultStart); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish() // sizes the scratch
+	// Four subject keys (trajectory, node, event, node again) and the amortised
+	// shares of a slab and of the partition logs' growth: a constant, where
+	// the per-triple path made three allocations for each of the 13 triples.
+	if n := testing.AllocsPerRun(200, publish); n > 8 {
+		t.Errorf("publishing a 13-triple critical point made %v allocations, want at most 8", n)
+	}
+}
+
+// TestPublishRefusedTriplesFailTheRun: a drop policy on the triples topic
+// must not thin a critical point's graph silently.
+func TestPublishRefusedTriplesFailTheRun(t *testing.T) {
+	b := triplesBroker(t)
+	if err := b.LimitTopic(TopicTriples, msg.TopicLimit{Capacity: 2, Policy: msg.DropNewest}); err != nil {
+		t.Fatal(err)
+	}
+	err := NewTriplePublisher(b).Publish(context.Background(), pointTriples(0), gen.DefaultStart)
+	if !errors.Is(err, msg.ErrTopicFull) {
+		t.Fatalf("Publish on a full drop-newest topic = %v, want ErrTopicFull", err)
+	}
+}
+
+// TestUnparsableTripleRecordsAreCounted: the batch layer skips a record that
+// is not an N-Triples line, and says so.
+func TestUnparsableTripleRecordsAreCounted(t *testing.T) {
+	ctx := context.Background()
+	p, err := New(WithObs(obs.NewRegistry(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := pointTriples(0)
+	if err := NewTriplePublisher(p.Broker).Publish(ctx, good, gen.DefaultStart); err != nil {
+		t.Fatal(err)
+	}
+	for _, junk := range []string{"not a triple", "", "# comment"} {
+		if _, err := p.Broker.Produce(ctx, TopicTriples, "junk", []byte(junk), gen.DefaultStart); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kg, err := p.BuildKnowledgeGraph(store.STCellConfig{Extent: region, Epoch: gen.DefaultStart}, store.NewVerticalPartitioning())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kg.Len() != len(good) {
+		t.Errorf("knowledge graph holds %d triples, want the %d parsable ones", kg.Len(), len(good))
+	}
+	if got := p.Obs().Snapshot().Counter("core.triples.unparsable"); got != 3 {
+		t.Errorf("core.triples.unparsable = %d, want 3", got)
+	}
+	var sb strings.Builder
+	n, err := p.ExportTriples(&sb)
+	if err != nil || n != int64(len(good)) {
+		t.Errorf("ExportTriples = %d, %v; want %d", n, err, len(good))
+	}
+}

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -28,7 +27,6 @@ import (
 	"datacron/internal/msg"
 	"datacron/internal/obs"
 	"datacron/internal/obs/slo"
-	"datacron/internal/rdf"
 	"datacron/internal/shard"
 	"datacron/internal/store"
 	"datacron/internal/synopses"
@@ -355,15 +353,6 @@ func backpressureErr(err error) error {
 	return fmt.Errorf("%w: %w", ErrBackpressure, err)
 }
 
-// IngestBackground is Ingest with context.Background().
-//
-// Deprecated: use Ingest with a real context so backpressure blocking on a
-// bounded raw topic stays cancellable. This shim will be removed one
-// release after the context-first API landed.
-func (p *Pipeline) IngestBackground(reports []mobility.Report) error {
-	return p.Ingest(context.Background(), reports)
-}
-
 // RunRealTime consumes the raw topic through the full real-time layer until
 // the topic closes or the context is cancelled, and returns the run summary.
 // It is RunWithRecovery without checkpointing; see recovery.go.
@@ -371,50 +360,15 @@ func (p *Pipeline) RunRealTime(ctx context.Context) (Summary, error) {
 	return p.RunWithRecovery(ctx, nil)
 }
 
-// publishTriples sends triples to the triples topic in N-Triples lines.
-func (p *Pipeline) publishTriples(ctx context.Context, triples []rdf.Triple, ts time.Time) error {
-	for _, t := range triples {
-		if _, err := p.Broker.Produce(ctx, TopicTriples, t.S.Key(), []byte(t.String()), ts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // BuildKnowledgeGraph drains the triples topic (the batch layer's input)
 // into a spatio-temporal store with the given cell configuration and layout.
 func (p *Pipeline) BuildKnowledgeGraph(cfg store.STCellConfig, layout store.Layout) (*store.Store, error) {
-	recs, err := p.Broker.Drain(TopicTriples)
+	triples, err := p.drainTriples()
 	if err != nil {
 		return nil, err
 	}
-	// Group the N-Triples lines into one batch per subject-bearing record
-	// ordering; Load batches per 10k lines to bound memory.
 	st := store.New(cfg, layout)
 	st.Instrument(p.obs)
-	var batch []rdf.Triple
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		st.Load(batch)
-		batch = batch[:0]
-		return nil
-	}
-	for _, rec := range recs {
-		ts, err := rdf.ReadNTriples(bytes.NewReader(rec.Value))
-		if err != nil {
-			continue
-		}
-		batch = append(batch, ts...)
-		if len(batch) >= 10_000 {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
+	loadBatched(st, triples)
 	return st, nil
 }

@@ -351,9 +351,10 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 		p.mu.Unlock()
 	}()
 
-	// One-element scratch buffer reused for every discovered link's triple,
-	// so the per-link publish does not allocate a fresh slice each time.
-	linkTriple := make([]rdf.Triple, 1)
+	// The emit path's reused state: the publisher's arena and batch scratch,
+	// and one triple slice that every critical point's graph is built in.
+	pub := NewTriplePublisher(p.Broker)
+	triples := make([]rdf.Triple, 0, 32)
 	processCritical := func(cp synopses.CriticalPoint, root obs.Span) error {
 		// Freshness at the serving edge: how old the critical point's event
 		// time is at the moment its derivatives are published downstream —
@@ -368,7 +369,7 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 			return err
 		}
 		// RDF-ify.
-		triples := rdfGen.Generate(rdfgen.CriticalPointRecord(seq, cp))
+		triples = rdfGen.AppendTriples(triples[:0], rdfgen.CriticalPointRecord(seq, cp))
 		// Weather enrichment: annotate the semantic node with the ambient
 		// conditions at its position and time.
 		if p.cfg.Weather != nil {
@@ -380,25 +381,24 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 					O: rdf.Float(p.cfg.Weather.WaveHeight(cp.Pos, cp.Time))},
 			)
 		}
-		sum.Triples += int64(len(triples))
-		if err := p.publishTriples(ctx, triples, cp.Time); err != nil {
-			return err
-		}
 		// Link discovery on the critical point.
 		if disc != nil {
 			for _, l := range disc.ProcessPoint(cp.ID, cp.Time, cp.Pos) {
 				sum.Links++
 				p.Dashboard.AddLink(l)
 				t := l.Triple()
-				if _, err := p.Broker.Produce(ctx, TopicLinks, l.Source, []byte(t.String()), l.Time); err != nil {
+				if _, err := p.Broker.Produce(ctx, TopicLinks, l.Source, pub.encode(t), l.Time); err != nil {
 					return err
 				}
-				sum.Triples++
-				linkTriple[0] = t
-				if err := p.publishTriples(ctx, linkTriple, l.Time); err != nil {
-					return err
-				}
+				triples = append(triples, t)
 			}
+		}
+		// The point's whole graph — template, weather, then link triples —
+		// goes out as one batch. A link is stamped with the time of the
+		// point that produced it, so cp.Time is every record's time.
+		sum.Triples += int64(len(triples))
+		if err := pub.Publish(ctx, triples, cp.Time); err != nil {
+			return err
 		}
 		// Complex event forecasting on the critical-point type stream.
 		if p.forecaster != nil {

@@ -115,15 +115,17 @@ type Discoverer struct {
 	statics []StaticEntity
 	grid    *geo.Grid
 	cells   map[int][]cellEntry
-	masks   map[int][]bool // cell -> sub-cell raster; true = in mask (skip)
+	masks   map[int][]bool // cell -> sub-cell raster, built on first probe; true = in mask (skip); nil map = masks off
 	recent  map[int][]recentPoint
 	stats   Stats
 	m       *discMetrics // nil when uninstrumented
 }
 
-// NewDiscoverer indexes the stationary entities. Building cell masks is a
-// one-off cost paid at construction (the paper builds them from the static
-// datasets, e.g. Natura2000 regions — Figure 4).
+// NewDiscoverer indexes the stationary entities. Cell masks (the paper
+// builds them from the static datasets, e.g. Natura2000 regions — Figure 4)
+// are a pure function of the configuration and the statics; each cell's is
+// rasterised the first time a point probes it, so neither a start nor a
+// restart pays for cells the stream never visits.
 func NewDiscoverer(cfg Config, statics []StaticEntity) *Discoverer {
 	cfg = cfg.withDefaults()
 	if cfg.Extent.IsEmpty() {
@@ -155,65 +157,86 @@ func NewDiscoverer(cfg Config, statics []StaticEntity) *Discoverer {
 		}
 	}
 	if cfg.MaskResolution > 0 {
-		d.buildMasks()
+		d.masks = make(map[int][]bool)
 	}
 	return d
 }
 
-// buildMasks rasterises each occupied cell: a sub-cell is in the mask when
-// no stationary geometry (buffered by the nearTo distance) intersects it.
-func (d *Discoverer) buildMasks() {
-	d.masks = make(map[int][]bool, len(d.cells))
+// buildMask rasterises one occupied cell: a sub-cell is in the mask when no
+// stationary geometry (buffered by the nearTo distance) intersects it.
+func (d *Discoverer) buildMask(cell int) []bool {
 	k := d.cfg.MaskResolution
-	for cell, entries := range d.cells {
-		col, row := d.grid.ColRow(cell)
-		cellRect := d.grid.CellRect(col, row)
-		raster := make([]bool, k*k)
-		dLon := cellRect.Width() / float64(k)
-		dLat := cellRect.Height() / float64(k)
-		for sy := 0; sy < k; sy++ {
-			for sx := 0; sx < k; sx++ {
-				sub := geo.Rect{
-					MinLon: cellRect.MinLon + float64(sx)*dLon,
-					MinLat: cellRect.MinLat + float64(sy)*dLat,
-					MaxLon: cellRect.MinLon + float64(sx+1)*dLon,
-					MaxLat: cellRect.MinLat + float64(sy+1)*dLat,
-				}
-				inMask := true
-				for _, e := range entries {
-					g := d.statics[e.idx].Geom
-					hit := false
-					switch gg := g.(type) {
-					case *geo.Polygon:
-						if d.cfg.NearDistanceM > 0 {
-							hit = gg.Bounds().Buffer(d.cfg.NearDistanceM).Intersects(sub)
-							if hit {
-								// Tighten with precise distance on sub-cell corners
-								// only when the bbox test passes.
-								hit = polygonNearRect(gg, sub, d.cfg.NearDistanceM)
-							}
-						} else {
-							hit = gg.IntersectsRect(sub)
-						}
-					case geo.Point:
-						b := gg.Bounds()
-						if d.cfg.NearDistanceM > 0 {
-							b = b.Buffer(d.cfg.NearDistanceM)
-						}
-						hit = b.Intersects(sub)
-					default:
-						hit = true // unknown geometry: never mask it out
-					}
-					if hit {
-						inMask = false
-						break
-					}
-				}
-				raster[sy*k+sx] = inMask
+	entries := d.cells[cell]
+	col, row := d.grid.ColRow(cell)
+	cellRect := d.grid.CellRect(col, row)
+	raster := make([]bool, k*k)
+	dLon := cellRect.Width() / float64(k)
+	dLat := cellRect.Height() / float64(k)
+	for sy := 0; sy < k; sy++ {
+		for sx := 0; sx < k; sx++ {
+			sub := geo.Rect{
+				MinLon: cellRect.MinLon + float64(sx)*dLon,
+				MinLat: cellRect.MinLat + float64(sy)*dLat,
+				MaxLon: cellRect.MinLon + float64(sx+1)*dLon,
+				MaxLat: cellRect.MinLat + float64(sy+1)*dLat,
 			}
+			inMask := true
+			for _, e := range entries {
+				g := d.statics[e.idx].Geom
+				hit := false
+				switch gg := g.(type) {
+				case *geo.Polygon:
+					if d.cfg.NearDistanceM > 0 {
+						hit = gg.Bounds().Buffer(d.cfg.NearDistanceM).Intersects(sub)
+						if hit {
+							// Tighten with precise distance on sub-cell corners
+							// only when the bbox test passes.
+							hit = polygonNearRect(gg, sub, d.cfg.NearDistanceM)
+						}
+					} else {
+						hit = gg.IntersectsRect(sub)
+					}
+				case geo.Point:
+					b := gg.Bounds()
+					if d.cfg.NearDistanceM > 0 {
+						b = b.Buffer(d.cfg.NearDistanceM)
+					}
+					hit = b.Intersects(sub)
+				default:
+					hit = true // unknown geometry: never mask it out
+				}
+				if hit {
+					inMask = false
+					break
+				}
+			}
+			raster[sy*k+sx] = inMask
 		}
+	}
+	return raster
+}
+
+// BuildMasks rasterises now every occupied cell's mask that no probe has
+// built yet — for a caller that wants the one-off cost paid up front, such
+// as an experiment timing steady-state throughput. Links and stats are the
+// same with or without it.
+func (d *Discoverer) BuildMasks() {
+	if d.masks == nil {
+		return
+	}
+	for cell := range d.cells {
+		d.mask(cell)
+	}
+}
+
+// mask returns an occupied cell's raster, rasterising it on first use.
+func (d *Discoverer) mask(cell int) []bool {
+	raster, ok := d.masks[cell]
+	if !ok {
+		raster = d.buildMask(cell)
 		d.masks[cell] = raster
 	}
+	return raster
 }
 
 // polygonNearRect reports whether any point of rect is within dist of poly.
@@ -237,12 +260,9 @@ func polygonNearRect(poly *geo.Polygon, r geo.Rect, dist float64) bool {
 	return false
 }
 
-// inMask reports whether p falls in its cell's mask.
+// inMask reports whether p falls in the mask of its (occupied) cell.
 func (d *Discoverer) inMask(cell int, p geo.Point) bool {
-	raster, ok := d.masks[cell]
-	if !ok {
-		return false
-	}
+	raster := d.mask(cell)
 	k := d.cfg.MaskResolution
 	col, row := d.grid.ColRow(cell)
 	cellRect := d.grid.CellRect(col, row)

@@ -97,7 +97,9 @@ func TestNearToPort(t *testing.T) {
 }
 
 func TestMaskAndNoMaskAgree(t *testing.T) {
-	// Property: masks are a pure optimisation — identical links either way.
+	// Property: masks are a pure optimisation — identical links either way —
+	// and building them lazily is one too: a mask rasterised on a cell's
+	// first probe is the mask an up-front build gives that cell.
 	statics := make([]StaticEntity, 0, 40)
 	for i, a := range gen.Areas(5, gen.ProtectedArea, 30, geo.Rect{MinLon: 22, MinLat: 36, MaxLon: 26, MaxLat: 40}, 2_000, 15_000) {
 		statics = append(statics, StaticEntity{ID: fmt.Sprintf("area-%d", i), Geom: a.Geom})
@@ -107,6 +109,12 @@ func TestMaskAndNoMaskAgree(t *testing.T) {
 	}
 	noMask := NewDiscoverer(baseConfig(0), statics)
 	withMask := NewDiscoverer(baseConfig(8), statics)
+	eager := NewDiscoverer(baseConfig(8), statics)
+	eager.BuildMasks()
+	noMask.BuildMasks() // masks off: nothing to build
+	if len(eager.masks) != len(eager.cells) || noMask.masks != nil {
+		t.Fatalf("BuildMasks built %d masks for %d occupied cells (masks off: %v)", len(eager.masks), len(eager.cells), noMask.masks)
+	}
 
 	sim := gen.NewVesselSim(gen.VesselSimConfig{Seed: 7,
 		Region: geo.Rect{MinLon: 22, MinLat: 36, MaxLon: 26, MaxLat: 40}})
@@ -114,12 +122,13 @@ func TestMaskAndNoMaskAgree(t *testing.T) {
 	for _, r := range reports {
 		a := noMask.ProcessPoint(r.ID, r.Time, r.Pos)
 		b := withMask.ProcessPoint(r.ID, r.Time, r.Pos)
-		if len(a) != len(b) {
-			t.Fatalf("link sets differ at %s: %v vs %v", r.ID, a, b)
+		c := eager.ProcessPoint(r.ID, r.Time, r.Pos)
+		if len(a) != len(b) || len(a) != len(c) {
+			t.Fatalf("link sets differ at %s: %v vs %v vs %v", r.ID, a, b, c)
 		}
 		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("link %d differs: %v vs %v", i, a[i], b[i])
+			if a[i] != b[i] || a[i] != c[i] {
+				t.Fatalf("link %d differs: %v vs %v vs %v", i, a[i], b[i], c[i])
 			}
 		}
 	}
@@ -130,6 +139,23 @@ func TestMaskAndNoMaskAgree(t *testing.T) {
 	}
 	if withMask.Stats().MaskSkips == 0 {
 		t.Error("mask never fired")
+	}
+	if withMask.Stats() != eager.Stats() {
+		t.Errorf("lazy masks changed the stats: %v vs %v", withMask.Stats(), eager.Stats())
+	}
+	if n := len(withMask.masks); n == 0 || n >= len(withMask.cells) {
+		t.Errorf("the stream should have built some masks, not all: %d of %d cells", n, len(withMask.cells))
+	}
+	for cell, want := range eager.masks {
+		got := withMask.mask(cell) // the first probe, for the cells the stream never visited
+		if len(got) != len(want) {
+			t.Fatalf("cell %d: lazy mask has %d sub-cells, eager %d", cell, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("cell %d sub-cell %d: lazy %v, eager %v", cell, i, got[i], want[i])
+			}
+		}
 	}
 }
 

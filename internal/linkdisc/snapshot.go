@@ -17,8 +17,8 @@ type recentSnapshot struct {
 
 // discovererSnapshot is the wire form of the Discoverer's mutable state. The
 // grid, cell index and masks are functions of the static entities and
-// configuration, rebuilt at construction, so only the temporal book-keeping
-// buffers and the counters are captured. Go encodes int-keyed maps with
+// configuration — rebuilt at construction, the masks on first probe — so only
+// the temporal book-keeping buffers and the counters are captured. Go encodes int-keyed maps with
 // string keys, which round-trips losslessly.
 type discovererSnapshot struct {
 	Stats  Stats                    `json:"stats"`

@@ -27,14 +27,18 @@ var hotPathRootNames = []string{
 
 // HotPathExtraRoots names per-record and per-batch entry points that the
 // prefix rule misses: the wire codec (encoded/decoded once per record on
-// the ingest and shard-worker paths), the broker's batch produce, and the
-// pipeline's batch ingest. Keys are module-relative package prefixes,
-// matched like HotPathScope; values are exact function or method names.
+// the ingest and shard-worker paths), the broker's batch produce, the
+// pipeline's batch ingest, and the critical-point emit path (triple
+// generation, N-Triples encoding, batched publish). Keys are module-relative
+// package prefixes, matched like HotPathScope; values are exact function or
+// method names.
 var HotPathExtraRoots = map[string][]string{
 	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "UnmarshalReportInto", "Decode"},
 	"internal/msg":      {"ProduceBatch"},
 	"internal/shard":    {"SubmitBatch"},
-	"internal/core":     {"Ingest"},
+	"internal/core":     {"Ingest", "Publish"},
+	"internal/rdf":      {"AppendNT"},
+	"internal/rdfgen":   {"Generate"},
 }
 
 var hotallocAnalyzer = &Analyzer{

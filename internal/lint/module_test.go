@@ -31,6 +31,20 @@ func TestHotAllocExtraRoots(t *testing.T) {
 	runFixture(t, "hotalloc", "hotallocroots", "datacron/internal/mobility/lintfixture")
 }
 
+func TestHotAllocEmitPathRoots(t *testing.T) {
+	// The critical-point emit path's three entry points — rdf AppendNT,
+	// rdfgen Generate, core Publish — are extra roots, each in its own
+	// package: one fixture per package, loaded under that package's path.
+	for _, pkg := range []string{"rdf", "rdfgen", "core"} {
+		runFixture(t, "hotalloc", "hotallocemit/"+pkg, "datacron/internal/"+pkg+"/lintfixture")
+	}
+	// Loaded elsewhere, the same functions are not roots.
+	p := loadFixture(t, "hotallocemit/rdf", "datacron/internal/va/lintfixture")
+	if diags := runAnalyzer(Lookup("hotalloc"), p); len(diags) != 0 {
+		t.Fatalf("hotalloc fired outside the emit-path packages: %v", diags)
+	}
+}
+
 func TestHotAllocExtraRootsOutOfScope(t *testing.T) {
 	// The same fixture under a package with no extra roots has no
 	// reachability roots at all, so nothing is reported.

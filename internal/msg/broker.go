@@ -317,15 +317,6 @@ func (b *Broker) ProduceTo(ctx context.Context, topicName string, partitionIdx i
 	return b.produceTo(ctx, t, partitionIdx, key, value, ts)
 }
 
-// ProduceBackground is Produce with context.Background().
-//
-// Deprecated: use Produce with a real context so backpressure blocking on
-// limited topics stays cancellable. This shim will be removed one release
-// after the context-first API landed.
-func (b *Broker) ProduceBackground(topicName, key string, value []byte, ts time.Time) (Record, error) {
-	return b.Produce(context.Background(), topicName, key, value, ts)
-}
-
 func (b *Broker) produceTo(ctx context.Context, t *topic, pIdx int, key string, value []byte, ts time.Time) (Record, error) {
 	if ctx == nil {
 		ctx = context.Background()

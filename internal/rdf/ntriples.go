@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -11,8 +12,10 @@ import (
 // WriteNTriples serialises triples in N-Triples format, one per line.
 func WriteNTriples(w io.Writer, triples []Triple) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for _, t := range triples {
-		if _, err := fmt.Fprintln(bw, t.String()); err != nil {
+		line = append(t.AppendNT(line[:0]), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -28,11 +31,11 @@ func ReadNTriples(r io.Reader) ([]Triple, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		t, err := parseNTLine(line)
+		t, err := ParseNTriple(line)
 		if err != nil {
 			return nil, fmt.Errorf("rdf: line %d: %w", lineNo, err)
 		}
@@ -44,9 +47,11 @@ func ReadNTriples(r io.Reader) ([]Triple, error) {
 	return out, nil
 }
 
-func parseNTLine(line string) (Triple, error) {
-	rest := line
-	s, rest, err := parseNTTerm(rest)
+// ParseNTriple parses one N-Triples line — what Triple.AppendNT writes, with
+// or without surrounding whitespace. It copies line once; the parsed terms
+// do not alias it.
+func ParseNTriple(line []byte) (Triple, error) {
+	s, rest, err := parseNTTerm(string(line))
 	if err != nil {
 		return Triple{}, fmt.Errorf("subject: %w", err)
 	}

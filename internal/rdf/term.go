@@ -25,7 +25,7 @@ type IRI string
 
 func (i IRI) isTerm()        {}
 func (i IRI) Key() string    { return "I" + string(i) }
-func (i IRI) String() string { return "<" + string(i) + ">" }
+func (i IRI) String() string { return termString(i) }
 
 // Common XSD datatype IRIs.
 const (
@@ -50,20 +50,14 @@ func (l Literal) isTerm() {}
 
 func (l Literal) Key() string { return "L" + string(l.Datatype) + "\x00" + l.Value }
 
-func (l Literal) String() string {
-	s := strconv.Quote(l.Value)
-	if l.Datatype != "" && l.Datatype != XSDString {
-		return s + "^^" + l.Datatype.String()
-	}
-	return s
-}
+func (l Literal) String() string { return termString(l) }
 
 // BNode is a blank node with a local label.
 type BNode string
 
 func (b BNode) isTerm()        {}
 func (b BNode) Key() string    { return "B" + string(b) }
-func (b BNode) String() string { return "_:" + string(b) }
+func (b BNode) String() string { return termString(b) }
 
 // Convenience literal constructors.
 
@@ -110,8 +104,58 @@ type Triple struct {
 	O Term
 }
 
+// AppendNT appends the triple's N-Triples line, without the newline, to dst
+// and returns the extended buffer. It is the repository's only N-Triples
+// encoder: String, the terms' String methods and WriteNTriples all render
+// through it, so what the real-time layer publishes and what an archive
+// holds cannot drift apart. With spare capacity in dst it does not allocate.
+func (t Triple) AppendNT(dst []byte) []byte {
+	dst = appendTerm(dst, t.S)
+	dst = append(dst, ' ')
+	dst = appendTerm(dst, t.P)
+	dst = append(dst, ' ')
+	dst = appendTerm(dst, t.O)
+	return append(dst, " ."...)
+}
+
+// appendTerm appends one term in N-Triples syntax. Literals are escaped with
+// strconv.AppendQuote, which is what ParseNTriple unquotes.
+func appendTerm(dst []byte, t Term) []byte {
+	switch v := t.(type) {
+	case IRI:
+		dst = append(dst, '<')
+		dst = append(dst, v...)
+		return append(dst, '>')
+	case Literal:
+		dst = strconv.AppendQuote(dst, v.Value)
+		if v.Datatype != "" && v.Datatype != XSDString {
+			dst = append(dst, "^^<"...)
+			dst = append(dst, v.Datatype...)
+			dst = append(dst, '>')
+		}
+		return dst
+	case BNode:
+		dst = append(dst, "_:"...)
+		return append(dst, v...)
+	default:
+		// A nil term, as in the zero Triple: rendered the way fmt's %s
+		// renders a nil interface, so String never panics.
+		return append(dst, "%!s(<nil>)"...)
+	}
+}
+
+// ntStackBuf sizes the on-stack buffer String renders into; a longer line
+// spills to the heap through append.
+const ntStackBuf = 256
+
+func termString(t Term) string {
+	var buf [ntStackBuf]byte
+	return string(appendTerm(buf[:0], t))
+}
+
 func (t Triple) String() string {
-	return fmt.Sprintf("%s %s %s .", t.S, t.P, t.O)
+	var buf [ntStackBuf]byte
+	return string(t.AppendNT(buf[:0]))
 }
 
 // Key returns a canonical identity for set semantics.

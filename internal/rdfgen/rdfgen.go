@@ -8,6 +8,8 @@ package rdfgen
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -168,18 +170,58 @@ func BindWKT(v, field string) Binding {
 
 // BindIRI binds an IRI minted by formatting fields into a pattern, e.g.
 // BindIRI("node", "http://…/node/%v/%v", "id", "seq").
+//
+// A pattern made of literal text and one %v per field — every pattern in
+// this repository — is split once, here, into its literal segments; per
+// record the IRI is then appended piecewise, string and int fields through
+// strconv-style appends and any other value through fmt, which renders it
+// as %v would. Any other pattern is formatted by fmt.Sprintf per record.
 func BindIRI(v, format string, fields ...string) Binding {
+	segs := splitVerbs(format, len(fields))
+	if segs == nil {
+		return Binding{Var: v, From: func(r Record) rdf.Term {
+			args := make([]any, len(fields))
+			for i, f := range fields {
+				x, ok := r[f]
+				if !ok {
+					return nil
+				}
+				args[i] = x
+			}
+			return rdf.IRI(fmt.Sprintf(format, args...))
+		}}
+	}
 	return Binding{Var: v, From: func(r Record) rdf.Term {
-		args := make([]any, len(fields))
+		var buf [128]byte
+		iri := append(buf[:0], segs[0]...)
 		for i, f := range fields {
 			x, ok := r[f]
 			if !ok {
 				return nil
 			}
-			args[i] = x
+			switch x := x.(type) {
+			case string:
+				iri = append(iri, x...)
+			case int:
+				iri = strconv.AppendInt(iri, int64(x), 10)
+			default:
+				iri = fmt.Append(iri, x)
+			}
+			iri = append(iri, segs[i+1]...)
 		}
-		return rdf.IRI(fmt.Sprintf(format, args...))
+		return rdf.IRI(iri)
 	}}
+}
+
+// splitVerbs splits a format made only of literal text and exactly n %v
+// verbs into its n+1 literal segments. Any other format (another verb, a
+// flag, %%, a verb count that does not match n) yields nil: fmt keeps it.
+func splitVerbs(format string, n int) []string {
+	segs := strings.Split(format, "%v")
+	if len(segs) != n+1 || strings.Contains(strings.Join(segs, ""), "%") {
+		return nil
+	}
+	return segs
 }
 
 // BindFunc binds an arbitrary computed term.
@@ -193,6 +235,10 @@ type TermSpec struct {
 	konst rdf.Term
 	v     string
 	fn    func(Vars) rdf.Term
+	// slot is v's index in the generator's per-record term vector, or -1
+	// when no binding populates v. Set by NewGenerator on its own copy of
+	// the template, so resolving a variable is an index, not a map lookup.
+	slot int
 }
 
 // C makes a constant TermSpec.
@@ -204,13 +250,18 @@ func V(name string) TermSpec { return TermSpec{v: name} }
 // F makes a function TermSpec evaluated over the variable vector.
 func F(fn func(Vars) rdf.Term) TermSpec { return TermSpec{fn: fn} }
 
-// resolve returns the term for this slot, or nil when unresolvable.
-func (ts TermSpec) resolve(vars Vars) rdf.Term {
+// resolve returns the term for this slot, or nil when unresolvable. terms is
+// the record's term vector; vars is its map form, built only for templates
+// with an F slot.
+func (ts *TermSpec) resolve(terms []rdf.Term, vars Vars) rdf.Term {
 	switch {
 	case ts.konst != nil:
 		return ts.konst
 	case ts.v != "":
-		return vars[ts.v]
+		if ts.slot < 0 {
+			return nil
+		}
+		return terms[ts.slot]
 	case ts.fn != nil:
 		return ts.fn(vars)
 	default:
@@ -229,7 +280,14 @@ type Template []TriplePattern
 // Generator converts records into triples: the framework's triple generator.
 type Generator struct {
 	bindings []Binding
-	template Template
+	template Template // private copy with every V slot resolved to an index
+
+	// Variables are numbered once, at construction: bindSlot[i] is the slot
+	// binding i populates (bindings naming the same variable share one, the
+	// later non-nil term winning), slotVars[s] is slot s's variable name.
+	bindSlot []int
+	slotVars []string
+	needVars bool // some pattern has an F slot, which takes the Vars map
 
 	mu      sync.Mutex
 	records int64
@@ -237,32 +295,84 @@ type Generator struct {
 	elapsed time.Duration
 }
 
-// NewGenerator builds a triple generator from bindings and a template.
+// NewGenerator builds a triple generator from bindings and a template,
+// compiling variable references to slot indices.
 func NewGenerator(bindings []Binding, template Template) *Generator {
-	return &Generator{bindings: bindings, template: template}
+	g := &Generator{
+		bindings: bindings,
+		template: append(Template(nil), template...),
+		bindSlot: make([]int, len(bindings)),
+	}
+	slots := make(map[string]int, len(bindings))
+	for i, b := range bindings {
+		s, ok := slots[b.Var]
+		if !ok {
+			s = len(g.slotVars)
+			slots[b.Var] = s
+			g.slotVars = append(g.slotVars, b.Var)
+		}
+		g.bindSlot[i] = s
+	}
+	for i := range g.template {
+		tp := &g.template[i]
+		g.compile(&tp.S, slots)
+		g.compile(&tp.P, slots)
+		g.compile(&tp.O, slots)
+	}
+	return g
+}
+
+// compile resolves one template slot against the variable numbering.
+func (g *Generator) compile(ts *TermSpec, slots map[string]int) {
+	ts.slot = -1
+	if s, ok := slots[ts.v]; ok {
+		ts.slot = s
+	}
+	if ts.fn != nil {
+		g.needVars = true
+	}
 }
 
 // Generate instantiates the template for one record. Patterns whose subject,
 // predicate or object is unresolvable are skipped silently — this is what
 // lets one template serve heterogeneous records.
 func (g *Generator) Generate(rec Record) []rdf.Triple {
-	vars := make(Vars, len(g.bindings))
-	for _, b := range g.bindings {
+	return g.AppendTriples(make([]rdf.Triple, 0, len(g.template)), rec)
+}
+
+// AppendTriples is Generate appending to dst, for a caller that reuses one
+// output slice across records.
+func (g *Generator) AppendTriples(dst []rdf.Triple, rec Record) []rdf.Triple {
+	var buf [16]rdf.Term
+	terms := buf[:]
+	if len(g.slotVars) > len(buf) {
+		terms = make([]rdf.Term, len(g.slotVars))
+	}
+	for i, b := range g.bindings {
 		if t := b.From(rec); t != nil {
-			vars[b.Var] = t
+			terms[g.bindSlot[i]] = t
 		}
 	}
-	out := make([]rdf.Triple, 0, len(g.template))
-	for _, tp := range g.template {
-		s := tp.S.resolve(vars)
-		p := tp.P.resolve(vars)
-		o := tp.O.resolve(vars)
+	var vars Vars
+	if g.needVars {
+		vars = make(Vars, len(g.slotVars))
+		for s, name := range g.slotVars {
+			if terms[s] != nil {
+				vars[name] = terms[s]
+			}
+		}
+	}
+	for i := range g.template {
+		tp := &g.template[i]
+		s := tp.S.resolve(terms, vars)
+		p := tp.P.resolve(terms, vars)
+		o := tp.O.resolve(terms, vars)
 		if s == nil || p == nil || o == nil {
 			continue
 		}
-		out = append(out, rdf.Triple{S: s, P: p, O: o})
+		dst = append(dst, rdf.Triple{S: s, P: p, O: o})
 	}
-	return out
+	return dst
 }
 
 // Run drains a connector through the generator, invoking sink for each

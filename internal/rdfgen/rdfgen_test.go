@@ -236,3 +236,102 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// referenceGenerate is Generate as it was before variables were compiled to
+// slots: one Vars map per record, every slot resolved through it. The
+// compiled generator must produce exactly what it does.
+func referenceGenerate(bindings []Binding, template Template, rec Record) []rdf.Triple {
+	vars := Vars{}
+	for _, b := range bindings {
+		if t := b.From(rec); t != nil {
+			vars[b.Var] = t
+		}
+	}
+	resolve := func(ts TermSpec) rdf.Term {
+		switch {
+		case ts.konst != nil:
+			return ts.konst
+		case ts.v != "":
+			return vars[ts.v]
+		case ts.fn != nil:
+			return ts.fn(vars)
+		}
+		return nil
+	}
+	var out []rdf.Triple
+	for _, tp := range template {
+		s, p, o := resolve(tp.S), resolve(tp.P), resolve(tp.O)
+		if s != nil && p != nil && o != nil {
+			out = append(out, rdf.Triple{S: s, P: p, O: o})
+		}
+	}
+	return out
+}
+
+func TestCompiledGeneratorMatchesReference(t *testing.T) {
+	type stringer struct{ a, b int }
+	bindings := []Binding{
+		BindIRI("s", "http://x/%v/%v", "id", "seq"),
+		BindIRI("padded", "http://x/%05d", "seq"),        // not a %v pattern: fmt formats it
+		BindIRI("pct", "http://x/100%%/%v", "id"),        // %% : fmt formats it
+		BindIRI("short", "http://x/%v", "id", "seq"),     // verb count ≠ field count
+		BindIRI("any", "http://x/%v/%v", "speed", "obj"), // float and struct fields
+		BindStr("name", "name"),
+		BindStr("name", "alias"), // same variable twice: the later non-nil term wins
+		BindFloat("speed", "speed"),
+		BindTime("t", "time"),
+		BindStr("", "name"), // the empty name is bindable but V("") never resolves
+	}
+	template := Template{
+		{S: V("s"), P: C(rdf.RDFType), O: C(rdf.IRI("http://x/Thing"))},
+		{S: V("s"), P: C(rdf.IRI("http://x/name")), O: V("name")},
+		{S: V("s"), P: C(rdf.IRI("http://x/speed")), O: V("speed")},
+		{S: V("s"), P: C(rdf.IRI("http://x/at")), O: V("t")},
+		{S: V("padded"), P: C(rdf.IRI("http://x/sameAs")), O: V("pct")},
+		{S: V("short"), P: C(rdf.IRI("http://x/sameAs")), O: V("any")},
+		{S: V("s"), P: C(rdf.IRI("http://x/ghost")), O: V("never-bound")},
+		{S: V("s"), P: C(rdf.IRI("http://x/blank")), O: V("")},
+		{S: V("s"), P: C(rdf.IRI("http://x/label")), O: F(func(v Vars) rdf.Term {
+			// Sees every bound variable, and only those.
+			lit, ok := v["name"].(rdf.Literal)
+			if !ok {
+				return nil
+			}
+			_, hasSpeed := v["speed"]
+			return rdf.Str(strings.ToUpper(lit.Value) + map[bool]string{true: "+speed"}[hasSpeed])
+		})},
+		{},
+	}
+	records := []Record{
+		{"id": "a", "seq": 7, "name": "Alpha", "alias": "Al", "speed": 12.5, "time": t0, "obj": stringer{1, 2}},
+		{"id": "b", "seq": 8, "name": "Beta", "speed": 3},
+		{"id": "c", "seq": int64(9), "alias": "Cee"},
+		{"id": 42, "seq": "x", "name": 1.0},
+		{"seq": 1, "name": "no id"},
+		{},
+	}
+	g := NewGenerator(bindings, template)
+	var reused []rdf.Triple
+	for i, rec := range records {
+		want := referenceGenerate(bindings, template, rec)
+		got := g.Generate(rec)
+		reused = g.AppendTriples(reused[:0], rec)
+		for name, have := range map[string][]rdf.Triple{"Generate": got, "AppendTriples": reused} {
+			if len(have) != len(want) {
+				t.Fatalf("record %d: %s made %d triples, reference %d:\n%v\n%v", i, name, len(have), len(want), have, want)
+			}
+			for j := range want {
+				if have[j] != want[j] {
+					t.Errorf("record %d triple %d: %s = %v, reference %v", i, j, name, have[j], want[j])
+				}
+			}
+		}
+	}
+	if len(referenceGenerate(bindings, template, records[0])) != 7 {
+		t.Error("the full record should instantiate every pattern but the ghost, blank and empty ones")
+	}
+	// Compiling works on a copy: the caller's template is left as built.
+	if template[0].S.slot != 0 || template[6].O.slot != 0 {
+		t.Error("NewGenerator wrote slot indices into the caller's template")
+	}
+}
