@@ -23,6 +23,7 @@ import (
 	"datacron/internal/gen"
 	"datacron/internal/geo"
 	"datacron/internal/linkdisc"
+	"datacron/internal/lowlevel"
 	"datacron/internal/mobility"
 	"datacron/internal/msg"
 	"datacron/internal/ontology"
@@ -226,24 +227,85 @@ func BenchmarkStoreLayoutsAndPlans(b *testing.B) {
 	}
 }
 
-// FLP ablation: RMF window depth f and RMF* on the same flight stream.
+// turningTrack is a closed constant-turn-rate circuit (4° per 8 s report, 90
+// reports a lap), so cycling through it keeps RMF* in its pattern-matching
+// branch without a jump at the wrap.
+func turningTrack(laps int) []mobility.Report {
+	const speedMS, turnDeg, dt = 100.0, 4.0, 8 * time.Second
+	reports := make([]mobility.Report, 0, 90*laps)
+	pos, heading := geo.Pt(0, 45), 0.0
+	for i := 0; i < cap(reports); i++ {
+		reports = append(reports, mobility.Report{
+			ID: "turning", Time: gen.DefaultStart.Add(time.Duration(i) * dt), Pos: pos,
+			SpeedKn: speedMS / mobility.KnotsToMS, Heading: heading,
+		})
+		heading = geo.NormalizeHeading(heading + turnDeg)
+		pos = geo.Destination(pos, heading, speedMS*dt.Seconds())
+	}
+	return reports
+}
+
+// benchSink keeps the compiler from discarding a benchmarked call's result.
+var benchSink int
+
+// FLP ablation: RMF window depth f and RMF* on the same flight stream, plus
+// RMF* on a turning track, where every Predict runs the hold-out back-test
+// over all four motion primitives.
 func BenchmarkFLPPredictors(b *testing.B) {
 	sim := gen.NewFlightSim(gen.FlightSimConfig{Seed: 3, NumFlights: 2, RoutePairs: [][2]int{{0, 1}}})
-	_, reports := sim.Run()
-	predictors := map[string]func() flp.Predictor{
-		"rmf-f2": func() flp.Predictor { return flp.NewRMF(2) },
-		"rmf-f3": func() flp.Predictor { return flp.NewRMF(3) },
-		"rmf-f5": func() flp.Predictor { return flp.NewRMF(5) },
-		"rmf*":   func() flp.Predictor { return flp.NewRMFStar(8 * time.Second) },
+	_, flights := sim.Run()
+	cases := []struct {
+		name    string
+		mk      func() flp.Predictor
+		reports []mobility.Report
+	}{
+		{"rmf-f2", func() flp.Predictor { return flp.NewRMF(2) }, flights},
+		{"rmf-f3", func() flp.Predictor { return flp.NewRMF(3) }, flights},
+		{"rmf-f5", func() flp.Predictor { return flp.NewRMF(5) }, flights},
+		{"rmf*", func() flp.Predictor { return flp.NewRMFStar(8 * time.Second) }, flights},
+		{"rmf*-turning", func() flp.Predictor { return flp.NewRMFStar(8 * time.Second) }, turningTrack(10)},
 	}
-	for name, mk := range predictors {
-		b.Run(name, func(b *testing.B) {
-			p := mk()
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			p := c.mk()
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p.Observe(reports[i%len(reports)])
-				p.Predict(8)
+				p.Observe(c.reports[i%len(c.reports)])
+				benchSink += len(p.Predict(8))
 			}
 		})
+	}
+}
+
+// Synopses per-record cost on the mixed vessel stream: the mean-course test
+// and the other single-pass heuristics, on a generator rebuilt each pass.
+func BenchmarkSynopsesProcess(b *testing.B) {
+	reports := benchReports(b)
+	var g *synopses.Generator
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(reports)
+		if j == 0 {
+			g = synopses.NewGenerator(synopses.DefaultMaritime())
+		}
+		benchSink += len(g.Process(reports[j]))
+	}
+}
+
+// In-situ statistics per-record cost: two running medians (speed,
+// acceleration) per report, on a profiler rebuilt each pass.
+func BenchmarkProfilerObserve(b *testing.B) {
+	reports := benchReports(b)
+	var pf *lowlevel.Profiler
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(reports)
+		if j == 0 {
+			pf = lowlevel.NewProfiler()
+		}
+		pf.Observe(reports[j])
 	}
 }
 

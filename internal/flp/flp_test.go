@@ -1,7 +1,6 @@
 package flp
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -101,18 +100,6 @@ func TestPredictTooEarly(t *testing.T) {
 	s := NewRMFStar(8 * time.Second)
 	if got := s.Predict(3); got != nil {
 		t.Error("RMF* with no history should be nil")
-	}
-}
-
-func TestSolveLinear(t *testing.T) {
-	// 2x + y = 5; x - y = 1 → x=2, y=1.
-	x := solveLinear([][]float64{{2, 1}, {1, -1}}, []float64{5, 1})
-	if x == nil || math.Abs(x[0]-2) > 1e-9 || math.Abs(x[1]-1) > 1e-9 {
-		t.Errorf("solve = %v", x)
-	}
-	// Singular system.
-	if got := solveLinear([][]float64{{1, 1}, {2, 2}}, []float64{1, 2}); got != nil {
-		t.Error("singular system should return nil")
 	}
 }
 

@@ -1,0 +1,275 @@
+package flp
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"datacron/internal/geo"
+	"datacron/internal/mobility"
+)
+
+// climbingTrack is a straight track whose vertical rate crosses RMF*'s
+// threshold in the middle third, so pattern matching runs on straight motion.
+func climbingTrack(n int) *mobility.Trajectory {
+	tr := straightTrack(n, 120, 8*time.Second)
+	for i := n / 3; i < 2*n/3; i++ {
+		tr.Reports[i].VRateFS = 25
+		tr.Reports[i].AltFt = float64(i) * 200
+	}
+	return tr
+}
+
+// noisyTrack wanders: heading random-walks with occasional sharp turns, speed
+// jitters, positions carry metre-scale noise and the vertical rate flips.
+func noisyTrack(seed int64, n int) *mobility.Trajectory {
+	rnd := rand.New(rand.NewSource(seed))
+	tr := &mobility.Trajectory{ID: "n"}
+	pos := geo.Pt(23.5, 37.9)
+	heading, speed := 40.0, 9.0
+	for i := 0; i < n; i++ {
+		rep := mobility.Report{
+			ID: "n", Time: t0.Add(time.Duration(i) * 10 * time.Second),
+			Pos:     geo.Destination(pos, rnd.Float64()*360, rnd.Float64()*15),
+			SpeedKn: speed / mobility.KnotsToMS, Heading: heading,
+		}
+		if rnd.Intn(9) == 0 {
+			rep.VRateFS = rnd.NormFloat64() * 20
+		}
+		tr.Reports = append(tr.Reports, rep)
+		heading += rnd.NormFloat64() * 2
+		if rnd.Intn(15) == 0 {
+			heading += rnd.Float64()*120 - 60
+		}
+		heading = geo.NormalizeHeading(heading)
+		speed = math.Max(0.5, speed+rnd.NormFloat64()*0.4)
+		pos = geo.Destination(pos, heading, speed*10)
+	}
+	return tr
+}
+
+func oracleTracks() map[string]*mobility.Trajectory {
+	return map[string]*mobility.Trajectory{
+		"straight": straightTrack(60, 100, 8*time.Second),
+		"turning":  circleTrack(90, 100, 4, 8*time.Second),
+		"climbing": climbingTrack(90),
+		"noisy-1":  noisyTrack(1, 400),
+		"noisy-2":  noisyTrack(2, 400),
+	}
+}
+
+// samePoints reports whether two predictions are identical bit for bit,
+// nil-ness included.
+func samePoints(a, b []geo.Point) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].Lon) != math.Float64bits(b[i].Lon) ||
+			math.Float64bits(a[i].Lat) != math.Float64bits(b[i].Lat) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPredictMatchesLegacyBitForBit walks every track from its first report,
+// so windows shorter than 4 and shorter than 8+holdout are covered, and
+// compares each predictor against its legacy twin at every step.
+func TestPredictMatchesLegacyBitForBit(t *testing.T) {
+	type pair struct {
+		name        string
+		got, oracle func() Predictor
+	}
+	pairs := []pair{{"rmf*", func() Predictor { return NewRMFStar(8 * time.Second) }, func() Predictor { return newLegacyRMFStar() }}}
+	for f := 1; f <= maxDepth; f++ {
+		f := f
+		pairs = append(pairs, pair{fmt.Sprintf("rmf-f%d", f),
+			func() Predictor { return NewRMF(f) }, func() Predictor { return newLegacyRMF(f) }})
+	}
+	for trackName, tr := range oracleTracks() {
+		for _, pr := range pairs {
+			got, oracle := pr.got(), pr.oracle()
+			predicted, patternMatched := 0, 0
+			for i, rep := range tr.Reports {
+				got.Observe(rep)
+				oracle.Observe(rep)
+				for _, k := range []int{0, 3, 8} {
+					g, w := got.Predict(k), oracle.Predict(k)
+					if !samePoints(g, w) {
+						t.Fatalf("%s on %s, report %d, k=%d:\n got %v\nwant %v", pr.name, trackName, i, k, g, w)
+					}
+					if g != nil {
+						predicted++
+					}
+				}
+				if s, ok := got.(*RMFStar); ok && s.nonLinearPhase() {
+					patternMatched++
+				}
+			}
+			if predicted == 0 {
+				t.Errorf("%s on %s: never predicted", pr.name, trackName)
+			}
+			if pr.name == "rmf*" && trackName != "straight" && patternMatched == 0 {
+				t.Errorf("rmf* on %s: the pattern-matching branch never ran", trackName)
+			}
+		}
+	}
+}
+
+func TestNewRMFClampsDepth(t *testing.T) {
+	if got := NewRMF(maxDepth + 4).f; got != maxDepth {
+		t.Errorf("depth = %d, want clamp to %d", got, maxDepth)
+	}
+	if got := NewRMF(0).f; got != 2 {
+		t.Errorf("depth = %d, want default 2", got)
+	}
+}
+
+// TestWindowShiftsInPlace pins that a full window drops its oldest entry
+// without regrowing or sliding its slices off their backing arrays.
+func TestWindowShiftsInPlace(t *testing.T) {
+	w := newWindow(5)
+	base := &w.pts[:1][0]
+	for i := 0; i < 12; i++ {
+		w.observe(mobility.Report{Pos: geo.Pt(0, 45), Heading: float64(i), SpeedKn: float64(i), VRateFS: float64(i)})
+	}
+	if w.len() != 5 || cap(w.pts) != 5 || cap(w.heads) != 5 || &w.pts[0] != base {
+		t.Fatalf("window len %d cap %d/%d, moved=%v", w.len(), cap(w.pts), cap(w.heads), &w.pts[0] != base)
+	}
+	for i, h := range w.heads {
+		if want := float64(7 + i); h != want || w.speeds[i] != want || w.vrates[i] != want {
+			t.Errorf("entry %d = %v/%v/%v, want %v", i, h, w.speeds[i], w.vrates[i], want)
+		}
+	}
+}
+
+// TestObservePredictAllocatesOnlyTheResult is the allocation gate: once a
+// predictor exists, Observe+Predict allocates the returned slice and nothing
+// else, in the linear phase and in the pattern-matching phase.
+func TestObservePredictAllocatesOnlyTheResult(t *testing.T) {
+	cases := map[string]struct {
+		tr        *mobility.Trajectory
+		nonLinear bool
+	}{
+		"linear":           {straightTrack(400, 100, 8*time.Second), false},
+		"pattern-matching": {circleTrack(400, 100, 4, 8*time.Second), true},
+	}
+	for name, c := range cases {
+		p := NewRMFStar(8 * time.Second)
+		i := 0
+		for ; i < 60; i++ {
+			p.Observe(c.tr.Reports[i])
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			p.Observe(c.tr.Reports[i])
+			i++
+			if p.nonLinearPhase() != c.nonLinear {
+				t.Fatalf("%s: wrong phase at report %d", name, i)
+			}
+			if p.Predict(8) == nil {
+				t.Fatalf("%s: no prediction", name)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s: Observe+Predict = %.1f allocs, want ≤ 1", name, allocs)
+		}
+	}
+}
+
+func TestSolveLinear(t *testing.T) {
+	// 2x + y = 5; x - y = 1 → x=2, y=1.
+	m := augmented{{2, 1, 5}, {1, -1, 1}}
+	x, ok := solveLinear(&m, 2)
+	if !ok || math.Abs(x[0]-2) > 1e-9 || math.Abs(x[1]-1) > 1e-9 {
+		t.Errorf("solve = %v, %v", x, ok)
+	}
+	// Singular system.
+	m = augmented{{1, 1, 1}, {2, 2, 2}}
+	if _, ok := solveLinear(&m, 2); ok {
+		t.Error("singular system should not solve")
+	}
+}
+
+// TestRestoreRejectsCorruptBlobs asserts "error ⇒ predictor unchanged" for
+// every way a window blob can be wrong.
+func TestRestoreRejectsCorruptBlobs(t *testing.T) {
+	long := rmfStarSnapshot{Origin: &geo.Point{Lon: 0, Lat: 45}}
+	for i := 0; i < 29; i++ {
+		long.Pts = append(long.Pts, [2]float64{float64(i), 0})
+		long.Heads = append(long.Heads, 90)
+		long.Speeds = append(long.Speeds, 10)
+		long.VRates = append(long.VRates, 0)
+	}
+	longBlob, err := json.Marshal(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]struct {
+		blob, wantErr string
+	}{
+		"not json":             {`{"pts":`, "restore rmf*"},
+		"inconsistent lengths": {`{"pts":[[0,0],[1,1]],"heads":[90],"speeds":[1,1],"vrates":[0,0]}`, "inconsistent window lengths"},
+		"longer than maxLen":   {string(longBlob), "exceeds capacity"},
+		"non-finite coordinate": {`{"pts":[[1e400,0]],"heads":[90],"speeds":[1],"vrates":[0]}`,
+			"restore rmf*"},
+	}
+	tr := circleTrack(40, 100, 4, 8*time.Second)
+	for name, c := range cases {
+		p := NewRMFStar(8 * time.Second)
+		for _, rep := range tr.Reports {
+			p.Observe(rep)
+		}
+		before, err := p.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPred := p.Predict(8)
+		err = p.Restore([]byte(c.blob))
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, c.wantErr)
+			continue
+		}
+		after, _ := p.Snapshot()
+		if !bytes.Equal(before, after) || !samePoints(p.Predict(8), wantPred) {
+			t.Errorf("%s: a rejected restore changed the predictor", name)
+		}
+	}
+	// JSON cannot carry NaN or ±Inf (the decoder refuses 1e400 above), so the
+	// coordinate check's predicate is pinned directly.
+	if finite(math.NaN()) || finite(math.Inf(-1)) || !finite(-1e308) {
+		t.Error("finite misclassifies")
+	}
+}
+
+// TestRestoreRoundTrip: a full window survives Snapshot→Restore and the
+// restored predictor keeps shifting in place and predicting identically.
+func TestRestoreRoundTrip(t *testing.T) {
+	tr := circleTrack(80, 100, 4, 8*time.Second)
+	a, b := NewRMFStar(8*time.Second), NewRMFStar(8*time.Second)
+	for _, rep := range tr.Reports[:50] {
+		a.Observe(rep)
+	}
+	blob, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range tr.Reports[50:] {
+		a.Observe(rep)
+		b.Observe(rep)
+		if !samePoints(a.Predict(8), b.Predict(8)) {
+			t.Fatalf("restored predictor diverged at report %d", 50+i)
+		}
+	}
+	if cap(b.win.pts) != b.win.maxLen {
+		t.Errorf("restored window cap = %d, want %d", cap(b.win.pts), b.win.maxLen)
+	}
+}

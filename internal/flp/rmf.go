@@ -31,7 +31,14 @@ type Predictor interface {
 // pt is a position in the local plane.
 type pt struct{ x, y float64 }
 
-// window keeps the most recent n plane positions plus headings and speeds.
+// maxDepth bounds the recurrence depth f of every RMF fit. The least-squares
+// kernel keeps its normal equations in fixed-size arrays of this dimension
+// on the stack, so NewRMF clamps f to it.
+const maxDepth = 5
+
+// window keeps the most recent maxLen plane positions plus headings, speeds
+// and vertical rates. The four slices are allocated once at capacity maxLen
+// and never regrow: a full window shifts down in place.
 type window struct {
 	enu    *geo.ENU
 	pts    []pt
@@ -41,29 +48,51 @@ type window struct {
 	maxLen int
 }
 
-func newWindow(maxLen int) *window { return &window{maxLen: maxLen} }
+func newWindow(maxLen int) *window {
+	return &window{
+		pts:    make([]pt, 0, maxLen),
+		heads:  make([]float64, 0, maxLen),
+		speeds: make([]float64, 0, maxLen),
+		vrates: make([]float64, 0, maxLen),
+		maxLen: maxLen,
+	}
+}
 
 func (w *window) observe(r mobility.Report) {
 	if w.enu == nil {
 		w.enu = geo.NewENU(r.Pos)
+	}
+	if len(w.pts) == w.maxLen {
+		w.pts = dropFirst(w.pts)
+		w.heads = dropFirst(w.heads)
+		w.speeds = dropFirst(w.speeds)
+		w.vrates = dropFirst(w.vrates)
 	}
 	x, y := w.enu.Forward(r.Pos)
 	w.pts = append(w.pts, pt{x, y})
 	w.heads = append(w.heads, r.Heading)
 	w.speeds = append(w.speeds, r.SpeedKn)
 	w.vrates = append(w.vrates, r.VRateFS)
-	if len(w.pts) > w.maxLen {
-		w.pts = w.pts[1:]
-		w.heads = w.heads[1:]
-		w.speeds = w.speeds[1:]
-		w.vrates = w.vrates[1:]
-	}
 }
+
+// dropFirst shifts s down by one in place, so it keeps its base and capacity
+// where re-slicing s[1:] would walk off the end of its array.
+func dropFirst[T any](s []T) []T { return s[:copy(s, s[1:])] }
 
 func (w *window) len() int { return len(w.pts) }
 
-// last returns the most recent plane position.
-func (w *window) last() pt { return w.pts[len(w.pts)-1] }
+// motion is a read-only view of the first n entries of a window: what a
+// motion primitive predicts from. The hold-out back-test hands primitives a
+// shorter view instead of shrinking the window.
+type motion struct {
+	enu   *geo.ENU
+	pts   []pt
+	heads []float64
+}
+
+func (w *window) motion(n int) motion {
+	return motion{enu: w.enu, pts: w.pts[:n], heads: w.heads[:n]}
+}
 
 // RMF is the baseline Recursive Motion Function predictor with system
 // parameter f: position p_t is modelled as a linear recurrence
@@ -76,10 +105,14 @@ type RMF struct {
 	win *window
 }
 
-// NewRMF returns an RMF predictor with recurrence depth f (typically 2–5).
+// NewRMF returns an RMF predictor with recurrence depth f (typically 2–5;
+// depths above 5 are clamped to 5).
 func NewRMF(f int) *RMF {
 	if f < 1 {
 		f = 2
+	}
+	if f > maxDepth {
+		f = maxDepth
 	}
 	return &RMF{f: f, win: newWindow(4*f + 8)}
 }
@@ -91,72 +124,82 @@ func (r *RMF) Observe(rep mobility.Report) { r.win.observe(rep) }
 
 // Predict implements Predictor.
 func (r *RMF) Predict(k int) []geo.Point {
-	coef := fitRMF(r.win.pts, r.f)
-	if coef == nil {
+	coef, ok := fitRMF(r.win.pts, r.f)
+	if !ok {
 		return nil
 	}
-	return rollForward(r.win, coef, k)
+	return rollForward(make([]geo.Point, 0, k), r.win.enu, r.win.pts, &coef, r.f, k)
 }
 
-// fitRMF solves the least-squares recurrence coefficients over the window,
-// or nil when the window is too short. A small ridge term keeps the normal
-// equations well-conditioned on nearly collinear (straight-line) motion.
-func fitRMF(pts []pt, f int) []float64 {
+// rmf appends the k-step prediction of the depth-f recurrence fitted to the
+// view; ok is false when the view is too short or the fit is singular.
+func (m motion) rmf(dst []geo.Point, f, k int) (out []geo.Point, ok bool) {
+	coef, ok := fitRMF(m.pts, f)
+	if !ok {
+		return dst, false
+	}
+	return rollForward(dst, m.enu, m.pts, &coef, f, k), true
+}
+
+// augmented is the system [A | b] of at most maxDepth equations, one row
+// per equation with b in column n.
+type augmented [maxDepth][maxDepth + 1]float64
+
+// fitRMF solves the least-squares recurrence coefficients over pts; ok is
+// false when there are too few points or the system is singular. A small
+// ridge term keeps the normal equations well-conditioned on nearly collinear
+// (straight-line) motion. f must be in [1, maxDepth].
+func fitRMF(pts []pt, f int) (coef [maxDepth]float64, ok bool) {
 	rows := len(pts) - f
 	if rows < f+1 {
-		return nil
+		return coef, false
 	}
-	// Normal equations A^T A c = A^T b accumulated over x and y rows.
-	ata := make([][]float64, f)
-	atb := make([]float64, f)
-	for i := range ata {
-		ata[i] = make([]float64, f)
-	}
+	// Normal equations AᵀA c = Aᵀb. Every point t contributes one regression
+	// row per coordinate (the f points before it, newest first); each entry
+	// accumulates the x row's product, then the y row's.
+	var m augmented
 	for t := f; t < len(pts); t++ {
-		for _, dim := range [2]int{0, 1} {
-			var target float64
-			if dim == 0 {
-				target = pts[t].x
-			} else {
-				target = pts[t].y
+		var rx, ry [maxDepth]float64
+		for i := 0; i < f; i++ {
+			rx[i], ry[i] = pts[t-1-i].x, pts[t-1-i].y
+		}
+		tx, ty := pts[t].x, pts[t].y
+		for i := 0; i < f; i++ {
+			mi, xi, yi := &m[i], rx[i], ry[i]
+			for j := i; j < f; j++ {
+				v := mi[j]
+				v += xi * rx[j]
+				v += yi * ry[j]
+				mi[j] = v
 			}
-			row := make([]float64, f)
-			for i := 0; i < f; i++ {
-				if dim == 0 {
-					row[i] = pts[t-1-i].x
-				} else {
-					row[i] = pts[t-1-i].y
-				}
-			}
-			for i := 0; i < f; i++ {
-				for j := 0; j < f; j++ {
-					ata[i][j] += row[i] * row[j]
-				}
-				atb[i] += row[i] * target
-			}
+			v := mi[f]
+			v += xi * tx
+			v += yi * ty
+			mi[f] = v
+		}
+	}
+	// AᵀA is symmetric bit for bit — products commute and mirrored entries
+	// accumulate in the same order — so only its upper triangle is summed.
+	for i := 1; i < f; i++ {
+		for j := 0; j < i; j++ {
+			m[i][j] = m[j][i]
 		}
 	}
 	// Ridge regularisation scaled to the data magnitude.
 	var scale float64
 	for i := 0; i < f; i++ {
-		scale += ata[i][i]
+		scale += m[i][i]
 	}
 	lambda := 1e-8 * (scale/float64(f) + 1)
 	for i := 0; i < f; i++ {
-		ata[i][i] += lambda
+		m[i][i] += lambda
 	}
-	coef := solveLinear(ata, atb)
-	return coef
+	return solveLinear(&m, f)
 }
 
-// solveLinear solves a small dense system via Gaussian elimination with
-// partial pivoting; returns nil for singular systems.
-func solveLinear(a [][]float64, b []float64) []float64 {
-	n := len(b)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = append(append([]float64(nil), a[i]...), b[i])
-	}
+// solveLinear solves the first n equations of m in place via Gaussian
+// elimination with partial pivoting; ok is false for singular systems.
+func solveLinear(m *augmented, n int) (x [maxDepth]float64, ok bool) {
 	for col := 0; col < n; col++ {
 		// Pivot.
 		p := col
@@ -166,7 +209,7 @@ func solveLinear(a [][]float64, b []float64) []float64 {
 			}
 		}
 		if math.Abs(m[p][col]) < 1e-12 {
-			return nil
+			return x, false
 		}
 		m[col], m[p] = m[p], m[col]
 		for r := col + 1; r < n; r++ {
@@ -176,7 +219,6 @@ func solveLinear(a [][]float64, b []float64) []float64 {
 			}
 		}
 	}
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		sum := m[i][n]
 		for j := i + 1; j < n; j++ {
@@ -184,23 +226,26 @@ func solveLinear(a [][]float64, b []float64) []float64 {
 		}
 		x[i] = sum / m[i][i]
 	}
-	return x
+	return x, true
 }
 
-// rollForward applies the recurrence k steps ahead.
-func rollForward(w *window, coef []float64, k int) []geo.Point {
-	f := len(coef)
-	hist := append([]pt(nil), w.pts...)
-	out := make([]geo.Point, 0, k)
+// rollForward applies the depth-f recurrence k steps ahead of pts, appending
+// the unprojected positions to dst. It carries only the f most recent plane
+// points, newest first. len(pts) must be at least f.
+func rollForward(dst []geo.Point, enu *geo.ENU, pts []pt, coef *[maxDepth]float64, f, k int) []geo.Point {
+	var recent [maxDepth]pt
+	for i := 0; i < f; i++ {
+		recent[i] = pts[len(pts)-1-i]
+	}
 	for step := 0; step < k; step++ {
 		var nx, ny float64
-		n := len(hist)
 		for i := 0; i < f; i++ {
-			nx += coef[i] * hist[n-1-i].x
-			ny += coef[i] * hist[n-1-i].y
+			nx += coef[i] * recent[i].x
+			ny += coef[i] * recent[i].y
 		}
-		hist = append(hist, pt{nx, ny})
-		out = append(out, w.enu.Inverse(nx, ny))
+		copy(recent[1:f], recent[:f-1])
+		recent[0] = pt{nx, ny}
+		dst = append(dst, enu.Inverse(nx, ny))
 	}
-	return out
+	return dst
 }

@@ -60,95 +60,114 @@ func (r *RMFStar) nonLinearPhase() bool {
 	return math.Abs(r.win.vrates[n-1]) > r.vrateThreshold
 }
 
+// The motion primitives pattern matching chooses among, in back-test order:
+// on equal error the earlier one wins.
+const (
+	primLinear = iota
+	primCircular
+	primRMF2
+	primRMF3
+	numPrimitives
+)
+
+// holdout is how many of the most recent points the back-test withholds.
+const holdout = 3
+
 // Predict implements Predictor.
 func (r *RMFStar) Predict(k int) []geo.Point {
-	if r.win.len() < 4 {
+	n := r.win.len()
+	if n < 4 {
 		return nil
 	}
+	m := r.win.motion(n)
+	out := make([]geo.Point, 0, k)
 	if !r.nonLinearPhase() {
-		return r.linear(k)
+		out, _ = m.linear(out, k)
+		return out
 	}
 	// Pattern matching: back-test each primitive on the last points.
-	primitives := []func(int) []geo.Point{
-		r.linear,
-		r.circular,
-		func(k int) []geo.Point { return r.rmfPredict(2, k) },
-		func(k int) []geo.Point { return r.rmfPredict(3, k) },
-	}
 	best := -1
 	bestErr := math.Inf(1)
-	const holdout = 3
-	if r.win.len() >= 8+holdout {
-		for i, prim := range primitives {
-			e := r.backtest(prim, holdout)
+	if n >= 8+holdout {
+		held, actual := r.win.motion(n-holdout), r.win.pts[n-holdout:]
+		for prim := 0; prim < numPrimitives; prim++ {
+			e := held.backtest(prim, actual)
 			if e >= 0 && e < bestErr {
 				bestErr = e
-				best = i
+				best = prim
 			}
 		}
 	}
 	if best < 0 {
-		best = 1 // default to the circular primitive inside a turn
+		best = primCircular // default to the circular primitive inside a turn
 	}
-	out := primitives[best](k)
-	if out == nil {
-		out = r.linear(k)
+	res, ok := m.predict(best, out, k)
+	if !ok {
+		res, _ = m.linear(out, k)
 	}
-	return out
+	return res
 }
 
-// backtest withholds the last h points, predicts them from the preceding
-// history with prim, and returns the mean error in metres (-1 when the
-// primitive cannot predict).
-func (r *RMFStar) backtest(prim func(int) []geo.Point, h int) float64 {
-	n := r.win.len()
-	// Temporarily shrink the window.
-	full := *r.win
-	r.win.pts = full.pts[:n-h]
-	r.win.heads = full.heads[:n-h]
-	r.win.speeds = full.speeds[:n-h]
-	r.win.vrates = full.vrates[:n-h]
-	preds := prim(h)
-	*r.win = full
-	if preds == nil {
+// predict appends primitive prim's k-step prediction from the view to dst;
+// ok is false when the primitive cannot predict from it.
+func (m motion) predict(prim int, dst []geo.Point, k int) (out []geo.Point, ok bool) {
+	switch prim {
+	case primLinear:
+		return m.linear(dst, k)
+	case primCircular:
+		return m.circular(dst, k)
+	case primRMF2:
+		return m.rmf(dst, 2, k)
+	default:
+		return m.rmf(dst, 3, k)
+	}
+}
+
+// backtest predicts the withheld points actual (at most holdout of them)
+// from the view with primitive prim and returns the mean error in metres
+// (-1 when the primitive cannot predict). Predictions make the same
+// Inverse→Forward round trip as emitted ones, so the error — and thereby the
+// chosen primitive — is the error of what would have been emitted.
+func (m motion) backtest(prim int, actual []pt) float64 {
+	var buf [holdout]geo.Point
+	preds, ok := m.predict(prim, buf[:0], len(actual))
+	if !ok {
 		return -1
 	}
 	var sum float64
 	for i, p := range preds {
-		px, py := r.win.enu.Forward(p)
-		actual := full.pts[n-h+i]
-		sum += math.Hypot(px-actual.x, py-actual.y)
+		px, py := m.enu.Forward(p)
+		sum += math.Hypot(px-actual[i].x, py-actual[i].y)
 	}
-	return sum / float64(h)
+	return sum / float64(len(actual))
 }
 
 // linear extrapolates with the mean velocity of the last few points.
-func (r *RMFStar) linear(k int) []geo.Point {
-	n := r.win.len()
+func (m motion) linear(dst []geo.Point, k int) (out []geo.Point, ok bool) {
+	n := len(m.pts)
 	if n < 2 {
-		return nil
+		return dst, false
 	}
 	span := 4
 	if n-1 < span {
 		span = n - 1
 	}
-	vx := (r.win.pts[n-1].x - r.win.pts[n-1-span].x) / float64(span)
-	vy := (r.win.pts[n-1].y - r.win.pts[n-1-span].y) / float64(span)
-	out := make([]geo.Point, 0, k)
-	cur := r.win.last()
+	vx := (m.pts[n-1].x - m.pts[n-1-span].x) / float64(span)
+	vy := (m.pts[n-1].y - m.pts[n-1-span].y) / float64(span)
+	cur := m.pts[n-1]
 	for step := 1; step <= k; step++ {
-		out = append(out, r.win.enu.Inverse(cur.x+vx*float64(step), cur.y+vy*float64(step)))
+		dst = append(dst, m.enu.Inverse(cur.x+vx*float64(step), cur.y+vy*float64(step)))
 	}
-	return out
+	return dst, true
 }
 
 // circular is the constant-turn-rate primitive: it estimates the recent
 // turn rate and ground speed and projects the arc forward — the appropriate
 // differential approximator for coordinated turns.
-func (r *RMFStar) circular(k int) []geo.Point {
-	n := r.win.len()
+func (m motion) circular(dst []geo.Point, k int) (out []geo.Point, ok bool) {
+	n := len(m.pts)
 	if n < 4 {
-		return nil
+		return dst, false
 	}
 	span := 5
 	if n-1 < span {
@@ -157,28 +176,18 @@ func (r *RMFStar) circular(k int) []geo.Point {
 	// Turn rate per sample from headings; speed from displacement.
 	var turn float64
 	for i := n - span; i < n; i++ {
-		turn += geo.AngleDiff(r.win.heads[i-1], r.win.heads[i])
+		turn += geo.AngleDiff(m.heads[i-1], m.heads[i])
 	}
 	turnPerStep := turn / float64(span)
-	dx := r.win.pts[n-1].x - r.win.pts[n-2].x
-	dy := r.win.pts[n-1].y - r.win.pts[n-2].y
+	dx := m.pts[n-1].x - m.pts[n-2].x
+	dy := m.pts[n-1].y - m.pts[n-2].y
 	speed := math.Hypot(dx, dy)
 	heading := math.Atan2(dx, dy) // plane bearing (x east, y north)
-	out := make([]geo.Point, 0, k)
-	cur := r.win.last()
+	cur := m.pts[n-1]
 	for step := 1; step <= k; step++ {
 		heading += geo.Radians(turnPerStep)
 		cur = pt{cur.x + speed*math.Sin(heading), cur.y + speed*math.Cos(heading)}
-		out = append(out, r.win.enu.Inverse(cur.x, cur.y))
+		dst = append(dst, m.enu.Inverse(cur.x, cur.y))
 	}
-	return out
-}
-
-// rmfPredict runs the base RMF recurrence of depth f on the current window.
-func (r *RMFStar) rmfPredict(f, k int) []geo.Point {
-	coef := fitRMF(r.win.pts, f)
-	if coef == nil {
-		return nil
-	}
-	return rollForward(r.win, coef, k)
+	return dst, true
 }

@@ -3,6 +3,7 @@ package flp
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"datacron/internal/geo"
@@ -42,29 +43,40 @@ func (r *RMFStar) Snapshot() ([]byte, error) {
 }
 
 // Restore replaces the predictor's window with a snapshot taken by Snapshot
-// against an identically configured RMFStar.
+// against an identically configured RMFStar. On error the predictor is left
+// as it was.
 func (r *RMFStar) Restore(data []byte) error {
 	var snap rmfStarSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("flp: restore rmf*: %w", err)
 	}
-	if len(snap.Pts) != len(snap.Heads) || len(snap.Pts) != len(snap.Speeds) || len(snap.Pts) != len(snap.VRates) {
+	n := len(snap.Pts)
+	if n != len(snap.Heads) || n != len(snap.Speeds) || n != len(snap.VRates) {
 		return fmt.Errorf("flp: restore rmf*: inconsistent window lengths")
+	}
+	if n > r.win.maxLen {
+		return fmt.Errorf("flp: restore rmf*: window of %d points exceeds capacity %d", n, r.win.maxLen)
 	}
 	w := newWindow(r.win.maxLen)
 	if snap.Origin != nil {
 		w.enu = geo.NewENU(*snap.Origin)
 	}
-	if len(snap.Pts) > 0 {
-		w.pts = make([]pt, len(snap.Pts))
-		for i, p := range snap.Pts {
-			w.pts[i] = pt{x: p[0], y: p[1]}
+	for i, p := range snap.Pts {
+		if !finite(p[0]) || !finite(p[1]) {
+			return errNonFinitePoint(i)
 		}
+		w.pts = append(w.pts, pt{x: p[0], y: p[1]})
 	}
-	w.heads = snap.Heads
-	w.speeds = snap.Speeds
-	w.vrates = snap.VRates
+	w.heads = append(w.heads, snap.Heads...)
+	w.speeds = append(w.speeds, snap.Speeds...)
+	w.vrates = append(w.vrates, snap.VRates...)
 	r.win = w
 	r.lastTime = snap.LastTime
 	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+func errNonFinitePoint(i int) error {
+	return fmt.Errorf("flp: restore rmf*: non-finite plane coordinates at window index %d", i)
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"datacron/internal/geo"
@@ -68,8 +67,3 @@ func clampF(v, lo, hi float64) float64 {
 
 // idFor builds a stable mover identifier.
 func idFor(prefix string, i int) string { return fmt.Sprintf("%s-%04d", prefix, i) }
-
-// sortSlice sorts s in place with the given ordering.
-func sortSlice[T any](s []T, less func(a, b T) bool) {
-	sort.SliceStable(s, func(i, j int) bool { return less(s[i], s[j]) })
-}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -397,5 +398,34 @@ func TestMarkovSourceErrors(t *testing.T) {
 	}
 	if _, err := m.ConditionalProb([]string{"a"}, "z"); err == nil {
 		t.Error("unknown symbol should fail")
+	}
+}
+
+// TestSortReportsKeepsSortSliceStableOrder pins that sortReports orders a
+// generated fleet exactly as the reflection-based sort.SliceStable it
+// replaced: same keys, and reports equal in both keep their input order.
+func TestSortReportsKeepsSortSliceStableOrder(t *testing.T) {
+	reports := NewVesselSim(VesselSimConfig{Seed: 5}).Run(2 * time.Hour)
+	// Per-vessel generation order, as Run hands it to the sort, plus
+	// same-time same-ID duplicates that only stability keeps apart.
+	sort.SliceStable(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
+	for i := 0; i < len(reports); i += 7 {
+		dup := reports[i]
+		dup.Source = "dup"
+		reports = append(reports, dup)
+	}
+	want := append([]mobility.Report(nil), reports...)
+	sort.SliceStable(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if !a.Time.Equal(b.Time) {
+			return a.Time.Before(b.Time)
+		}
+		return a.ID < b.ID
+	})
+	sortReports(reports)
+	for i := range want {
+		if reports[i] != want[i] {
+			t.Fatalf("order differs at %d: got %+v, want %+v", i, reports[i], want[i])
+		}
 	}
 }

@@ -3,6 +3,8 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"time"
 
 	"datacron/internal/geo"
@@ -368,12 +370,13 @@ func (s *VesselSim) Run(dur time.Duration) []mobility.Report {
 	return out
 }
 
-// sortReports orders reports by time, breaking ties by mover ID.
+// sortReports orders reports by time, breaking ties by mover ID; reports
+// equal in both keep their generation order.
 func sortReports(reports []mobility.Report) {
-	sortSlice(reports, func(a, b mobility.Report) bool {
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
+	slices.SortStableFunc(reports, func(a, b mobility.Report) int {
+		if c := a.Time.Compare(b.Time); c != 0 {
+			return c
 		}
-		return a.ID < b.ID
+		return strings.Compare(a.ID, b.ID)
 	})
 }

@@ -28,10 +28,11 @@ var hotPathRootNames = []string{
 // HotPathExtraRoots names per-record and per-batch entry points that the
 // prefix rule misses: the wire codec (encoded/decoded once per record on
 // the ingest and shard-worker paths), the broker's batch produce, the
-// pipeline's batch ingest, and the critical-point emit path (triple
-// generation, N-Triples encoding, batched publish). Keys are module-relative
-// package prefixes, matched like HotPathScope; values are exact function or
-// method names.
+// pipeline's batch ingest, the critical-point emit path (triple generation,
+// N-Triples encoding, batched publish), and the per-trajectory kernels that
+// run on every report (future-location prediction, the synopses generator,
+// the in-situ profiler). Keys are module-relative package prefixes, matched
+// like HotPathScope; values are exact function or method names.
 var HotPathExtraRoots = map[string][]string{
 	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "UnmarshalReportInto", "Decode"},
 	"internal/msg":      {"ProduceBatch"},
@@ -39,6 +40,9 @@ var HotPathExtraRoots = map[string][]string{
 	"internal/core":     {"Ingest", "Publish"},
 	"internal/rdf":      {"AppendNT"},
 	"internal/rdfgen":   {"Generate"},
+	"internal/flp":      {"Observe", "Predict"},
+	"internal/synopses": {"Process"},
+	"internal/lowlevel": {"Observe"},
 }
 
 var hotallocAnalyzer = &Analyzer{

@@ -45,6 +45,20 @@ func TestHotAllocEmitPathRoots(t *testing.T) {
 	}
 }
 
+func TestHotAllocKernelRoots(t *testing.T) {
+	// The per-trajectory kernels' entry points — flp Observe/Predict,
+	// synopses Process, lowlevel Observe — are extra roots, each in its own
+	// package: one fixture per package, loaded under that package's path.
+	for _, pkg := range []string{"flp", "synopses", "lowlevel"} {
+		runFixture(t, "hotalloc", "hotallockernels/"+pkg, "datacron/internal/"+pkg+"/lintfixture")
+	}
+	// Loaded elsewhere, the same functions are not roots.
+	p := loadFixture(t, "hotallockernels/flp", "datacron/internal/va/lintfixture")
+	if diags := runAnalyzer(Lookup("hotalloc"), p); len(diags) != 0 {
+		t.Fatalf("hotalloc fired outside the kernel packages: %v", diags)
+	}
+}
+
 func TestHotAllocExtraRootsOutOfScope(t *testing.T) {
 	// The same fixture under a package with no extra roots has no
 	// reachability roots at all, so nothing is reported.

@@ -2,6 +2,7 @@ package lowlevel
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -31,7 +32,24 @@ func snapshotStats(s *RunningStats) runningStatsSnapshot {
 	return snap
 }
 
-func restoreStats(snap runningStatsSnapshot) *RunningStats {
+// restoreStats rebuilds an accumulator from its wire form, or reports what
+// makes the blob one that Observe could not have produced: a NaN sum, a count
+// that is not the two heaps' sizes, heaps out of balance or out of order, or
+// a low half reaching above the high half. Median indexes the heaps on the
+// strength of these invariants.
+func restoreStats(snap runningStatsSnapshot) (*RunningStats, error) {
+	switch {
+	case math.IsNaN(snap.Sum):
+		return nil, errors.New("NaN sum")
+	case snap.N != int64(len(snap.Lo)+len(snap.Hi)):
+		return nil, errors.New("count differs from the median heaps' sizes")
+	case len(snap.Lo) != len(snap.Hi) && len(snap.Lo) != len(snap.Hi)+1:
+		return nil, errors.New("unbalanced median heaps")
+	case !isHeap(snap.Lo, true) || !isHeap(snap.Hi, false):
+		return nil, errors.New("median heap out of order")
+	case len(snap.Hi) > 0 && snap.Lo[0] > snap.Hi[0]:
+		return nil, errors.New("median heaps overlap")
+	}
 	s := NewRunningStats()
 	s.n = snap.N
 	s.sum = snap.Sum
@@ -41,9 +59,9 @@ func restoreStats(snap runningStatsSnapshot) *RunningStats {
 	if snap.Max != nil {
 		s.max = *snap.Max
 	}
-	s.lo = maxHeap(snap.Lo)
-	s.hi = minHeap(snap.Hi)
-	return s
+	s.lo = snap.Lo
+	s.hi = snap.Hi
+	return s, nil
 }
 
 // profileSnapshot is the wire form of TrajectoryProfile.
@@ -71,25 +89,36 @@ func (pf *Profiler) Snapshot() ([]byte, error) {
 }
 
 // Restore replaces the profiler's state with a snapshot taken by Snapshot.
+// On error the profiler is left as it was.
 func (pf *Profiler) Restore(data []byte) error {
 	var snaps map[string]profileSnapshot
 	if err := json.Unmarshal(data, &snaps); err != nil {
 		return fmt.Errorf("lowlevel: restore profiler: %w", err)
 	}
-	pf.profiles = make(map[string]*TrajectoryProfile, len(snaps))
+	profiles := make(map[string]*TrajectoryProfile, len(snaps))
 	for id, ps := range snaps {
-		if math.IsNaN(ps.Speed.Sum) || math.IsNaN(ps.Accel.Sum) {
-			return fmt.Errorf("lowlevel: restore profiler: NaN sum for %s", id)
+		speed, err := restoreStats(ps.Speed)
+		if err != nil {
+			return errBadStats(id, "speed", err)
 		}
-		pf.profiles[id] = &TrajectoryProfile{
+		accel, err := restoreStats(ps.Accel)
+		if err != nil {
+			return errBadStats(id, "acceleration", err)
+		}
+		profiles[id] = &TrajectoryProfile{
 			MoverID: ps.MoverID,
-			Speed:   restoreStats(ps.Speed),
-			Accel:   restoreStats(ps.Accel),
+			Speed:   speed,
+			Accel:   accel,
 			last:    ps.Last,
 			hasLast: ps.HasLast,
 		}
 	}
+	pf.profiles = profiles
 	return nil
+}
+
+func errBadStats(id, attr string, err error) error {
+	return fmt.Errorf("lowlevel: restore profiler: %s statistics of %s: %w", attr, id, err)
 }
 
 // Snapshot serializes the monitor's inside-sets (checkpoint.Snapshotter).
@@ -121,7 +150,7 @@ func (m *AreaMonitor) Restore(data []byte) error {
 		set := make(map[int]bool, len(ris))
 		for _, ri := range ris {
 			if ri < 0 || ri >= len(m.regions) {
-				return fmt.Errorf("lowlevel: restore area monitor: region index %d out of range for %d regions", ri, len(m.regions))
+				return errRegionIndex(ri, len(m.regions))
 			}
 			set[ri] = true
 		}
@@ -131,4 +160,8 @@ func (m *AreaMonitor) Restore(data []byte) error {
 	}
 	m.inside = inside
 	return nil
+}
+
+func errRegionIndex(ri, regions int) error {
+	return fmt.Errorf("lowlevel: restore area monitor: region index %d out of range for %d regions", ri, regions)
 }

@@ -5,10 +5,7 @@
 // of monitored geographical zones.
 package lowlevel
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // RunningStats maintains exact min, max, mean and median of a value stream
 // in O(log n) per observation, using the classic two-heap median algorithm.
@@ -16,8 +13,8 @@ type RunningStats struct {
 	min, max float64
 	sum      float64
 	n        int64
-	lo       maxHeap // values <= median
-	hi       minHeap // values >= median
+	lo       []float64 // max-heap of the values <= median
+	hi       []float64 // min-heap of the values >= median
 }
 
 // NewRunningStats returns empty statistics.
@@ -39,15 +36,19 @@ func (s *RunningStats) Observe(v float64) {
 		s.max = v
 	}
 	// Median maintenance.
-	if s.lo.Len() == 0 || v <= s.lo.peek() {
-		heap.Push(&s.lo, v)
+	if len(s.lo) == 0 || v <= s.lo[0] {
+		s.lo = heapPush(s.lo, v, true)
 	} else {
-		heap.Push(&s.hi, v)
+		s.hi = heapPush(s.hi, v, false)
 	}
-	if s.lo.Len() > s.hi.Len()+1 {
-		heap.Push(&s.hi, heap.Pop(&s.lo))
-	} else if s.hi.Len() > s.lo.Len() {
-		heap.Push(&s.lo, heap.Pop(&s.hi))
+	// Rebalance so that len(lo) is len(hi) or len(hi)+1.
+	var top float64
+	if len(s.lo) > len(s.hi)+1 {
+		s.lo, top = heapPop(s.lo, true)
+		s.hi = heapPush(s.hi, top, false)
+	} else if len(s.hi) > len(s.lo) {
+		s.hi, top = heapPop(s.hi, false)
+		s.lo = heapPush(s.lo, top, true)
 	}
 }
 
@@ -84,40 +85,69 @@ func (s *RunningStats) Median() float64 {
 	switch {
 	case s.n == 0:
 		return math.NaN()
-	case s.lo.Len() > s.hi.Len():
-		return s.lo.peek()
+	case len(s.lo) > len(s.hi):
+		return s.lo[0]
 	default:
-		return (s.lo.peek() + s.hi.peek()) / 2
+		return (s.lo[0] + s.hi[0]) / 2
 	}
 }
 
-// maxHeap and minHeap are float64 heaps for the median.
-type maxHeap []float64
+// The median heaps are plain []float64 binary heaps, max-ordered (lo) or
+// min-ordered (hi). heapPush and heapPop make exactly container/heap's
+// sift-up and sift-down steps, so the slice layout — which a checkpoint
+// stores verbatim — is what container/heap would produce, without boxing
+// each value in an interface.
 
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return h[i] > h[j] }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+// heapBefore reports whether a must sit above b.
+func heapBefore(a, b float64, max bool) bool {
+	if max {
+		return a > b
+	}
+	return a < b
 }
-func (h maxHeap) peek() float64 { return h[0] }
 
-type minHeap []float64
-
-func (h minHeap) Len() int            { return len(h) }
-func (h minHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h minHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *minHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *minHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+func heapPush(h []float64, v float64, max bool) []float64 {
+	h = append(h, v)
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !heapBefore(h[j], h[i], max) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	return h
 }
-func (h minHeap) peek() float64 { return h[0] }
+
+// heapPop removes and returns the root. h must not be empty.
+func heapPop(h []float64, max bool) ([]float64, float64) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && heapBefore(h[r], h[j], max) {
+			j = r
+		}
+		if !heapBefore(h[j], h[i], max) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return h[:n], h[n]
+}
+
+// isHeap reports whether h satisfies the heap property for its order.
+func isHeap(h []float64, max bool) bool {
+	for j := 1; j < len(h); j++ {
+		if heapBefore(h[j], h[(j-1)/2], max) {
+			return false
+		}
+	}
+	return true
+}

@@ -94,10 +94,23 @@ type barrierAck struct {
 }
 
 type lane[I, O any] struct {
-	w   Worker[I, O]
-	in  chan message[I]
-	out chan O
-	ack chan barrierAck
+	w  Worker[I, O]
+	in chan message[I]
+	// Outputs go back through a ring rather than a channel of O: the worker
+	// writes slot after slot and publishes them with one count on done when
+	// its input queue runs dry, so the coordinator is woken once per burst it
+	// submitted, not once per record. A wake-up of a parked goroutine on
+	// another thread costs tens to hundreds of microseconds and varies with
+	// the host; one per record made sharded throughput depend on how often
+	// the merge happened to catch up with a worker. At most Queue records are
+	// in flight per lane (the credit pool), so the ring never overwrites an
+	// unread slot and done never fills. rd and avail belong to the
+	// coordinator.
+	ring  []O
+	done  chan int
+	rd    int // next ring slot Next reads
+	avail int // published slots Next has not read yet
+	ack   chan barrierAck
 	// credits implements per-lane flow control: Submit takes one credit per
 	// record (blocking, context-aware, when the lane is saturated) and Next
 	// returns it when the record's output is drained. The pool starts at the
@@ -165,7 +178,8 @@ func New[I, O any](cfg Config, key func(I) string, build func(shard int) Worker[
 		l := &lane[I, O]{
 			w:       build(i),
 			in:      make(chan message[I], cfg.Queue), //lint:ignore boundedchan capacity is Config.Queue, clamped in New and matched by the credit pool
-			out:     make(chan O, cfg.Queue),          //lint:ignore boundedchan capacity is Config.Queue, clamped in New and matched by the credit pool
+			ring:    make([]O, cfg.Queue),
+			done:    make(chan int, cfg.Queue), //lint:ignore boundedchan capacity is Config.Queue, clamped in New and matched by the credit pool
 			ack:     make(chan barrierAck, 1),
 			credits: make(chan struct{}, cfg.Queue), //lint:ignore boundedchan the credit pool itself: filled to Config.Queue below, never grown
 		}
@@ -200,14 +214,26 @@ func (p *Plane[I, O]) Start() {
 
 func (p *Plane[I, O]) run(l *lane[I, O]) {
 	defer p.wg.Done()
+	wr, unpublished := 0, 0
 	for m := range l.in {
 		if m.marker {
+			// A barrier needs a drained plane, so nothing is unpublished here.
 			ops, err := l.w.Snapshot()
 			l.ack <- barrierAck{epoch: m.epoch, ops: ops, err: err}
 			continue
 		}
-		l.out <- l.w.Process(m.item)
+		l.ring[wr] = l.w.Process(m.item)
+		if wr++; wr == len(l.ring) {
+			wr = 0
+		}
+		unpublished++
 		l.processed.Add(1)
+		// Only this goroutine receives from l.in, so a non-zero length means
+		// another message is certain to follow and publishing can wait for it.
+		if len(l.in) == 0 {
+			l.done <- unpublished
+			unpublished = 0
+		}
 	}
 }
 
@@ -342,7 +368,9 @@ func submitBlockedErr(shard int, err error) error {
 // Next blocks for and returns the output of the oldest undrained Submit.
 // Because each worker's outputs arrive in its input order and Next follows
 // the global submit order, the merged stream is identical to processing
-// every record serially.
+// every record serially. A worker publishes its outputs when it has worked
+// off everything submitted to it, so Next blocks at most once per lane per
+// submitted burst.
 func (p *Plane[I, O]) Next() (O, error) {
 	var zero O
 	if !p.started {
@@ -357,9 +385,18 @@ func (p *Plane[I, O]) Next() (O, error) {
 		p.fifo = p.fifo[:0]
 		p.head = 0
 	}
-	out := <-p.lanes[i].out
+	l := p.lanes[i]
+	if l.avail == 0 {
+		l.avail = <-l.done
+	}
+	out := l.ring[l.rd]
+	l.ring[l.rd] = zero // the ring must not keep the output alive
+	if l.rd++; l.rd == len(l.ring) {
+		l.rd = 0
+	}
+	l.avail--
 	// The record left the plane: return its submit credit.
-	p.lanes[i].credits <- struct{}{}
+	l.credits <- struct{}{}
 	return out, nil
 }
 
@@ -416,23 +453,12 @@ func (p *Plane[I, O]) Close() {
 		return
 	}
 	p.closed = true
-	// Drain leftover outputs (one drainer per lane) so workers blocked on
-	// a full out channel can observe the input close and exit.
-	var drainers sync.WaitGroup
+	// Workers never block on their way out: the ring and done hold a full
+	// credit pool of outputs, so closing the inputs is all it takes.
 	for _, l := range p.lanes {
-		drainers.Add(1)
-		go func(l *lane[I, O]) {
-			defer drainers.Done()
-			for range l.out {
-			}
-		}(l)
 		close(l.in)
 	}
 	p.wg.Wait()
-	for _, l := range p.lanes {
-		close(l.out)
-	}
-	drainers.Wait()
 	p.fifo, p.head = nil, 0
 }
 

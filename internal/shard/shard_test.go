@@ -103,6 +103,49 @@ func TestDeterministicMerge(t *testing.T) {
 	}
 }
 
+// TestOutputRingWrapsAndReleases drives bursts whose sizes do not divide the
+// queue, so every lane's output ring wraps at a different phase: the merged
+// stream must still equal the serial one, a burst must come back whole
+// however small, and a drained plane must not keep any output alive.
+func TestOutputRingWrapsAndReleases(t *testing.T) {
+	in := inputs(1000)
+	want := runPlane(t, 1, in)
+	p := New(Config{Shards: 3, Queue: 5}, func(s string) string { return s }, newCountWorker)
+	p.Start()
+	defer p.Close()
+	var got []string
+	for i, burst := 0, 1; i < len(in); i, burst = i+burst, burst%5+1 {
+		if burst > len(in)-i {
+			burst = len(in) - i
+		}
+		if err := p.SubmitBatch(context.Background(), in[i:i+burst]); err != nil {
+			t.Fatalf("SubmitBatch: %v", err)
+		}
+		for j := 0; j < burst; j++ {
+			o, err := p.Next()
+			if err != nil {
+				t.Fatalf("Next: %v", err)
+			}
+			got = append(got, o)
+		}
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("output %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+	for li, l := range p.lanes {
+		if l.avail != 0 || len(l.done) != 0 {
+			t.Fatalf("lane %d: %d published outputs unread after the drain", li, l.avail+len(l.done))
+		}
+		for slot, o := range l.ring {
+			if o != "" {
+				t.Fatalf("lane %d: ring slot %d still holds %q after the drain", li, slot, o)
+			}
+		}
+	}
+}
+
 // TestRouteMatchesBrokerHash pins shard routing to the broker's partition
 // hash: same key, same function, same index.
 func TestRouteMatchesBrokerHash(t *testing.T) {

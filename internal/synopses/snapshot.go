@@ -79,6 +79,7 @@ func (g *Generator) Restore(data []byte) error {
 			last:        ms.Last,
 			hasLast:     ms.HasLast,
 			history:     ms.History,
+			course:      courseOfAll(ms.History),
 			stopSince:   ms.StopSince,
 			stopped:     ms.Stopped,
 			stopEmitted: ms.StopEmitted,

@@ -145,6 +145,7 @@ type moverState struct {
 	last        mobility.Report
 	hasLast     bool
 	history     []mobility.Report // recent accepted points for mean course
+	course      []courseVec       // history[i]'s cached term of the mean course
 	stopSince   time.Time
 	stopped     bool
 	stopEmitted bool
@@ -185,9 +186,21 @@ func (g *Generator) Stats() Stats { return g.stats }
 // triggers (usually none). Reports must arrive per-mover in time order;
 // out-of-order and invalid records are dropped as noise.
 func (g *Generator) Process(r mobility.Report) []CriticalPoint {
+	out := g.process(r)
 	if g.m != nil {
-		defer func() { g.m.sync(g.stats) }()
+		g.m.sync(g.stats)
 	}
+	return out
+}
+
+// emit appends a critical point to out and counts it.
+func (g *Generator) emit(out []CriticalPoint, cp CriticalPoint) []CriticalPoint {
+	g.stats.Critical++
+	return append(out, cp)
+}
+
+// process is Process before the metrics mirror is brought up to date.
+func (g *Generator) process(r mobility.Report) []CriticalPoint {
 	g.stats.In++
 	if !r.Valid() {
 		g.stats.Dropped++
@@ -197,10 +210,9 @@ func (g *Generator) Process(r mobility.Report) []CriticalPoint {
 	if !ok {
 		st = &moverState{groundAlt: r.AltFt}
 		g.states[r.ID] = st
-		g.stats.Critical++
 		st.remember(r, g.cfg.HistoryLen, g.cfg.HistoryWindow)
 		st.meanSpeedKn = r.SpeedKn
-		return []CriticalPoint{{Report: r, Type: TrajectoryStart}}
+		return g.emit(nil, CriticalPoint{Report: r, Type: TrajectoryStart})
 	}
 
 	// Noise filters.
@@ -216,15 +228,11 @@ func (g *Generator) Process(r mobility.Report) []CriticalPoint {
 	}
 
 	var out []CriticalPoint
-	emit := func(cp CriticalPoint) {
-		out = append(out, cp)
-		g.stats.Critical++
-	}
 
 	// Communication gap.
 	if r.Time.Sub(st.last.Time) >= g.cfg.GapDuration {
-		emit(CriticalPoint{Report: st.last, Type: GapStart, Delta: r.Time.Sub(st.last.Time).Seconds()})
-		emit(CriticalPoint{Report: r, Type: GapEnd, Delta: r.Time.Sub(st.last.Time).Seconds()})
+		out = g.emit(out, CriticalPoint{Report: st.last, Type: GapStart, Delta: r.Time.Sub(st.last.Time).Seconds()})
+		out = g.emit(out, CriticalPoint{Report: r, Type: GapEnd, Delta: r.Time.Sub(st.last.Time).Seconds()})
 	}
 
 	// Stop detection.
@@ -237,11 +245,11 @@ func (g *Generator) Process(r mobility.Report) []CriticalPoint {
 			st.stopEmitted = true
 			stopAnchor := r
 			stopAnchor.Time = st.stopSince
-			emit(CriticalPoint{Report: stopAnchor, Type: StopStart, Delta: r.SpeedKn})
+			out = g.emit(out, CriticalPoint{Report: stopAnchor, Type: StopStart, Delta: r.SpeedKn})
 		}
 	} else if st.stopped {
 		if st.stopEmitted {
-			emit(CriticalPoint{Report: r, Type: StopEnd, Delta: r.SpeedKn})
+			out = g.emit(out, CriticalPoint{Report: r, Type: StopEnd, Delta: r.SpeedKn})
 		}
 		st.stopped = false
 		st.stopEmitted = false
@@ -257,11 +265,11 @@ func (g *Generator) Process(r mobility.Report) []CriticalPoint {
 			st.slowEmitted = true
 			slowAnchor := r
 			slowAnchor.Time = st.slowSince
-			emit(CriticalPoint{Report: slowAnchor, Type: SlowMotionStart, Delta: r.SpeedKn})
+			out = g.emit(out, CriticalPoint{Report: slowAnchor, Type: SlowMotionStart, Delta: r.SpeedKn})
 		}
 	} else if st.slow && r.SpeedKn >= g.cfg.SlowSpeedKn {
 		if st.slowEmitted {
-			emit(CriticalPoint{Report: r, Type: SlowMotionEnd, Delta: r.SpeedKn})
+			out = g.emit(out, CriticalPoint{Report: r, Type: SlowMotionEnd, Delta: r.SpeedKn})
 		}
 		st.slow = false
 		st.slowEmitted = false
@@ -273,8 +281,8 @@ func (g *Generator) Process(r mobility.Report) []CriticalPoint {
 		if okBrg {
 			d := math.Abs(geo.AngleDiff(meanBrg, r.Heading))
 			if d >= g.cfg.HeadingDeltaDeg {
-				emit(CriticalPoint{Report: r, Type: ChangeInHeading, Delta: geo.AngleDiff(meanBrg, r.Heading)})
-				st.history = st.history[:0] // restart the course window
+				out = g.emit(out, CriticalPoint{Report: r, Type: ChangeInHeading, Delta: geo.AngleDiff(meanBrg, r.Heading)})
+				st.forgetCourse() // restart the course window
 			}
 		}
 	}
@@ -283,7 +291,7 @@ func (g *Generator) Process(r mobility.Report) []CriticalPoint {
 	if st.meanSpeedKn > g.cfg.StopSpeedKn {
 		ratio := math.Abs(r.SpeedKn-st.meanSpeedKn) / st.meanSpeedKn
 		if ratio >= g.cfg.SpeedRatio {
-			emit(CriticalPoint{Report: r, Type: SpeedChange, Delta: ratio})
+			out = g.emit(out, CriticalPoint{Report: r, Type: SpeedChange, Delta: ratio})
 			st.meanSpeedKn = r.SpeedKn // re-anchor after emission
 		}
 	}
@@ -291,15 +299,16 @@ func (g *Generator) Process(r mobility.Report) []CriticalPoint {
 
 	// Aviation: altitude regime changes, takeoff, landing.
 	if !math.IsInf(g.cfg.AltRateFS, 1) {
-		g.processVertical(st, r, emit)
+		out = g.processVertical(out, st, r)
 	}
 
 	st.remember(r, g.cfg.HistoryLen, g.cfg.HistoryWindow)
 	return out
 }
 
-// processVertical handles ChangeInAltitude, Takeoff and Landing.
-func (g *Generator) processVertical(st *moverState, r mobility.Report, emit func(CriticalPoint)) {
+// processVertical handles ChangeInAltitude, Takeoff and Landing, appending
+// what it emits to out.
+func (g *Generator) processVertical(out []CriticalPoint, st *moverState, r mobility.Report) []CriticalPoint {
 	// Altitude regime: emit when the climb/descend/level regime changes.
 	regime := 0
 	if r.VRateFS > g.cfg.AltRateFS {
@@ -309,7 +318,7 @@ func (g *Generator) processVertical(st *moverState, r mobility.Report, emit func
 	}
 	if regime != st.climbing {
 		if regime != 0 {
-			emit(CriticalPoint{Report: r, Type: ChangeInAltitude, Delta: r.VRateFS})
+			out = g.emit(out, CriticalPoint{Report: r, Type: ChangeInAltitude, Delta: r.VRateFS})
 		}
 		st.climbing = regime
 	}
@@ -323,16 +332,17 @@ func (g *Generator) processVertical(st *moverState, r mobility.Report, emit func
 		// The previous report was the last on the ground: Takeoff.
 		st.airborne = true
 		st.wasAirborne = true
-		emit(CriticalPoint{Report: st.last, Type: Takeoff, Delta: r.AltFt - st.groundAlt})
+		out = g.emit(out, CriticalPoint{Report: st.last, Type: Takeoff, Delta: r.AltFt - st.groundAlt})
 	}
 	if st.airborne {
 		// Landing: descending phase has ended near a (new) ground level.
 		if math.Abs(r.VRateFS) <= 1 && st.last.VRateFS < -1 && r.SpeedKn < 250 {
 			st.airborne = false
 			st.groundAlt = r.AltFt
-			emit(CriticalPoint{Report: r, Type: Landing, Delta: r.AltFt})
+			out = g.emit(out, CriticalPoint{Report: r, Type: Landing, Delta: r.AltFt})
 		}
 	}
+	return out
 }
 
 // Flush emits a TrajectoryEnd for every active mover and clears all state.
@@ -352,10 +362,33 @@ func (g *Generator) Flush() []CriticalPoint {
 	return out
 }
 
+// courseVec is one history entry's term of the mean velocity vector:
+// (sin, cos) of its heading weighted by its speed. A retained entry never
+// changes, so remember computes its term once and meanCourse only sums.
+type courseVec struct{ x, y float64 }
+
+func courseOf(r mobility.Report) courseVec {
+	rad := geo.Radians(r.Heading)
+	return courseVec{
+		x: math.Sin(rad) * math.Max(r.SpeedKn, 0.1),
+		y: math.Cos(rad) * math.Max(r.SpeedKn, 0.1),
+	}
+}
+
+// courseOfAll rebuilds the cache for a restored history.
+func courseOfAll(history []mobility.Report) []courseVec {
+	course := make([]courseVec, len(history))
+	for i, h := range history {
+		course[i] = courseOf(h)
+	}
+	return course
+}
+
 func (st *moverState) remember(r mobility.Report, maxLen int, window time.Duration) {
 	st.last = r
 	st.hasLast = true
 	st.history = append(st.history, r)
+	st.course = append(st.course, courseOf(r))
 	// Evict by age first, then enforce the hard cap.
 	cutoff := r.Time.Add(-window)
 	drop := 0
@@ -367,20 +400,27 @@ func (st *moverState) remember(r mobility.Report, maxLen int, window time.Durati
 	}
 	if drop > 0 {
 		st.history = append(st.history[:0], st.history[drop:]...)
+		st.course = append(st.course[:0], st.course[drop:]...)
 	}
 }
 
+// forgetCourse empties the history, and its cache with it.
+func (st *moverState) forgetCourse() {
+	st.history = st.history[:0]
+	st.course = st.course[:0]
+}
+
 // meanCourse returns the bearing of the mean velocity vector over the
-// retained history (the "most recent course" of the paper).
+// retained history (the "most recent course" of the paper). It sums the
+// cached terms in history order.
 func (st *moverState) meanCourse() (float64, bool) {
-	if len(st.history) < 2 {
+	if len(st.course) < 2 {
 		return 0, false
 	}
 	var x, y float64
-	for _, h := range st.history {
-		rad := geo.Radians(h.Heading)
-		x += math.Sin(rad) * math.Max(h.SpeedKn, 0.1)
-		y += math.Cos(rad) * math.Max(h.SpeedKn, 0.1)
+	for _, c := range st.course {
+		x += c.x
+		y += c.y
 	}
 	if x == 0 && y == 0 {
 		return 0, false
