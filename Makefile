@@ -50,12 +50,10 @@ race:
 shardrace:
 	$(GO) test -race ./internal/shard/...
 
-# bench runs the go benchmarks plus the wire-codec experiment, refreshing
-# the committed BENCH_codec.json (encode/decode ns/op and allocs/op, JSON vs
-# binary end-to-end records/s at 1 and 4 shards).
+# bench runs the go micro-benchmarks once each. End-to-end numbers come
+# from bench/run.sh (see BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
-	$(GO) run ./cmd/benchrunner -exp codec -scale small -json BENCH_codec.json
 
 # bench-smoke runs the benchmark's own tiny-scale tests. bench/ is a module of
 # its own, so the root `go test ./...` does not descend into it; its shadow
@@ -66,15 +64,14 @@ bench-smoke:
 	cd bench && $(GO) test ./...
 
 # smoke exercises the real binaries end to end on small workloads: a short
-# datacron run with the metric dump enabled, one benchrunner experiment
-# with per-experiment metric rows, and an admin-plane probe — datacron is
-# started with -admin, /metrics and /healthz are curled, and the exposition
-# output is asserted non-empty.
+# datacron run with the metric dump enabled, one at four shards, one
+# benchrunner experiment with its metric row, and an admin-plane probe —
+# datacron is started with -admin, /metrics and /healthz are curled, and
+# the exposition output is asserted non-empty.
 smoke:
 	$(GO) run ./cmd/datacron -duration 30m -vessels 8 -metrics
 	$(GO) run ./cmd/datacron -duration 30m -vessels 8 -shards 4
 	$(GO) run ./cmd/benchrunner -exp dashboard -scale small -metrics
-	$(GO) run ./cmd/benchrunner -exp codec -scale small
 	./scripts/smoke_admin.sh
 
 # ci is the full gate: compile everything, run go vet, run the static

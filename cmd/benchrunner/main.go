@@ -3,13 +3,13 @@
 // rows. Select one experiment with -exp or run everything.
 //
 // With -json FILE the per-experiment results (name, wall time, records/s,
-// key gauges) are also written as a machine-readable JSON document, the
-// format the repo's BENCH_*.json files accumulate so performance can be
-// compared across commits.
+// key gauges) are also written as a machine-readable JSON document.
+// End-to-end performance is measured by bench/ (see BENCHMARK.json), not
+// here.
 //
 // Usage:
 //
-//	benchrunner [-exp all|table1|synopses|synopses-thresholds|rdfgen|linkdisc|store|checkpoint|shard|codec|overload|latency|fig5a|fig5b|fig6|fig7|fig8|drift|mining|fig10|fig11|fig12|dashboard] [-scale small|full] [-metrics] [-json FILE]
+//	benchrunner [-exp all|table1|synopses|synopses-thresholds|rdfgen|linkdisc|store|fig5a|fig5b|fig6|fig7|fig8|drift|mining|fig10|fig11|fig12|dashboard] [-scale small|full] [-metrics] [-json FILE]
 package main
 
 import (
@@ -46,7 +46,7 @@ func wrap[T any](fn func(io.Writer, experiments.Scale) (T, error)) func(io.Write
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (all, table1, synopses, synopses-thresholds, rdfgen, linkdisc, store, checkpoint, shard, codec, overload, latency, fig5a, fig5b, fig6, fig7, fig8, drift, mining, fig10, fig11, fig12, dashboard)")
+	exp := flag.String("exp", "all", "experiment id (all, table1, synopses, synopses-thresholds, rdfgen, linkdisc, store, fig5a, fig5b, fig6, fig7, fig8, drift, mining, fig10, fig11, fig12, dashboard)")
 	scaleName := flag.String("scale", "small", "workload scale: small or full")
 	metrics := flag.Bool("metrics", false, "attach a shared metric registry and print one metric row per experiment")
 	jsonPath := flag.String("json", "", "also write machine-readable per-experiment results to this file")
@@ -69,44 +69,6 @@ func main() {
 		{"rdfgen", wrap(experiments.RunRDFGen)},
 		{"linkdisc", wrap(experiments.RunLinkDiscovery)},
 		{"store", wrap(experiments.RunStore)},
-		{"checkpoint", wrap(experiments.RunCheckpoint)},
-		// shard bypasses the MetricsRow path: its JSON rows are the per-
-		// shard-count scaling curve, not one aggregate metric window.
-		{"shard", func(w io.Writer, s experiments.Scale) error {
-			res, err := experiments.RunShardScaling(w, s)
-			if res != nil {
-				rep.Rows = append(rep.Rows, res.BenchRows()...)
-			}
-			return err
-		}},
-		// codec reports its own rows too: micro encode/decode costs plus the
-		// JSON-vs-binary end-to-end sweep.
-		{"codec", func(w io.Writer, s experiments.Scale) error {
-			res, err := experiments.RunCodec(w, s)
-			if res != nil {
-				rep.Rows = append(rep.Rows, res.BenchRows()...)
-			}
-			return err
-		}},
-		// overload likewise reports its own sweep rows (one per offered-load
-		// level) instead of a single metric window.
-		{"overload", func(w io.Writer, s experiments.Scale) error {
-			res, err := experiments.RunOverload(w, s)
-			if res != nil {
-				rep.Rows = append(rep.Rows, res.BenchRows()...)
-			}
-			return err
-		}},
-		// latency reports one row per (load, shards, stage) — the freshness
-		// attribution sweep runs on its own stepping clock, outside the
-		// shared registry window.
-		{"latency", func(w io.Writer, s experiments.Scale) error {
-			res, err := experiments.RunLatency(w, s)
-			if res != nil {
-				rep.Rows = append(rep.Rows, res.BenchRows()...)
-			}
-			return err
-		}},
 		{"fig5a", wrap(experiments.RunFig5a)},
 		{"fig5b", wrap(experiments.RunFig5b)},
 		{"fig6", wrap(experiments.RunFig6)},
@@ -136,9 +98,9 @@ func main() {
 		if row, ok := experiments.MetricsRow(r.name, time.Since(start)); ok {
 			rep.Rows = append(rep.Rows, row)
 			if *metrics {
-				fmt.Printf("[%s metrics] records=%d (%.0f/s) critical=%d entities/s=%.0f compression=%.3f checkpoints=%d\n",
+				fmt.Printf("[%s metrics] records=%d (%.0f/s) critical=%d entities/s=%.0f compression=%.3f\n",
 					row.Name, row.Records, row.RecordsPerSec, row.CriticalPoints,
-					row.EntitiesPerSec, row.CompressionRatio, row.Checkpoints)
+					row.EntitiesPerSec, row.CompressionRatio)
 			}
 		}
 		fmt.Printf("[%s completed in %s]\n\n", r.name, time.Since(start).Round(time.Millisecond))

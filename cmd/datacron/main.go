@@ -194,10 +194,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		return fmt.Errorf("unknown domain %q", o.domain)
 	}
 
-	coreOpts := []core.Option{core.WithConfig(cfg)}
-	if o.shards > 1 {
-		coreOpts = append(coreOpts, core.WithShards(o.shards))
-	}
+	coreOpts := []core.Option{core.WithConfig(cfg), core.WithShards(o.shards)}
 	if o.queueCap > 0 {
 		policy, err := msg.ParseOverloadPolicy(o.overloadPolicy)
 		if err != nil {

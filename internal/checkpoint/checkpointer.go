@@ -244,14 +244,15 @@ func (c *Checkpointer) Latest() (*Checkpoint, error) {
 	return nil, ErrNoCheckpoint
 }
 
-// Restore rewinds the broker to the latest valid checkpoint and restores
-// registered operator state from it: source groups' committed offsets are
-// overwritten, output topics truncated back to the checkpointed ends (0 for
-// partitions the checkpoint does not mention), and each registered operator
-// restored from its snapshot. Returns (nil, nil) when the store holds no
-// checkpoint — the pipeline then starts cold. Operators registered but
-// missing from the checkpoint are an error; checkpointed operators that are
-// no longer registered are ignored.
+// Restore restores registered operator state from the latest valid
+// checkpoint and rewinds the broker to it: each registered operator is
+// restored from its snapshot, then source groups' committed offsets are
+// overwritten and output topics truncated back to the checkpointed ends (0
+// for partitions the checkpoint does not mention). Returns (nil, nil) when
+// the store holds no checkpoint — the pipeline then starts cold. An
+// operator registered but missing from the checkpoint, or one whose Restore
+// fails, is an error returned before the broker is touched; checkpointed
+// operators that are no longer registered are ignored.
 func (c *Checkpointer) Restore(b *msg.Broker) (*Checkpoint, error) {
 	var start time.Time
 	if c.m != nil {
@@ -275,6 +276,18 @@ func (c *Checkpointer) Restore(b *msg.Broker) (*Checkpoint, error) {
 		}
 		return nil, err
 	}
+	// Operators first, in registration order: a checkpoint that lacks a
+	// registered operator, or whose state an operator rejects, fails with
+	// the broker's offsets and outputs as they were.
+	for _, name := range c.names {
+		blob, ok := cp.Operators[name]
+		if !ok {
+			return nil, fmt.Errorf("checkpoint: generation %d has no state for operator %q", cp.Generation, name)
+		}
+		if err := c.ops[name].Restore(blob); err != nil {
+			return nil, fmt.Errorf("checkpoint: restore %s: %w", name, err)
+		}
+	}
 	restored := make([]SourceOffsets, 0, len(c.sources))
 	for _, s := range c.sources {
 		offs := cp.Source(s.group, s.topic)
@@ -294,15 +307,6 @@ func (c *Checkpointer) Restore(b *msg.Broker) (*Checkpoint, error) {
 			if err := b.Truncate(topic, p, ends[p]); err != nil {
 				return nil, fmt.Errorf("checkpoint: truncate %s/%d: %w", topic, p, err)
 			}
-		}
-	}
-	for _, name := range c.names {
-		blob, ok := cp.Operators[name]
-		if !ok {
-			return nil, fmt.Errorf("checkpoint: generation %d has no state for operator %q", cp.Generation, name)
-		}
-		if err := c.ops[name].Restore(blob); err != nil {
-			return nil, fmt.Errorf("checkpoint: restore %s: %w", name, err)
 		}
 	}
 	c.nextGen = cp.Generation + 1

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -253,4 +254,76 @@ func TestRestoreMissingOperatorState(t *testing.T) {
 	if _, err := cpr.Restore(b); err == nil {
 		t.Fatal("restore with unregistered operator state succeeded")
 	}
+}
+
+// TestRestoreMissingOperatorLeavesBrokerUntouched: a checkpoint that lacks
+// state for a registered operator — one added since the capture, or a
+// checkpoint written under another operator layout — must fail before
+// Restore rewinds a committed offset or truncates an output record.
+func TestRestoreMissingOperatorLeavesBrokerUntouched(t *testing.T) {
+	cases := []struct {
+		name     string
+		captured []string // operators registered when the checkpoint was taken
+		restored []string // operators registered when it is restored
+	}{
+		{"operator added after capture", []string{"counter"}, []string{"counter", "late"}},
+		{"no operator captured", nil, []string{"counter"}},
+		{"other layout", []string{"synopses", "flp"}, []string{"shard/meta", "shard/0/synopses", "shard/0/flp"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newTestBroker(t)
+			t0 := time.Unix(1000, 0).UTC()
+			produceN(t, b, "raw", 10, t0)
+			produceN(t, b, "out", 4, t0)
+			store := NewMemStore()
+			checkpointer := func(ops []string) *Checkpointer {
+				cpr, err := NewCheckpointer(store, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cpr.RegisterSource("g", "raw")
+				cpr.RegisterOutput("out")
+				for _, name := range ops {
+					cpr.Register(name, &counterOp{})
+				}
+				return cpr
+			}
+			if _, err := checkpointer(tc.captured).Capture(b); err != nil {
+				t.Fatal(err)
+			}
+
+			// Move the world past the checkpoint.
+			produceN(t, b, "out", 5, t0.Add(time.Hour))
+			b.RestoreOffsets("g", "raw", map[int]int64{0: 3, 1: 4})
+			wantOffs := b.CommittedOffsets("g", "raw")
+			wantEnds := endOffsets(t, b, "out")
+
+			if _, err := checkpointer(tc.restored).Restore(b); err == nil {
+				t.Fatal("restore of a checkpoint missing operator state succeeded")
+			}
+			if got := b.CommittedOffsets("g", "raw"); !reflect.DeepEqual(got, wantOffs) {
+				t.Errorf("committed offsets moved on a failed restore: %v, want %v", got, wantOffs)
+			}
+			if got := endOffsets(t, b, "out"); !reflect.DeepEqual(got, wantEnds) {
+				t.Errorf("output truncated on a failed restore: ends %v, want %v", got, wantEnds)
+			}
+		})
+	}
+}
+
+// endOffsets reads every partition's end offset of a topic.
+func endOffsets(t *testing.T, b *msg.Broker, topic string) []int64 {
+	t.Helper()
+	n, err := b.Partitions(topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := make([]int64, n)
+	for p := range ends {
+		if ends[p], err = b.EndOffset(topic, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ends
 }

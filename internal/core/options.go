@@ -278,13 +278,11 @@ func New(opts ...Option) (*Pipeline, error) {
 		if p.slos != nil {
 			p.watchdog.Register(slo.NewChecker(p.slos))
 		}
-		if p.cfg.Shards > 1 {
-			// One verdict per shard worker: a stalled shard surfaces in
-			// /healthz as "shard.<i>" instead of hiding inside aggregate
-			// throughput.
-			for i := 0; i < p.cfg.Shards; i++ {
-				p.watchdog.Register(health.NewShardChecker(i, 1))
-			}
+		// One verdict per shard worker: a stalled shard surfaces in
+		// /healthz as "shard.<i>" instead of hiding inside aggregate
+		// throughput.
+		for i := 0; i < p.cfg.Shards; i++ {
+			p.watchdog.Register(health.NewShardChecker(i, 1))
 		}
 		p.admin = admin.New(admin.Config{
 			Addr:     o.adminAddr,

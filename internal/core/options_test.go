@@ -52,25 +52,27 @@ func TestOptionsApply(t *testing.T) {
 }
 
 func TestWithObsNilDisablesInstrumentation(t *testing.T) {
-	p, err := New(WithObs(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Obs() != nil || p.Tracer() != nil {
-		t.Fatal("WithObs(nil) must disable the registry and tracer")
-	}
-	if err := p.Ingest(context.Background(), smallFleet(t)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RunRealTime(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if len(st.Metrics.Counters) != 0 {
-		t.Fatalf("disabled instrumentation still produced metrics: %+v", st.Metrics.Counters)
-	}
-	if st.Summary.RawIn == 0 {
-		t.Fatal("component stats must still be captured without a registry")
+	for _, shards := range []int{1, 2} {
+		p, err := New(WithObs(nil), WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Obs() != nil || p.Tracer() != nil {
+			t.Fatal("WithObs(nil) must disable the registry and tracer")
+		}
+		if err := p.Ingest(context.Background(), smallFleet(t)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.RunRealTime(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		st := p.Stats()
+		if n := len(st.Metrics.Counters) + len(st.Metrics.Gauges) + len(st.Metrics.Histograms); n != 0 {
+			t.Fatalf("shards=%d: disabled instrumentation still produced %d metrics: %+v", shards, n, st.Metrics)
+		}
+		if st.Summary.RawIn == 0 {
+			t.Fatalf("shards=%d: component stats must still be captured without a registry", shards)
+		}
 	}
 }
 

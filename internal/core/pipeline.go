@@ -57,11 +57,11 @@ type Config struct {
 	Regions    []lowlevel.Region // monitored zones for low-level events
 	Partitions int               // broker partitions (default 4)
 	// Shards is the number of parallel shard workers in the real-time run
-	// loop (default 1 = serial). Records route to workers by hash of the
-	// mover ID, so per-trajectory state stays shard-local, and worker
-	// results merge back in submit order — output is byte-identical for
-	// any shard count. When checkpointing, the shard count must stay the
-	// same across restarts of one checkpoint store.
+	// loop (default 1). Records route to workers by hash of the mover ID,
+	// so per-trajectory state stays shard-local, and worker results merge
+	// back in submit order — output is byte-identical for any shard count.
+	// When checkpointing, the shard count must stay the same across
+	// restarts of one checkpoint store.
 	Shards int
 	// FLP configuration.
 	PredictSteps   int           // look-ahead steps per mover (default 8)
@@ -162,8 +162,8 @@ type Pipeline struct {
 	lastSum  Summary
 	lastFlow FlowStats
 	// Shard view of the current (or last) run, set at run start: the
-	// per-worker metric registries (nil when the run is serial) and the
-	// plane's live per-shard progress.
+	// per-worker metric registries (nil entries when instrumentation is
+	// off) and the plane's live per-shard progress.
 	shardRegs  []*obs.Registry
 	shardStats func() []shard.Stats
 

@@ -151,8 +151,11 @@ func (ps predictorsSnapshotter) Restore(data []byte) error {
 // The Dashboard is a best-effort monitoring sink and is NOT checkpointed:
 // after recovery it may hold duplicates from the replayed span. Everything
 // published to broker topics is effectively-once.
-func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Summary, error) {
-	var sum Summary
+//
+// A run that ends on its context's error between poll batches stages a
+// barrier on its way out, so a caller-driven Capture afterwards
+// (cmd/datacron's graceful shutdown) writes a consistent cut.
+func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum Summary, err error) {
 	var cpr *checkpoint.Checkpointer
 	var inj *faultinject.Injector
 	if rc != nil {
@@ -165,46 +168,35 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 	// restored from the checkpoint below.
 	//
 	// Per-trajectory operators (synopses, area monitor, FLP) live inside
-	// shard workers: one worker driven inline when shards=1, N plane
-	// workers on their own goroutines otherwise. Cross-entity operators
-	// (link discovery, CER, RDF sequencing, broker output) stay on this
-	// goroutine — the serial merge stage — which applies worker results
-	// in global submit order, so published output is byte-identical
-	// whatever the shard count.
+	// the shard plane's workers, each on its own goroutine; shards=1 is a
+	// plane of one. Cross-entity operators (link discovery, CER, RDF
+	// sequencing, broker output) stay on this goroutine — the serial merge
+	// stage — which applies worker results in global submit order, so
+	// published output is byte-identical whatever the shard count.
 	shards := p.cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	workers := make([]*shardWorker, shards)
 	shardRegs := make([]*obs.Registry, shards)
 	for i := range workers {
-		reg := p.obs
-		if shards > 1 {
-			// Each worker gets its own registry so per-trajectory metric
-			// updates never contend; readers see them merged — aggregate
-			// plus per-shard label — through MergedSnapshot.
-			reg = obs.NewRegistry(p.clock)
+		// Each worker gets its own registry so per-trajectory metric updates
+		// never contend; readers see them merged — aggregate plus per-shard
+		// label — through MergedSnapshot. Instrumentation off stays off.
+		if p.obs != nil {
+			shardRegs[i] = obs.NewRegistry(p.clock)
 		}
-		shardRegs[i] = reg
-		workers[i] = p.newShardWorker(i, reg)
+		workers[i] = p.newShardWorker(i, shardRegs[i])
 	}
-	var plane *shard.Plane[workerIn, workerOut]
-	if shards > 1 {
-		// The queue size doubles as the per-shard submit-credit pool: large
-		// enough by default for a whole poll batch in flight, overridable by
-		// WithFlow for tests that want to exercise credit backpressure.
-		queue := 2 * pollBatch
-		if p.flowCfg.ShardQueue > 0 {
-			queue = p.flowCfg.ShardQueue
-		}
-		plane = shard.New(shard.Config{Shards: shards, Queue: queue, Metrics: p.obs},
-			func(in workerIn) string { return in.rec.Key },
-			func(i int) shard.Worker[workerIn, workerOut] { return workers[i] })
-		defer plane.Close()
-		p.setShardView(shardRegs, plane.Stats)
-	} else {
-		p.setShardView(nil, nil)
+	// The queue size doubles as the per-shard submit-credit pool: large
+	// enough by default for a whole poll batch in flight, overridable by
+	// WithFlow for tests that want to exercise credit backpressure.
+	queue := 2 * pollBatch
+	if p.flowCfg.ShardQueue > 0 {
+		queue = p.flowCfg.ShardQueue
 	}
+	plane := shard.New(shard.Config{Shards: shards, Queue: queue, Metrics: p.obs},
+		func(in workerIn) string { return in.rec.Key },
+		func(i int) shard.Worker[workerIn, workerOut] { return workers[i] })
+	defer plane.Close()
+	p.setShardView(shardRegs, plane.Stats)
 
 	var disc *linkdisc.Discoverer
 	if len(p.cfg.Statics) > 0 {
@@ -246,19 +238,11 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 		for _, t := range outputTopics {
 			cpr.RegisterOutput(t)
 		}
-		if shards == 1 {
-			// Single shard: the worker's operators register under the
-			// bare legacy names, so the checkpoint format is unchanged.
-			cpr.Register("synopses", workers[0].sg)
-			cpr.Register("area", workers[0].areaMon)
-		} else {
-			// Sharded: per-worker state is only consistent at a barrier,
-			// so it flows through the ShardSnapshots bridge under
-			// "shard/<i>/<op>" names, with a meta entry pinning the
-			// shard count.
-			shardSnaps = checkpoint.NewShardSnapshots(shards, shardOps)
-			shardSnaps.Register(cpr)
-		}
+		// Per-worker state is only consistent at a barrier, so it flows
+		// through the ShardSnapshots bridge under "shard/<i>/<op>" names,
+		// with a meta entry pinning the shard count.
+		shardSnaps = checkpoint.NewShardSnapshots(shards, shardOps)
+		shardSnaps.Register(cpr)
 		if disc != nil {
 			cpr.Register("linkdisc", disc)
 		}
@@ -266,9 +250,6 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 			cpr.Register("cer", p.forecaster)
 		}
 		cpr.Register("profiler", p.Profiler)
-		if shards == 1 {
-			cpr.Register("flp", predictorsSnapshotter{preds: workers[0].predictors, sample: p.cfg.SampleInterval})
-		}
 		cpr.Register("summary", runStateSnapshotter{seq: &seq, sum: &sum})
 
 		// Metric state is monitoring-only and deliberately outside the
@@ -286,14 +267,12 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 			return sum, err
 		}
 		if cp != nil {
-			if shardSnaps != nil {
-				// The bridge staged each worker's blobs during Restore;
-				// apply them now, before Start, while the workers are
-				// still single-threaded.
-				for i, w := range workers {
-					if err := w.Restore(shardSnaps.Restored(i)); err != nil {
-						return sum, err
-					}
+			// The bridge staged each worker's blobs during Restore; apply
+			// them now, before Start, while the workers are still
+			// single-threaded.
+			for i, w := range workers {
+				if err := w.Restore(shardSnaps.Restored(i)); err != nil {
+					return sum, err
 				}
 			}
 			p.log.Info("restored from checkpoint",
@@ -322,8 +301,18 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 		}
 	}
 
-	if plane != nil {
-		plane.Start()
+	plane.Start()
+
+	// barrier coordinates a consistent cut across the plane and stages
+	// the per-shard snapshots for the next Capture. Called only between
+	// fully drained poll batches, and only when checkpointing.
+	barrier := func() error {
+		epoch := cpr.NextGeneration()
+		states, err := plane.Barrier(epoch)
+		if err != nil {
+			return err
+		}
+		return shardSnaps.SetEpoch(epoch, states)
 	}
 
 	// The consumer is created after the restore so its first rebalance
@@ -336,11 +325,18 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 	// Capture end-of-run component stats for Pipeline.Stats (runs before
 	// cons.Close: deferred calls execute last-in first-out).
 	defer func() {
+		// Every exit on the context's error — at the loop top, in a blocking
+		// Poll, or in SubmitBatch's all-or-nothing credit wait — leaves the
+		// plane drained and every applied record committed: stage that cut
+		// for a caller-driven final capture.
+		if cpr != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) && plane.Pending() == 0 {
+			if berr := barrier(); berr != nil {
+				err = errors.Join(err, berr)
+			}
+		}
 		// On the crash/error return path the plane may still have workers
 		// mid-record; stop them (idempotent) before reading their state.
-		if plane != nil {
-			plane.Close()
-		}
+		plane.Close()
 		p.mu.Lock()
 		p.lastSyn = aggregateSynStats(workers)
 		if disc != nil {
@@ -463,28 +459,13 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 		return nil
 	}
 
-	// barrier coordinates a consistent cut across the plane and stages
-	// the per-shard snapshots for the next Capture. Called only between
-	// fully drained poll batches.
-	barrier := func() error {
-		if plane == nil || shardSnaps == nil {
-			return nil
-		}
-		epoch := cpr.NextGeneration()
-		states, err := plane.Barrier(epoch)
-		if err != nil {
-			return err
-		}
-		return shardSnaps.SetEpoch(epoch, states)
-	}
-
 	// The interval trigger reads the pipeline's injected clock, never the
 	// wall clock directly: a run driven by an obs.ManualClock checkpoints at
 	// deterministic points, so replay stays byte-identical.
 	var (
 		recsSinceCp   int
 		lastCp        = p.clock.Now()
-		submitScratch []workerIn // reused batch fan-out buffer (sharded runs)
+		submitScratch []workerIn // reused batch fan-out buffer
 	)
 	maybeCheckpoint := func() error {
 		if cpr == nil || rc == nil {
@@ -516,12 +497,6 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 		// cancelled context (SIGINT/SIGTERM in cmd/datacron) must be checked
 		// here for shutdown to interrupt a drain of queued records.
 		if err := ctx.Err(); err != nil {
-			// Leave a consistent cut staged for a caller-driven final
-			// capture (cmd/datacron's graceful shutdown): the plane is
-			// drained here, so the barrier is valid.
-			if cpr != nil {
-				_ = barrier()
-			}
 			return sum, err
 		}
 		if inj != nil {
@@ -549,29 +524,26 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 		procSpan := p.tracer.Start("process")
 		// Fan the whole batch out to the shard workers (per-trajectory
 		// stages run in parallel), then drain and apply results in submit
-		// order on this goroutine. With one shard the worker runs inline —
-		// the identical code path minus the goroutine hop. Sampling is
-		// decided here, in batch order, on both paths: the decision stream
-		// is identical whatever the shard count, and — because it depends
-		// only on the record ordinal — identical again under replay.
+		// order on this goroutine. Sampling is decided here, in batch order:
+		// the decision stream is identical whatever the shard count, and —
+		// because it depends only on the record ordinal — identical again
+		// under replay.
 		//
 		// The batch goes to the plane through SubmitBatch — one credit
 		// acquisition pass per lane instead of one select per record — via a
 		// reused workerIn scratch, so the steady-state fan-out allocates
 		// nothing per record. The poll batch is half the plane's queue depth,
 		// inside SubmitBatch's per-lane bound.
-		if plane != nil {
-			if cap(submitScratch) < len(recs) {
-				submitScratch = make([]workerIn, len(recs))
-			}
-			ins := submitScratch[:len(recs)]
-			for i, rec := range recs {
-				ins[i] = p.newWorkerIn(rec, true)
-			}
-			if err := plane.SubmitBatch(ctx, ins); err != nil {
-				procSpan.End()
-				return sum, err
-			}
+		if cap(submitScratch) < len(recs) {
+			submitScratch = make([]workerIn, len(recs))
+		}
+		ins := submitScratch[:len(recs)]
+		for i, rec := range recs {
+			ins[i] = p.newWorkerIn(rec)
+		}
+		if err := plane.SubmitBatch(ctx, ins); err != nil {
+			procSpan.End()
+			return sum, err
 		}
 		for _, rec := range recs {
 			if inj != nil {
@@ -583,14 +555,10 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 					return sum, err
 				}
 			}
-			var out workerOut
-			if plane != nil {
-				if out, err = plane.Next(); err != nil {
-					procSpan.End()
-					return sum, err
-				}
-			} else {
-				out = workers[0].Process(p.newWorkerIn(rec, false))
+			out, err := plane.Next()
+			if err != nil {
+				procSpan.End()
+				return sum, err
 			}
 			if err := apply(rec, out); err != nil {
 				procSpan.End()
@@ -610,18 +578,12 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (Sum
 	// Flush trajectory ends. Each worker flushes its own movers sorted by
 	// (time, ID); the k-way merge with the same comparator reproduces the
 	// exact sequence a single shard emits.
-	var ends []synopses.CriticalPoint
-	if plane != nil {
-		plane.Close() // workers are single-threaded again after Close
-		lists := make([][]synopses.CriticalPoint, len(workers))
-		for i, w := range workers {
-			lists[i] = w.Flush()
-		}
-		ends = shard.MergeSorted(lessCritical, lists...)
-	} else {
-		ends = workers[0].Flush()
+	plane.Close() // workers are single-threaded again after Close
+	lists := make([][]synopses.CriticalPoint, len(workers))
+	for i, w := range workers {
+		lists[i] = w.Flush()
 	}
-	for _, cp := range ends {
+	for _, cp := range shard.MergeSorted(lessCritical, lists...) {
 		// Flush-time critical points have no originating record in flight,
 		// so they carry no trace root.
 		if err := processCritical(cp, obs.Span{}); err != nil {

@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
+	"time"
 
 	"datacron/internal/checkpoint"
 	"datacron/internal/checkpoint/faultinject"
@@ -197,4 +201,120 @@ func TestRecoveryCorruptedCheckpointFallsBack(t *testing.T) {
 		t.Errorf("summaries differ:\nbase    %v\nrecover %v", baseSum, sum)
 	}
 	requireIdenticalTopics(t, base.Broker, faulty.Broker)
+}
+
+// TestCancelWhilePollingStagesBarrier pins the graceful-shutdown path: a run
+// cancelled while Poll blocks on an open raw topic must leave a barrier
+// staged at the cut it stopped at, so the caller's final Capture succeeds
+// and its shard/meta epoch is the generation it wrote — with earlier
+// checkpoints in the store, whose barriers are stale by then.
+func TestCancelWhilePollingStagesBarrier(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			p, reports := shardedMaritimePipeline(t, false, shards)
+			// Produce without closing the topic: once drained, Poll blocks.
+			for _, r := range reports {
+				if _, err := p.Broker.Produce(context.Background(), TopicRaw, r.ID, r.AppendBinary(nil), r.Time); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cpr, err := checkpoint.NewCheckpointer(checkpoint.NewMemStore(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := p.RunWithRecovery(ctx, &RecoveryConfig{Checkpointer: cpr, EveryRecords: 960})
+				done <- err
+			}()
+			waitCommitted(t, p.Broker, int64(len(reports)))
+			// Give the loop time to park in Poll. If it is still at the loop
+			// top when the cancel lands, that exit must stage the same cut,
+			// so the assertions hold either way.
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Fatalf("run returned %v, want context.Canceled", err)
+			}
+			if cpr.Captures() == 0 {
+				t.Fatal("no checkpoint before the cancel; lower EveryRecords")
+			}
+
+			gen, err := cpr.Capture(p.Broker)
+			if err != nil {
+				t.Fatalf("final capture: %v", err)
+			}
+			cp, err := cpr.Latest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var meta struct {
+				Epoch uint64 `json:"epoch"`
+			}
+			if err := json.Unmarshal(cp.Operators["shard/meta"], &meta); err != nil {
+				t.Fatalf("decode shard/meta: %v", err)
+			}
+			if cp.Generation != gen || meta.Epoch != gen {
+				t.Fatalf("final capture wrote generation %d with barrier epoch %d, want both %d", cp.Generation, meta.Epoch, gen)
+			}
+		})
+	}
+}
+
+// waitCommitted blocks until the real-time group has committed n raw
+// records.
+func waitCommitted(t *testing.T, b *msg.Broker, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var committed int64
+		for _, off := range b.CommittedOffsets(sourceGroup, TopicRaw) {
+			committed += off
+		}
+		if committed >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("committed %d of %d records before the deadline", committed, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSingleShardCheckpointLayout pins the one checkpoint layout: a shards=1
+// run is a plane of one, so its capture holds the plane's meta and shard-0
+// entries beside the merge stage's operators, and nothing under any other
+// name.
+func TestSingleShardCheckpointLayout(t *testing.T) {
+	for _, withCER := range []bool{false, true} {
+		p, reports := maritimePipeline(t, withCER)
+		if err := p.Ingest(context.Background(), reports); err != nil {
+			t.Fatal(err)
+		}
+		cpr, err := checkpoint.NewCheckpointer(checkpoint.NewMemStore(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.RunWithRecovery(context.Background(), &RecoveryConfig{Checkpointer: cpr, EveryRecords: 300}); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := cpr.Latest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for name := range cp.Operators {
+			got = append(got, name)
+		}
+		sort.Strings(got)
+		want := []string{"linkdisc", "profiler", "shard/0/area", "shard/0/flp", "shard/0/synopses", "shard/meta", "summary"}
+		if withCER {
+			want = append([]string{"cer"}, want...)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("cer=%v: checkpoint operators %v, want %v", withCER, got, want)
+		}
+	}
 }

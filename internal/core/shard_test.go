@@ -54,7 +54,7 @@ func TestShardedByteIdenticalOutput(t *testing.T) {
 		// The merged view must agree with the serial run on the aggregate
 		// synopses counters while also carrying the per-shard labels.
 		merged := p.MergedSnapshot()
-		if got, want := merged.Counter("synopses.critical"), base.Obs().Snapshot().Counter("synopses.critical"); got != want {
+		if got, want := merged.Counter("synopses.critical"), base.MergedSnapshot().Counter("synopses.critical"); got != want {
 			t.Errorf("shards=%d: aggregate synopses.critical = %d, want %d", shards, got, want)
 		}
 		var labelled int64

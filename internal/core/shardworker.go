@@ -15,16 +15,15 @@ import (
 )
 
 // shardOps are the operator names every shard worker snapshot contains;
-// checkpoint.ShardSnapshots maps them to "shard/<i>/<op>" entries. With
-// shards=1 the same operators register under these bare names, keeping the
-// single-shard checkpoint format identical to pre-shard pipelines.
+// checkpoint.ShardSnapshots maps them to "shard/<i>/<op>" entries, at every
+// shard count.
 var shardOps = []string{"synopses", "area", "flp"}
 
 // workerIn is one record on its way to a shard worker, together with its
 // trace context: root is the sampled record's span tree root (the zero
 // Span for the unsampled majority — every child it spawns no-ops), submit
 // is the in-flight queue-wait span the worker closes when it picks the
-// record up (zero on the serial path, which has no queue).
+// record up.
 type workerIn struct {
 	rec    msg.Record
 	root   obs.Span
@@ -49,11 +48,10 @@ type workerOut struct {
 // newWorkerIn wraps one polled record for a shard worker and decides trace
 // sampling. A sampled record gets a root "record" span annotated with its
 // mover and partition, an already-closed "ingest" child covering the broker
-// dwell (event time → coordinator pickup), and — when the record is headed
-// for a plane queue — an open "submit" child the worker closes on pickup.
-// The unsampled majority carries the zero Span, so every downstream stage
-// span no-ops.
-func (p *Pipeline) newWorkerIn(rec msg.Record, queued bool) workerIn {
+// dwell (event time → coordinator pickup), and an open "submit" child the
+// worker closes on pickup. The unsampled majority carries the zero Span, so
+// every downstream stage span no-ops.
+func (p *Pipeline) newWorkerIn(rec msg.Record) workerIn {
 	in := workerIn{rec: rec}
 	if !p.sampler.Admit() {
 		return in
@@ -62,9 +60,7 @@ func (p *Pipeline) newWorkerIn(rec msg.Record, queued bool) workerIn {
 		obs.Attr{Key: "mover", Value: rec.Key},
 		obs.Attr{Key: "partition", Value: strconv.Itoa(rec.Partition)})
 	in.root.ChildAt("ingest", rec.Time).End()
-	if queued {
-		in.submit = in.root.Child("submit")
-	}
+	in.submit = in.root.Child("submit")
 	return in
 }
 
@@ -189,8 +185,7 @@ func missingOpErr(shard int, op string) error {
 	return fmt.Errorf("shard %d: restore: missing operator %q", shard, op)
 }
 
-// op maps a shardOps name to the operator's Snapshotter. The same
-// snapshotters register directly on the Checkpointer when shards=1.
+// op maps a shardOps name to the operator's Snapshotter.
 func (w *shardWorker) op(name string) interface {
 	Snapshot() ([]byte, error)
 	Restore([]byte) error
@@ -213,8 +208,7 @@ func (w *shardWorker) Flush() []synopses.CriticalPoint {
 	return w.sg.Flush()
 }
 
-// aggregateSynStats sums synopses stats across shard workers; with one
-// worker it is exactly that worker's stats.
+// aggregateSynStats sums synopses stats across shard workers.
 func aggregateSynStats(workers []*shardWorker) synopses.Stats {
 	var out synopses.Stats
 	for _, w := range workers {

@@ -37,17 +37,15 @@ type PipelineStats struct {
 	// Flow is the backpressure plane's view of the most recent Ingest
 	// (zero when WithFlow is not armed).
 	Flow FlowStats
-	// Shards holds one row per shard worker of a sharded run (nil for
-	// serial runs): live progress, queue depth and per-shard synopses
-	// counters.
+	// Shards holds one row per shard worker (nil before the first run):
+	// live progress, queue depth and per-shard synopses counters.
 	Shards []ShardStats
 	// SLO is each freshness objective's standing (nil without WithSLO).
 	SLO []slo.Status
 }
 
-// ShardStats is one worker's live view in a sharded run: plane progress
-// plus the worker's own synopses counters, read from its shard-local
-// registry.
+// ShardStats is one worker's live view: plane progress plus the worker's
+// own synopses counters, read from its shard-local registry.
 type ShardStats struct {
 	Shard    int   `json:"shard"`
 	Records  int64 `json:"records"`  // records processed on the worker goroutine
@@ -88,7 +86,7 @@ func (p *Pipeline) Stats() PipelineStats {
 }
 
 // setShardView publishes a run's shard registries and plane progress for
-// Stats/MergedSnapshot readers; a serial run clears both.
+// Stats/MergedSnapshot readers.
 func (p *Pipeline) setShardView(regs []*obs.Registry, stats func() []shard.Stats) {
 	p.mu.Lock()
 	p.shardRegs = regs
@@ -99,9 +97,9 @@ func (p *Pipeline) setShardView(regs []*obs.Registry, stats func() []shard.Stats
 // MergedSnapshot is the pipeline-wide metric view: the main registry
 // merged with every shard worker's registry, twice over — once unprefixed
 // (the aggregate: per-shard counters sum into the familiar names) and once
-// under a "shard.<i>." prefix (the per-shard label). Serial runs have no
-// shard registries, so it degrades to the main registry's snapshot. The
-// admin /metrics endpoint and Stats().Metrics read through this.
+// under a "shard.<i>." prefix (the per-shard label). Before the first run
+// there are no shard registries and it is the main registry's snapshot.
+// The admin /metrics endpoint and Stats().Metrics read through this.
 func (p *Pipeline) MergedSnapshot() obs.Snapshot {
 	p.mu.Lock()
 	regs := p.shardRegs

@@ -362,66 +362,3 @@ func TestVAExperiments(t *testing.T) {
 		t.Error("no report text produced")
 	}
 }
-
-func TestCodecShape(t *testing.T) {
-	res, err := RunCodec(io.Discard, Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	micro := map[string]CodecMicroRow{}
-	for _, m := range res.Micro {
-		micro[m.Name] = m
-	}
-	// The binary codec's headline: allocation-free steady state and at least
-	// the issue's 2x decode advantage over JSON (in practice far more).
-	if m := micro["decode/binary"]; m.AllocsPerOp != 0 {
-		t.Errorf("binary decode allocates %d/op, want 0", m.AllocsPerOp)
-	}
-	if m := micro["encode/binary"]; m.AllocsPerOp != 0 {
-		t.Errorf("binary encode allocates %d/op, want 0", m.AllocsPerOp)
-	}
-	if jd, bd := micro["decode/json"].NsPerOp, micro["decode/binary"].NsPerOp; bd <= 0 || jd/bd < 2 {
-		t.Errorf("binary decode %.0fns vs JSON %.0fns: want >= 2x faster", bd, jd)
-	}
-	// Binary records must also be smaller on the wire.
-	if jb, bb := micro["encode/json"].BytesPerRec, micro["encode/binary"].BytesPerRec; bb >= jb {
-		t.Errorf("binary record %.1fB not smaller than JSON %.1fB", bb, jb)
-	}
-	if len(res.E2E) != 4 {
-		t.Fatalf("e2e rows = %d, want 4", len(res.E2E))
-	}
-	for _, e := range res.E2E {
-		if !e.Identical {
-			t.Errorf("%s/shards=%d diverged from json/shards=1", e.Codec, e.Shards)
-		}
-		if e.PerSecond <= 0 {
-			t.Errorf("%s/shards=%d: non-positive throughput", e.Codec, e.Shards)
-		}
-	}
-}
-
-func TestShardScalingShape(t *testing.T) {
-	res, err := RunShardScaling(io.Discard, Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2*len(shardCounts) {
-		t.Fatalf("got %d rows, want %d", len(res.Rows), 2*len(shardCounts))
-	}
-	for _, r := range res.Rows {
-		if r.Mode == "pipeline" && !r.Identical {
-			t.Errorf("pipeline shards=%d: output diverged from serial run", r.Shards)
-		}
-		if r.PerSecond <= 0 {
-			t.Errorf("%s shards=%d: non-positive throughput", r.Mode, r.Shards)
-		}
-	}
-	// The latency-bound sweep must scale regardless of GOMAXPROCS: shard
-	// workers overlap their per-record waits. Allow generous slack for
-	// scheduler jitter; ideal is 4.0x.
-	for _, r := range res.Rows {
-		if r.Mode == "enrich" && r.Shards == 4 && r.Speedup < 1.5 {
-			t.Errorf("enrich shards=4: speedup %.2fx, want >= 1.5x", r.Speedup)
-		}
-	}
-}

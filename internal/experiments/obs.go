@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"datacron/internal/core"
@@ -15,6 +13,11 @@ import (
 // snapshot-and-reset between experiments gives per-experiment readings.
 var registry *obs.Registry
 
+// metered is the pipeline the running experiment built on the shared
+// registry. MetricsRow reads its merged view, which adds the per-trajectory
+// metrics of its shard workers' own registries.
+var metered *core.Pipeline
+
 // EnableMetrics switches the suite to a shared metric registry and returns
 // it. Call once before running experiments (benchrunner does this for its
 // -metrics flag); without it every pipeline keeps its own private registry.
@@ -23,20 +26,22 @@ func EnableMetrics() *obs.Registry {
 	return registry
 }
 
-// pipelineOpts assembles the options every experiment pipeline is built
-// with: the experiment's configuration, plus the shared registry when
-// metrics reporting is on.
-func pipelineOpts(cfg core.Config) []core.Option {
+// newPipeline builds an experiment pipeline from cfg, attached to the shared
+// registry when metrics reporting is on.
+func newPipeline(cfg core.Config) (*core.Pipeline, error) {
 	opts := []core.Option{core.WithConfig(cfg)}
 	if registry != nil {
 		opts = append(opts, core.WithObs(registry))
 	}
-	return opts
+	p, err := core.New(opts...)
+	if err == nil && registry != nil {
+		metered = p
+	}
+	return p, err
 }
 
 // Row is one machine-readable experiment result, the unit benchrunner's
-// -json output accumulates in BENCH_*.json files so the repo's performance
-// trajectory can be tracked across commits.
+// -json output accumulates.
 type Row struct {
 	Name             string  `json:"name"`
 	WallSeconds      float64 `json:"wallSeconds"`
@@ -45,24 +50,6 @@ type Row struct {
 	CriticalPoints   int64   `json:"criticalPoints"`
 	EntitiesPerSec   float64 `json:"entitiesPerSecond"`
 	CompressionRatio float64 `json:"compressionRatio"`
-	Checkpoints      int64   `json:"checkpoints"`
-
-	// Overload-sweep fields, set only by the overload experiment.
-	P99Seconds    float64 `json:"p99Seconds,omitempty"`
-	ShedRecords   int64   `json:"shedRecords,omitempty"`
-	MaxQueueDepth int64   `json:"maxQueueDepth,omitempty"`
-
-	// Latency-sweep fields, set only by the latency experiment (which also
-	// reuses P99Seconds for the stage's tail lag).
-	P50Seconds float64 `json:"p50Seconds,omitempty"`
-	MaxSeconds float64 `json:"maxSeconds,omitempty"`
-
-	// Codec micro-benchmark fields, set only by the codec experiment.
-	// AllocsPerOp is a pointer so an explicit zero — the binary codec's
-	// steady state — survives omitempty.
-	NsPerOp     float64 `json:"nsPerOp,omitempty"`
-	AllocsPerOp *int64  `json:"allocsPerOp,omitempty"`
-	BytesPerRec float64 `json:"bytesPerRecord,omitempty"`
 }
 
 // MetricsRow snapshots the shared registry into one Row and resets it so
@@ -71,14 +58,12 @@ type Row struct {
 // duration is the caller's measurement — the registry only knows its own
 // observation window.
 func MetricsRow(name string, wall time.Duration) (Row, bool) {
-	if registry == nil {
+	if metered == nil {
 		return Row{}, false
 	}
-	s := registry.Snapshot()
-	defer registry.Reset()
-	if len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0 {
-		return Row{}, false // experiment built no pipeline
-	}
+	s := metered.MergedSnapshot()
+	registry.Reset()
+	metered = nil
 	ratio, _ := s.Gauge("synopses.compression_ratio")
 	return Row{
 		Name:             name,
@@ -88,21 +73,5 @@ func MetricsRow(name string, wall time.Duration) (Row, bool) {
 		CriticalPoints:   s.Counter("synopses.critical"),
 		EntitiesPerSec:   s.Rate("linkdisc.entities"),
 		CompressionRatio: ratio,
-		Checkpoints:      s.Counter("checkpoint.captures"),
 	}, true
-}
-
-// WriteMetricsRow prints one compact metric row from the shared registry —
-// the headline pipeline gauges — and resets the registry so the next
-// experiment starts a fresh window. A no-op without EnableMetrics.
-func WriteMetricsRow(w io.Writer, name string) error {
-	row, ok := MetricsRow(name, 0)
-	if !ok {
-		return nil
-	}
-	_, err := fmt.Fprintf(w,
-		"[%s metrics] records=%d (%.0f/s) critical=%d entities/s=%.0f compression=%.3f checkpoints=%d\n",
-		row.Name, row.Records, row.RecordsPerSec, row.CriticalPoints,
-		row.EntitiesPerSec, row.CompressionRatio, row.Checkpoints)
-	return err
 }

@@ -201,7 +201,7 @@ func RunDashboard(w io.Writer, scale Scale) (*core.Summary, error) {
 	for _, cp := range trainCps {
 		trainSyms = append(trainSyms, string(cp.Type))
 	}
-	p, err := core.New(pipelineOpts(core.Config{
+	p, err := newPipeline(core.Config{
 		Domain:       mobility.Maritime,
 		Link:         linkdisc.Config{Extent: Region, MaskResolution: 8, NearDistanceM: 5_000},
 		Statics:      statics,
@@ -211,7 +211,7 @@ func RunDashboard(w io.Writer, scale Scale) (*core.Summary, error) {
 		ModelOrder:   1,
 		Theta:        0.4,
 		TrainSymbols: trainSyms,
-	})...)
+	})
 	if err != nil {
 		return nil, err
 	}

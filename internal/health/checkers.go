@@ -10,11 +10,10 @@ import (
 
 // watermarkChecker flags operators whose event-time watermark stops
 // advancing while their input keeps arriving. It pairs every
-// "<base>.watermark.unixsec" gauge with the progress counter "<base>.in"
-// (stream operators) or "<base>.records" (the core pipeline): input moving
-// with the watermark flat for stallTicks consecutive ticks is a stall —
-// windows stop firing and downstream consumers starve even though data
-// flows in.
+// "<base>.watermark.unixsec" gauge with the progress counter
+// "<base>.records" (the core pipeline's "core.records"): input moving with
+// the watermark flat for stallTicks consecutive ticks is a stall —
+// downstream consumers starve even though data flows in.
 type watermarkChecker struct {
 	stallTicks int
 	streak     map[string]int
@@ -33,10 +32,7 @@ func (c *watermarkChecker) Check(prev, cur obs.Snapshot) Result {
 		if !ok {
 			continue
 		}
-		progress := cur.Counter(base+".in") - prev.Counter(base+".in")
-		if progress == 0 {
-			progress = cur.Counter(base+".records") - prev.Counter(base+".records")
-		}
+		progress := cur.Counter(base+".records") - prev.Counter(base+".records")
 		prevWM, _ := prev.Gauge(g.Name)
 		if progress > 0 && g.Value <= prevWM {
 			c.streak[g.Name]++

@@ -76,8 +76,8 @@ func TestWatermarkStallFlipsInOneTick(t *testing.T) {
 
 func TestIdleWatermarkIsNotAStall(t *testing.T) {
 	clk, reg, w := setup()
-	reg.Counter("stream.win.in").Add(10)
-	reg.Gauge("stream.win.watermark.unixsec").Set(float64(epoch.Unix()))
+	reg.Counter("core.records").Add(10)
+	reg.Gauge("core.watermark.unixsec").Set(float64(epoch.Unix()))
 	w.Tick()
 	// No new input: a flat watermark is idleness, not a stall.
 	clk.Advance(time.Minute)

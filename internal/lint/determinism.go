@@ -12,7 +12,6 @@ import (
 // operator state and output. The determinism analyzer only fires inside this
 // scope.
 var ReplayableScope = []string{
-	"internal/stream",
 	"internal/synopses",
 	"internal/cer",
 	"internal/lowlevel",

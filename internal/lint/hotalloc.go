@@ -8,13 +8,12 @@ import (
 )
 
 // HotPathScope lists the module-relative packages whose exported processing
-// entry points anchor the hot-path reachability analysis: the dataflow
-// engine, the shard plane, and the pipeline coordinator. Any function
-// reachable from a Process/Run/Feed/Submit/Poll/Next/Emit/Drain entry point
-// of these packages — across package boundaries, through goroutine spawns and
+// entry points anchor the hot-path reachability analysis: the shard plane
+// and the pipeline coordinator. Any function reachable from a
+// Process/Run/Feed/Submit/Poll/Next/Emit/Drain entry point of these
+// packages — across package boundaries, through goroutine spawns and
 // interface dispatch — executes per record at steady state.
 var HotPathScope = []string{
-	"internal/stream",
 	"internal/shard",
 	"internal/core",
 }
@@ -48,7 +47,7 @@ var HotPathExtraRoots = map[string][]string{
 var hotallocAnalyzer = &Analyzer{
 	Name: "hotalloc",
 	Doc: "flags allocation-inducing constructs inside loops of functions " +
-		"reachable from stream/shard/core processing entry points: per-record " +
+		"reachable from shard/core processing entry points: per-record " +
 		"fmt.Sprintf/Errorf formatting, append growth into slices declared " +
 		"without capacity, map/slice composite literals, and explicit " +
 		"interface conversions that box their operand",

@@ -42,8 +42,8 @@ func (d Diagnostic) String() string {
 
 // Package is one type-checked package handed to analyzers.
 type Package struct {
-	ImportPath string // full import path, e.g. datacron/internal/stream
-	RelPath    string // path relative to the module root, e.g. internal/stream
+	ImportPath string // full import path, e.g. datacron/internal/shard
+	RelPath    string // path relative to the module root, e.g. internal/shard
 	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File

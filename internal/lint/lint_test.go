@@ -140,7 +140,7 @@ func runFixture(t *testing.T, analyzerName, fixture, importPath string) {
 }
 
 func TestDeterminism(t *testing.T) {
-	runFixture(t, "determinism", "determinism", "datacron/internal/stream/lintfixture")
+	runFixture(t, "determinism", "determinism", "datacron/internal/synopses/lintfixture")
 }
 
 func TestDeterminismOutOfScope(t *testing.T) {
@@ -278,7 +278,7 @@ func TestExactPosition(t *testing.T) {
 		file                          string
 		line, col                     int
 	}{
-		{"determinism", "determinism", "datacron/internal/stream/lintfixture", "fixture.go", 11, 9},
+		{"determinism", "determinism", "datacron/internal/synopses/lintfixture", "fixture.go", 11, 9},
 		{"errdrop", "errdrop", "datacron/internal/lintfixture/errdrop", "fixture.go", 11, 2},
 	}
 	for _, tc := range cases {

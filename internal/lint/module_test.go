@@ -21,7 +21,7 @@ func TestAtomicSafety(t *testing.T) {
 }
 
 func TestHotAlloc(t *testing.T) {
-	runFixture(t, "hotalloc", "hotalloc", "datacron/internal/stream/lintfixture")
+	runFixture(t, "hotalloc", "hotalloc", "datacron/internal/shard/lintfixture")
 }
 
 func TestHotAllocExtraRoots(t *testing.T) {
@@ -69,7 +69,7 @@ func TestHotAllocExtraRootsOutOfScope(t *testing.T) {
 }
 
 func TestHotAllocOutOfScope(t *testing.T) {
-	// The same fixture outside the stream/shard/core scope has no hot-path
+	// The same fixture outside the shard/core scope has no hot-path
 	// roots, so nothing is reachable and nothing is reported: per-record
 	// allocation discipline only binds the processing plane.
 	p := loadFixture(t, "hotalloc", "datacron/internal/va/lintfixture")

@@ -15,7 +15,6 @@ import (
 // wall-clock reader and carries an explicit //lint:ignore directive.
 var InstrumentedScope = []string{
 	"internal/msg",
-	"internal/stream",
 	"internal/synopses",
 	"internal/linkdisc",
 	"internal/store",

@@ -1,5 +1,5 @@
 // Package fixture exercises the hotalloc analyzer. Loaded under a
-// hot-path import path (internal/stream/...), its Process*/Run* functions
+// hot-path import path (internal/shard/...), its Process*/Run* functions
 // are reachability roots; loaded outside that scope it must stay silent.
 package fixture
 

@@ -62,7 +62,6 @@ func identityMapping(name string) (string, []Label) { return name, nil }
 //
 //	msg.depth.<topic>        → msg_depth{topic=...}   (likewise produced, bytes)
 //	msg.lag.<group>/<topic>  → msg_lag{group=..., topic=...}
-//	stream.<op>.<metric>     → stream_<metric>{op=...}
 //	trace.<span>.<metric>    → trace_<metric>{span=...}
 //	health.<component>.status→ health_status{component=...}
 //
@@ -79,10 +78,6 @@ func DefaultMapping() Mapper {
 				return "msg_lag", []Label{{Name: "group", Value: group}, {Name: "topic", Value: topic}}
 			}
 			return "msg_lag", []Label{{Name: "group", Value: rest}}
-		case hasSegPrefix(name, "stream."):
-			if op, metric, ok := splitMiddle(name, "stream."); ok {
-				return "stream_" + metric, []Label{{Name: "op", Value: op}}
-			}
 		case hasSegPrefix(name, "trace."):
 			if span, metric, ok := splitMiddle(name, "trace."); ok {
 				return "trace_" + metric, []Label{{Name: "span", Value: span}}

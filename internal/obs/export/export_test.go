@@ -26,7 +26,6 @@ func fixedRegistry() *obs.Registry {
 	r := obs.NewRegistry(clk)
 	r.Counter("core.records").Add(1500)
 	r.Counter("msg.produced.surveillance.raw").Add(1500)
-	r.Counter("stream.win.in").Add(700)
 	r.Gauge("synopses.compression_ratio").Set(0.937)
 	r.Gauge("msg.depth.trajectory.synopses").Set(96)
 	r.Gauge("msg.lag.realtime/surveillance.raw").Set(42)
@@ -82,7 +81,6 @@ func TestPrometheusExpositionShape(t *testing.T) {
 		"core_records_per_second 150",
 		`msg_produced_total{topic="surveillance.raw"} 1500`,
 		`msg_lag{group="realtime",topic="surveillance.raw"} 42`,
-		`stream_in_total{op="win"} 700`,
 		`health_status{component="watermark"} 0`,
 		"# TYPE checkpoint_capture_seconds histogram",
 		`checkpoint_capture_seconds_bucket{le="0.001"} 1`,

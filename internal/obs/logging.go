@@ -8,8 +8,8 @@ import (
 )
 
 // Structured logging for the pipeline. The conventions mirror the metric
-// layer: one shared *slog.Logger is threaded through core/msg/stream/
-// checkpoint via options, every component tags its lines with a "component"
+// layer: one shared *slog.Logger is threaded through core/msg/checkpoint
+// via options, every component tags its lines with a "component"
 // attr, and span-correlated lines carry the span's ID under "span" so a log
 // line can be matched against the /traces dump of the admin server. A
 // disabled logger is NopLogger(), whose handler rejects every level before

@@ -160,7 +160,7 @@ type moverState struct {
 }
 
 // Generator is the single-pass synopses operator. Not safe for concurrent
-// use; the stream engine runs one instance per task.
+// use; each shard worker of the real-time layer runs its own instance.
 type Generator struct {
 	cfg    Config
 	states map[string]*moverState

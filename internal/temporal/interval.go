@@ -15,8 +15,7 @@ import (
 )
 
 // Interval is a half-open time interval [Start, End). Half-open intervals
-// compose cleanly under union and complement and match the window semantics
-// of the stream engine.
+// compose cleanly under union and complement.
 type Interval struct {
 	Start time.Time
 	End   time.Time
