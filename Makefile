@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet lint lint-update-baseline lint-sarif test race shardrace bench bench-smoke smoke ci clean
+.PHONY: build vet lint lint-update-baseline lint-sarif test race shardrace bench bench-smoke smoke fuzz ci clean
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,30 @@ smoke:
 	$(GO) run ./cmd/datacron -duration 30m -vessels 8 -shards 4
 	$(GO) run ./cmd/benchrunner -exp dashboard -scale small -metrics
 	./scripts/smoke_admin.sh
+
+# fuzz runs every fuzzer for 10 s each: the wire codec and triple encoder,
+# the checkpoint frame, and every operator Restore. `go test` runs their seed
+# corpora (testdata/fuzz/<name>/ plus the f.Add seeds) on every invocation;
+# this target searches beyond them. Not part of ci.
+FUZZERS = \
+	internal/mobility:FuzzReportCodec \
+	internal/rdf:FuzzTripleAppend \
+	internal/checkpoint:FuzzCheckpointDecode \
+	internal/checkpoint:FuzzShardMetaRestore \
+	internal/lowlevel:FuzzProfilerRestore \
+	internal/lowlevel:FuzzAreaRestore \
+	internal/synopses:FuzzSynopsesRestore \
+	internal/linkdisc:FuzzLinkdiscRestore \
+	internal/cer:FuzzCERRestore \
+	internal/core:FuzzRunStateRestore \
+	internal/core:FuzzPredictorsRestore
+
+fuzz:
+	@for f in $(FUZZERS); do \
+		pkg=$${f%%:*}; name=$${f##*:}; \
+		echo "== $$name ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime 10s ./$$pkg || exit 1; \
+	done
 
 # ci is the full gate: compile everything, run go vet, run the static
 # analysis suite (publishing the lint.sarif artifact), the test suite twice

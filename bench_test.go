@@ -395,6 +395,75 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 	}
 }
 
+// snapshotFleet is the state a checkpoint captures in the recovery workload,
+// at a smaller scale: 300 vessels of four classes for an hour (≈110 k
+// reports, ≈360 per mover), against 40 monitored areas.
+func snapshotFleet(b *testing.B) ([]mobility.Report, []lowlevel.Region) {
+	b.Helper()
+	per := 75
+	sim := gen.NewVesselSim(gen.VesselSimConfig{
+		Seed: 7, Region: experiments.Region, GapProb: 0.005,
+		Counts: map[gen.VesselClass]int{gen.Cargo: per, gen.Tanker: per, gen.Ferry: per, gen.Fishing: per},
+	})
+	var regions []lowlevel.Region
+	for _, a := range gen.Areas(7, gen.ProtectedArea, 40, experiments.Region, 3_000, 25_000) {
+		regions = append(regions, lowlevel.Region{ID: a.ID, Geom: a.Geom})
+	}
+	return sim.Run(time.Hour), regions
+}
+
+// Checkpoint ablation, per operator: Snapshot and Restore of the profiler,
+// synopses generator and area monitor after the generated fleet, with the
+// blob size. (The per-mover FLP predictor map is core-private; its
+// sub-benchmark is internal/core's BenchmarkOperatorSnapshot.)
+func BenchmarkOperatorSnapshot(b *testing.B) {
+	reports, regions := snapshotFleet(b)
+	pf := lowlevel.NewProfiler()
+	sg := synopses.NewGenerator(synopses.DefaultMaritime())
+	am := lowlevel.NewAreaMonitor(regions, 64)
+	for _, r := range reports {
+		pf.Observe(r)
+		sg.Process(r)
+		am.Update(r)
+	}
+	ops := []struct {
+		name  string
+		op    checkpoint.Snapshotter
+		fresh func() checkpoint.Snapshotter
+	}{
+		{"profiler", pf, func() checkpoint.Snapshotter { return lowlevel.NewProfiler() }},
+		{"synopses", sg, func() checkpoint.Snapshotter { return synopses.NewGenerator(synopses.DefaultMaritime()) }},
+		{"area", am, func() checkpoint.Snapshotter { return lowlevel.NewAreaMonitor(regions, 64) }},
+	}
+	for _, o := range ops {
+		blob, err := o.op.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(o.name+"/snapshot", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := o.op.Snapshot()
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(out)
+			}
+			b.ReportMetric(float64(len(blob)), "blob-B")
+		})
+		b.Run(o.name+"/restore", func(b *testing.B) {
+			target := o.fresh()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := target.Restore(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(blob)), "blob-B")
+		})
+	}
+}
+
 // Broker throughput: produce + consumer-group poll round trip.
 func BenchmarkBrokerRoundTrip(b *testing.B) {
 	broker := msg.NewBroker()

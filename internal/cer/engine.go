@@ -59,12 +59,16 @@ func (f *Forecaster) PMC() *PMC { return f.pmc }
 // Process consumes one symbol. detected reports whether the pattern
 // completed at this symbol; fc is the forecast made after consuming it
 // (ok=false while the model context is still filling up or when no interval
-// reaches theta within the horizon).
+// reaches theta within the horizon). A symbol outside the alphabet has no
+// PMC state, so no forecast is made until m alphabet symbols follow it; the
+// context is cleared on it, which keeps it holding alphabet symbols only.
 func (f *Forecaster) Process(symbol string) (detected bool, fc Forecast, ok bool) {
 	f.state = f.dfa.Step(f.state, symbol)
 	detected = f.dfa.Final[f.state]
 	m := f.pmc.model.Order()
-	if m > 0 {
+	if _, known := f.dfa.symIdx[symbol]; !known {
+		f.ctx = f.ctx[:0]
+	} else if m > 0 {
 		f.ctx = append(f.ctx, symbol)
 		if len(f.ctx) > m {
 			f.ctx = f.ctx[1:]

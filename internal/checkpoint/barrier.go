@@ -1,8 +1,9 @@
 package checkpoint
 
 import (
-	"encoding/json"
 	"fmt"
+
+	"datacron/internal/wire"
 )
 
 // ShardSnapshots bridges a coordinated shard barrier into a Checkpointer.
@@ -29,11 +30,6 @@ type ShardSnapshots struct {
 
 	restoredEpoch uint64
 	restored      []map[string][]byte // staged by adapter Restore calls
-}
-
-type shardMeta struct {
-	Shards int    `json:"shards"`
-	Epoch  uint64 `json:"epoch"`
 }
 
 // NewShardSnapshots prepares a bridge for the given shard count and the
@@ -81,24 +77,35 @@ func (s *ShardSnapshots) Restored(shard int) map[string][]byte {
 // checkpoint's meta entry (0 when nothing was restored).
 func (s *ShardSnapshots) RestoredEpoch() uint64 { return s.restoredEpoch }
 
+// metaOp is the "shard/meta" operator. Its blob is
+//
+//	tag 0xC1 | version | uvarint shards | uvarint epoch
 type metaOp struct{ s *ShardSnapshots }
 
 func (m metaOp) Snapshot() ([]byte, error) {
 	if m.s.states == nil {
 		return nil, fmt.Errorf("checkpoint: capture without a preceding shard barrier")
 	}
-	return json.Marshal(shardMeta{Shards: m.s.shards, Epoch: m.s.epoch})
+	shards := uint64(m.s.shards)
+	buf := make([]byte, 0, wire.HeaderLen+wire.UvarintLen(shards)+wire.UvarintLen(m.s.epoch))
+	buf = wire.AppendHeader(buf, wire.TagShardMeta)
+	buf = wire.AppendUvarint(buf, shards)
+	return wire.AppendUvarint(buf, m.s.epoch), nil
 }
 
 func (m metaOp) Restore(blob []byte) error {
-	var meta shardMeta
-	if err := json.Unmarshal(blob, &meta); err != nil {
-		return fmt.Errorf("checkpoint: decode shard meta: %w", err)
+	r := wire.NewReader(blob)
+	if err := r.Header(wire.TagShardMeta); err != nil {
+		return fmt.Errorf("checkpoint: restore shard meta: %w", err)
 	}
-	if meta.Shards != m.s.shards {
-		return fmt.Errorf("checkpoint: taken with %d shards, pipeline configured with %d — shard count must match to restore per-trajectory state", meta.Shards, m.s.shards)
+	shards, epoch := r.Uvarint(), r.Uvarint()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("checkpoint: restore shard meta: %w", err)
 	}
-	m.s.restoredEpoch = meta.Epoch
+	if shards != uint64(m.s.shards) {
+		return fmt.Errorf("checkpoint: taken with %d shards, pipeline configured with %d — shard count must match to restore per-trajectory state", shards, m.s.shards)
+	}
+	m.s.restoredEpoch = epoch
 	return nil
 }
 

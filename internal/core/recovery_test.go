@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -13,6 +12,7 @@ import (
 	"datacron/internal/checkpoint"
 	"datacron/internal/checkpoint/faultinject"
 	"datacron/internal/msg"
+	"datacron/internal/wire"
 )
 
 // topicContents reads every record of every partition of a topic. The topic
@@ -250,14 +250,17 @@ func TestCancelWhilePollingStagesBarrier(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var meta struct {
-				Epoch uint64 `json:"epoch"`
-			}
-			if err := json.Unmarshal(cp.Operators["shard/meta"], &meta); err != nil {
+			// shard/meta is tag, version, uvarint shards, uvarint epoch.
+			meta := wire.NewReader(cp.Operators["shard/meta"])
+			if err := meta.Header(wire.TagShardMeta); err != nil {
 				t.Fatalf("decode shard/meta: %v", err)
 			}
-			if cp.Generation != gen || meta.Epoch != gen {
-				t.Fatalf("final capture wrote generation %d with barrier epoch %d, want both %d", cp.Generation, meta.Epoch, gen)
+			metaShards, epoch := meta.Uvarint(), meta.Uvarint()
+			if err := meta.Err(); err != nil || metaShards != uint64(shards) {
+				t.Fatalf("decode shard/meta: %d shards, err %v", metaShards, err)
+			}
+			if cp.Generation != gen || epoch != gen {
+				t.Fatalf("final capture wrote generation %d with barrier epoch %d, want both %d", cp.Generation, epoch, gen)
 			}
 		})
 	}

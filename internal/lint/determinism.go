@@ -18,6 +18,7 @@ var ReplayableScope = []string{
 	"internal/flp",
 	"internal/linkdisc",
 	"internal/checkpoint",
+	"internal/wire",
 }
 
 var determinismAnalyzer = &Analyzer{

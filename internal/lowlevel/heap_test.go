@@ -11,6 +11,7 @@ import (
 
 	"datacron/internal/geo"
 	"datacron/internal/mobility"
+	"datacron/internal/wire"
 )
 
 // twinStats is the container/heap median the typed heaps must reproduce:
@@ -136,7 +137,7 @@ func TestRunningStatsObserveAmortisedZeroAllocs(t *testing.T) {
 	}
 }
 
-func profiledFleet(t *testing.T) *Profiler {
+func profiledFleet(t testing.TB) *Profiler {
 	t.Helper()
 	pf := NewProfiler()
 	rnd := rand.New(rand.NewSource(11))
@@ -154,53 +155,70 @@ func profiledFleet(t *testing.T) *Profiler {
 // unchanged": every blob names a valid mover before or after the corrupt
 // one, so a half-applied restore would show.
 func TestProfilerRestoreRejectsCorruptBlobs(t *testing.T) {
-	const good = `{"n":3,"sum":6,"min":1,"max":3,"lo":[2,1],"hi":[3]}`
-	const empty = `{"n":0,"sum":0}`
-	profile := func(id, speed string) string {
-		return `"` + id + `":{"id":"` + id + `","speed":` + speed + `,"accel":` + empty + `,"last":{}}`
-	}
+	good := statsWire{n: 3, sum: 6, min: 1, max: 3, lo: []float64{2, 1}, hi: []float64{3}}
 	cases := map[string]struct {
-		stats, wantErr string
+		stats   statsWire
+		wantErr string
 	}{
-		"count above heap sizes": {`{"n":4,"sum":6,"min":1,"max":3,"lo":[2,1],"hi":[3]}`, "count differs"},
-		"count with empty heaps": {`{"n":2,"sum":6,"min":1,"max":3}`, "count differs"},
-		"hi larger than lo":      {`{"n":3,"sum":6,"min":1,"max":3,"lo":[1],"hi":[2,3]}`, "unbalanced"},
-		"lo two larger than hi":  {`{"n":3,"sum":6,"min":1,"max":3,"lo":[3,2,1]}`, "unbalanced"},
-		"lo not a max-heap":      {`{"n":3,"sum":6,"min":1,"max":3,"lo":[1,2],"hi":[3]}`, "out of order"},
-		"hi not a min-heap":      {`{"n":5,"sum":15,"min":1,"max":5,"lo":[3,1,2],"hi":[5,4]}`, "out of order"},
-		"lo above hi":            {`{"n":2,"sum":3,"min":1,"max":2,"lo":[2],"hi":[1]}`, "overlap"},
+		"count above heap sizes": {statsWire{n: 4, sum: 6, min: 1, max: 3, lo: []float64{2, 1}, hi: []float64{3}}, "count differs"},
+		"count with empty heaps": {statsWire{n: 2, sum: 6, min: 1, max: 3}, "count differs"},
+		"hi larger than lo":      {statsWire{n: 3, sum: 6, min: 1, max: 3, lo: []float64{1}, hi: []float64{2, 3}}, "unbalanced"},
+		"lo two larger than hi":  {statsWire{n: 3, sum: 6, min: 1, max: 3, lo: []float64{3, 2, 1}}, "unbalanced"},
+		"lo not a max-heap":      {statsWire{n: 3, sum: 6, min: 1, max: 3, lo: []float64{1, 2}, hi: []float64{3}}, "out of order"},
+		"hi not a min-heap":      {statsWire{n: 5, sum: 15, min: 1, max: 5, lo: []float64{3, 1, 2}, hi: []float64{5, 4}}, "out of order"},
+		"lo above hi":            {statsWire{n: 2, sum: 3, min: 1, max: 2, lo: []float64{2}, hi: []float64{1}}, "overlap"},
+		"NaN sum":                {statsWire{n: 1, sum: math.NaN(), min: 1, max: 1, lo: []float64{1}}, "NaN sum"},
 	}
 	for name, c := range cases {
-		for _, blob := range []string{
-			"{" + profile("x", good) + "," + profile("y", c.stats) + "}",
-			"{" + profile("x", c.stats) + "," + profile("y", good) + "}",
-			"{" + profile("y", c.stats) + "}",
+		for _, blob := range [][]byte{
+			encodeProfiles(profileWire{id: "x", speed: good}, profileWire{id: "y", speed: c.stats}),
+			encodeProfiles(profileWire{id: "x", speed: c.stats}, profileWire{id: "y", speed: good}),
+			encodeProfiles(profileWire{id: "y", speed: good, accel: c.stats}),
 		} {
-			pf := profiledFleet(t)
-			before, err := pf.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = pf.Restore([]byte(blob))
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("%s: err = %v, want one containing %q", name, err, c.wantErr)
-				continue
-			}
-			after, err := pf.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(before, after) {
-				t.Errorf("%s: a rejected restore changed the profiler:\n%s\n%s", name, before, after)
-			}
+			requireRejected(t, name, profiledFleet(t), blob, c.wantErr)
 		}
 	}
-	pf := profiledFleet(t)
-	if err := pf.Restore([]byte(`{"x":`)); err == nil {
-		t.Error("truncated JSON restored")
+	valid := encodeProfiles(profileWire{id: "x", speed: good}, profileWire{id: "y", speed: good})
+	framing := map[string]struct {
+		blob    []byte
+		wantErr string
+	}{
+		"JSON from before the binary codec": {[]byte(`{"x":{"id":"x"}}`), "not a binary snapshot"},
+		"another operator's tag":            {append([]byte{wire.TagArea}, valid[1:]...), "not a binary snapshot"},
+		"unknown version":                   {append([]byte{wire.TagProfiler, 9}, valid[2:]...), "unsupported snapshot version"},
+		"truncated":                         {valid[:len(valid)-1], "malformed"},
+		"trailing bytes":                    {append(append([]byte(nil), valid...), 0), "malformed"},
+		"movers out of order":               {encodeProfiles(profileWire{id: "y", speed: good}, profileWire{id: "x", speed: good}), "ascending order"},
+		"duplicate mover":                   {encodeProfiles(profileWire{id: "x", speed: good}, profileWire{id: "x", speed: good}), "ascending order"},
+		"hostile mover count":               {wire.AppendUvarint(wire.AppendHeader(nil, wire.TagProfiler), math.MaxUint64), "malformed"},
 	}
-	if len(pf.MoverIDs()) != 3 {
-		t.Error("a rejected restore changed the profiler")
+	for name, c := range framing {
+		requireRejected(t, name, profiledFleet(t), c.blob, c.wantErr)
+	}
+}
+
+// requireRejected restores blob into op, which must fail with an error
+// containing wantErr and leave op's snapshot as it was.
+func requireRejected(t *testing.T, name string, op interface {
+	Snapshot() ([]byte, error)
+	Restore([]byte) error
+}, blob []byte, wantErr string) {
+	t.Helper()
+	before, err := op.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = op.Restore(blob)
+	if err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Errorf("%s: err = %v, want one containing %q", name, err, wantErr)
+		return
+	}
+	after, err := op.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("%s: a rejected restore changed the operator", name)
 	}
 }
 
@@ -226,6 +244,6 @@ func TestProfilerRestoreRoundTrip(t *testing.T) {
 	sa, _ := a.Snapshot()
 	sb, _ := b.Snapshot()
 	if !bytes.Equal(sa, sb) {
-		t.Errorf("restored profiler diverged:\n%s\n%s", sa, sb)
+		t.Errorf("restored profiler diverged:\n%x\n%x", sa, sb)
 	}
 }

@@ -1,117 +1,120 @@
 package lowlevel
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"datacron/internal/mobility"
+	"datacron/internal/wire"
 )
 
-// runningStatsSnapshot is the wire form of RunningStats. Min/Max are pointers
-// so the ±Inf sentinels of an empty accumulator (not representable in JSON)
-// can be omitted and re-seeded on restore. Lo/Hi are the heap slices verbatim:
-// the heap invariant is positional, so copying the backing arrays preserves it.
-type runningStatsSnapshot struct {
-	N   int64     `json:"n"`
-	Sum float64   `json:"sum"`
-	Min *float64  `json:"min,omitempty"`
-	Max *float64  `json:"max,omitempty"`
-	Lo  []float64 `json:"lo,omitempty"`
-	Hi  []float64 `json:"hi,omitempty"`
+// Profiler snapshot layout (wire package encoding):
+//
+//	tag 0xC3 | version | uvarint #movers | per mover, IDs ascending:
+//	  string id | stats speed | stats accel | bool hasLast | bytes last
+//	stats = varint n | f64 sum | f64 min | f64 max | f64s lo | f64s hi
+//
+// last is mobility's framed report encoding. Min/max are raw bit patterns,
+// so an empty accumulator's ±Inf sentinels round-trip as they are. lo/hi
+// are the heap slices verbatim: the heap invariant is positional, so
+// copying the backing arrays preserves it.
+
+func statsLen(s *RunningStats) int {
+	return wire.VarintLen(s.n) + 3*8 + wire.Float64sLen(s.lo) + wire.Float64sLen(s.hi)
 }
 
-func snapshotStats(s *RunningStats) runningStatsSnapshot {
-	snap := runningStatsSnapshot{N: s.n, Sum: s.sum, Lo: s.lo, Hi: s.hi}
-	if s.n > 0 {
-		mn, mx := s.min, s.max
-		snap.Min, snap.Max = &mn, &mx
-	}
-	return snap
+func appendStats(buf []byte, s *RunningStats) []byte {
+	buf = wire.AppendVarint(buf, s.n)
+	buf = wire.AppendFloat64(buf, s.sum)
+	buf = wire.AppendFloat64(buf, s.min)
+	buf = wire.AppendFloat64(buf, s.max)
+	buf = wire.AppendFloat64s(buf, s.lo)
+	return wire.AppendFloat64s(buf, s.hi)
 }
 
-// restoreStats rebuilds an accumulator from its wire form, or reports what
-// makes the blob one that Observe could not have produced: a NaN sum, a count
-// that is not the two heaps' sizes, heaps out of balance or out of order, or
-// a low half reaching above the high half. Median indexes the heaps on the
-// strength of these invariants.
-func restoreStats(snap runningStatsSnapshot) (*RunningStats, error) {
+// readStats decodes one accumulator and reports what makes it one that
+// Observe could not have produced: a NaN sum, a count that is not the two
+// heaps' sizes, heaps out of balance or out of order, or a low half reaching
+// above the high half. Median indexes the heaps on the strength of these
+// invariants.
+func readStats(r *wire.Reader) (*RunningStats, error) {
+	s := &RunningStats{n: r.Varint(), sum: r.Float64(), min: r.Float64(), max: r.Float64()}
+	s.lo, s.hi = r.Float64s(), r.Float64s()
 	switch {
-	case math.IsNaN(snap.Sum):
+	case r.Failed():
+		return nil, wire.ErrMalformed
+	case math.IsNaN(s.sum):
 		return nil, errors.New("NaN sum")
-	case snap.N != int64(len(snap.Lo)+len(snap.Hi)):
+	case s.n != int64(len(s.lo)+len(s.hi)):
 		return nil, errors.New("count differs from the median heaps' sizes")
-	case len(snap.Lo) != len(snap.Hi) && len(snap.Lo) != len(snap.Hi)+1:
+	case len(s.lo) != len(s.hi) && len(s.lo) != len(s.hi)+1:
 		return nil, errors.New("unbalanced median heaps")
-	case !isHeap(snap.Lo, true) || !isHeap(snap.Hi, false):
+	case !isHeap(s.lo, true) || !isHeap(s.hi, false):
 		return nil, errors.New("median heap out of order")
-	case len(snap.Hi) > 0 && snap.Lo[0] > snap.Hi[0]:
+	case len(s.hi) > 0 && s.lo[0] > s.hi[0]:
 		return nil, errors.New("median heaps overlap")
 	}
-	s := NewRunningStats()
-	s.n = snap.N
-	s.sum = snap.Sum
-	if snap.Min != nil {
-		s.min = *snap.Min
-	}
-	if snap.Max != nil {
-		s.max = *snap.Max
-	}
-	s.lo = snap.Lo
-	s.hi = snap.Hi
 	return s, nil
-}
-
-// profileSnapshot is the wire form of TrajectoryProfile.
-type profileSnapshot struct {
-	MoverID string               `json:"id"`
-	Speed   runningStatsSnapshot `json:"speed"`
-	Accel   runningStatsSnapshot `json:"accel"`
-	Last    mobility.Report      `json:"last"`
-	HasLast bool                 `json:"hasLast,omitempty"`
 }
 
 // Snapshot serializes every mover's profile (checkpoint.Snapshotter).
 func (pf *Profiler) Snapshot() ([]byte, error) {
-	out := make(map[string]profileSnapshot, len(pf.profiles))
-	for id, p := range pf.profiles {
-		out[id] = profileSnapshot{
-			MoverID: p.MoverID,
-			Speed:   snapshotStats(p.Speed),
-			Accel:   snapshotStats(p.Accel),
-			Last:    p.last,
-			HasLast: p.hasLast,
-		}
+	ids := pf.MoverIDs()
+	size := wire.HeaderLen + wire.UvarintLen(uint64(len(ids)))
+	for _, id := range ids {
+		p := pf.profiles[id]
+		size += wire.StringLen(id) + statsLen(p.Speed) + statsLen(p.Accel) + 1 + p.last.FramedSize()
 	}
-	return json.Marshal(out)
+	buf := make([]byte, 0, size)
+	buf = wire.AppendHeader(buf, wire.TagProfiler)
+	buf = wire.AppendUvarint(buf, uint64(len(ids)))
+	for _, id := range ids {
+		p := pf.profiles[id]
+		buf = wire.AppendString(buf, id)
+		buf = appendStats(buf, p.Speed)
+		buf = appendStats(buf, p.Accel)
+		buf = wire.AppendBool(buf, p.hasLast)
+		buf = p.last.AppendFramed(buf)
+	}
+	return buf, nil
 }
 
 // Restore replaces the profiler's state with a snapshot taken by Snapshot.
-// On error the profiler is left as it was.
+// It decodes and validates into a fresh map; on error the profiler is left
+// as it was.
 func (pf *Profiler) Restore(data []byte) error {
-	var snaps map[string]profileSnapshot
-	if err := json.Unmarshal(data, &snaps); err != nil {
+	r := wire.NewReader(data)
+	if err := r.Header(wire.TagProfiler); err != nil {
 		return fmt.Errorf("lowlevel: restore profiler: %w", err)
 	}
-	profiles := make(map[string]*TrajectoryProfile, len(snaps))
-	for id, ps := range snaps {
-		speed, err := restoreStats(ps.Speed)
+	// A profile is at least an ID's length prefix, two 27-byte accumulators,
+	// the flag and a framed report.
+	n := r.Count(1 + 2*27 + 1 + 1 + mobility.BinaryMinSize)
+	profiles := make(map[string]*TrajectoryProfile, n)
+	prev := ""
+	for i := 0; i < n; i++ {
+		id := r.Str()
+		if i > 0 && id <= prev && !r.Failed() {
+			return errMoverOrder("profiler", id)
+		}
+		prev = id
+		speed, err := readStats(r)
 		if err != nil {
 			return errBadStats(id, "speed", err)
 		}
-		accel, err := restoreStats(ps.Accel)
+		accel, err := readStats(r)
 		if err != nil {
 			return errBadStats(id, "acceleration", err)
 		}
-		profiles[id] = &TrajectoryProfile{
-			MoverID: ps.MoverID,
-			Speed:   speed,
-			Accel:   accel,
-			last:    ps.Last,
-			hasLast: ps.HasLast,
-		}
+		p := &TrajectoryProfile{MoverID: id, Speed: speed, Accel: accel, hasLast: r.Bool()}
+		p.last.ID = id // the report decoder keeps an equal ID string as it is
+		mobility.ReadFramed(r, &p.last)
+		profiles[id] = p
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("lowlevel: restore profiler: %w", err)
 	}
 	pf.profiles = profiles
 	return nil
@@ -121,47 +124,104 @@ func errBadStats(id, attr string, err error) error {
 	return fmt.Errorf("lowlevel: restore profiler: %s statistics of %s: %w", attr, id, err)
 }
 
-// Snapshot serializes the monitor's inside-sets (checkpoint.Snapshotter).
+func errMoverOrder(op, id string) error {
+	return fmt.Errorf("lowlevel: restore %s: %w: mover %q out of ascending order", op, wire.ErrMalformed, id)
+}
+
+// Area monitor snapshot layout:
+//
+//	tag 0xC4 | version | uvarint #movers | per mover, IDs ascending:
+//	  string id | uvarint #regions | uvarint region index, ascending
+//
 // The region index and grid are functions of the configured regions, rebuilt
-// identically on restart, so only the dynamic membership is captured. Region
-// indices are stored sorted for deterministic encoding.
+// identically on restart, so only the dynamic membership is captured.
+
+// Snapshot serializes the monitor's inside-sets (checkpoint.Snapshotter).
 func (m *AreaMonitor) Snapshot() ([]byte, error) {
-	out := make(map[string][]int, len(m.inside))
-	for id, set := range m.inside {
-		ris := make([]int, 0, len(set))
+	ids := make([]string, 0, len(m.inside))
+	for id := range m.inside {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	size := wire.HeaderLen + wire.UvarintLen(uint64(len(ids)))
+	maxSet := 0
+	for _, id := range ids {
+		set := m.inside[id]
+		maxSet = max(maxSet, len(set))
+		size += wire.StringLen(id) + wire.UvarintLen(uint64(len(set)))
 		for ri := range set {
+			size += wire.UvarintLen(uint64(ri))
+		}
+	}
+	buf := make([]byte, 0, size)
+	buf = wire.AppendHeader(buf, wire.TagArea)
+	buf = wire.AppendUvarint(buf, uint64(len(ids)))
+	ris := make([]int, 0, maxSet)
+	for _, id := range ids {
+		ris = ris[:0]
+		for ri := range m.inside[id] {
 			ris = append(ris, ri)
 		}
 		sort.Ints(ris)
-		out[id] = ris
+		buf = wire.AppendString(buf, id)
+		buf = wire.AppendUvarint(buf, uint64(len(ris)))
+		for _, ri := range ris {
+			buf = wire.AppendUvarint(buf, uint64(ri))
+		}
 	}
-	return json.Marshal(out)
+	return buf, nil
 }
 
 // Restore replaces the monitor's inside-sets with a snapshot taken by
-// Snapshot against a monitor built over the same regions.
+// Snapshot against a monitor built over the same regions. On error the
+// monitor is left as it was.
 func (m *AreaMonitor) Restore(data []byte) error {
-	var snaps map[string][]int
-	if err := json.Unmarshal(data, &snaps); err != nil {
+	r := wire.NewReader(data)
+	if err := r.Header(wire.TagArea); err != nil {
 		return fmt.Errorf("lowlevel: restore area monitor: %w", err)
 	}
-	inside := make(map[string]map[int]bool, len(snaps))
-	for id, ris := range snaps {
-		set := make(map[int]bool, len(ris))
-		for _, ri := range ris {
-			if ri < 0 || ri >= len(m.regions) {
-				return errRegionIndex(ri, len(m.regions))
+	n := r.Count(2) // an ID's length prefix and a region count
+	inside := make(map[string]map[int]bool, n)
+	prev := ""
+	for i := 0; i < n; i++ {
+		id := r.Str()
+		if i > 0 && id <= prev && !r.Failed() {
+			return errMoverOrder("area monitor", id)
+		}
+		prev = id
+		k := r.Count(1)
+		if k == 0 {
+			continue // an empty set is not held
+		}
+		set := make(map[int]bool, k)
+		last := -1
+		for j := 0; j < k; j++ {
+			v := r.Uvarint()
+			if r.Failed() {
+				break
 			}
-			set[ri] = true
+			if v >= uint64(len(m.regions)) {
+				return errRegionIndex(v, len(m.regions))
+			}
+			if int(v) <= last {
+				return errRegionOrder(id, v)
+			}
+			last = int(v)
+			set[last] = true
 		}
-		if len(set) > 0 {
-			inside[id] = set
-		}
+		inside[id] = set
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("lowlevel: restore area monitor: %w", err)
 	}
 	m.inside = inside
 	return nil
 }
 
-func errRegionIndex(ri, regions int) error {
+func errRegionIndex(ri uint64, regions int) error {
 	return fmt.Errorf("lowlevel: restore area monitor: region index %d out of range for %d regions", ri, regions)
+}
+
+func errRegionOrder(id string, ri uint64) error {
+	return fmt.Errorf("lowlevel: restore area monitor: %w: region index %d of %q out of ascending order", wire.ErrMalformed, ri, id)
 }

@@ -1,0 +1,197 @@
+package lowlevel
+
+import (
+	"bytes"
+	"math"
+	"testing"
+	"time"
+
+	"datacron/internal/geo"
+	"datacron/internal/mobility"
+	"datacron/internal/wire"
+	"datacron/internal/wire/wiretest"
+)
+
+// statsWire and profileWire mirror the profiler's snapshot layout field for
+// field, and encodeProfiles writes them exactly as Snapshot does — including
+// the invalid states Snapshot never would, which is what the corrupt-blob
+// tables need. Test-only.
+type statsWire struct {
+	n             int64
+	sum, min, max float64
+	lo, hi        []float64
+}
+
+type profileWire struct {
+	id           string
+	speed, accel statsWire
+	hasLast      bool
+	last         mobility.Report
+}
+
+func encodeProfiles(ps ...profileWire) []byte {
+	buf := wire.AppendHeader(nil, wire.TagProfiler)
+	buf = wire.AppendUvarint(buf, uint64(len(ps)))
+	for _, p := range ps {
+		buf = wire.AppendString(buf, p.id)
+		for _, s := range [...]statsWire{p.speed, p.accel} {
+			buf = wire.AppendVarint(buf, s.n)
+			buf = wire.AppendFloat64(buf, s.sum)
+			buf = wire.AppendFloat64(buf, s.min)
+			buf = wire.AppendFloat64(buf, s.max)
+			buf = wire.AppendFloat64s(buf, s.lo)
+			buf = wire.AppendFloat64s(buf, s.hi)
+		}
+		buf = wire.AppendBool(buf, p.hasLast)
+		buf = wire.AppendBytes(buf, p.last.AppendBinary(nil))
+	}
+	return buf
+}
+
+func wireOf(s *RunningStats) statsWire {
+	return statsWire{n: s.n, sum: s.sum, min: s.min, max: s.max, lo: s.lo, hi: s.hi}
+}
+
+// TestProfilerSnapshotLayout pins Snapshot's bytes to the documented
+// layout, as written by the independent test encoder.
+func TestProfilerSnapshotLayout(t *testing.T) {
+	pf := profiledFleet(t)
+	var want []profileWire
+	for _, id := range pf.MoverIDs() {
+		p := pf.Profile(id)
+		want = append(want, profileWire{id: id, speed: wireOf(p.Speed), accel: wireOf(p.Accel), hasLast: p.hasLast, last: p.last})
+	}
+	got, err := pf.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, encodeProfiles(want...)) {
+		t.Fatalf("Snapshot bytes differ from the documented layout:\n%x\n%x", got, encodeProfiles(want...))
+	}
+	if again, _ := pf.Snapshot(); !bytes.Equal(got, again) {
+		t.Fatal("two snapshots of one state differ")
+	}
+}
+
+// TestProfilerRestoreKeepsNonFiniteStats: an accumulator that saw ±Inf has
+// an infinite sum, and an empty one carries ±Inf min/max sentinels — the
+// raw-bits encoding round-trips both (JSON could carry neither).
+func TestProfilerRestoreKeepsNonFiniteStats(t *testing.T) {
+	pf := NewProfiler()
+	when := time.Date(2016, 4, 1, 0, 0, 0, 0, time.UTC)
+	pf.Observe(mobility.Report{ID: "inf", Time: when, Pos: geo.Pt(23.5, 38), SpeedKn: math.Inf(1)})
+	pf.Observe(mobility.Report{ID: "one", Time: when, Pos: geo.Pt(23.5, 38), SpeedKn: 3})
+	blob, err := pf.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewProfiler()
+	if err := restored.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Profile("inf").Speed.Max(); !math.IsInf(got, 1) {
+		t.Errorf("restored max = %v, want +Inf", got)
+	}
+	if acc := restored.Profile("one").Accel; acc.min != math.Inf(1) || acc.max != math.Inf(-1) {
+		t.Errorf("empty accumulator sentinels = %v/%v, want +Inf/-Inf", acc.min, acc.max)
+	}
+	if again, _ := restored.Snapshot(); !bytes.Equal(blob, again) {
+		t.Error("restored profiler snapshots differently")
+	}
+}
+
+// areaEntry is one mover of the area monitor's snapshot layout, and
+// encodeArea writes entries exactly as Snapshot does. Test-only.
+type areaEntry struct {
+	id  string
+	ris []uint64
+}
+
+func encodeArea(entries ...areaEntry) []byte {
+	buf := wire.AppendHeader(nil, wire.TagArea)
+	buf = wire.AppendUvarint(buf, uint64(len(entries)))
+	for _, e := range entries {
+		buf = wire.AppendString(buf, e.id)
+		buf = wire.AppendUvarint(buf, uint64(len(e.ris)))
+		for _, ri := range e.ris {
+			buf = wire.AppendUvarint(buf, ri)
+		}
+	}
+	return buf
+}
+
+func monitoredFleet() *AreaMonitor {
+	m := NewAreaMonitor(mkRegions(), 32)
+	m.Update(rep("v1", 0, 23.7, 37.7)) // natura-1 and natura-2
+	m.Update(rep("v2", 0, 26.5, 36.5)) // fishing-1
+	return m
+}
+
+func TestAreaMonitorSnapshotRoundTrip(t *testing.T) {
+	m := monitoredFleet()
+	blob, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := encodeArea(areaEntry{"v1", []uint64{0, 1}}, areaEntry{"v2", []uint64{2}}); !bytes.Equal(blob, want) {
+		t.Fatalf("Snapshot bytes differ from the documented layout:\n%x\n%x", blob, want)
+	}
+	restored := NewAreaMonitor(mkRegions(), 32)
+	if err := restored.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Inside("v1"); len(got) != 2 {
+		t.Errorf("restored v1 inside %v", got)
+	}
+	// Leaving both regions must now report two exits, as on the original.
+	if evs := restored.Update(rep("v1", 10, 20, 35)); len(evs) != 2 {
+		t.Errorf("exits after restore = %v", evs)
+	}
+}
+
+func TestAreaMonitorRestoreRejectsCorruptBlobs(t *testing.T) {
+	cases := map[string]struct {
+		blob    []byte
+		wantErr string
+	}{
+		"region index out of range": {encodeArea(areaEntry{"v1", []uint64{0}}, areaEntry{"v9", []uint64{3}}), "out of range"},
+		"region indices unsorted":   {encodeArea(areaEntry{"v1", []uint64{1, 0}}), "ascending order"},
+		"duplicate region index":    {encodeArea(areaEntry{"v1", []uint64{1, 1}}), "ascending order"},
+		"movers out of order":       {encodeArea(areaEntry{"v2", []uint64{0}}, areaEntry{"v1", []uint64{0}}), "ascending order"},
+		"JSON from before":          {[]byte(`{"v1":[0]}`), "not a binary snapshot"},
+		"truncated":                 {encodeArea(areaEntry{"v1", []uint64{0, 1}})[:8], "malformed"},
+		"hostile region count":      {wire.AppendUvarint(wire.AppendString(wire.AppendUvarint(wire.AppendHeader(nil, wire.TagArea), 1), "v1"), 1<<62), "malformed"},
+	}
+	for name, c := range cases {
+		requireRejected(t, name, monitoredFleet(), c.blob, c.wantErr)
+	}
+}
+
+func FuzzProfilerRestore(f *testing.F) {
+	full, err := profiledFleet(f).Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty, _ := NewProfiler().Snapshot()
+	f.Add(full)
+	f.Add(empty)
+	f.Add(full[:len(full)/2])
+	f.Add([]byte(`{"x":{"id":"x","speed":{"n":0,"sum":0},"accel":{"n":0,"sum":0},"last":{}}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wiretest.CheckRestore(t, profiledFleet(t), func() wiretest.Operator { return NewProfiler() }, data)
+	})
+}
+
+func FuzzAreaRestore(f *testing.F) {
+	full, err := monitoredFleet().Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add(full[:len(full)-1])
+	f.Add([]byte(`{"v1":[0,1]}`))
+	fresh := func() wiretest.Operator { return NewAreaMonitor(mkRegions(), 32) }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wiretest.CheckRestore(t, monitoredFleet(), fresh, data)
+	})
+}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"datacron/internal/wire"
 )
 
 // Binary wire codec for Report.
@@ -52,6 +54,9 @@ const (
 	BinaryVersion = 1
 	// binaryHeader is the fixed-size prefix before the ID/Source bytes.
 	binaryHeader = 66
+	// BinaryMinSize is the encoded size of a report with an empty ID and
+	// source: the floor decoders of framed reports check counts against.
+	BinaryMinSize = binaryHeader
 	// maxFieldLen bounds the ID and Source lengths (uint16 length prefix).
 	maxFieldLen = math.MaxUint16
 )
@@ -78,7 +83,7 @@ func IsBinaryReport(b []byte) bool {
 
 // BinarySize returns the exact encoded size of r, for pre-sizing buffers.
 func (r Report) BinarySize() int {
-	return binaryHeader + len(r.ID) + len(r.Source)
+	return binaryHeader + min(len(r.ID), maxFieldLen) + min(len(r.Source), maxFieldLen)
 }
 
 // AppendBinary appends the binary wire encoding of r to dst and returns the
@@ -108,6 +113,28 @@ func (r Report) AppendBinary(dst []byte) []byte {
 	dst = append(dst, id...)
 	dst = append(dst, src...)
 	return dst
+}
+
+// FramedSize is the size of r's binary encoding behind a uvarint length
+// prefix — the form operator snapshots embed reports in.
+func (r Report) FramedSize() int {
+	n := r.BinarySize()
+	return wire.UvarintLen(uint64(n)) + n
+}
+
+// AppendFramed appends r's binary encoding behind a uvarint length prefix.
+func (r Report) AppendFramed(dst []byte) []byte {
+	return r.AppendBinary(wire.AppendUvarint(dst, uint64(r.BinarySize())))
+}
+
+// ReadFramed decodes a report written by AppendFramed into *r in place — an
+// ID or source equal to the one *r already holds is kept, not re-allocated —
+// and latches rd's failure on a malformed one.
+func ReadFramed(rd *wire.Reader, r *Report) {
+	b := rd.Bytes()
+	if !rd.Failed() && UnmarshalReportBinary(b, r) != nil {
+		rd.Fail()
+	}
 }
 
 // MarshalBinary encodes r into a fresh buffer sized exactly. It implements

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 	"unicode/utf8"
 
 	"datacron/internal/geo"
+	"datacron/internal/wire"
 )
 
 func testReport() Report {
@@ -69,6 +71,38 @@ func TestBinaryRoundTrip(t *testing.T) {
 				t.Fatalf("re-encode diverged:\n %x\n %x", b, b2)
 			}
 		})
+	}
+}
+
+// TestFramedRoundTrip: a framed report's length prefix matches what
+// AppendBinary writes, also for IDs past the 64 KiB frame limit (which it
+// truncates), and ReadFramed decodes it back.
+func TestFramedRoundTrip(t *testing.T) {
+	long := testReport()
+	long.ID = strings.Repeat("x", maxFieldLen+10)
+	for _, r := range []Report{testReport(), {}, long} {
+		if got, want := r.BinarySize(), len(r.AppendBinary(nil)); got != want {
+			t.Errorf("BinarySize = %d, AppendBinary wrote %d", got, want)
+		}
+		framed := r.AppendFramed([]byte{0xAA})[1:]
+		if len(framed) != r.FramedSize() {
+			t.Errorf("FramedSize = %d, AppendFramed wrote %d", r.FramedSize(), len(framed))
+		}
+		var got Report
+		rd := wire.NewReader(framed)
+		ReadFramed(rd, &got)
+		if err := rd.Err(); err != nil {
+			t.Fatalf("ReadFramed: %v", err)
+		}
+		want := r
+		want.ID = want.ID[:min(len(want.ID), maxFieldLen)]
+		if got != want {
+			t.Errorf("framed round trip: got %+v, want %+v", got, want)
+		}
+	}
+	rd := wire.NewReader(wire.AppendBytes(nil, []byte{BinaryMagic, 9}))
+	if ReadFramed(rd, new(Report)); !rd.Failed() {
+		t.Error("a framed report of an unknown version did not fail the reader")
 	}
 }
 

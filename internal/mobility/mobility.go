@@ -64,19 +64,18 @@ func (r Report) AltM() float64 { return r.AltFt * FeetToMeters }
 
 // Valid performs the basic plausibility checks the in-situ cleaning step
 // applies to raw records: coordinates in range, non-negative finite speed,
-// finite heading, non-zero timestamp.
+// finite heading, altitude and vertical rate, non-zero timestamp.
 func (r Report) Valid() bool {
 	if r.ID == "" || r.Time.IsZero() || !r.Pos.Valid() {
 		return false
 	}
-	if math.IsNaN(r.SpeedKn) || math.IsInf(r.SpeedKn, 0) || r.SpeedKn < 0 || r.SpeedKn > 1200 {
+	if !finite(r.SpeedKn) || r.SpeedKn < 0 || r.SpeedKn > 1200 {
 		return false
 	}
-	if math.IsNaN(r.Heading) || math.IsInf(r.Heading, 0) {
-		return false
-	}
-	return true
+	return finite(r.Heading) && finite(r.AltFt) && finite(r.VRateFS)
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Marshal encodes the report as the legacy JSON wire format, mirroring the
 // paper's "stream of messages in JSON" sources. The broker hot path now

@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -29,10 +30,23 @@ func TestReportValid(t *testing.T) {
 		"nan-speed":   {ID: "x", Time: t0, Pos: geo.Pt(0, 0), SpeedKn: math.NaN()},
 		"nan-heading": {ID: "x", Time: t0, Pos: geo.Pt(0, 0), Heading: math.NaN()},
 	}
+	// Altitude and vertical rate must be finite too: JSON cannot carry ±Inf
+	// or NaN, so one such report used to panic the synopsis encoder.
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		alt, vrate := good, good
+		alt.AltFt, vrate.VRateFS = v, v
+		cases["alt-"+strconv.FormatFloat(v, 'g', -1, 64)] = alt
+		cases["vrate-"+strconv.FormatFloat(v, 'g', -1, 64)] = vrate
+	}
 	for name, r := range cases {
 		if r.Valid() {
 			t.Errorf("%s should be invalid", name)
 		}
+	}
+	aloft := good
+	aloft.AltFt, aloft.VRateFS = 35_000, -25
+	if !aloft.Valid() {
+		t.Error("finite altitude and vertical rate should be valid")
 	}
 }
 

