@@ -36,8 +36,9 @@ type Config struct {
 	// response.
 	DropProb float64
 
-	// DelayProb and MaxDelay inject latency before a poll: with
-	// probability DelayProb the pipeline sleeps uniform(0, MaxDelay].
+	// DelayProb and MaxDelay inject fetch latency: with probability
+	// DelayProb the pipeline sleeps uniform(0, MaxDelay] once per polled
+	// batch, before deciding whether to drop it.
 	DelayProb float64
 	MaxDelay  time.Duration
 }
@@ -94,6 +95,15 @@ func (i *Injector) BeforeRecord() error {
 	return nil
 }
 
+// CrashWithin reports whether one of the next n BeforeRecord calls will
+// return a crash. It consumes no randomness, so asking never changes the
+// schedule; a pipeline uses it to avoid fetching ahead of a scheduled crash.
+func (i *Injector) CrashWithin(n int) bool {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.killAt > 0 && i.count+int64(n) >= i.killAt
+}
+
 // DropBatch reports whether the current poll batch should be discarded and
 // re-fetched.
 func (i *Injector) DropBatch() bool {
@@ -106,8 +116,8 @@ func (i *Injector) DropBatch() bool {
 	return true
 }
 
-// Delay returns how long the pipeline should sleep before its next poll
-// (zero for no delay).
+// Delay returns how long the pipeline should sleep for the batch it just
+// polled (zero for no delay).
 func (i *Injector) Delay() time.Duration {
 	i.mu.Lock()
 	defer i.mu.Unlock()

@@ -46,6 +46,36 @@ func TestKillScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// TestCrashWithinPredictsBeforeRecord: CrashWithin(n) is true exactly when
+// one of the next n BeforeRecord calls crashes, and asking it never moves
+// the seeded schedule.
+func TestCrashWithinPredictsBeforeRecord(t *testing.T) {
+	asked := New(Config{Seed: 7, KillMin: 10, KillMax: 30, DropProb: 0.5})
+	plain := New(Config{Seed: 7, KillMin: 10, KillMax: 30, DropProb: 0.5})
+	for i := 0; i < 200; i++ {
+		next := 0 // calls until the next crash, counting the crashing one
+		for n := 1; n <= 40; n++ {
+			if asked.CrashWithin(n) {
+				next = n
+				break
+			}
+		}
+		if next == 0 || asked.CrashWithin(next-1) {
+			t.Fatalf("record %d: CrashWithin is not monotone with a first crash at %d", i, next)
+		}
+		crashA, crashP := asked.BeforeRecord() != nil, plain.BeforeRecord() != nil
+		if crashA != crashP || crashA != (next == 1) {
+			t.Fatalf("record %d: crash %t (asked) %t (plain), CrashWithin predicted one in %d", i, crashA, crashP, next)
+		}
+		if asked.DropBatch() != plain.DropBatch() {
+			t.Fatalf("record %d: CrashWithin moved the drop schedule", i)
+		}
+	}
+	if off := New(Config{Seed: 1}); off.CrashWithin(1 << 30) {
+		t.Fatal("CrashWithin true with crashes disabled")
+	}
+}
+
 func TestKillDisabled(t *testing.T) {
 	inj := New(Config{Seed: 1})
 	for i := 0; i < 1000; i++ {

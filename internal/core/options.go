@@ -254,15 +254,14 @@ func New(opts ...Option) (*Pipeline, error) {
 		p.slos = slo.NewTracker(reg, o.slos...)
 	}
 	if o.flow.Enabled() {
-		p.flowCfg = o.flow.WithDefaults(p.cfg.Partitions)
+		fc := o.flow.WithDefaults(p.cfg.Partitions)
 		if err := p.Broker.LimitTopic(TopicRaw, msg.TopicLimit{
-			Capacity: p.flowCfg.QueueCap,
-			Policy:   p.flowCfg.Policy,
+			Capacity: fc.QueueCap,
+			Policy:   fc.Policy,
 		}); err != nil {
 			return nil, fmt.Errorf("core: limit raw topic: %w", err)
 		}
-		p.shedder = flow.NewShedder(p.flowCfg.ShedLow, p.flowCfg.ShedHigh,
-			p.flowCfg.CoverageWindow, reg)
+		p.shedder = flow.NewShedder(fc.ShedLow, fc.ShedHigh, fc.CoverageWindow, reg)
 	}
 	if o.adminSet {
 		if reg == nil {

@@ -135,9 +135,8 @@ type Pipeline struct {
 	forecaster *cer.Forecaster
 
 	// Backpressure plane, active only with WithFlow: the raw topic is
-	// bounded per flowCfg and shedder drops low-value records before they
-	// are produced. shedder is driven only by the Ingest goroutine.
-	flowCfg flow.Config
+	// bounded per the flow.Config and shedder drops low-value records before
+	// they are produced. shedder is driven only by the Ingest goroutine.
 	shedder *flow.Shedder
 
 	obs     *obs.Registry // nil when built with WithObs(nil)
@@ -170,6 +169,11 @@ type Pipeline struct {
 	// ingestRecs is the batched-ingest record-header scratch, reused across
 	// chunks. Touched only by the Ingest goroutine, like the shedder.
 	ingestRecs []msg.Record
+
+	// noPrefetch makes RunWithRecovery apply each poll batch before it
+	// polls the next: the unpipelined loop, kept as the reference that tests
+	// compare checkpoint cuts and fault schedules against. Set only by tests.
+	noPrefetch bool
 }
 
 // newPipeline builds the component set from a defaulted Config; New wires

@@ -48,7 +48,8 @@ const (
 
 // pollBatch is the per-poll record cap. Checkpoints and shard barriers run
 // only at batch boundaries, and the plane's per-shard queues are sized
-// against it so a whole batch can be in flight without blocking.
+// against it so two whole batches — the one being applied and the one
+// fetched ahead — can be in flight without blocking.
 const pollBatch = 256
 
 // outputTopics are the topics the real-time layer produces to; recovery
@@ -247,14 +248,10 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		}
 		workers[i] = p.newShardWorker(i, shardRegs[i])
 	}
-	// The queue size doubles as the per-shard submit-credit pool: large
-	// enough by default for a whole poll batch in flight, overridable by
-	// WithFlow for tests that want to exercise credit backpressure.
-	queue := 2 * pollBatch
-	if p.flowCfg.ShardQueue > 0 {
-		queue = p.flowCfg.ShardQueue
-	}
-	plane := shard.New(shard.Config{Shards: shards, Queue: queue, Metrics: p.obs},
+	// The queue size doubles as the per-shard submit-credit pool: two poll
+	// batches, the most the run loop keeps in flight, even when every record
+	// of both routes to one shard.
+	plane := shard.New(shard.Config{Shards: shards, Queue: 2 * pollBatch, Metrics: p.obs},
 		func(in workerIn) string { return in.rec.Key },
 		func(i int) shard.Worker[workerIn, workerOut] { return workers[i] })
 	defer plane.Close()
@@ -387,10 +384,10 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 	// Capture end-of-run component stats for Pipeline.Stats (runs before
 	// cons.Close: deferred calls execute last-in first-out).
 	defer func() {
-		// Every exit on the context's error — at the loop top, in a blocking
-		// Poll, or in SubmitBatch's all-or-nothing credit wait — leaves the
-		// plane drained and every applied record committed: stage that cut
-		// for a caller-driven final capture.
+		// An exit on the context's error at the loop top or in a blocking
+		// Poll leaves the plane drained (a batch fetched ahead is applied
+		// before the loop top) and every applied record committed: stage
+		// that cut for a caller-driven final capture.
 		if cpr != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) && plane.Pending() == 0 {
 			if berr := barrier(); berr != nil {
 				err = errors.Join(err, berr)
@@ -484,8 +481,9 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 	// result into the cross-entity operators in global submit order. It
 	// always ends the record's trace root — success, corrupt record or
 	// error — so sampled span trees never leak open spans.
-	apply := func(rec msg.Record, out workerOut) error {
-		defer out.root.End()
+	apply := func(out *workerOut) error {
+		root := out.trace.rootSpan()
+		defer root.End()
 		if !out.ok {
 			return nil // corrupt record: dropped by the cleaning stage
 		}
@@ -513,31 +511,71 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 			}
 		}
 		for _, cp := range out.cps {
-			if err := processCritical(cp, out.root); err != nil {
+			if err := processCritical(cp, root); err != nil {
 				return err
 			}
 		}
-		cons.Commit(rec)
 		return nil
 	}
 
-	// The interval trigger reads the pipeline's injected clock, never the
-	// wall clock directly: a run driven by an obs.ManualClock checkpoints at
-	// deterministic points, so replay stays byte-identical.
+	// applyBatch drains one submitted batch from the plane in submit order
+	// and applies it. It commits once per partition run of the batch, the
+	// run's last applied record: a corrupt record is dropped uncommitted, so
+	// the group's committed offsets end exactly where a commit per applied
+	// record would leave them.
+	applyBatch := func(recs []msg.Record) error {
+		procSpan := p.tracer.Start("process")
+		defer procSpan.End()
+		var last msg.Record
+		dirty := false
+		for i := range recs {
+			if inj != nil {
+				if err := inj.BeforeRecord(); err != nil {
+					// Simulated crash: undrained worker outputs are
+					// discarded with the process state, exactly like a
+					// real crash mid-batch.
+					return err
+				}
+			}
+			out, err := plane.Next()
+			if err != nil {
+				return err
+			}
+			if err := apply(&out); err != nil {
+				return err
+			}
+			if out.ok {
+				last, dirty = recs[i], true
+			}
+			if dirty && (i == len(recs)-1 || recs[i+1].Partition != recs[i].Partition) {
+				cons.Commit(last)
+				dirty = false
+			}
+		}
+		return nil
+	}
+
 	var (
 		recsSinceCp   int
 		lastCp        = p.clock.Now()
 		submitScratch []workerIn // reused batch fan-out buffer
 	)
-	maybeCheckpoint := func() error {
+	// checkpointDue decides whether a checkpoint is cut once the batch in
+	// flight (n records) is applied. It is decided before the next batch is
+	// polled, because that batch is fetched only when no cut falls between
+	// the two: at a cut the consumer's fetch positions must equal the group's
+	// committed offsets. The interval trigger reads the pipeline's injected
+	// clock, never the wall clock directly: a run driven by an
+	// obs.ManualClock checkpoints at deterministic points, so replay stays
+	// byte-identical.
+	checkpointDue := func(n int) bool {
 		if cpr == nil || rc == nil {
-			return nil
+			return false
 		}
-		due := (rc.EveryRecords > 0 && recsSinceCp >= rc.EveryRecords) ||
+		return (rc.EveryRecords > 0 && recsSinceCp+n >= rc.EveryRecords) ||
 			(rc.Interval > 0 && p.clock.Now().Sub(lastCp) >= rc.Interval)
-		if !due {
-			return nil
-		}
+	}
+	checkpointNow := func() error {
 		if err := barrier(); err != nil {
 			return err
 		}
@@ -554,48 +592,43 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		return nil
 	}
 
-	for {
-		// The broker returns buffered records regardless of ctx state, so a
-		// cancelled context (SIGINT/SIGTERM in cmd/datacron) must be checked
-		// here for shutdown to interrupt a drain of queued records.
-		if err := ctx.Err(); err != nil {
-			return sum, err
+	// poll fetches the next batch — with block false, only what is already
+	// buffered — applies the injector's fetch faults, and fans a kept batch
+	// out to the shard workers. It returns no records for an empty
+	// non-blocking poll and for a dropped batch.
+	poll := func(block bool) ([]msg.Record, error) {
+		pollSpan := p.tracer.Start("poll")
+		var recs []msg.Record
+		var err error
+		if block {
+			recs, err = cons.Poll(ctx, pollBatch)
+		} else {
+			recs, err = cons.TryPoll(pollBatch)
+		}
+		pollSpan.End()
+		if err != nil || len(recs) == 0 {
+			return nil, err
 		}
 		if inj != nil {
 			if d := inj.Delay(); d > 0 {
 				time.Sleep(d)
 			}
-		}
-		pollSpan := p.tracer.Start("poll")
-		recs, err := cons.Poll(ctx, pollBatch)
-		pollSpan.End()
-		if errors.Is(err, msg.ErrClosed) {
-			break
-		}
-		if err != nil {
-			return sum, err
-		}
-		if inj != nil && len(recs) > 0 && inj.DropBatch() {
-			// Simulated lost fetch response: rewind the consumer's position
-			// and re-poll, as a real client would after a fetch timeout.
-			if err := cons.SeekTo(recs[0].Partition, recs[0].Offset); err != nil {
-				return sum, err
+			if inj.DropBatch() {
+				// Simulated lost fetch response: rewind the consumer's
+				// position so the batch is polled again, as a real client
+				// would re-fetch after a fetch timeout.
+				return nil, cons.SeekTo(recs[0].Partition, recs[0].Offset)
 			}
-			continue
 		}
-		procSpan := p.tracer.Start("process")
-		// Fan the whole batch out to the shard workers (per-trajectory
-		// stages run in parallel), then drain and apply results in submit
-		// order on this goroutine. Sampling is decided here, in batch order:
-		// the decision stream is identical whatever the shard count, and —
-		// because it depends only on the record ordinal — identical again
-		// under replay.
+		// Sampling is decided here, in batch order: the decision stream is
+		// identical whatever the shard count, and — because it depends only
+		// on the record ordinal — identical again under replay.
 		//
 		// The batch goes to the plane through SubmitBatch — one credit
 		// acquisition pass per lane instead of one select per record — via a
 		// reused workerIn scratch, so the steady-state fan-out allocates
-		// nothing per record. The poll batch is half the plane's queue depth,
-		// inside SubmitBatch's per-lane bound.
+		// nothing per record. Two poll batches in flight fit the plane's
+		// queue of twice the poll batch, inside SubmitBatch's per-lane bound.
 		if cap(submitScratch) < len(recs) {
 			submitScratch = make([]workerIn, len(recs))
 		}
@@ -604,38 +637,68 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 			ins[i] = p.newWorkerIn(rec)
 		}
 		if err := plane.SubmitBatch(ctx, ins); err != nil {
-			procSpan.End()
-			return sum, err
+			return nil, err
 		}
-		for _, rec := range recs {
-			if inj != nil {
-				if err := inj.BeforeRecord(); err != nil {
-					// Simulated crash: undrained worker outputs are
-					// discarded with the process state, exactly like a
-					// real crash mid-batch.
-					procSpan.End()
-					return sum, err
-				}
+		return recs, nil
+	}
+
+	// The loop is pipelined one batch deep: batch k+1 is polled and
+	// submitted before batch k is drained and applied, so the workers
+	// process k+1 while this goroutine — the serial merge — applies k. The
+	// apply order is the submit order either way, so output is unchanged.
+	// Batch k+1 is not fetched ahead when a checkpoint falls due after k
+	// (the cut needs fetch positions at the committed offsets), when the
+	// context is done, when the injector has scheduled a crash inside k (the
+	// crash must find the fault schedule exactly as an unpipelined run
+	// leaves it), or when nothing is buffered — a quiet live stream never
+	// waits on k+1.
+	var cur []msg.Record // the batch in flight: submitted, not yet applied
+	for {
+		if cur == nil {
+			// The broker returns buffered records regardless of ctx state, so
+			// a cancelled context (SIGINT/SIGTERM in cmd/datacron) must be
+			// checked here for shutdown to interrupt a drain of queued
+			// records. A batch already in flight is applied first, so the
+			// exit leaves the plane drained.
+			if err := ctx.Err(); err != nil {
+				return sum, err
 			}
-			out, err := plane.Next()
+			recs, err := poll(true)
+			if errors.Is(err, msg.ErrClosed) {
+				break
+			}
 			if err != nil {
-				procSpan.End()
 				return sum, err
 			}
-			if err := apply(rec, out); err != nil {
-				procSpan.End()
-				return sum, err
+			if len(recs) == 0 {
+				continue // dropped: poll it again
 			}
+			cur = recs
 		}
-		procSpan.End()
-		// Checkpoints are captured only between poll batches: every record
-		// of the batch is committed, so the consumer's fetch positions equal
-		// the group's committed offsets — the consistent cut a restored run
-		// resumes from, replaying the identical poll sequence.
-		recsSinceCp += len(recs)
-		if err := maybeCheckpoint(); err != nil {
+		due := checkpointDue(len(cur))
+		var next []msg.Record
+		if !p.noPrefetch && !due && ctx.Err() == nil && (inj == nil || !inj.CrashWithin(len(cur))) {
+			recs, err := poll(false)
+			if err != nil {
+				return sum, err
+			}
+			next = recs
+		}
+		if err := applyBatch(cur); err != nil {
 			return sum, err
 		}
+		// Checkpoints are captured only between poll batches, with nothing
+		// fetched ahead: every record of the batch is committed, so the
+		// consumer's fetch positions equal the group's committed offsets —
+		// the consistent cut a restored run resumes from, replaying the
+		// identical poll sequence.
+		recsSinceCp += len(cur)
+		if due {
+			if err := checkpointNow(); err != nil {
+				return sum, err
+			}
+		}
+		cur = next
 	}
 	// Flush trajectory ends. Each worker flushes its own movers sorted by
 	// (time, ID); the k-way merge with the same comparator reproduces the

@@ -204,63 +204,96 @@ func TestRecoveryCorruptedCheckpointFallsBack(t *testing.T) {
 }
 
 // TestCancelWhilePollingStagesBarrier pins the graceful-shutdown path: a run
-// cancelled while Poll blocks on an open raw topic must leave a barrier
-// staged at the cut it stopped at, so the caller's final Capture succeeds
-// and its shard/meta epoch is the generation it wrote — with earlier
-// checkpoints in the store, whose barriers are stale by then.
+// cancelled must leave a barrier staged at the cut it stopped at, so the
+// caller's final Capture succeeds and its shard/meta epoch is the generation
+// it wrote — with earlier checkpoints in the store, whose barriers are stale
+// by then. The cancel lands either while Poll blocks on an open raw topic
+// the run has drained, or mid-stream, where a batch fetched ahead is
+// usually in flight and must be applied before the run exits. Either way a
+// run resumed from the final capture must finish byte-identical to an
+// uninterrupted one.
 func TestCancelWhilePollingStagesBarrier(t *testing.T) {
+	base, reports := shardedMaritimePipeline(t, false, 1)
+	if err := base.Ingest(context.Background(), reports); err != nil {
+		t.Fatal(err)
+	}
+	baseSum, err := base.RunRealTime(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			p, reports := shardedMaritimePipeline(t, false, shards)
-			// Produce without closing the topic: once drained, Poll blocks.
-			for _, r := range reports {
-				if _, err := p.Broker.Produce(context.Background(), TopicRaw, r.ID, r.AppendBinary(nil), r.Time); err != nil {
-					t.Fatal(err)
-				}
-			}
-			cpr, err := checkpoint.NewCheckpointer(checkpoint.NewMemStore(), 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			done := make(chan error, 1)
-			go func() {
-				_, err := p.RunWithRecovery(ctx, &RecoveryConfig{Checkpointer: cpr, EveryRecords: 960})
-				done <- err
-			}()
-			waitCommitted(t, p.Broker, int64(len(reports)))
-			// Give the loop time to park in Poll. If it is still at the loop
-			// top when the cancel lands, that exit must stage the same cut,
-			// so the assertions hold either way.
-			time.Sleep(20 * time.Millisecond)
-			cancel()
-			if err := <-done; !errors.Is(err, context.Canceled) {
-				t.Fatalf("run returned %v, want context.Canceled", err)
-			}
-			if cpr.Captures() == 0 {
-				t.Fatal("no checkpoint before the cancel; lower EveryRecords")
-			}
+			for _, midStream := range []bool{false, true} {
+				t.Run(fmt.Sprintf("midStream=%t", midStream), func(t *testing.T) {
+					p, reports := shardedMaritimePipeline(t, false, shards)
+					// Produce without closing the topic: once drained, Poll blocks.
+					for _, r := range reports {
+						if _, err := p.Broker.Produce(context.Background(), TopicRaw, r.ID, r.AppendBinary(nil), r.Time); err != nil {
+							t.Fatal(err)
+						}
+					}
+					cpr, err := checkpoint.NewCheckpointer(checkpoint.NewMemStore(), 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rc := &RecoveryConfig{Checkpointer: cpr, EveryRecords: 960}
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					done := make(chan error, 1)
+					go func() {
+						_, err := p.RunWithRecovery(ctx, rc)
+						done <- err
+					}()
+					if midStream {
+						waitCommitted(t, p.Broker, int64(len(reports)/2))
+					} else {
+						waitCommitted(t, p.Broker, int64(len(reports)))
+						// Give the loop time to park in Poll. If it is still at the
+						// loop top when the cancel lands, that exit must stage the
+						// same cut, so the assertions hold either way.
+						time.Sleep(20 * time.Millisecond)
+					}
+					cancel()
+					if err := <-done; !errors.Is(err, context.Canceled) {
+						t.Fatalf("run returned %v, want context.Canceled", err)
+					}
+					if cpr.Captures() == 0 {
+						t.Fatal("no checkpoint before the cancel; lower EveryRecords")
+					}
 
-			gen, err := cpr.Capture(p.Broker)
-			if err != nil {
-				t.Fatalf("final capture: %v", err)
-			}
-			cp, err := cpr.Latest()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// shard/meta is tag, version, uvarint shards, uvarint epoch.
-			meta := wire.NewReader(cp.Operators["shard/meta"])
-			if err := meta.Header(wire.TagShardMeta); err != nil {
-				t.Fatalf("decode shard/meta: %v", err)
-			}
-			metaShards, epoch := meta.Uvarint(), meta.Uvarint()
-			if err := meta.Err(); err != nil || metaShards != uint64(shards) {
-				t.Fatalf("decode shard/meta: %d shards, err %v", metaShards, err)
-			}
-			if cp.Generation != gen || epoch != gen {
-				t.Fatalf("final capture wrote generation %d with barrier epoch %d, want both %d", cp.Generation, epoch, gen)
+					gen, err := cpr.Capture(p.Broker)
+					if err != nil {
+						t.Fatalf("final capture: %v", err)
+					}
+					cp, err := cpr.Latest()
+					if err != nil {
+						t.Fatal(err)
+					}
+					// shard/meta is tag, version, uvarint shards, uvarint epoch.
+					meta := wire.NewReader(cp.Operators["shard/meta"])
+					if err := meta.Header(wire.TagShardMeta); err != nil {
+						t.Fatalf("decode shard/meta: %v", err)
+					}
+					metaShards, epoch := meta.Uvarint(), meta.Uvarint()
+					if err := meta.Err(); err != nil || metaShards != uint64(shards) {
+						t.Fatalf("decode shard/meta: %d shards, err %v", metaShards, err)
+					}
+					if cp.Generation != gen || epoch != gen {
+						t.Fatalf("final capture wrote generation %d with barrier epoch %d, want both %d", cp.Generation, epoch, gen)
+					}
+
+					if err := p.Broker.CloseTopic(TopicRaw); err != nil {
+						t.Fatal(err)
+					}
+					sum, err := p.RunWithRecovery(context.Background(), rc)
+					if err != nil {
+						t.Fatalf("resume from the final capture: %v", err)
+					}
+					if fmt.Sprint(sum) != fmt.Sprint(baseSum) {
+						t.Errorf("summaries differ:\nuninterrupted %v\nresumed       %v", baseSum, sum)
+					}
+					requireIdenticalTopics(t, base.Broker, p.Broker)
+				})
 			}
 		})
 	}

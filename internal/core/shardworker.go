@@ -19,49 +19,60 @@ import (
 // shard count.
 var shardOps = []string{"synopses", "area", "flp"}
 
+// recordTrace is a sampled record's span tree in flight: root is the
+// "record" span, submit the queue-wait child the worker closes when it picks
+// the record up. Records travel with a nil *recordTrace unless sampled (1 in
+// 256 by default), so the per-record hop copies one pointer, not two spans.
+type recordTrace struct {
+	root, submit obs.Span
+}
+
+// rootSpan returns the record's trace root, or the zero Span — whose every
+// child no-ops — for an unsampled record.
+func (t *recordTrace) rootSpan() obs.Span {
+	if t == nil {
+		return obs.Span{}
+	}
+	return t.root
+}
+
 // workerIn is one record on its way to a shard worker, together with its
-// trace context: root is the sampled record's span tree root (the zero
-// Span for the unsampled majority — every child it spawns no-ops), submit
-// is the in-flight queue-wait span the worker closes when it picks the
-// record up.
+// trace, nil when the record is not sampled.
 type workerIn struct {
-	rec    msg.Record
-	root   obs.Span
-	submit obs.Span
+	rec   msg.Record
+	trace *recordTrace
 }
 
 // workerOut is one record's shard-local result, applied by the coordinator
 // in submit order. Every submitted record yields exactly one workerOut, so
 // the merged stream is position-for-position identical to a serial run.
-// root carries the record's span tree root back to the coordinator, which
-// parents the serial-stage spans (cer, emit) to it and ends it.
+// trace carries the record's span tree back to the coordinator, which
+// parents the serial-stage spans (cer, emit) to its root and ends it.
 type workerOut struct {
 	ok         bool            // unmarshal succeeded
-	rep        mobility.Report // decoded report
 	valid      bool            // rep.Valid()
+	rep        mobility.Report // decoded report
 	areaEvents int64           // low-level events detected at this report
 	pred       []geo.Point     // future locations, nil when not predicted
 	cps        []synopses.CriticalPoint
-	root       obs.Span
+	trace      *recordTrace
 }
 
 // newWorkerIn wraps one polled record for a shard worker and decides trace
 // sampling. A sampled record gets a root "record" span annotated with its
 // mover and partition, an already-closed "ingest" child covering the broker
 // dwell (event time → coordinator pickup), and an open "submit" child the
-// worker closes on pickup. The unsampled majority carries the zero Span, so
-// every downstream stage span no-ops.
+// worker closes on pickup. The unsampled majority carries no trace, so every
+// downstream stage span no-ops.
 func (p *Pipeline) newWorkerIn(rec msg.Record) workerIn {
-	in := workerIn{rec: rec}
 	if !p.sampler.Admit() {
-		return in
+		return workerIn{rec: rec}
 	}
-	in.root = p.tracer.StartSpan("record",
+	root := p.tracer.StartSpan("record",
 		obs.Attr{Key: "mover", Value: rec.Key},
 		obs.Attr{Key: "partition", Value: strconv.Itoa(rec.Partition)})
-	in.root.ChildAt("ingest", rec.Time).End()
-	in.submit = in.root.Child("submit")
-	return in
+	root.ChildAt("ingest", rec.Time).End()
+	return workerIn{rec: rec, trace: &recordTrace{root: root, submit: root.Child("submit")}}
 }
 
 // shardWorker is one shard's operator chain: exactly the per-trajectory
@@ -111,9 +122,12 @@ func (p *Pipeline) newShardWorker(shard int, reg *obs.Registry) *shardWorker {
 
 // Process runs the shard-local stages for one raw record.
 func (w *shardWorker) Process(in workerIn) workerOut {
-	in.submit.End() // queue wait, coordinator submit → worker pickup
+	if in.trace != nil {
+		in.trace.submit.End() // queue wait, coordinator submit → worker pickup
+	}
+	root := in.trace.rootSpan()
 	w.mRecords.Inc()
-	decodeSpan := in.root.Child("decode", w.shardAttr)
+	decodeSpan := root.Child("decode", w.shardAttr)
 	// In-place decode through the worker's interning decoder: binary records
 	// decode with zero steady-state allocations, legacy JSON records sniffed
 	// by magic byte still take the reflection path. The report is copied by
@@ -122,16 +136,16 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 	err := w.dec.Decode(in.rec.Value, &w.scratch)
 	decodeSpan.End()
 	if err != nil {
-		// Corrupt record: dropped by the cleaning stage. The trace root
-		// still travels back so the coordinator ends it.
-		return workerOut{root: in.root}
+		// Corrupt record: dropped by the cleaning stage. The trace still
+		// travels back so the coordinator ends it.
+		return workerOut{trace: in.trace}
 	}
 	r := w.scratch
 	w.lagDecode.Observe(w.clock.Now(), r.Time)
-	out := workerOut{ok: true, rep: r, valid: r.Valid(), root: in.root}
+	out := workerOut{ok: true, rep: r, valid: r.Valid(), trace: in.trace}
 	if out.valid {
 		out.areaEvents = int64(len(w.areaMon.Update(r)))
-		flpSpan := in.root.Child("flp", w.shardAttr)
+		flpSpan := root.Child("flp", w.shardAttr)
 		pred, ok := w.predictors[r.ID]
 		if !ok {
 			pred = flp.NewRMFStar(w.sample)
@@ -141,7 +155,7 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 		out.pred = pred.Predict(w.steps)
 		flpSpan.End()
 	}
-	synSpan := in.root.Child("synopses", w.shardAttr)
+	synSpan := root.Child("synopses", w.shardAttr)
 	out.cps = w.sg.Process(r)
 	synSpan.End()
 	return out

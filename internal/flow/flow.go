@@ -62,8 +62,10 @@ func (p Priority) String() string {
 	}
 }
 
-// Config assembles the whole backpressure plane for a pipeline; core.WithFlow
-// threads it through broker limits, the shedder and the shard plane.
+// Config assembles the configurable backpressure plane for a pipeline;
+// core.WithFlow threads it through broker limits and the shedder. The shard
+// plane's credit pool is not configured here: it is fixed at two poll batches
+// per shard, the depth the run loop keeps in flight.
 type Config struct {
 	// QueueCap bounds the raw topic's per-partition uncommitted backlog.
 	// 0 leaves the topic unbounded and disables the plane.
@@ -80,9 +82,6 @@ type Config struct {
 	// counts as Critical (it refreshes a stale synopsis). Records within
 	// half the window of the last kept one are Bulk. Default 5 minutes.
 	CoverageWindow time.Duration
-	// ShardQueue overrides the shard plane's per-worker credit pool
-	// (default: twice the poll batch).
-	ShardQueue int
 }
 
 // Enabled reports whether the plane is active.

@@ -26,15 +26,15 @@ var hotPathRootNames = []string{
 
 // HotPathExtraRoots names per-record and per-batch entry points that the
 // prefix rule misses: the wire codec (encoded/decoded once per record on
-// the ingest and shard-worker paths), the broker's batch produce, the
-// pipeline's batch ingest, the critical-point emit path (triple generation,
-// N-Triples encoding, batched publish), and the per-trajectory kernels that
-// run on every report (future-location prediction, the synopses generator,
-// the in-situ profiler). Keys are module-relative package prefixes, matched
+// the ingest and shard-worker paths), the broker's batch produce and
+// non-blocking poll, the pipeline's batch ingest, the critical-point emit
+// path (triple generation, N-Triples encoding, batched publish), and the
+// per-trajectory kernels that run on every report (future-location
+// prediction, the synopses generator, the in-situ profiler). Keys are module-relative package prefixes, matched
 // like HotPathScope; values are exact function or method names.
 var HotPathExtraRoots = map[string][]string{
 	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "UnmarshalReportInto", "Decode"},
-	"internal/msg":      {"ProduceBatch"},
+	"internal/msg":      {"ProduceBatch", "TryPoll"},
 	"internal/shard":    {"SubmitBatch"},
 	"internal/core":     {"Ingest", "Publish"},
 	"internal/rdf":      {"AppendNT"},

@@ -261,13 +261,30 @@ func (c *Consumer) Assignment() []int {
 // or the context is cancelled. Polled records are NOT committed
 // automatically; call Commit.
 func (c *Consumer) Poll(ctx context.Context, max int) ([]Record, error) {
+	return c.observedPoll(ctx, max, true)
+}
+
+// TryPoll is Poll without the wait: when some assigned partition has
+// buffered records it returns exactly the batch Poll would, and otherwise it
+// returns no records and a nil error at once — it neither blocks nor reports
+// end-of-stream. A caller pipelining its work polls the next batch with it
+// while the previous one is still being processed, without ever waiting on
+// a quiet stream. An empty TryPoll is not counted as a poll.
+func (c *Consumer) TryPoll(max int) ([]Record, error) {
+	return c.observedPoll(context.Background(), max, false)
+}
+
+func (c *Consumer) observedPoll(ctx context.Context, max int, block bool) ([]Record, error) {
 	if c.m == nil {
-		recs, err := c.poll(ctx, max)
+		recs, err := c.poll(ctx, max, block)
 		c.polled += int64(len(recs))
 		return recs, err
 	}
 	start := c.m.clock.Now()
-	recs, err := c.poll(ctx, max)
+	recs, err := c.poll(ctx, max, block)
+	if !block && len(recs) == 0 && err == nil {
+		return nil, nil
+	}
 	c.m.latency.ObserveDuration(c.m.clock.Now().Sub(start))
 	c.m.polls.Inc()
 	if n := int64(len(recs)); n > 0 {
@@ -284,7 +301,9 @@ func (c *Consumer) Poll(ctx context.Context, max int) ([]Record, error) {
 	return recs, err
 }
 
-func (c *Consumer) poll(ctx context.Context, max int) ([]Record, error) {
+// poll is the one fetch path behind Poll and TryPoll; with block false it
+// returns (nil, nil) where Poll would wait for records.
+func (c *Consumer) poll(ctx context.Context, max int, block bool) ([]Record, error) {
 	if c.closed {
 		return nil, ErrConsumerClosed
 	}
@@ -309,6 +328,9 @@ func (c *Consumer) poll(ctx context.Context, max int) ([]Record, error) {
 		return nil, err
 	} else if ok {
 		return fetch(ctx, p)
+	}
+	if !block {
+		return nil, nil
 	}
 	// Nothing buffered anywhere: block on the lowest assigned partition.
 	// ErrClosed from it only means end-of-stream for the whole consumer if

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"datacron/internal/obs"
 )
 
 func offsetsTestBroker(t *testing.T, parts, n int) *Broker {
@@ -338,5 +340,72 @@ func TestTruncateAndPeekTime(t *testing.T) {
 	}
 	if err := b.Truncate("t", 0, -1); !errors.Is(err, ErrOffsetOutRange) {
 		t.Fatalf("negative truncate: %v", err)
+	}
+}
+
+// TestTryPollMatchesPollWithoutWaiting pins the non-blocking poll: while
+// records are buffered it returns exactly the batches Poll returns, in the
+// same event-time merge order; once the consumer has caught up it returns
+// nothing at once — on an open topic and on a closed one, where only Poll
+// reports end-of-stream — and an empty TryPoll is not counted as a poll.
+func TestTryPollMatchesPollWithoutWaiting(t *testing.T) {
+	b := NewBroker()
+	reg := obs.NewRegistry(obs.NewManualClock(time.Unix(0, 0).UTC()))
+	b.Instrument(reg)
+	if err := b.CreateTopic("t", 3); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Unix(5000, 0).UTC()
+	for i := 0; i < 20; i++ {
+		if _, err := b.ProduceTo(context.Background(), "t", (i*7)%3, "k", []byte{byte(i)}, t0.Add(time.Duration(i)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocking, err := b.NewConsumer("blocking", "t", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	try, err := b.NewConsumer("try", "t", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := 0
+	for {
+		got, err := try.TryPoll(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 {
+			break
+		}
+		polls++
+		want, err := blocking.Poll(context.Background(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("poll %d: TryPoll %v, Poll %v", polls, got, want)
+		}
+	}
+	if lag, _ := try.Lag(); lag != 0 {
+		t.Fatalf("TryPoll stopped with %d records unfetched", lag)
+	}
+	if err := b.CloseTopic("t"); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := try.TryPoll(3); len(recs) != 0 || err != nil {
+		t.Fatalf("TryPoll on a drained closed topic = %v, %v; want nothing, nil", recs, err)
+	}
+	if _, err := try.Poll(context.Background(), 3); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Poll on a drained closed topic: %v, want ErrClosed", err)
+	}
+	// Each consumer made polls non-empty polls, plus the end-of-stream Poll;
+	// the empty TryPolls are not counted.
+	if got, want := reg.Snapshot().Counter("msg.poll.count"), int64(2*polls+1); got != want {
+		t.Fatalf("msg.poll.count = %d, want %d (empty TryPolls must not count)", got, want)
+	}
+	try.Close()
+	if _, err := try.TryPoll(3); !errors.Is(err, ErrConsumerClosed) {
+		t.Fatalf("TryPoll after Close: %v, want ErrConsumerClosed", err)
 	}
 }

@@ -83,6 +83,7 @@ var ErrPending = errors.New("shard: barrier with undrained outputs pending")
 
 type message[I any] struct {
 	item   I
+	last   bool // the last record of its lane's share of a SubmitBatch burst
 	marker bool
 	epoch  uint64
 }
@@ -97,12 +98,14 @@ type lane[I, O any] struct {
 	w  Worker[I, O]
 	in chan message[I]
 	// Outputs go back through a ring rather than a channel of O: the worker
-	// writes slot after slot and publishes them with one count on done when
-	// its input queue runs dry, so the coordinator is woken once per burst it
-	// submitted, not once per record. A wake-up of a parked goroutine on
-	// another thread costs tens to hundreds of microseconds and varies with
-	// the host; one per record made sharded throughput depend on how often
-	// the merge happened to catch up with a worker. At most Queue records are
+	// writes slot after slot and publishes them with one count on done at
+	// the end of every submitted burst (or earlier, when its input queue runs
+	// dry), so the coordinator is woken once per burst it submitted, not once
+	// per record, and never waits on a later burst to drain an earlier one.
+	// A wake-up of a parked goroutine on another thread costs tens to
+	// hundreds of microseconds and varies with the host; one per record made
+	// sharded throughput depend on how often the merge happened to catch up
+	// with a worker. At most Queue records are
 	// in flight per lane (the credit pool), so the ring never overwrites an
 	// unread slot and done never fills. rd and avail belong to the
 	// coordinator.
@@ -123,9 +126,11 @@ type lane[I, O any] struct {
 
 // Plane coordinates N shard workers. It is operated by a single coordinator
 // goroutine: Submit, Next, Barrier and Close are not safe for concurrent
-// use with each other (Stats is safe from anywhere). The coordinator must
-// drain every submitted record with Next before submitting more than Queue
-// records per shard — in practice, submit one poll batch, drain it, repeat.
+// use with each other (Stats is safe from anywhere). At most Queue records
+// per shard may be in flight (submitted, not yet drained with Next); a
+// coordinator can keep several bursts within that bound, submitting burst
+// k+1 before it drains burst k so the workers process k+1 while it applies
+// k.
 type Plane[I, O any] struct {
 	key         func(I) string
 	lanes       []*lane[I, O]
@@ -228,9 +233,11 @@ func (p *Plane[I, O]) run(l *lane[I, O]) {
 		}
 		unpublished++
 		l.processed.Add(1)
-		// Only this goroutine receives from l.in, so a non-zero length means
-		// another message is certain to follow and publishing can wait for it.
-		if len(l.in) == 0 {
+		// A burst's last record always publishes, so the coordinator can drain
+		// the burst while the worker starts on the next one. Otherwise only
+		// this goroutine receives from l.in, so a non-zero length means another
+		// message is certain to follow and publishing can wait for it.
+		if m.last || len(l.in) == 0 {
 			l.done <- unpublished
 			unpublished = 0
 		}
@@ -267,8 +274,7 @@ func (p *Plane[I, O]) Submit(ctx context.Context, in I) error {
 		}
 	}
 	l.in <- message[I]{item: in}
-	//lint:ignore boundedchan bounded by the credit protocol: at most Shards x Queue submissions are in flight before Next drains one
-	p.fifo = append(p.fifo, i)
+	p.enqueue(i)
 	return nil
 }
 
@@ -282,9 +288,15 @@ func (p *Plane[I, O]) Submit(ctx context.Context, in I) error {
 // Credit acquisition is all-or-nothing: when ctx is cancelled while a lane is
 // saturated, every credit already acquired is returned and no record of the
 // batch is submitted, so the coordinator can retry or abort the batch as a
-// unit. A lane's share of one batch must not exceed Queue (the credit pool
-// size), or the acquisition could never complete; the recovery loop's poll
-// batch is half the queue depth, comfortably inside the bound.
+// unit. The credits a lane's share needs, plus those its undrained records
+// still hold, must not exceed Queue (the credit pool size), or the
+// acquisition could never complete: credits come back only through Next. The
+// recovery loop keeps at most two poll batches in flight against a queue of
+// twice the poll batch.
+//
+// Each lane's share is a burst: the worker publishes its outputs when it
+// reaches the share's last record, so Next can drain this batch while a
+// later batch is still being processed.
 func (p *Plane[I, O]) SubmitBatch(ctx context.Context, ins []I) error {
 	if !p.started {
 		return ErrNotStarted
@@ -340,14 +352,32 @@ func (p *Plane[I, O]) SubmitBatch(ctx context.Context, ins []I) error {
 		}
 	}
 	// Credits for the whole batch are held, so no send below can block: at
-	// most Queue records are in flight per lane, the channel's capacity.
+	// most Queue records are in flight per lane, the channel's capacity. got
+	// now counts each lane's records still to send, so the send that takes it
+	// to zero carries the lane's last record.
 	for i := range ins {
-		p.lanes[routes[i]].in <- message[I]{item: ins[i]}
+		r := routes[i]
+		got[r]--
+		p.lanes[r].in <- message[I]{item: ins[i], last: got[r] == 0}
 	}
 	// routes is exactly the per-submit lane sequence the drain order needs.
-	//lint:ignore boundedchan bounded by the credit protocol: at most Shards x Queue submissions are in flight before Next drains one
-	p.fifo = append(p.fifo, routes...)
+	p.enqueue(routes...)
 	return nil
+}
+
+// enqueue appends submitted records' lanes to the drain-order fifo. Next
+// resets the fifo only when it drains the plane empty, which a coordinator
+// keeping a later burst in flight never does, so once the drained head is at
+// least as long as the undrained tail the tail slides to the front: the fifo
+// stays within twice the records in flight, at an amortized O(1) copy per
+// record.
+func (p *Plane[I, O]) enqueue(lanes ...int) {
+	if p.head > 0 && p.head >= len(p.fifo)-p.head {
+		n := copy(p.fifo, p.fifo[p.head:])
+		p.fifo, p.head = p.fifo[:n], 0
+	}
+	//lint:ignore boundedchan bounded by the credit protocol: at most Shards x Queue submissions are in flight before Next drains one
+	p.fifo = append(p.fifo, lanes...)
 }
 
 // refundCredits returns a cancelled batch's partially acquired credits.
@@ -368,9 +398,10 @@ func submitBlockedErr(shard int, err error) error {
 // Next blocks for and returns the output of the oldest undrained Submit.
 // Because each worker's outputs arrive in its input order and Next follows
 // the global submit order, the merged stream is identical to processing
-// every record serially. A worker publishes its outputs when it has worked
-// off everything submitted to it, so Next blocks at most once per lane per
-// submitted burst.
+// every record serially. A worker publishes its outputs at the end of each
+// SubmitBatch burst and whenever it has worked off everything submitted to
+// it, so Next blocks at most once per lane per submitted burst and never
+// waits on a burst submitted after the one it drains.
 func (p *Plane[I, O]) Next() (O, error) {
 	var zero O
 	if !p.started {
