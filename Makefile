@@ -45,12 +45,14 @@ race:
 
 # shardrace is the focused race gate for the parallel execution plane: the
 # shard package under the race detector, where every worker/coordinator
-# interleaving matters most, and core's sharded, recovery, cancel and
-# look-ahead tests, whose run loop keeps two poll batches in the plane at
-# once. Part of ci (and of race, via ./...); kept as its own target for
-# quick iteration on the plane.
+# interleaving matters most, the broker whose partition logs are the plane's
+# input and output, and core's sharded, recovery, cancel and look-ahead
+# tests, whose run loop keeps two poll batches in the plane at once. Part of
+# ci (and of race, via ./...); kept as its own target for quick iteration on
+# the plane.
 shardrace:
 	$(GO) test -race ./internal/shard/...
+	$(GO) test -race ./internal/msg/...
 	$(GO) test -race -run 'Shard|Recovery|Cancel|Prefetch|BlockLimited' ./internal/core
 
 # bench runs the go micro-benchmarks once each. End-to-end numbers come

@@ -211,8 +211,8 @@ func TestProduceBatchBlockedDrains(t *testing.T) {
 }
 
 // TestProduceBatchAllocs pins the batch plane's amortization contract: a
-// steady-state batch produce allocates O(1) per batch (the truncate keeps the
-// log's capacity warm), not O(n) per record.
+// steady-state batch produce allocates O(1) per batch (one log segment, which
+// the truncate then releases), not O(n) per record.
 func TestProduceBatchAllocs(t *testing.T) {
 	b := NewBroker()
 	if err := b.CreateTopic("raw", 1); err != nil {
@@ -221,7 +221,7 @@ func TestProduceBatchAllocs(t *testing.T) {
 	b.Instrument(obs.NewRegistry(obs.WallClock{}))
 	const batchSize = 64
 	batch := batchOf(batchSize, time.Unix(6000, 0).UTC())
-	// Warm the partition log's capacity.
+	// Warm the partition log's segment index.
 	if _, err := b.ProduceBatch(context.Background(), "raw", batch); err != nil {
 		t.Fatal(err)
 	}

@@ -68,13 +68,13 @@ func newTopicMetrics(reg *obs.Registry, name string) *topicMetrics {
 // blocking fetches and blocking (backpressured) produces. Records are kept
 // sorted by offset; the DropOldestUncommitted policy may shed records from
 // the middle of the retained window, so the log is sparse where records were
-// shed and readers address it by offset, never by slice index.
+// shed and readers address it by offset, never by index.
 type partition struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	records []Record
-	next    int64 // next offset to assign
-	closed  bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	log    partLog
+	next   int64 // next offset to assign
+	closed bool
 
 	// Admission control (zero values: unbounded, the seed behaviour).
 	cap         int            // max uncommitted retained records; 0 = unbounded
@@ -92,36 +92,27 @@ func newPartition() *partition {
 	return p
 }
 
-// idx returns the index of the first retained record with Offset >= offset.
-// Callers hold p.mu.
-func (p *partition) idx(offset int64) int {
-	return sort.Search(len(p.records), func(i int) bool {
-		return p.records[i].Offset >= offset
-	})
-}
-
 // backlog counts retained records not yet committed by every consumer group.
 // Callers hold p.mu.
 func (p *partition) backlog() int {
-	return len(p.records) - p.idx(p.floor)
+	return p.log.len() - p.log.search(p.floor)
 }
 
 // shedOldest removes the oldest retained record that is both uncommitted and
-// above the pinned replay floor. ok is false when nothing is sheddable —
+// above the pinned replay floor. It reports false when nothing is sheddable —
 // every retained record is committed or replay-protected. Callers hold p.mu.
-func (p *partition) shedOldest() (Record, bool) {
+func (p *partition) shedOldest() bool {
 	bound := p.floor
 	if p.pinned && p.replayFloor > bound {
 		bound = p.replayFloor
 	}
-	i := p.idx(bound)
-	if i >= len(p.records) {
-		return Record{}, false
+	i := p.log.search(bound)
+	if i >= p.log.len() {
+		return false
 	}
-	rec := p.records[i]
-	p.records = append(p.records[:i], p.records[i+1:]...)
+	p.log.removeAt(i)
 	p.evicted++
-	return rec, true
+	return true
 }
 
 // NewBroker returns an empty broker.
@@ -349,8 +340,7 @@ func (b *Broker) produceTo(ctx context.Context, t *topic, pIdx int, key string, 
 		Time:      ts,
 	}
 	p.next++
-	//lint:ignore boundedchan bounded by the admission loop above when a TopicLimit is set; unbounded topics are the documented zero-value behaviour
-	p.records = append(p.records, rec)
+	p.log.push(rec.Offset, key, value, ts)
 	st.appended++
 	st.valueBytes += int64(len(value))
 	st.pending = true
@@ -445,8 +435,7 @@ func (b *Broker) produceBatchTo(ctx context.Context, t *topic, pIdx int, recs []
 		}
 		recs[i].Offset = p.next
 		p.next++
-		//lint:ignore boundedchan bounded by the admission loop above when a TopicLimit is set; unbounded topics are the documented zero-value behaviour
-		p.records = append(p.records, recs[i])
+		p.log.push(recs[i].Offset, recs[i].Key, recs[i].Value, recs[i].Time)
 		st.appended++
 		st.valueBytes += int64(len(recs[i].Value))
 		st.pending = true
@@ -532,7 +521,7 @@ func (p *partition) admit(ctx context.Context, t *topic, st *produceState) (int,
 			st.rejectedN++
 			return admitDropNewest, nil
 		case DropOldestUncommitted:
-			if _, ok := p.shedOldest(); ok {
+			if p.shedOldest() {
 				st.evictedN++
 				continue
 			}
@@ -683,7 +672,7 @@ func (b *Broker) Fetch(ctx context.Context, topicName string, partitionIdx int, 
 	if offset < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrOffsetOutRange, offset)
 	}
-	for p.idx(offset) >= len(p.records) {
+	for p.log.search(offset) >= p.log.len() {
 		if p.closed {
 			return nil, ErrClosed
 		}
@@ -692,14 +681,9 @@ func (b *Broker) Fetch(ctx context.Context, topicName string, partitionIdx int, 
 		}
 		p.cond.Wait()
 	}
-	i := p.idx(offset)
-	j := i + max
-	if j > len(p.records) {
-		j = len(p.records)
-	}
-	out := make([]Record, j-i)
-	copy(out, p.records[i:j])
-	return out, nil
+	i := p.log.search(offset)
+	j := min(i+max, p.log.len())
+	return p.log.copyOut(i, j, t.name, partitionIdx), nil
 }
 
 // PeekTime returns the event time of the first retained record at or past
@@ -719,11 +703,11 @@ func (b *Broker) PeekTime(topicName string, partitionIdx int, offset int64) (tim
 	p := t.parts[partitionIdx]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	i := p.idx(offset)
-	if i >= len(p.records) {
+	i := p.log.search(offset)
+	if i >= p.log.len() {
 		return time.Time{}, false, nil
 	}
-	return p.records[i].Time, true, nil
+	return p.log.at(i).time, true, nil
 }
 
 // Truncate discards the tail of a partition: records at offsets >= end are
@@ -746,11 +730,11 @@ func (b *Broker) Truncate(topicName string, partitionIdx int, end int64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if end < p.next {
-		i := p.idx(end)
+		i := p.log.search(end)
 		if t.m != nil {
-			t.m.depth.Add(float64(i - len(p.records)))
+			t.m.depth.Add(float64(i - p.log.len()))
 		}
-		p.records = p.records[:i]
+		p.log.truncate(i)
 		p.next = end
 	}
 	return nil
@@ -823,7 +807,7 @@ func (b *Broker) TotalRecords(topicName string) (int64, error) {
 	var n int64
 	for _, p := range t.parts {
 		p.mu.Lock()
-		n += int64(len(p.records))
+		n += int64(p.log.len())
 		p.mu.Unlock()
 	}
 	return n, nil
@@ -838,9 +822,7 @@ func (b *Broker) TotalBytes(topicName string) (int64, error) {
 	var n int64
 	for _, p := range t.parts {
 		p.mu.Lock()
-		for _, r := range p.records {
-			n += int64(len(r.Value))
-		}
+		n += p.log.bytes
 		p.mu.Unlock()
 	}
 	return n, nil

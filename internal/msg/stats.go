@@ -35,10 +35,8 @@ func (b *Broker) Stats() BrokerStats {
 		ts := TopicStats{Name: t.name, Partitions: len(t.parts)}
 		for _, p := range t.parts {
 			p.mu.Lock()
-			ts.Records += int64(len(p.records))
-			for _, r := range p.records {
-				ts.Bytes += int64(len(r.Value))
-			}
+			ts.Records += int64(p.log.len())
+			ts.Bytes += p.log.bytes
 			ts.Backlog += int64(p.backlog())
 			ts.Capacity = p.cap
 			ts.Evicted += p.evicted
