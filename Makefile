@@ -47,13 +47,15 @@ race:
 # shard package under the race detector, where every worker/coordinator
 # interleaving matters most, the broker whose partition logs are the plane's
 # input and output, and core's sharded, recovery, cancel and look-ahead
-# tests, whose run loop keeps two poll batches in the plane at once. Part of
+# tests, whose run loop keeps two poll batches in the plane at once, and the
+# finished-points test, whose workers share the read-only weather field and
+# each encode synopsis records into their own arena. Part of
 # ci (and of race, via ./...); kept as its own target for quick iteration on
 # the plane.
 shardrace:
 	$(GO) test -race ./internal/shard/...
 	$(GO) test -race ./internal/msg/...
-	$(GO) test -race -run 'Shard|Recovery|Cancel|Prefetch|BlockLimited' ./internal/core
+	$(GO) test -race -run 'Shard|Recovery|Cancel|Prefetch|BlockLimited|FinishedPoints' ./internal/core
 
 # bench runs the go micro-benchmarks once each. End-to-end numbers come
 # from bench/run.sh (see BENCHMARK.json).
@@ -79,10 +81,11 @@ smoke:
 	$(GO) run ./cmd/benchrunner -exp dashboard -scale small -metrics
 	./scripts/smoke_admin.sh
 
-# fuzz runs every fuzzer for 10 s each: the wire codec and triple encoder,
-# the checkpoint frame, and every operator Restore. `go test` runs their seed
-# corpora (testdata/fuzz/<name>/ plus the f.Add seeds) on every invocation;
-# this target searches beyond them. Not part of ci.
+# fuzz runs every fuzzer for 10 s each: the wire codecs (reports and
+# synopsis records) and the triple encoder, the checkpoint frame, and every
+# operator Restore. `go test` runs their seed corpora (testdata/fuzz/<name>/
+# plus the f.Add seeds) on every invocation; this target searches beyond
+# them. Not part of ci.
 FUZZERS = \
 	internal/mobility:FuzzReportCodec \
 	internal/rdf:FuzzTripleAppend \
@@ -91,6 +94,7 @@ FUZZERS = \
 	internal/lowlevel:FuzzProfilerRestore \
 	internal/lowlevel:FuzzAreaRestore \
 	internal/synopses:FuzzSynopsesRestore \
+	internal/synopses:FuzzCriticalPointCodec \
 	internal/linkdisc:FuzzLinkdiscRestore \
 	internal/cer:FuzzCERRestore \
 	internal/core:FuzzRunStateRestore \

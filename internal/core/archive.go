@@ -80,19 +80,30 @@ func LoadArchive(r io.Reader, cfg store.STCellConfig, layout store.Layout) (*sto
 // MinePatterns runs the offline Complex Event Analyzer over the archived
 // synopses topic: it mines frequent critical-point sequences and returns
 // the top-k non-redundant proposals, ready to compile into the online
-// recogniser — Figure 2's batch-to-real-time feedback loop.
+// recogniser — Figure 2's batch-to-real-time feedback loop. A record that
+// does not decode is skipped, as drainTriples skips a line, and counted in
+// core.synopses.unparsable and logged, so a format mismatch cannot pass for
+// an archive with nothing to mine.
 func (p *Pipeline) MinePatterns(cfg analytics.MineConfig, k int) ([]analytics.FrequentPattern, error) {
 	recs, err := p.Broker.Drain(TopicSynopses)
 	if err != nil {
 		return nil, err
 	}
 	cps := make([]synopses.CriticalPoint, 0, len(recs))
+	var firstErr error
 	for _, rec := range recs {
 		cp, err := synopses.UnmarshalCriticalPoint(rec.Value)
 		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
 			continue
 		}
 		cps = append(cps, cp)
+	}
+	if bad := len(recs) - len(cps); bad > 0 {
+		p.obs.Counter("core.synopses.unparsable").Add(int64(bad))
+		p.log.Warn("skipped unparsable synopsis records", "skipped", bad, "of", len(recs), "first_error", firstErr)
 	}
 	return analytics.ProposePatterns(cps, cfg, k), nil
 }

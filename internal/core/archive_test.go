@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"datacron/internal/analytics"
 	"datacron/internal/gen"
 	"datacron/internal/msg"
+	"datacron/internal/obs"
 	"datacron/internal/ontology"
 	"datacron/internal/rdf"
 	"datacron/internal/store"
@@ -100,6 +103,49 @@ func TestMinePatternsFromArchive(t *testing.T) {
 		if prop.Support < 4 || len(prop.Items) < 2 {
 			t.Errorf("malformed proposal: %+v", prop)
 		}
+	}
+}
+
+// TestUnparsableSynopsisRecordsAreCounted: MinePatterns skips a synopsis
+// record it cannot decode — here one in the JSON format from before the
+// binary records — mines the rest as if it were absent, and says so.
+func TestUnparsableSynopsisRecordsAreCounted(t *testing.T) {
+	mine := func(corrupt bool) ([]analytics.FrequentPattern, *Pipeline, string) {
+		var logs bytes.Buffer
+		p, reports := maritimePipeline(t, false,
+			WithObs(obs.NewRegistry(nil)), WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
+		ctx := context.Background()
+		if err := p.Ingest(ctx, reports); err != nil {
+			t.Fatal(err)
+		}
+		if corrupt {
+			junk := []byte(`{"id":"v-1","t":"2016-04-01T00:00:00Z","type":"stop_start"}`)
+			if _, err := p.Broker.Produce(ctx, TopicSynopses, "v-1", junk, gen.DefaultStart); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := p.RunRealTime(ctx); err != nil {
+			t.Fatal(err)
+		}
+		proposals, err := p.MinePatterns(analytics.MineConfig{MinSupport: 4, MaxLength: 3}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return proposals, p, logs.String()
+	}
+	want, clean, _ := mine(false)
+	if got := clean.Obs().Snapshot().Counter("core.synopses.unparsable"); got != 0 {
+		t.Fatalf("clean archive: core.synopses.unparsable = %d, want 0", got)
+	}
+	got, p, logs := mine(true)
+	if n := p.Obs().Snapshot().Counter("core.synopses.unparsable"); n != 1 {
+		t.Errorf("core.synopses.unparsable = %d, want 1", n)
+	}
+	if !strings.Contains(logs, "skipped unparsable synopsis records") || !strings.Contains(logs, "0x7b") {
+		t.Errorf("no warning naming the bad record in the log:\n%s", logs)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("proposals with one corrupt record differ from the clean archive's:\n got %v\nwant %v", got, want)
 	}
 }
 

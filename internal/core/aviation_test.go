@@ -80,7 +80,10 @@ func TestPipelineAviationEndToEnd(t *testing.T) {
 	// Trajectory parts can be derived from the archived synopsis.
 	var cps []synopses.CriticalPoint
 	for _, rec := range recs {
-		cp, _ := synopses.UnmarshalCriticalPoint(rec.Value)
+		cp, err := synopses.UnmarshalCriticalPoint(rec.Value)
+		if err != nil {
+			t.Fatalf("bad synopsis record: %v", err)
+		}
 		cps = append(cps, cp)
 	}
 	segs := synopses.SegmentCriticalPoints(cps)

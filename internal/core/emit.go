@@ -1,32 +1,55 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"slices"
+	"strconv"
 	"time"
 
+	"datacron/internal/cer"
 	"datacron/internal/msg"
 	"datacron/internal/rdf"
 )
 
-// tripleSlab is the size of the arena slabs TriplePublisher encodes into:
-// a few dozen critical points' worth of N-Triples lines per allocation.
-const tripleSlab = 32 << 10
+// arenaSlab is the size of the slabs an arena carves values from: a few
+// dozen critical points' worth of records per allocation.
+const arenaSlab = 32 << 10
+
+// arena hands out broker record values carved from fixed slabs. The broker
+// retains record values in its log, so a slab is filled once and never
+// reused; each value is a sub-slice with capped capacity, so nothing
+// appended to one value can overwrite the next. An arena belongs to one
+// goroutine, and the broker owns every value it hands out.
+type arena struct {
+	slab []byte // current slab; the broker owns what is filled
+}
+
+// alloc returns an empty value with room for exactly n bytes. A value that
+// does not fit the current slab's remainder starts a fresh slab; one larger
+// than a whole slab gets its own allocation.
+func (a *arena) alloc(n int) []byte {
+	if n > cap(a.slab)-len(a.slab) {
+		if n > arenaSlab {
+			return make([]byte, 0, n)
+		}
+		a.slab = make([]byte, 0, arenaSlab)
+	}
+	start := len(a.slab)
+	a.slab = a.slab[:start+n]
+	return a.slab[start:start:len(a.slab)]
+}
+
+// clone returns a copy of b placed in the arena.
+func (a *arena) clone(b []byte) []byte { return append(a.alloc(len(b)), b...) }
 
 // TriplePublisher is the real-time layer's triple emit path: it encodes
-// triples as N-Triples lines into arena slabs and sends all the triples of
-// one critical point to TopicTriples in a single Broker.ProduceBatch.
-//
-// The broker retains record values in its log, so a slab is filled once and
-// never reused; each value is a slice of it with capped capacity, so nothing
-// appended to one value can overwrite the next. A publisher belongs to one
-// goroutine — the run loop builds its own per run.
+// triples as N-Triples lines into an arena and sends all the triples of one
+// critical point to TopicTriples in a single Broker.ProduceBatch. A
+// publisher belongs to one goroutine — the run loop builds its own per run.
 type TriplePublisher struct {
 	broker *msg.Broker
-	slab   []byte       // current arena slab; the broker owns what is filled
-	line   []byte       // one triple's encoding, before it is placed in a slab
+	arena  arena        // the encoded lines, owned by the broker once produced
+	line   []byte       // one triple's encoding, before it is placed in the arena
 	recs   []msg.Record // ProduceBatch scratch, reused across calls
 }
 
@@ -36,20 +59,10 @@ func NewTriplePublisher(b *msg.Broker) *TriplePublisher {
 }
 
 // encode returns t's N-Triples line as an arena-backed value that is safe to
-// hand to the broker. A line that does not fit the current slab's remainder
-// starts a fresh slab; one larger than a whole slab gets its own allocation.
+// hand to the broker.
 func (tp *TriplePublisher) encode(t rdf.Triple) []byte {
 	tp.line = t.AppendNT(tp.line[:0])
-	if len(tp.line) > cap(tp.slab)-len(tp.slab) {
-		if len(tp.line) > tripleSlab {
-			return slices.Clip(bytes.Clone(tp.line))
-		}
-		tp.slab = make([]byte, 0, tripleSlab)
-	}
-	start := len(tp.slab)
-	tp.slab = tp.slab[:start+len(tp.line)]
-	copy(tp.slab[start:], tp.line)
-	return tp.slab[start:len(tp.slab):len(tp.slab)]
+	return tp.arena.clone(tp.line)
 }
 
 // Publish sends triples to the triples topic as N-Triples lines, in order,
@@ -81,4 +94,27 @@ func (tp *TriplePublisher) Publish(ctx context.Context, triples []rdf.Triple, ts
 // refused per-record Produce would.
 func triplesRefusedErr(refused, of int) error {
 	return fmt.Errorf("core: %w: %d of %d triples refused by %s", msg.ErrTopicFull, refused, of, TopicTriples)
+}
+
+// appendDetectionNote appends the Dashboard note for a pattern detected at
+// a critical point of mover id at t: "<id>: pattern detected at <t in RFC
+// 3339>".
+func appendDetectionNote(dst []byte, id string, t time.Time) []byte {
+	dst = append(dst, id...)
+	dst = append(dst, ": pattern detected at "...)
+	return t.AppendFormat(dst, time.RFC3339)
+}
+
+// appendForecastNote appends the note for a forecast at a critical point of
+// mover id: "<id>: completion expected in <start>-<end> events (p=<prob to
+// two decimals>)". It is both a Dashboard note and a TopicEvents value.
+func appendForecastNote(dst []byte, id string, fc cer.Forecast) []byte {
+	dst = append(dst, id...)
+	dst = append(dst, ": completion expected in "...)
+	dst = strconv.AppendInt(dst, int64(fc.Start), 10)
+	dst = append(dst, '-')
+	dst = strconv.AppendInt(dst, int64(fc.End), 10)
+	dst = append(dst, " events (p="...)
+	dst = strconv.AppendFloat(dst, fc.Prob, 'f', 2, 64)
+	return append(dst, ')')
 }

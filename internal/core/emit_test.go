@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"datacron/internal/cer"
 	"datacron/internal/gen"
 	"datacron/internal/geo"
 	"datacron/internal/mobility"
@@ -103,14 +105,14 @@ func TestPublishArenaValuesAreStable(t *testing.T) {
 		}
 	}
 	publish(pointTriples(0))
-	publish([]rdf.Triple{wkt(tripleSlab - 1000)}) // fits a fresh slab, not the remainder
+	publish([]rdf.Triple{wkt(arenaSlab - 1000)}) // fits a fresh slab, not the remainder
 	publish(pointTriples(1))
-	publish([]rdf.Triple{wkt(2 * tripleSlab)}) // larger than any slab
+	publish([]rdf.Triple{wkt(2 * arenaSlab)}) // larger than any slab
 	slabs := 0
 	for seq := 2; slabs < 3; seq++ { // run across three more slab boundaries
-		before := cap(pub.slab) - len(pub.slab)
+		before := cap(pub.arena.slab) - len(pub.arena.slab)
 		publish(pointTriples(seq))
-		if cap(pub.slab)-len(pub.slab) > before {
+		if cap(pub.arena.slab)-len(pub.arena.slab) > before {
 			slabs++
 		}
 	}
@@ -138,6 +140,65 @@ func TestPublishArenaValuesAreStable(t *testing.T) {
 		byPartition[r.Key] = q[1:]
 		if cap(r.Value) != len(r.Value) {
 			t.Fatalf("value has spare capacity %d: an append to it would write into its neighbour", cap(r.Value)-len(r.Value))
+		}
+	}
+}
+
+// TestArenaValuesDoNotAlias: every value an arena hands out has exactly
+// its own bytes as capacity, so appending to one — by a broker consumer, or
+// by mistake — reallocates instead of writing into the next.
+func TestArenaValuesDoNotAlias(t *testing.T) {
+	var a arena
+	sizes := []int{10, 0, 7, arenaSlab - 20, 30, arenaSlab + 1, 5}
+	var vals [][]byte
+	for i, n := range sizes {
+		v := a.alloc(n)
+		if len(v) != 0 || cap(v) != n {
+			t.Fatalf("alloc(%d) = len %d cap %d, want len 0 cap %d", n, len(v), cap(v), n)
+		}
+		vals = append(vals, append(v, strings.Repeat(string(rune('a'+i)), n)...))
+	}
+	vals = append(vals, a.clone([]byte("tail")))
+	want := make([]string, len(vals))
+	for i, v := range vals {
+		want[i] = string(v)
+	}
+	for i, v := range vals {
+		_ = append(v, "overwrite"...)
+		for j, w := range vals {
+			if string(w) != want[j] {
+				t.Fatalf("appending to value %d changed value %d: %q", i, j, w)
+			}
+		}
+	}
+}
+
+// TestCERNotesMatchSprintf pins the detection and forecast notes to the
+// fmt.Sprintf rendering they replaced, byte for byte: the forecast note is
+// a TopicEvents value.
+func TestCERNotesMatchSprintf(t *testing.T) {
+	athens := time.FixedZone("EET", 2*3600)
+	times := []time.Time{gen.DefaultStart, gen.DefaultStart.Add(37*time.Hour + 59*time.Second + 999), time.Date(2016, 4, 1, 3, 4, 5, 0, athens)}
+	for _, ts := range times {
+		want := fmt.Sprintf("%s: pattern detected at %s", "227006760", ts.Format(time.RFC3339))
+		if got := string(appendDetectionNote(nil, "227006760", ts)); got != want {
+			t.Errorf("detection note = %q, want %q", got, want)
+		}
+	}
+	forecasts := []cer.Forecast{
+		{Start: 1, End: 1, Prob: 1},
+		{Start: 2, End: 14, Prob: 0.005},
+		{Start: 3, End: 300, Prob: 0.995},
+		{Start: 1, End: 5, Prob: 0.125},
+		{Start: 10, End: 1000000, Prob: 0.4444},
+		{Start: 0, End: -1, Prob: 0},
+	}
+	for _, fc := range forecasts {
+		for _, id := range []string{"v-1", ""} {
+			want := fmt.Sprintf("%s: completion expected in %d-%d events (p=%.2f)", id, fc.Start, fc.End, fc.Prob)
+			if got := string(appendForecastNote([]byte("x"), id, fc)[1:]); got != want {
+				t.Errorf("forecast note = %q, want %q", got, want)
+			}
 		}
 	}
 }

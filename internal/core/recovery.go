@@ -17,7 +17,6 @@ import (
 	"datacron/internal/rdf"
 	"datacron/internal/rdfgen"
 	"datacron/internal/shard"
-	"datacron/internal/synopses"
 	"datacron/internal/wire"
 )
 
@@ -407,10 +406,18 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 	}()
 
 	// The emit path's reused state: the publisher's arena and batch scratch,
-	// and one triple slice that every critical point's graph is built in.
+	// one triple slice that every critical point's graph is built in, and the
+	// CER notes' buffer and the arena their TopicEvents values go into.
 	pub := NewTriplePublisher(p.Broker)
 	triples := make([]rdf.Triple, 0, 32)
-	processCritical := func(cp synopses.CriticalPoint, root obs.Span) error {
+	var (
+		note   []byte
+		events arena
+	)
+	// processCritical publishes one critical point the shard worker has
+	// finished: its synopsis record and weather literals are done already.
+	processCritical := func(fp *finishedPoint, root obs.Span) error {
+		cp := &fp.CriticalPoint
 		// Freshness at the serving edge: how old the critical point's event
 		// time is at the moment its derivatives are published downstream —
 		// the end-to-end number an operator's SLO is written against.
@@ -418,22 +425,20 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		emitSpan := root.Child("emit")
 		defer emitSpan.End()
 		sum.CriticalPoints++
-		p.Dashboard.AddCritical(cp)
+		p.Dashboard.AddCritical(*cp)
 		// Publish the synopsis record.
-		if _, err := p.Broker.Produce(ctx, TopicSynopses, cp.ID, cp.Marshal(), cp.Time); err != nil {
+		if _, err := p.Broker.Produce(ctx, TopicSynopses, cp.ID, fp.record, cp.Time); err != nil {
 			return err
 		}
 		// RDF-ify.
-		triples = rdfGen.AppendTriples(triples[:0], rdfgen.CriticalPointRecord(seq, cp))
+		triples = rdfGen.AppendTriples(triples[:0], rdfgen.CriticalPointRecord(seq, *cp))
 		// Weather enrichment: annotate the semantic node with the ambient
 		// conditions at its position and time.
 		if p.cfg.Weather != nil {
 			node := ontology.NodeIRI(cp.ID, seq)
 			triples = append(triples,
-				rdf.Triple{S: node, P: ontology.PropWindSpeed,
-					O: rdf.Float(p.cfg.Weather.WindSpeed(cp.Pos, cp.Time))},
-				rdf.Triple{S: node, P: ontology.PropWaveHeight,
-					O: rdf.Float(p.cfg.Weather.WaveHeight(cp.Pos, cp.Time))},
+				rdf.Triple{S: node, P: ontology.PropWindSpeed, O: fp.wind},
+				rdf.Triple{S: node, P: ontology.PropWaveHeight, O: fp.wave},
 			)
 		}
 		// Link discovery on the critical point.
@@ -462,13 +467,14 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 			detected, fc, ok := p.forecaster.Process(string(cp.Type))
 			if detected {
 				sum.Detections++
-				p.Dashboard.AddEventNote(fmt.Sprintf("%s: pattern detected at %s", cp.ID, cp.Time.Format(time.RFC3339)))
+				note = appendDetectionNote(note[:0], cp.ID, cp.Time)
+				p.Dashboard.AddEventNote(string(note))
 			}
 			if ok {
 				sum.Forecasts++
-				note := fmt.Sprintf("%s: completion expected in %d-%d events (p=%.2f)", cp.ID, fc.Start, fc.End, fc.Prob)
-				p.Dashboard.AddEventNote(note)
-				if _, err := p.Broker.Produce(ctx, TopicEvents, cp.ID, []byte(note), cp.Time); err != nil {
+				note = appendForecastNote(note[:0], cp.ID, fc)
+				p.Dashboard.AddEventNote(string(note))
+				if _, err := p.Broker.Produce(ctx, TopicEvents, cp.ID, events.clone(note), cp.Time); err != nil {
 					return err
 				}
 			}
@@ -510,8 +516,8 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 				lagPredict.Observe(now, out.rep.Time)
 			}
 		}
-		for _, cp := range out.cps {
-			if err := processCritical(cp, root); err != nil {
+		for i := range out.cps {
+			if err := processCritical(&out.cps[i], root); err != nil {
 				return err
 			}
 		}
@@ -704,14 +710,15 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 	// (time, ID); the k-way merge with the same comparator reproduces the
 	// exact sequence a single shard emits.
 	plane.Close() // workers are single-threaded again after Close
-	lists := make([][]synopses.CriticalPoint, len(workers))
+	lists := make([][]finishedPoint, len(workers))
 	for i, w := range workers {
 		lists[i] = w.Flush()
 	}
-	for _, cp := range shard.MergeSorted(lessCritical, lists...) {
+	flushed := shard.MergeSorted(lessCritical, lists...)
+	for i := range flushed {
 		// Flush-time critical points have no originating record in flight,
 		// so they carry no trace root.
-		if err := processCritical(cp, obs.Span{}); err != nil {
+		if err := processCritical(&flushed[i], obs.Span{}); err != nil {
 			return sum, err
 		}
 	}

@@ -7,6 +7,8 @@ import (
 
 	"datacron/internal/checkpoint"
 	"datacron/internal/checkpoint/faultinject"
+	"datacron/internal/gen"
+	"datacron/internal/synopses"
 )
 
 // TestShardedByteIdenticalOutput pins the shard plane's headline contract:
@@ -64,6 +66,64 @@ func TestShardedByteIdenticalOutput(t *testing.T) {
 		if labelled != merged.Counter("synopses.critical") {
 			t.Errorf("shards=%d: per-shard labels sum to %d, aggregate %d", shards, labelled, merged.Counter("synopses.critical"))
 		}
+	}
+}
+
+// TestFinishedPointsMatchSerialSummarize: the shard workers finish every
+// critical point — synopsis record and weather literals — beside the merge.
+// At 1, 2 and 4 shards every TopicSynopses value, flush-time points included,
+// must decode to the point a serial synopses.Summarize yields for the same
+// input, mover by mover in order, and the weather-enriched output must not
+// depend on the shard count. Under -race (make shardrace) it also checks that
+// the workers share the read-only weather field and write only their own
+// arenas.
+func TestFinishedPointsMatchSerialSummarize(t *testing.T) {
+	weather := WithWeather(gen.NewWeatherField(7, gen.DefaultStart))
+	var base *Pipeline
+	for _, shards := range []int{1, 2, 4} {
+		p, reports := shardedMaritimePipeline(t, true, shards, weather)
+		if err := p.Ingest(context.Background(), reports); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := p.RunRealTime(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cps, _ := synopses.Summarize(p.cfg.Synopses, reports)
+		want := map[string][]synopses.CriticalPoint{}
+		for _, cp := range cps {
+			want[cp.ID] = append(want[cp.ID], cp)
+		}
+		// Partition logs in offset order: one mover's records are in its
+		// partition in the order the merge published them.
+		n := 0
+		for _, recs := range topicContents(t, p.Broker, TopicSynopses) {
+			for _, rec := range recs {
+				got, err := synopses.UnmarshalCriticalPoint(rec.Value)
+				if err != nil {
+					t.Fatalf("shards=%d: synopsis record of %s: %v", shards, rec.Key, err)
+				}
+				q := want[rec.Key]
+				if len(q) == 0 || got != q[0] {
+					t.Fatalf("shards=%d: synopsis record %d of %s decodes to %+v, want %+v",
+						shards, rec.Offset, rec.Key, got, q[:min(len(q), 1)])
+				}
+				want[rec.Key] = q[1:]
+				n++
+			}
+		}
+		if n != len(cps) || sum.CriticalPoints != int64(len(cps)) {
+			t.Fatalf("shards=%d: %d synopsis records, %d critical points in the summary, Summarize yields %d",
+				shards, n, sum.CriticalPoints, len(cps))
+		}
+		if cps[len(cps)-1].Type != synopses.TrajectoryEnd {
+			t.Fatalf("shards=%d: Summarize's output does not end with the flush-time points", shards)
+		}
+		if base == nil {
+			base = p
+			continue
+		}
+		requireIdenticalTopics(t, base.Broker, p.Broker)
 	}
 }
 

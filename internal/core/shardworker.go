@@ -6,11 +6,13 @@ import (
 	"time"
 
 	"datacron/internal/flp"
+	"datacron/internal/gen"
 	"datacron/internal/geo"
 	"datacron/internal/lowlevel"
 	"datacron/internal/mobility"
 	"datacron/internal/msg"
 	"datacron/internal/obs"
+	"datacron/internal/rdf"
 	"datacron/internal/synopses"
 )
 
@@ -54,8 +56,17 @@ type workerOut struct {
 	rep        mobility.Report // decoded report
 	areaEvents int64           // low-level events detected at this report
 	pred       []geo.Point     // future locations, nil when not predicted
-	cps        []synopses.CriticalPoint
+	cps        []finishedPoint // critical points, nil when none
 	trace      *recordTrace
+}
+
+// finishedPoint is a critical point as a shard worker hands it to the serial
+// merge: everything about it that needs no global order is already done, so
+// the merge only numbers, links, forecasts and publishes it.
+type finishedPoint struct {
+	synopses.CriticalPoint
+	record     []byte   // the TopicSynopses value, in the worker's arena
+	wind, wave rdf.Term // weather literals, nil without a weather field
 }
 
 // newWorkerIn wraps one polled record for a shard worker and decides trace
@@ -100,6 +111,14 @@ type shardWorker struct {
 	// cross-shard shared state (interned strings are immutable).
 	dec     *mobility.Decoder
 	scratch mobility.Report
+
+	// Finishing critical points: cps is the generator's reused output
+	// buffer, records the arena their synopsis records are encoded into
+	// (the broker owns each once the merge produces it), and weather the
+	// pipeline's field, read-only and so shared by every worker.
+	cps     []synopses.CriticalPoint
+	records arena
+	weather *gen.WeatherField
 }
 
 func (p *Pipeline) newShardWorker(shard int, reg *obs.Registry) *shardWorker {
@@ -117,6 +136,7 @@ func (p *Pipeline) newShardWorker(shard int, reg *obs.Registry) *shardWorker {
 		clock:      reg.Clock(),
 		lagDecode:  obs.NewLagStage(reg, "decode"),
 		dec:        mobility.NewDecoder(),
+		weather:    p.cfg.Weather,
 	}
 }
 
@@ -156,8 +176,29 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 		flpSpan.End()
 	}
 	synSpan := root.Child("synopses", w.shardAttr)
-	out.cps = w.sg.Process(r)
+	w.cps = w.sg.AppendProcess(w.cps[:0], r)
+	out.cps = w.finish(w.cps)
 	synSpan.End()
+	return out
+}
+
+// finish returns cps as finished points, in one allocation (none for no
+// points): each point's synopsis record encoded into the worker's arena and,
+// with a weather field, its wind and wave literals formatted.
+func (w *shardWorker) finish(cps []synopses.CriticalPoint) []finishedPoint {
+	if len(cps) == 0 {
+		return nil
+	}
+	out := make([]finishedPoint, len(cps))
+	for i := range cps {
+		fp := &out[i]
+		fp.CriticalPoint = cps[i]
+		fp.record = fp.AppendRecord(w.records.alloc(fp.RecordSize()))
+		if w.weather != nil {
+			fp.wind = rdf.Float(w.weather.WindSpeed(fp.Pos, fp.Time))
+			fp.wave = rdf.Float(w.weather.WaveHeight(fp.Pos, fp.Time))
+		}
+	}
 	return out
 }
 
@@ -216,10 +257,10 @@ func (w *shardWorker) op(name string) interface {
 }
 
 // Flush ends every open trajectory on this shard, returning the closing
-// critical points in (time, ID) order — the coordinator k-way merges the
-// per-shard lists with the same comparator.
-func (w *shardWorker) Flush() []synopses.CriticalPoint {
-	return w.sg.Flush()
+// critical points finished and in (time, ID) order — the coordinator k-way
+// merges the per-shard lists with the same comparator.
+func (w *shardWorker) Flush() []finishedPoint {
+	return w.finish(w.sg.Flush())
 }
 
 // aggregateSynStats sums synopses stats across shard workers.
@@ -236,7 +277,7 @@ func aggregateSynStats(workers []*shardWorker) synopses.Stats {
 
 // lessCritical is the flush merge comparator, matching the (time, ID)
 // order synopses.Generator.Flush emits.
-func lessCritical(a, b synopses.CriticalPoint) bool {
+func lessCritical(a, b finishedPoint) bool {
 	if !a.Time.Equal(b.Time) {
 		return a.Time.Before(b.Time)
 	}

@@ -30,7 +30,8 @@ var hotPathRootNames = []string{
 // non-blocking poll, the pipeline's batch ingest, the critical-point emit
 // path (triple generation, N-Triples encoding, batched publish), and the
 // per-trajectory kernels that run on every report (future-location
-// prediction, the synopses generator, the in-situ profiler). Keys are module-relative package prefixes, matched
+// prediction, the synopses generator and its record encoder, the in-situ
+// profiler). Keys are module-relative package prefixes, matched
 // like HotPathScope; values are exact function or method names.
 var HotPathExtraRoots = map[string][]string{
 	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "UnmarshalReportInto", "Decode"},
@@ -40,7 +41,7 @@ var HotPathExtraRoots = map[string][]string{
 	"internal/rdf":      {"AppendNT"},
 	"internal/rdfgen":   {"Generate"},
 	"internal/flp":      {"Observe", "Predict"},
-	"internal/synopses": {"Process"},
+	"internal/synopses": {"Process", "AppendRecord"},
 	"internal/lowlevel": {"Observe"},
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"datacron/internal/wire"
@@ -81,8 +82,11 @@ func IsBinaryReport(b []byte) bool {
 	return len(b) > 0 && b[0] == BinaryMagic
 }
 
+// The encoders take a *Report: a Report is over a hundred bytes, and a
+// per-record encode should not copy it once per call.
+
 // BinarySize returns the exact encoded size of r, for pre-sizing buffers.
-func (r Report) BinarySize() int {
+func (r *Report) BinarySize() int {
 	return binaryHeader + min(len(r.ID), maxFieldLen) + min(len(r.Source), maxFieldLen)
 }
 
@@ -91,7 +95,7 @@ func (r Report) BinarySize() int {
 // reusing a scratch buffer encodes with zero heap allocations in steady
 // state. IDs or sources longer than 64 KiB are truncated to the frame limit
 // (no real mover identifier approaches it).
-func (r Report) AppendBinary(dst []byte) []byte {
+func (r *Report) AppendBinary(dst []byte) []byte {
 	id, src := r.ID, r.Source
 	if len(id) > maxFieldLen {
 		id = id[:maxFieldLen]
@@ -99,31 +103,34 @@ func (r Report) AppendBinary(dst []byte) []byte {
 	if len(src) > maxFieldLen {
 		src = src[:maxFieldLen]
 	}
-	dst = append(dst, BinaryMagic, BinaryVersion)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Time.Unix()))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Time.Nanosecond()))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Pos.Lon))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Pos.Lat))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.AltFt))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.SpeedKn))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Heading))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.VRateFS))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(id)))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(src)))
+	n := len(dst)
+	dst = slices.Grow(dst, binaryHeader+len(id)+len(src))[:n+binaryHeader]
+	b := dst[n:]
+	b[0], b[1] = BinaryMagic, BinaryVersion
+	le := binary.LittleEndian
+	le.PutUint64(b[2:], uint64(r.Time.Unix()))
+	le.PutUint32(b[10:], uint32(r.Time.Nanosecond()))
+	le.PutUint64(b[14:], math.Float64bits(r.Pos.Lon))
+	le.PutUint64(b[22:], math.Float64bits(r.Pos.Lat))
+	le.PutUint64(b[30:], math.Float64bits(r.AltFt))
+	le.PutUint64(b[38:], math.Float64bits(r.SpeedKn))
+	le.PutUint64(b[46:], math.Float64bits(r.Heading))
+	le.PutUint64(b[54:], math.Float64bits(r.VRateFS))
+	le.PutUint16(b[62:], uint16(len(id)))
+	le.PutUint16(b[64:], uint16(len(src)))
 	dst = append(dst, id...)
-	dst = append(dst, src...)
-	return dst
+	return append(dst, src...)
 }
 
 // FramedSize is the size of r's binary encoding behind a uvarint length
 // prefix — the form operator snapshots embed reports in.
-func (r Report) FramedSize() int {
+func (r *Report) FramedSize() int {
 	n := r.BinarySize()
 	return wire.UvarintLen(uint64(n)) + n
 }
 
 // AppendFramed appends r's binary encoding behind a uvarint length prefix.
-func (r Report) AppendFramed(dst []byte) []byte {
+func (r *Report) AppendFramed(dst []byte) []byte {
 	return r.AppendBinary(wire.AppendUvarint(dst, uint64(r.BinarySize())))
 }
 

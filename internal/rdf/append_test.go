@@ -90,14 +90,22 @@ func TestAppendNTDoesNotAllocate(t *testing.T) {
 
 // FuzzTripleAppend: whatever AppendNT writes, ParseNTriple reads back as the
 // same triple. Terms the line syntax cannot carry (an IRI holding '>', a
-// blank-node label holding a space or tab) are outside the property.
+// blank-node label holding a space or tab) are outside the property. Every
+// input string is also checked against the literal quoting oracle: the
+// printable-ASCII fast path writes what strconv.AppendQuote writes.
 func FuzzTripleAppend(f *testing.F) {
 	f.Add("http://x/s", false, "http://x/p", uint8(0), "http://x/o", "")
 	f.Add("n1", true, "http://x/p", uint8(1), "say \"hi\"\n\\", "")
 	f.Add("http://x/s", false, "http://x/p", uint8(1), "2.5", string(XSDDouble))
 	f.Add("http://x/s", false, "http://x/p", uint8(1), "bad\xffutf8\x00", string(WKTLiteral))
 	f.Add("", true, "", uint8(2), "b2", "")
+	f.Add("http://x/s", false, "http://x/p", uint8(1), "POINT (23.5 37.9) ~\x7f", "")
 	f.Fuzz(func(t *testing.T, subj string, subjBlank bool, pred string, kind uint8, obj, datatype string) {
+		for _, s := range []string{subj, pred, obj, datatype} {
+			if got, want := appendQuoted([]byte("x"), s), strconv.AppendQuote([]byte("x"), s); string(got) != string(want) {
+				t.Fatalf("appendQuoted(%q) = %s, strconv.AppendQuote writes %s", s, got, want)
+			}
+		}
 		okIRI := func(s string) bool { return !strings.Contains(s, ">") }
 		okBNode := func(s string) bool { return !strings.ContainsAny(s, " \t") }
 		var tr Triple

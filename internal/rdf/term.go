@@ -127,7 +127,7 @@ func appendTerm(dst []byte, t Term) []byte {
 		dst = append(dst, v...)
 		return append(dst, '>')
 	case Literal:
-		dst = strconv.AppendQuote(dst, v.Value)
+		dst = appendQuoted(dst, v.Value)
 		if v.Datatype != "" && v.Datatype != XSDString {
 			dst = append(dst, "^^<"...)
 			dst = append(dst, v.Datatype...)
@@ -142,6 +142,21 @@ func appendTerm(dst []byte, t Term) []byte {
 		// renders a nil interface, so String never panics.
 		return append(dst, "%!s(<nil>)"...)
 	}
+}
+
+// appendQuoted appends s as strconv.AppendQuote does. A literal of printable
+// ASCII with no '"' or '\\' — every number, time and WKT the pipeline
+// writes — quotes as itself, so it is copied between two quote bytes
+// without AppendQuote's per-rune decoding.
+func appendQuoted(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(dst, s)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // ntStackBuf sizes the on-stack buffer String renders into; a longer line

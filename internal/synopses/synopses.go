@@ -11,13 +11,13 @@
 package synopses
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
 
 	"datacron/internal/geo"
 	"datacron/internal/mobility"
+	"datacron/internal/wire"
 )
 
 // CriticalType enumerates the critical-point types of Section 4.2.2.
@@ -48,23 +48,73 @@ type CriticalPoint struct {
 	Delta float64      `json:"delta,omitempty"`
 }
 
-// Marshal encodes the critical point as the JSON wire format used on the
-// synopses topic.
-func (cp CriticalPoint) Marshal() []byte {
-	b, err := json.Marshal(cp)
-	if err != nil {
-		panic(err) // no unmarshalable fields
-	}
-	return b
+// Record layout of a critical point on the synopses topic (wire package
+// encoding):
+//
+//	tag 0xC9 | version | bytes report | string type | f64 delta
+//
+// The report is mobility's binary encoding behind a length prefix; delta is
+// its raw IEEE-754 bit pattern, so every value, NaN included, round-trips.
+
+// criticalTypes lists every CriticalType, so a decoded type reuses the
+// constant's string instead of allocating one.
+var criticalTypes = [...]CriticalType{
+	TrajectoryStart, TrajectoryEnd, StopStart, StopEnd, SlowMotionStart,
+	SlowMotionEnd, ChangeInHeading, SpeedChange, GapStart, GapEnd,
+	ChangeInAltitude, Takeoff, Landing,
 }
 
-// UnmarshalCriticalPoint decodes the JSON wire format.
+// RecordSize is the exact size of cp's synopsis record. Like the report
+// encoders, the record methods take a pointer, so encoding a point copies
+// nothing.
+func (cp *CriticalPoint) RecordSize() int {
+	return wire.HeaderLen + cp.Report.FramedSize() + wire.StringLen(string(cp.Type)) + 8
+}
+
+// AppendRecord appends cp's synopsis record to dst. With RecordSize bytes
+// of spare capacity in dst it does not allocate.
+func (cp *CriticalPoint) AppendRecord(dst []byte) []byte {
+	dst = wire.AppendHeader(dst, wire.TagCriticalPoint)
+	dst = cp.Report.AppendFramed(dst)
+	dst = wire.AppendString(dst, string(cp.Type))
+	return wire.AppendFloat64(dst, cp.Delta)
+}
+
+// Marshal encodes cp's synopsis record into a fresh buffer sized exactly.
+func (cp *CriticalPoint) Marshal() []byte {
+	return cp.AppendRecord(make([]byte, 0, cp.RecordSize()))
+}
+
+// UnmarshalCriticalPoint decodes a synopsis record. A record of another
+// kind or version, a truncated one and one with trailing bytes fail.
 func UnmarshalCriticalPoint(b []byte) (CriticalPoint, error) {
+	rd := wire.NewReader(b)
+	if err := rd.Header(wire.TagCriticalPoint); err != nil {
+		return CriticalPoint{}, decodeErr(err)
+	}
 	var cp CriticalPoint
-	if err := json.Unmarshal(b, &cp); err != nil {
-		return CriticalPoint{}, fmt.Errorf("synopses: decoding critical point: %w", err)
+	mobility.ReadFramed(rd, &cp.Report)
+	cp.Type = internType(rd.Bytes())
+	cp.Delta = rd.Float64()
+	if err := rd.Err(); err != nil {
+		return CriticalPoint{}, decodeErr(err)
 	}
 	return cp, nil
+}
+
+func decodeErr(err error) error {
+	return fmt.Errorf("synopses: decoding critical point: %w", err)
+}
+
+// internType returns the CriticalType spelled by b, the constant's own
+// string when b names one.
+func internType(b []byte) CriticalType {
+	for _, t := range criticalTypes {
+		if string(t) == string(b) {
+			return t
+		}
+	}
+	return CriticalType(b)
 }
 
 // Config holds the single-pass heuristics' thresholds. The defaults follow
@@ -186,7 +236,13 @@ func (g *Generator) Stats() Stats { return g.stats }
 // triggers (usually none). Reports must arrive per-mover in time order;
 // out-of-order and invalid records are dropped as noise.
 func (g *Generator) Process(r mobility.Report) []CriticalPoint {
-	out := g.process(r)
+	return g.AppendProcess(nil, r)
+}
+
+// AppendProcess is Process appending the critical points to dst, so a
+// caller that reuses dst detects them without allocating.
+func (g *Generator) AppendProcess(dst []CriticalPoint, r mobility.Report) []CriticalPoint {
+	out := g.process(dst, r)
 	if g.m != nil {
 		g.m.sync(g.stats)
 	}
@@ -199,12 +255,12 @@ func (g *Generator) emit(out []CriticalPoint, cp CriticalPoint) []CriticalPoint 
 	return append(out, cp)
 }
 
-// process is Process before the metrics mirror is brought up to date.
-func (g *Generator) process(r mobility.Report) []CriticalPoint {
+// process is AppendProcess before the metrics mirror is brought up to date.
+func (g *Generator) process(out []CriticalPoint, r mobility.Report) []CriticalPoint {
 	g.stats.In++
 	if !r.Valid() {
 		g.stats.Dropped++
-		return nil
+		return out
 	}
 	st, ok := g.states[r.ID]
 	if !ok {
@@ -212,22 +268,20 @@ func (g *Generator) process(r mobility.Report) []CriticalPoint {
 		g.states[r.ID] = st
 		st.remember(r, g.cfg.HistoryLen, g.cfg.HistoryWindow)
 		st.meanSpeedKn = r.SpeedKn
-		return g.emit(nil, CriticalPoint{Report: r, Type: TrajectoryStart})
+		return g.emit(out, CriticalPoint{Report: r, Type: TrajectoryStart})
 	}
 
 	// Noise filters.
 	if !r.Time.After(st.last.Time) {
 		g.stats.Dropped++
-		return nil
+		return out
 	}
 	dt := r.Time.Sub(st.last.Time).Seconds()
 	dist := geo.Haversine(st.last.Pos, r.Pos)
 	if dist/dt > g.cfg.MaxSpeedMS {
 		g.stats.Dropped++
-		return nil
+		return out
 	}
-
-	var out []CriticalPoint
 
 	// Communication gap.
 	if r.Time.Sub(st.last.Time) >= g.cfg.GapDuration {

@@ -19,7 +19,8 @@ import (
 	"time"
 )
 
-// Operator tags: the first byte of every operator snapshot.
+// Operator tags: the first byte of every operator snapshot, and of every
+// record on the synopses topic.
 const (
 	TagShardMeta  byte = 0xC1 // checkpoint.ShardSnapshots "shard/meta"
 	TagRunState   byte = 0xC2 // core run state ("summary")
@@ -29,6 +30,8 @@ const (
 	TagLinkdisc   byte = 0xC6 // linkdisc.Discoverer
 	TagCER        byte = 0xC7 // cer.Forecaster
 	TagPredictors byte = 0xC8 // core per-mover FLP predictor map
+
+	TagCriticalPoint byte = 0xC9 // synopses.CriticalPoint record
 )
 
 // Version is the layout version every operator snapshot currently writes.

@@ -3,7 +3,8 @@
 // input, leaves the operator unchanged when it fails, and when it succeeds
 // yields a state whose snapshot is canonical — written into a buffer sized
 // exactly, stable across captures, and restorable into a fresh operator with
-// the same bytes coming back out.
+// the same bytes coming back out. Record codecs (CheckCodec) are held to the
+// same contract, with nothing to leave unchanged.
 package wiretest
 
 import (
@@ -55,6 +56,32 @@ func CheckRestore(t testing.TB, op Operator, fresh func() Operator, data []byte)
 	}
 	if got := snapshot(t, other); !bytes.Equal(got, after) {
 		t.Fatalf("re-restored state snapshots differently:\n%x\n%x", after, got)
+	}
+}
+
+// CheckCodec decodes a record of n bytes and checks the contract for a
+// record codec: the decode never panics and allocates within the same bound
+// as a restore, and when it succeeds the re-encoding of what it decoded is
+// canonical — written into a buffer sized exactly, and decoding to itself
+// again byte for byte. reencode decodes its input and returns the
+// re-encoding, or the decode error.
+func CheckCodec(t testing.TB, data []byte, reencode func([]byte) ([]byte, error)) {
+	t.Helper()
+	var enc []byte
+	var err error
+	CheckAllocs(t, len(data), func() { enc, err = reencode(data) })
+	if err != nil {
+		return
+	}
+	if len(enc) != cap(enc) {
+		t.Fatalf("re-encoding wrote %d bytes into a %d-byte buffer; it sizes its buffer once, exactly", len(enc), cap(enc))
+	}
+	again, err := reencode(enc)
+	if err != nil {
+		t.Fatalf("the re-encoding of a decoded record does not decode: %v", err)
+	}
+	if !bytes.Equal(again, enc) {
+		t.Fatalf("re-encoding is not canonical:\n%x\n%x", enc, again)
 	}
 }
 
