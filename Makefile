@@ -82,13 +82,14 @@ smoke:
 	./scripts/smoke_admin.sh
 
 # fuzz runs every fuzzer for 10 s each: the wire codecs (reports and
-# synopsis records) and the triple encoder, the checkpoint frame, and every
-# operator Restore. `go test` runs their seed corpora (testdata/fuzz/<name>/
+# synopsis records), the triple encoder and the critical-point graph
+# renderer, the checkpoint frame, and every operator Restore. `go test` runs their seed corpora (testdata/fuzz/<name>/
 # plus the f.Add seeds) on every invocation; this target searches beyond
 # them. Not part of ci.
 FUZZERS = \
 	internal/mobility:FuzzReportCodec \
 	internal/rdf:FuzzTripleAppend \
+	internal/rdfgen:FuzzCriticalPointGraph \
 	internal/checkpoint:FuzzCheckpointDecode \
 	internal/checkpoint:FuzzShardMetaRestore \
 	internal/lowlevel:FuzzProfilerRestore \

@@ -554,3 +554,28 @@ func BenchmarkPublishCriticalPoint(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(triples)), "triples/op")
 }
+
+// Rendering one critical point's graph — 11 template triples, two weather
+// annotations and two links — to N-Triples lines and keys with the typed
+// renderer, into a reused graph. Compare BenchmarkRDFGeneratorPerRecord plus
+// 13 × BenchmarkTripleAppend for the generic path it replaces on the merge.
+func BenchmarkRenderCriticalPoint(b *testing.B) {
+	cp := synopses.CriticalPoint{
+		Report: mobility.Report{ID: "v-17", Time: gen.DefaultStart,
+			Pos: geo.Pt(23.6, 37.9), SpeedKn: 11, Heading: 88},
+		Type: synopses.ChangeInHeading,
+	}
+	row := rdfgen.PointRow{Point: &cp, Weather: true, Wind: 7.25, Wave: 1.5, Links: []linkdisc.Link{
+		{Source: cp.ID, Target: "natura-12", Relation: linkdisc.NearTo, Time: cp.Time},
+		{Source: cp.ID, Target: "port-3", Relation: linkdisc.Within, Time: cp.Time},
+	}}
+	r := rdfgen.NewPointRenderer()
+	var g rdfgen.PointGraph
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		row.Seq = 4211 + i
+		r.Render(&g, &row)
+	}
+	b.SetBytes(int64(len(g.Lines)))
+}

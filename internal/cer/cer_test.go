@@ -344,3 +344,40 @@ func TestPrecisionIncreasesWithTheta(t *testing.T) {
 		last = p
 	}
 }
+
+// TestForecastLookupAllocs: looking up a chain state's waiting-time
+// distribution builds its key on the stack, and a forecaster sliding its
+// context along a long stream reuses one buffer, so neither allocates.
+func TestForecastLookupAllocs(t *testing.T) {
+	alphabet := []string{"a", "b", "c"}
+	src := gen.NewMarkovSource(11, alphabet, 2, 0.6)
+	model := LearnModel(src.Generate(5_000), alphabet, 2, 1)
+	f, err := NewForecaster(mustParse(t, "a c c"), alphabet, model, 50, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := []string{"b", "c"}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := f.PMC().WaitingTime(1, ctx); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WaitingTime made %v allocations, want 0", n)
+	}
+	stream := src.Generate(1_000)
+	for _, s := range stream[:10] {
+		f.Process(s)
+	}
+	i, forecasts := 10, 0
+	if n := testing.AllocsPerRun(500, func() {
+		if _, _, ok := f.Process(stream[i]); ok {
+			forecasts++
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("Process made %v allocations per symbol, want 0", n)
+	}
+	if forecasts == 0 {
+		t.Error("the stream produced no forecasts")
+	}
+}

@@ -68,11 +68,13 @@ func (f *Forecaster) Process(symbol string) (detected bool, fc Forecast, ok bool
 	m := f.pmc.model.Order()
 	if _, known := f.dfa.symIdx[symbol]; !known {
 		f.ctx = f.ctx[:0]
+	} else if len(f.ctx) == m && m > 0 {
+		// Slide the full context in place, so a long stream reuses one
+		// backing array instead of walking off its end.
+		copy(f.ctx, f.ctx[1:])
+		f.ctx[m-1] = symbol
 	} else if m > 0 {
 		f.ctx = append(f.ctx, symbol)
-		if len(f.ctx) > m {
-			f.ctx = f.ctx[1:]
-		}
 	}
 	f.pos++
 	if len(f.ctx) == m {

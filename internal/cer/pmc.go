@@ -3,6 +3,7 @@ package cer
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -91,9 +92,23 @@ type pmcEdge struct {
 	final bool
 }
 
-func pmcKey(q int, ctx []string) string {
-	return fmt.Sprintf("%d|%s", q, strings.Join(ctx, "\x00"))
+// appendPMCKey appends the index key of chain state (q, ctx): q in
+// decimal, '|', then the context's symbols joined by NUL bytes.
+func appendPMCKey(dst []byte, q int, ctx []string) []byte {
+	dst = strconv.AppendInt(dst, int64(q), 10)
+	dst = append(dst, '|')
+	for i, sym := range ctx {
+		if i > 0 {
+			dst = append(dst, 0)
+		}
+		dst = append(dst, sym...)
+	}
+	return dst
 }
+
+// pmcKeyBuf sizes the stack buffer a key lookup builds its key in; a longer
+// key spills to the heap through append.
+const pmcKeyBuf = 128
 
 // BuildPMC constructs the chain reachable from every (DFA state, context)
 // combination and precomputes waiting-time distributions up to horizon.
@@ -117,9 +132,11 @@ func BuildPMC(dfa *DFA, model SymbolModel, horizon int) *PMC {
 	}
 	walk(nil)
 
+	var key []byte
 	for q := 0; q < dfa.NumStates(); q++ {
 		for _, ctx := range contexts {
-			p.index[pmcKey(q, ctx)] = len(p.states)
+			key = appendPMCKey(key[:0], q, ctx)
+			p.index[string(key)] = len(p.states)
 			p.states = append(p.states, pmcState{q: q, ctx: ctx})
 		}
 	}
@@ -134,8 +151,9 @@ func BuildPMC(dfa *DFA, model SymbolModel, horizon int) *PMC {
 			if m > 0 {
 				nctx = append(append([]string(nil), st.ctx[1:]...), a)
 			}
+			key = appendPMCKey(key[:0], nq, nctx)
 			edges = append(edges, pmcEdge{
-				to:    p.index[pmcKey(nq, nctx)],
+				to:    p.index[string(key)],
 				p:     prob,
 				final: dfa.Final[nq],
 			})
@@ -183,7 +201,8 @@ func (p *PMC) NumStates() int { return len(p.states) }
 // DFA state q and context ctx (Figure 7(b)); index k holds the probability
 // of first detection exactly k+1 steps ahead.
 func (p *PMC) WaitingTime(q int, ctx []string) ([]float64, error) {
-	si, ok := p.index[pmcKey(q, ctx)]
+	var buf [pmcKeyBuf]byte
+	si, ok := p.index[string(appendPMCKey(buf[:0], q, ctx))]
 	if !ok {
 		return nil, fmt.Errorf("cer: unknown PMC state (%d, %v)", q, ctx)
 	}

@@ -9,6 +9,7 @@ import (
 	"datacron/internal/cer"
 	"datacron/internal/msg"
 	"datacron/internal/rdf"
+	"datacron/internal/rdfgen"
 )
 
 // arenaSlab is the size of the slabs an arena carves values from: a few
@@ -42,10 +43,10 @@ func (a *arena) alloc(n int) []byte {
 // clone returns a copy of b placed in the arena.
 func (a *arena) clone(b []byte) []byte { return append(a.alloc(len(b)), b...) }
 
-// TriplePublisher is the real-time layer's triple emit path: it encodes
-// triples as N-Triples lines into an arena and sends all the triples of one
-// critical point to TopicTriples in a single Broker.ProduceBatch. A
-// publisher belongs to one goroutine — the run loop builds its own per run.
+// TriplePublisher is the real-time layer's triple emit path: it places
+// N-Triples lines in an arena and sends all the triples of one critical
+// point to TopicTriples in a single Broker.ProduceBatch. A publisher belongs
+// to one goroutine — the run loop builds its own per run.
 type TriplePublisher struct {
 	broker *msg.Broker
 	arena  arena        // the encoded lines, owned by the broker once produced
@@ -65,13 +66,18 @@ func (tp *TriplePublisher) encode(t rdf.Triple) []byte {
 	return tp.arena.clone(tp.line)
 }
 
+// batch returns the ProduceBatch scratch sized for n records.
+func (tp *TriplePublisher) batch(n int) []msg.Record {
+	if cap(tp.recs) < n {
+		tp.recs = make([]msg.Record, n)
+	}
+	return tp.recs[:n]
+}
+
 // Publish sends triples to the triples topic as N-Triples lines, in order,
 // keyed by subject and stamped ts, in one broker batch.
 func (tp *TriplePublisher) Publish(ctx context.Context, triples []rdf.Triple, ts time.Time) error {
-	if cap(tp.recs) < len(triples) {
-		tp.recs = make([]msg.Record, len(triples))
-	}
-	recs := tp.recs[:len(triples)]
+	recs := tp.batch(len(triples))
 	// Consecutive triples mostly share a subject (a template lists a node's
 	// properties together), so the key is built once per run of equal ones.
 	var subject rdf.Term
@@ -82,6 +88,28 @@ func (tp *TriplePublisher) Publish(ctx context.Context, triples []rdf.Triple, ts
 		}
 		recs[i] = msg.Record{Key: key, Value: tp.encode(t), Time: ts}
 	}
+	return tp.send(ctx, recs)
+}
+
+// stage turns a rendered graph into its TopicTriples batch, one record per
+// line stamped ts: the lines are copied into the arena in one piece, each
+// record's value capped to its own line, and the keys become one string —
+// the point's one allocation — that every record's key is a slice of. The
+// records are the publisher's scratch, valid until the next stage or
+// Publish; a caller may produce their values to another topic as well, since
+// the broker never writes a value it holds.
+func (tp *TriplePublisher) stage(g *rdfgen.PointGraph, ts time.Time) []msg.Record {
+	lines := tp.arena.clone(g.Lines)
+	keys := string(g.Keys)
+	recs := tp.batch(len(g.Triples))
+	for i, t := range g.Triples {
+		recs[i] = msg.Record{Key: keys[t.KeyStart:t.KeyEnd], Value: lines[t.Start:t.End:t.End], Time: ts}
+	}
+	return recs
+}
+
+// send produces recs to the triples topic in one broker batch.
+func (tp *TriplePublisher) send(ctx context.Context, recs []msg.Record) error {
 	admitted, err := tp.broker.ProduceBatch(ctx, TopicTriples, recs)
 	if err == nil && admitted < len(recs) {
 		err = triplesRefusedErr(len(recs)-admitted, len(recs))

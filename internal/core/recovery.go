@@ -13,8 +13,6 @@ import (
 	"datacron/internal/linkdisc"
 	"datacron/internal/msg"
 	"datacron/internal/obs"
-	"datacron/internal/ontology"
-	"datacron/internal/rdf"
 	"datacron/internal/rdfgen"
 	"datacron/internal/shard"
 	"datacron/internal/wire"
@@ -261,7 +259,7 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		disc = linkdisc.NewDiscoverer(p.cfg.Link, p.cfg.Statics)
 		disc.Instrument(p.obs)
 	}
-	rdfGen := rdfgen.CriticalPointGenerator()
+	render := rdfgen.NewPointRenderer()
 	seq := 0
 
 	// Per-stage metric handles, resolved once; nil-safe no-ops when
@@ -406,11 +404,13 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 	}()
 
 	// The emit path's reused state: the publisher's arena and batch scratch,
-	// one triple slice that every critical point's graph is built in, and the
-	// CER notes' buffer and the arena their TopicEvents values go into.
+	// the graph every critical point is rendered into and the links buffer it
+	// reads, and the CER notes' buffer and the arena their TopicEvents values
+	// go into.
 	pub := NewTriplePublisher(p.Broker)
-	triples := make([]rdf.Triple, 0, 32)
 	var (
+		graph  rdfgen.PointGraph
+		links  []linkdisc.Link
 		note   []byte
 		events arena
 	)
@@ -430,34 +430,31 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		if _, err := p.Broker.Produce(ctx, TopicSynopses, cp.ID, fp.record, cp.Time); err != nil {
 			return err
 		}
-		// RDF-ify.
-		triples = rdfGen.AppendTriples(triples[:0], rdfgen.CriticalPointRecord(seq, *cp))
-		// Weather enrichment: annotate the semantic node with the ambient
-		// conditions at its position and time.
-		if p.cfg.Weather != nil {
-			node := ontology.NodeIRI(cp.ID, seq)
-			triples = append(triples,
-				rdf.Triple{S: node, P: ontology.PropWindSpeed, O: fp.wind},
-				rdf.Triple{S: node, P: ontology.PropWaveHeight, O: fp.wave},
-			)
-		}
 		// Link discovery on the critical point.
+		links = links[:0]
 		if disc != nil {
-			for _, l := range disc.ProcessPoint(cp.ID, cp.Time, cp.Pos) {
-				sum.Links++
-				p.Dashboard.AddLink(l)
-				t := l.Triple()
-				if _, err := p.Broker.Produce(ctx, TopicLinks, l.Source, pub.encode(t), l.Time); err != nil {
-					return err
-				}
-				triples = append(triples, t)
+			links = disc.AppendPoint(links, cp.ID, cp.Time, cp.Pos)
+		}
+		// RDF-ify: the point's whole graph — template, weather annotations,
+		// then link triples — rendered to N-Triples lines and staged as one
+		// batch. A link is stamped with the time of the point that produced
+		// it, so cp.Time is every record's time.
+		row := rdfgen.PointRow{Seq: seq, Point: cp, Weather: p.cfg.Weather != nil,
+			Wind: fp.wind, Wave: fp.wave, Links: links}
+		render.Render(&graph, &row)
+		recs := pub.stage(&graph, cp.Time)
+		// The link lines close the graph; each is also its link's
+		// TopicLinks value.
+		linkRecs := recs[len(recs)-len(links):]
+		for i, l := range links {
+			sum.Links++
+			p.Dashboard.AddLink(l)
+			if _, err := p.Broker.Produce(ctx, TopicLinks, l.Source, linkRecs[i].Value, l.Time); err != nil {
+				return err
 			}
 		}
-		// The point's whole graph — template, weather, then link triples —
-		// goes out as one batch. A link is stamped with the time of the
-		// point that produced it, so cp.Time is every record's time.
-		sum.Triples += int64(len(triples))
-		if err := pub.Publish(ctx, triples, cp.Time); err != nil {
+		sum.Triples += int64(len(recs))
+		if err := pub.send(ctx, recs); err != nil {
 			return err
 		}
 		// Complex event forecasting on the critical-point type stream.

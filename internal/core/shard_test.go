@@ -4,10 +4,15 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"datacron/internal/checkpoint"
 	"datacron/internal/checkpoint/faultinject"
 	"datacron/internal/gen"
+	"datacron/internal/geo"
+	"datacron/internal/mobility"
+	"datacron/internal/msg"
+	"datacron/internal/obs"
 	"datacron/internal/synopses"
 )
 
@@ -209,5 +214,51 @@ func TestShardedCheckpointShardCountPinned(t *testing.T) {
 	_, err = p4.RunWithRecovery(context.Background(), &RecoveryConfig{Checkpointer: cpr4, EveryRecords: 300})
 	if err == nil {
 		t.Fatal("restore with mismatched shard count must fail")
+	}
+}
+
+// TestShardWorkerProcessAllocs: a shard worker processing an unsampled
+// record that yields no critical point allocates only FLP's returned
+// prediction. Its stage spans are no-ops then, and must not allocate a
+// variadic attribute slice per call either.
+func TestShardWorkerProcessAllocs(t *testing.T) {
+	p, err := New(WithObs(obs.NewRegistry(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := p.newShardWorker(0, obs.NewRegistry(nil))
+	// One mover steaming due east at constant speed: after its first report
+	// no critical point, and a prediction from the third on.
+	const n = 400
+	recs := make([]msg.Record, n)
+	pos := geo.Pt(23.5, 37.9)
+	for i := range recs {
+		r := mobility.Report{ID: "v-1", Time: gen.DefaultStart.Add(time.Duration(i) * 10 * time.Second),
+			Pos: pos, SpeedKn: 10, Heading: 90, Source: "ais"}
+		recs[i] = msg.Record{Key: r.ID, Value: r.AppendBinary(nil), Time: r.Time}
+		pos = geo.Destination(pos, 90, 10*mobility.KnotsToMS*10)
+	}
+	next := 0
+	process := func() workerOut {
+		out := w.Process(workerIn{rec: recs[next]})
+		next++
+		return out
+	}
+	for next < 20 {
+		process()
+	}
+	var cps int
+	allocs := testing.AllocsPerRun(200, func() {
+		out := process()
+		if !out.ok || !out.valid || out.pred == nil {
+			t.Fatalf("record %d: ok=%v valid=%v predicted=%v", next-1, out.ok, out.valid, out.pred != nil)
+		}
+		cps += len(out.cps)
+	})
+	if cps != 0 {
+		t.Fatalf("the fixture yielded %d critical points, want none", cps)
+	}
+	if allocs > 1 {
+		t.Errorf("Process made %v allocations per record, want at most 1 (the prediction)", allocs)
 	}
 }

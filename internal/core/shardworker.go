@@ -12,7 +12,6 @@ import (
 	"datacron/internal/mobility"
 	"datacron/internal/msg"
 	"datacron/internal/obs"
-	"datacron/internal/rdf"
 	"datacron/internal/synopses"
 )
 
@@ -65,8 +64,8 @@ type workerOut struct {
 // the merge only numbers, links, forecasts and publishes it.
 type finishedPoint struct {
 	synopses.CriticalPoint
-	record     []byte   // the TopicSynopses value, in the worker's arena
-	wind, wave rdf.Term // weather literals, nil without a weather field
+	record     []byte  // the TopicSynopses value, in the worker's arena
+	wind, wave float64 // the weather at the point, zero without a weather field
 }
 
 // newWorkerIn wraps one polled record for a shard worker and decides trace
@@ -93,8 +92,11 @@ func (p *Pipeline) newWorkerIn(rec msg.Record) workerIn {
 // locking. Cross-entity stages (link discovery, CER, RDF sequencing,
 // broker output) stay on the coordinator.
 type shardWorker struct {
-	shard      int
-	shardAttr  obs.Attr // "shard"=<i>, stamped on this worker's stage spans
+	shard int
+	// shardAttrs ("shard"=<i>) is stamped on this worker's stage spans. It
+	// is built once and passed with ..., so a Child call does not allocate
+	// a variadic slice per record, sampled or not; spans only read it.
+	shardAttrs []obs.Attr
 	sg         *synopses.Generator
 	areaMon    *lowlevel.AreaMonitor
 	predictors map[string]flp.Predictor
@@ -126,7 +128,7 @@ func (p *Pipeline) newShardWorker(shard int, reg *obs.Registry) *shardWorker {
 	sg.Instrument(reg)
 	return &shardWorker{
 		shard:      shard,
-		shardAttr:  obs.Attr{Key: "shard", Value: fmt.Sprintf("%d", shard)},
+		shardAttrs: []obs.Attr{{Key: "shard", Value: strconv.Itoa(shard)}},
 		sg:         sg,
 		areaMon:    lowlevel.NewAreaMonitor(p.cfg.Regions, 64),
 		predictors: map[string]flp.Predictor{},
@@ -147,7 +149,7 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 	}
 	root := in.trace.rootSpan()
 	w.mRecords.Inc()
-	decodeSpan := root.Child("decode", w.shardAttr)
+	decodeSpan := root.Child("decode", w.shardAttrs...)
 	// In-place decode through the worker's interning decoder: binary records
 	// decode with zero steady-state allocations, legacy JSON records sniffed
 	// by magic byte still take the reflection path. The report is copied by
@@ -165,7 +167,7 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 	out := workerOut{ok: true, rep: r, valid: r.Valid(), trace: in.trace}
 	if out.valid {
 		out.areaEvents = int64(len(w.areaMon.Update(r)))
-		flpSpan := root.Child("flp", w.shardAttr)
+		flpSpan := root.Child("flp", w.shardAttrs...)
 		pred, ok := w.predictors[r.ID]
 		if !ok {
 			pred = flp.NewRMFStar(w.sample)
@@ -175,7 +177,7 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 		out.pred = pred.Predict(w.steps)
 		flpSpan.End()
 	}
-	synSpan := root.Child("synopses", w.shardAttr)
+	synSpan := root.Child("synopses", w.shardAttrs...)
 	w.cps = w.sg.AppendProcess(w.cps[:0], r)
 	out.cps = w.finish(w.cps)
 	synSpan.End()
@@ -184,7 +186,7 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 
 // finish returns cps as finished points, in one allocation (none for no
 // points): each point's synopsis record encoded into the worker's arena and,
-// with a weather field, its wind and wave literals formatted.
+// with a weather field, its wind and wave read.
 func (w *shardWorker) finish(cps []synopses.CriticalPoint) []finishedPoint {
 	if len(cps) == 0 {
 		return nil
@@ -195,8 +197,8 @@ func (w *shardWorker) finish(cps []synopses.CriticalPoint) []finishedPoint {
 		fp.CriticalPoint = cps[i]
 		fp.record = fp.AppendRecord(w.records.alloc(fp.RecordSize()))
 		if w.weather != nil {
-			fp.wind = rdf.Float(w.weather.WindSpeed(fp.Pos, fp.Time))
-			fp.wave = rdf.Float(w.weather.WaveHeight(fp.Pos, fp.Time))
+			fp.wind = w.weather.WindSpeed(fp.Pos, fp.Time)
+			fp.wave = w.weather.WaveHeight(fp.Pos, fp.Time)
 		}
 	}
 	return out

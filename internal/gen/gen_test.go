@@ -429,3 +429,59 @@ func TestSortReportsKeepsSortSliceStableOrder(t *testing.T) {
 		}
 	}
 }
+
+// sortedRun is VesselSim.Run as it was first written, kept as its oracle:
+// every vessel's reports generated in turn, then one stable sort.
+func sortedRun(s *VesselSim, dur time.Duration) []mobility.Report {
+	var out []mobility.Report
+	interval := s.cfg.ReportInterval
+	for _, st := range s.vessels {
+		offset := time.Duration(st.r.Int63n(int64(interval)))
+		for elapsed := offset; elapsed < dur; elapsed += interval {
+			if s.step(st, interval) {
+				out = append(out, s.emit(st, s.cfg.Start.Add(elapsed)))
+			}
+		}
+	}
+	sortReports(out)
+	return out
+}
+
+// TestVesselRunMatchesSortedRun: stepping the fleet round by round yields
+// the slice the per-vessel loop and its stable sort yield, report for
+// report, over successive Runs of the same simulation — for the default
+// fleet at two seeds, with and without erroneous records, and for the two
+// benchmark fleets.
+func TestVesselRunMatchesSortedRun(t *testing.T) {
+	per := 75
+	cases := []struct {
+		name       string
+		cfg        VesselSimConfig
+		first, run time.Duration
+	}{
+		{"default/seed1", VesselSimConfig{Seed: 1}, 2 * time.Hour, 45 * time.Minute},
+		{"default/seed7", VesselSimConfig{Seed: 7}, 2 * time.Hour, 45 * time.Minute},
+		{"errors/seed7", VesselSimConfig{Seed: 7, ErrProb: 0.05, GapProb: 0.01}, 2 * time.Hour, 45 * time.Minute},
+		{"transit-fleet", VesselSimConfig{Seed: 1, Region: AegeanRegion, GapProb: 0.005,
+			Counts: map[VesselClass]int{Cargo: per, Tanker: per, Ferry: per, Fishing: per}}, 4 * time.Hour, 30 * time.Minute},
+		{"manoeuvre-fleet", VesselSimConfig{Seed: 7, Region: AegeanRegion, GapProb: 0.005,
+			Counts: map[VesselClass]int{Fishing: 300}}, 36 * time.Minute, 36 * time.Minute},
+		{"odd-interval", VesselSimConfig{Seed: 3, ReportInterval: 7 * time.Second, ErrProb: 0.02}, 55*time.Minute + 3*time.Second, time.Hour},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, want := NewVesselSim(c.cfg), NewVesselSim(c.cfg)
+			for i, dur := range []time.Duration{c.first, c.run} {
+				g, w := got.Run(dur), sortedRun(want, dur)
+				if len(g) != len(w) {
+					t.Fatalf("run %d: %d reports, want %d", i, len(g), len(w))
+				}
+				for j := range w {
+					if g[j] != w[j] {
+						t.Fatalf("run %d: report %d = %+v, want %+v", i, j, g[j], w[j])
+					}
+				}
+			}
+		})
+	}
+}

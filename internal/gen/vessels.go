@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -354,20 +355,54 @@ func (s *VesselSim) emit(st *vesselState, ts time.Time) mobility.Report {
 // Run simulates the fleet for the given duration and returns all reports in
 // global time order. Reports arrive with per-vessel phase offsets so
 // timestamps interleave like a real feed.
+//
+// Every vessel reports once per ReportInterval from an offset in [0,
+// interval) drawn from its own generator, so each report of round k
+// precedes every report of round k+1. Stepping the fleet round by round,
+// the vessels of a round ordered by (offset, ID, index), therefore emits the
+// reports already in sortReports order — the order a stable sort by (time,
+// ID) gives the reports generated vessel by vessel — and each vessel draws
+// from its generator exactly what the vessel-by-vessel loop drew.
 func (s *VesselSim) Run(dur time.Duration) []mobility.Report {
-	var out []mobility.Report
 	interval := s.cfg.ReportInterval
-	for _, st := range s.vessels {
+	fleet := make([]phasedVessel, len(s.vessels))
+	rounds := 0
+	for i, st := range s.vessels {
 		offset := time.Duration(st.r.Int63n(int64(interval)))
-		for elapsed := offset; elapsed < dur; elapsed += interval {
-			ts := s.cfg.Start.Add(elapsed)
-			if s.step(st, interval) {
-				out = append(out, s.emit(st, ts))
+		fleet[i] = phasedVessel{st: st, offset: offset, index: i}
+		if offset < dur {
+			rounds += int((dur-offset-1)/interval) + 1
+		}
+	}
+	slices.SortFunc(fleet, func(a, b phasedVessel) int {
+		if a.offset != b.offset {
+			return cmp.Compare(a.offset, b.offset)
+		}
+		if c := strings.Compare(a.st.info.ID, b.st.info.ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.index, b.index)
+	})
+	out := make([]mobility.Report, 0, rounds)
+	for round := time.Duration(0); round < dur; round += interval {
+		for _, v := range fleet {
+			elapsed := round + v.offset
+			if elapsed >= dur {
+				break // the rest of the fleet reports later still
+			}
+			if s.step(v.st, interval) {
+				out = append(out, s.emit(v.st, s.cfg.Start.Add(elapsed)))
 			}
 		}
 	}
-	sortReports(out)
 	return out
+}
+
+// phasedVessel is a vessel with its phase offset for one Run.
+type phasedVessel struct {
+	st     *vesselState
+	offset time.Duration
+	index  int // position in the fleet, the last tie-break
 }
 
 // sortReports orders reports by time, breaking ties by mover ID; reports

@@ -19,7 +19,17 @@ type Geometry interface {
 
 // WKT renders the point as "POINT (lon lat)".
 func (p Point) WKT() string {
-	return fmt.Sprintf("POINT (%s %s)", fmtCoord(p.Lon), fmtCoord(p.Lat))
+	var buf [64]byte
+	return string(p.AppendWKT(buf[:0]))
+}
+
+// AppendWKT appends the point's WKT, as WKT renders it, to dst.
+func (p Point) AppendWKT(dst []byte) []byte {
+	dst = append(dst, "POINT ("...)
+	dst = strconv.AppendFloat(dst, p.Lon, 'f', -1, 64)
+	dst = append(dst, ' ')
+	dst = strconv.AppendFloat(dst, p.Lat, 'f', -1, 64)
+	return append(dst, ')')
 }
 
 // Bounds returns the degenerate rectangle covering only p.

@@ -16,7 +16,8 @@ package linkdisc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"datacron/internal/geo"
@@ -43,15 +44,48 @@ type Link struct {
 
 // Triple renders the link as an RDF triple under the datAcron ontology.
 func (l Link) Triple() rdf.Triple {
-	p := ontology.PropWithin
-	if l.Relation == NearTo {
-		p = ontology.PropNearTo
-	}
 	return rdf.Triple{
-		S: rdf.NSDatAcron.IRI("entity/" + l.Source),
-		P: p,
-		O: rdf.NSDatAcron.IRI("entity/" + l.Target),
+		S: rdf.NSDatAcron.IRI(entityPath + l.Source),
+		P: l.predicate(),
+		O: rdf.NSDatAcron.IRI(entityPath + l.Target),
 	}
+}
+
+// entityPath is where an entity's IRI sits in the datAcron namespace.
+const entityPath = "entity/"
+
+// iriKeyPrefix is what rdf.IRI.Key puts before the IRI.
+var iriKeyPrefix = rdf.IRI("").Key()
+
+func (l Link) predicate() rdf.IRI {
+	if l.Relation == NearTo {
+		return ontology.PropNearTo
+	}
+	return ontology.PropWithin
+}
+
+// AppendNT appends l.Triple()'s N-Triples line, byte for byte what
+// rdf.Triple.AppendNT writes for it, without building the triple's terms.
+func (l Link) AppendNT(dst []byte) []byte {
+	dst = append(dst, '<')
+	dst = appendEntity(dst, l.Source)
+	dst = append(dst, "> <"...)
+	dst = append(dst, l.predicate()...)
+	dst = append(dst, "> <"...)
+	dst = appendEntity(dst, l.Target)
+	return append(dst, "> ."...)
+}
+
+// AppendKey appends the Key of l.Triple()'s subject.
+func (l Link) AppendKey(dst []byte) []byte {
+	return appendEntity(append(dst, iriKeyPrefix...), l.Source)
+}
+
+// appendEntity appends the IRI of entity id.
+func appendEntity(dst []byte, id string) []byte {
+	dst = append(dst, rdf.NSDatAcron...)
+	dst = append(dst, entityPath...)
+	return append(dst, id...)
 }
 
 // StaticEntity is a stationary entity: a region polygon or a port point.
@@ -284,21 +318,24 @@ func (d *Discoverer) inMask(cell int, p geo.Point) bool {
 }
 
 // ProcessPoint evaluates one streaming entity position and returns the
-// relations it satisfies, sorted by (relation, target) for determinism.
+// relations it satisfies, sorted by (relation, target) for determinism, or
+// nil when it satisfies none.
 func (d *Discoverer) ProcessPoint(id string, t time.Time, p geo.Point) []Link {
+	return d.AppendPoint(nil, id, t, p)
+}
+
+// AppendPoint is ProcessPoint appending the relations to dst, for a caller
+// that reuses one buffer across points.
+func (d *Discoverer) AppendPoint(dst []Link, id string, t time.Time, p geo.Point) []Link {
 	if d.m != nil {
 		defer func() { d.m.sync(d.stats) }()
 	}
 	d.stats.Entities++
 	cell, ok := d.grid.CellIndex(p)
 	if !ok {
-		return nil
+		return dst
 	}
-	// out stays nil until the first hit on purpose: most points produce no
-	// links, and pre-sizing would allocate on every call instead of only on
-	// the rare link-bearing ones. The appends below are waived for the same
-	// reason.
-	var out []Link
+	start := len(dst)
 
 	// Stationary candidates, unless masked out.
 	if entries := d.cells[cell]; len(entries) > 0 {
@@ -312,9 +349,9 @@ func (d *Discoverer) ProcessPoint(id string, t time.Time, p geo.Point) []Link {
 					if !e.near {
 						d.stats.Comparisons++
 						if g.Contains(p) {
-							out = append(out, Link{Source: id, Target: s.ID, Relation: Within, Time: t}) //lint:ignore hotalloc nil-until-first-hit result slice; links are rare
+							dst = append(dst, Link{Source: id, Target: s.ID, Relation: Within, Time: t})
 							if d.cfg.NearDistanceM > 0 {
-								out = append(out, Link{Source: id, Target: s.ID, Relation: NearTo, Time: t}) //lint:ignore hotalloc nil-until-first-hit result slice; links are rare
+								dst = append(dst, Link{Source: id, Target: s.ID, Relation: NearTo, Time: t})
 							}
 							continue
 						}
@@ -322,14 +359,14 @@ func (d *Discoverer) ProcessPoint(id string, t time.Time, p geo.Point) []Link {
 					if d.cfg.NearDistanceM > 0 {
 						d.stats.Comparisons++
 						if g.DistanceTo(p) <= d.cfg.NearDistanceM {
-							out = append(out, Link{Source: id, Target: s.ID, Relation: NearTo, Time: t}) //lint:ignore hotalloc nil-until-first-hit result slice; links are rare
+							dst = append(dst, Link{Source: id, Target: s.ID, Relation: NearTo, Time: t})
 						}
 					}
 				case geo.Point:
 					if d.cfg.NearDistanceM > 0 {
 						d.stats.Comparisons++
 						if geo.Haversine(g, p) <= d.cfg.NearDistanceM {
-							out = append(out, Link{Source: id, Target: s.ID, Relation: NearTo, Time: t}) //lint:ignore hotalloc nil-until-first-hit result slice; links are rare
+							dst = append(dst, Link{Source: id, Target: s.ID, Relation: NearTo, Time: t})
 						}
 					}
 				}
@@ -358,7 +395,7 @@ func (d *Discoverer) ProcessPoint(id string, t time.Time, p geo.Point) []Link {
 				}
 				d.stats.Comparisons++
 				if geo.Haversine(rp.pos, p) <= d.cfg.NearDistanceM {
-					out = append(out, Link{Source: id, Target: rp.id, Relation: NearTo, Time: t}) //lint:ignore hotalloc nil-until-first-hit result slice; links are rare
+					dst = append(dst, Link{Source: id, Target: rp.id, Relation: NearTo, Time: t})
 				}
 			}
 			d.recent[c] = kept
@@ -366,14 +403,17 @@ func (d *Discoverer) ProcessPoint(id string, t time.Time, p geo.Point) []Link {
 		d.recent[cell] = append(d.recent[cell], recentPoint{id: id, pos: p, time: t})
 	}
 
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Relation != out[j].Relation {
-			return out[i].Relation < out[j].Relation
+	// Links equal in (relation, target) are equal in every field, so the
+	// unstable sort still orders them deterministically.
+	links := dst[start:]
+	slices.SortFunc(links, func(a, b Link) int {
+		if c := strings.Compare(string(a.Relation), string(b.Relation)); c != 0 {
+			return c
 		}
-		return out[i].Target < out[j].Target
+		return strings.Compare(a.Target, b.Target)
 	})
-	d.stats.Links += int64(len(out))
-	return out
+	d.stats.Links += int64(len(links))
+	return dst
 }
 
 // Stats returns the accumulated counters.

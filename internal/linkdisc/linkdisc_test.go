@@ -271,3 +271,77 @@ func TestTemporalEvictionBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendPointMatchesProcessPoint: appending into a reused buffer leaves
+// what the buffer held in place and appends exactly what ProcessPoint
+// returns, stats included, on a stream that exercises the statics and the
+// point-point proximity path.
+func TestAppendPointMatchesProcessPoint(t *testing.T) {
+	cfg := baseConfig(8)
+	cfg.TemporalWindow = 10 * time.Minute
+	statics := testStatics()
+	for i, a := range gen.Areas(5, gen.ProtectedArea, 30, cfg.Extent, 2_000, 15_000) {
+		statics = append(statics, StaticEntity{ID: fmt.Sprintf("area-%d", i), Geom: a.Geom})
+	}
+	byProcess, byAppend := NewDiscoverer(cfg, statics), NewDiscoverer(cfg, statics)
+	sim := gen.NewVesselSim(gen.VesselSimConfig{Seed: 7, Region: cfg.Extent})
+	sentinel := Link{Source: "kept", Target: "kept", Relation: NearTo, Time: t0}
+	buf := []Link{sentinel}
+	links := 0
+	for _, r := range sim.Run(30 * time.Minute) {
+		want := byProcess.ProcessPoint(r.ID, r.Time, r.Pos)
+		buf = byAppend.AppendPoint(buf[:1], r.ID, r.Time, r.Pos)
+		if buf[0] != sentinel {
+			t.Fatalf("AppendPoint overwrote the buffer's prefix: %v", buf[0])
+		}
+		got := buf[1:]
+		if len(got) != len(want) {
+			t.Fatalf("%s at %s: appended %d links, ProcessPoint returned %d", r.ID, r.Time, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("link %d: appended %v, ProcessPoint returned %v", i, got[i], want[i])
+			}
+		}
+		links += len(want)
+	}
+	if links == 0 {
+		t.Fatal("the stream produced no links")
+	}
+	if byProcess.Stats() != byAppend.Stats() {
+		t.Errorf("stats differ: %v vs %v", byProcess.Stats(), byAppend.Stats())
+	}
+}
+
+// TestAppendPointAllocs: probing the statics into a buffer that has room
+// allocates nothing once the probed cell's mask is built.
+func TestAppendPointAllocs(t *testing.T) {
+	d := NewDiscoverer(baseConfig(8), testStatics())
+	p := geo.Pt(23.2, 37.2) // inside region-a
+	buf := d.AppendPoint(nil, "v1", t0, p)
+	if len(buf) == 0 {
+		t.Fatal("fixture point has no links")
+	}
+	if n := testing.AllocsPerRun(200, func() { buf = d.AppendPoint(buf[:0], "v1", t0, p) }); n != 0 {
+		t.Errorf("AppendPoint made %v allocations, want 0", n)
+	}
+}
+
+// TestLinkAppendsMatchTriple: a link's line and subject key are what its
+// Triple encodes to, for either relation and IDs N-Triples does not escape.
+func TestLinkAppendsMatchTriple(t *testing.T) {
+	for _, l := range []Link{
+		{Source: "v1", Target: "region-a", Relation: Within, Time: t0},
+		{Source: "227006760", Target: "port-1", Relation: NearTo, Time: t0},
+		{Source: "", Target: "", Relation: NearTo},
+		{Source: `say "hi"\`, Target: "ναυς>", Relation: Within},
+	} {
+		tr := l.Triple()
+		if got, want := l.AppendNT([]byte("x")), tr.AppendNT([]byte("x")); string(got) != string(want) {
+			t.Errorf("AppendNT = %s, want %s", got, want)
+		}
+		if got, want := l.AppendKey([]byte("x")), "x"+tr.S.Key(); string(got) != want {
+			t.Errorf("AppendKey = %q, want %q", got, want)
+		}
+	}
+}

@@ -28,7 +28,8 @@ var hotPathRootNames = []string{
 // prefix rule misses: the wire codec (encoded/decoded once per record on
 // the ingest and shard-worker paths), the broker's batch produce and
 // non-blocking poll, the pipeline's batch ingest, the critical-point emit
-// path (triple generation, N-Triples encoding, batched publish), and the
+// path (triple generation, the typed graph renderer, N-Triples encoding,
+// link discovery into a reused buffer, batched publish), and the
 // per-trajectory kernels that run on every report (future-location
 // prediction, the synopses generator and its record encoder, the in-situ
 // profiler). Keys are module-relative package prefixes, matched
@@ -39,7 +40,8 @@ var HotPathExtraRoots = map[string][]string{
 	"internal/shard":    {"SubmitBatch"},
 	"internal/core":     {"Ingest", "Publish"},
 	"internal/rdf":      {"AppendNT"},
-	"internal/rdfgen":   {"Generate"},
+	"internal/rdfgen":   {"Generate", "Render"},
+	"internal/linkdisc": {"AppendPoint"},
 	"internal/flp":      {"Observe", "Predict"},
 	"internal/synopses": {"Process", "AppendRecord"},
 	"internal/lowlevel": {"Observe"},

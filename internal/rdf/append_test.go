@@ -102,8 +102,8 @@ func FuzzTripleAppend(f *testing.F) {
 	f.Add("http://x/s", false, "http://x/p", uint8(1), "POINT (23.5 37.9) ~\x7f", "")
 	f.Fuzz(func(t *testing.T, subj string, subjBlank bool, pred string, kind uint8, obj, datatype string) {
 		for _, s := range []string{subj, pred, obj, datatype} {
-			if got, want := appendQuoted([]byte("x"), s), strconv.AppendQuote([]byte("x"), s); string(got) != string(want) {
-				t.Fatalf("appendQuoted(%q) = %s, strconv.AppendQuote writes %s", s, got, want)
+			if got, want := AppendQuoted([]byte("x"), s), strconv.AppendQuote([]byte("x"), s); string(got) != string(want) {
+				t.Fatalf("AppendQuoted(%q) = %s, strconv.AppendQuote writes %s", s, got, want)
 			}
 		}
 		okIRI := func(s string) bool { return !strings.Contains(s, ">") }

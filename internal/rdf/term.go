@@ -127,7 +127,7 @@ func appendTerm(dst []byte, t Term) []byte {
 		dst = append(dst, v...)
 		return append(dst, '>')
 	case Literal:
-		dst = appendQuoted(dst, v.Value)
+		dst = AppendQuoted(dst, v.Value)
 		if v.Datatype != "" && v.Datatype != XSDString {
 			dst = append(dst, "^^<"...)
 			dst = append(dst, v.Datatype...)
@@ -144,11 +144,12 @@ func appendTerm(dst []byte, t Term) []byte {
 	}
 }
 
-// appendQuoted appends s as strconv.AppendQuote does. A literal of printable
-// ASCII with no '"' or '\\' — every number, time and WKT the pipeline
-// writes — quotes as itself, so it is copied between two quote bytes
-// without AppendQuote's per-rune decoding.
-func appendQuoted(dst []byte, s string) []byte {
+// AppendQuoted appends s quoted as a literal's lexical form, exactly as
+// AppendNT writes it, which is what strconv.AppendQuote writes. A literal of
+// printable ASCII with no '"' or '\\' — every number, time and WKT the
+// pipeline writes — quotes as itself, so it is copied between two quote
+// bytes without AppendQuote's per-rune decoding.
+func AppendQuoted(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
 			return strconv.AppendQuote(dst, s)

@@ -117,14 +117,34 @@ type Vars map[string]rdf.Term
 type Binding struct {
 	Var  string
 	From func(Record) rdf.Term
+
+	// kind and fields declare what a field binding reads, and segs are a
+	// BindIRI pattern's literal segments, so that NewPointRenderer can
+	// compile the binding over a typed row. Zero for BindFunc, and for a
+	// BindIRI pattern that fmt formats.
+	kind   bindKind
+	fields []string
+	segs   []string
 }
+
+// bindKind is the term a field binding makes.
+type bindKind uint8
+
+const (
+	bindOpaque bindKind = iota // BindFunc: a closure, nothing to compile
+	bindStr
+	bindFloat
+	bindTime
+	bindWKT
+	bindIRI
+)
 
 // Field bindings: each returns nil for missing or mistyped fields, so that
 // patterns referencing the variable are skipped rather than corrupted.
 
 // BindStr binds a string field as a plain literal.
 func BindStr(v, field string) Binding {
-	return Binding{Var: v, From: func(r Record) rdf.Term {
+	return Binding{Var: v, kind: bindStr, fields: []string{field}, From: func(r Record) rdf.Term {
 		if s, ok := r[field].(string); ok {
 			return rdf.Str(s)
 		}
@@ -134,7 +154,7 @@ func BindStr(v, field string) Binding {
 
 // BindFloat binds a numeric field as an xsd:double literal.
 func BindFloat(v, field string) Binding {
-	return Binding{Var: v, From: func(r Record) rdf.Term {
+	return Binding{Var: v, kind: bindFloat, fields: []string{field}, From: func(r Record) rdf.Term {
 		switch x := r[field].(type) {
 		case float64:
 			return rdf.Float(x)
@@ -150,7 +170,7 @@ func BindFloat(v, field string) Binding {
 
 // BindTime binds a time.Time field as an xsd:dateTime literal.
 func BindTime(v, field string) Binding {
-	return Binding{Var: v, From: func(r Record) rdf.Term {
+	return Binding{Var: v, kind: bindTime, fields: []string{field}, From: func(r Record) rdf.Term {
 		if t, ok := r[field].(time.Time); ok {
 			return rdf.Time(t)
 		}
@@ -160,7 +180,7 @@ func BindTime(v, field string) Binding {
 
 // BindWKT binds a string field as a geosparql wktLiteral.
 func BindWKT(v, field string) Binding {
-	return Binding{Var: v, From: func(r Record) rdf.Term {
+	return Binding{Var: v, kind: bindWKT, fields: []string{field}, From: func(r Record) rdf.Term {
 		if s, ok := r[field].(string); ok {
 			return rdf.WKT(s)
 		}
@@ -191,7 +211,7 @@ func BindIRI(v, format string, fields ...string) Binding {
 			return rdf.IRI(fmt.Sprintf(format, args...))
 		}}
 	}
-	return Binding{Var: v, From: func(r Record) rdf.Term {
+	return Binding{Var: v, kind: bindIRI, fields: fields, segs: segs, From: func(r Record) rdf.Term {
 		var buf [128]byte
 		iri := append(buf[:0], segs[0]...)
 		for i, f := range fields {

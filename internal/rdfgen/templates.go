@@ -27,10 +27,28 @@ func CriticalPointRecord(seq int, cp synopses.CriticalPoint) Record {
 	}
 }
 
-// CriticalPointGenerator returns the generator lifting critical points into
-// the datAcron ontology (semantic nodes attached to trajectories).
-func CriticalPointGenerator() *Generator {
-	bindings := []Binding{
+// pointFields maps the fields CriticalPointRecord boxes, and the weather
+// fields the annotations below read, to the PointRow values a PointRenderer
+// reads in their place ("wkt" is the position it is rendered from).
+var pointFields = map[string]pointField{
+	"id":      fieldID,
+	"seq":     fieldSeq,
+	"time":    fieldTime,
+	"wkt":     fieldPos,
+	"speed":   fieldSpeed,
+	"heading": fieldHeading,
+	"alt":     fieldAlt,
+	"type":    fieldType,
+	"wind":    fieldWind,
+	"wave":    fieldWave,
+}
+
+// The critical-point graph, declared once: CriticalPointGenerator
+// instantiates it over the Record CriticalPointRecord boxes, and
+// NewPointRenderer compiles it, with the weather annotations, into N-Triples
+// lines over a typed PointRow.
+var (
+	criticalPointBindings = []Binding{
 		BindIRI("traj", string(rdf.NSDatAcron)+"trajectory/%v", "id"),
 		BindIRI("mover", string(rdf.NSDatAcron)+"mover/%v", "id"),
 		BindIRI("node", string(rdf.NSDatAcron)+"node/%v/%v", "id", "seq"),
@@ -41,7 +59,7 @@ func CriticalPointGenerator() *Generator {
 		BindFloat("heading", "heading"),
 		BindStr("etype", "type"),
 	}
-	template := Template{
+	criticalPointTemplate = Template{
 		{S: V("traj"), P: C(rdf.RDFType), O: C(ontology.ClassTrajectory)},
 		{S: V("traj"), P: C(ontology.PropOfMover), O: V("mover")},
 		{S: V("traj"), P: C(ontology.PropHasNode), O: V("node")},
@@ -54,7 +72,23 @@ func CriticalPointGenerator() *Generator {
 		{S: V("event"), P: C(ontology.PropEventType), O: V("etype")},
 		{S: V("event"), P: C(ontology.PropOccurs), O: V("node")},
 	}
-	return NewGenerator(bindings, template)
+
+	// Weather enrichment: the semantic node annotated with the ambient
+	// conditions at its position and time, when the run has a weather field.
+	pointWeatherBindings = []Binding{
+		BindFloat("wind", "wind"),
+		BindFloat("wave", "wave"),
+	}
+	pointWeatherTemplate = Template{
+		{S: V("node"), P: C(ontology.PropWindSpeed), O: V("wind")},
+		{S: V("node"), P: C(ontology.PropWaveHeight), O: V("wave")},
+	}
+)
+
+// CriticalPointGenerator returns the generator lifting critical points into
+// the datAcron ontology (semantic nodes attached to trajectories).
+func CriticalPointGenerator() *Generator {
+	return NewGenerator(criticalPointBindings, criticalPointTemplate)
 }
 
 // RegionRecord adapts a named polygon to a Record, mimicking a shapefile
