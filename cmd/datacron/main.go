@@ -363,9 +363,8 @@ func run(ctx context.Context, o options, out io.Writer) error {
 
 	if o.metrics {
 		st := pipeline.Stats()
-		ratio, _ := st.Metrics.Gauge("synopses.compression_ratio")
 		fmt.Fprintf(out, "metrics: %.0f records/s, %.0f entities/s, compression ratio %.3f\n",
-			st.Metrics.Rate("core.records"), st.Metrics.Rate("linkdisc.entities"), ratio)
+			st.Metrics.Rate("core.records"), st.Metrics.Rate("linkdisc.entities"), st.Summary.Compression)
 		if err := st.WriteText(out); err != nil {
 			return err
 		}

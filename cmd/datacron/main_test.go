@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -82,5 +83,38 @@ func TestBadFlags(t *testing.T) {
 	o := options{domain: "aviation", flights: 1, logLevel: "loud"}
 	if err := run(context.Background(), o, &out); err == nil {
 		t.Error("bad -log-level must fail")
+	}
+}
+
+// TestMetricsCompressionMatchesSummary checks that -metrics prints the
+// run's compression ratio, the one its summary line reports, at a shard
+// count where a per-shard reading would differ from the whole run's.
+func TestMetricsCompressionMatchesSummary(t *testing.T) {
+	var out bytes.Buffer
+	o := options{
+		domain: "maritime", duration: 2 * time.Hour, vessels: 16, seed: 1,
+		shards: 4, metrics: true,
+	}
+	if err := run(context.Background(), o, &out); err != nil {
+		t.Fatal(err)
+	}
+	var summaryPct, ratio float64
+	for _, line := range strings.Split(out.String(), "\n") {
+		if _, rest, ok := strings.Cut(line, "(compression "); ok && summaryPct == 0 {
+			if _, err := fmt.Sscanf(rest, "%g%%", &summaryPct); err != nil {
+				t.Fatalf("summary line %q: %v", line, err)
+			}
+		}
+		if _, rest, ok := strings.Cut(line, "compression ratio "); ok {
+			if _, err := fmt.Sscanf(rest, "%g", &ratio); err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+		}
+	}
+	if summaryPct == 0 || ratio == 0 {
+		t.Fatalf("missing summary compression or metrics ratio:\n%s", out.String())
+	}
+	if got, want := fmt.Sprintf("%.1f", ratio*100), fmt.Sprintf("%.1f", summaryPct); got != want {
+		t.Errorf("-metrics compression ratio %.3f (%s%%) disagrees with the summary's %s%%", ratio, got, want)
 	}
 }

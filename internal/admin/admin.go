@@ -25,33 +25,28 @@ import (
 	"datacron/internal/obs/slo"
 )
 
-// Config wires the server to the observability plane. Registry is the only
-// required field; nil Tracer/Watchdog degrade the matching endpoints to
-// empty-but-valid responses, so the server is usable at any stage of
-// pipeline construction.
+// Config wires the server to the observability plane. Snapshot, Statz and
+// SLO are required: every surface renders what the pipeline's stats
+// snapshot reports. A nil Tracer or Watchdog degrades the matching
+// endpoints to empty-but-valid responses.
 type Config struct {
 	// Addr is the listen address, e.g. ":9090" or "127.0.0.1:0".
 	Addr string
-	// Registry backs /metrics and the default /statz payload.
+	// Registry receives the runtime self-metrics sampled on every /metrics
+	// scrape.
 	Registry *obs.Registry
-	// Snapshot overrides how /metrics (and the default /statz) read the
-	// metric state; nil reads Registry.Snapshot directly. The sharded
-	// pipeline supplies its merged view here — main registry plus every
-	// shard worker's registry, aggregate and per-shard labelled.
+	// Snapshot reads the metric state behind /metrics: the pipeline's merged
+	// view, main registry plus every shard worker's registry, aggregate and
+	// per-shard labelled.
 	Snapshot func() obs.Snapshot
 	// Tracer backs /traces; nil serves an empty span list.
 	Tracer *obs.Tracer
 	// Watchdog backs /healthz and /readyz; nil reports always live/ready.
 	Watchdog *health.Watchdog
-	// Statz overrides the /statz payload; nil serves the registry snapshot
-	// in its JSON form.
+	// Statz returns the /statz document, encoded as JSON.
 	Statz func() any
-	// SLO backs /slo with the freshness objectives' standing; nil serves an
-	// empty objective list.
+	// SLO returns the freshness objectives' standing behind /slo.
 	SLO func() []slo.Status
-	// Metrics configures the Prometheus renderer; nil uses DefaultMapping
-	// with per-second rates enabled.
-	Metrics *export.Options
 	// Logger receives serve/shutdown events; nil logs nowhere.
 	Logger *slog.Logger
 }
@@ -62,7 +57,7 @@ type Server struct {
 	cfg     Config
 	srv     *http.Server
 	log     *slog.Logger
-	runtime *obs.RuntimeSampler // refreshed on every metric read; nil without a registry
+	runtime *obs.RuntimeSampler // refreshed on every /metrics scrape; nil without a registry
 
 	mu sync.Mutex
 	ln net.Listener
@@ -159,7 +154,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_, _ = w.Write([]byte(`datacron admin endpoints:
   /metrics       Prometheus text exposition (v0.0.4)
-  /statz         metrics snapshot as JSON
+  /statz         pipeline stats snapshot as JSON
   /healthz       liveness probe (component report as JSON)
   /readyz        readiness probe (component report as JSON)
   /traces        recent trace spans as JSON (?span_tree=1 nests by parent)
@@ -168,36 +163,18 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 `))
 }
 
-// snapshot reads the metric state through the configured override, falling
-// back to the registry. Runtime self-metrics are refreshed first so every
-// scrape sees current goroutine/heap/GC readings.
-func (s *Server) snapshot() obs.Snapshot {
-	s.runtime.Sample()
-	if s.cfg.Snapshot != nil {
-		return s.cfg.Snapshot()
-	}
-	return s.cfg.Registry.Snapshot()
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	opts := export.Options{Rates: true}
-	if s.cfg.Metrics != nil {
-		opts = *s.cfg.Metrics
-	}
+	// Runtime self-metrics are refreshed first so every scrape sees current
+	// goroutine/heap/GC readings.
+	s.runtime.Sample()
 	w.Header().Set("Content-Type", export.ContentType)
-	if err := export.WritePrometheus(w, s.snapshot(), opts); err != nil {
+	if err := export.WritePrometheus(w, s.cfg.Snapshot()); err != nil {
 		s.log.Error("metrics render failed", "err", err)
 	}
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	var payload any
-	if s.cfg.Statz != nil {
-		payload = s.cfg.Statz()
-	} else {
-		payload = export.JSONSnapshot(s.snapshot())
-	}
-	writeJSON(w, http.StatusOK, payload)
+	writeJSON(w, http.StatusOK, s.cfg.Statz())
 }
 
 // probeBody is the JSON payload of /healthz and /readyz.
@@ -250,14 +227,11 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}{export.JSONSpans(recent)})
 }
 
-// handleSLO serves the freshness objectives' standing. Without a
-// configured SLO source the objective list is empty but the shape is the
-// same, so dashboards can always scrape it.
+// handleSLO serves the freshness objectives' standing. Without armed
+// objectives the list is empty but the shape is the same, so dashboards
+// can always scrape it.
 func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
-	var objectives []slo.Status
-	if s.cfg.SLO != nil {
-		objectives = s.cfg.SLO()
-	}
+	objectives := s.cfg.SLO()
 	if objectives == nil {
 		objectives = []slo.Status{}
 	}

@@ -24,8 +24,13 @@ func start(t *testing.T) (*obs.ManualClock, *obs.Registry, *obs.Tracer, *health.
 	clk := obs.NewManualClock(epoch)
 	reg := obs.NewRegistry(clk)
 	tr := obs.NewTracer(reg, 16)
-	w := health.NewWatchdog(reg, health.Config{})
-	srv := New(Config{Addr: "127.0.0.1:0", Registry: reg, Tracer: tr, Watchdog: w})
+	w := health.NewWatchdog(reg)
+	srv := New(Config{
+		Addr: "127.0.0.1:0", Registry: reg, Tracer: tr, Watchdog: w,
+		Snapshot: reg.Snapshot,
+		Statz:    func() any { return export.JSONSnapshot(reg.Snapshot()) },
+		SLO:      noObjectives,
+	})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +43,9 @@ func start(t *testing.T) (*obs.ManualClock, *obs.Registry, *obs.Tracer, *health.
 	})
 	return clk, reg, tr, w, "http://" + srv.Addr()
 }
+
+// noObjectives is the SLO source of a pipeline without armed objectives.
+func noObjectives() []slo.Status { return nil }
 
 func get(t *testing.T, url string) (int, string, http.Header) {
 	t.Helper()
@@ -257,21 +265,23 @@ func TestTracesWraparoundOldestFirst(t *testing.T) {
 }
 
 // TestSLOEndpoint checks both shapes of /slo: an empty objectives array
-// when no tracker is wired, and the full standing when one is.
+// when no objective is armed, and the full standing when one is.
 func TestSLOEndpoint(t *testing.T) {
-	_, _, _, _, base := start(t) // no SLO source configured
+	_, _, _, _, base := start(t) // no objective armed
 	code, body, hdr := get(t, base+"/slo")
 	if code != http.StatusOK || !strings.HasPrefix(hdr.Get("Content-Type"), "application/json") {
-		t.Fatalf("/slo without source = %d, content type %q", code, hdr.Get("Content-Type"))
+		t.Fatalf("/slo without objectives = %d, content type %q", code, hdr.Get("Content-Type"))
 	}
 	if !strings.Contains(body, `"objectives": []`) {
-		t.Fatalf("/slo without source must serve an empty array:\n%s", body)
+		t.Fatalf("/slo without objectives must serve an empty array:\n%s", body)
 	}
 
 	reg := obs.NewRegistry(obs.NewManualClock(epoch))
 	srv := New(Config{
 		Addr:     "127.0.0.1:0",
 		Registry: reg,
+		Snapshot: reg.Snapshot,
+		Statz:    func() any { return nil },
 		SLO: func() []slo.Status {
 			return []slo.Status{{
 				Name: "predict-freshness", Family: "lag.predict.seconds",
@@ -334,7 +344,9 @@ func TestStatzOverrideAndNilSafety(t *testing.T) {
 	srv := New(Config{
 		Addr:     "127.0.0.1:0",
 		Registry: reg,
+		Snapshot: reg.Snapshot,
 		Statz:    func() any { return map[string]string{"custom": "payload"} },
+		SLO:      noObjectives,
 	})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -343,7 +355,7 @@ func TestStatzOverrideAndNilSafety(t *testing.T) {
 
 	base := "http://" + srv.Addr()
 	if _, body, _ := get(t, base+"/statz"); !strings.Contains(body, `"custom": "payload"`) {
-		t.Fatalf("statz override not served:\n%s", body)
+		t.Fatalf("statz document not served:\n%s", body)
 	}
 	// Nil tracer and watchdog degrade gracefully.
 	if code, body, _ := get(t, base+"/traces"); code != http.StatusOK || !strings.Contains(body, `"spans": []`) {
@@ -379,9 +391,8 @@ func TestShutdownUnblocksStart(t *testing.T) {
 }
 
 // TestSnapshotOverride pins the Config.Snapshot hook the sharded pipeline
-// uses: /metrics and the default /statz payload must read the metric state
-// through the override (the merged main+per-shard view) rather than the
-// raw registry.
+// uses: /metrics must read the metric state through it (the merged
+// main+per-shard view) rather than the raw registry.
 func TestSnapshotOverride(t *testing.T) {
 	clk := obs.NewManualClock(epoch)
 	reg := obs.NewRegistry(clk)
@@ -395,6 +406,8 @@ func TestSnapshotOverride(t *testing.T) {
 		Snapshot: func() obs.Snapshot {
 			return reg.Snapshot().Merge(shardReg.Snapshot().Prefixed("shard.0."))
 		},
+		Statz: func() any { return nil },
+		SLO:   noObjectives,
 	})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -406,18 +419,9 @@ func TestSnapshotOverride(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	base := "http://" + srv.Addr()
 
-	_, body, _ := get(t, base+"/metrics")
+	_, body, _ := get(t, "http://"+srv.Addr()+"/metrics")
 	if !strings.Contains(body, "shard_0_core_records") {
 		t.Errorf("/metrics missing the override's per-shard series:\n%s", body)
-	}
-	_, body, _ = get(t, base+"/statz")
-	var statz map[string]any
-	if err := json.Unmarshal([]byte(body), &statz); err != nil {
-		t.Fatalf("statz not JSON: %v", err)
-	}
-	if !strings.Contains(body, "shard.0.core.records") {
-		t.Errorf("/statz missing the override's per-shard counter:\n%s", body)
 	}
 }

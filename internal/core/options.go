@@ -35,7 +35,6 @@ type options struct {
 	logger    *slog.Logger
 	adminAddr string
 	adminSet  bool
-	health    health.Config
 	wdTick    time.Duration
 	flow      flow.Config
 	sample    int
@@ -142,7 +141,7 @@ func WithClock(clock obs.Clock) Option {
 // WithLogger attaches a structured logger: the pipeline, broker and
 // checkpointer log through it with per-component attrs, and the admin
 // server (when enabled) reports its lifecycle on it. Nil (the default)
-// logs nowhere. Build one with obs.NewLogger.
+// logs nowhere.
 func WithLogger(l *slog.Logger) Option {
 	return func(o *options) { o.logger = l }
 }
@@ -157,13 +156,6 @@ func WithAdmin(addr string) Option {
 		o.adminAddr = addr
 		o.adminSet = true
 	}
-}
-
-// WithHealth tunes the watchdog started by WithAdmin; without WithAdmin it
-// has no effect. The zero Config uses the documented defaults (every
-// verdict flips within one tick).
-func WithHealth(cfg health.Config) Option {
-	return func(o *options) { o.health = cfg }
 }
 
 // WithWatchdogInterval sets how often the admin watchdog ticks (default
@@ -267,12 +259,12 @@ func New(opts ...Option) (*Pipeline, error) {
 		if reg == nil {
 			return nil, fmt.Errorf("core: WithAdmin requires metrics; do not combine with WithObs(nil)")
 		}
-		p.watchdog = health.NewWatchdog(reg, o.health)
+		p.watchdog = health.NewWatchdog(reg)
 		// Checkers read the merged view (main registry plus shard worker
 		// registries) so shard-local lag families feed the SLO tracker.
 		p.watchdog.SetSnapshotFunc(p.MergedSnapshot)
 		if o.flow.Enabled() {
-			p.watchdog.Register(health.NewOverloadChecker(1))
+			p.watchdog.Register(health.NewOverloadChecker())
 		}
 		if p.slos != nil {
 			p.watchdog.Register(slo.NewChecker(p.slos))
@@ -281,7 +273,7 @@ func New(opts ...Option) (*Pipeline, error) {
 		// /healthz as "shard.<i>" instead of hiding inside aggregate
 		// throughput.
 		for i := 0; i < p.cfg.Shards; i++ {
-			p.watchdog.Register(health.NewShardChecker(i, 1))
+			p.watchdog.Register(health.NewShardChecker(i))
 		}
 		p.admin = admin.New(admin.Config{
 			Addr:     o.adminAddr,
@@ -289,7 +281,7 @@ func New(opts ...Option) (*Pipeline, error) {
 			Snapshot: p.MergedSnapshot,
 			Tracer:   p.tracer,
 			Watchdog: p.watchdog,
-			Statz:    func() any { return p.Stats().Statz() },
+			Statz:    func() any { return p.Stats() },
 			SLO:      p.slos.Status,
 			Logger:   o.logger,
 		})

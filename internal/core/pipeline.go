@@ -234,11 +234,11 @@ const ingestBatch = 256
 // layer terminates when it has drained the log. Use for batch experiments;
 // live deployments would keep the topic open.
 //
-// Reports cross the wire in the binary codec (mobility.AppendBinary);
-// consumers sniff the format per record, so logs holding legacy JSON replay
-// unchanged. Without a shedder, Ingest encodes each ingestBatch-sized chunk
-// into one arena and produces it with Broker.ProduceBatch — one lock
-// acquisition and one metrics flush per chunk instead of one per record.
+// Reports cross the wire in the binary codec (mobility.AppendBinary), the
+// only format the shard workers decode. Without a shedder, Ingest encodes
+// each ingestBatch-sized chunk into one arena and produces it with
+// Broker.ProduceBatch — one lock acquisition and one metrics flush per
+// chunk instead of one per record.
 //
 // With WithFlow, Ingest is the admission boundary: the shedder drops
 // low-value records under queue-depth pressure (counted, not errors), a

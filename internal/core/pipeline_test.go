@@ -325,7 +325,7 @@ func TestPipelineLiveStreaming(t *testing.T) {
 	}()
 	go func() {
 		for _, r := range reports {
-			if _, err := p.Broker.Produce(context.Background(), TopicRaw, r.ID, r.Marshal(), r.Time); err != nil {
+			if _, err := p.Broker.Produce(context.Background(), TopicRaw, r.ID, r.AppendBinary(nil), r.Time); err != nil {
 				t.Errorf("produce: %v", err)
 				return
 			}

@@ -107,16 +107,16 @@ func (r runStateSnapshotter) Restore(data []byte) error {
 	return nil
 }
 
-// predictorsSnapshotter checkpoints the per-mover FLP predictor map. Every
-// predictor the pipeline creates is an *flp.RMFStar, rebuilt on restore with
-// the run's sampling interval. Its blob is
+// predictorsSnapshotter checkpoints the per-mover RMF* predictor map; each
+// predictor is rebuilt on restore with the run's sampling interval. Its
+// blob is
 //
 //	tag 0xC8 | version | uvarint #predictors | per predictor, IDs
 //	ascending: string id | bytes predictor blob
 //
 // where each predictor blob is flp.RMFStar's own snapshot.
 type predictorsSnapshotter struct {
-	preds  map[string]flp.Predictor
+	preds  map[string]*flp.RMFStar
 	sample time.Duration
 }
 
@@ -129,11 +129,7 @@ func (ps predictorsSnapshotter) Snapshot() ([]byte, error) {
 	blobs := make([][]byte, len(ids))
 	size := wire.HeaderLen + wire.UvarintLen(uint64(len(ids)))
 	for i, id := range ids {
-		snapper, ok := ps.preds[id].(checkpoint.Snapshotter)
-		if !ok {
-			return nil, notSnapshottableErr(id, ps.preds[id].Name())
-		}
-		blob, err := snapper.Snapshot()
+		blob, err := ps.preds[id].Snapshot()
 		if err != nil {
 			return nil, predictorErr("snapshot", id, err)
 		}
@@ -152,10 +148,6 @@ func (ps predictorsSnapshotter) Snapshot() ([]byte, error) {
 
 // Cold-path error constructors for the predictor snapshot/restore loops,
 // kept out of the loop bodies so hotalloc sees them allocation-free.
-func notSnapshottableErr(id, name string) error {
-	return fmt.Errorf("core: predictor %s (%s) is not snapshottable", id, name)
-}
-
 func predictorErr(verb, id string, err error) error {
 	return fmt.Errorf("core: %s predictor %s: %w", verb, id, err)
 }
@@ -173,7 +165,7 @@ func (ps predictorsSnapshotter) Restore(data []byte) error {
 		return fmt.Errorf("core: restore predictors: %w", err)
 	}
 	n := r.Count(2) // an ID's and a blob's length prefix
-	preds := make(map[string]flp.Predictor, n)
+	preds := make(map[string]*flp.RMFStar, n)
 	prev := ""
 	for i := 0; i < n && !r.Failed(); i++ {
 		id, blob := r.Str(), r.Bytes()

@@ -99,7 +99,7 @@ type shardWorker struct {
 	shardAttrs []obs.Attr
 	sg         *synopses.Generator
 	areaMon    *lowlevel.AreaMonitor
-	predictors map[string]flp.Predictor
+	predictors map[string]*flp.RMFStar
 	sample     time.Duration
 	steps      int
 	mRecords   *obs.Counter // "shard.<i>.records" in the pipeline registry
@@ -131,7 +131,7 @@ func (p *Pipeline) newShardWorker(shard int, reg *obs.Registry) *shardWorker {
 		shardAttrs: []obs.Attr{{Key: "shard", Value: strconv.Itoa(shard)}},
 		sg:         sg,
 		areaMon:    lowlevel.NewAreaMonitor(p.cfg.Regions, 64),
-		predictors: map[string]flp.Predictor{},
+		predictors: map[string]*flp.RMFStar{},
 		sample:     p.cfg.SampleInterval,
 		steps:      p.cfg.PredictSteps,
 		mRecords:   p.obs.Counter(fmt.Sprintf("shard.%d.records", shard)),
@@ -150,11 +150,11 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 	root := in.trace.rootSpan()
 	w.mRecords.Inc()
 	decodeSpan := root.Child("decode", w.shardAttrs...)
-	// In-place decode through the worker's interning decoder: binary records
-	// decode with zero steady-state allocations, legacy JSON records sniffed
-	// by magic byte still take the reflection path. The report is copied by
-	// value into workerOut; its interned strings are immutable and safe to
-	// share downstream.
+	// In-place decode through the worker's interning decoder, with zero
+	// steady-state allocations; a payload that is not a binary report is
+	// rejected like any other corrupt record. The report is copied by value
+	// into workerOut; its interned strings are immutable and safe to share
+	// downstream.
 	err := w.dec.Decode(in.rec.Value, &w.scratch)
 	decodeSpan.End()
 	if err != nil {

@@ -102,7 +102,7 @@ func TestSLOViolationDrivesHealthAndEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/statz = %d", code)
 	}
-	var statz StatzPayload
+	var statz PipelineStats
 	if err := json.Unmarshal([]byte(body), &statz); err != nil {
 		t.Fatal(err)
 	}

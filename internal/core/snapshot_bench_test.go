@@ -18,7 +18,7 @@ func BenchmarkOperatorSnapshot(b *testing.B) {
 		Counts: map[gen.VesselClass]int{gen.Cargo: per, gen.Tanker: per, gen.Ferry: per, gen.Fishing: per},
 	})
 	const sample = 10 * time.Second
-	ps := predictorsSnapshotter{preds: map[string]flp.Predictor{}, sample: sample}
+	ps := predictorsSnapshotter{preds: map[string]*flp.RMFStar{}, sample: sample}
 	for _, r := range sim.Run(time.Hour) {
 		if ps.preds[r.ID] == nil {
 			ps.preds[r.ID] = flp.NewRMFStar(sample)
@@ -39,7 +39,7 @@ func BenchmarkOperatorSnapshot(b *testing.B) {
 		b.ReportMetric(float64(len(blob)), "blob-B")
 	})
 	b.Run("predictors/restore", func(b *testing.B) {
-		target := predictorsSnapshotter{preds: map[string]flp.Predictor{}, sample: sample}
+		target := predictorsSnapshotter{preds: map[string]*flp.RMFStar{}, sample: sample}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := target.Restore(blob); err != nil {

@@ -25,7 +25,7 @@ const snapSample = 10 * time.Second
 // busyPredictors returns RMF* predictors that have observed a few movers'
 // tracks, wrapped in the snapshotter the shard worker checkpoints them with.
 func busyPredictors() predictorsSnapshotter {
-	preds := map[string]flp.Predictor{}
+	preds := map[string]*flp.RMFStar{}
 	sim := gen.NewVesselSim(gen.VesselSimConfig{Seed: 4, Region: region, Counts: map[gen.VesselClass]int{gen.Cargo: 3}})
 	for _, r := range sim.Run(20 * time.Minute) {
 		if preds[r.ID] == nil {
@@ -37,7 +37,7 @@ func busyPredictors() predictorsSnapshotter {
 }
 
 func emptyPredictors() wiretest.Operator {
-	return predictorsSnapshotter{preds: map[string]flp.Predictor{}, sample: snapSample}
+	return predictorsSnapshotter{preds: map[string]*flp.RMFStar{}, sample: snapSample}
 }
 
 // predWire is one entry of the predictor map's snapshot layout, and
@@ -64,7 +64,7 @@ func TestPredictorsSnapshotLayout(t *testing.T) {
 	}
 	var entries []predWire
 	for _, id := range sortedKeys(ps.preds) {
-		blob, err := ps.preds[id].(*flp.RMFStar).Snapshot()
+		blob, err := ps.preds[id].Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestPredictorsSnapshotLayout(t *testing.T) {
 	}
 }
 
-func sortedKeys(m map[string]flp.Predictor) []string {
+func sortedKeys(m map[string]*flp.RMFStar) []string {
 	var ids []string
 	for id := range m {
 		ids = append(ids, id)

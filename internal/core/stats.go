@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -26,22 +27,36 @@ type FlowStats struct {
 // live metric registry, broker topic depths, and the component stats of
 // the most recent completed real-time run. Metrics are live at the instant
 // of the call; component stats (Synopses, Links, Consumer, Summary) are
-// value copies captured when the last run returned.
+// value copies captured when the last run returned. It is the one snapshot
+// the stats surfaces render: /statz is its JSON encoding, /metrics renders
+// its Metrics (MergedSnapshot), /slo its SLO, and cmd/datacron's -metrics
+// dump its WriteText.
 type PipelineStats struct {
-	Metrics  obs.Snapshot
-	Broker   msg.BrokerStats
-	Synopses synopses.Stats
-	Links    linkdisc.Stats
-	Consumer msg.ConsumerStats
-	Summary  Summary
+	Metrics  obs.Snapshot      `json:"-"` // encoded sanitised, see MarshalJSON
+	Broker   msg.BrokerStats   `json:"broker"`
+	Synopses synopses.Stats    `json:"synopses"`
+	Links    linkdisc.Stats    `json:"links"`
+	Consumer msg.ConsumerStats `json:"consumer"`
+	Summary  Summary           `json:"summary"`
 	// Flow is the backpressure plane's view of the most recent Ingest
 	// (zero when WithFlow is not armed).
-	Flow FlowStats
+	Flow FlowStats `json:"flow"`
 	// Shards holds one row per shard worker (nil before the first run):
 	// live progress, queue depth and per-shard synopses counters.
-	Shards []ShardStats
+	Shards []ShardStats `json:"shards,omitempty"`
 	// SLO is each freshness objective's standing (nil without WithSLO).
-	SLO []slo.Status
+	SLO []slo.Status `json:"slo,omitempty"`
+}
+
+// MarshalJSON encodes the stats as the /statz document, with the metric
+// snapshot in its sanitised JSON form: encoding/json rejects the non-finite
+// floats a raw snapshot can hold.
+func (s PipelineStats) MarshalJSON() ([]byte, error) {
+	type fields PipelineStats // without this method, so encoding does not recurse
+	return json.Marshal(struct {
+		Metrics export.SnapshotJSON `json:"metrics"`
+		fields
+	}{export.JSONSnapshot(s.Metrics), fields(s)})
 }
 
 // ShardStats is one worker's live view: plane progress plus the worker's
@@ -111,36 +126,6 @@ func (p *Pipeline) MergedSnapshot() obs.Snapshot {
 		out = out.Merge(snap.Prefixed(fmt.Sprintf("shard.%d.", i)))
 	}
 	return out
-}
-
-// StatzPayload is the admin server's /statz document: PipelineStats with
-// the metric snapshot replaced by its sanitised JSON form, so the document
-// always encodes (encoding/json rejects non-finite floats).
-type StatzPayload struct {
-	Metrics  export.SnapshotJSON `json:"metrics"`
-	Broker   msg.BrokerStats     `json:"broker"`
-	Synopses synopses.Stats      `json:"synopses"`
-	Links    linkdisc.Stats      `json:"links"`
-	Consumer msg.ConsumerStats   `json:"consumer"`
-	Summary  Summary             `json:"summary"`
-	Flow     FlowStats           `json:"flow"`
-	Shards   []ShardStats        `json:"shards,omitempty"`
-	SLO      []slo.Status        `json:"slo,omitempty"`
-}
-
-// Statz converts the stats to the /statz wire form.
-func (s PipelineStats) Statz() StatzPayload {
-	return StatzPayload{
-		Metrics:  export.JSONSnapshot(s.Metrics),
-		Broker:   s.Broker,
-		Synopses: s.Synopses,
-		Links:    s.Links,
-		Consumer: s.Consumer,
-		Summary:  s.Summary,
-		Flow:     s.Flow,
-		Shards:   s.Shards,
-		SLO:      s.SLO,
-	}
 }
 
 // Obs exposes the pipeline's metric registry (nil when instrumentation is

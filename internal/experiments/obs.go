@@ -5,6 +5,7 @@ import (
 
 	"datacron/internal/core"
 	"datacron/internal/obs"
+	"datacron/internal/synopses"
 )
 
 // registry, when non-nil, is the shared metric registry every experiment
@@ -64,7 +65,11 @@ func MetricsRow(name string, wall time.Duration) (Row, bool) {
 	s := metered.MergedSnapshot()
 	registry.Reset()
 	metered = nil
-	ratio, _ := s.Gauge("synopses.compression_ratio")
+	syn := synopses.Stats{
+		In:       s.Counter("synopses.in"),
+		Dropped:  s.Counter("synopses.dropped"),
+		Critical: s.Counter("synopses.critical"),
+	}
 	return Row{
 		Name:             name,
 		WallSeconds:      wall.Seconds(),
@@ -72,6 +77,6 @@ func MetricsRow(name string, wall time.Duration) (Row, bool) {
 		RecordsPerSec:    s.Rate("core.records"),
 		CriticalPoints:   s.Counter("synopses.critical"),
 		EntitiesPerSec:   s.Rate("linkdisc.entities"),
-		CompressionRatio: ratio,
+		CompressionRatio: syn.CompressionRatio(),
 	}, true
 }

@@ -12,15 +12,10 @@ import (
 // advancing while their input keeps arriving. It pairs every
 // "<base>.watermark.unixsec" gauge with the progress counter
 // "<base>.records" (the core pipeline's "core.records"): input moving with
-// the watermark flat for stallTicks consecutive ticks is a stall —
+// the watermark flat for faultTicks consecutive ticks is a stall —
 // downstream consumers starve even though data flows in.
 type watermarkChecker struct {
-	stallTicks int
-	streak     map[string]int
-}
-
-func newWatermarkChecker(stallTicks int) *watermarkChecker {
-	return &watermarkChecker{stallTicks: stallTicks, streak: make(map[string]int)}
+	streak map[string]int
 }
 
 func (c *watermarkChecker) Name() string { return "watermark" }
@@ -39,7 +34,7 @@ func (c *watermarkChecker) Check(prev, cur obs.Snapshot) Result {
 		} else {
 			delete(c.streak, g.Name)
 		}
-		if n := c.streak[g.Name]; n >= c.stallTicks {
+		if n := c.streak[g.Name]; n >= faultTicks {
 			worst = Result{
 				Component: "watermark",
 				Status:    Unhealthy,
@@ -51,17 +46,11 @@ func (c *watermarkChecker) Check(prev, cur obs.Snapshot) Result {
 }
 
 // lagChecker flags consumer groups whose lag grows tick over tick. Each
-// "msg.lag.<group>/<topic>" gauge is tracked independently; lag that both
-// grew since the previous tick and sits at or above minLag for growthTicks
-// consecutive ticks means the consumer is falling behind its producer.
+// "msg.lag.<group>/<topic>" gauge is tracked independently; lag that grew
+// since the previous tick for faultTicks consecutive ticks means the
+// consumer is falling behind its producer.
 type lagChecker struct {
-	growthTicks int
-	minLag      float64
-	streak      map[string]int
-}
-
-func newLagChecker(growthTicks int, minLag float64) *lagChecker {
-	return &lagChecker{growthTicks: growthTicks, minLag: minLag, streak: make(map[string]int)}
+	streak map[string]int
 }
 
 func (c *lagChecker) Name() string { return "lag" }
@@ -73,12 +62,12 @@ func (c *lagChecker) Check(prev, cur obs.Snapshot) Result {
 			continue
 		}
 		prevLag, _ := prev.Gauge(g.Name)
-		if g.Value > prevLag && g.Value >= c.minLag {
+		if g.Value > prevLag {
 			c.streak[g.Name]++
 		} else {
 			delete(c.streak, g.Name)
 		}
-		if n := c.streak[g.Name]; n >= c.growthTicks {
+		if n := c.streak[g.Name]; n >= faultTicks {
 			worst = Result{
 				Component: "lag",
 				Status:    Unhealthy,
@@ -90,15 +79,14 @@ func (c *lagChecker) Check(prev, cur obs.Snapshot) Result {
 	return worst
 }
 
-// checkpointChecker flags a checkpointer that has not captured within its
-// configured interval times a slack factor. The age is derived from the
-// "checkpoint.last_capture.unixsec" gauge against the snapshot's own
+// checkpointChecker flags a checkpointer that has not captured within
+// checkpointSlack times its configured interval. The age is derived from
+// the "checkpoint.last_capture.unixsec" gauge against the snapshot's own
 // timestamp, so a ManualClock drives it like everything else. With no
 // interval configured, or before the first capture is recorded, the
 // component is healthy.
 type checkpointChecker struct {
 	interval time.Duration
-	slack    float64
 }
 
 func (c *checkpointChecker) Name() string { return "checkpoint" }
@@ -112,7 +100,7 @@ func (c *checkpointChecker) Check(_, cur obs.Snapshot) Result {
 		return Result{Component: "checkpoint", Status: Healthy, Detail: "no capture recorded yet"}
 	}
 	age := float64(cur.At.Unix()) - last
-	limit := c.interval.Seconds() * c.slack
+	limit := c.interval.Seconds() * checkpointSlack
 	if age > limit {
 		return Result{
 			Component: "checkpoint",
@@ -121,36 +109,4 @@ func (c *checkpointChecker) Check(_, cur obs.Snapshot) Result {
 		}
 	}
 	return Result{Component: "checkpoint", Status: Healthy, Detail: fmt.Sprintf("last capture %.0fs ago", age)}
-}
-
-// depthChecker flags broker topics whose queue depth reaches saturation.
-// A full queue means the slowest consumer is applying backpressure to the
-// whole pipeline; the component degrades (costing readiness) rather than
-// going unhealthy, because the broker itself is still moving records. With
-// maxDepth unset (0) the check is disabled.
-type depthChecker struct {
-	maxDepth float64
-}
-
-func (c *depthChecker) Name() string { return "depth" }
-
-func (c *depthChecker) Check(_, cur obs.Snapshot) Result {
-	if c.maxDepth <= 0 {
-		return Result{Component: "depth", Status: Healthy, Detail: "depth check disabled"}
-	}
-	worst := Result{Component: "depth", Status: Healthy, Detail: "broker queues below saturation"}
-	for _, g := range cur.Gauges {
-		if !strings.HasPrefix(g.Name, "msg.depth.") {
-			continue
-		}
-		if g.Value >= c.maxDepth {
-			worst = Result{
-				Component: "depth",
-				Status:    Degraded,
-				Detail: fmt.Sprintf("topic %s depth %.0f at saturation (max %.0f)",
-					strings.TrimPrefix(g.Name, "msg.depth."), g.Value, c.maxDepth),
-			}
-		}
-	}
-	return worst
 }

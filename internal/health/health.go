@@ -10,8 +10,8 @@
 // The built-in checkers encode the failure modes that matter for a
 // time-critical streaming pipeline (paper §2.3): a watermark that stops
 // advancing while input keeps arriving, consumer lag that grows tick over
-// tick, a checkpoint that has not been captured within its configured
-// interval, and broker queues filling to saturation.
+// tick, and a checkpoint that has not been captured within its configured
+// interval.
 package health
 
 import (
@@ -26,8 +26,8 @@ type Status int
 const (
 	// Healthy means the component shows normal progress.
 	Healthy Status = iota
-	// Degraded means the component is serving but impaired (e.g. a broker
-	// queue at saturation); it costs readiness but not liveness.
+	// Degraded means the component is serving but impaired (e.g. a
+	// violated freshness SLO window); it costs readiness but not liveness.
 	Degraded
 	// Overloaded means the component is intentionally degrading service to
 	// survive input pressure: the admission-control plane is shedding,

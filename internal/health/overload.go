@@ -13,28 +13,19 @@ import (
 // or producers blocked on backpressure (msg.blocked.*). Like every checker
 // it is delta-based — pressure that stopped before the previous tick reads
 // as recovered, however large the historical counters are.
-type overloadChecker struct {
-	ticks  int // consecutive ticks with pressure before the verdict flips
-	streak int
-}
+type overloadChecker struct{}
 
 // NewOverloadChecker builds the overload checker; core registers it when
-// the flow plane is armed. ticks below 1 is treated as 1 (the verdict flips
-// within one tick, the package convention).
-func NewOverloadChecker(ticks int) Checker {
-	if ticks < 1 {
-		ticks = 1
-	}
-	return &overloadChecker{ticks: ticks}
-}
+// the flow plane is armed.
+func NewOverloadChecker() Checker { return overloadChecker{} }
 
-func (c *overloadChecker) Name() string { return "overload" }
+func (overloadChecker) Name() string { return "overload" }
 
 // pressureCounterPrefixes are the counter families whose growth means the
 // flow plane is degrading service.
 var pressureCounterPrefixes = []string{"flow.shed.", "msg.rejected.", "msg.evicted.", "msg.blocked."}
 
-func (c *overloadChecker) Check(prev, cur obs.Snapshot) Result {
+func (overloadChecker) Check(prev, cur obs.Snapshot) Result {
 	var details []string
 	for _, ctr := range cur.Counters {
 		for _, pfx := range pressureCounterPrefixes {
@@ -48,13 +39,7 @@ func (c *overloadChecker) Check(prev, cur obs.Snapshot) Result {
 		}
 	}
 	if len(details) == 0 {
-		c.streak = 0
 		return Result{Component: "overload", Status: Healthy, Detail: "no admission-control pressure"}
-	}
-	c.streak++
-	if c.streak < c.ticks {
-		return Result{Component: "overload", Status: Healthy,
-			Detail: fmt.Sprintf("pressure for %d/%d tick(s)", c.streak, c.ticks)}
 	}
 	return Result{
 		Component: "overload",

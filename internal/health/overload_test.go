@@ -27,7 +27,7 @@ func TestOverloadedStatusTextRoundTrip(t *testing.T) {
 // naming the moving counter, and cost readiness but not liveness.
 func TestOverloadFlipsOnPressure(t *testing.T) {
 	clk, reg, w := setup()
-	w.Register(NewOverloadChecker(1))
+	w.Register(NewOverloadChecker())
 	shed := reg.Counter("flow.shed.bulk")
 
 	w.Tick() // baseline: no pressure
@@ -57,7 +57,7 @@ func TestOverloadFlipsOnPressure(t *testing.T) {
 // window read as recovered.
 func TestOverloadIsDeltaBased(t *testing.T) {
 	clk, reg, w := setup()
-	w.Register(NewOverloadChecker(1))
+	w.Register(NewOverloadChecker())
 	rej := reg.Counter("msg.rejected.surveillance.raw")
 
 	rej.Add(1_000_000)
@@ -72,44 +72,11 @@ func TestOverloadIsDeltaBased(t *testing.T) {
 	}
 }
 
-// TestOverloadStreakFiltersBlips: with ticks=2, a single pressured window is
-// reported Healthy (with the streak in the detail) and only consecutive
-// pressure flips the verdict; a clean window resets the streak.
-func TestOverloadStreakFiltersBlips(t *testing.T) {
-	clk, reg, w := setup()
-	w.Register(NewOverloadChecker(2))
-	blocked := reg.Counter("msg.blocked.surveillance.raw")
-
-	w.Tick()
-	clk.Advance(time.Second)
-	blocked.Inc()
-	w.Tick() // pressure tick 1 of 2
-	if r := result(t, w, "overload"); r.Status != Healthy || !strings.Contains(r.Detail, "1/2") {
-		t.Fatalf("one pressured tick with ticks=2: %+v", r)
-	}
-
-	clk.Advance(time.Second)
-	w.Tick() // clean window resets the streak
-	clk.Advance(time.Second)
-	blocked.Inc()
-	w.Tick() // pressure tick 1 of 2 again — not 2 of 2
-	if r := result(t, w, "overload"); r.Status != Healthy {
-		t.Fatalf("streak must reset on a clean window: %+v", r)
-	}
-
-	clk.Advance(time.Second)
-	blocked.Inc()
-	w.Tick() // consecutive pressure: flips
-	if r := result(t, w, "overload"); r.Status != Overloaded {
-		t.Fatalf("two consecutive pressured ticks: %+v, want Overloaded", r)
-	}
-}
-
 // TestOverloadIgnoresUnrelatedCounters: growth outside the pressure families
 // must not trigger the checker.
 func TestOverloadIgnoresUnrelatedCounters(t *testing.T) {
 	clk, reg, w := setup()
-	w.Register(NewOverloadChecker(1))
+	w.Register(NewOverloadChecker())
 	w.Tick()
 	clk.Advance(time.Second)
 	reg.Counter("core.records").Add(10_000)

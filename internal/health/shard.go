@@ -9,24 +9,19 @@ import (
 // shardChecker files a per-shard verdict for one worker of the sharded run
 // loop. It pairs the worker's "shard.<i>.records" progress counter with
 // the pipeline-wide "core.records": a shard that processes nothing for
-// stallTicks consecutive ticks while the pipeline as a whole advances is
+// faultTicks consecutive ticks while the pipeline as a whole advances is
 // stuck — its queue will fill and stall the coordinator's merge. A shard
 // that has never received a record is idle, not stuck (with few movers,
 // the key hash may simply route nothing to it).
 type shardChecker struct {
-	shard      int
-	stallTicks int
-	streak     int
+	shard  int
+	streak int
 }
 
 // NewShardChecker builds a checker for one shard worker; register one per
-// shard on the watchdog. stallTicks below 1 is treated as 1 (the verdict
-// flips within one tick, the package convention).
-func NewShardChecker(shard, stallTicks int) Checker {
-	if stallTicks < 1 {
-		stallTicks = 1
-	}
-	return &shardChecker{shard: shard, stallTicks: stallTicks}
+// shard on the watchdog.
+func NewShardChecker(shard int) Checker {
+	return &shardChecker{shard: shard}
 }
 
 func (c *shardChecker) Name() string { return fmt.Sprintf("shard.%d", c.shard) }
@@ -43,7 +38,7 @@ func (c *shardChecker) Check(prev, cur obs.Snapshot) Result {
 	} else {
 		c.streak = 0
 	}
-	if c.streak >= c.stallTicks {
+	if c.streak >= faultTicks {
 		return Result{
 			Component: c.Name(),
 			Status:    Unhealthy,

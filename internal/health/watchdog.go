@@ -8,41 +8,14 @@ import (
 	"datacron/internal/obs"
 )
 
-// Config tunes the Watchdog's built-in checkers. The zero value is usable:
-// every threshold defaults so that a fault injected between two ticks flips
-// the verdict on the very next tick.
-type Config struct {
-	// StallTicks is how many consecutive ticks a watermark must sit flat
-	// (with input advancing) before the watermark component goes unhealthy.
-	// Default 1.
-	StallTicks int
-	// LagTicks is how many consecutive ticks consumer lag must grow before
-	// the lag component goes unhealthy. Default 1.
-	LagTicks int
-	// MinLag is the lag floor below which growth never alarms, filtering
-	// startup jitter. Default 0 (any growth counts).
-	MinLag float64
-	// CheckpointSlack multiplies the checkpoint interval to form the age
-	// limit: older captures mark the checkpoint component unhealthy.
-	// Default 2.
-	CheckpointSlack float64
-	// MaxDepth is the broker queue depth at which a topic counts as
-	// saturated, degrading the depth component. Default 0 (disabled).
-	MaxDepth float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.StallTicks <= 0 {
-		c.StallTicks = 1
-	}
-	if c.LagTicks <= 0 {
-		c.LagTicks = 1
-	}
-	if c.CheckpointSlack <= 0 {
-		c.CheckpointSlack = 2
-	}
-	return c
-}
+// The watchdog's thresholds. Every delta rule flips its verdict on the
+// first tick that shows the fault, so a fault injected between two ticks
+// is reported on the very next one; a checkpoint is overdue once it is
+// older than checkpointSlack capture intervals.
+const (
+	faultTicks      = 1 // consecutive faulty ticks before a verdict flips
+	checkpointSlack = 2 // checkpoint interval multiple a capture may age to
+)
 
 // Watchdog periodically snapshots a registry and runs health checkers over
 // consecutive snapshots. Each tick publishes every component's verdict back
@@ -66,20 +39,18 @@ type Watchdog struct {
 }
 
 // NewWatchdog builds a watchdog over reg with the built-in checkers
-// (watermark stall, lag growth, checkpoint age, broker depth) configured
-// from cfg. The checkpoint checker stays dormant until
-// SetCheckpointInterval is called with a positive interval.
-func NewWatchdog(reg *obs.Registry, cfg Config) *Watchdog {
-	cfg = cfg.withDefaults()
-	cp := &checkpointChecker{slack: cfg.CheckpointSlack}
+// (watermark stall, lag growth, checkpoint age). The checkpoint checker
+// stays dormant until SetCheckpointInterval is called with a positive
+// interval.
+func NewWatchdog(reg *obs.Registry) *Watchdog {
+	cp := &checkpointChecker{}
 	return &Watchdog{
 		reg: reg,
 		cp:  cp,
 		checkers: []Checker{
-			newWatermarkChecker(cfg.StallTicks),
-			newLagChecker(cfg.LagTicks, cfg.MinLag),
+			&watermarkChecker{streak: make(map[string]int)},
+			&lagChecker{streak: make(map[string]int)},
 			cp,
-			&depthChecker{maxDepth: cfg.MaxDepth},
 		},
 	}
 }
@@ -110,8 +81,8 @@ func (w *Watchdog) SetSnapshotFunc(fn func() obs.Snapshot) {
 }
 
 // SetCheckpointInterval arms the checkpoint-age rule: captures older than
-// interval times the configured slack mark the checkpoint component
-// unhealthy. A non-positive interval disarms it.
+// checkpointSlack intervals mark the checkpoint component unhealthy. A
+// non-positive interval disarms it.
 func (w *Watchdog) SetCheckpointInterval(interval time.Duration) {
 	if w == nil {
 		return

@@ -9,15 +9,13 @@ type discMetrics struct {
 	maskSkips   *obs.Counter
 	comparisons *obs.Counter
 	links       *obs.Counter
-	hitRate     *obs.Gauge
 	last        Stats
 }
 
 // Instrument mirrors the discoverer's counters into reg —
 // "linkdisc.entities", "linkdisc.mask_skips", "linkdisc.comparisons",
-// "linkdisc.links" — and keeps the live "linkdisc.mask_hit_rate" gauge
-// (fraction of entities dismissed by the cell mask without precise
-// geometry) current after every ProcessPoint. A nil registry detaches.
+// "linkdisc.links" — after every ProcessPoint; the mask hit rate is
+// mask_skips over entities. A nil registry detaches.
 func (d *Discoverer) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		d.m = nil
@@ -28,7 +26,6 @@ func (d *Discoverer) Instrument(reg *obs.Registry) {
 		maskSkips:   reg.Counter("linkdisc.mask_skips"),
 		comparisons: reg.Counter("linkdisc.comparisons"),
 		links:       reg.Counter("linkdisc.links"),
-		hitRate:     reg.Gauge("linkdisc.mask_hit_rate"),
 		last:        d.stats,
 	}
 }
@@ -39,7 +36,4 @@ func (m *discMetrics) sync(s Stats) {
 	m.comparisons.Add(s.Comparisons - m.last.Comparisons)
 	m.links.Add(s.Links - m.last.Links)
 	m.last = s
-	if s.Entities > 0 {
-		m.hitRate.Set(float64(s.MaskSkips) / float64(s.Entities))
-	}
 }

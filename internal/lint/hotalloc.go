@@ -35,7 +35,7 @@ var hotPathRootNames = []string{
 // profiler). Keys are module-relative package prefixes, matched
 // like HotPathScope; values are exact function or method names.
 var HotPathExtraRoots = map[string][]string{
-	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "UnmarshalReportInto", "Decode"},
+	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "Decode"},
 	"internal/msg":      {"ProduceBatch", "TryPoll"},
 	"internal/shard":    {"SubmitBatch"},
 	"internal/core":     {"Ingest", "Publish"},

@@ -3,7 +3,6 @@ package mobility
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -38,11 +37,8 @@ import (
 //	64      2     len(Source) (uint16)
 //	66      ...   ID bytes, then Source bytes
 //
-// The format is self-describing at the first byte: 0xD4 is not a legal first
-// byte of any JSON document the legacy codec produced (reports always start
-// with '{'), so decoders sniff the magic and fall back to JSON for payloads
-// written before this codec existed — old checkpoints and replay logs keep
-// decoding without migration.
+// Every decoder checks the magic byte and rejects any other payload with
+// ErrNotBinary: the raw topic and every checkpoint carry this format only.
 //
 // Compatibility rules: the magic byte never changes; a layout change bumps
 // the version byte and decoders keep accepting every prior version. Fields
@@ -77,7 +73,7 @@ var (
 )
 
 // IsBinaryReport reports whether b starts with the binary codec's magic
-// byte. Legacy JSON payloads (which start with '{') return false.
+// byte. JSON payloads (which start with '{') return false.
 func IsBinaryReport(b []byte) bool {
 	return len(b) > 0 && b[0] == BinaryMagic
 }
@@ -193,8 +189,7 @@ func setString(dst *string, b []byte) {
 }
 
 // UnmarshalReportBinary decodes a binary-encoded report into *r. It rejects
-// non-binary payloads with ErrNotBinary (use UnmarshalReportInto to sniff
-// and fall back to legacy JSON).
+// non-binary payloads with ErrNotBinary.
 //
 // String fields reuse r's existing strings when the bytes match, so
 // steady-state decoding — the same mover's records into a reused Report —
@@ -208,22 +203,6 @@ func UnmarshalReportBinary(b []byte, r *Report) error {
 	}
 	setString(&r.ID, id)
 	setString(&r.Source, src)
-	return nil
-}
-
-// UnmarshalReportInto decodes a wire payload of either format into *r:
-// binary when the magic byte matches, legacy JSON otherwise. This is the
-// sniffing entry point replay paths use on logs that may hold records
-// produced before and after the binary codec landed.
-func UnmarshalReportInto(b []byte, r *Report) error {
-	if IsBinaryReport(b) {
-		return UnmarshalReportBinary(b, r)
-	}
-	rep, err := UnmarshalReport(b)
-	if err != nil {
-		return err
-	}
-	*r = rep
 	return nil
 }
 
@@ -266,38 +245,14 @@ func (d *Decoder) internBytes(b []byte) string {
 	return s
 }
 
-// Decode decodes a wire payload of either format into *r, sniffing binary
-// versus legacy JSON by the magic byte. Binary payloads decode with zero
-// steady-state allocations; JSON payloads take the reflection path and its
-// allocations, but their string fields are still interned so repeated
-// legacy records converge on the same backing strings.
+// Decode decodes a binary-encoded report into *r with zero steady-state
+// allocations, rejecting non-binary payloads with ErrNotBinary.
 func (d *Decoder) Decode(b []byte, r *Report) error {
-	if IsBinaryReport(b) {
-		id, src, err := decodeBinary(b, r)
-		if err != nil {
-			return err
-		}
-		r.ID = d.internBytes(id)
-		r.Source = d.internBytes(src)
-		return nil
-	}
-	rep, err := UnmarshalReport(b)
+	id, src, err := decodeBinary(b, r)
 	if err != nil {
 		return err
 	}
-	*r = rep
-	r.ID = d.internBytes([]byte(r.ID))
-	r.Source = d.internBytes([]byte(r.Source))
+	r.ID = d.internBytes(id)
+	r.Source = d.internBytes(src)
 	return nil
-}
-
-// FormatName names the wire format of a payload for diagnostics.
-func FormatName(b []byte) string {
-	if IsBinaryReport(b) {
-		if len(b) >= 2 && b[1] != BinaryVersion {
-			return fmt.Sprintf("binary/v%d", b[1])
-		}
-		return "binary/v1"
-	}
-	return "json"
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unicode/utf8"
 
 	"datacron/internal/geo"
 	"datacron/internal/wire"
@@ -110,40 +109,25 @@ func TestBinarySniffing(t *testing.T) {
 	r := testReport()
 	jsonB := r.Marshal()
 	binB := r.AppendBinary(nil)
-	if IsBinaryReport(jsonB) {
-		t.Fatalf("JSON payload sniffed as binary")
+	if IsBinaryReport(jsonB) || !IsBinaryReport(binB) {
+		t.Fatalf("magic byte misread")
 	}
 
-	// The sniffing decoders accept both formats.
-	for name, payload := range map[string][]byte{"json": jsonB, "binary": binB} {
-		var got Report
-		if err := UnmarshalReportInto(payload, &got); err != nil {
-			t.Fatalf("UnmarshalReportInto(%s): %v", name, err)
-		}
-		if !reportsEqual(r, got) {
-			t.Fatalf("UnmarshalReportInto(%s) mismatch: %+v", name, got)
-		}
-		got2, err := UnmarshalReport(payload)
-		if err != nil {
-			t.Fatalf("UnmarshalReport(%s): %v", name, err)
-		}
-		if !reportsEqual(r, got2) {
-			t.Fatalf("UnmarshalReport(%s) mismatch: %+v", name, got2)
-		}
-		d := NewDecoder()
-		var got3 Report
-		if err := d.Decode(payload, &got3); err != nil {
-			t.Fatalf("Decoder.Decode(%s): %v", name, err)
-		}
-		if !reportsEqual(r, got3) {
-			t.Fatalf("Decoder.Decode(%s) mismatch: %+v", name, got3)
-		}
-	}
-
-	// The strict binary decoder rejects JSON.
+	// Both binary decoders accept the binary form and reject JSON.
 	var got Report
+	if err := UnmarshalReportBinary(binB, &got); err != nil || !reportsEqual(r, got) {
+		t.Fatalf("UnmarshalReportBinary(binary) = %+v, %v", got, err)
+	}
+	d := NewDecoder()
+	var got2 Report
+	if err := d.Decode(binB, &got2); err != nil || !reportsEqual(r, got2) {
+		t.Fatalf("Decoder.Decode(binary) = %+v, %v", got2, err)
+	}
 	if err := UnmarshalReportBinary(jsonB, &got); !errors.Is(err, ErrNotBinary) {
 		t.Fatalf("UnmarshalReportBinary(json) = %v, want ErrNotBinary", err)
+	}
+	if err := d.Decode(jsonB, &got2); !errors.Is(err, ErrNotBinary) {
+		t.Fatalf("Decoder.Decode(json) = %v, want ErrNotBinary", err)
 	}
 }
 
@@ -165,9 +149,6 @@ func TestBinaryDecodeErrors(t *testing.T) {
 	}
 	if err := UnmarshalReportBinary(nil, &got); !errors.Is(err, ErrNotBinary) {
 		t.Fatalf("nil payload: %v, want ErrNotBinary", err)
-	}
-	if FormatName(bad) != "binary/v99" || FormatName(b) != "binary/v1" || FormatName(r.Marshal()) != "json" {
-		t.Fatalf("FormatName misidentified payloads")
 	}
 }
 
@@ -240,10 +221,9 @@ func TestDecoderAllocs(t *testing.T) {
 	}
 }
 
-// FuzzReportCodec fuzzes the codec both ways: binary → decode → re-encode
-// must be byte-identical, and a JSON-encoded twin of the same report must
-// decode field-equal to the binary decode (floats guarded against NaN/Inf,
-// which the legacy JSON codec cannot represent).
+// FuzzReportCodec fuzzes the codec's round trip: binary → decode →
+// re-encode must be byte-identical, with the ID intact below the frame
+// limit.
 func FuzzReportCodec(f *testing.F) {
 	r := testReport()
 	f.Add(r.ID, r.Source, r.Time.Unix(), int64(r.Time.Nanosecond()),
@@ -253,8 +233,8 @@ func FuzzReportCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id, source string, sec, nsec int64,
 		lon, lat, alt, speed, heading, vrate float64) {
 		// Clamp the instant into the representable envelope (year 1–9999):
-		// outside it time.Unix wraps and the legacy JSON codec refuses to
-		// marshal, so neither codec claims to round-trip there.
+		// outside it time.Unix wraps, so the codec does not claim to
+		// round-trip there.
 		const minSec, maxSec = -62135596800, 253402300799
 		if sec < minSec {
 			sec = minSec
@@ -283,28 +263,6 @@ func FuzzReportCodec(f *testing.F) {
 		}
 		if len(id) <= maxFieldLen && dec.ID != id {
 			t.Fatalf("ID mangled: %q -> %q", id, dec.ID)
-		}
-
-		// JSON twin: only for values the legacy codec can carry at all.
-		// encoding/json cannot represent NaN/Inf and coerces invalid UTF-8
-		// to U+FFFD; the binary codec preserves both.
-		for _, v := range []float64{lon, lat, alt, speed, heading, vrate} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return
-			}
-		}
-		if !utf8.ValidString(id) || !utf8.ValidString(source) {
-			return
-		}
-		var fromJSON Report
-		if err := UnmarshalReportInto(r.Marshal(), &fromJSON); err != nil {
-			t.Fatalf("json decode: %v", err)
-		}
-		if len(id) > maxFieldLen || len(source) > maxFieldLen {
-			return // binary frames truncate past 64 KiB; JSON does not
-		}
-		if !reportsEqual(fromJSON, dec) {
-			t.Fatalf("codec disagreement:\n json: %+v\n  bin: %+v", fromJSON, dec)
 		}
 	})
 }

@@ -77,10 +77,9 @@ func (r Report) Valid() bool {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// Marshal encodes the report as the legacy JSON wire format, mirroring the
-// paper's "stream of messages in JSON" sources. The broker hot path now
-// carries the binary codec (see codec.go); Marshal remains for external
-// interchange and for exercising the legacy decode path.
+// Marshal encodes the report as JSON, mirroring the paper's "stream of
+// messages in JSON" sources; the Table 1 experiment counts volumes in this
+// form. The broker and checkpoints carry the binary codec (see codec.go).
 func (r Report) Marshal() []byte {
 	b, err := json.Marshal(r)
 	if err != nil {
@@ -90,18 +89,10 @@ func (r Report) Marshal() []byte {
 	return b
 }
 
-// UnmarshalReport decodes a wire payload of either format: binary (sniffed
-// by the magic byte) or legacy JSON. Hot paths should prefer the in-place
-// decoders (UnmarshalReportBinary, Decoder.Decode), which avoid per-record
-// allocations.
+// UnmarshalReport decodes the JSON form Marshal produces. Binary payloads
+// decode through UnmarshalReportBinary or a Decoder.
 func UnmarshalReport(b []byte) (Report, error) {
 	var r Report
-	if IsBinaryReport(b) {
-		if err := UnmarshalReportBinary(b, &r); err != nil {
-			return Report{}, err
-		}
-		return r, nil
-	}
 	if err := json.Unmarshal(b, &r); err != nil {
 		return Report{}, fmt.Errorf("mobility: decoding report: %w", err)
 	}

@@ -5,11 +5,10 @@
 // library.
 //
 // The internal metric namespace is dotted ("msg.depth.surveillance.raw");
-// Prometheus names must match [a-zA-Z_:][a-zA-Z0-9_:]*. A Mapper translates
-// between the two worlds: it turns an internal name into an exposition
-// family plus labels, so per-topic and per-operator series collapse into
-// one labelled family instead of exploding the name space. DefaultMapping
-// knows this repository's naming conventions; unmapped names fall back to
+// Prometheus names must match [a-zA-Z_:][a-zA-Z0-9_:]*. The renderer maps
+// an internal name to an exposition family plus labels (mapName), so
+// per-topic and per-operator series collapse into one labelled family
+// instead of exploding the name space; unmapped names fall back to
 // character sanitisation.
 //
 // Every sample value is sanitised to a finite number: snapshots taken
@@ -24,71 +23,44 @@ import (
 	"strings"
 )
 
-// Label is one name/value pair attached to a series.
-type Label struct {
+// label is one name/value pair attached to a series.
+type label struct {
 	Name  string
 	Value string
 }
 
-// Mapper rewrites an internal metric name into an exposition family name
-// and labels. The family is sanitised afterwards, label values are escaped
-// at render time; a Mapper therefore never needs to escape anything.
-type Mapper func(name string) (family string, labels []Label)
-
-// Options configures the Prometheus renderer.
-type Options struct {
-	// Namespace, when non-empty, prefixes every family ("datacron" →
-	// datacron_core_records_total).
-	Namespace string
-	// Help maps family names (post-mapping, without the namespace prefix
-	// and without the counter _total suffix) to HELP text. Families without
-	// an entry get no HELP line.
-	Help map[string]string
-	// Const labels are stamped on every series (e.g. job or instance).
-	Const []Label
-	// Map translates internal names; nil uses DefaultMapping().
-	Map Mapper
-	// Rates additionally emits a <family>_per_second gauge for every
-	// counter, derived from the snapshot's elapsed window. A zero window
-	// derives 0.
-	Rates bool
-}
-
-// identityMapping maps every name to itself with no labels.
-func identityMapping(name string) (string, []Label) { return name, nil }
-
-// DefaultMapping returns the Mapper encoding this repository's metric
-// naming conventions:
+// mapName rewrites an internal metric name into an exposition family name
+// and labels, encoding this repository's metric naming conventions:
 //
 //	msg.depth.<topic>        → msg_depth{topic=...}   (likewise produced, bytes)
 //	msg.lag.<group>/<topic>  → msg_lag{group=..., topic=...}
 //	trace.<span>.<metric>    → trace_<metric>{span=...}
 //	health.<component>.status→ health_status{component=...}
 //
-// Everything else keeps its dotted name, sanitised to underscores.
-func DefaultMapping() Mapper {
-	return func(name string) (string, []Label) {
-		switch {
-		case hasSegPrefix(name, "msg.depth."), hasSegPrefix(name, "msg.produced."), hasSegPrefix(name, "msg.bytes."):
-			parts := strings.SplitN(name, ".", 3)
-			return "msg_" + parts[1], []Label{{Name: "topic", Value: parts[2]}}
-		case hasSegPrefix(name, "msg.lag."):
-			rest := strings.TrimPrefix(name, "msg.lag.")
-			if group, topic, ok := strings.Cut(rest, "/"); ok {
-				return "msg_lag", []Label{{Name: "group", Value: group}, {Name: "topic", Value: topic}}
-			}
-			return "msg_lag", []Label{{Name: "group", Value: rest}}
-		case hasSegPrefix(name, "trace."):
-			if span, metric, ok := splitMiddle(name, "trace."); ok {
-				return "trace_" + metric, []Label{{Name: "span", Value: span}}
-			}
-		case hasSegPrefix(name, "health."):
-			if comp, metric, ok := splitMiddle(name, "health."); ok {
-				return "health_" + metric, []Label{{Name: "component", Value: comp}}
-			}
+// Everything else keeps its dotted name. The family is sanitised
+// afterwards and label values are escaped at render time, so nothing here
+// escapes.
+func mapName(name string) (string, []label) {
+	switch {
+	case hasSegPrefix(name, "msg.depth."), hasSegPrefix(name, "msg.produced."), hasSegPrefix(name, "msg.bytes."):
+		parts := strings.SplitN(name, ".", 3)
+		return "msg_" + parts[1], []label{{Name: "topic", Value: parts[2]}}
+	case hasSegPrefix(name, "msg.lag."):
+		rest := strings.TrimPrefix(name, "msg.lag.")
+		if group, topic, ok := strings.Cut(rest, "/"); ok {
+			return "msg_lag", []label{{Name: "group", Value: group}, {Name: "topic", Value: topic}}
 		}
-		return name, nil
+		return "msg_lag", []label{{Name: "group", Value: rest}}
+	case hasSegPrefix(name, "trace."):
+		if span, metric, ok := splitMiddle(name, "trace."); ok {
+			return "trace_" + metric, []label{{Name: "span", Value: span}}
+		}
+	case hasSegPrefix(name, "health."):
+		if comp, metric, ok := splitMiddle(name, "health."); ok {
+			return "health_" + metric, []label{{Name: "component", Value: comp}}
+		}
 	}
+	return name, nil
 }
 
 // hasSegPrefix is strings.HasPrefix with the intent (segment boundary
@@ -133,19 +105,6 @@ func sanitizeName(name string) string {
 	return b.String()
 }
 
-// sanitizeLabelName rewrites a label name into [a-zA-Z_][a-zA-Z0-9_]*.
-func sanitizeLabelName(name string) string {
-	s := sanitizeName(name)
-	return strings.ReplaceAll(s, ":", "_")
-}
-
-// escapeHelp escapes a HELP string per the exposition format: backslash and
-// newline only.
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
 // escapeLabelValue escapes a label value per the exposition format:
 // backslash, double quote and newline.
 func escapeLabelValue(s string) string {
@@ -173,11 +132,11 @@ func formatValue(v float64) string {
 
 // labelString renders a sorted, escaped label set incl. braces; empty
 // input renders as the empty string.
-func labelString(labels []Label) string {
+func labelString(labels []label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := append([]Label(nil), labels...)
+	ls := append([]label(nil), labels...)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
 	var b strings.Builder
 	b.WriteByte('{')
@@ -185,7 +144,7 @@ func labelString(labels []Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(sanitizeLabelName(l.Name))
+		b.WriteString(l.Name)
 		b.WriteString(`="`)
 		b.WriteString(escapeLabelValue(l.Value))
 		b.WriteByte('"')

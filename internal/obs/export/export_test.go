@@ -26,7 +26,7 @@ func fixedRegistry() *obs.Registry {
 	r := obs.NewRegistry(clk)
 	r.Counter("core.records").Add(1500)
 	r.Counter("msg.produced.surveillance.raw").Add(1500)
-	r.Gauge("synopses.compression_ratio").Set(0.937)
+	r.Gauge("flow.level").Set(2)
 	r.Gauge("msg.depth.trajectory.synopses").Set(96)
 	r.Gauge("msg.lag.realtime/surveillance.raw").Set(42)
 	r.Gauge("health.watermark.status").Set(0)
@@ -40,16 +40,7 @@ func fixedRegistry() *obs.Registry {
 
 func TestPrometheusGolden(t *testing.T) {
 	var buf bytes.Buffer
-	err := WritePrometheus(&buf, fixedRegistry().Snapshot(), Options{
-		Namespace: "datacron",
-		Help: map[string]string{
-			"core_records":               "raw surveillance records consumed by the real-time layer",
-			"checkpoint_capture_seconds": "time to capture one coordinated checkpoint",
-		},
-		Const: []Label{{Name: "job", Value: "datacron"}},
-		Rates: true,
-	})
-	if err != nil {
+	if err := WritePrometheus(&buf, fixedRegistry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "metrics.golden")
@@ -69,7 +60,7 @@ func TestPrometheusGolden(t *testing.T) {
 
 func TestPrometheusExpositionShape(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, fixedRegistry().Snapshot(), Options{Rates: true}); err != nil {
+	if err := WritePrometheus(&buf, fixedRegistry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -101,32 +92,22 @@ func TestPrometheusExpositionShape(t *testing.T) {
 	}
 }
 
-func TestHelpAndLabelEscaping(t *testing.T) {
+func TestLabelValueEscaping(t *testing.T) {
 	clk := obs.NewManualClock(epoch)
 	r := obs.NewRegistry(clk)
-	r.Counter("weird").Add(1)
-	s := r.Snapshot()
+	r.Gauge("msg.depth.C:\\tmp").Set(1)
+	r.Gauge("msg.depth.say \"hi\"\nbye").Set(2)
 
 	var buf bytes.Buffer
-	err := WritePrometheus(&buf, s, Options{
-		Help: map[string]string{
-			"weird": "back\\slash and \"quotes\" and a\nnewline",
-		},
-		Const: []Label{{Name: "path", Value: `C:\tmp`}, {Name: "q", Value: "say \"hi\"\nbye"}},
-	})
-	if err != nil {
+	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	// HELP escapes backslash and newline; quotes stay literal.
-	if !strings.Contains(out, `# HELP weird_total back\\slash and "quotes" and a\nnewline`) {
-		t.Errorf("help escaping wrong:\n%s", out)
-	}
 	// Label values escape backslash, quote and newline.
-	if !strings.Contains(out, `path="C:\\tmp"`) || !strings.Contains(out, `q="say \"hi\"\nbye"`) {
+	if !strings.Contains(out, `msg_depth{topic="C:\\tmp"} 1`) || !strings.Contains(out, `msg_depth{topic="say \"hi\"\nbye"} 2`) {
 		t.Errorf("label escaping wrong:\n%s", out)
 	}
-	if strings.Contains(out, "a\nnewline") || strings.Contains(out, "\nbye") {
+	if strings.Contains(out, "\nbye") {
 		t.Errorf("raw newline leaked into exposition:\n%q", out)
 	}
 }
@@ -154,7 +135,7 @@ func TestHistogramMergeThenRender(t *testing.T) {
 	s := obs.Snapshot{At: epoch, Histograms: []obs.HistogramSnapshot{merged}}
 
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, s, Options{}); err != nil {
+	if err := WritePrometheus(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -181,7 +162,7 @@ func TestNonFiniteSanitised(t *testing.T) {
 	s := r.Snapshot()                  // Elapsed == 0: rates would divide by zero
 
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, s, Options{Rates: true}); err != nil {
+	if err := WritePrometheus(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []string{"NaN", "Inf "} {
@@ -193,12 +174,12 @@ func TestNonFiniteSanitised(t *testing.T) {
 		t.Errorf("zero-window rate must render 0:\n%s", buf.String())
 	}
 
-	var jb bytes.Buffer
-	if err := WriteJSON(&jb, s); err != nil {
-		t.Fatalf("WriteJSON over non-finite snapshot: %v", err)
+	jb, err := json.Marshal(JSONSnapshot(s))
+	if err != nil {
+		t.Fatalf("JSON over non-finite snapshot: %v", err)
 	}
 	var decoded SnapshotJSON
-	if err := json.Unmarshal(jb.Bytes(), &decoded); err != nil {
+	if err := json.Unmarshal(jb, &decoded); err != nil {
 		t.Fatalf("round-trip: %v", err)
 	}
 	if len(decoded.Histograms) != 1 || decoded.Histograms[0].Mean != 0 {

@@ -1,8 +1,6 @@
 package export
 
 import (
-	"encoding/json"
-	"io"
 	"time"
 
 	"datacron/internal/obs"
@@ -85,12 +83,4 @@ func JSONSnapshot(s obs.Snapshot) SnapshotJSON {
 		out.Histograms = append(out.Histograms, hj)
 	}
 	return out
-}
-
-// WriteJSON writes the snapshot's JSON form, indented for curl-friendly
-// reading.
-func WriteJSON(w io.Writer, s obs.Snapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(JSONSnapshot(s))
 }

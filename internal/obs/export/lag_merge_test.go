@@ -55,7 +55,7 @@ func TestLagFamilyMergeThenRenderGolden(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, merged, Options{}); err != nil {
+	if err := WritePrometheus(&buf, merged); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "lag_merge.golden")

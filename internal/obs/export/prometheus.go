@@ -17,7 +17,7 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // kept in insertion order (the snapshot is already name-sorted, and
 // histogram buckets must stay in ascending-le order).
 type family struct {
-	name   string // rendered name, without namespace
+	name   string // rendered name
 	kind   string // counter | gauge | histogram
 	series []series
 }
@@ -32,18 +32,8 @@ type series struct {
 // emitted exactly once per family even when several internal metrics map
 // onto it.
 type renderer struct {
-	opts     Options
-	mapper   Mapper
 	families map[string]*family
 	order    []string
-}
-
-func newRenderer(opts Options) *renderer {
-	m := opts.Map
-	if m == nil {
-		m = DefaultMapping()
-	}
-	return &renderer{opts: opts, mapper: m, families: make(map[string]*family)}
 }
 
 // ensure returns the named family, creating it on first use. Kind conflicts
@@ -64,48 +54,31 @@ func (r *renderer) ensure(famName, kind string) *family {
 	return f
 }
 
-// resolve maps an internal metric name through the Mapper and returns the
-// family plus the series labels (mapper labels followed by const labels).
-func (r *renderer) resolve(name, kind, suffix string) (*family, []Label) {
-	mapped, labels := r.mapper(name)
-	f := r.ensure(sanitizeName(mapped)+suffix, kind)
-	return f, append(labels, r.opts.Const...)
+// resolve maps an internal metric name to its family and series labels.
+func (r *renderer) resolve(name, kind, suffix string) (*family, []label) {
+	mapped, labels := mapName(name)
+	return r.ensure(sanitizeName(mapped)+suffix, kind), labels
 }
 
-func (r *renderer) add(f *family, suffix string, labels []Label, value string) {
+func (r *renderer) add(f *family, suffix string, labels []label, value string) {
 	f.series = append(f.series, series{suffix: suffix, labels: labelString(labels), value: value})
 }
 
-// helpFor looks up HELP text: families are keyed without the namespace and
-// without the counter _total suffix, so one Help entry can cover a counter
-// family while its derived _per_second gauge keys independently.
-func (r *renderer) helpFor(famName string) (string, bool) {
-	h, ok := r.opts.Help[famName]
-	if !ok {
-		h, ok = r.opts.Help[strings.TrimSuffix(famName, "_total")]
-	}
-	return h, ok
-}
-
 // WritePrometheus renders the snapshot in the Prometheus text exposition
-// format, version 0.0.4: for every family a # TYPE line (plus # HELP when
-// configured), then its series. Counters gain the conventional _total
-// suffix; with opts.Rates each counter additionally yields a
-// <family>_per_second gauge derived over the snapshot window (a zero
-// window derives 0, see obs.Snapshot.Rate). Histograms render cumulative
-// le-buckets, _sum and _count. Every value is finite: NaN and ±Inf
-// sanitise to 0, which the format would otherwise reject.
-func WritePrometheus(w io.Writer, s obs.Snapshot, opts Options) error {
-	r := newRenderer(opts)
+// format, version 0.0.4: for every family a # TYPE line, then its series.
+// Counters gain the conventional _total suffix, and each counter
+// additionally yields a <family>_per_second gauge derived over the snapshot
+// window (a zero window derives 0, see obs.Snapshot.Rate). Histograms
+// render cumulative le-buckets, _sum and _count. Every value is finite:
+// NaN and ±Inf sanitise to 0, which the format would otherwise reject.
+func WritePrometheus(w io.Writer, s obs.Snapshot) error {
+	r := &renderer{families: make(map[string]*family)}
 
 	for _, c := range s.Counters {
 		f, labels := r.resolve(c.Name, "counter", "_total")
 		r.add(f, "", labels, formatValue(float64(c.Value)))
-		if opts.Rates {
-			rateName := strings.TrimSuffix(f.name, "_total") + "_per_second"
-			rf := r.ensure(rateName, "gauge")
-			r.add(rf, "", labels, formatValue(s.Rate(c.Name)))
-		}
+		rf := r.ensure(strings.TrimSuffix(f.name, "_total")+"_per_second", "gauge")
+		r.add(rf, "", labels, formatValue(s.Rate(c.Name)))
 	}
 	for _, g := range s.Gauges {
 		f, labels := r.resolve(g.Name, "gauge", "")
@@ -120,7 +93,7 @@ func WritePrometheus(w io.Writer, s obs.Snapshot, opts Options) error {
 			if i < len(h.Bounds) {
 				le = formatValue(h.Bounds[i])
 			}
-			bl := append(append([]Label(nil), labels...), Label{Name: "le", Value: le})
+			bl := append(append([]label(nil), labels...), label{Name: "le", Value: le})
 			r.add(f, "_bucket", bl, formatValue(float64(cum)))
 		}
 		r.add(f, "_sum", labels, formatValue(h.Sum))
@@ -135,20 +108,11 @@ func (r *renderer) write(w io.Writer) error {
 	sort.Strings(names)
 	for _, name := range names {
 		f := r.families[name]
-		full := f.name
-		if r.opts.Namespace != "" {
-			full = sanitizeName(r.opts.Namespace) + "_" + f.name
-		}
-		if help, ok := r.helpFor(f.name); ok {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", full, escapeHelp(help)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", full, f.kind); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
 		}
 		for _, sr := range f.series {
-			if _, err := fmt.Fprintf(w, "%s%s%s %s\n", full, sr.suffix, sr.labels, sr.value); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s%s %s\n", f.name, sr.suffix, sr.labels, sr.value); err != nil {
 				return err
 			}
 		}

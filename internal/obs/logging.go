@@ -2,9 +2,7 @@ package obs
 
 import (
 	"context"
-	"io"
 	"log/slog"
-	"strings"
 )
 
 // Structured logging for the pipeline. The conventions mirror the metric
@@ -14,32 +12,6 @@ import (
 // line can be matched against the /traces dump of the admin server. A
 // disabled logger is NopLogger(), whose handler rejects every level before
 // any attr is materialised, so instrumented code logs unconditionally.
-
-// NewLogger builds a logger writing to w. Format is "json" for
-// slog.JSONHandler or anything else (conventionally "text") for
-// slog.TextHandler. Level bounds the emitted records.
-func NewLogger(w io.Writer, format string, level slog.Leveler) *slog.Logger {
-	opts := &slog.HandlerOptions{Level: level}
-	if strings.EqualFold(format, "json") {
-		return slog.New(slog.NewJSONHandler(w, opts))
-	}
-	return slog.New(slog.NewTextHandler(w, opts))
-}
-
-// ParseLevel maps a -log-level flag value to a slog.Level, defaulting to
-// Info for unknown names.
-func ParseLevel(s string) slog.Level {
-	switch strings.ToLower(s) {
-	case "debug":
-		return slog.LevelDebug
-	case "warn", "warning":
-		return slog.LevelWarn
-	case "error":
-		return slog.LevelError
-	default:
-		return slog.LevelInfo
-	}
-}
 
 // nopHandler drops everything before formatting.
 type nopHandler struct{}

@@ -195,7 +195,7 @@ func TestWriteText(t *testing.T) {
 	clk := NewManualClock(epoch)
 	r := NewRegistry(clk)
 	r.Counter("synopses.in").Add(100)
-	r.Gauge("synopses.compression_ratio").Set(0.87)
+	r.Gauge("flow.level").Set(0.87)
 	r.Histogram("store.starjoin.seconds", 0.001, 0.01).Observe(0.002)
 	clk.Advance(2 * time.Second)
 	var sb strings.Builder
@@ -203,7 +203,7 @@ func TestWriteText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"synopses.in", "rate=50.0/s", "compression_ratio", "0.8700", "store.starjoin.seconds", "count=1"} {
+	for _, want := range []string{"synopses.in", "rate=50.0/s", "flow.level", "0.8700", "store.starjoin.seconds", "count=1"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}

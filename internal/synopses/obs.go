@@ -10,14 +10,13 @@ type genMetrics struct {
 	in       *obs.Counter
 	dropped  *obs.Counter
 	critical *obs.Counter
-	ratio    *obs.Gauge
 	last     Stats
 }
 
 // Instrument mirrors the generator's counters into reg — "synopses.in",
-// "synopses.dropped", "synopses.critical" — and keeps the live
-// "synopses.compression_ratio" gauge current after every Process call. A
-// nil registry detaches instrumentation.
+// "synopses.dropped", "synopses.critical" — after every Process call; a
+// reader derives the compression ratio from them (Stats.CompressionRatio).
+// A nil registry detaches instrumentation.
 func (g *Generator) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		g.m = nil
@@ -27,7 +26,6 @@ func (g *Generator) Instrument(reg *obs.Registry) {
 		in:       reg.Counter("synopses.in"),
 		dropped:  reg.Counter("synopses.dropped"),
 		critical: reg.Counter("synopses.critical"),
-		ratio:    reg.Gauge("synopses.compression_ratio"),
 		last:     g.stats, // only progress made after attaching is mirrored
 	}
 }
@@ -37,5 +35,4 @@ func (m *genMetrics) sync(s Stats) {
 	m.dropped.Add(s.Dropped - m.last.Dropped)
 	m.critical.Add(s.Critical - m.last.Critical)
 	m.last = s
-	m.ratio.Set(s.CompressionRatio())
 }

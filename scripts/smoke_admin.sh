@@ -3,10 +3,12 @@
 #
 # Starts datacron with -admin on an ephemeral port (freshness SLO armed,
 # every record traced), waits for the server address to appear on stdout,
-# curls /metrics, /healthz, /slo and /traces asserting the Prometheus
-# exposition carries runtime self-metrics, the SLO standing decodes and a
-# parent-linked span tree is reconstructable, then stops the run with
-# SIGTERM and expects a graceful zero exit.
+# curls /metrics, /healthz, /slo, /statz, /readyz and /traces asserting the
+# Prometheus exposition carries runtime self-metrics, the SLO standing
+# decodes, the stats snapshot decodes with its summary, shard rows and SLO
+# standing, the readiness probe reports its components, and a parent-linked
+# span tree is reconstructable, then stops the run with SIGTERM and expects
+# a graceful zero exit. Needs curl and jq.
 set -eu
 
 tmp=$(mktemp -d)
@@ -58,6 +60,40 @@ slo=$(curl -fsS "http://$addr/slo")
 echo "$slo" | grep -q '"family": "lag.predict.seconds"' || {
     echo "smoke_admin: /slo is missing the armed freshness objective:" >&2
     echo "$slo" >&2
+    exit 1
+}
+
+# /statz is the pipeline's stats snapshot. Shard rows appear once the run
+# has built its shard plane, so poll briefly for them.
+statz_ok=""
+for _ in $(seq 1 50); do
+    statz=$(curl -fsS "http://$addr/statz" || true)
+    if echo "$statz" | jq -e 'has("metrics") and has("summary") and (.shards | length > 0) and (.slo | length > 0)' >/dev/null 2>&1; then
+        statz_ok=1
+        break
+    fi
+    sleep 0.1
+done
+if [ -z "$statz_ok" ]; then
+    echo "smoke_admin: /statz never decoded with summary, shards and slo:" >&2
+    echo "$statz" | head -20 >&2
+    exit 1
+fi
+
+# /readyz answers 200 or 503 (the SLO may be violated) with the component
+# report; the broker-depth component is gone.
+code=$(curl -sS -o "$tmp/readyz.json" -w '%{http_code}' "http://$addr/readyz")
+case "$code" in
+200 | 503) ;;
+*)
+    echo "smoke_admin: /readyz answered $code" >&2
+    exit 1
+    ;;
+esac
+jq -e 'has("ready") and has("live") and (.components | length > 0) and all(.components[]; .component != "depth")' \
+    "$tmp/readyz.json" >/dev/null || {
+    echo "smoke_admin: /readyz body is not the component report:" >&2
+    cat "$tmp/readyz.json" >&2
     exit 1
 }
 
