@@ -49,13 +49,15 @@ race:
 # input and output, and core's sharded, recovery, cancel and look-ahead
 # tests, whose run loop keeps two poll batches in the plane at once, and the
 # finished-points test, whose workers share the read-only weather field and
-# each encode synopsis records into their own arena. Part of
+# each encode synopsis records into their own arena, and the staged-emit
+# tests, whose merge produces each output topic once per poll batch while
+# the next batch is in the plane. Part of
 # ci (and of race, via ./...); kept as its own target for quick iteration on
 # the plane.
 shardrace:
 	$(GO) test -race ./internal/shard/...
 	$(GO) test -race ./internal/msg/...
-	$(GO) test -race -run 'Shard|Recovery|Cancel|Prefetch|BlockLimited|FinishedPoints' ./internal/core
+	$(GO) test -race -run 'Shard|Recovery|Cancel|Prefetch|BlockLimited|FinishedPoints|StagedEmit' ./internal/core
 
 # bench runs the go micro-benchmarks once each. End-to-end numbers come
 # from bench/run.sh (see BENCHMARK.json).

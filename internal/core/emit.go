@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"datacron/internal/cer"
+	"datacron/internal/linkdisc"
 	"datacron/internal/msg"
 	"datacron/internal/rdf"
 	"datacron/internal/rdfgen"
@@ -44,14 +45,14 @@ func (a *arena) alloc(n int) []byte {
 func (a *arena) clone(b []byte) []byte { return append(a.alloc(len(b)), b...) }
 
 // TriplePublisher is the real-time layer's triple emit path: it places
-// N-Triples lines in an arena and sends all the triples of one critical
-// point to TopicTriples in a single Broker.ProduceBatch. A publisher belongs
-// to one goroutine — the run loop builds its own per run.
+// N-Triples lines in an arena, stages their TopicTriples records, and sends
+// everything staged in a single Broker.ProduceBatch. A publisher belongs to
+// one goroutine — the run loop builds its own per run.
 type TriplePublisher struct {
 	broker *msg.Broker
 	arena  arena        // the encoded lines, owned by the broker once produced
 	line   []byte       // one triple's encoding, before it is placed in the arena
-	recs   []msg.Record // ProduceBatch scratch, reused across calls
+	recs   []msg.Record // staged for the next send, reused across sends
 }
 
 // NewTriplePublisher returns a publisher producing to b's TopicTriples.
@@ -66,62 +67,111 @@ func (tp *TriplePublisher) encode(t rdf.Triple) []byte {
 	return tp.arena.clone(tp.line)
 }
 
-// batch returns the ProduceBatch scratch sized for n records.
-func (tp *TriplePublisher) batch(n int) []msg.Record {
-	if cap(tp.recs) < n {
-		tp.recs = make([]msg.Record, n)
-	}
-	return tp.recs[:n]
-}
-
 // Publish sends triples to the triples topic as N-Triples lines, in order,
 // keyed by subject and stamped ts, in one broker batch.
 func (tp *TriplePublisher) Publish(ctx context.Context, triples []rdf.Triple, ts time.Time) error {
-	recs := tp.batch(len(triples))
 	// Consecutive triples mostly share a subject (a template lists a node's
 	// properties together), so the key is built once per run of equal ones.
 	var subject rdf.Term
 	var key string
-	for i, t := range triples {
+	for _, t := range triples {
 		if t.S != subject {
 			subject, key = t.S, t.S.Key()
 		}
-		recs[i] = msg.Record{Key: key, Value: tp.encode(t), Time: ts}
+		//lint:ignore boundedchan emptied by the send below: one call's triples
+		tp.recs = append(tp.recs, msg.Record{Key: key, Value: tp.encode(t), Time: ts})
 	}
-	return tp.send(ctx, recs)
+	return tp.send(ctx)
 }
 
-// stage turns a rendered graph into its TopicTriples batch, one record per
-// line stamped ts: the lines are copied into the arena in one piece, each
+// stage appends a rendered graph's TopicTriples records to the stage, one
+// per line stamped ts: the lines are copied into the arena in one piece, each
 // record's value capped to its own line, and the keys become one string —
-// the point's one allocation — that every record's key is a slice of. The
-// records are the publisher's scratch, valid until the next stage or
-// Publish; a caller may produce their values to another topic as well, since
-// the broker never writes a value it holds.
+// the point's one allocation — that every record's key is a slice of, so a
+// run of one subject's records shares its key bytes. It returns the graph's
+// records, a window of the stage valid until the next stage or send; a
+// caller may produce their values to another topic as well, since the broker
+// never writes a value it holds.
 func (tp *TriplePublisher) stage(g *rdfgen.PointGraph, ts time.Time) []msg.Record {
 	lines := tp.arena.clone(g.Lines)
 	keys := string(g.Keys)
-	recs := tp.batch(len(g.Triples))
-	for i, t := range g.Triples {
-		recs[i] = msg.Record{Key: keys[t.KeyStart:t.KeyEnd], Value: lines[t.Start:t.End:t.End], Time: ts}
+	start := len(tp.recs)
+	for _, t := range g.Triples {
+		//lint:ignore boundedchan emptied by every send: at most one poll batch's graphs
+		tp.recs = append(tp.recs, msg.Record{Key: keys[t.KeyStart:t.KeyEnd], Value: lines[t.Start:t.End:t.End], Time: ts})
 	}
-	return recs
+	return tp.recs[start:]
 }
 
-// send produces recs to the triples topic in one broker batch.
-func (tp *TriplePublisher) send(ctx context.Context, recs []msg.Record) error {
-	admitted, err := tp.broker.ProduceBatch(ctx, TopicTriples, recs)
+// send produces the staged records to the triples topic in one broker batch
+// and empties the stage.
+func (tp *TriplePublisher) send(ctx context.Context) error {
+	err := produceAll(ctx, tp.broker, TopicTriples, tp.recs)
+	tp.recs = tp.recs[:0]
+	return err
+}
+
+// batchEmit is the serial merge's output stage for one poll batch: it stages
+// the batch's TopicTriples, TopicLinks and TopicEvents records, and
+// flushBatch produces each topic once, in one Broker.ProduceBatch. Synopsis
+// records are not staged: TopicSynopses is the emit the freshness SLO is
+// written against, so each is still produced the moment its point is merged
+// rather than charged half a batch's apply time.
+type batchEmit struct {
+	triples TriplePublisher // its arena also holds the links' values
+	links   []msg.Record
+	events  []msg.Record
+	notes   arena // the TopicEvents values
+}
+
+func newBatchEmit(b *msg.Broker) *batchEmit {
+	return &batchEmit{triples: TriplePublisher{broker: b}}
+}
+
+// stageLink stages l's TopicLinks record: keyed by its source, stamped with
+// its time, and valued with its triple's line.
+func (e *batchEmit) stageLink(l linkdisc.Link, line []byte) {
+	//lint:ignore boundedchan emptied by every flushBatch: at most one poll batch's links
+	e.links = append(e.links, msg.Record{Key: l.Source, Value: line, Time: l.Time})
+}
+
+// stageEvent stages a TopicEvents record keyed id and stamped ts, its value a
+// copy of note.
+func (e *batchEmit) stageEvent(id string, note []byte, ts time.Time) {
+	//lint:ignore boundedchan emptied by every flushBatch: at most one forecast per critical point of a poll batch
+	e.events = append(e.events, msg.Record{Key: id, Value: e.notes.clone(note), Time: ts})
+}
+
+// flushBatch produces every staged record — the triples, then the links,
+// then the events, one ProduceBatch per topic — and empties the stage.
+// Within each topic the records keep their staging order, so every partition
+// receives what one produce per record would have given it.
+func (e *batchEmit) flushBatch(ctx context.Context) error {
+	err := e.triples.send(ctx)
+	if err == nil {
+		err = produceAll(ctx, e.triples.broker, TopicLinks, e.links)
+	}
+	if err == nil {
+		err = produceAll(ctx, e.triples.broker, TopicEvents, e.events)
+	}
+	e.links, e.events = e.links[:0], e.events[:0]
+	return err
+}
+
+// produceAll produces recs to topic in one broker batch. Every record is
+// part of the run's output, so one a drop policy on the topic refuses fails
+// the run, as a refused per-record Produce would.
+func produceAll(ctx context.Context, b *msg.Broker, topic string, recs []msg.Record) error {
+	admitted, err := b.ProduceBatch(ctx, topic, recs)
 	if err == nil && admitted < len(recs) {
-		err = triplesRefusedErr(len(recs)-admitted, len(recs))
+		err = refusedErr(topic, len(recs)-admitted, len(recs))
 	}
 	return err
 }
 
-// triplesRefusedErr reports triples a drop policy on the triples topic
-// refused: losing part of a critical point's graph fails the run, as a
-// refused per-record Produce would.
-func triplesRefusedErr(refused, of int) error {
-	return fmt.Errorf("core: %w: %d of %d triples refused by %s", msg.ErrTopicFull, refused, of, TopicTriples)
+// refusedErr is produceAll's cold-path error, kept out of its body.
+func refusedErr(topic string, refused, of int) error {
+	return fmt.Errorf("core: %w: %d of %d records refused by %s", msg.ErrTopicFull, refused, of, topic)
 }
 
 // appendDetectionNote appends the Dashboard note for a pattern detected at

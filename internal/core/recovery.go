@@ -200,6 +200,13 @@ func (ps predictorsSnapshotter) Restore(data []byte) error {
 // checkpoint and regenerates byte-identical output — and captures new
 // checkpoints at poll-batch boundaries per the configured triggers.
 //
+// The merge produces each critical point's synopsis record as it applies
+// the point, and the triples, links and forecasts of a whole poll batch
+// together when the batch is applied, before committing it. Every partition
+// of every output topic receives its records in the order one produce per
+// record gives; only the interleaving across topics follows batch
+// boundaries.
+//
 // The Dashboard is a best-effort monitoring sink and is NOT checkpointed:
 // after recovery it may hold duplicates from the replayed span. Everything
 // published to broker topics is effectively-once.
@@ -375,8 +382,9 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 	defer func() {
 		// An exit on the context's error at the loop top or in a blocking
 		// Poll leaves the plane drained (a batch fetched ahead is applied
-		// before the loop top) and every applied record committed: stage
-		// that cut for a caller-driven final capture.
+		// before the loop top) and every applied record's output produced
+		// and the record committed: stage that cut for a caller-driven final
+		// capture.
 		if cpr != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) && plane.Pending() == 0 {
 			if berr := barrier(); berr != nil {
 				err = errors.Join(err, berr)
@@ -395,25 +403,27 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		p.mu.Unlock()
 	}()
 
-	// The emit path's reused state: the publisher's arena and batch scratch,
-	// the graph every critical point is rendered into and the links buffer it
-	// reads, and the CER notes' buffer and the arena their TopicEvents values
-	// go into.
-	pub := NewTriplePublisher(p.Broker)
+	// The emit path's reused state: the batch's output stage (arenas and
+	// staged records), the graph every critical point is rendered into and
+	// the links buffer it reads, and the CER notes' buffer.
+	emit := newBatchEmit(p.Broker)
 	var (
-		graph  rdfgen.PointGraph
-		links  []linkdisc.Link
-		note   []byte
-		events arena
+		graph rdfgen.PointGraph
+		links []linkdisc.Link
+		note  []byte
 	)
-	// processCritical publishes one critical point the shard worker has
-	// finished: its synopsis record and weather literals are done already.
-	processCritical := func(fp *finishedPoint, root obs.Span) error {
+	// processCritical merges one critical point the shard worker has
+	// finished (its synopsis record and weather literals are done already):
+	// it produces the synopsis record and stages the point's triples, links
+	// and forecast on emit, which the caller flushes once per poll batch, so
+	// a batch's synopses are published before any of its other output. now
+	// is the caller's one clock read for the batch.
+	processCritical := func(fp *finishedPoint, root obs.Span, now time.Time) error {
 		cp := &fp.CriticalPoint
 		// Freshness at the serving edge: how old the critical point's event
-		// time is at the moment its derivatives are published downstream —
-		// the end-to-end number an operator's SLO is written against.
-		lagEmit.Observe(p.clock.Now(), cp.Time)
+		// time is when its synopsis is published downstream — the
+		// end-to-end number an operator's SLO is written against.
+		lagEmit.Observe(now, cp.Time)
 		emitSpan := root.Child("emit")
 		defer emitSpan.End()
 		sum.CriticalPoints++
@@ -428,27 +438,22 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 			links = disc.AppendPoint(links, cp.ID, cp.Time, cp.Pos)
 		}
 		// RDF-ify: the point's whole graph — template, weather annotations,
-		// then link triples — rendered to N-Triples lines and staged as one
-		// batch. A link is stamped with the time of the point that produced
-		// it, so cp.Time is every record's time.
+		// then link triples — rendered to N-Triples lines and staged. A link
+		// is stamped with the time of the point that produced it, so cp.Time
+		// is every record's time.
 		row := rdfgen.PointRow{Seq: seq, Point: cp, Weather: p.cfg.Weather != nil,
 			Wind: fp.wind, Wave: fp.wave, Links: links}
 		render.Render(&graph, &row)
-		recs := pub.stage(&graph, cp.Time)
+		recs := emit.triples.stage(&graph, cp.Time)
 		// The link lines close the graph; each is also its link's
 		// TopicLinks value.
 		linkRecs := recs[len(recs)-len(links):]
 		for i, l := range links {
 			sum.Links++
 			p.Dashboard.AddLink(l)
-			if _, err := p.Broker.Produce(ctx, TopicLinks, l.Source, linkRecs[i].Value, l.Time); err != nil {
-				return err
-			}
+			emit.stageLink(l, linkRecs[i].Value)
 		}
 		sum.Triples += int64(len(recs))
-		if err := pub.send(ctx, recs); err != nil {
-			return err
-		}
 		// Complex event forecasting on the critical-point type stream.
 		if p.forecaster != nil {
 			cerSpan := root.Child("cer")
@@ -463,9 +468,7 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 				sum.Forecasts++
 				note = appendForecastNote(note[:0], cp.ID, fc)
 				p.Dashboard.AddEventNote(string(note))
-				if _, err := p.Broker.Produce(ctx, TopicEvents, cp.ID, events.clone(note), cp.Time); err != nil {
-					return err
-				}
+				emit.stageEvent(cp.ID, note, cp.Time)
 			}
 		}
 		seq++
@@ -475,8 +478,9 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 	// apply is the serial merge stage: it folds one record's shard-local
 	// result into the cross-entity operators in global submit order. It
 	// always ends the record's trace root — success, corrupt record or
-	// error — so sampled span trees never leak open spans.
-	apply := func(out *workerOut) error {
+	// error — so sampled span trees never leak open spans. now is the
+	// batch's one clock read, the processing time of its lag stages.
+	apply := func(out *workerOut, now time.Time) error {
 		root := out.trace.rootSpan()
 		defer root.End()
 		if !out.ok {
@@ -484,7 +488,6 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		}
 		sum.RawIn++
 		mRecords.Inc()
-		now := p.clock.Now()
 		lagProcess.Observe(now, out.rep.Time)
 		if out.rep.Time.After(maxEventTime) {
 			maxEventTime = out.rep.Time
@@ -506,21 +509,26 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 			}
 		}
 		for i := range out.cps {
-			if err := processCritical(&out.cps[i], root); err != nil {
+			if err := processCritical(&out.cps[i], root, now); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	// applyBatch drains one submitted batch from the plane in submit order
-	// and applies it. It commits once per partition run of the batch, the
-	// run's last applied record: a corrupt record is dropped uncommitted, so
-	// the group's committed offsets end exactly where a commit per applied
-	// record would leave them.
+	// applyBatch drains one submitted batch from the plane in submit order,
+	// applies it, produces the output it staged and then commits it. It
+	// commits once per partition run of the batch, the run's last applied
+	// record: a corrupt record is dropped uncommitted, so the group's
+	// committed offsets end exactly where a commit per applied record would
+	// leave them. The commits follow the flush, so a committed record's
+	// output is always on the topics.
+	commits := make([]msg.Record, 0, pollBatch)
 	applyBatch := func(recs []msg.Record) error {
 		procSpan := p.tracer.Start("process")
 		defer procSpan.End()
+		now := p.clock.Now()
+		commits = commits[:0]
 		var last msg.Record
 		dirty := false
 		for i := range recs {
@@ -536,16 +544,22 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 			if err != nil {
 				return err
 			}
-			if err := apply(&out); err != nil {
+			if err := apply(&out, now); err != nil {
 				return err
 			}
 			if out.ok {
 				last, dirty = recs[i], true
 			}
 			if dirty && (i == len(recs)-1 || recs[i+1].Partition != recs[i].Partition) {
-				cons.Commit(last)
+				commits = append(commits, last)
 				dirty = false
 			}
+		}
+		if err := emit.flushBatch(ctx); err != nil {
+			return err
+		}
+		for _, rec := range commits {
+			cons.Commit(rec)
 		}
 		return nil
 	}
@@ -704,12 +718,16 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		lists[i] = w.Flush()
 	}
 	flushed := shard.MergeSorted(lessCritical, lists...)
+	now := p.clock.Now()
 	for i := range flushed {
 		// Flush-time critical points have no originating record in flight,
 		// so they carry no trace root.
-		if err := processCritical(&flushed[i], obs.Span{}); err != nil {
+		if err := processCritical(&flushed[i], obs.Span{}, now); err != nil {
 			return sum, err
 		}
+	}
+	if err := emit.flushBatch(ctx); err != nil {
+		return sum, err
 	}
 	for _, t := range outputTopics {
 		if err := p.Broker.CloseTopic(t); err != nil {

@@ -197,8 +197,7 @@ func (w *shardWorker) finish(cps []synopses.CriticalPoint) []finishedPoint {
 		fp.CriticalPoint = cps[i]
 		fp.record = fp.AppendRecord(w.records.alloc(fp.RecordSize()))
 		if w.weather != nil {
-			fp.wind = w.weather.WindSpeed(fp.Pos, fp.Time)
-			fp.wave = w.weather.WaveHeight(fp.Pos, fp.Time)
+			fp.wind, fp.wave = w.weather.WindAndWave(fp.Pos, fp.Time)
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -39,6 +40,66 @@ func TestWeatherFieldDeterministicAndSmooth(t *testing.T) {
 	}
 	if wh := w1.WaveHeight(p, ts); wh < 0 || wh > 12 {
 		t.Errorf("wave height implausible: %v", wh)
+	}
+}
+
+// refWind is the wind field as first written: each component recomputes
+// the hour offset and the cosine and sine of its direction.
+func refWind(w *WeatherField, p geo.Point, t time.Time) (u, v float64) {
+	for _, c := range w.comps {
+		hours := t.Sub(w.start).Hours()
+		s := math.Sin(2*math.Pi*(c.kLon*p.Lon+c.kLat*p.Lat+c.omega*hours) + c.phase)
+		u += c.ampWind * s * math.Cos(c.dir)
+		v += c.ampWind * s * math.Sin(c.dir)
+	}
+	return u, v
+}
+
+func refTemperature(w *WeatherField, p geo.Point, t time.Time) float64 {
+	base := 25 - 0.5*math.Abs(p.Lat)
+	diurnal := 4 * math.Sin(2*math.Pi*float64(t.Hour())/24)
+	noise := 0.0
+	for _, c := range w.comps {
+		hours := t.Sub(w.start).Hours()
+		noise += c.ampTemp * math.Sin(2*math.Pi*(c.kLon*p.Lon+c.kLat*p.Lat+c.omega*hours)+c.phase+1.3)
+	}
+	return base + diurnal + noise/3
+}
+
+// TestWeatherFieldMatchesReferenceFormulas: the precomputed directions, the
+// one hour offset per call and WindAndWave's single evaluation change no
+// bit of any reading, at random points and times (before and after the
+// field's anchor) over several seeds.
+func TestWeatherFieldMatchesReferenceFormulas(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for seed := int64(1); seed <= 4; seed++ {
+		w := NewWeatherField(seed, DefaultStart)
+		for i := 0; i < 500; i++ {
+			p := geo.Pt(-180+360*rng.Float64(), -90+180*rng.Float64())
+			ts := DefaultStart.Add(time.Duration(rng.Int63n(int64(2000*time.Hour))) - 100*time.Hour)
+			u, v := refWind(w, p, ts)
+			ws := math.Hypot(u, v)
+			wave := clampF(0.2+ws*ws/60, 0, 12)
+			gotU, gotV := w.Wind(p, ts)
+			gotWind, gotWave := w.WindAndWave(p, ts)
+			checks := []struct {
+				name      string
+				got, want float64
+			}{
+				{"Wind u", gotU, u},
+				{"Wind v", gotV, v},
+				{"WindSpeed", w.WindSpeed(p, ts), ws},
+				{"WaveHeight", w.WaveHeight(p, ts), wave},
+				{"WindAndWave wind", gotWind, ws},
+				{"WindAndWave wave", gotWave, wave},
+				{"Temperature", w.Temperature(p, ts), refTemperature(w, p, ts)},
+			}
+			for _, c := range checks {
+				if math.Float64bits(c.got) != math.Float64bits(c.want) {
+					t.Fatalf("seed %d, %v at %v: %s = %v, reference %v", seed, p, ts, c.name, c.got, c.want)
+				}
+			}
+		}
 	}
 }
 

@@ -19,12 +19,13 @@ type WeatherField struct {
 }
 
 type fourierComp struct {
-	kLon, kLat float64 // spatial frequency (cycles per degree)
-	omega      float64 // temporal frequency (cycles per hour)
-	phase      float64
-	ampWind    float64 // m/s contribution
-	ampTemp    float64 // °C contribution
-	dir        float64 // wind direction contribution (radians)
+	kLon, kLat     float64 // spatial frequency (cycles per degree)
+	omega          float64 // temporal frequency (cycles per hour)
+	phase          float64
+	ampWind        float64 // m/s contribution
+	ampTemp        float64 // °C contribution
+	dir            float64 // wind direction contribution (radians)
+	cosDir, sinDir float64 // math.Cos(dir), math.Sin(dir), computed once
 }
 
 // NewWeatherField builds a field with the given seed anchored at start.
@@ -42,21 +43,27 @@ func NewWeatherField(seed int64, start time.Time) *WeatherField {
 			ampTemp: 1 + r.Float64()*2,
 			dir:     r.Float64() * 2 * math.Pi,
 		}
+		comps[i].cosDir, comps[i].sinDir = math.Cos(comps[i].dir), math.Sin(comps[i].dir)
 	}
 	return &WeatherField{start: start, comps: comps}
 }
 
-func (w *WeatherField) phase(c fourierComp, p geo.Point, t time.Time) float64 {
-	hours := t.Sub(w.start).Hours()
+// hours is t's offset from the field's anchor, the time axis of every
+// component's phase.
+func (w *WeatherField) hours(t time.Time) float64 { return t.Sub(w.start).Hours() }
+
+func (c *fourierComp) phaseAt(p geo.Point, hours float64) float64 {
 	return 2*math.Pi*(c.kLon*p.Lon+c.kLat*p.Lat+c.omega*hours) + c.phase
 }
 
 // Wind returns the wind vector (u east, v north) in m/s at a point and time.
 func (w *WeatherField) Wind(p geo.Point, t time.Time) (u, v float64) {
-	for _, c := range w.comps {
-		s := math.Sin(w.phase(c, p, t))
-		u += c.ampWind * s * math.Cos(c.dir)
-		v += c.ampWind * s * math.Sin(c.dir)
+	hours := w.hours(t)
+	for i := range w.comps {
+		c := &w.comps[i]
+		s := math.Sin(c.phaseAt(p, hours))
+		u += c.ampWind * s * c.cosDir
+		v += c.ampWind * s * c.sinDir
 	}
 	return u, v
 }
@@ -72,9 +79,11 @@ func (w *WeatherField) WindSpeed(p geo.Point, t time.Time) float64 {
 func (w *WeatherField) Temperature(p geo.Point, t time.Time) float64 {
 	base := 25 - 0.5*math.Abs(p.Lat)
 	diurnal := 4 * math.Sin(2*math.Pi*float64(t.Hour())/24)
+	hours := w.hours(t)
 	noise := 0.0
-	for _, c := range w.comps {
-		noise += c.ampTemp * math.Sin(w.phase(c, p, t)+1.3)
+	for i := range w.comps {
+		c := &w.comps[i]
+		noise += c.ampTemp * math.Sin(c.phaseAt(p, hours)+1.3)
 	}
 	return base + diurnal + noise/3
 }
@@ -82,9 +91,18 @@ func (w *WeatherField) Temperature(p geo.Point, t time.Time) float64 {
 // WaveHeight returns a synthetic significant wave height in metres derived
 // from the wind field (maritime sea-state substitute).
 func (w *WeatherField) WaveHeight(p geo.Point, t time.Time) float64 {
-	ws := w.WindSpeed(p, t)
-	return clampF(0.2+ws*ws/60, 0, 12)
+	return waveHeight(w.WindSpeed(p, t))
 }
+
+// WindAndWave returns WindSpeed and WaveHeight at a point and time from one
+// evaluation of the wind field.
+func (w *WeatherField) WindAndWave(p geo.Point, t time.Time) (wind, wave float64) {
+	wind = w.WindSpeed(p, t)
+	return wind, waveHeight(wind)
+}
+
+// waveHeight is the sea state a wind speed of ws m/s raises.
+func waveHeight(ws float64) float64 { return clampF(0.2+ws*ws/60, 0, 12) }
 
 // Observation is a gridded weather sample, the unit record of the weather
 // archival sources.

@@ -29,8 +29,9 @@ var hotPathRootNames = []string{
 // the ingest and shard-worker paths), the broker's batch produce and
 // non-blocking poll, the pipeline's batch ingest, the critical-point emit
 // path (triple generation, the typed graph renderer, N-Triples encoding,
-// link discovery into a reused buffer, batched publish), and the
-// per-trajectory kernels that run on every report (future-location
+// link discovery into a reused buffer, batched publish, the merge's
+// per-batch output flush), the weather read of every critical point, and
+// the per-trajectory kernels that run on every report (future-location
 // prediction, the synopses generator and its record encoder, the in-situ
 // profiler). Keys are module-relative package prefixes, matched
 // like HotPathScope; values are exact function or method names.
@@ -38,7 +39,8 @@ var HotPathExtraRoots = map[string][]string{
 	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "Decode"},
 	"internal/msg":      {"ProduceBatch", "TryPoll"},
 	"internal/shard":    {"SubmitBatch"},
-	"internal/core":     {"Ingest", "Publish"},
+	"internal/core":     {"Ingest", "Publish", "flushBatch"},
+	"internal/gen":      {"WindAndWave"},
 	"internal/rdf":      {"AppendNT"},
 	"internal/rdfgen":   {"Generate", "Render"},
 	"internal/linkdisc": {"AppendPoint"},

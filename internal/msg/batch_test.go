@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"testing"
 	"time"
@@ -239,5 +240,164 @@ func TestProduceBatchAllocs(t *testing.T) {
 	// O(1) per batch: far below one alloc per record (64/batch here).
 	if allocs > 4 {
 		t.Fatalf("ProduceBatch allocates %.1f per %d-record batch, want O(1)", allocs, batchSize)
+	}
+}
+
+// keyRunBatch builds n records whose keys come in runs of 1–5 equal keys,
+// the way a critical point's triples share a few subjects. Most keys are
+// slices of one string, so equal keys in a run share their bytes; every
+// third run uses a separately built copy, equal in content only. The runs
+// interleave partitions.
+func keyRunBatch(rng *rand.Rand, n int) []Record {
+	const pool = "vessel-0|vessel-1|vessel-2|vessel-3|vessel-4|vessel-5|vessel-6|vessel-7|vessel-8"
+	recs := make([]Record, 0, n)
+	for run := 0; len(recs) < n; run++ {
+		k := rng.Intn(9)
+		key := pool[9*k : 9*k+8]
+		for j := 1 + rng.Intn(5); j > 0 && len(recs) < n; j-- {
+			if run%3 == 2 {
+				key = "vessel-" + strconv.Itoa(k)
+			}
+			recs = append(recs, Record{
+				Key:   key,
+				Value: []byte(fmt.Sprintf("%s/%d", key, len(recs))),
+				Time:  time.Unix(int64(7000+len(recs)), 0).UTC(),
+			})
+		}
+	}
+	return recs
+}
+
+// TestProduceBatchKeyRunsMatchProduce extends the batch-vs-per-record
+// comparison to what the merge's per-batch emit sends: batches with key
+// runs over interleaved partitions, on unbounded topics (more partitions
+// than ProduceBatch's on-stack grouping covers too) and on drop-policy
+// topics. Every record must get the partition, offset or refusal
+// per-record Produce gives it, and the logs and counters must agree.
+func TestProduceBatchKeyRunsMatchProduce(t *testing.T) {
+	cases := []struct {
+		name  string
+		parts int
+		limit *TopicLimit
+	}{
+		{"unbounded/4", 4, nil},
+		{"unbounded/12", 12, nil},
+		{"drop-newest/3", 3, &TopicLimit{Capacity: 20, Policy: DropNewest}},
+		{"drop-oldest/5", 5, &TopicLimit{Capacity: 7, Policy: DropOldestUncommitted}},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			one, many := NewBroker(), NewBroker()
+			for _, b := range []*Broker{one, many} {
+				if err := b.CreateTopic("out", c.parts); err != nil {
+					t.Fatal(err)
+				}
+				if c.limit != nil {
+					if err := b.LimitTopic("out", *c.limit); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(c.parts)))
+			for step := 0; step < 6; step++ {
+				batch := keyRunBatch(rng, 1+rng.Intn(120))
+				want := make([]Record, len(batch))
+				wantAdmitted := 0
+				for i, r := range batch {
+					got, err := one.Produce(ctx, "out", r.Key, r.Value, r.Time)
+					switch {
+					case err == nil:
+						wantAdmitted++
+						want[i] = got
+					case errors.Is(err, ErrTopicFull):
+						want[i] = Record{Topic: "out", Partition: HashKey(r.Key, c.parts),
+							Offset: RejectedOffset, Key: r.Key, Value: r.Value, Time: r.Time}
+					default:
+						t.Fatal(err)
+					}
+				}
+				admitted, err := many.ProduceBatch(ctx, "out", batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if admitted != wantAdmitted {
+					t.Fatalf("step %d: admitted %d, per-record %d", step, admitted, wantAdmitted)
+				}
+				for i := range batch {
+					if !sameRecord(batch[i], want[i]) {
+						t.Fatalf("step %d record %d: batch %+v, per-record %+v", step, i, batch[i], want[i])
+					}
+				}
+			}
+			if c.limit != nil && c.limit.Policy == DropNewest {
+				if ts, _ := many.Stats().Topic("out"); ts.Rejected == 0 {
+					t.Fatal("no record refused; the drop-policy case proved nothing")
+				}
+			}
+			if fmt.Sprint(one.Stats()) != fmt.Sprint(many.Stats()) {
+				t.Fatalf("stats differ:\nper-record %+v\nbatch      %+v", one.Stats(), many.Stats())
+			}
+			for p := 0; p < c.parts; p++ {
+				a, b := partitionLog(t, one, p), partitionLog(t, many, p)
+				if len(a) != len(b) {
+					t.Fatalf("partition %d: %d records vs %d", p, len(a), len(b))
+				}
+				for i := range a {
+					if !sameRecord(a[i], b[i]) {
+						t.Fatalf("partition %d record %d: per-record %+v, batch %+v", p, i, a[i], b[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// partitionLog returns every record retained in one partition of "out".
+func partitionLog(t *testing.T, b *Broker, p int) []Record {
+	t.Helper()
+	end, err := b.EndOffset("out", p)
+	if err != nil || end == 0 {
+		return nil
+	}
+	recs, err := b.Fetch(context.Background(), "out", p, 0, int(end))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestProduceBatchAbortRejectsTheRest: when a Block-policy partition aborts
+// the batch, every record not admitted — in that partition and in every
+// partition after it — reads RejectedOffset, never a leftover of the
+// batch's partition grouping.
+func TestProduceBatchAbortRejectsTheRest(t *testing.T) {
+	b := NewBroker()
+	if err := b.CreateTopic("out", 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.LimitTopic("out", TopicLimit{Capacity: 1, Policy: Block}); err != nil {
+		t.Fatal(err)
+	}
+	batch := keyRunBatch(rand.New(rand.NewSource(1)), 60)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	admitted, err := b.ProduceBatch(ctx, "out", batch)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// Partition 0 admits its first record, then blocks on a cancelled
+	// context: nothing of partitions 1 and 2 is produced.
+	if admitted != 1 {
+		t.Fatalf("admitted %d, want 1", admitted)
+	}
+	for i, r := range batch {
+		first := r.Partition == 0 && r.Offset == 0
+		if !first && r.Offset != RejectedOffset {
+			t.Fatalf("record %d (partition %d) has offset %d, want RejectedOffset", i, r.Partition, r.Offset)
+		}
+		if want := HashKey(r.Key, 3); r.Partition != want {
+			t.Fatalf("record %d routed to %d, want %d", i, r.Partition, want)
+		}
 	}
 }

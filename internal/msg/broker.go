@@ -357,7 +357,8 @@ const RejectedOffset int64 = -1
 // hash exactly like Produce, with one lock acquisition and one metrics flush
 // per touched partition instead of one per record. Each record's Key, Value
 // and Time must be set by the caller; Topic, Partition and Offset are
-// assigned in place.
+// assigned in place. A run of consecutive records with equal keys is hashed
+// once.
 //
 // Admission is still per record: on a topic limited with LimitTopic, each
 // record runs the topic's overload policy individually, so a batch straddling
@@ -367,7 +368,8 @@ const RejectedOffset int64 = -1
 // batch proceeds. The returned count is the number admitted. A non-nil error
 // (topic closed, or context cancelled while blocked under the Block policy)
 // aborts the remaining records of the batch; records already admitted stand,
-// identifiable by their non-negative offsets.
+// identifiable by their non-negative offsets. Partitions are produced in
+// ascending index order.
 //
 // Relative order within a partition follows the batch order, and partitioning
 // follows HashKey, so a stream produced through ProduceBatch is
@@ -383,37 +385,71 @@ func (b *Broker) ProduceBatch(ctx context.Context, topicName string, recs []Reco
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Group the batch by partition in one pass, without allocating: each
+	// partition's records are threaded into a chain in batch order through
+	// their Offset fields (the index of the partition's next record, or
+	// RejectedOffset at the chain's end). produceBatchTo walks a chain and
+	// overwrites every link with the assigned offset or RejectedOffset.
 	nParts := len(t.parts)
+	var onStack [2 * 8]int // heads then tails, for up to 8 partitions
+	ends := onStack[:]
+	if 2*nParts > len(ends) {
+		ends = make([]int, 2*nParts)
+	}
+	heads, tails := ends[:nParts], ends[nParts:2*nParts]
+	for i := range heads {
+		heads[i] = -1
+	}
+	part := 0
 	for i := range recs {
+		// A key equal to the previous one routes the same way. Keys sliced
+		// from one string compare equal on their pointer alone.
+		if i == 0 || recs[i].Key != recs[i-1].Key {
+			part = HashKey(recs[i].Key, nParts)
+		}
 		recs[i].Topic = t.name
-		recs[i].Partition = HashKey(recs[i].Key, nParts)
+		recs[i].Partition = part
 		recs[i].Offset = RejectedOffset
+		if heads[part] < 0 {
+			heads[part] = i
+		} else {
+			recs[tails[part]].Offset = int64(i)
+		}
+		tails[part] = i
 	}
 	admitted := 0
-	for pIdx := 0; pIdx < nParts; pIdx++ {
-		n, err := b.produceBatchTo(ctx, t, pIdx, recs)
+	for pIdx, head := range heads {
+		if head < 0 {
+			continue
+		}
+		n, err := b.produceBatchTo(ctx, t, pIdx, recs, head)
 		admitted += n
 		if err != nil {
+			for _, rest := range heads[pIdx+1:] {
+				rejectChain(recs, rest)
+			}
 			return admitted, err
 		}
 	}
 	return admitted, nil
 }
 
-// produceBatchTo appends every batch record routed to partition pIdx under a
-// single lock acquisition, running per-record admission. Records the overload
-// policy refuses keep RejectedOffset; a closed partition or a context
-// cancellation while blocked aborts the partition's remaining records.
-func (b *Broker) produceBatchTo(ctx context.Context, t *topic, pIdx int, recs []Record) (int, error) {
-	mine := 0
-	for i := range recs {
-		if recs[i].Partition == pIdx {
-			mine++
-		}
+// rejectChain marks every record of the partition chain starting at index i
+// RejectedOffset; a negative i is an empty chain.
+func rejectChain(recs []Record, i int) {
+	for i >= 0 {
+		next := int(recs[i].Offset)
+		recs[i].Offset = RejectedOffset
+		i = next
 	}
-	if mine == 0 {
-		return 0, nil
-	}
+}
+
+// produceBatchTo appends the batch records of partition pIdx — the chain
+// ProduceBatch threaded from index head — under a single lock acquisition,
+// running per-record admission. Records the overload policy refuses get
+// RejectedOffset; a closed partition or a context cancellation while blocked
+// aborts the partition's remaining records, which get RejectedOffset too.
+func (b *Broker) produceBatchTo(ctx context.Context, t *topic, pIdx int, recs []Record, head int) (int, error) {
 	p := t.parts[pIdx]
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -421,17 +457,18 @@ func (b *Broker) produceBatchTo(ctx context.Context, t *topic, pIdx int, recs []
 	defer st.stopWatching()
 	admitted := 0
 	var admitErr error
-	for i := range recs {
-		if recs[i].Partition != pIdx {
-			continue
-		}
+	for i := head; i >= 0; {
 		verdict, err := p.admit(ctx, t, &st)
 		if err != nil {
 			admitErr = err
+			rejectChain(recs, i)
 			break
 		}
+		next := int(recs[i].Offset)
 		if verdict != admitOK {
-			continue // refused: the record keeps RejectedOffset
+			recs[i].Offset = RejectedOffset
+			i = next
+			continue
 		}
 		recs[i].Offset = p.next
 		p.next++
@@ -440,6 +477,7 @@ func (b *Broker) produceBatchTo(ctx context.Context, t *topic, pIdx int, recs []
 		st.valueBytes += int64(len(recs[i].Value))
 		st.pending = true
 		admitted++
+		i = next
 	}
 	st.flush(p, t)
 	switch {

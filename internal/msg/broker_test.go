@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -73,6 +75,32 @@ func TestHashKeyProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHashKeyIsFNV1a pins the inline hash to hash/fnv's FNV-1a: the
+// partition of every key — random bytes, empty, multibyte UTF-8 — equals
+// fnv.New32a's sum modulo n.
+func TestHashKeyIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := []string{"", "a", "vessel-42", "Πειραιάς", "船舶-7", "\xff\xfe\x00", "🚢⚓"}
+	for i := 0; i < 200; i++ {
+		b := make([]byte, rng.Intn(70))
+		rng.Read(b)
+		keys = append(keys, string(b))
+	}
+	for _, key := range keys {
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		for _, n := range []int{1, 2, 4, 7} {
+			want := 0
+			if n > 1 {
+				want = int(h.Sum32() % uint32(n))
+			}
+			if got := HashKey(key, n); got != want {
+				t.Fatalf("HashKey(%q, %d) = %d, FNV-1a gives %d", key, n, got, want)
+			}
+		}
 	}
 }
 

@@ -10,10 +10,7 @@
 // consumer groups read the same topic independently.
 package msg
 
-import (
-	"hash/fnv"
-	"time"
-)
+import "time"
 
 // Record is a single message in a partition log.
 type Record struct {
@@ -28,14 +25,22 @@ type Record struct {
 // HashKey maps a key to a partition index in [0, n) by FNV-1a hash. It is
 // exported because it defines the project's one keyed-routing discipline:
 // the broker partitions producers with it, and the shard execution plane
-// (internal/shard) routes records to workers with the same function, so a
-// record's broker partition and its processing shard are derived from the
-// same hash of the same key.
+// (internal/shard) routes records to workers through it, so a record's
+// broker partition and its processing shard are derived from the same hash
+// of the same key. The hash runs over the string's bytes in place: no
+// hash.Hash32, no []byte copy.
 func HashKey(key string, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= prime32
+	}
+	return int(h % uint32(n))
 }

@@ -25,10 +25,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
+	"datacron/internal/msg"
 	"datacron/internal/obs"
 )
 
@@ -50,18 +50,10 @@ type Worker[I, O any] interface {
 	Restore(ops map[string][]byte) error
 }
 
-// Route maps an entity key to a shard index in [0, n) with the same FNV-1a
-// discipline as msg.HashKey, so a record's broker partition and its
-// processing shard derive from the same hash of the same key. Pinned
-// against msg.HashKey by test.
-func Route(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
-}
+// Route maps an entity key to a shard index in [0, n): it is msg.HashKey,
+// so a record's broker partition and its processing shard derive from the
+// same hash of the same key.
+func Route(key string, n int) int { return msg.HashKey(key, n) }
 
 // Stats is one shard's progress reading.
 type Stats struct {

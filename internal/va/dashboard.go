@@ -20,11 +20,40 @@ import (
 type Dashboard struct {
 	mu          sync.RWMutex
 	positions   map[string]mobility.Report
-	criticals   []synopses.CriticalPoint
-	links       []linkdisc.Link
+	criticals   ring[synopses.CriticalPoint]
+	links       ring[linkdisc.Link]
 	predictions map[string][]geo.Point
-	events      []string
+	events      ring[string]
 	maxKeep     int
+}
+
+// ring keeps the most recent entries added to it, at most max of them: it
+// grows to max and then overwrites its oldest entry, so an add never moves
+// the ones kept.
+type ring[T any] struct {
+	buf  []T
+	head int // index of the oldest entry once buf holds max
+}
+
+func (r *ring[T]) add(v T, max int) {
+	if len(r.buf) < max {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.head] = v
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+}
+
+// list returns a copy of the entries, oldest first; nil when there are none.
+func (r *ring[T]) list() []T {
+	if len(r.buf) == 0 {
+		return nil
+	}
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.head:]...)
+	return append(out, r.buf[:r.head]...)
 }
 
 // NewDashboard returns an empty dashboard keeping at most maxKeep recent
@@ -53,20 +82,14 @@ func (d *Dashboard) UpdatePosition(r mobility.Report) {
 func (d *Dashboard) AddCritical(cp synopses.CriticalPoint) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.criticals = append(d.criticals, cp)
-	if len(d.criticals) > d.maxKeep {
-		d.criticals = d.criticals[len(d.criticals)-d.maxKeep:]
-	}
+	d.criticals.add(cp, d.maxKeep)
 }
 
 // AddLink appends a discovered relation.
 func (d *Dashboard) AddLink(l linkdisc.Link) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.links = append(d.links, l)
-	if len(d.links) > d.maxKeep {
-		d.links = d.links[len(d.links)-d.maxKeep:]
-	}
+	d.links.add(l, d.maxKeep)
 }
 
 // SetPrediction stores the current future-location prediction of a mover.
@@ -81,10 +104,7 @@ func (d *Dashboard) SetPrediction(moverID string, points []geo.Point) {
 func (d *Dashboard) AddEventNote(note string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.events = append(d.events, note)
-	if len(d.events) > d.maxKeep {
-		d.events = d.events[len(d.events)-d.maxKeep:]
-	}
+	d.events.add(note, d.maxKeep)
 }
 
 // Snapshot is the JSON-serialisable situational picture.
@@ -103,9 +123,9 @@ func (d *Dashboard) Snapshot(now time.Time) Snapshot {
 	defer d.mu.RUnlock()
 	s := Snapshot{
 		Time:        now,
-		Criticals:   append([]synopses.CriticalPoint(nil), d.criticals...),
-		Links:       append([]linkdisc.Link(nil), d.links...),
-		Events:      append([]string(nil), d.events...),
+		Criticals:   d.criticals.list(),
+		Links:       d.links.list(),
+		Events:      d.events.list(),
 		Predictions: make(map[string][]geo.Point, len(d.predictions)),
 	}
 	for id, pts := range d.predictions {

@@ -2,6 +2,8 @@ package va
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -331,5 +333,55 @@ func TestQualityOnGeneratedStream(t *testing.T) {
 	}
 	if qr.ByType[IssueSpatialOutlier] == 0 {
 		t.Error("injected teleports not detected")
+	}
+}
+
+// keepLast is the recent lists' original rule: append, then keep the last
+// max entries.
+func keepLast[T any](list []T, v T, max int) []T {
+	list = append(list, v)
+	if len(list) > max {
+		list = list[len(list)-max:]
+	}
+	return list
+}
+
+// TestDashboardRecentListsMatchAppendAndTrim: the rings behind the recent
+// critical points, links and event notes give Snapshot the lists the
+// append-and-trim rule gave, in the same order, before the first wrap and
+// through several wraparounds — and nil lists while nothing was added.
+func TestDashboardRecentListsMatchAppendAndTrim(t *testing.T) {
+	const max = 7
+	d := NewDashboard(max)
+	if s := d.Snapshot(t0); s.Criticals != nil || s.Links != nil || s.Events != nil {
+		t.Fatalf("empty dashboard lists %v %v %v, want nil", s.Criticals, s.Links, s.Events)
+	}
+	var cps []synopses.CriticalPoint
+	var links []linkdisc.Link
+	var events []string
+	for i := 0; i < 5*max+3; i++ {
+		cp := synopses.CriticalPoint{Report: rep(fmt.Sprintf("v%d", i%4), i, 23, 37, 10), Type: synopses.ChangeInHeading}
+		d.AddCritical(cp)
+		cps = keepLast(cps, cp, max)
+		if i%2 == 0 {
+			l := linkdisc.Link{Source: cp.ID, Target: fmt.Sprintf("area-%d", i), Relation: linkdisc.Within, Time: cp.Time}
+			d.AddLink(l)
+			links = keepLast(links, l, max)
+		}
+		note := fmt.Sprintf("note %d", i)
+		d.AddEventNote(note)
+		events = keepLast(events, note, max)
+
+		s := d.Snapshot(t0)
+		if !reflect.DeepEqual(s.Criticals, cps) || !reflect.DeepEqual(s.Links, links) || !reflect.DeepEqual(s.Events, events) {
+			t.Fatalf("after %d adds:\ncriticals %v\nwant      %v\nlinks %v\nwant  %v\nevents %v\nwant   %v",
+				i+1, s.Criticals, cps, s.Links, links, s.Events, events)
+		}
+	}
+	// A snapshot is a copy: later adds do not reach into it.
+	s := d.Snapshot(t0)
+	d.AddEventNote("later")
+	if !reflect.DeepEqual(s.Events, events) {
+		t.Fatalf("snapshot changed under a later add: %v", s.Events)
 	}
 }
