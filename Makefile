@@ -51,13 +51,15 @@ race:
 # finished-points test, whose workers share the read-only weather field and
 # each encode synopsis records into their own arena, and the staged-emit
 # tests, whose merge produces each output topic once per poll batch while
-# the next batch is in the plane. Part of
+# the next batch is in the plane, and the mover-table tests, whose worker
+# state is snapshotted at the barrier and restored before the plane starts.
+# Part of
 # ci (and of race, via ./...); kept as its own target for quick iteration on
 # the plane.
 shardrace:
 	$(GO) test -race ./internal/shard/...
 	$(GO) test -race ./internal/msg/...
-	$(GO) test -race -run 'Shard|Recovery|Cancel|Prefetch|BlockLimited|FinishedPoints|StagedEmit' ./internal/core
+	$(GO) test -race -run 'Shard|Recovery|Cancel|Prefetch|BlockLimited|FinishedPoints|StagedEmit|Movers|OldLayout|WorkerArea' ./internal/core
 
 # bench runs the go micro-benchmarks once each. End-to-end numbers come
 # from bench/run.sh (see BENCHMARK.json).

@@ -201,8 +201,8 @@ func WithFlow(cfg flow.Config) Option {
 	return func(o *options) { o.flow = cfg }
 }
 
-// New builds a pipeline from options: broker topics, dashboard, profiler,
-// optional forecaster, and — unless WithObs(nil) disables it — a metrics
+// New builds a pipeline from options: broker topics, dashboard, optional
+// forecaster, and — unless WithObs(nil) disables it — a metrics
 // registry instrumenting every stage. With WithAdmin it also starts the
 // operational HTTP server and its health watchdog.
 func New(opts ...Option) (*Pipeline, error) {

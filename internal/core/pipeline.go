@@ -130,7 +130,6 @@ type Pipeline struct {
 	cfg       Config
 	Broker    *msg.Broker
 	Dashboard *va.Dashboard
-	Profiler  *lowlevel.Profiler
 
 	forecaster *cer.Forecaster
 
@@ -156,6 +155,7 @@ type Pipeline struct {
 	// run; guarded because Stats may be called from a monitoring goroutine.
 	mu       sync.Mutex
 	lastSyn  synopses.Stats
+	lastProf *lowlevel.Profiler
 	lastLink linkdisc.Stats
 	lastCons msg.ConsumerStats
 	lastSum  Summary
@@ -189,7 +189,6 @@ func newPipeline(cfg Config) (*Pipeline, error) {
 		cfg:       cfg,
 		Broker:    b,
 		Dashboard: va.NewDashboard(1000),
-		Profiler:  lowlevel.NewProfiler(),
 	}
 	if cfg.Pattern != "" {
 		pat, err := cer.ParsePattern(cfg.Pattern)
@@ -203,6 +202,20 @@ func newPipeline(cfg Config) (*Pipeline, error) {
 		}
 	}
 	return p, nil
+}
+
+// Profiler returns the per-trajectory profiles (speed and acceleration
+// statistics of every mover with a valid report) of the most recent
+// real-time run, gathered from its shard workers when it ended; empty
+// before the first run ends. A restored run's profiles continue the
+// checkpointed ones.
+func (p *Pipeline) Profiler() *lowlevel.Profiler {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.lastProf == nil {
+		return lowlevel.NewProfiler()
+	}
+	return p.lastProf
 }
 
 // Admin returns the operational HTTP server (nil without WithAdmin). Its

@@ -27,7 +27,7 @@ func maritimePipeline(t *testing.T, withCER bool, extra ...Option) (*Pipeline, [
 // shardedMaritimePipeline is maritimePipeline with an explicit shard
 // count; the shard determinism tests compare runs across counts. Extra
 // options are appended after the config.
-func shardedMaritimePipeline(t *testing.T, withCER bool, shards int, extra ...Option) (*Pipeline, []mobility.Report) {
+func shardedMaritimePipeline(t testing.TB, withCER bool, shards int, extra ...Option) (*Pipeline, []mobility.Report) {
 	t.Helper()
 	areas := gen.Areas(5, gen.ProtectedArea, 40, region, 3_000, 25_000)
 	ports := gen.Ports(6, 30, region)
@@ -111,11 +111,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Error("dashboard criticals empty")
 	}
 	// Profiler collected per-trajectory statistics.
-	ids := p.Profiler.MoverIDs()
+	ids := p.Profiler().MoverIDs()
 	if len(ids) < 10 {
 		t.Errorf("profiler movers = %d", len(ids))
 	}
-	prof := p.Profiler.Profile(ids[0])
+	prof := p.Profiler().Profile(ids[0])
 	if prof.Speed.N() == 0 {
 		t.Error("no speed stats")
 	}

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"datacron/internal/checkpoint"
 	"datacron/internal/checkpoint/faultinject"
-	"datacron/internal/flp"
 	"datacron/internal/linkdisc"
 	"datacron/internal/msg"
 	"datacron/internal/obs"
@@ -107,91 +105,6 @@ func (r runStateSnapshotter) Restore(data []byte) error {
 	return nil
 }
 
-// predictorsSnapshotter checkpoints the per-mover RMF* predictor map; each
-// predictor is rebuilt on restore with the run's sampling interval. Its
-// blob is
-//
-//	tag 0xC8 | version | uvarint #predictors | per predictor, IDs
-//	ascending: string id | bytes predictor blob
-//
-// where each predictor blob is flp.RMFStar's own snapshot.
-type predictorsSnapshotter struct {
-	preds  map[string]*flp.RMFStar
-	sample time.Duration
-}
-
-func (ps predictorsSnapshotter) Snapshot() ([]byte, error) {
-	ids := make([]string, 0, len(ps.preds))
-	for id := range ps.preds {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	blobs := make([][]byte, len(ids))
-	size := wire.HeaderLen + wire.UvarintLen(uint64(len(ids)))
-	for i, id := range ids {
-		blob, err := ps.preds[id].Snapshot()
-		if err != nil {
-			return nil, predictorErr("snapshot", id, err)
-		}
-		blobs[i] = blob
-		size += wire.StringLen(id) + wire.BytesLen(blob)
-	}
-	buf := make([]byte, 0, size)
-	buf = wire.AppendHeader(buf, wire.TagPredictors)
-	buf = wire.AppendUvarint(buf, uint64(len(ids)))
-	for i, id := range ids {
-		buf = wire.AppendString(buf, id)
-		buf = wire.AppendBytes(buf, blobs[i])
-	}
-	return buf, nil
-}
-
-// Cold-path error constructors for the predictor snapshot/restore loops,
-// kept out of the loop bodies so hotalloc sees them allocation-free.
-func predictorErr(verb, id string, err error) error {
-	return fmt.Errorf("core: %s predictor %s: %w", verb, id, err)
-}
-
-func predictorOrderErr(id string) error {
-	return fmt.Errorf("core: restore predictors: %w: mover %q out of ascending order", wire.ErrMalformed, id)
-}
-
-// Restore rebuilds every predictor into a local map first; only when all of
-// them restored does it replace the worker's map contents, so an error
-// leaves the predictors as they were.
-func (ps predictorsSnapshotter) Restore(data []byte) error {
-	r := wire.NewReader(data)
-	if err := r.Header(wire.TagPredictors); err != nil {
-		return fmt.Errorf("core: restore predictors: %w", err)
-	}
-	n := r.Count(2) // an ID's and a blob's length prefix
-	preds := make(map[string]*flp.RMFStar, n)
-	prev := ""
-	for i := 0; i < n && !r.Failed(); i++ {
-		id, blob := r.Str(), r.Bytes()
-		if r.Failed() {
-			break
-		}
-		if i > 0 && id <= prev {
-			return predictorOrderErr(id)
-		}
-		prev = id
-		pred := flp.NewRMFStar(ps.sample)
-		if err := pred.Restore(blob); err != nil {
-			return predictorErr("restore", id, err)
-		}
-		preds[id] = pred
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("core: restore predictors: %w", err)
-	}
-	clear(ps.preds)
-	for id, pred := range preds {
-		ps.preds[id] = pred
-	}
-	return nil
-}
-
 // RunWithRecovery is RunRealTime with coordinated checkpointing. With a nil
 // rc (or nil rc.Checkpointer and rc.Injector) it behaves exactly like
 // RunRealTime. Otherwise it restores broker offsets, output topics and
@@ -226,12 +139,13 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 	// (thresholds, grids, masks, automata) is rebuilt, dynamic state is
 	// restored from the checkpoint below.
 	//
-	// Per-trajectory operators (synopses, area monitor, FLP) live inside
-	// the shard plane's workers, each on its own goroutine; shards=1 is a
-	// plane of one. Cross-entity operators (link discovery, CER, RDF
-	// sequencing, broker output) stay on this goroutine — the serial merge
-	// stage — which applies worker results in global submit order, so
-	// published output is byte-identical whatever the shard count.
+	// Per-trajectory operators (synopses, area monitor, FLP, profiler) live
+	// inside the shard plane's workers, one mover table each, each worker on
+	// its own goroutine; shards=1 is a plane of one. Cross-entity operators
+	// (link discovery, CER, RDF sequencing, broker output) stay on this
+	// goroutine — the serial merge stage — which applies worker results in
+	// global submit order, so published output is byte-identical whatever
+	// the shard count.
 	shards := p.cfg.Shards
 	workers := make([]*shardWorker, shards)
 	shardRegs := make([]*obs.Registry, shards)
@@ -304,7 +218,6 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		if p.forecaster != nil {
 			cpr.Register("cer", p.forecaster)
 		}
-		cpr.Register("profiler", p.Profiler)
 		cpr.Register("summary", runStateSnapshotter{seq: &seq, sum: &sum})
 
 		// Metric state is monitoring-only and deliberately outside the
@@ -349,7 +262,6 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 					}
 				}
 			}
-			p.Profiler.Reset()
 			if p.forecaster != nil {
 				p.forecaster.Reset()
 			}
@@ -395,6 +307,7 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		plane.Close()
 		p.mu.Lock()
 		p.lastSyn = aggregateSynStats(workers)
+		p.lastProf = profilerOf(workers)
 		if disc != nil {
 			p.lastLink = disc.Stats()
 		}
@@ -494,7 +407,6 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 			mWatermark.Set(float64(maxEventTime.Unix()))
 		}
 		if out.valid {
-			p.Profiler.Observe(out.rep)
 			sum.AreaEvents += out.areaEvents
 			mAreaEvents.Add(out.areaEvents)
 			p.Dashboard.UpdatePosition(out.rep)

@@ -345,7 +345,7 @@ func TestSingleShardCheckpointLayout(t *testing.T) {
 			got = append(got, name)
 		}
 		sort.Strings(got)
-		want := []string{"linkdisc", "profiler", "shard/0/area", "shard/0/flp", "shard/0/synopses", "shard/meta", "summary"}
+		want := []string{"linkdisc", "shard/0/movers", "shard/meta", "summary"}
 		if withCER {
 			want = append([]string{"cer"}, want...)
 		}

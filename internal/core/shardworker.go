@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"time"
 
@@ -17,8 +18,8 @@ import (
 
 // shardOps are the operator names every shard worker snapshot contains;
 // checkpoint.ShardSnapshots maps them to "shard/<i>/<op>" entries, at every
-// shard count.
-var shardOps = []string{"synopses", "area", "flp"}
+// shard count. A worker's whole state is its mover table.
+var shardOps = []string{"movers"}
 
 // recordTrace is a sampled record's span tree in flight: root is the
 // "record" span, submit the queue-wait child the worker closes when it picks
@@ -87,31 +88,31 @@ func (p *Pipeline) newWorkerIn(rec msg.Record) workerIn {
 
 // shardWorker is one shard's operator chain: exactly the per-trajectory
 // stages of the run loop (decoding, synopses, area monitoring, future
-// location prediction). All its state is keyed by mover ID, and the plane
-// routes every record of a mover to the same shard, so the chain needs no
-// locking. Cross-entity stages (link discovery, CER, RDF sequencing,
-// broker output) stay on the coordinator.
+// location prediction, trajectory profiling). All its state is one mover
+// table keyed by mover ID, and the plane routes every record of a mover to
+// the same shard, so the chain needs no locking. Cross-entity stages (link
+// discovery, CER, RDF sequencing, broker output) stay on the coordinator.
 type shardWorker struct {
 	shard int
 	// shardAttrs ("shard"=<i>) is stamped on this worker's stage spans. It
 	// is built once and passed with ..., so a Child call does not allocate
 	// a variadic slice per record, sampled or not; spans only read it.
 	shardAttrs []obs.Attr
-	sg         *synopses.Generator
-	areaMon    *lowlevel.AreaMonitor
-	predictors map[string]*flp.RMFStar
-	sample     time.Duration
-	steps      int
-	mRecords   *obs.Counter // "shard.<i>.records" in the pipeline registry
-	clock      obs.Clock
-	lagDecode  obs.LagStage // "lag.decode.*" in the worker's own registry
+	// movers holds every mover's state; sg and areaMon are the operators'
+	// configuration and counters, stepped over a mover's parts.
+	movers    map[string]*mover
+	sg        *synopses.Generator
+	areaMon   *lowlevel.AreaMonitor
+	sample    time.Duration
+	steps     int
+	mRecords  *obs.Counter // "shard.<i>.records" in the pipeline registry
+	clock     obs.Clock
+	lagDecode obs.LagStage // "lag.decode.*" in the worker's own registry
 
-	// dec and scratch implement the zero-allocation decode path: the
-	// per-worker interning decoder reuses each mover's ID/Source strings, and
 	// scratch is the in-place decode target. Worker-local by construction —
-	// Process runs only on the worker goroutine — so no locking, and no
-	// cross-shard shared state (interned strings are immutable).
-	dec     *mobility.Decoder
+	// Process runs only on the worker goroutine — so no locking; the
+	// strings a decoded report carries are its mover's, immutable and safe
+	// to share downstream.
 	scratch mobility.Report
 
 	// Finishing critical points: cps is the generator's reused output
@@ -129,15 +130,14 @@ func (p *Pipeline) newShardWorker(shard int, reg *obs.Registry) *shardWorker {
 	return &shardWorker{
 		shard:      shard,
 		shardAttrs: []obs.Attr{{Key: "shard", Value: strconv.Itoa(shard)}},
+		movers:     map[string]*mover{},
 		sg:         sg,
 		areaMon:    lowlevel.NewAreaMonitor(p.cfg.Regions, 64),
-		predictors: map[string]*flp.RMFStar{},
 		sample:     p.cfg.SampleInterval,
 		steps:      p.cfg.PredictSteps,
 		mRecords:   p.obs.Counter(fmt.Sprintf("shard.%d.records", shard)),
 		clock:      reg.Clock(),
 		lagDecode:  obs.NewLagStage(reg, "decode"),
-		dec:        mobility.NewDecoder(),
 		weather:    p.cfg.Weather,
 	}
 }
@@ -150,35 +150,41 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 	root := in.trace.rootSpan()
 	w.mRecords.Inc()
 	decodeSpan := root.Child("decode", w.shardAttrs...)
-	// In-place decode through the worker's interning decoder, with zero
-	// steady-state allocations; a payload that is not a binary report is
-	// rejected like any other corrupt record. The report is copied by value
-	// into workerOut; its interned strings are immutable and safe to share
-	// downstream.
-	err := w.dec.Decode(in.rec.Value, &w.scratch)
-	decodeSpan.End()
+	// In-place decode with zero steady-state allocations: the report's ID
+	// bytes find its mover, whose strings the report then carries. A
+	// payload that is not a binary report is rejected like any other
+	// corrupt record.
+	id, src, err := mobility.DecodeFields(in.rec.Value, &w.scratch)
 	if err != nil {
+		decodeSpan.End()
 		// Corrupt record: dropped by the cleaning stage. The trace still
 		// travels back so the coordinator ends it.
 		return workerOut{trace: in.trace}
 	}
+	m := w.moverOf(id, src)
+	decodeSpan.End()
+	w.scratch.ID, w.scratch.Source = m.id, m.source
 	r := w.scratch
 	w.lagDecode.Observe(w.clock.Now(), r.Time)
 	out := workerOut{ok: true, rep: r, valid: r.Valid(), trace: in.trace}
+	// Each operator steps the mover's own part in O(1); the synopses track
+	// is stepped for an invalid report too, which it counts as dropped.
+	var track *synopses.Track
 	if out.valid {
-		out.areaEvents = int64(len(w.areaMon.Update(r)))
+		track = &m.track
+		out.areaEvents = int64(w.areaMon.Step(&m.area, r.Pos).Len())
 		flpSpan := root.Child("flp", w.shardAttrs...)
-		pred, ok := w.predictors[r.ID]
-		if !ok {
-			pred = flp.NewRMFStar(w.sample)
-			w.predictors[r.ID] = pred
+		if m.pred == nil {
+			m.pred = flp.NewRMFStar(w.sample)
+			m.prof.MoverID = m.id
 		}
-		pred.Observe(r)
-		out.pred = pred.Predict(w.steps)
+		m.pred.Observe(r)
+		out.pred = m.pred.Predict(w.steps)
 		flpSpan.End()
+		m.prof.Observe(r)
 	}
 	synSpan := root.Child("synopses", w.shardAttrs...)
-	w.cps = w.sg.AppendProcess(w.cps[:0], r)
+	w.cps = w.sg.AppendStep(w.cps[:0], track, r)
 	out.cps = w.finish(w.cps)
 	synSpan.End()
 	return out
@@ -203,65 +209,43 @@ func (w *shardWorker) finish(cps []synopses.CriticalPoint) []finishedPoint {
 	return out
 }
 
-// Snapshot encodes the worker's operators under the shardOps names, for
+// Snapshot encodes the worker's mover table under the shardOps name, for
 // the coordinated checkpoint barrier.
 func (w *shardWorker) Snapshot() (map[string][]byte, error) {
-	out := make(map[string][]byte, len(shardOps))
-	for _, op := range shardOps {
-		blob, err := w.op(op).Snapshot()
-		if err != nil {
-			return nil, shardOpErr(w.shard, "snapshot", op, err)
-		}
-		out[op] = blob
+	blob, err := w.snapshotMovers()
+	if err != nil {
+		return nil, shardOpErr(w.shard, "snapshot", err)
 	}
-	return out, nil
+	return map[string][]byte{"movers": blob}, nil
 }
 
-// Restore rehydrates the worker's operators from barrier blobs.
+// Restore rehydrates the worker's mover table from barrier blobs.
 func (w *shardWorker) Restore(ops map[string][]byte) error {
-	for _, op := range shardOps {
-		blob, ok := ops[op]
-		if !ok {
-			return missingOpErr(w.shard, op)
-		}
-		if err := w.op(op).Restore(blob); err != nil {
-			return shardOpErr(w.shard, "restore", op, err)
-		}
+	blob, ok := ops["movers"]
+	if !ok {
+		return fmt.Errorf("shard %d: restore: missing operator %q", w.shard, "movers")
+	}
+	if err := w.restoreMovers(blob); err != nil {
+		return shardOpErr(w.shard, "restore", err)
 	}
 	return nil
 }
 
-// Cold-path error constructors for the snapshot/restore loops, kept in their
-// own non-loop bodies so the hotalloc analyzer sees an allocation-free loop.
-func shardOpErr(shard int, verb, op string, err error) error {
-	return fmt.Errorf("shard %d: %s %s: %w", shard, verb, op, err)
-}
-
-func missingOpErr(shard int, op string) error {
-	return fmt.Errorf("shard %d: restore: missing operator %q", shard, op)
-}
-
-// op maps a shardOps name to the operator's Snapshotter.
-func (w *shardWorker) op(name string) interface {
-	Snapshot() ([]byte, error)
-	Restore([]byte) error
-} {
-	switch name {
-	case "synopses":
-		return w.sg
-	case "area":
-		return w.areaMon
-	case "flp":
-		return predictorsSnapshotter{preds: w.predictors, sample: w.sample}
-	}
-	panic("core: unknown shard operator " + name)
+func shardOpErr(shard int, verb string, err error) error {
+	return fmt.Errorf("shard %d: %s movers: %w", shard, verb, err)
 }
 
 // Flush ends every open trajectory on this shard, returning the closing
 // critical points finished and in (time, ID) order — the coordinator k-way
 // merges the per-shard lists with the same comparator.
 func (w *shardWorker) Flush() []finishedPoint {
-	return w.finish(w.sg.Flush())
+	var cps []synopses.CriticalPoint
+	for _, m := range w.sortedMovers() {
+		cps = w.sg.AppendEnd(cps, &m.track)
+	}
+	// Ascending IDs in, so a stable sort by time leaves (time, ID) order.
+	sort.SliceStable(cps, func(i, j int) bool { return cps[i].Time.Before(cps[j].Time) })
+	return w.finish(cps)
 }
 
 // aggregateSynStats sums synopses stats across shard workers.

@@ -35,10 +35,11 @@ var manoeuvreDigests = map[string]string{
 // offsets and output end offsets — of the manoeuvre-like run with a
 // checkpoint after every poll batch, recorded from the per-point-produce
 // merge. manoeuvreCheckpointDigests digests the stored checkpoint bytes per
-// shard count (the operator layout depends on it).
+// shard count (the operator layout depends on it), recorded from the mover
+// table layout ("shard/<i>/movers").
 var (
 	manoeuvreCutsDigest        = "a2ce99e50e28bae9"
-	manoeuvreCheckpointDigests = map[int]string{1: "e6d740703b0d8bba", 2: "6ff1be685f69e2bd"}
+	manoeuvreCheckpointDigests = map[int]string{1: "f09487707d62d4b8", 2: "54f47e73fcc03d13"}
 )
 
 // manoeuvreKill is the crash ordinal of the faulted drill: the last record

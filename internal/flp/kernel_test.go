@@ -131,21 +131,26 @@ func TestNewRMFClampsDepth(t *testing.T) {
 	}
 }
 
-// TestWindowShiftsInPlace pins that a full window drops its oldest entry
-// without regrowing or sliding its slices off their backing arrays.
+// TestWindowShiftsInPlace pins that a full window drops its oldest entry by
+// sliding within its buffers, across several wraps back to their front,
+// without regrowing or moving them, and keeps only the latest vertical rate.
 func TestWindowShiftsInPlace(t *testing.T) {
 	w := newWindow(5)
-	base := &w.pts[:1][0]
-	for i := 0; i < 12; i++ {
+	base := &w.pts[0]
+	for i := 0; i < 40; i++ {
 		w.observe(mobility.Report{Pos: geo.Pt(0, 45), Heading: float64(i), SpeedKn: float64(i), VRateFS: float64(i)})
-	}
-	if w.len() != 5 || cap(w.pts) != 5 || cap(w.heads) != 5 || &w.pts[0] != base {
-		t.Fatalf("window len %d cap %d/%d, moved=%v", w.len(), cap(w.pts), cap(w.heads), &w.pts[0] != base)
-	}
-	for i, h := range w.heads {
-		if want := float64(7 + i); h != want || w.speeds[i] != want || w.vrates[i] != want {
-			t.Errorf("entry %d = %v/%v/%v, want %v", i, h, w.speeds[i], w.vrates[i], want)
+		if len(w.pts) != 10 || len(w.heads) != 10 || &w.pts[0] != base {
+			t.Fatalf("report %d: buffers %d/%d, moved=%v", i, len(w.pts), len(w.heads), &w.pts[0] != base)
 		}
+		m := w.motion(w.len())
+		for j, h := range m.heads {
+			if want := float64(i - w.len() + 1 + j); h != want {
+				t.Fatalf("report %d: entry %d = %v, want %v", i, j, h, want)
+			}
+		}
+	}
+	if w.len() != 5 || w.vrate != 39 {
+		t.Fatalf("window len %d, vrate %v; want 5, 39", w.len(), w.vrate)
 	}
 }
 
@@ -203,8 +208,6 @@ func TestRestoreRejectsCorruptBlobs(t *testing.T) {
 	for i := 0; i < 29; i++ {
 		long.Pts = append(long.Pts, [2]float64{float64(i), 0})
 		long.Heads = append(long.Heads, 90)
-		long.Speeds = append(long.Speeds, 10)
-		long.VRates = append(long.VRates, 0)
 	}
 	longBlob, err := json.Marshal(long)
 	if err != nil {
@@ -214,9 +217,9 @@ func TestRestoreRejectsCorruptBlobs(t *testing.T) {
 		blob, wantErr string
 	}{
 		"not json":             {`{"pts":`, "restore rmf*"},
-		"inconsistent lengths": {`{"pts":[[0,0],[1,1]],"heads":[90],"speeds":[1,1],"vrates":[0,0]}`, "inconsistent window lengths"},
+		"inconsistent lengths": {`{"pts":[[0,0],[1,1]],"heads":[90]}`, "inconsistent window lengths"},
 		"longer than maxLen":   {string(longBlob), "exceeds capacity"},
-		"non-finite coordinate": {`{"pts":[[1e400,0]],"heads":[90],"speeds":[1],"vrates":[0]}`,
+		"non-finite coordinate": {`{"pts":[[1e400,0]],"heads":[90]}`,
 			"restore rmf*"},
 	}
 	tr := circleTrack(40, 100, 4, 8*time.Second)
@@ -248,7 +251,7 @@ func TestRestoreRejectsCorruptBlobs(t *testing.T) {
 }
 
 // TestRestoreRoundTrip: a full window survives Snapshot→Restore and the
-// restored predictor keeps shifting in place and predicting identically.
+// restored predictor keeps sliding in place and predicting identically.
 func TestRestoreRoundTrip(t *testing.T) {
 	tr := circleTrack(80, 100, 4, 8*time.Second)
 	a, b := NewRMFStar(8*time.Second), NewRMFStar(8*time.Second)
@@ -269,7 +272,8 @@ func TestRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("restored predictor diverged at report %d", 50+i)
 		}
 	}
-	if cap(b.win.pts) != b.win.maxLen {
-		t.Errorf("restored window cap = %d, want %d", cap(b.win.pts), b.win.maxLen)
+	rest := tr.Reports[len(tr.Reports)-1]
+	if allocs := testing.AllocsPerRun(100, func() { b.Observe(rest) }); allocs != 0 {
+		t.Errorf("Observe on a restored predictor = %.1f allocs, want 0", allocs)
 	}
 }

@@ -36,24 +36,25 @@ type pt struct{ x, y float64 }
 // on the stack, so NewRMF clamps f to it.
 const maxDepth = 5
 
-// window keeps the most recent maxLen plane positions plus headings, speeds
-// and vertical rates. The four slices are allocated once at capacity maxLen
-// and never regrow: a full window shifts down in place.
+// window keeps the most recent maxLen plane positions and headings, plus
+// the latest vertical rate — all a primitive or the phase test reads. The
+// two buffers are allocated once at twice maxLen and never regrow: a full
+// window slides its offset up by one, and only when the view reaches the end
+// of the buffers is it copied back to the front, once every maxLen+1
+// reports.
 type window struct {
 	enu    *geo.ENU
-	pts    []pt
-	heads  []float64
-	speeds []float64
-	vrates []float64
+	pts    []pt      // buffer; the view is pts[off : off+n]
+	heads  []float64 // buffer, parallel to pts
+	off, n int
+	vrate  float64 // the latest report's vertical rate
 	maxLen int
 }
 
 func newWindow(maxLen int) *window {
 	return &window{
-		pts:    make([]pt, 0, maxLen),
-		heads:  make([]float64, 0, maxLen),
-		speeds: make([]float64, 0, maxLen),
-		vrates: make([]float64, 0, maxLen),
+		pts:    make([]pt, 2*maxLen),
+		heads:  make([]float64, 2*maxLen),
 		maxLen: maxLen,
 	}
 }
@@ -62,24 +63,31 @@ func (w *window) observe(r mobility.Report) {
 	if w.enu == nil {
 		w.enu = geo.NewENU(r.Pos)
 	}
-	if len(w.pts) == w.maxLen {
-		w.pts = dropFirst(w.pts)
-		w.heads = dropFirst(w.heads)
-		w.speeds = dropFirst(w.speeds)
-		w.vrates = dropFirst(w.vrates)
-	}
 	x, y := w.enu.Forward(r.Pos)
-	w.pts = append(w.pts, pt{x, y})
-	w.heads = append(w.heads, r.Heading)
-	w.speeds = append(w.speeds, r.SpeedKn)
-	w.vrates = append(w.vrates, r.VRateFS)
+	w.push(pt{x, y}, r.Heading)
+	w.vrate = r.VRateFS
 }
 
-// dropFirst shifts s down by one in place, so it keeps its base and capacity
-// where re-slicing s[1:] would walk off the end of its array.
-func dropFirst[T any](s []T) []T { return s[:copy(s, s[1:])] }
+// push appends one entry, dropping the oldest from a full window.
+func (w *window) push(p pt, head float64) {
+	if w.n == w.maxLen {
+		w.off++
+		w.n--
+	}
+	if w.off+w.n == len(w.pts) {
+		copy(w.pts, w.pts[w.off:])
+		copy(w.heads, w.heads[w.off:])
+		w.off = 0
+	}
+	w.pts[w.off+w.n] = p
+	w.heads[w.off+w.n] = head
+	w.n++
+}
 
-func (w *window) len() int { return len(w.pts) }
+func (w *window) len() int { return w.n }
+
+// points is the window's plane positions, oldest first.
+func (w *window) points() []pt { return w.pts[w.off : w.off+w.n] }
 
 // motion is a read-only view of the first n entries of a window: what a
 // motion primitive predicts from. The hold-out back-test hands primitives a
@@ -91,7 +99,7 @@ type motion struct {
 }
 
 func (w *window) motion(n int) motion {
-	return motion{enu: w.enu, pts: w.pts[:n], heads: w.heads[:n]}
+	return motion{enu: w.enu, pts: w.pts[w.off : w.off+n], heads: w.heads[w.off : w.off+n]}
 }
 
 // RMF is the baseline Recursive Motion Function predictor with system
@@ -124,11 +132,12 @@ func (r *RMF) Observe(rep mobility.Report) { r.win.observe(rep) }
 
 // Predict implements Predictor.
 func (r *RMF) Predict(k int) []geo.Point {
-	coef, ok := fitRMF(r.win.pts, r.f)
+	pts := r.win.points()
+	coef, ok := fitRMF(pts, r.f)
 	if !ok {
 		return nil
 	}
-	return rollForward(make([]geo.Point, 0, k), r.win.enu, r.win.pts, &coef, r.f, k)
+	return rollForward(make([]geo.Point, 0, k), r.win.enu, pts, &coef, r.f, k)
 }
 
 // rmf appends the k-step prediction of the depth-f recurrence fitted to the

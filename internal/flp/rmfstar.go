@@ -18,8 +18,7 @@ import (
 type RMFStar struct {
 	win            *window
 	sample         time.Duration // nominal sampling interval
-	lastTime       time.Time
-	turnThreshold  float64 // deg per sample that flags a turn phase
+	turnThreshold  float64       // deg per sample that flags a turn phase
 	vrateThreshold float64
 }
 
@@ -39,7 +38,6 @@ func (r *RMFStar) Name() string { return "rmf*" }
 // Observe implements Predictor.
 func (r *RMFStar) Observe(rep mobility.Report) {
 	r.win.observe(rep)
-	r.lastTime = rep.Time
 }
 
 // nonLinearPhase reports whether the recent motion drifts from straight
@@ -50,14 +48,15 @@ func (r *RMFStar) nonLinearPhase() bool {
 	if n < 4 {
 		return false
 	}
+	heads := r.win.motion(n).heads
 	turn := 0.0
 	for i := n - 3; i < n; i++ {
-		turn += geo.AngleDiff(r.win.heads[i-1], r.win.heads[i])
+		turn += geo.AngleDiff(heads[i-1], heads[i])
 	}
 	if math.Abs(turn)/3 > r.turnThreshold {
 		return true
 	}
-	return math.Abs(r.win.vrates[n-1]) > r.vrateThreshold
+	return math.Abs(r.win.vrate) > r.vrateThreshold
 }
 
 // The motion primitives pattern matching chooses among, in back-test order:
@@ -89,7 +88,7 @@ func (r *RMFStar) Predict(k int) []geo.Point {
 	best := -1
 	bestErr := math.Inf(1)
 	if n >= 8+holdout {
-		held, actual := r.win.motion(n-holdout), r.win.pts[n-holdout:]
+		held, actual := r.win.motion(n-holdout), m.pts[n-holdout:]
 		for prim := 0; prim < numPrimitives; prim++ {
 			e := held.backtest(prim, actual)
 			if e >= 0 && e < bestErr {

@@ -4,38 +4,33 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"time"
 
 	"datacron/internal/geo"
 )
 
-// rmfStarSnapshot is the wire form of an RMFStar predictor's mutable state.
-// Thresholds and the sampling interval are configuration, rebuilt by the
-// restoring pipeline; the ENU plane is a function of its origin.
+// rmfStarSnapshot is the wire form of an RMFStar predictor's mutable state:
+// the window's positions and headings, oldest first, and the latest vertical
+// rate. Thresholds and the sampling interval are configuration, rebuilt by
+// the restoring pipeline; the ENU plane is a function of its origin.
 type rmfStarSnapshot struct {
-	Origin   *geo.Point   `json:"origin,omitempty"` // nil until first observation
-	Pts      [][2]float64 `json:"pts,omitempty"`
-	Heads    []float64    `json:"heads,omitempty"`
-	Speeds   []float64    `json:"speeds,omitempty"`
-	VRates   []float64    `json:"vrates,omitempty"`
-	LastTime time.Time    `json:"lastTime,omitempty"`
+	Origin *geo.Point   `json:"origin,omitempty"` // nil until first observation
+	Pts    [][2]float64 `json:"pts,omitempty"`
+	Heads  []float64    `json:"heads,omitempty"`
+	VRate  float64      `json:"vrate,omitempty"`
 }
 
 // Snapshot serializes the predictor's window (checkpoint.Snapshotter).
 func (r *RMFStar) Snapshot() ([]byte, error) {
-	snap := rmfStarSnapshot{
-		Heads:    r.win.heads,
-		Speeds:   r.win.speeds,
-		VRates:   r.win.vrates,
-		LastTime: r.lastTime,
-	}
+	snap := rmfStarSnapshot{VRate: r.win.vrate}
 	if r.win.enu != nil {
 		origin := r.win.enu.Origin
 		snap.Origin = &origin
 	}
-	if len(r.win.pts) > 0 {
-		snap.Pts = make([][2]float64, len(r.win.pts))
-		for i, p := range r.win.pts {
+	if n := r.win.len(); n > 0 {
+		m := r.win.motion(n)
+		snap.Heads = m.heads
+		snap.Pts = make([][2]float64, n)
+		for i, p := range m.pts {
 			snap.Pts[i] = [2]float64{p.x, p.y}
 		}
 	}
@@ -51,27 +46,26 @@ func (r *RMFStar) Restore(data []byte) error {
 		return fmt.Errorf("flp: restore rmf*: %w", err)
 	}
 	n := len(snap.Pts)
-	if n != len(snap.Heads) || n != len(snap.Speeds) || n != len(snap.VRates) {
+	if n != len(snap.Heads) {
 		return fmt.Errorf("flp: restore rmf*: inconsistent window lengths")
 	}
 	if n > r.win.maxLen {
 		return fmt.Errorf("flp: restore rmf*: window of %d points exceeds capacity %d", n, r.win.maxLen)
+	}
+	for i, p := range snap.Pts {
+		if !finite(p[0]) || !finite(p[1]) {
+			return errNonFinitePoint(i)
+		}
 	}
 	w := newWindow(r.win.maxLen)
 	if snap.Origin != nil {
 		w.enu = geo.NewENU(*snap.Origin)
 	}
 	for i, p := range snap.Pts {
-		if !finite(p[0]) || !finite(p[1]) {
-			return errNonFinitePoint(i)
-		}
-		w.pts = append(w.pts, pt{x: p[0], y: p[1]})
+		w.push(pt{x: p[0], y: p[1]}, snap.Heads[i])
 	}
-	w.heads = append(w.heads, snap.Heads...)
-	w.speeds = append(w.speeds, snap.Speeds...)
-	w.vrates = append(w.vrates, snap.VRates...)
+	w.vrate = snap.VRate
 	r.win = w
-	r.lastTime = snap.LastTime
 	return nil
 }
 

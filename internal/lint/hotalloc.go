@@ -33,20 +33,23 @@ var hotPathRootNames = []string{
 // per-batch output flush), the weather read of every critical point, and
 // the per-trajectory kernels that run on every report (future-location
 // prediction, the synopses generator and its record encoder, the in-situ
-// profiler). Keys are module-relative package prefixes, matched
-// like HotPathScope; values are exact function or method names.
+// profiler), and the per-mover step functions a shard worker's mover table
+// drives them through (the ID-bytes decode, the synopses track step, the
+// area membership step, the worker's mover lookup). Keys are module-relative
+// package prefixes, matched like HotPathScope; values are exact function or
+// method names.
 var HotPathExtraRoots = map[string][]string{
-	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "Decode"},
+	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "Decode", "DecodeFields"},
 	"internal/msg":      {"ProduceBatch", "TryPoll"},
 	"internal/shard":    {"SubmitBatch"},
-	"internal/core":     {"Ingest", "Publish", "flushBatch"},
+	"internal/core":     {"Ingest", "Publish", "flushBatch", "moverOf"},
 	"internal/gen":      {"WindAndWave"},
 	"internal/rdf":      {"AppendNT"},
 	"internal/rdfgen":   {"Generate", "Render"},
 	"internal/linkdisc": {"AppendPoint"},
 	"internal/flp":      {"Observe", "Predict"},
-	"internal/synopses": {"Process", "AppendRecord"},
-	"internal/lowlevel": {"Observe"},
+	"internal/synopses": {"Process", "AppendRecord", "AppendStep"},
+	"internal/lowlevel": {"Observe", "Step"},
 }
 
 var hotallocAnalyzer = &Analyzer{

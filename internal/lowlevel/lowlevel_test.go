@@ -137,10 +137,11 @@ func TestAreaMonitorGridConsistency(t *testing.T) {
 	m := NewAreaMonitor(regions, 16)
 	f := func(lonSeed, latSeed float64) bool {
 		p := geo.Pt(20+math.Mod(math.Abs(lonSeed), 8), 35+math.Mod(math.Abs(latSeed), 4))
-		got := m.regionsAt(p)
+		var got Regions
+		m.Step(&got, p)
 		for ri, rg := range regions {
 			want := rg.Geom.Contains(p)
-			if got[ri] != want {
+			if got.has(ri) != want {
 				return false
 			}
 		}

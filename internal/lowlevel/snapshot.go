@@ -6,57 +6,69 @@ import (
 	"math"
 	"sort"
 
-	"datacron/internal/mobility"
 	"datacron/internal/wire"
 )
 
 // Profiler snapshot layout (wire package encoding):
 //
 //	tag 0xC3 | version | uvarint #movers | per mover, IDs ascending:
-//	  string id | stats speed | stats accel | bool hasLast | bytes last
-//	stats = varint n | f64 sum | f64 min | f64 max | f64s lo | f64s hi
+//	  string id | profile
+//	profile = f64s speed | f64s accel | bool hasLast | time last | f64 lastSpeedMS
 //
-// last is mobility's framed report encoding. Min/max are raw bit patterns,
-// so an empty accumulator's ±Inf sentinels round-trip as they are. lo/hi
-// are the heap slices verbatim: the heap invariant is positional, so
-// copying the backing arrays preserves it.
+// Each accumulator is its values in observation order, as raw bit patterns;
+// count, sum, min and max are folded again on restore, in the same order,
+// so they come back bit for bit. A profile record is what the shard
+// workers' mover table stores per mover too (AppendProfile, ReadProfile).
 
-func statsLen(s *RunningStats) int {
-	return wire.VarintLen(s.n) + 3*8 + wire.Float64sLen(s.lo) + wire.Float64sLen(s.hi)
+// ProfileLen is the exact size of p's profile record.
+func (p *TrajectoryProfile) ProfileLen() int {
+	return wire.Float64sLen(p.Speed.vals) + wire.Float64sLen(p.Accel.vals) + 1 +
+		wire.TimeLen(p.lastTime) + 8
 }
 
-func appendStats(buf []byte, s *RunningStats) []byte {
-	buf = wire.AppendVarint(buf, s.n)
-	buf = wire.AppendFloat64(buf, s.sum)
-	buf = wire.AppendFloat64(buf, s.min)
-	buf = wire.AppendFloat64(buf, s.max)
-	buf = wire.AppendFloat64s(buf, s.lo)
-	return wire.AppendFloat64s(buf, s.hi)
+// AppendProfile appends p's profile record to buf.
+func (p *TrajectoryProfile) AppendProfile(buf []byte) []byte {
+	buf = wire.AppendFloat64s(buf, p.Speed.vals)
+	buf = wire.AppendFloat64s(buf, p.Accel.vals)
+	buf = wire.AppendBool(buf, p.hasLast)
+	buf = wire.AppendTime(buf, p.lastTime)
+	return wire.AppendFloat64(buf, p.lastSpeedMS)
 }
 
-// readStats decodes one accumulator and reports what makes it one that
-// Observe could not have produced: a NaN sum, a count that is not the two
-// heaps' sizes, heaps out of balance or out of order, or a low half reaching
-// above the high half. Median indexes the heaps on the strength of these
-// invariants.
-func readStats(r *wire.Reader) (*RunningStats, error) {
-	s := &RunningStats{n: r.Varint(), sum: r.Float64(), min: r.Float64(), max: r.Float64()}
-	s.lo, s.hi = r.Float64s(), r.Float64s()
-	switch {
-	case r.Failed():
-		return nil, wire.ErrMalformed
-	case math.IsNaN(s.sum):
-		return nil, errors.New("NaN sum")
-	case s.n != int64(len(s.lo)+len(s.hi)):
-		return nil, errors.New("count differs from the median heaps' sizes")
-	case len(s.lo) != len(s.hi) && len(s.lo) != len(s.hi)+1:
-		return nil, errors.New("unbalanced median heaps")
-	case !isHeap(s.lo, true) || !isHeap(s.hi, false):
-		return nil, errors.New("median heap out of order")
-	case len(s.hi) > 0 && s.lo[0] > s.hi[0]:
-		return nil, errors.New("median heaps overlap")
+// ReadProfile decodes a profile record of mover id. A NaN among the values
+// is one Observe would have skipped, and fails the read.
+func ReadProfile(r *wire.Reader, id string) (TrajectoryProfile, error) {
+	p := TrajectoryProfile{MoverID: id}
+	if err := readStats(r, &p.Speed); err != nil {
+		return p, errBadStats(id, "speed", err)
 	}
-	return s, nil
+	if err := readStats(r, &p.Accel); err != nil {
+		return p, errBadStats(id, "acceleration", err)
+	}
+	p.hasLast = r.Bool()
+	p.lastTime = r.Time()
+	p.lastSpeedMS = r.Float64()
+	return p, nil
+}
+
+// errNaNValue marks an accumulator holding a NaN, which Observe skips.
+var errNaNValue = errors.New("NaN value")
+
+// readStats folds a counted run of values into s, exactly as Observe did.
+func readStats(r *wire.Reader, s *RunningStats) error {
+	vals := r.Float64s()
+	for _, v := range vals {
+		if math.IsNaN(v) {
+			return errNaNValue
+		}
+	}
+	// Observe appends each value over itself: the decoded run is the
+	// accumulator's storage, sized exactly.
+	*s = RunningStats{vals: vals[:0]}
+	for _, v := range vals {
+		s.Observe(v)
+	}
+	return nil
 }
 
 // Snapshot serializes every mover's profile (checkpoint.Snapshotter).
@@ -64,19 +76,14 @@ func (pf *Profiler) Snapshot() ([]byte, error) {
 	ids := pf.MoverIDs()
 	size := wire.HeaderLen + wire.UvarintLen(uint64(len(ids)))
 	for _, id := range ids {
-		p := pf.profiles[id]
-		size += wire.StringLen(id) + statsLen(p.Speed) + statsLen(p.Accel) + 1 + p.last.FramedSize()
+		size += wire.StringLen(id) + pf.profiles[id].ProfileLen()
 	}
 	buf := make([]byte, 0, size)
 	buf = wire.AppendHeader(buf, wire.TagProfiler)
 	buf = wire.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
-		p := pf.profiles[id]
 		buf = wire.AppendString(buf, id)
-		buf = appendStats(buf, p.Speed)
-		buf = appendStats(buf, p.Accel)
-		buf = wire.AppendBool(buf, p.hasLast)
-		buf = p.last.AppendFramed(buf)
+		buf = pf.profiles[id].AppendProfile(buf)
 	}
 	return buf, nil
 }
@@ -89,29 +96,22 @@ func (pf *Profiler) Restore(data []byte) error {
 	if err := r.Header(wire.TagProfiler); err != nil {
 		return fmt.Errorf("lowlevel: restore profiler: %w", err)
 	}
-	// A profile is at least an ID's length prefix, two 27-byte accumulators,
-	// the flag and a framed report.
-	n := r.Count(1 + 2*27 + 1 + 1 + mobility.BinaryMinSize)
+	// A profile is at least an ID's length prefix, two value counts, the
+	// flag, a time and a float.
+	n := r.Count(1 + 2 + 1 + 2 + 8)
 	profiles := make(map[string]*TrajectoryProfile, n)
 	prev := ""
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && !r.Failed(); i++ {
 		id := r.Str()
 		if i > 0 && id <= prev && !r.Failed() {
 			return errMoverOrder("profiler", id)
 		}
 		prev = id
-		speed, err := readStats(r)
+		p, err := ReadProfile(r, id)
 		if err != nil {
-			return errBadStats(id, "speed", err)
+			return restoreErr("profiler", err)
 		}
-		accel, err := readStats(r)
-		if err != nil {
-			return errBadStats(id, "acceleration", err)
-		}
-		p := &TrajectoryProfile{MoverID: id, Speed: speed, Accel: accel, hasLast: r.Bool()}
-		p.last.ID = id // the report decoder keeps an equal ID string as it is
-		mobility.ReadFramed(r, &p.last)
-		profiles[id] = p
+		profiles[id] = &p
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("lowlevel: restore profiler: %w", err)
@@ -120,8 +120,12 @@ func (pf *Profiler) Restore(data []byte) error {
 	return nil
 }
 
+func restoreErr(op string, err error) error {
+	return fmt.Errorf("lowlevel: restore %s: %w", op, err)
+}
+
 func errBadStats(id, attr string, err error) error {
-	return fmt.Errorf("lowlevel: restore profiler: %s statistics of %s: %w", attr, id, err)
+	return fmt.Errorf("%s statistics of %s: %w", attr, id, err)
 }
 
 func errMoverOrder(op, id string) error {
@@ -131,10 +135,53 @@ func errMoverOrder(op, id string) error {
 // Area monitor snapshot layout:
 //
 //	tag 0xC4 | version | uvarint #movers | per mover, IDs ascending:
-//	  string id | uvarint #regions | uvarint region index, ascending
+//	  string id | regions
+//	regions = uvarint #regions | uvarint region index, ascending
 //
 // The region index and grid are functions of the configured regions, rebuilt
-// identically on restart, so only the dynamic membership is captured.
+// identically on restart, so only the dynamic membership is captured. A
+// regions record is what the shard workers' mover table stores per mover
+// too (AppendRegions, ReadRegions).
+
+// RegionsLen is the exact size of s's regions record.
+func (s Regions) RegionsLen() int {
+	n := wire.UvarintLen(uint64(s.Len()))
+	s.each(func(ri int) { n += wire.UvarintLen(uint64(ri)) })
+	return n
+}
+
+// AppendRegions appends s's regions record to buf.
+func (s Regions) AppendRegions(buf []byte) []byte {
+	buf = wire.AppendUvarint(buf, uint64(s.Len()))
+	s.each(func(ri int) { buf = wire.AppendUvarint(buf, uint64(ri)) })
+	return buf
+}
+
+// ReadRegions decodes a regions record against the monitor's regions. An
+// index out of range or out of ascending order fails the read.
+func (m *AreaMonitor) ReadRegions(r *wire.Reader, id string) (Regions, error) {
+	var s Regions
+	k := r.Count(1)
+	last := -1
+	for j := 0; j < k && !r.Failed(); j++ {
+		v := r.Uvarint()
+		if r.Failed() {
+			break
+		}
+		if v >= uint64(len(m.regions)) {
+			return nil, errRegionIndex(v, len(m.regions))
+		}
+		if int(v) <= last {
+			return nil, errRegionOrder(id, v)
+		}
+		last = int(v)
+		if s == nil {
+			s = make(Regions, len(m.cur))
+		}
+		s[last>>6] |= 1 << (last & 63)
+	}
+	return s, nil
+}
 
 // Snapshot serializes the monitor's inside-sets (checkpoint.Snapshotter).
 func (m *AreaMonitor) Snapshot() ([]byte, error) {
@@ -144,30 +191,15 @@ func (m *AreaMonitor) Snapshot() ([]byte, error) {
 	}
 	sort.Strings(ids)
 	size := wire.HeaderLen + wire.UvarintLen(uint64(len(ids)))
-	maxSet := 0
 	for _, id := range ids {
-		set := m.inside[id]
-		maxSet = max(maxSet, len(set))
-		size += wire.StringLen(id) + wire.UvarintLen(uint64(len(set)))
-		for ri := range set {
-			size += wire.UvarintLen(uint64(ri))
-		}
+		size += wire.StringLen(id) + m.inside[id].RegionsLen()
 	}
 	buf := make([]byte, 0, size)
 	buf = wire.AppendHeader(buf, wire.TagArea)
 	buf = wire.AppendUvarint(buf, uint64(len(ids)))
-	ris := make([]int, 0, maxSet)
 	for _, id := range ids {
-		ris = ris[:0]
-		for ri := range m.inside[id] {
-			ris = append(ris, ri)
-		}
-		sort.Ints(ris)
 		buf = wire.AppendString(buf, id)
-		buf = wire.AppendUvarint(buf, uint64(len(ris)))
-		for _, ri := range ris {
-			buf = wire.AppendUvarint(buf, uint64(ri))
-		}
+		buf = m.inside[id].AppendRegions(buf)
 	}
 	return buf, nil
 }
@@ -181,35 +213,21 @@ func (m *AreaMonitor) Restore(data []byte) error {
 		return fmt.Errorf("lowlevel: restore area monitor: %w", err)
 	}
 	n := r.Count(2) // an ID's length prefix and a region count
-	inside := make(map[string]map[int]bool, n)
+	inside := make(map[string]Regions, n)
 	prev := ""
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && !r.Failed(); i++ {
 		id := r.Str()
 		if i > 0 && id <= prev && !r.Failed() {
 			return errMoverOrder("area monitor", id)
 		}
 		prev = id
-		k := r.Count(1)
-		if k == 0 {
-			continue // an empty set is not held
+		s, err := m.ReadRegions(r, id)
+		if err != nil {
+			return restoreErr("area monitor", err)
 		}
-		set := make(map[int]bool, k)
-		last := -1
-		for j := 0; j < k; j++ {
-			v := r.Uvarint()
-			if r.Failed() {
-				break
-			}
-			if v >= uint64(len(m.regions)) {
-				return errRegionIndex(v, len(m.regions))
-			}
-			if int(v) <= last {
-				return errRegionOrder(id, v)
-			}
-			last = int(v)
-			set[last] = true
+		if s.Len() > 0 { // an empty set is not held
+			inside[id] = s
 		}
-		inside[id] = set
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("lowlevel: restore area monitor: %w", err)
@@ -219,9 +237,9 @@ func (m *AreaMonitor) Restore(data []byte) error {
 }
 
 func errRegionIndex(ri uint64, regions int) error {
-	return fmt.Errorf("lowlevel: restore area monitor: region index %d out of range for %d regions", ri, regions)
+	return fmt.Errorf("region index %d out of range for %d regions", ri, regions)
 }
 
 func errRegionOrder(id string, ri uint64) error {
-	return fmt.Errorf("lowlevel: restore area monitor: %w: region index %d of %q out of ascending order", wire.ErrMalformed, ri, id)
+	return fmt.Errorf("%w: region index %d of %q out of ascending order", wire.ErrMalformed, ri, id)
 }

@@ -12,21 +12,16 @@ import (
 	"datacron/internal/wire/wiretest"
 )
 
-// statsWire and profileWire mirror the profiler's snapshot layout field for
+// profileWire mirrors one mover of the profiler's snapshot layout field for
 // field, and encodeProfiles writes them exactly as Snapshot does — including
 // the invalid states Snapshot never would, which is what the corrupt-blob
 // tables need. Test-only.
-type statsWire struct {
-	n             int64
-	sum, min, max float64
-	lo, hi        []float64
-}
-
 type profileWire struct {
 	id           string
-	speed, accel statsWire
+	speed, accel []float64
 	hasLast      bool
-	last         mobility.Report
+	lastTime     time.Time
+	lastSpeedMS  float64
 }
 
 func encodeProfiles(ps ...profileWire) []byte {
@@ -34,22 +29,13 @@ func encodeProfiles(ps ...profileWire) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(ps)))
 	for _, p := range ps {
 		buf = wire.AppendString(buf, p.id)
-		for _, s := range [...]statsWire{p.speed, p.accel} {
-			buf = wire.AppendVarint(buf, s.n)
-			buf = wire.AppendFloat64(buf, s.sum)
-			buf = wire.AppendFloat64(buf, s.min)
-			buf = wire.AppendFloat64(buf, s.max)
-			buf = wire.AppendFloat64s(buf, s.lo)
-			buf = wire.AppendFloat64s(buf, s.hi)
-		}
+		buf = wire.AppendFloat64s(buf, p.speed)
+		buf = wire.AppendFloat64s(buf, p.accel)
 		buf = wire.AppendBool(buf, p.hasLast)
-		buf = wire.AppendBytes(buf, p.last.AppendBinary(nil))
+		buf = wire.AppendTime(buf, p.lastTime)
+		buf = wire.AppendFloat64(buf, p.lastSpeedMS)
 	}
 	return buf
-}
-
-func wireOf(s *RunningStats) statsWire {
-	return statsWire{n: s.n, sum: s.sum, min: s.min, max: s.max, lo: s.lo, hi: s.hi}
 }
 
 // TestProfilerSnapshotLayout pins Snapshot's bytes to the documented
@@ -59,7 +45,8 @@ func TestProfilerSnapshotLayout(t *testing.T) {
 	var want []profileWire
 	for _, id := range pf.MoverIDs() {
 		p := pf.Profile(id)
-		want = append(want, profileWire{id: id, speed: wireOf(p.Speed), accel: wireOf(p.Accel), hasLast: p.hasLast, last: p.last})
+		want = append(want, profileWire{id: id, speed: p.Speed.vals, accel: p.Accel.vals,
+			hasLast: p.hasLast, lastTime: p.lastTime, lastSpeedMS: p.lastSpeedMS})
 	}
 	got, err := pf.Snapshot()
 	if err != nil {
@@ -73,9 +60,9 @@ func TestProfilerSnapshotLayout(t *testing.T) {
 	}
 }
 
-// TestProfilerRestoreKeepsNonFiniteStats: an accumulator that saw ±Inf has
-// an infinite sum, and an empty one carries ±Inf min/max sentinels — the
-// raw-bits encoding round-trips both (JSON could carry neither).
+// TestProfilerRestoreKeepsNonFiniteStats: an accumulator that saw +Inf has
+// an infinite sum and maximum, and the raw-bits encoding round-trips it
+// (JSON could not); an empty accumulator restores empty.
 func TestProfilerRestoreKeepsNonFiniteStats(t *testing.T) {
 	pf := NewProfiler()
 	when := time.Date(2016, 4, 1, 0, 0, 0, 0, time.UTC)
@@ -92,8 +79,11 @@ func TestProfilerRestoreKeepsNonFiniteStats(t *testing.T) {
 	if got := restored.Profile("inf").Speed.Max(); !math.IsInf(got, 1) {
 		t.Errorf("restored max = %v, want +Inf", got)
 	}
-	if acc := restored.Profile("one").Accel; acc.min != math.Inf(1) || acc.max != math.Inf(-1) {
-		t.Errorf("empty accumulator sentinels = %v/%v, want +Inf/-Inf", acc.min, acc.max)
+	if got := restored.Profile("inf").Speed.Mean(); !math.IsInf(got, 1) {
+		t.Errorf("restored mean = %v, want +Inf", got)
+	}
+	if acc := restored.Profile("one").Accel; acc.N() != 0 || !math.IsNaN(acc.Min()) || !math.IsNaN(acc.Max()) {
+		t.Errorf("empty accumulator restored with n %d, min/max %v/%v", acc.N(), acc.Min(), acc.Max())
 	}
 	if again, _ := restored.Snapshot(); !bytes.Equal(blob, again) {
 		t.Error("restored profiler snapshots differently")
@@ -177,6 +167,7 @@ func FuzzProfilerRestore(f *testing.F) {
 	f.Add(empty)
 	f.Add(full[:len(full)/2])
 	f.Add([]byte(`{"x":{"id":"x","speed":{"n":0,"sum":0},"accel":{"n":0,"sum":0},"last":{}}}`))
+	f.Add(encodeProfiles(profileWire{id: "x", speed: []float64{1, math.NaN()}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wiretest.CheckRestore(t, profiledFleet(t), func() wiretest.Operator { return NewProfiler() }, data)
 	})

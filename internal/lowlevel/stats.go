@@ -7,57 +7,41 @@ package lowlevel
 
 import "math"
 
-// RunningStats maintains exact min, max, mean and median of a value stream
-// in O(log n) per observation, using the classic two-heap median algorithm.
+// RunningStats maintains exact min, max, mean and median of a value stream.
+// Observe is O(1): it keeps every value in observation order, and Median
+// selects the middle values from a copy when it is read, so reading never
+// reorders what a checkpoint stores. The zero value is empty and ready to
+// use.
 type RunningStats struct {
 	min, max float64
 	sum      float64
-	n        int64
-	lo       []float64 // max-heap of the values <= median
-	hi       []float64 // min-heap of the values >= median
+	vals     []float64 // every observed value, oldest first
 }
 
 // NewRunningStats returns empty statistics.
-func NewRunningStats() *RunningStats {
-	return &RunningStats{min: math.Inf(1), max: math.Inf(-1)}
-}
+func NewRunningStats() *RunningStats { return &RunningStats{} }
 
-// Observe adds a value.
+// Observe adds a value. NaN is skipped.
 func (s *RunningStats) Observe(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
-	s.n++
-	s.sum += v
-	if v < s.min {
+	if len(s.vals) == 0 || v < s.min {
 		s.min = v
 	}
-	if v > s.max {
+	if len(s.vals) == 0 || v > s.max {
 		s.max = v
 	}
-	// Median maintenance.
-	if len(s.lo) == 0 || v <= s.lo[0] {
-		s.lo = heapPush(s.lo, v, true)
-	} else {
-		s.hi = heapPush(s.hi, v, false)
-	}
-	// Rebalance so that len(lo) is len(hi) or len(hi)+1.
-	var top float64
-	if len(s.lo) > len(s.hi)+1 {
-		s.lo, top = heapPop(s.lo, true)
-		s.hi = heapPush(s.hi, top, false)
-	} else if len(s.hi) > len(s.lo) {
-		s.hi, top = heapPop(s.hi, false)
-		s.lo = heapPush(s.lo, top, true)
-	}
+	s.sum += v
+	s.vals = append(s.vals, v)
 }
 
 // N returns the number of observations.
-func (s *RunningStats) N() int64 { return s.n }
+func (s *RunningStats) N() int64 { return int64(len(s.vals)) }
 
 // Min returns the minimum, or NaN when empty.
 func (s *RunningStats) Min() float64 {
-	if s.n == 0 {
+	if len(s.vals) == 0 {
 		return math.NaN()
 	}
 	return s.min
@@ -65,7 +49,7 @@ func (s *RunningStats) Min() float64 {
 
 // Max returns the maximum, or NaN when empty.
 func (s *RunningStats) Max() float64 {
-	if s.n == 0 {
+	if len(s.vals) == 0 {
 		return math.NaN()
 	}
 	return s.max
@@ -73,81 +57,66 @@ func (s *RunningStats) Max() float64 {
 
 // Mean returns the average, or NaN when empty.
 func (s *RunningStats) Mean() float64 {
-	if s.n == 0 {
+	if len(s.vals) == 0 {
 		return math.NaN()
 	}
-	return s.sum / float64(s.n)
+	return s.sum / float64(len(s.vals))
 }
 
-// Median returns the running median (average of the two central values for
-// even counts), or NaN when empty.
+// Median returns the median (average of the two central values for even
+// counts), or NaN when empty. It selects from a copy of the values in
+// expected linear time.
 func (s *RunningStats) Median() float64 {
-	switch {
-	case s.n == 0:
+	n := len(s.vals)
+	if n == 0 {
 		return math.NaN()
-	case len(s.lo) > len(s.hi):
-		return s.lo[0]
-	default:
-		return (s.lo[0] + s.hi[0]) / 2
 	}
+	vals := append([]float64(nil), s.vals...)
+	upper := selectKth(vals, n/2)
+	if n%2 == 1 {
+		return upper
+	}
+	// Selection left every value below index n/2 no greater than upper, so
+	// the lower central value is the largest of them.
+	lower := vals[0]
+	for _, v := range vals[1 : n/2] {
+		lower = math.Max(lower, v)
+	}
+	return (lower + upper) / 2
 }
 
-// The median heaps are plain []float64 binary heaps, max-ordered (lo) or
-// min-ordered (hi). heapPush and heapPop make exactly container/heap's
-// sift-up and sift-down steps, so the slice layout — which a checkpoint
-// stores verbatim — is what container/heap would produce, without boxing
-// each value in an interface.
-
-// heapBefore reports whether a must sit above b.
-func heapBefore(a, b float64, max bool) bool {
-	if max {
-		return a > b
-	}
-	return a < b
-}
-
-func heapPush(h []float64, v float64, max bool) []float64 {
-	h = append(h, v)
-	j := len(h) - 1
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !heapBefore(h[j], h[i], max) {
-			break
+// selectKth partially orders vs (no NaN) so that vs[k] holds the value of
+// rank k, every value before it is no greater and every value after it no
+// smaller, and returns vs[k]. The three-way partition keeps a run of equal
+// values — a constant speed — linear.
+func selectKth(vs []float64, k int) float64 {
+	lo, hi := 0, len(vs)-1
+	for lo < hi {
+		a, b, c := vs[lo], vs[lo+(hi-lo)/2], vs[hi]
+		pivot := math.Max(math.Min(a, b), math.Min(math.Max(a, b), c))
+		// vs[lo:lt] < pivot, vs[lt:i] == pivot, vs[gt+1:hi+1] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := vs[i]; {
+			case v < pivot:
+				vs[lt], vs[i] = v, vs[lt]
+				lt++
+				i++
+			case v > pivot:
+				vs[gt], vs[i] = v, vs[gt]
+				gt--
+			default:
+				i++
+			}
 		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-	return h
-}
-
-// heapPop removes and returns the root. h must not be empty.
-func heapPop(h []float64, max bool) ([]float64, float64) {
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	i := 0
-	for {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && heapBefore(h[r], h[j], max) {
-			j = r
-		}
-		if !heapBefore(h[j], h[i], max) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	return h[:n], h[n]
-}
-
-// isHeap reports whether h satisfies the heap property for its order.
-func isHeap(h []float64, max bool) bool {
-	for j := 1; j < len(h); j++ {
-		if heapBefore(h[j], h[(j-1)/2], max) {
-			return false
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return vs[k]
 		}
 	}
-	return true
+	return vs[k]
 }

@@ -147,11 +147,13 @@ func (r Report) MarshalBinary() ([]byte, error) {
 	return r.AppendBinary(make([]byte, 0, r.BinarySize())), nil
 }
 
-// decodeBinary decodes the fixed-position fields of a version-1 payload and
-// returns the ID and Source byte ranges for the caller to materialise (the
-// one step whose allocation strategy differs between the stateless and the
-// interning decoder).
-func decodeBinary(b []byte, r *Report) (id, src []byte, err error) {
+// DecodeFields decodes the fixed-position fields of a version-1 payload into
+// *r and returns the ID and Source bytes, sub-slices of b, for the caller to
+// materialise: the one step whose allocation strategy differs between the
+// stateless decoder, the interning Decoder and a caller that keeps one
+// record per mover and looks it up by the ID bytes. r.ID and r.Source are
+// left as they were.
+func DecodeFields(b []byte, r *Report) (id, src []byte, err error) {
 	if !IsBinaryReport(b) {
 		return nil, nil, ErrNotBinary
 	}
@@ -197,7 +199,7 @@ func setString(dst *string, b []byte) {
 // a Decoder, whose intern table extends the zero-allocation guarantee to any
 // recurring mover set.
 func UnmarshalReportBinary(b []byte, r *Report) error {
-	id, src, err := decodeBinary(b, r)
+	id, src, err := DecodeFields(b, r)
 	if err != nil {
 		return err
 	}
@@ -216,9 +218,10 @@ const maxInternEntries = 1 << 16
 // later record carrying it, so steady-state decoding of a recurring mover
 // fleet performs zero heap allocations regardless of record order.
 //
-// A Decoder is not safe for concurrent use; give each shard worker its own
+// A Decoder is not safe for concurrent use; give each goroutine its own
 // (interned strings are immutable, so decoders may freely share decoded
-// Reports downstream).
+// Reports downstream). The real-time layer's shard workers intern through
+// their mover tables instead (DecodeFields).
 type Decoder struct {
 	intern map[string]string
 }
@@ -248,7 +251,7 @@ func (d *Decoder) internBytes(b []byte) string {
 // Decode decodes a binary-encoded report into *r with zero steady-state
 // allocations, rejecting non-binary payloads with ErrNotBinary.
 func (d *Decoder) Decode(b []byte, r *Report) error {
-	id, src, err := decodeBinary(b, r)
+	id, src, err := DecodeFields(b, r)
 	if err != nil {
 		return err
 	}

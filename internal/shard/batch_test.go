@@ -55,9 +55,9 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchCancelRollsBack: when credit acquisition is cancelled
-// mid-batch, no record is submitted and every acquired credit is returned,
-// so the plane stays usable for the next batch.
+// TestSubmitBatchCancelRollsBack: when a batch waiting for credits is
+// cancelled, no record is submitted and no credit is kept, so the plane
+// stays usable for the next batch.
 func TestSubmitBatchCancelRollsBack(t *testing.T) {
 	p := New(Config{Shards: 1, Queue: 4}, func(s string) string { return s }, newCountWorker)
 	p.Start()
@@ -250,13 +250,18 @@ func TestPlaneModelTwoBurstsInFlight(t *testing.T) {
 			want = want[1:]
 		}
 		for li, l := range p.lanes {
-			if l.avail != 0 || len(l.done) != 0 || len(l.in) != 0 || len(l.credits) != queue {
+			if l.avail != 0 || len(l.done) != 0 || len(l.in) != 0 || l.credits.Load() != int64(queue) {
 				t.Fatalf("trial %d lane %d after the drain: avail %d, done %d, queued %d, credits %d of %d",
-					trial, li, l.avail, len(l.done), len(l.in), len(l.credits), queue)
+					trial, li, l.avail, len(l.done), len(l.in), l.credits.Load(), queue)
 			}
 			for slot, o := range l.ring {
 				if o != "" {
 					t.Fatalf("trial %d lane %d: ring slot %d still holds %q", trial, li, slot, o)
+				}
+			}
+			for slot, in := range l.inRing {
+				if in != "" {
+					t.Fatalf("trial %d lane %d: input ring slot %d still holds %q", trial, li, slot, in)
 				}
 			}
 		}

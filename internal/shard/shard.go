@@ -59,7 +59,7 @@ func Route(key string, n int) int { return msg.HashKey(key, n) }
 type Stats struct {
 	Shard     int   // shard index
 	Processed int64 // records processed on the worker goroutine
-	Queue     int   // inputs currently waiting in the shard's queue
+	Queue     int   // records submitted to the shard and not yet processed
 	Credits   int   // submit credits currently available for this shard
 }
 
@@ -73,9 +73,10 @@ var ErrClosed = errors.New("shard: plane closed")
 // drained with Next: a barrier is only a consistent cut at an empty plane.
 var ErrPending = errors.New("shard: barrier with undrained outputs pending")
 
-type message[I any] struct {
-	item   I
-	last   bool // the last record of its lane's share of a SubmitBatch burst
+// message is one entry of a lane's input queue: a burst of n records
+// waiting in the lane's input ring, or a barrier marker.
+type message struct {
+	n      int
 	marker bool
 	epoch  uint64
 }
@@ -87,33 +88,38 @@ type barrierAck struct {
 }
 
 type lane[I, O any] struct {
-	w  Worker[I, O]
-	in chan message[I]
-	// Outputs go back through a ring rather than a channel of O: the worker
-	// writes slot after slot and publishes them with one count on done at
-	// the end of every submitted burst (or earlier, when its input queue runs
-	// dry), so the coordinator is woken once per burst it submitted, not once
-	// per record, and never waits on a later burst to drain an earlier one.
-	// A wake-up of a parked goroutine on another thread costs tens to
-	// hundreds of microseconds and varies with the host; one per record made
-	// sharded throughput depend on how often the merge happened to catch up
-	// with a worker. At most Queue records are
-	// in flight per lane (the credit pool), so the ring never overwrites an
-	// unread slot and done never fills. rd and avail belong to the
-	// coordinator.
-	ring  []O
-	done  chan int
-	rd    int // next ring slot Next reads
-	avail int // published slots Next has not read yet
-	ack   chan barrierAck
-	// credits implements per-lane flow control: Submit takes one credit per
-	// record (blocking, context-aware, when the lane is saturated) and Next
-	// returns it when the record's output is drained. The pool starts at the
-	// lane's queue capacity, so a slow shard exerts backpressure on the
-	// coordinator instead of growing an unbounded queue.
-	credits   chan struct{}
-	processed atomic.Int64
-	waits     atomic.Int64 // Submits that had to wait for a credit
+	w Worker[I, O]
+	// Inputs and outputs both travel through rings, and only their counts
+	// through channels. The coordinator writes a burst — a SubmitBatch
+	// lane share, or one Submit — into inRing and sends its size on in,
+	// one send per burst; the worker writes its outputs slot after slot
+	// into ring and publishes them with one count on done at the end of
+	// the burst, so the coordinator is woken once per burst it submitted,
+	// not once per record, and never waits on a later burst to drain an
+	// earlier one. A wake-up of a parked goroutine on another thread costs
+	// tens to hundreds of microseconds and varies with the host; one per
+	// record made sharded throughput depend on how often the merge happened
+	// to catch up with a worker. At most Queue records are in flight per
+	// lane (the credit pool), so neither ring overwrites an unread slot and
+	// neither channel fills. inWr, rd and avail belong to the coordinator.
+	inRing []I
+	inWr   int // next inRing slot the coordinator writes
+	in     chan message
+	ring   []O
+	done   chan int
+	rd     int // next ring slot Next reads
+	avail  int // published slots Next has not read yet
+	ack    chan barrierAck
+	// credits implements per-lane flow control: a submit takes one credit
+	// per record and Next returns it when the record's output is drained.
+	// The pool starts at the lane's queue capacity, so a slow shard exerts
+	// backpressure on the coordinator instead of growing an unbounded
+	// queue. Only the coordinator changes it; it is atomic so that Stats
+	// can read it from anywhere.
+	credits   atomic.Int64
+	submitted atomic.Int64 // records submitted to the lane
+	processed atomic.Int64 // records processed on the worker goroutine
+	waits     atomic.Int64 // submits that had to wait for credits
 }
 
 // Plane coordinates N shard workers. It is operated by a single coordinator
@@ -137,14 +143,13 @@ type Plane[I, O any] struct {
 	// submit performs no per-record allocations. Coordinator-only, like the
 	// fifo.
 	routeScratch []int // per-record lane index for the current batch
-	needScratch  []int // per-lane credits required by the current batch
-	gotScratch   []int // per-lane credits acquired so far (for rollback)
+	needScratch  []int // per-lane records in the current batch
 }
 
 // Config sizes a Plane.
 type Config struct {
 	Shards int // number of workers; values < 1 are treated as 1
-	// Queue is the per-shard input/output channel capacity (default 512).
+	// Queue is the per-shard input and output ring capacity (default 512).
 	// It is also the size of each shard's submit-credit pool: at most Queue
 	// records per shard may be in flight (queued or processing, output not
 	// yet drained) before Submit blocks.
@@ -173,16 +178,14 @@ func New[I, O any](cfg Config, key func(I) string, build func(shard int) Worker[
 		// Lane buffers share one auditable bound: Config.Queue, clamped at
 		// construction, is also the size of the credit pool that gates Submit.
 		l := &lane[I, O]{
-			w:       build(i),
-			in:      make(chan message[I], cfg.Queue), //lint:ignore boundedchan capacity is Config.Queue, clamped in New and matched by the credit pool
-			ring:    make([]O, cfg.Queue),
-			done:    make(chan int, cfg.Queue), //lint:ignore boundedchan capacity is Config.Queue, clamped in New and matched by the credit pool
-			ack:     make(chan barrierAck, 1),
-			credits: make(chan struct{}, cfg.Queue), //lint:ignore boundedchan the credit pool itself: filled to Config.Queue below, never grown
+			w:      build(i),
+			inRing: make([]I, cfg.Queue),
+			in:     make(chan message, cfg.Queue), //lint:ignore boundedchan capacity is Config.Queue, clamped in New and matched by the credit pool
+			ring:   make([]O, cfg.Queue),
+			done:   make(chan int, cfg.Queue), //lint:ignore boundedchan capacity is Config.Queue, clamped in New and matched by the credit pool
+			ack:    make(chan barrierAck, 1),
 		}
-		for c := 0; c < cfg.Queue; c++ {
-			l.credits <- struct{}{}
-		}
+		l.credits.Store(int64(cfg.Queue))
 		//lint:ignore boundedchan construction-time growth bounded by Config.Shards
 		p.lanes = append(p.lanes, l)
 	}
@@ -211,7 +214,8 @@ func (p *Plane[I, O]) Start() {
 
 func (p *Plane[I, O]) run(l *lane[I, O]) {
 	defer p.wg.Done()
-	wr, unpublished := 0, 0
+	var zero I
+	i := 0 // a record's input and output slots are the same ring index
 	for m := range l.in {
 		if m.marker {
 			// A barrier needs a drained plane, so nothing is unpublished here.
@@ -219,29 +223,28 @@ func (p *Plane[I, O]) run(l *lane[I, O]) {
 			l.ack <- barrierAck{epoch: m.epoch, ops: ops, err: err}
 			continue
 		}
-		l.ring[wr] = l.w.Process(m.item)
-		if wr++; wr == len(l.ring) {
-			wr = 0
+		for k := 0; k < m.n; k++ {
+			in := l.inRing[i]
+			l.inRing[i] = zero // the ring must not keep the input alive
+			l.ring[i] = l.w.Process(in)
+			if i++; i == len(l.ring) {
+				i = 0
+			}
 		}
-		unpublished++
-		l.processed.Add(1)
-		// A burst's last record always publishes, so the coordinator can drain
-		// the burst while the worker starts on the next one. Otherwise only
-		// this goroutine receives from l.in, so a non-zero length means another
-		// message is certain to follow and publishing can wait for it.
-		if m.last || len(l.in) == 0 {
-			l.done <- unpublished
-			unpublished = 0
-		}
+		// Publish the burst, so the coordinator can drain it while the
+		// worker starts on the next one.
+		l.processed.Add(int64(m.n))
+		l.done <- m.n
 	}
 }
 
-// Submit routes one input to its shard's queue, first acquiring one of the
-// shard's submit credits. When the shard is saturated — Queue records in
-// flight with outputs not yet drained — Submit blocks until Next returns a
-// credit or ctx is cancelled, so a slow shard exerts backpressure on the
-// coordinator instead of growing its queue. Outputs must be drained in
-// submit order with Next.
+// Submit routes one input to its shard's queue as a burst of one, first
+// taking one of the shard's submit credits. When the shard is saturated —
+// Queue records in flight with outputs not yet drained — Submit waits until
+// ctx is cancelled and fails: credits come back only through Next, on this
+// same coordinator goroutine, so a saturated lane tells the coordinator to
+// drain before it submits more. Outputs must be drained in submit order with
+// Next.
 func (p *Plane[I, O]) Submit(ctx context.Context, in I) error {
 	if !p.started {
 		return ErrNotStarted
@@ -251,44 +254,34 @@ func (p *Plane[I, O]) Submit(ctx context.Context, in I) error {
 	}
 	i := Route(p.key(in), len(p.lanes))
 	l := p.lanes[i]
-	select {
-	case <-l.credits:
-	default:
-		// Saturated: wait for a credit or give up with the context. The
-		// coordinator drains its own outputs, so this only blocks while the
-		// worker goroutine itself is behind.
-		l.waits.Add(1)
-		p.creditWaits.Inc()
-		select {
-		case <-l.credits:
-		case <-ctx.Done():
-			return submitBlockedErr(i, ctx.Err())
-		}
+	if l.credits.Load() < 1 {
+		return p.saturated(ctx, i)
 	}
-	l.in <- message[I]{item: in}
+	l.credits.Add(-1)
+	l.write(in)
+	l.send(1)
 	p.enqueue(i)
 	return nil
 }
 
-// SubmitBatch routes a whole poll batch to the shard queues with one credit
-// acquisition pass per lane instead of one select per record: it routes every
-// record, acquires each lane's credits for its share of the batch in bulk,
-// then enqueues the records in batch order. The merge contract is unchanged —
+// SubmitBatch routes a whole poll batch to the shard queues: it routes every
+// record, takes each lane's credits for its share of the batch at once,
+// writes the records into the lanes' input rings in batch order and sends
+// each lane its share as one burst. The merge contract is unchanged —
 // outputs drain in submit order with Next, so a stream fed through
 // SubmitBatch is byte-identical to the same stream fed through Submit.
 //
-// Credit acquisition is all-or-nothing: when ctx is cancelled while a lane is
-// saturated, every credit already acquired is returned and no record of the
-// batch is submitted, so the coordinator can retry or abort the batch as a
-// unit. The credits a lane's share needs, plus those its undrained records
-// still hold, must not exceed Queue (the credit pool size), or the
-// acquisition could never complete: credits come back only through Next. The
+// Credit acquisition is all-or-nothing: when a lane lacks the credits for
+// its share, SubmitBatch waits until ctx is cancelled (as Submit does) and
+// fails with no credit taken and no record of the batch submitted, so the
+// coordinator can retry or abort the batch as a unit. The credits a lane's
+// share needs, plus those its undrained records still hold, must not exceed
+// Queue (the credit pool size): credits come back only through Next. The
 // recovery loop keeps at most two poll batches in flight against a queue of
 // twice the poll batch.
 //
-// Each lane's share is a burst: the worker publishes its outputs when it
-// reaches the share's last record, so Next can drain this batch while a
-// later batch is still being processed.
+// The worker publishes a lane's outputs when it finishes the lane's share,
+// so Next can drain this batch while a later batch is still being processed.
 func (p *Plane[I, O]) SubmitBatch(ctx context.Context, ins []I) error {
 	if !p.started {
 		return ErrNotStarted
@@ -306,55 +299,57 @@ func (p *Plane[I, O]) SubmitBatch(ctx context.Context, ins []I) error {
 	routes := p.routeScratch[:len(ins)]
 	if p.needScratch == nil {
 		p.needScratch = make([]int, n)
-		p.gotScratch = make([]int, n)
 	}
-	need, got := p.needScratch, p.gotScratch
-	for i := range need {
-		need[i], got[i] = 0, 0
-	}
+	need := p.needScratch
+	clear(need)
 	for i := range ins {
 		r := Route(p.key(ins[i]), n)
 		routes[i] = r
 		need[r]++
 	}
-	for li := range need {
-		l := p.lanes[li]
-		blocked := false
-		for got[li] < need[li] {
-			select {
-			case <-l.credits:
-				got[li]++
-			default:
-				// Saturated: wait for the worker to catch up. Counted once
-				// per lane per batch — the amortized analogue of Submit's
-				// per-record wait accounting.
-				if !blocked {
-					blocked = true
-					l.waits.Add(1)
-					p.creditWaits.Inc()
-				}
-				select {
-				case <-l.credits:
-					got[li]++
-				case <-ctx.Done():
-					p.refundCredits(got)
-					return submitBlockedErr(li, ctx.Err())
-				}
-			}
+	for li, k := range need {
+		if k > 0 && p.lanes[li].credits.Load() < int64(k) {
+			return p.saturated(ctx, li)
 		}
 	}
-	// Credits for the whole batch are held, so no send below can block: at
-	// most Queue records are in flight per lane, the channel's capacity. got
-	// now counts each lane's records still to send, so the send that takes it
-	// to zero carries the lane's last record.
+	for li, k := range need {
+		p.lanes[li].credits.Add(-int64(k))
+	}
 	for i := range ins {
-		r := routes[i]
-		got[r]--
-		p.lanes[r].in <- message[I]{item: ins[i], last: got[r] == 0}
+		p.lanes[routes[i]].write(ins[i])
+	}
+	for li, k := range need {
+		if k > 0 {
+			p.lanes[li].send(k)
+		}
 	}
 	// routes is exactly the per-submit lane sequence the drain order needs.
 	p.enqueue(routes...)
 	return nil
+}
+
+// saturated counts a submit that found lane li without the credits it
+// needs, waits for ctx — nothing else can return credits while the
+// coordinator waits here — and returns the cancellation.
+func (p *Plane[I, O]) saturated(ctx context.Context, li int) error {
+	p.lanes[li].waits.Add(1)
+	p.creditWaits.Inc()
+	<-ctx.Done()
+	return submitBlockedErr(li, ctx.Err())
+}
+
+// write puts one input into the lane's input ring; send hands the worker
+// the last n written as one burst.
+func (l *lane[I, O]) write(in I) {
+	l.inRing[l.inWr] = in
+	if l.inWr++; l.inWr == len(l.inRing) {
+		l.inWr = 0
+	}
+}
+
+func (l *lane[I, O]) send(n int) {
+	l.submitted.Add(int64(n))
+	l.in <- message{n: n}
 }
 
 // enqueue appends submitted records' lanes to the drain-order fifo. Next
@@ -372,17 +367,8 @@ func (p *Plane[I, O]) enqueue(lanes ...int) {
 	p.fifo = append(p.fifo, lanes...)
 }
 
-// refundCredits returns a cancelled batch's partially acquired credits.
-func (p *Plane[I, O]) refundCredits(got []int) {
-	for li, g := range got {
-		for j := 0; j < g; j++ {
-			p.lanes[li].credits <- struct{}{}
-		}
-	}
-}
-
 // submitBlockedErr builds the cancelled-while-saturated error outside the
-// acquisition loop, keeping fmt off the hot path.
+// submit loops, keeping fmt off the hot path.
 func submitBlockedErr(shard int, err error) error {
 	return fmt.Errorf("shard: submit to shard %d blocked on credits: %w", shard, err)
 }
@@ -391,8 +377,7 @@ func submitBlockedErr(shard int, err error) error {
 // Because each worker's outputs arrive in its input order and Next follows
 // the global submit order, the merged stream is identical to processing
 // every record serially. A worker publishes its outputs at the end of each
-// SubmitBatch burst and whenever it has worked off everything submitted to
-// it, so Next blocks at most once per lane per submitted burst and never
+// burst, so Next blocks at most once per lane per submitted burst and never
 // waits on a burst submitted after the one it drains.
 func (p *Plane[I, O]) Next() (O, error) {
 	var zero O
@@ -419,7 +404,7 @@ func (p *Plane[I, O]) Next() (O, error) {
 	}
 	l.avail--
 	// The record left the plane: return its submit credit.
-	l.credits <- struct{}{}
+	l.credits.Add(1)
 	return out, nil
 }
 
@@ -443,7 +428,7 @@ func (p *Plane[I, O]) Barrier(epoch uint64) ([]map[string][]byte, error) {
 		return nil, fmt.Errorf("%w (%d)", ErrPending, p.Pending())
 	}
 	for _, l := range p.lanes {
-		l.in <- message[I]{marker: true, epoch: epoch}
+		l.in <- message{marker: true, epoch: epoch}
 	}
 	// Every lane got a marker, so every lane will ack: drain them all before
 	// evaluating any of them. Returning on the first bad ack would strand the
@@ -500,7 +485,10 @@ func (p *Plane[I, O]) Close() {
 func (p *Plane[I, O]) Stats() []Stats {
 	out := make([]Stats, len(p.lanes))
 	for i, l := range p.lanes {
-		out[i] = Stats{Shard: i, Processed: l.processed.Load(), Queue: len(l.in), Credits: len(l.credits)}
+		// processed is read first: submitted only grows, so the difference
+		// is never negative.
+		processed := l.processed.Load()
+		out[i] = Stats{Shard: i, Processed: processed, Queue: int(l.submitted.Load() - processed), Credits: int(l.credits.Load())}
 	}
 	return out
 }

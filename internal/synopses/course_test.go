@@ -70,15 +70,35 @@ func wanderingStream(seed int64, movers, n int) []mobility.Report {
 	return out
 }
 
+// modelHistory is the history the generator must retain, kept as whole
+// reports by the test: the accepted points of the recent course, restarted
+// at a heading change, evicted by age and then by the HistoryLen cap.
+func modelHistory(h []mobility.Report, r mobility.Report, cfg Config, restart bool) []mobility.Report {
+	if restart {
+		h = h[:0]
+	}
+	h = append(h, r)
+	cutoff := r.Time.Add(-cfg.HistoryWindow)
+	drop := 0
+	for drop < len(h)-1 && h[drop].Time.Before(cutoff) {
+		drop++
+	}
+	if over := len(h) - drop - cfg.HistoryLen; over > 0 {
+		drop += over
+	}
+	return append(h[:0], h[drop:]...)
+}
+
 // TestMeanCourseCacheMatchesRecompute drives random streams through age
 // eviction, the HistoryLen cap, heading-change resets and a Snapshot→Restore
-// in the middle, checking the cached mean course against the oracle after
-// every record.
+// in the middle, checking the retained history's times and the cached mean
+// course against a model that keeps whole reports, after every record.
 func TestMeanCourseCacheMatchesRecompute(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		cfg := DefaultMaritime()
 		g := NewGenerator(cfg)
 		stream := wanderingStream(seed, 3, 6000)
+		model := map[string][]mobility.Report{}
 		var capped, aged, resets, restored int
 		for i, r := range stream {
 			if i == len(stream)/2 {
@@ -92,21 +112,26 @@ func TestMeanCourseCacheMatchesRecompute(t *testing.T) {
 				}
 				restored++
 			}
-			before := 0
-			if st := g.states[r.ID]; st != nil {
-				before = len(st.history)
-			}
+			before, dropped := len(model[r.ID]), g.stats.Dropped
 			cps := g.Process(r)
-			st := g.states[r.ID]
-			if len(st.course) != len(st.history) {
-				t.Fatalf("seed %d record %d: %d cached terms for %d history entries", seed, i, len(st.course), len(st.history))
+			if g.stats.Dropped == dropped {
+				model[r.ID] = modelHistory(model[r.ID], r, cfg, countType(cps, ChangeInHeading) > 0)
+			}
+			st, want := g.states[r.ID], model[r.ID]
+			if len(st.history) != len(want) {
+				t.Fatalf("seed %d record %d: %d history entries, model has %d", seed, i, len(st.history), len(want))
+			}
+			for j, h := range st.history {
+				if !h.t.Equal(want[j].Time) {
+					t.Fatalf("seed %d record %d: history entry %d at %v, model at %v", seed, i, j, h.t, want[j].Time)
+				}
 			}
 			got, gotOK := st.meanCourse()
-			want, wantOK := recomputedMeanCourse(st.history)
-			if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("seed %d record %d: cached mean course %v/%v, recomputed %v/%v", seed, i, got, gotOK, want, wantOK)
+			wantBrg, wantOK := recomputedMeanCourse(want)
+			if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(wantBrg) {
+				t.Fatalf("seed %d record %d: cached mean course %v/%v, recomputed %v/%v", seed, i, got, gotOK, wantBrg, wantOK)
 			}
-			switch after := len(st.history); {
+			switch after := len(want); {
 			case countType(cps, ChangeInHeading) > 0:
 				resets++
 			case after == cfg.HistoryLen && before == cfg.HistoryLen:

@@ -11,13 +11,17 @@ import (
 // Snapshot layout (wire package encoding):
 //
 //	tag 0xC5 | version | varint in | varint dropped | varint critical |
-//	uvarint #movers | per mover, IDs ascending:
-//	  string id | flags byte | bytes last | uvarint #history { bytes report } |
+//	uvarint #movers | per mover, IDs ascending: string id | track
+//	track = flags byte | bytes last | uvarint #history { history entry } |
 //	  time stopSince | time slowSince | f64 meanSpeedKn | varint climbing |
 //	  f64 groundAlt
+//	history entry = time | f64 x | f64 y
 //
-// Reports are mobility's framed binary encoding. flags holds
-// the booleans, one bit each in the order of the flag constants below.
+// last is mobility's framed binary report; a history entry is a retained
+// point's time and its cached term of the mean course, raw bits. flags
+// holds the booleans, one bit each in the order of the flag constants
+// below. A track record is what the shard workers' mover table stores per
+// mover too (AppendTrack, ReadTrack).
 const (
 	flagHasLast = 1 << iota
 	flagStopped
@@ -29,12 +33,14 @@ const (
 	flagsAll = flagWasAirborne<<1 - 1
 )
 
-// minMoverLen is the smallest encoding of one mover: an ID's length prefix,
-// flags, a framed report, a history count, two times, two floats and a
-// climbing regime.
-const minMoverLen = 1 + 1 + 1 + mobility.BinaryMinSize + 1 + 2*2 + 2*8 + 1
+// MinTrackLen is the smallest encoding of one track record: flags, a framed
+// report, a history count, two times, two floats and a climbing regime.
+const MinTrackLen = 1 + 1 + mobility.BinaryMinSize + 1 + 2*2 + 2*8 + 1
 
-func (st *moverState) flags() byte {
+// minEntryLen is the smallest encoding of one history entry.
+const minEntryLen = 1 + 1 + 2*8
+
+func (st *Track) flags() byte {
 	var f byte
 	for i, b := range [...]bool{st.hasLast, st.stopped, st.stopEmitted, st.slow, st.slowEmitted, st.airborne, st.wasAirborne} {
 		if b {
@@ -44,13 +50,31 @@ func (st *moverState) flags() byte {
 	return f
 }
 
-func (st *moverState) encodedLen(id string) int {
-	n := wire.StringLen(id) + 1 + st.last.FramedSize() + wire.UvarintLen(uint64(len(st.history)))
+// TrackLen is the exact size of st's track record.
+func (st *Track) TrackLen() int {
+	n := 1 + st.last.FramedSize() + wire.UvarintLen(uint64(len(st.history)))
 	for _, h := range st.history {
-		n += h.FramedSize()
+		n += wire.TimeLen(h.t) + 2*8
 	}
 	return n + wire.TimeLen(st.stopSince) + wire.TimeLen(st.slowSince) + 8 +
 		wire.VarintLen(int64(st.climbing)) + 8
+}
+
+// AppendTrack appends st's track record to buf.
+func (st *Track) AppendTrack(buf []byte) []byte {
+	buf = append(buf, st.flags())
+	buf = st.last.AppendFramed(buf)
+	buf = wire.AppendUvarint(buf, uint64(len(st.history)))
+	for _, h := range st.history {
+		buf = wire.AppendTime(buf, h.t)
+		buf = wire.AppendFloat64(buf, h.c.x)
+		buf = wire.AppendFloat64(buf, h.c.y)
+	}
+	buf = wire.AppendTime(buf, st.stopSince)
+	buf = wire.AppendTime(buf, st.slowSince)
+	buf = wire.AppendFloat64(buf, st.meanSpeedKn)
+	buf = wire.AppendVarint(buf, int64(st.climbing))
+	return wire.AppendFloat64(buf, st.groundAlt)
 }
 
 // Snapshot serializes all per-mover state and counters (checkpoint.Snapshotter).
@@ -63,7 +87,7 @@ func (g *Generator) Snapshot() ([]byte, error) {
 	size := wire.HeaderLen + wire.VarintLen(g.stats.In) + wire.VarintLen(g.stats.Dropped) +
 		wire.VarintLen(g.stats.Critical) + wire.UvarintLen(uint64(len(ids)))
 	for _, id := range ids {
-		size += g.states[id].encodedLen(id)
+		size += wire.StringLen(id) + g.states[id].TrackLen()
 	}
 	buf := make([]byte, 0, size)
 	buf = wire.AppendHeader(buf, wire.TagSynopses)
@@ -72,19 +96,8 @@ func (g *Generator) Snapshot() ([]byte, error) {
 	buf = wire.AppendVarint(buf, g.stats.Critical)
 	buf = wire.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
-		st := g.states[id]
 		buf = wire.AppendString(buf, id)
-		buf = append(buf, st.flags())
-		buf = st.last.AppendFramed(buf)
-		buf = wire.AppendUvarint(buf, uint64(len(st.history)))
-		for _, h := range st.history {
-			buf = h.AppendFramed(buf)
-		}
-		buf = wire.AppendTime(buf, st.stopSince)
-		buf = wire.AppendTime(buf, st.slowSince)
-		buf = wire.AppendFloat64(buf, st.meanSpeedKn)
-		buf = wire.AppendVarint(buf, int64(st.climbing))
-		buf = wire.AppendFloat64(buf, st.groundAlt)
+		buf = g.states[id].AppendTrack(buf)
 	}
 	return buf, nil
 }
@@ -103,8 +116,8 @@ func (g *Generator) Restore(data []byte) error {
 	if stats.In < 0 || stats.Dropped < 0 || stats.Critical < 0 {
 		r.Fail()
 	}
-	n := r.Count(minMoverLen)
-	states := make(map[string]*moverState, n)
+	n := r.Count(1 + MinTrackLen)
+	states := make(map[string]*Track, n)
 	prev := ""
 	for i := 0; i < n && !r.Failed(); i++ {
 		id := r.Str()
@@ -112,35 +125,30 @@ func (g *Generator) Restore(data []byte) error {
 			return errMoverOrder(id)
 		}
 		prev = id
-		st, err := g.readMover(r, id)
+		st, err := g.ReadTrack(r, id, "")
 		if err != nil {
-			return err
+			return restoreErr(err)
 		}
-		states[id] = st
+		states[id] = &st
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("synopses: restore: %w", err)
 	}
-	g.stats = stats
-	if g.m != nil {
-		// Re-anchor the delta mirror: metric state is monitoring-only and
-		// deliberately outside the checkpoint, so only progress made after
-		// this restore flows into the registry.
-		g.m.last = g.stats
-	}
+	g.SetStats(stats)
 	g.states = states
 	return nil
 }
 
-// readMover decodes one mover's state. A history longer than the
-// configured cap, or a climbing regime other than -1/0/+1, is state Process
-// cannot produce and fails the restore.
-func (g *Generator) readMover(r *wire.Reader, id string) (*moverState, error) {
+// ReadTrack decodes a track record of mover id; the last report reuses id
+// and, when equal, source as its strings. A history longer than the
+// configured cap, or a climbing regime other than -1/0/+1, is state the
+// generator cannot produce and fails the read.
+func (g *Generator) ReadTrack(r *wire.Reader, id, source string) (Track, error) {
 	flags := r.Byte()
 	if flags&^flagsAll != 0 {
 		r.Fail()
 	}
-	st := &moverState{
+	st := Track{
 		hasLast:     flags&flagHasLast != 0,
 		stopped:     flags&flagStopped != 0,
 		stopEmitted: flags&flagStopEmitted != 0,
@@ -149,29 +157,32 @@ func (g *Generator) readMover(r *wire.Reader, id string) (*moverState, error) {
 		airborne:    flags&flagAirborne != 0,
 		wasAirborne: flags&flagWasAirborne != 0,
 	}
-	st.last.ID = id
+	st.last.ID, st.last.Source = id, source
 	mobility.ReadFramed(r, &st.last)
-	k := r.Count(1 + mobility.BinaryMinSize)
+	k := r.Count(minEntryLen)
 	if k > g.cfg.HistoryLen {
-		return nil, errHistoryLen(id, k, g.cfg.HistoryLen)
+		return Track{}, errHistoryLen(id, k, g.cfg.HistoryLen)
 	}
 	if k > 0 {
-		st.history = make([]mobility.Report, k)
+		st.history = make([]courseEntry, k)
 		for j := range st.history {
-			st.history[j].ID, st.history[j].Source = id, st.last.Source
-			mobility.ReadFramed(r, &st.history[j])
+			h := &st.history[j]
+			h.t, h.c.x, h.c.y = r.Time(), r.Float64(), r.Float64()
 		}
 	}
-	st.course = courseOfAll(st.history)
 	st.stopSince, st.slowSince = r.Time(), r.Time()
 	st.meanSpeedKn = r.Float64()
 	climbing := r.Varint()
 	st.groundAlt = r.Float64()
 	if climbing < -1 || climbing > 1 {
-		return nil, errClimbing(id, climbing)
+		return Track{}, errClimbing(id, climbing)
 	}
 	st.climbing = int(climbing)
 	return st, nil
+}
+
+func restoreErr(err error) error {
+	return fmt.Errorf("synopses: restore: %w", err)
 }
 
 func errMoverOrder(id string) error {
@@ -179,9 +190,9 @@ func errMoverOrder(id string) error {
 }
 
 func errHistoryLen(id string, n, limit int) error {
-	return fmt.Errorf("synopses: restore: mover %q holds %d history points, more than the configured %d", id, n, limit)
+	return fmt.Errorf("mover %q holds %d history points, more than the configured %d", id, n, limit)
 }
 
 func errClimbing(id string, v int64) error {
-	return fmt.Errorf("synopses: restore: mover %q has climbing regime %d, want -1, 0 or +1", id, v)
+	return fmt.Errorf("mover %q has climbing regime %d, want -1, 0 or +1", id, v)
 }

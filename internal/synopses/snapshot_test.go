@@ -20,7 +20,7 @@ type moverWire struct {
 	flags                byte
 	last                 mobility.Report
 	rawLast              []byte // written in place of last's encoding when set
-	history              []mobility.Report
+	history              []courseEntry
 	stopSince, slowSince time.Time
 	meanSpeedKn          float64
 	climbing             int64
@@ -42,7 +42,9 @@ func encodeGenerator(stats Stats, movers ...moverWire) []byte {
 		buf = wire.AppendBytes(buf, m.rawLast)
 		buf = wire.AppendUvarint(buf, uint64(len(m.history)))
 		for _, h := range m.history {
-			buf = wire.AppendBytes(buf, h.AppendBinary(nil))
+			buf = wire.AppendTime(buf, h.t)
+			buf = wire.AppendFloat64(buf, h.c.x)
+			buf = wire.AppendFloat64(buf, h.c.y)
 		}
 		buf = wire.AppendTime(buf, m.stopSince)
 		buf = wire.AppendTime(buf, m.slowSince)
@@ -104,7 +106,7 @@ func TestGeneratorRestoreRejectsCorruptBlobs(t *testing.T) {
 	at := time.Date(2016, 4, 1, 0, 0, 0, 0, time.UTC)
 	last := mobility.Report{ID: "a", Time: at, SpeedKn: 5}
 	valid := moverWire{id: "a", flags: flagHasLast, last: last}
-	overCap := moverWire{id: "b", last: last, history: make([]mobility.Report, DefaultMaritime().HistoryLen+1)}
+	overCap := moverWire{id: "b", last: last, history: make([]courseEntry, DefaultMaritime().HistoryLen+1)}
 	climbing := valid
 	climbing.climbing = 2
 	flags := valid

@@ -190,12 +190,15 @@ func (s Stats) CompressionRatio() float64 {
 	return 1 - float64(s.Critical)/float64(accepted)
 }
 
-// moverState is the per-mover single-pass state.
-type moverState struct {
+// Track is one mover's single-pass state: everything the generator keeps
+// per mover. The zero Track is a mover whose trajectory has not started (or
+// has ended); the generator's own Process keeps one per mover ID, and a
+// caller with a per-mover table of its own steps its tracks directly with
+// AppendStep.
+type Track struct {
 	last        mobility.Report
 	hasLast     bool
-	history     []mobility.Report // recent accepted points for mean course
-	course      []courseVec       // history[i]'s cached term of the mean course
+	history     []courseEntry // recent accepted points' terms of the mean course
 	stopSince   time.Time
 	stopped     bool
 	stopEmitted bool
@@ -213,7 +216,7 @@ type moverState struct {
 // use; each shard worker of the real-time layer runs its own instance.
 type Generator struct {
 	cfg    Config
-	states map[string]*moverState
+	states map[string]*Track
 	stats  Stats
 	m      *genMetrics // nil when uninstrumented
 }
@@ -226,23 +229,44 @@ func NewGenerator(cfg Config) *Generator {
 	if cfg.HistoryWindow <= 0 {
 		cfg.HistoryWindow = 3 * time.Minute
 	}
-	return &Generator{cfg: cfg, states: make(map[string]*moverState)}
+	return &Generator{cfg: cfg, states: make(map[string]*Track)}
 }
 
 // Stats returns the counters accumulated so far.
 func (g *Generator) Stats() Stats { return g.stats }
 
-// Process consumes one raw report and returns the critical points it
-// triggers (usually none). Reports must arrive per-mover in time order;
-// out-of-order and invalid records are dropped as noise.
-func (g *Generator) Process(r mobility.Report) []CriticalPoint {
-	return g.AppendProcess(nil, r)
+// SetStats replaces the counters, as a restore does: a caller that keeps the
+// tracks itself checkpoints the counters beside them.
+func (g *Generator) SetStats(s Stats) {
+	g.stats = s
+	if g.m != nil {
+		// Re-anchor the delta mirror: metric state is monitoring-only and
+		// deliberately outside the checkpoint, so only progress made after
+		// this restore flows into the registry.
+		g.m.last = s
+	}
 }
 
-// AppendProcess is Process appending the critical points to dst, so a
-// caller that reuses dst detects them without allocating.
-func (g *Generator) AppendProcess(dst []CriticalPoint, r mobility.Report) []CriticalPoint {
-	out := g.process(dst, r)
+// Process consumes one raw report and returns the critical points it
+// triggers (usually none), stepping the generator's own track of r's mover.
+// Reports must arrive per-mover in time order; out-of-order and invalid
+// records are dropped as noise.
+func (g *Generator) Process(r mobility.Report) []CriticalPoint {
+	var t *Track
+	if r.Valid() {
+		if t = g.states[r.ID]; t == nil {
+			t = new(Track)
+			g.states[r.ID] = t
+		}
+	}
+	return g.AppendStep(nil, t, r)
+}
+
+// AppendStep processes r against t, its mover's track, appending the
+// critical points it triggers to dst. t may be nil for a report that is not
+// Valid, which is only counted and dropped.
+func (g *Generator) AppendStep(dst []CriticalPoint, t *Track, r mobility.Report) []CriticalPoint {
+	out := g.step(dst, t, r)
 	if g.m != nil {
 		g.m.sync(g.stats)
 	}
@@ -255,17 +279,15 @@ func (g *Generator) emit(out []CriticalPoint, cp CriticalPoint) []CriticalPoint 
 	return append(out, cp)
 }
 
-// process is AppendProcess before the metrics mirror is brought up to date.
-func (g *Generator) process(out []CriticalPoint, r mobility.Report) []CriticalPoint {
+// step is AppendStep before the metrics mirror is brought up to date.
+func (g *Generator) step(out []CriticalPoint, st *Track, r mobility.Report) []CriticalPoint {
 	g.stats.In++
 	if !r.Valid() {
 		g.stats.Dropped++
 		return out
 	}
-	st, ok := g.states[r.ID]
-	if !ok {
-		st = &moverState{groundAlt: r.AltFt}
-		g.states[r.ID] = st
+	if !st.hasLast {
+		st.groundAlt = r.AltFt
 		st.remember(r, g.cfg.HistoryLen, g.cfg.HistoryWindow)
 		st.meanSpeedKn = r.SpeedKn
 		return g.emit(out, CriticalPoint{Report: r, Type: TrajectoryStart})
@@ -362,7 +384,7 @@ func (g *Generator) process(out []CriticalPoint, r mobility.Report) []CriticalPo
 
 // processVertical handles ChangeInAltitude, Takeoff and Landing, appending
 // what it emits to out.
-func (g *Generator) processVertical(out []CriticalPoint, st *moverState, r mobility.Report) []CriticalPoint {
+func (g *Generator) processVertical(out []CriticalPoint, st *Track, r mobility.Report) []CriticalPoint {
 	// Altitude regime: emit when the climb/descend/level regime changes.
 	regime := 0
 	if r.VRateFS > g.cfg.AltRateFS {
@@ -401,19 +423,27 @@ func (g *Generator) processVertical(out []CriticalPoint, st *moverState, r mobil
 
 // Flush emits a TrajectoryEnd for every active mover and clears all state.
 func (g *Generator) Flush() []CriticalPoint {
-	if g.m != nil {
-		defer func() { g.m.sync(g.stats) }()
-	}
 	out := make([]CriticalPoint, 0, len(g.states))
-	for _, st := range g.states {
-		if st.hasLast {
-			out = append(out, CriticalPoint{Report: st.last, Type: TrajectoryEnd})
-			g.stats.Critical++
-		}
+	for _, t := range g.states {
+		out = g.AppendEnd(out, t)
 	}
-	g.states = make(map[string]*moverState)
+	g.states = make(map[string]*Track)
 	sortCritical(out)
 	return out
+}
+
+// AppendEnd ends t's trajectory: it appends t's TrajectoryEnd to dst (none
+// for a track that has not started) and resets t to the zero Track, keeping
+// its history's storage.
+func (g *Generator) AppendEnd(dst []CriticalPoint, t *Track) []CriticalPoint {
+	if t.hasLast {
+		dst = g.emit(dst, CriticalPoint{Report: t.last, Type: TrajectoryEnd})
+		if g.m != nil {
+			g.m.sync(g.stats)
+		}
+	}
+	*t = Track{history: t.history[:0]}
+	return dst
 }
 
 // courseVec is one history entry's term of the mean velocity vector:
@@ -429,24 +459,21 @@ func courseOf(r mobility.Report) courseVec {
 	}
 }
 
-// courseOfAll rebuilds the cache for a restored history.
-func courseOfAll(history []mobility.Report) []courseVec {
-	course := make([]courseVec, len(history))
-	for i, h := range history {
-		course[i] = courseOf(h)
-	}
-	return course
+// courseEntry is one retained history point: all that eviction and the mean
+// course read of it.
+type courseEntry struct {
+	t time.Time
+	c courseVec
 }
 
-func (st *moverState) remember(r mobility.Report, maxLen int, window time.Duration) {
+func (st *Track) remember(r mobility.Report, maxLen int, window time.Duration) {
 	st.last = r
 	st.hasLast = true
-	st.history = append(st.history, r)
-	st.course = append(st.course, courseOf(r))
+	st.history = append(st.history, courseEntry{t: r.Time, c: courseOf(r)})
 	// Evict by age first, then enforce the hard cap.
 	cutoff := r.Time.Add(-window)
 	drop := 0
-	for drop < len(st.history)-1 && st.history[drop].Time.Before(cutoff) {
+	for drop < len(st.history)-1 && st.history[drop].t.Before(cutoff) {
 		drop++
 	}
 	if over := len(st.history) - drop - maxLen; over > 0 {
@@ -454,27 +481,25 @@ func (st *moverState) remember(r mobility.Report, maxLen int, window time.Durati
 	}
 	if drop > 0 {
 		st.history = append(st.history[:0], st.history[drop:]...)
-		st.course = append(st.course[:0], st.course[drop:]...)
 	}
 }
 
-// forgetCourse empties the history, and its cache with it.
-func (st *moverState) forgetCourse() {
+// forgetCourse empties the history.
+func (st *Track) forgetCourse() {
 	st.history = st.history[:0]
-	st.course = st.course[:0]
 }
 
 // meanCourse returns the bearing of the mean velocity vector over the
 // retained history (the "most recent course" of the paper). It sums the
 // cached terms in history order.
-func (st *moverState) meanCourse() (float64, bool) {
-	if len(st.course) < 2 {
+func (st *Track) meanCourse() (float64, bool) {
+	if len(st.history) < 2 {
 		return 0, false
 	}
 	var x, y float64
-	for _, c := range st.course {
-		x += c.x
-		y += c.y
+	for _, h := range st.history {
+		x += h.c.x
+		y += h.c.y
 	}
 	if x == 0 && y == 0 {
 		return 0, false

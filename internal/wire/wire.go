@@ -22,16 +22,16 @@ import (
 // Operator tags: the first byte of every operator snapshot, and of every
 // record on the synopses topic.
 const (
-	TagShardMeta  byte = 0xC1 // checkpoint.ShardSnapshots "shard/meta"
-	TagRunState   byte = 0xC2 // core run state ("summary")
-	TagProfiler   byte = 0xC3 // lowlevel.Profiler
-	TagArea       byte = 0xC4 // lowlevel.AreaMonitor
-	TagSynopses   byte = 0xC5 // synopses.Generator
-	TagLinkdisc   byte = 0xC6 // linkdisc.Discoverer
-	TagCER        byte = 0xC7 // cer.Forecaster
-	TagPredictors byte = 0xC8 // core per-mover FLP predictor map
-
+	TagShardMeta byte = 0xC1 // checkpoint.ShardSnapshots "shard/meta"
+	TagRunState  byte = 0xC2 // core run state ("summary")
+	TagProfiler  byte = 0xC3 // lowlevel.Profiler
+	TagArea      byte = 0xC4 // lowlevel.AreaMonitor
+	TagSynopses  byte = 0xC5 // synopses.Generator
+	TagLinkdisc  byte = 0xC6 // linkdisc.Discoverer
+	TagCER       byte = 0xC7 // cer.Forecaster
+	// 0xC8 was core's per-mover predictor map, now part of TagMovers.
 	TagCriticalPoint byte = 0xC9 // synopses.CriticalPoint record
+	TagMovers        byte = 0xCA // core shard worker's mover table
 )
 
 // Version is the layout version every operator snapshot currently writes.
