@@ -52,14 +52,17 @@ race:
 # each encode synopsis records into their own arena, and the staged-emit
 # tests, whose merge produces each output topic once per poll batch while
 # the next batch is in the plane, and the mover-table tests, whose worker
-# state is snapshotted at the barrier and restored before the plane starts.
-# Part of
+# state is snapshotted at the barrier and restored before the plane starts,
+# and the Dashboard tests, whose workers write each mover's slot while the
+# merge and a reader share the Dashboard (the va run covers the slots
+# themselves). Part of
 # ci (and of race, via ./...); kept as its own target for quick iteration on
 # the plane.
 shardrace:
 	$(GO) test -race ./internal/shard/...
 	$(GO) test -race ./internal/msg/...
-	$(GO) test -race -run 'Shard|Recovery|Cancel|Prefetch|BlockLimited|FinishedPoints|StagedEmit|Movers|OldLayout|WorkerArea' ./internal/core
+	$(GO) test -race -run 'Shard|Recovery|Cancel|Prefetch|BlockLimited|FinishedPoints|StagedEmit|Movers|OldLayout|WorkerArea|Dashboard' ./internal/core
+	$(GO) test -race ./internal/va
 
 # bench runs the go micro-benchmarks once each. End-to-end numbers come
 # from bench/run.sh (see BENCHMARK.json).
@@ -103,7 +106,7 @@ FUZZERS = \
 	internal/linkdisc:FuzzLinkdiscRestore \
 	internal/cer:FuzzCERRestore \
 	internal/core:FuzzRunStateRestore \
-	internal/core:FuzzPredictorsRestore
+	internal/core:FuzzMoversRestore
 
 fuzz:
 	@for f in $(FUZZERS); do \

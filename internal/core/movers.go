@@ -5,8 +5,10 @@ import (
 	"sort"
 
 	"datacron/internal/flp"
+	"datacron/internal/geo"
 	"datacron/internal/lowlevel"
 	"datacron/internal/synopses"
+	"datacron/internal/va"
 	"datacron/internal/wire"
 )
 
@@ -21,6 +23,12 @@ type mover struct {
 	pred *flp.RMFStar
 	area lowlevel.Regions
 	prof lowlevel.TrajectoryProfile
+	// future is the last prediction, in a buffer reused from report to
+	// report; slot is the mover's Dashboard entry, fetched on its first
+	// valid report after the table is built or restored. Neither is part of
+	// a checkpoint.
+	future []geo.Point
+	slot   *va.Slot
 }
 
 // moverOf returns the mover of a decoded report's ID and Source bytes,

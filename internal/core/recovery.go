@@ -120,8 +120,11 @@ func (r runStateSnapshotter) Restore(data []byte) error {
 // record gives; only the interleaving across topics follows batch
 // boundaries.
 //
-// The Dashboard is a best-effort monitoring sink and is NOT checkpointed:
-// after recovery it may hold duplicates from the replayed span. Everything
+// The Dashboard is a best-effort monitoring sink and is NOT checkpointed.
+// The shard workers write each mover's position and prediction into its
+// slot, which survives a crash in the pipeline's Dashboard: after recovery
+// they equal an uninterrupted run's. The recent critical points, links and
+// event notes may hold duplicates from the replayed span. Everything
 // published to broker topics is effectively-once.
 //
 // A run that ends on its context's error between poll batches stages a
@@ -139,13 +142,13 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 	// (thresholds, grids, masks, automata) is rebuilt, dynamic state is
 	// restored from the checkpoint below.
 	//
-	// Per-trajectory operators (synopses, area monitor, FLP, profiler) live
-	// inside the shard plane's workers, one mover table each, each worker on
-	// its own goroutine; shards=1 is a plane of one. Cross-entity operators
-	// (link discovery, CER, RDF sequencing, broker output) stay on this
-	// goroutine — the serial merge stage — which applies worker results in
-	// global submit order, so published output is byte-identical whatever
-	// the shard count.
+	// Per-trajectory operators (synopses, area monitor, FLP, profiler, the
+	// Dashboard's positions and predictions) live inside the shard plane's
+	// workers, one mover table each, each worker on its own goroutine;
+	// shards=1 is a plane of one. Cross-entity operators (link discovery,
+	// CER, RDF sequencing, broker output) stay on this goroutine — the
+	// serial merge stage — which applies worker results in global submit
+	// order, so published output is byte-identical whatever the shard count.
 	shards := p.cfg.Shards
 	workers := make([]*shardWorker, shards)
 	shardRegs := make([]*obs.Registry, shards)
@@ -401,23 +404,21 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		}
 		sum.RawIn++
 		mRecords.Inc()
-		lagProcess.Observe(now, out.rep.Time)
-		if out.rep.Time.After(maxEventTime) {
-			maxEventTime = out.rep.Time
+		lagProcess.Observe(now, out.eventTime)
+		if out.eventTime.After(maxEventTime) {
+			maxEventTime = out.eventTime
 			mWatermark.Set(float64(maxEventTime.Unix()))
 		}
 		if out.valid {
 			sum.AreaEvents += out.areaEvents
 			mAreaEvents.Add(out.areaEvents)
-			p.Dashboard.UpdatePosition(out.rep)
-			if out.pred != nil {
+			if out.predicted {
 				sum.Predictions++
 				mPredictions.Inc()
-				p.Dashboard.SetPrediction(out.rep.ID, out.pred)
 				// Prediction freshness is the headline SLO family: the lag
 				// between a mover's event time and the moment its future
 				// locations became available to serve.
-				lagPredict.Observe(now, out.rep.Time)
+				lagPredict.Observe(now, out.eventTime)
 			}
 		}
 		for i := range out.cps {

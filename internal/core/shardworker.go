@@ -8,12 +8,12 @@ import (
 
 	"datacron/internal/flp"
 	"datacron/internal/gen"
-	"datacron/internal/geo"
 	"datacron/internal/lowlevel"
 	"datacron/internal/mobility"
 	"datacron/internal/msg"
 	"datacron/internal/obs"
 	"datacron/internal/synopses"
+	"datacron/internal/va"
 )
 
 // shardOps are the operator names every shard worker snapshot contains;
@@ -48,14 +48,16 @@ type workerIn struct {
 // workerOut is one record's shard-local result, applied by the coordinator
 // in submit order. Every submitted record yields exactly one workerOut, so
 // the merged stream is position-for-position identical to a serial run.
-// trace carries the record's span tree back to the coordinator, which
-// parents the serial-stage spans (cer, emit) to its root and ends it.
+// The report itself stays in the worker, which has already written its
+// position and prediction to the Dashboard. trace carries the record's span
+// tree back to the coordinator, which parents the serial-stage spans (cer,
+// emit) to its root and ends it.
 type workerOut struct {
 	ok         bool            // unmarshal succeeded
-	valid      bool            // rep.Valid()
-	rep        mobility.Report // decoded report
+	valid      bool            // the report is Valid
+	predicted  bool            // FLP predicted the mover's future locations
+	eventTime  time.Time       // the report's event time
 	areaEvents int64           // low-level events detected at this report
-	pred       []geo.Point     // future locations, nil when not predicted
 	cps        []finishedPoint // critical points, nil when none
 	trace      *recordTrace
 }
@@ -88,9 +90,10 @@ func (p *Pipeline) newWorkerIn(rec msg.Record) workerIn {
 
 // shardWorker is one shard's operator chain: exactly the per-trajectory
 // stages of the run loop (decoding, synopses, area monitoring, future
-// location prediction, trajectory profiling). All its state is one mover
-// table keyed by mover ID, and the plane routes every record of a mover to
-// the same shard, so the chain needs no locking. Cross-entity stages (link
+// location prediction, trajectory profiling, the Dashboard's position and
+// prediction). All its state is one mover table keyed by mover ID, and the
+// plane routes every record of a mover to the same shard, so the chain needs
+// no locking beyond a mover's own Dashboard slot. Cross-entity stages (link
 // discovery, CER, RDF sequencing, broker output) stay on the coordinator.
 type shardWorker struct {
 	shard int
@@ -105,6 +108,7 @@ type shardWorker struct {
 	areaMon   *lowlevel.AreaMonitor
 	sample    time.Duration
 	steps     int
+	dash      *va.Dashboard
 	mRecords  *obs.Counter // "shard.<i>.records" in the pipeline registry
 	clock     obs.Clock
 	lagDecode obs.LagStage // "lag.decode.*" in the worker's own registry
@@ -135,6 +139,7 @@ func (p *Pipeline) newShardWorker(shard int, reg *obs.Registry) *shardWorker {
 		areaMon:    lowlevel.NewAreaMonitor(p.cfg.Regions, 64),
 		sample:     p.cfg.SampleInterval,
 		steps:      p.cfg.PredictSteps,
+		dash:       p.Dashboard,
 		mRecords:   p.obs.Counter(fmt.Sprintf("shard.%d.records", shard)),
 		clock:      reg.Clock(),
 		lagDecode:  obs.NewLagStage(reg, "decode"),
@@ -166,7 +171,7 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 	w.scratch.ID, w.scratch.Source = m.id, m.source
 	r := w.scratch
 	w.lagDecode.Observe(w.clock.Now(), r.Time)
-	out := workerOut{ok: true, rep: r, valid: r.Valid(), trace: in.trace}
+	out := workerOut{ok: true, valid: r.Valid(), eventTime: r.Time, trace: in.trace}
 	// Each operator steps the mover's own part in O(1); the synopses track
 	// is stepped for an invalid report too, which it counts as dropped.
 	var track *synopses.Track
@@ -179,9 +184,14 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 			m.prof.MoverID = m.id
 		}
 		m.pred.Observe(r)
-		out.pred = m.pred.Predict(w.steps)
+		m.future = m.pred.AppendPredict(m.future[:0], w.steps)
+		out.predicted = len(m.future) > 0
 		flpSpan.End()
 		m.prof.Observe(r)
+		if m.slot == nil {
+			m.slot = w.dash.Slot(m.id)
+		}
+		m.slot.Set(r, m.future)
 	}
 	synSpan := root.Child("synopses", w.shardAttrs...)
 	w.cps = w.sg.AppendStep(w.cps[:0], track, r)

@@ -104,7 +104,8 @@ func TestMoversSnapshotLayout(t *testing.T) {
 	for _, r := range reports[6000:7000] {
 		in := workerIn{rec: msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}}
 		a, b := w.Process(in), restored.Process(in)
-		if a.areaEvents != b.areaEvents || len(a.cps) != len(b.cps) || !reflect.DeepEqual(a.pred, b.pred) {
+		if a.areaEvents != b.areaEvents || len(a.cps) != len(b.cps) || a.predicted != b.predicted ||
+			!reflect.DeepEqual(w.movers[r.ID].future, restored.movers[r.ID].future) {
 			t.Fatalf("restored worker diverged at %s %v", r.ID, r.Time)
 		}
 	}

@@ -74,15 +74,24 @@ const holdout = 3
 
 // Predict implements Predictor.
 func (r *RMFStar) Predict(k int) []geo.Point {
-	n := r.win.len()
-	if n < 4 {
+	if r.win.len() < 4 {
 		return nil
 	}
+	return r.AppendPredict(make([]geo.Point, 0, k), k)
+}
+
+// AppendPredict appends the positions Predict returns to dst, so a caller
+// that reuses dst predicts without allocating. It appends nothing while the
+// predictor has too little history.
+func (r *RMFStar) AppendPredict(dst []geo.Point, k int) []geo.Point {
+	n := r.win.len()
+	if n < 4 {
+		return dst
+	}
 	m := r.win.motion(n)
-	out := make([]geo.Point, 0, k)
 	if !r.nonLinearPhase() {
-		out, _ = m.linear(out, k)
-		return out
+		dst, _ = m.linear(dst, k)
+		return dst
 	}
 	// Pattern matching: back-test each primitive on the last points.
 	best := -1
@@ -100,9 +109,9 @@ func (r *RMFStar) Predict(k int) []geo.Point {
 	if best < 0 {
 		best = primCircular // default to the circular primitive inside a turn
 	}
-	res, ok := m.predict(best, out, k)
+	res, ok := m.predict(best, dst, k)
 	if !ok {
-		res, _ = m.linear(out, k)
+		res, _ = m.linear(dst, k)
 	}
 	return res
 }

@@ -155,7 +155,12 @@ func (e *ENU) Inverse(x, y float64) Point {
 // AngleDiff returns the signed smallest difference b-a between two headings
 // in degrees, in (-180, 180].
 func AngleDiff(a, b float64) float64 {
-	d := math.Mod(b-a, 360)
+	d := b - a
+	// math.Mod returns its argument unchanged inside (-360, 360), the common
+	// case, so the call is skipped there (NaN and ±Inf still take it).
+	if !(d > -360 && d < 360) {
+		d = math.Mod(d, 360)
+	}
 	if d > 180 {
 		d -= 360
 	}

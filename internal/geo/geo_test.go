@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -151,6 +152,61 @@ func TestAngleDiffRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// angleDiffMod is AngleDiff as it was written before its fast path: one
+// math.Mod for every pair.
+func angleDiffMod(a, b float64) float64 {
+	d := math.Mod(b-a, 360)
+	if d > 180 {
+		d -= 360
+	}
+	if d <= -180 {
+		d += 360
+	}
+	return d
+}
+
+// TestAngleDiffMatchesModFormula: skipping math.Mod inside (-360, 360)
+// leaves every result bit-identical, NaN payloads included, for random
+// headings, signed zeros, differences next to ±180 and ±360, NaN and ±Inf.
+func TestAngleDiffMatchesModFormula(t *testing.T) {
+	check := func(a, b float64) {
+		t.Helper()
+		if got, want := AngleDiff(a, b), angleDiffMod(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("AngleDiff(%v, %v) = %v (%#x), want %v (%#x)",
+				a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	edges := []float64{0, negZero, 180, -180, 360, -360, 540, -540, 720, -720,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	for _, e := range []float64{180, -180, 360, -360} {
+		edges = append(edges, math.Nextafter(e, math.Inf(1)), math.Nextafter(e, math.Inf(-1)))
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+		check(a, 90)
+		check(90, a)
+	}
+	// Differences next to the edges, from non-zero headings: b-a rounds to
+	// either side of the boundary.
+	for _, base := range []float64{0.1, 13.37, 179.99, 359.9999999} {
+		for _, e := range []float64{180, -180, 360, -360} {
+			for _, off := range []float64{0, 1e-13, -1e-13, 1e-9, -1e-9} {
+				check(base, base+e+off)
+				check(base+e+off, base)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		check(rng.Float64()*360, rng.Float64()*360)             // headings
+		check(rng.Float64()*2000-1000, rng.Float64()*2000-1000) // unnormalised angles
 	}
 }
 

@@ -35,9 +35,10 @@ var hotPathRootNames = []string{
 // prediction, the synopses generator and its record encoder, the in-situ
 // profiler), and the per-mover step functions a shard worker's mover table
 // drives them through (the ID-bytes decode, the synopses track step, the
-// area membership step, the worker's mover lookup). Keys are module-relative
-// package prefixes, matched like HotPathScope; values are exact function or
-// method names.
+// area membership step, the worker's mover lookup, the prediction into the
+// mover's reused buffer, the write of its Dashboard slot). Keys are
+// module-relative package prefixes, matched like HotPathScope; values are
+// exact function or method names.
 var HotPathExtraRoots = map[string][]string{
 	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "Decode", "DecodeFields"},
 	"internal/msg":      {"ProduceBatch", "TryPoll"},
@@ -47,9 +48,10 @@ var HotPathExtraRoots = map[string][]string{
 	"internal/rdf":      {"AppendNT"},
 	"internal/rdfgen":   {"Generate", "Render"},
 	"internal/linkdisc": {"AppendPoint"},
-	"internal/flp":      {"Observe", "Predict"},
+	"internal/flp":      {"Observe", "Predict", "AppendPredict"},
 	"internal/synopses": {"Process", "AppendRecord", "AppendStep"},
 	"internal/lowlevel": {"Observe", "Step"},
+	"internal/va":       {"Set"},
 }
 
 var hotallocAnalyzer = &Analyzer{

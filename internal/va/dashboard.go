@@ -16,15 +16,47 @@ import (
 // visualization endpoint of Figure 13: the latest position per mover, the
 // most recent critical points and discovered relations, active predictions,
 // and a weather summary. It is safe for concurrent writers (the pipeline's
-// consumers) and readers (the UI poll).
+// shard workers and merge) and readers (the UI poll).
+//
+// Each mover's position and prediction live in its own Slot, which the one
+// shard worker that owns the mover writes under the slot's mutex; mu guards
+// the slot table and the recent lists.
 type Dashboard struct {
-	mu          sync.RWMutex
-	positions   map[string]mobility.Report
-	criticals   ring[synopses.CriticalPoint]
-	links       ring[linkdisc.Link]
-	predictions map[string][]geo.Point
-	events      ring[string]
-	maxKeep     int
+	mu        sync.RWMutex
+	slots     map[string]*Slot
+	criticals ring[synopses.CriticalPoint]
+	links     ring[linkdisc.Link]
+	events    ring[string]
+	maxKeep   int
+}
+
+// Slot is one mover's entry in the Dashboard: its latest position and its
+// last prediction. Its mutex is contended only by a Snapshot.
+type Slot struct {
+	id      string
+	mu      sync.Mutex
+	pos     mobility.Report
+	hasPos  bool
+	pred    []geo.Point // the slot's own buffer, reused
+	hasPred bool
+}
+
+// Set records a mover's report and, unless pred is empty, its prediction at
+// that report. The position is kept only if it is newer than the slot's;
+// pred is copied, so the caller may reuse it.
+func (s *Slot) Set(r mobility.Report, pred []geo.Point) {
+	s.mu.Lock()
+	if !s.hasPos || r.Time.After(s.pos.Time) {
+		s.pos, s.hasPos = r, true
+	}
+	if len(pred) > 0 {
+		s.setPred(pred)
+	}
+	s.mu.Unlock()
+}
+
+func (s *Slot) setPred(pred []geo.Point) {
+	s.pred, s.hasPred = append(s.pred[:0], pred...), true
 }
 
 // ring keeps the most recent entries added to it, at most max of them: it
@@ -62,20 +94,25 @@ func NewDashboard(maxKeep int) *Dashboard {
 	if maxKeep <= 0 {
 		maxKeep = 500
 	}
-	return &Dashboard{
-		positions:   make(map[string]mobility.Report),
-		predictions: make(map[string][]geo.Point),
-		maxKeep:     maxKeep,
+	return &Dashboard{slots: make(map[string]*Slot), maxKeep: maxKeep}
+}
+
+// Slot returns the mover's slot, adding an empty one on the first call for
+// the ID.
+func (d *Dashboard) Slot(moverID string) *Slot {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := d.slots[moverID]
+	if s == nil {
+		s = &Slot{id: moverID}
+		d.slots[moverID] = s
 	}
+	return s
 }
 
 // UpdatePosition records a mover's latest position.
 func (d *Dashboard) UpdatePosition(r mobility.Report) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if cur, ok := d.positions[r.ID]; !ok || r.Time.After(cur.Time) {
-		d.positions[r.ID] = r
-	}
+	d.Slot(r.ID).Set(r, nil)
 }
 
 // AddCritical appends a synopsis critical point.
@@ -92,11 +129,13 @@ func (d *Dashboard) AddLink(l linkdisc.Link) {
 	d.links.add(l, d.maxKeep)
 }
 
-// SetPrediction stores the current future-location prediction of a mover.
+// SetPrediction stores a copy of the current future-location prediction of
+// a mover.
 func (d *Dashboard) SetPrediction(moverID string, points []geo.Point) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.predictions[moverID] = points
+	s := d.Slot(moverID)
+	s.mu.Lock()
+	s.setPred(points)
+	s.mu.Unlock()
 }
 
 // AddEventNote appends a forecast/detection notice (e.g. "danger of
@@ -117,22 +156,31 @@ type Snapshot struct {
 	Events      []string                 `json:"events"`
 }
 
-// Snapshot captures the current picture at the given instant.
+// Snapshot captures the current picture at the given instant. It reads
+// each slot after releasing mu, so a snapshot never holds two locks.
 func (d *Dashboard) Snapshot(now time.Time) Snapshot {
 	d.mu.RLock()
-	defer d.mu.RUnlock()
 	s := Snapshot{
 		Time:        now,
 		Criticals:   d.criticals.list(),
 		Links:       d.links.list(),
 		Events:      d.events.list(),
-		Predictions: make(map[string][]geo.Point, len(d.predictions)),
+		Predictions: make(map[string][]geo.Point, len(d.slots)),
 	}
-	for id, pts := range d.predictions {
-		s.Predictions[id] = append([]geo.Point(nil), pts...)
+	slots := make([]*Slot, 0, len(d.slots))
+	for _, slot := range d.slots {
+		slots = append(slots, slot)
 	}
-	for _, r := range d.positions {
-		s.Positions = append(s.Positions, r)
+	d.mu.RUnlock()
+	for _, slot := range slots {
+		slot.mu.Lock()
+		if slot.hasPos {
+			s.Positions = append(s.Positions, slot.pos)
+		}
+		if slot.hasPred {
+			s.Predictions[slot.id] = append([]geo.Point(nil), slot.pred...)
+		}
+		slot.mu.Unlock()
 	}
 	sort.Slice(s.Positions, func(i, j int) bool { return s.Positions[i].ID < s.Positions[j].ID })
 	return s
