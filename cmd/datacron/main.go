@@ -98,7 +98,7 @@ func main() {
 	flag.IntVar(&o.shards, "shards", 1, "parallel shard workers for the real-time layer (output is byte-identical for any count)")
 	flag.IntVar(&o.queueCap, "queue-cap", 0, "bound the raw topic's per-partition uncommitted backlog (0 = unbounded) and arm the backpressure plane")
 	flag.StringVar(&o.overloadPolicy, "overload-policy", "block", "what a full raw partition does to producers: block, drop-newest or drop-oldest")
-	flag.BoolVar(&o.verbose, "v", false, "print dashboard event notes")
+	flag.BoolVar(&o.verbose, "v", false, "print dashboard event notes and every mover's speed and acceleration profile")
 	flag.BoolVar(&o.metrics, "metrics", false, "print the pipeline's metric registry after the run")
 	flag.StringVar(&o.export, "export", "", "write the RDF-ized stream to this N-Triples file")
 	flag.StringVar(&o.adminAddr, "admin", "", "serve /metrics, /statz, /healthz, /readyz, /traces and pprof on this address (empty disables)")
@@ -390,6 +390,12 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	if o.verbose {
 		for _, note := range snap.Events {
 			fmt.Fprintln(out, "  event:", note)
+		}
+		prof := pipeline.Profiler()
+		for _, id := range prof.MoverIDs() {
+			p := prof.Profile(id)
+			fmt.Fprintf(out, "  profile %s: speed min/mean/median/max %.1f/%.1f/%.1f/%.1f kn, acceleration mean %.4f m/s²\n",
+				id, p.Speed.Min(), p.Speed.Mean(), p.Speed.Median(), p.Speed.Max(), p.Accel.Mean())
 		}
 	}
 	return nil

@@ -118,3 +118,33 @@ func TestMetricsCompressionMatchesSummary(t *testing.T) {
 		t.Errorf("-metrics compression ratio %.3f (%s%%) disagrees with the summary's %s%%", ratio, got, want)
 	}
 }
+
+// TestVerboseProfiles: -v prints one trajectory profile line per mover, in
+// ID order, whose speed statistics are ordered as statistics must be.
+func TestVerboseProfiles(t *testing.T) {
+	var out bytes.Buffer
+	o := options{domain: "maritime", duration: 30 * time.Minute, vessels: 4, seed: 1, verbose: true}
+	if err := run(context.Background(), o, &out); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if !strings.HasPrefix(line, "  profile ") {
+			continue
+		}
+		var id string
+		var min, mean, median, max, accel float64
+		if _, err := fmt.Sscanf(line, "  profile %s speed min/mean/median/max %f/%f/%f/%f kn, acceleration mean %f m/s²",
+			&id, &min, &mean, &median, &max, &accel); err != nil {
+			t.Fatalf("profile line %q: %v", line, err)
+		}
+		if !(min <= mean && mean <= max && min <= median && median <= max) {
+			t.Errorf("profile line %q: statistics out of order", line)
+		}
+		ids = append(ids, strings.TrimSuffix(id, ":"))
+	}
+	want := []string{"mmsi-0000", "mmsi-0001", "mmsi-0002", "mmsi-0003"}
+	if fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Errorf("profiled movers %v, want %v:\n%s", ids, want, out.String())
+	}
+}

@@ -19,8 +19,9 @@ import (
 // different shard count fails with a clear error instead of silently
 // misrouting per-trajectory state.
 //
-// On Restore the adapters stage the checkpointed blobs back here; the
-// coordinator applies them to the (not yet started) workers with Restored.
+// On Restore the adapters stage the checkpointed blobs back here, for a
+// coordinator to apply to its (not yet started) workers with Restored — or,
+// after OnRestore, hand each blob to the workers as they are restored.
 type ShardSnapshots struct {
 	shards int
 	ops    []string
@@ -30,6 +31,7 @@ type ShardSnapshots struct {
 
 	restoredEpoch uint64
 	restored      []map[string][]byte // staged by adapter Restore calls
+	apply         func(shard int, op string, blob []byte) error
 }
 
 // NewShardSnapshots prepares a bridge for the given shard count and the
@@ -71,6 +73,14 @@ func (s *ShardSnapshots) SetEpoch(epoch uint64, states []map[string][]byte) erro
 // workers before starting the plane.
 func (s *ShardSnapshots) Restored(shard int) map[string][]byte {
 	return s.restored[shard]
+}
+
+// OnRestore makes every adapter hand its blob to apply as the Checkpointer
+// restores it: in the operator phase, before the broker's offsets and
+// outputs move, so a blob a worker rejects fails the restore with the
+// broker as it was. apply must leave its shard as it was when it fails.
+func (s *ShardSnapshots) OnRestore(apply func(shard int, op string, blob []byte) error) {
+	s.apply = apply
 }
 
 // RestoredEpoch returns the barrier epoch recorded in the restored
@@ -131,5 +141,8 @@ func (o shardOp) Restore(blob []byte) error {
 		o.s.restored[o.shard] = make(map[string][]byte, len(o.s.ops))
 	}
 	o.s.restored[o.shard][o.op] = blob
+	if o.s.apply != nil {
+		return o.s.apply(o.shard, o.op, blob)
+	}
 	return nil
 }

@@ -49,14 +49,17 @@ func (w *shardWorker) moverOf(id, src []byte) *mover {
 // Mover table snapshot layout (wire package encoding), one blob per worker
 // under "shard/<i>/movers":
 //
-//	tag 0xCA | version | varint in | varint dropped | varint critical |
+//	tag 0xCC | version | varint in | varint dropped | varint critical |
 //	uvarint #movers | per mover, IDs ascending:
 //	  string id | string source | track | bool tracked |
-//	  if tracked: regions | profile | bytes rmf*
+//	  if tracked: regions | profile | rmf*
 //
-// in/dropped/critical are the synopses generator's counters, track, regions
-// and profile the operators' per-mover records, rmf* flp.RMFStar's own
-// snapshot. A mover is tracked once it has had a valid report.
+// in/dropped/critical are the synopses generator's counters; track,
+// regions, profile and rmf* the operators' per-mover records (synopses,
+// lowlevel and flp). Each record is bounded by configuration — the
+// history cap, the region count, five P² markers per accumulator, the
+// RMF* window — so a mover costs its ID and source plus a constant
+// however long the run. A mover is tracked once it has had a valid report.
 
 func (w *shardWorker) sortedMovers() []*mover {
 	ms := make([]*mover, 0, len(w.movers))
@@ -67,23 +70,22 @@ func (w *shardWorker) sortedMovers() []*mover {
 	return ms
 }
 
-func (w *shardWorker) snapshotMovers() ([]byte, error) {
+// moverLen is the exact size of m's record in the mover table.
+func moverLen(m *mover) int {
+	n := wire.StringLen(m.id) + wire.StringLen(m.source) + m.track.TrackLen() + 1
+	if m.pred != nil {
+		n += m.area.RegionsLen() + m.prof.ProfileLen() + m.pred.StateLen()
+	}
+	return n
+}
+
+func (w *shardWorker) snapshotMovers() []byte {
 	ms := w.sortedMovers()
 	stats := w.sg.Stats()
-	preds := make([][]byte, len(ms))
 	size := wire.HeaderLen + wire.VarintLen(stats.In) + wire.VarintLen(stats.Dropped) +
 		wire.VarintLen(stats.Critical) + wire.UvarintLen(uint64(len(ms)))
-	for i, m := range ms {
-		size += wire.StringLen(m.id) + wire.StringLen(m.source) + m.track.TrackLen() + 1
-		if m.pred == nil {
-			continue
-		}
-		blob, err := m.pred.Snapshot()
-		if err != nil {
-			return nil, predictorErr("snapshot", m.id, err)
-		}
-		preds[i] = blob
-		size += m.area.RegionsLen() + m.prof.ProfileLen() + wire.BytesLen(blob)
+	for _, m := range ms {
+		size += moverLen(m)
 	}
 	buf := make([]byte, 0, size)
 	buf = wire.AppendHeader(buf, wire.TagMovers)
@@ -91,7 +93,7 @@ func (w *shardWorker) snapshotMovers() ([]byte, error) {
 	buf = wire.AppendVarint(buf, stats.Dropped)
 	buf = wire.AppendVarint(buf, stats.Critical)
 	buf = wire.AppendUvarint(buf, uint64(len(ms)))
-	for i, m := range ms {
+	for _, m := range ms {
 		buf = wire.AppendString(buf, m.id)
 		buf = wire.AppendString(buf, m.source)
 		buf = m.track.AppendTrack(buf)
@@ -99,10 +101,10 @@ func (w *shardWorker) snapshotMovers() ([]byte, error) {
 		if m.pred != nil {
 			buf = m.area.AppendRegions(buf)
 			buf = m.prof.AppendProfile(buf)
-			buf = wire.AppendBytes(buf, preds[i])
+			buf = m.pred.AppendState(buf)
 		}
 	}
-	return buf, nil
+	return buf
 }
 
 // restoreMovers replaces the mover table and the synopses counters with a
@@ -156,19 +158,16 @@ func (w *shardWorker) readMover(r *wire.Reader) (*mover, error) {
 	if m.prof, err = lowlevel.ReadProfile(r, m.id); err != nil {
 		return nil, err
 	}
-	m.pred = flp.NewRMFStar(w.sample)
-	if blob := r.Bytes(); !r.Failed() {
-		if err := m.pred.Restore(blob); err != nil {
-			return nil, predictorErr("restore", m.id, err)
-		}
+	if m.pred, err = flp.ReadRMFStar(r, w.sample); err != nil {
+		return nil, predictorErr(m.id, err)
 	}
 	return m, nil
 }
 
 // Cold-path error constructors, kept out of the loop bodies so hotalloc
 // sees them allocation-free.
-func predictorErr(verb, id string, err error) error {
-	return fmt.Errorf("%s predictor %s: %w", verb, id, err)
+func predictorErr(id string, err error) error {
+	return fmt.Errorf("restore predictor %s: %w", id, err)
 }
 
 func moversErr(err error) error {

@@ -214,6 +214,13 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		// through the ShardSnapshots bridge under "shard/<i>/<op>" names,
 		// with a meta entry pinning the shard count.
 		shardSnaps = checkpoint.NewShardSnapshots(shards, shardOps)
+		// Each worker restores its blob while the Checkpointer restores
+		// operators, before it moves the broker: a blob a worker rejects
+		// leaves offsets and outputs as they were. The workers are not
+		// started yet, so this goroutine may write them.
+		shardSnaps.OnRestore(func(i int, op string, blob []byte) error {
+			return workers[i].Restore(map[string][]byte{op: blob})
+		})
 		shardSnaps.Register(cpr)
 		if disc != nil {
 			cpr.Register("linkdisc", disc)
@@ -238,14 +245,6 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 			return sum, err
 		}
 		if cp != nil {
-			// The bridge staged each worker's blobs during Restore; apply
-			// them now, before Start, while the workers are still
-			// single-threaded.
-			for i, w := range workers {
-				if err := w.Restore(shardSnaps.Restored(i)); err != nil {
-					return sum, err
-				}
-			}
 			p.log.Info("restored from checkpoint",
 				"generation", cp.Generation, "records", sum.RawIn, "shards", shards)
 		}

@@ -222,11 +222,7 @@ func (w *shardWorker) finish(cps []synopses.CriticalPoint) []finishedPoint {
 // Snapshot encodes the worker's mover table under the shardOps name, for
 // the coordinated checkpoint barrier.
 func (w *shardWorker) Snapshot() (map[string][]byte, error) {
-	blob, err := w.snapshotMovers()
-	if err != nil {
-		return nil, shardOpErr(w.shard, "snapshot", err)
-	}
-	return map[string][]byte{"movers": blob}, nil
+	return map[string][]byte{"movers": w.snapshotMovers()}, nil
 }
 
 // Restore rehydrates the worker's mover table from barrier blobs.

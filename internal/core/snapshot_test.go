@@ -14,7 +14,6 @@ import (
 
 	"datacron/internal/checkpoint"
 	"datacron/internal/checkpoint/faultinject"
-	"datacron/internal/flp"
 	"datacron/internal/lowlevel"
 	"datacron/internal/mobility"
 	"datacron/internal/msg"
@@ -78,19 +77,12 @@ func TestMoversSnapshotLayout(t *testing.T) {
 		}
 		want = m.area.AppendRegions(want)
 		want = m.prof.AppendProfile(want)
-		blob, err := m.pred.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = wire.AppendBytes(want, blob)
+		want = m.pred.AppendState(want)
 	}
 	if tracked < 10 || inside == 0 {
 		t.Fatalf("%d tracked movers, %d inside a region: the fixture exercises too little", tracked, inside)
 	}
-	blob, err := w.snapshotMovers()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := w.snapshotMovers()
 	if !bytes.Equal(blob, want) {
 		t.Fatalf("Snapshot bytes differ from the documented layout:\n%x\n%x", blob, want)
 	}
@@ -98,7 +90,7 @@ func TestMoversSnapshotLayout(t *testing.T) {
 	if err := restored.restoreMovers(blob); err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := restored.snapshotMovers(); !bytes.Equal(blob, again) {
+	if again := restored.snapshotMovers(); !bytes.Equal(blob, again) {
 		t.Fatal("restored movers snapshot differently")
 	}
 	for _, r := range reports[6000:7000] {
@@ -124,29 +116,62 @@ func moverBlob(stats synopses.Stats, movers ...[]byte) []byte {
 	return buf
 }
 
-// moverRecord encodes one tracked mover whose predictor blob is pred.
-func moverRecord(id string, pred []byte) []byte {
+// moverRecord encodes one tracked mover from its profile and RMF* state
+// records.
+func moverRecord(id string, prof, pred []byte) []byte {
 	var track synopses.Track
-	var prof lowlevel.TrajectoryProfile
 	buf := wire.AppendString(nil, id)
 	buf = wire.AppendString(buf, "AIS")
 	buf = track.AppendTrack(buf)
 	buf = wire.AppendBool(buf, true)
 	buf = lowlevel.Regions(nil).AppendRegions(buf)
-	buf = prof.AppendProfile(buf)
-	return wire.AppendBytes(buf, pred)
+	return append(append(buf, prof...), pred...)
+}
+
+// rmfRecord encodes an RMF* state record of n points eastwards from
+// (0°, 45°); the point at index bad, if any, has a NaN x.
+func rmfRecord(n, bad int) []byte {
+	buf := wire.AppendBool(nil, true)
+	buf = wire.AppendFloat64(buf, 0)
+	buf = wire.AppendFloat64(buf, 45)
+	buf = wire.AppendUvarint(buf, uint64(n))
+	for i := 0; i < n; i++ {
+		x := float64(i) * 100
+		if i == bad {
+			x = math.NaN()
+		}
+		buf = wire.AppendFloat64(buf, x)
+		buf = wire.AppendFloat64(buf, 0)
+		buf = wire.AppendFloat64(buf, 90)
+	}
+	return wire.AppendFloat64(buf, 0)
+}
+
+// profRecord encodes a profile record whose speed accumulator has seen
+// seven values, with markers q and inner positions pos, and whose
+// acceleration accumulator is empty.
+func profRecord(q [5]float64, pos [3]uint64) []byte {
+	buf := wire.AppendUvarint(nil, 7)
+	for _, v := range append([]float64{q[0], q[4], 30}, q[:]...) {
+		buf = wire.AppendFloat64(buf, v)
+	}
+	for _, p := range pos {
+		buf = wire.AppendUvarint(buf, p)
+	}
+	buf = wire.AppendUvarint(buf, 0)
+	buf = wire.AppendBool(buf, false)
+	buf = wire.AppendTime(buf, time.Time{})
+	return wire.AppendFloat64(buf, 0)
 }
 
 // TestMoversRestoreIsAllOrNothing asserts "error ⇒ unchanged": a blob whose
 // later mover is corrupt must not leave the earlier ones applied, nor the
 // worker's table or counters changed.
 func TestMoversRestoreIsAllOrNothing(t *testing.T) {
-	good, err := flp.NewRMFStar(snapSample).Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inconsistent := []byte(`{"pts":[[1,2]]}`)
-	badRegion := moverRecord("c", good)
+	prof := profRecord([5]float64{1, 3, 4, 6, 9}, [3]uint64{2, 4, 5})
+	good := moverRecord("a", prof, rmfRecord(28, -1))
+	rec := func(id string) []byte { return moverRecord(id, prof, rmfRecord(4, -1)) }
+	badRegion := rec("c")
 	// The regions record follows the track and the tracked flag: point its
 	// count at one region index past the configured regions.
 	var track synopses.Track
@@ -156,19 +181,25 @@ func TestMoversRestoreIsAllOrNothing(t *testing.T) {
 		blob    []byte
 		wantErr string
 	}{
-		"later predictor corrupt":   {moverBlob(synopses.Stats{}, moverRecord("a", good), moverRecord("b", inconsistent)), "restore predictor b"},
-		"first predictor corrupt":   {moverBlob(synopses.Stats{}, moverRecord("a", []byte("{")), moverRecord("b", good)), "restore predictor a"},
-		"region out of range":       {moverBlob(synopses.Stats{}, moverRecord("a", good), badRegion), "out of range"},
-		"movers out of order":       {moverBlob(synopses.Stats{}, moverRecord("b", good), moverRecord("a", good)), "ascending order"},
-		"duplicate mover":           {moverBlob(synopses.Stats{}, moverRecord("a", good), moverRecord("a", good)), "ascending order"},
-		"negative counters":         {moverBlob(synopses.Stats{In: -1}, moverRecord("a", good)), "malformed"},
+		"window past maxLen":        {moverBlob(synopses.Stats{}, good, moverRecord("b", prof, rmfRecord(29, -1))), "restore predictor b: flp: restore rmf*: window of 29 points exceeds capacity 28"},
+		"non-finite coordinate":     {moverBlob(synopses.Stats{}, moverRecord("a", prof, rmfRecord(6, 5)), rec("b")), "restore predictor a: flp: restore rmf*: non-finite plane coordinates at window index 5"},
+		"markers out of order":      {moverBlob(synopses.Stats{}, good, moverRecord("b", profRecord([5]float64{1, 4, 3, 6, 9}, [3]uint64{2, 4, 5}), rmfRecord(4, -1))), "speed statistics of b: marker heights out of order"},
+		"marker positions":          {moverBlob(synopses.Stats{}, moverRecord("a", profRecord([5]float64{1, 3, 4, 6, 9}, [3]uint64{2, 5, 4}), rmfRecord(4, -1)), rec("b")), "speed statistics of a: marker positions out of order"},
+		"region out of range":       {moverBlob(synopses.Stats{}, good, badRegion), "out of range"},
+		"movers out of order":       {moverBlob(synopses.Stats{}, rec("b"), good), "ascending order"},
+		"duplicate mover":           {moverBlob(synopses.Stats{}, good, good), "ascending order"},
+		"negative counters":         {moverBlob(synopses.Stats{In: -1}, good), "malformed"},
 		"predictor map from before": {wire.AppendUvarint([]byte{0xC8, wire.Version}, 0), "not a binary snapshot"},
-		"truncated":                 {moverBlob(synopses.Stats{}, moverRecord("a", good))[:20], "malformed"},
+		"mover table from before":   {append([]byte{0xCA}, moverBlob(synopses.Stats{}, good)[1:]...), "not a binary snapshot"},
+		"truncated":                 {moverBlob(synopses.Stats{}, good)[:20], "malformed"},
 		"hostile count":             {wire.AppendUvarint(wire.AppendHeader(nil, wire.TagMovers), math.MaxUint64), "malformed"},
+	}
+	if w := busyWorker(t, 10); w.restoreMovers(moverBlob(synopses.Stats{}, good, rec("b"))) != nil {
+		t.Fatal("the valid records the cases corrupt do not restore")
 	}
 	for name, c := range cases {
 		w := busyWorker(t, 1500)
-		before, _ := w.snapshotMovers()
+		before := w.snapshotMovers()
 		movers, stats := len(w.movers), w.sg.Stats()
 		err := w.restoreMovers(c.blob)
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
@@ -178,7 +209,7 @@ func TestMoversRestoreIsAllOrNothing(t *testing.T) {
 		if len(w.movers) != movers || w.sg.Stats() != stats {
 			t.Errorf("%s: a rejected restore left %d movers and counters %+v, want %d and %+v", name, len(w.movers), w.sg.Stats(), movers, stats)
 		}
-		if after, _ := w.snapshotMovers(); !bytes.Equal(before, after) {
+		if after := w.snapshotMovers(); !bytes.Equal(before, after) {
 			t.Errorf("%s: a rejected restore changed the movers", name)
 		}
 	}
@@ -194,18 +225,13 @@ func FuzzMoversRestore(f *testing.F) {
 	for _, r := range reports[:1500] {
 		base.Process(workerIn{rec: msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}})
 	}
-	full, err := base.snapshotMovers()
-	if err != nil {
-		f.Fatal(err)
-	}
-	empty, err := p.newShardWorker(0, nil).snapshotMovers()
-	if err != nil {
-		f.Fatal(err)
-	}
+	full := base.snapshotMovers()
+	empty := p.newShardWorker(0, nil).snapshotMovers()
 	f.Add(full)
 	f.Add(empty)
 	f.Add(full[:len(full)/2])
 	f.Add(wire.AppendUvarint([]byte{0xC8, wire.Version}, 0)) // the predictor map from before
+	f.Add(append([]byte{0xCA}, full[1:]...))                 // the mover table from before
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wiretest.CheckCodec(t, data, func(b []byte) ([]byte, error) {
 			// A worker configured like base; the area monitor's grid is
@@ -216,7 +242,7 @@ func FuzzMoversRestore(f *testing.F) {
 			if err := w.restoreMovers(b); err != nil {
 				return nil, err
 			}
-			return w.snapshotMovers()
+			return w.snapshotMovers(), nil
 		})
 	})
 }

@@ -35,11 +35,12 @@ var manoeuvreDigests = map[string]string{
 // offsets and output end offsets — of the manoeuvre-like run with a
 // checkpoint after every poll batch, recorded from the per-point-produce
 // merge. manoeuvreCheckpointDigests digests the stored checkpoint bytes per
-// shard count (the operator layout depends on it), recorded from the mover
-// table layout ("shard/<i>/movers").
+// shard count (the operator layout depends on it), recorded from the
+// fixed-size mover table layout (tag 0xCC: P² profiles, binary RMF*
+// windows).
 var (
 	manoeuvreCutsDigest        = "a2ce99e50e28bae9"
-	manoeuvreCheckpointDigests = map[int]string{1: "f09487707d62d4b8", 2: "54f47e73fcc03d13"}
+	manoeuvreCheckpointDigests = map[int]string{1: "e6a17ae114c9ad56", 2: "1eca7566d58c383a"}
 )
 
 // manoeuvreKill is the crash ordinal of the faulted drill: the last record

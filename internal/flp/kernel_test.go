@@ -12,6 +12,7 @@ import (
 
 	"datacron/internal/geo"
 	"datacron/internal/mobility"
+	"datacron/internal/wire"
 )
 
 // climbingTrack is a straight track whose vertical rate crosses RMF*'s
@@ -275,5 +276,131 @@ func TestRestoreRoundTrip(t *testing.T) {
 	rest := tr.Reports[len(tr.Reports)-1]
 	if allocs := testing.AllocsPerRun(100, func() { b.Observe(rest) }); allocs != 0 {
 		t.Errorf("Observe on a restored predictor = %.1f allocs, want 0", allocs)
+	}
+}
+
+// stateWire mirrors the RMF* state record field for field, and encode
+// writes it exactly as AppendState does — including the invalid states
+// AppendState never would. Test-only.
+type stateWire struct {
+	origin *geo.Point
+	pts    [][3]float64 // x, y, heading
+	vrate  float64
+}
+
+func (s stateWire) encode() []byte {
+	buf := wire.AppendBool(nil, s.origin != nil)
+	if s.origin != nil {
+		buf = wire.AppendFloat64(buf, s.origin.Lon)
+		buf = wire.AppendFloat64(buf, s.origin.Lat)
+	}
+	buf = wire.AppendUvarint(buf, uint64(len(s.pts)))
+	for _, p := range s.pts {
+		for _, v := range p {
+			buf = wire.AppendFloat64(buf, v)
+		}
+	}
+	return wire.AppendFloat64(buf, s.vrate)
+}
+
+// readState decodes a whole state record.
+func readState(b []byte) (*RMFStar, error) {
+	r := wire.NewReader(b)
+	p, err := ReadRMFStar(r, 8*time.Second)
+	if err == nil {
+		err = r.Err()
+	}
+	return p, err
+}
+
+// TestStateRecordRoundTrip pins AppendState's bytes to the documented
+// layout, and checks that a predictor read back from them — empty, partly
+// filled, full and wrapped — predicts bit for bit like the original from
+// then on, at the record's bounded size.
+func TestStateRecordRoundTrip(t *testing.T) {
+	tr := circleTrack(120, 100, 4, 8*time.Second)
+	for _, seen := range []int{0, 1, 5, 28, 29, 57, 90} {
+		a := NewRMFStar(8 * time.Second)
+		for _, rep := range tr.Reports[:seen] {
+			a.Observe(rep)
+		}
+		rec := a.AppendState(make([]byte, 0, a.StateLen()))
+		if len(rec) != cap(rec) {
+			t.Fatalf("after %d reports: record of %d bytes, StateLen says %d", seen, len(rec), cap(rec))
+		}
+		if maxLen := 1 + 16 + 1 + 28*24 + 8; len(rec) > maxLen {
+			t.Fatalf("after %d reports: record of %d bytes, more than the %d a full window takes", seen, len(rec), maxLen)
+		}
+		want := stateWire{vrate: a.win.vrate}
+		if a.win.enu != nil {
+			want.origin = &a.win.enu.Origin
+		}
+		m := a.win.motion(a.win.len())
+		for i, p := range m.pts {
+			want.pts = append(want.pts, [3]float64{p.x, p.y, m.heads[i]})
+		}
+		if !bytes.Equal(rec, want.encode()) {
+			t.Fatalf("after %d reports: record differs from the documented layout:\n%x\n%x", seen, rec, want.encode())
+		}
+		b, err := readState(rec)
+		if err != nil {
+			t.Fatalf("after %d reports: %v", seen, err)
+		}
+		if again := b.AppendState(nil); !bytes.Equal(rec, again) {
+			t.Fatalf("after %d reports: the read predictor writes another record", seen)
+		}
+		for i, rep := range tr.Reports[seen:] {
+			a.Observe(rep)
+			b.Observe(rep)
+			if !samePoints(a.Predict(8), b.Predict(8)) {
+				t.Fatalf("after %d reports: read predictor diverged at report %d", seen, seen+i)
+			}
+		}
+	}
+}
+
+// TestReadRMFStarRejectsInvalidStates: every state Observe cannot produce
+// from valid reports fails the read.
+func TestReadRMFStarRejectsInvalidStates(t *testing.T) {
+	origin := &geo.Point{Lon: 0, Lat: 45}
+	window := func(n int) [][3]float64 {
+		pts := make([][3]float64, n)
+		for i := range pts {
+			pts[i] = [3]float64{float64(i), 0, 90}
+		}
+		return pts
+	}
+	if _, err := readState(stateWire{origin: origin, pts: window(28)}.encode()); err != nil {
+		t.Fatalf("a full window fails the read: %v", err)
+	}
+	with := func(i, k int, v float64) [][3]float64 {
+		pts := window(4)
+		pts[i][k] = v
+		return pts
+	}
+	cases := map[string]struct {
+		state   stateWire
+		wantErr string
+	}{
+		"longer than maxLen":      {stateWire{origin: origin, pts: window(29)}, "exceeds capacity"},
+		"points without origin":   {stateWire{pts: window(2)}, "without an origin"},
+		"origin off the globe":    {stateWire{origin: &geo.Point{Lon: 200, Lat: 45}, pts: window(2)}, "invalid origin"},
+		"NaN origin":              {stateWire{origin: &geo.Point{Lon: math.NaN(), Lat: 45}}, "invalid origin"},
+		"NaN plane coordinate":    {stateWire{origin: origin, pts: with(2, 0, math.NaN())}, "non-finite plane coordinates at window index 2"},
+		"infinite plane coord":    {stateWire{origin: origin, pts: with(3, 1, math.Inf(-1))}, "non-finite plane coordinates at window index 3"},
+		"infinite heading":        {stateWire{origin: origin, pts: with(0, 2, math.Inf(1))}, "non-finite plane coordinates at window index 0"},
+		"NaN vertical rate":       {stateWire{origin: origin, pts: window(3), vrate: math.NaN()}, "non-finite vertical rate"},
+		"hostile window length":   {stateWire{origin: origin, pts: window(1 << 10)}, "exceeds capacity"},
+		"truncated after a point": {stateWire{origin: origin, pts: window(3)}, "malformed"},
+	}
+	for name, c := range cases {
+		b := c.state.encode()
+		if name == "truncated after a point" {
+			b = b[:len(b)-9]
+		}
+		_, err := readState(b)
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, c.wantErr)
+		}
 	}
 }

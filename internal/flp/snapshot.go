@@ -4,9 +4,85 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"time"
 
 	"datacron/internal/geo"
+	"datacron/internal/wire"
 )
+
+// RMF* state record (wire package encoding), what the shard workers' mover
+// table stores per mover:
+//
+//	bool hasOrigin | if hasOrigin: f64 lon | f64 lat |
+//	uvarint n | n × (f64 x | f64 y | f64 heading), oldest first | f64 vrate
+//
+// The window holds at most maxLen entries, so the record is at most
+// 1 + 16 + 1 + 28 × 24 + 8 bytes however long the run. The ENU plane is a
+// function of its origin; thresholds and the sampling interval are
+// configuration, rebuilt by the reader.
+
+// StateLen is the exact size of the predictor's state record.
+func (r *RMFStar) StateLen() int {
+	n := r.win.len()
+	size := 1 + wire.UvarintLen(uint64(n)) + 3*8*n + 8
+	if r.win.enu != nil {
+		size += 2 * 8
+	}
+	return size
+}
+
+// AppendState appends the predictor's state record to buf.
+func (r *RMFStar) AppendState(buf []byte) []byte {
+	w := r.win
+	buf = wire.AppendBool(buf, w.enu != nil)
+	if w.enu != nil {
+		buf = wire.AppendFloat64(buf, w.enu.Origin.Lon)
+		buf = wire.AppendFloat64(buf, w.enu.Origin.Lat)
+	}
+	m := w.motion(w.len())
+	buf = wire.AppendUvarint(buf, uint64(len(m.pts)))
+	for i, p := range m.pts {
+		buf = wire.AppendFloat64(buf, p.x)
+		buf = wire.AppendFloat64(buf, p.y)
+		buf = wire.AppendFloat64(buf, m.heads[i])
+	}
+	return wire.AppendFloat64(buf, w.vrate)
+}
+
+// ReadRMFStar decodes a state record into a new RMF* predictor of the given
+// sampling interval. A window longer than the predictor's capacity, points
+// without an origin, an invalid origin or a non-finite coordinate, heading
+// or vertical rate — none of which Observe produces from valid reports —
+// fails the read. The caller checks r.Err once it has read the whole blob.
+func ReadRMFStar(r *wire.Reader, sample time.Duration) (*RMFStar, error) {
+	p := NewRMFStar(sample)
+	w := p.win
+	if r.Bool() {
+		origin := geo.Point{Lon: r.Float64(), Lat: r.Float64()}
+		if !r.Failed() && !origin.Valid() {
+			return nil, errOrigin(origin)
+		}
+		w.enu = geo.NewENU(origin)
+	}
+	n := r.Count(3 * 8)
+	if n > w.maxLen {
+		return nil, errWindowLen(n, w.maxLen)
+	}
+	if n > 0 && w.enu == nil {
+		return nil, errNoOrigin(n)
+	}
+	for i := 0; i < n && !r.Failed(); i++ {
+		q, head := pt{x: r.Float64(), y: r.Float64()}, r.Float64()
+		if !finite(q.x) || !finite(q.y) || !finite(head) {
+			return nil, errNonFinitePoint(i)
+		}
+		w.push(q, head)
+	}
+	if w.vrate = r.Float64(); !finite(w.vrate) {
+		return nil, errNonFiniteVRate(w.vrate)
+	}
+	return p, nil
+}
 
 // rmfStarSnapshot is the wire form of an RMFStar predictor's mutable state:
 // the window's positions and headings, oldest first, and the latest vertical
@@ -50,7 +126,7 @@ func (r *RMFStar) Restore(data []byte) error {
 		return fmt.Errorf("flp: restore rmf*: inconsistent window lengths")
 	}
 	if n > r.win.maxLen {
-		return fmt.Errorf("flp: restore rmf*: window of %d points exceeds capacity %d", n, r.win.maxLen)
+		return errWindowLen(n, r.win.maxLen)
 	}
 	for i, p := range snap.Pts {
 		if !finite(p[0]) || !finite(p[1]) {
@@ -73,4 +149,20 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func errNonFinitePoint(i int) error {
 	return fmt.Errorf("flp: restore rmf*: non-finite plane coordinates at window index %d", i)
+}
+
+func errWindowLen(n, maxLen int) error {
+	return fmt.Errorf("flp: restore rmf*: window of %d points exceeds capacity %d", n, maxLen)
+}
+
+func errNoOrigin(n int) error {
+	return fmt.Errorf("flp: restore rmf*: window of %d points without an origin", n)
+}
+
+func errOrigin(p geo.Point) error {
+	return fmt.Errorf("flp: restore rmf*: invalid origin %v", p)
+}
+
+func errNonFiniteVRate(v float64) error {
+	return fmt.Errorf("flp: restore rmf*: non-finite vertical rate %v", v)
 }

@@ -8,22 +8,30 @@ import (
 )
 
 // BoundedQueueScope lists the module-relative packages that form the bounded
-// ingestion plane: the broker, the shard execution plane, the admission
-// controller, and the pipeline coordinator that wires them together. Inside
-// this scope every queue must have an auditable bound — an unbounded buffer
-// anywhere in the path silently defeats the backpressure the rest of the
-// plane enforces.
+// ingestion plane — the broker, the shard execution plane, the admission
+// controller, and the pipeline coordinator that wires them together — and
+// the per-trajectory operators whose state the shard workers hold per mover
+// (lowlevel, synopses, flp) or the Dashboard keeps (va). Inside this scope
+// every queue and every piece of long-lived state must have an auditable
+// bound: an unbounded buffer anywhere in the path silently defeats the
+// backpressure the rest of the plane enforces, and per-mover state that
+// grows with the run makes every checkpoint grow with it.
 var BoundedQueueScope = []string{
 	"internal/msg",
 	"internal/shard",
 	"internal/flow",
 	"internal/core",
+	"internal/lowlevel",
+	"internal/synopses",
+	"internal/flp",
+	"internal/va",
 }
 
 var boundedchanAnalyzer = &Analyzer{
 	Name: "boundedchan",
 	Doc: "enforces auditable queue bounds in the backpressure-plane packages " +
-		"(msg, shard, flow, core): channels must be made with a compile-time " +
+		"(msg, shard, flow, core) and the per-trajectory operators (lowlevel, " +
+		"synopses, flp, va): channels must be made with a compile-time " +
 		"constant capacity, and slices held in long-lived (pointer-reachable or " +
 		"package-level) state must not self-append without a documented bound; " +
 		"genuine runtime bounds are documented with //lint:ignore boundedchan",

@@ -19,18 +19,24 @@ func TestRunningStatsBasics(t *testing.T) {
 	if !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) || !math.IsNaN(s.Mean()) || !math.IsNaN(s.Median()) {
 		t.Error("empty stats should be NaN")
 	}
-	for _, v := range []float64{5, 1, 3, 2, 4} {
+	for _, v := range []float64{5, 1, 3, 2} {
 		s.Observe(v)
 	}
+	if s.Median() != 2.5 {
+		t.Errorf("even median = %v, want 2.5", s.Median())
+	}
+	s.Observe(4)
 	if s.N() != 5 {
 		t.Errorf("n = %d", s.N())
 	}
 	if s.Min() != 1 || s.Max() != 5 || s.Mean() != 3 || s.Median() != 3 {
 		t.Errorf("stats = min %v max %v mean %v median %v", s.Min(), s.Max(), s.Mean(), s.Median())
 	}
+	// From five values on the median is the P² middle marker: a sixth value
+	// above the others moves no marker yet.
 	s.Observe(6)
-	if s.Median() != 3.5 {
-		t.Errorf("even median = %v, want 3.5", s.Median())
+	if s.Median() != 3 || s.Max() != 6 || s.Mean() != 3.5 {
+		t.Errorf("after 6: median %v max %v mean %v, want 3, 6, 3.5", s.Median(), s.Max(), s.Mean())
 	}
 	s.Observe(math.NaN()) // ignored
 	if s.N() != 6 {
@@ -39,7 +45,8 @@ func TestRunningStatsBasics(t *testing.T) {
 }
 
 func TestRunningStatsMatchesSort(t *testing.T) {
-	// Property: running median equals the exact sorted median.
+	// Property: min and max equal the sorted extremes, the median is exact
+	// below five values and within them from then on.
 	f := func(seed int64, nSeed uint8) bool {
 		n := int(nSeed%50) + 1
 		r := rand.New(rand.NewSource(seed))
@@ -50,14 +57,15 @@ func TestRunningStatsMatchesSort(t *testing.T) {
 			s.Observe(vals[i])
 		}
 		sort.Float64s(vals)
-		var want float64
-		if n%2 == 1 {
-			want = vals[n/2]
-		} else {
+		want := vals[n/2]
+		if n%2 == 0 {
 			want = (vals[n/2-1] + vals[n/2]) / 2
 		}
-		return math.Abs(s.Median()-want) < 1e-9 &&
-			s.Min() == vals[0] && s.Max() == vals[n-1]
+		median := s.Median()
+		if n < 5 && median != want || median < vals[0] || median > vals[n-1] {
+			return false
+		}
+		return s.Min() == vals[0] && s.Max() == vals[n-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"datacron/internal/wire"
@@ -11,38 +12,41 @@ import (
 
 // Profiler snapshot layout (wire package encoding):
 //
-//	tag 0xC3 | version | uvarint #movers | per mover, IDs ascending:
+//	tag 0xCB | version | uvarint #movers | per mover, IDs ascending:
 //	  string id | profile
-//	profile = f64s speed | f64s accel | bool hasLast | time last | f64 lastSpeedMS
+//	profile = stats speed | stats accel | bool hasLast | time last | f64 lastSpeedMS
+//	stats   = uvarint n | if n > 0: f64 min | f64 max | f64 sum |
+//	          min(n, 5) × f64 marker height |
+//	          if n ≥ 5: 3 × uvarint inner marker position
 //
-// Each accumulator is its values in observation order, as raw bit patterns;
-// count, sum, min and max are folded again on restore, in the same order,
-// so they come back bit for bit. A profile record is what the shard
-// workers' mover table stores per mover too (AppendProfile, ReadProfile).
+// An accumulator is its fixed P² state as raw bit patterns, so Min, Max,
+// Mean and Median come back bit for bit, and a profile record is at most
+// 2 × 104 + 24 bytes however long the run. A profile record is what the
+// shard workers' mover table stores per mover too (AppendProfile,
+// ReadProfile).
 
 // ProfileLen is the exact size of p's profile record.
 func (p *TrajectoryProfile) ProfileLen() int {
-	return wire.Float64sLen(p.Speed.vals) + wire.Float64sLen(p.Accel.vals) + 1 +
-		wire.TimeLen(p.lastTime) + 8
+	return p.Speed.statsLen() + p.Accel.statsLen() + 1 + wire.TimeLen(p.lastTime) + 8
 }
 
 // AppendProfile appends p's profile record to buf.
 func (p *TrajectoryProfile) AppendProfile(buf []byte) []byte {
-	buf = wire.AppendFloat64s(buf, p.Speed.vals)
-	buf = wire.AppendFloat64s(buf, p.Accel.vals)
+	buf = p.Speed.appendStats(buf)
+	buf = p.Accel.appendStats(buf)
 	buf = wire.AppendBool(buf, p.hasLast)
 	buf = wire.AppendTime(buf, p.lastTime)
 	return wire.AppendFloat64(buf, p.lastSpeedMS)
 }
 
-// ReadProfile decodes a profile record of mover id. A NaN among the values
-// is one Observe would have skipped, and fails the read.
+// ReadProfile decodes a profile record of mover id. An accumulator state
+// Observe could not have reached fails the read.
 func ReadProfile(r *wire.Reader, id string) (TrajectoryProfile, error) {
 	p := TrajectoryProfile{MoverID: id}
-	if err := readStats(r, &p.Speed); err != nil {
+	if err := p.Speed.readStats(r); err != nil {
 		return p, errBadStats(id, "speed", err)
 	}
-	if err := readStats(r, &p.Accel); err != nil {
+	if err := p.Accel.readStats(r); err != nil {
 		return p, errBadStats(id, "acceleration", err)
 	}
 	p.hasLast = r.Bool()
@@ -51,23 +55,87 @@ func ReadProfile(r *wire.Reader, id string) (TrajectoryProfile, error) {
 	return p, nil
 }
 
-// errNaNValue marks an accumulator holding a NaN, which Observe skips.
-var errNaNValue = errors.New("NaN value")
+// markers is the number of marker heights an accumulator of s.n values
+// holds.
+func (s *RunningStats) markers() int { return int(min(s.n, 5)) }
 
-// readStats folds a counted run of values into s, exactly as Observe did.
-func readStats(r *wire.Reader, s *RunningStats) error {
-	vals := r.Float64s()
-	for _, v := range vals {
-		if math.IsNaN(v) {
-			return errNaNValue
+func (s *RunningStats) statsLen() int {
+	n := wire.UvarintLen(uint64(s.n))
+	if s.n == 0 {
+		return n
+	}
+	n += 3*8 + 8*s.markers()
+	if s.n >= 5 {
+		for _, p := range s.pos {
+			n += wire.UvarintLen(uint64(p))
 		}
 	}
-	// Observe appends each value over itself: the decoded run is the
-	// accumulator's storage, sized exactly.
-	*s = RunningStats{vals: vals[:0]}
-	for _, v := range vals {
-		s.Observe(v)
+	return n
+}
+
+func (s *RunningStats) appendStats(buf []byte) []byte {
+	buf = wire.AppendUvarint(buf, uint64(s.n))
+	if s.n == 0 {
+		return buf
 	}
+	buf = wire.AppendFloat64(buf, s.min)
+	buf = wire.AppendFloat64(buf, s.max)
+	buf = wire.AppendFloat64(buf, s.sum)
+	for _, h := range s.q[:s.markers()] {
+		buf = wire.AppendFloat64(buf, h)
+	}
+	if s.n >= 5 {
+		for _, p := range s.pos {
+			buf = wire.AppendUvarint(buf, uint64(p))
+		}
+	}
+	return buf
+}
+
+// Invalid accumulator states, which Observe never reaches.
+var (
+	errNaNValue   = errors.New("NaN value")
+	errMarkers    = errors.New("marker heights out of order")
+	errMarkerEnds = errors.New("outer marker heights differ from the minimum and maximum")
+	errPositions  = errors.New("marker positions out of order")
+)
+
+// readStats decodes an accumulator state into s, validating it first: s is
+// only written when the state is one Observe could have reached.
+func (s *RunningStats) readStats(r *wire.Reader) error {
+	var t RunningStats
+	n := r.Uvarint()
+	if n > math.MaxInt64 {
+		r.Fail()
+	}
+	if t.n = int64(n); t.n == 0 || r.Failed() {
+		*s = RunningStats{}
+		return nil
+	}
+	t.min, t.max, t.sum = r.Float64(), r.Float64(), r.Float64()
+	k := t.markers()
+	for i := range t.q[:k] {
+		t.q[i] = r.Float64()
+	}
+	if t.n >= 5 {
+		for i := range t.pos {
+			t.pos[i] = int64(min(r.Uvarint(), n))
+		}
+	}
+	if r.Failed() {
+		return nil // the caller reports the malformed blob
+	}
+	switch {
+	case math.IsNaN(t.min) || math.IsNaN(t.max) || slices.ContainsFunc(t.q[:k], math.IsNaN):
+		return errNaNValue
+	case !slices.IsSorted(t.q[:k]):
+		return errMarkers
+	case t.q[0] != t.min || t.q[k-1] != t.max:
+		return errMarkerEnds
+	case t.n >= 5 && !(1 < t.pos[0] && t.pos[0] < t.pos[1] && t.pos[1] < t.pos[2] && t.pos[2] < t.n):
+		return errPositions
+	}
+	*s = t
 	return nil
 }
 
@@ -96,8 +164,8 @@ func (pf *Profiler) Restore(data []byte) error {
 	if err := r.Header(wire.TagProfiler); err != nil {
 		return fmt.Errorf("lowlevel: restore profiler: %w", err)
 	}
-	// A profile is at least an ID's length prefix, two value counts, the
-	// flag, a time and a float.
+	// A profile is at least an ID's length prefix, two counts, the flag, a
+	// time and a float.
 	n := r.Count(1 + 2 + 1 + 2 + 8)
 	profiles := make(map[string]*TrajectoryProfile, n)
 	prev := ""

@@ -18,10 +18,47 @@ import (
 // tables need. Test-only.
 type profileWire struct {
 	id           string
-	speed, accel []float64
+	speed, accel statsWire
 	hasLast      bool
 	lastTime     time.Time
 	lastSpeedMS  float64
+}
+
+// statsWire mirrors one accumulator's record: the count, and from one value
+// on the extremes, the sum, min(n, 5) marker heights and, from five values
+// on, the three inner marker positions.
+type statsWire struct {
+	n             uint64
+	min, max, sum float64
+	q             []float64
+	pos           []uint64
+}
+
+func stateOf(s *RunningStats) statsWire {
+	w := statsWire{n: uint64(s.n), min: s.min, max: s.max, sum: s.sum}
+	if s.n > 0 {
+		w.q = s.q[:min(s.n, 5)]
+	}
+	if s.n >= 5 {
+		for _, p := range s.pos {
+			w.pos = append(w.pos, uint64(p))
+		}
+	}
+	return w
+}
+
+func appendStatsWire(buf []byte, s statsWire) []byte {
+	buf = wire.AppendUvarint(buf, s.n)
+	if s.n == 0 {
+		return buf
+	}
+	for _, v := range append([]float64{s.min, s.max, s.sum}, s.q...) {
+		buf = wire.AppendFloat64(buf, v)
+	}
+	for _, p := range s.pos {
+		buf = wire.AppendUvarint(buf, p)
+	}
+	return buf
 }
 
 func encodeProfiles(ps ...profileWire) []byte {
@@ -29,8 +66,8 @@ func encodeProfiles(ps ...profileWire) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(ps)))
 	for _, p := range ps {
 		buf = wire.AppendString(buf, p.id)
-		buf = wire.AppendFloat64s(buf, p.speed)
-		buf = wire.AppendFloat64s(buf, p.accel)
+		buf = appendStatsWire(buf, p.speed)
+		buf = appendStatsWire(buf, p.accel)
 		buf = wire.AppendBool(buf, p.hasLast)
 		buf = wire.AppendTime(buf, p.lastTime)
 		buf = wire.AppendFloat64(buf, p.lastSpeedMS)
@@ -45,7 +82,7 @@ func TestProfilerSnapshotLayout(t *testing.T) {
 	var want []profileWire
 	for _, id := range pf.MoverIDs() {
 		p := pf.Profile(id)
-		want = append(want, profileWire{id: id, speed: p.Speed.vals, accel: p.Accel.vals,
+		want = append(want, profileWire{id: id, speed: stateOf(&p.Speed), accel: stateOf(&p.Accel),
 			hasLast: p.hasLast, lastTime: p.lastTime, lastSpeedMS: p.lastSpeedMS})
 	}
 	got, err := pf.Snapshot()
@@ -167,7 +204,7 @@ func FuzzProfilerRestore(f *testing.F) {
 	f.Add(empty)
 	f.Add(full[:len(full)/2])
 	f.Add([]byte(`{"x":{"id":"x","speed":{"n":0,"sum":0},"accel":{"n":0,"sum":0},"last":{}}}`))
-	f.Add(encodeProfiles(profileWire{id: "x", speed: []float64{1, math.NaN()}}))
+	f.Add(encodeProfiles(profileWire{id: "x", speed: statsWire{n: 2, min: 1, max: 2, sum: 3, q: []float64{1, math.NaN()}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wiretest.CheckRestore(t, profiledFleet(t), func() wiretest.Operator { return NewProfiler() }, data)
 	})

@@ -7,15 +7,24 @@ package lowlevel
 
 import "math"
 
-// RunningStats maintains exact min, max, mean and median of a value stream.
-// Observe is O(1): it keeps every value in observation order, and Median
-// selects the middle values from a copy when it is read, so reading never
-// reorders what a checkpoint stores. The zero value is empty and ready to
-// use.
+// RunningStats maintains the exact min, max and mean of a value stream and
+// a streaming estimate of its median, in a fixed size whatever the stream's
+// length. The median is the P² estimator (Jain & Chlamtac, CACM 28(10),
+// 1985): five markers whose heights approximate the 0, ¼, ½, ¾ and 1
+// quantiles, each moved towards its desired position by a piecewise-
+// parabolic step; their desired positions follow from the count alone.
+// Below five values the markers hold the values sorted, so the median is
+// exact. Observe is O(1) and allocation-free. The zero value is empty and
+// ready to use.
 type RunningStats struct {
+	n        int64
 	min, max float64
 	sum      float64
-	vals     []float64 // every observed value, oldest first
+	// q holds the marker heights, non-decreasing; below five values, the
+	// values themselves. pos holds the 1-based positions of the three inner
+	// markers; the outer two sit at 1 and n.
+	q   [5]float64
+	pos [3]int64
 }
 
 // NewRunningStats returns empty statistics.
@@ -26,22 +35,103 @@ func (s *RunningStats) Observe(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
-	if len(s.vals) == 0 || v < s.min {
+	if s.n == 0 || v < s.min {
 		s.min = v
 	}
-	if len(s.vals) == 0 || v > s.max {
+	if s.n == 0 || v > s.max {
 		s.max = v
 	}
 	s.sum += v
-	s.vals = append(s.vals, v)
+	s.n++
+	if s.n <= 5 {
+		s.insertSorted(v)
+		if s.n == 5 {
+			s.pos = [3]int64{2, 3, 4}
+		}
+		return
+	}
+	// The cell k with q[k] ≤ v < q[k+1]; the outer markers follow the
+	// extremes.
+	k := 0
+	switch {
+	case v < s.q[0]:
+		s.q[0] = v
+	case v > s.q[4]:
+		s.q[4] = v
+		k = 3
+	default:
+		for k < 3 && v >= s.q[k+1] {
+			k++
+		}
+	}
+	for i := k; i < 3; i++ {
+		s.pos[i]++
+	}
+	// Inner marker i wants to sit at 1 + (n−1)·i/4. It moves one position
+	// up when that is at least one above its position p, (n−1)·i − 4p ≥ 0,
+	// and down when at least one below, (n−1)·i − 4p ≤ −8, if the
+	// neighbour on that side leaves room.
+	for i := 1; i <= 3; i++ {
+		p, lo, hi := s.pos[i-1], int64(1), s.n
+		if i > 1 {
+			lo = s.pos[i-2]
+		}
+		if i < 3 {
+			hi = s.pos[i]
+		}
+		switch d := (s.n-1)*int64(i) - 4*p; {
+		case d >= 0 && hi-p > 1:
+			s.move(i, 1, p, lo, hi)
+		case d <= -8 && lo-p < -1:
+			s.move(i, -1, p, lo, hi)
+		}
+	}
 }
 
+// insertSorted places the n-th value among the first n−1, after any equal
+// ones.
+func (s *RunningStats) insertSorted(v float64) {
+	i := int(s.n) - 1
+	for ; i > 0 && s.q[i-1] > v; i-- {
+		s.q[i] = s.q[i-1]
+	}
+	s.q[i] = v
+}
+
+// move steps inner marker i, at position p between neighbours at lo and
+// hi, one position in direction step, its height by the piecewise-
+// parabolic formula or, where that leaves the neighbours' heights, the
+// linear one. A marker with a non-finite neighbour stays where it is, so no
+// height becomes NaN.
+func (s *RunningStats) move(i int, step, p, lo, hi int64) {
+	ql, qi, qh := s.q[i-1], s.q[i], s.q[i+1]
+	if !finite(ql) || !finite(qi) || !finite(qh) {
+		return
+	}
+	d, fp, flo, fhi := float64(step), float64(p), float64(lo), float64(hi)
+	h := qi + d/(fhi-flo)*((fp-flo+d)*(qh-qi)/(fhi-fp)+(fhi-fp-d)*(qi-ql)/(fp-flo))
+	if !(ql < h && h < qh) {
+		if step > 0 {
+			h = qi + (qh-qi)/(fhi-fp)
+		} else {
+			h = qi - (qi-ql)/(fp-flo)
+		}
+		if !(ql <= h && h <= qh) { // the difference overflowed
+			return
+		}
+	}
+	s.q[i] = h
+	s.pos[i-1] = p + step
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // N returns the number of observations.
-func (s *RunningStats) N() int64 { return int64(len(s.vals)) }
+func (s *RunningStats) N() int64 { return s.n }
 
 // Min returns the minimum, or NaN when empty.
 func (s *RunningStats) Min() float64 {
-	if len(s.vals) == 0 {
+	if s.n == 0 {
 		return math.NaN()
 	}
 	return s.min
@@ -49,7 +139,7 @@ func (s *RunningStats) Min() float64 {
 
 // Max returns the maximum, or NaN when empty.
 func (s *RunningStats) Max() float64 {
-	if len(s.vals) == 0 {
+	if s.n == 0 {
 		return math.NaN()
 	}
 	return s.max
@@ -57,66 +147,23 @@ func (s *RunningStats) Max() float64 {
 
 // Mean returns the average, or NaN when empty.
 func (s *RunningStats) Mean() float64 {
-	if len(s.vals) == 0 {
+	if s.n == 0 {
 		return math.NaN()
 	}
-	return s.sum / float64(len(s.vals))
+	return s.sum / float64(s.n)
 }
 
-// Median returns the median (average of the two central values for even
-// counts), or NaN when empty. It selects from a copy of the values in
-// expected linear time.
+// Median returns the median, or NaN when empty: exact below five values
+// (the average of the two central values for an even count), the P²
+// estimate from then on.
 func (s *RunningStats) Median() float64 {
-	n := len(s.vals)
-	if n == 0 {
+	switch {
+	case s.n == 0:
 		return math.NaN()
+	case s.n >= 5:
+		return s.q[2]
+	case s.n%2 == 1:
+		return s.q[s.n/2]
 	}
-	vals := append([]float64(nil), s.vals...)
-	upper := selectKth(vals, n/2)
-	if n%2 == 1 {
-		return upper
-	}
-	// Selection left every value below index n/2 no greater than upper, so
-	// the lower central value is the largest of them.
-	lower := vals[0]
-	for _, v := range vals[1 : n/2] {
-		lower = math.Max(lower, v)
-	}
-	return (lower + upper) / 2
-}
-
-// selectKth partially orders vs (no NaN) so that vs[k] holds the value of
-// rank k, every value before it is no greater and every value after it no
-// smaller, and returns vs[k]. The three-way partition keeps a run of equal
-// values — a constant speed — linear.
-func selectKth(vs []float64, k int) float64 {
-	lo, hi := 0, len(vs)-1
-	for lo < hi {
-		a, b, c := vs[lo], vs[lo+(hi-lo)/2], vs[hi]
-		pivot := math.Max(math.Min(a, b), math.Min(math.Max(a, b), c))
-		// vs[lo:lt] < pivot, vs[lt:i] == pivot, vs[gt+1:hi+1] > pivot.
-		lt, i, gt := lo, lo, hi
-		for i <= gt {
-			switch v := vs[i]; {
-			case v < pivot:
-				vs[lt], vs[i] = v, vs[lt]
-				lt++
-				i++
-			case v > pivot:
-				vs[gt], vs[i] = v, vs[gt]
-				gt--
-			default:
-				i++
-			}
-		}
-		switch {
-		case k < lt:
-			hi = lt - 1
-		case k > gt:
-			lo = gt + 1
-		default:
-			return vs[k]
-		}
-	}
-	return vs[k]
+	return (s.q[s.n/2-1] + s.q[s.n/2]) / 2
 }

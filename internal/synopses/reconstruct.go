@@ -30,6 +30,7 @@ func Reconstruct(moverID string, cps []CriticalPoint) *mobility.Trajectory {
 	tr := &mobility.Trajectory{ID: moverID}
 	for _, cp := range cps {
 		if cp.ID == moverID {
+			//lint:ignore boundedchan offline result: at most one report per input critical point
 			tr.Reports = append(tr.Reports, cp.Report)
 		}
 	}

@@ -469,6 +469,7 @@ type courseEntry struct {
 func (st *Track) remember(r mobility.Report, maxLen int, window time.Duration) {
 	st.last = r
 	st.hasLast = true
+	//lint:ignore boundedchan evicted below to at most maxLen (Config.HistoryLen, 64 by default)
 	st.history = append(st.history, courseEntry{t: r.Time, c: courseOf(r)})
 	// Evict by age first, then enforce the hard cap.
 	cutoff := r.Time.Add(-window)

@@ -69,6 +69,7 @@ type ring[T any] struct {
 
 func (r *ring[T]) add(v T, max int) {
 	if len(r.buf) < max {
+		//lint:ignore boundedchan grows only while shorter than max (the Dashboard's maxKeep), then overwrites
 		r.buf = append(r.buf, v)
 		return
 	}

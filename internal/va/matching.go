@@ -44,6 +44,7 @@ func MatchTrajectories(predicted []mobility.Report, actual *mobility.Trajectory,
 		}
 		d := geo.Haversine(p.Pos, ap)
 		res.Pairs++
+		//lint:ignore boundedchan offline result: at most one distance per predicted point
 		res.Distances = append(res.Distances, d)
 		res.MeanDistM += d
 		if d > res.MaxDistM {

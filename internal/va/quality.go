@@ -74,6 +74,7 @@ func AssessQuality(reports []mobility.Report, cfg QualityConfig) *QualityReport 
 		ByMover: map[string]int{},
 	}
 	add := func(iss QualityIssue) {
+		//lint:ignore boundedchan offline result: a bounded number of issues per report of the input batch
 		rep.Issues = append(rep.Issues, iss)
 		rep.ByType[iss.Type]++
 		rep.ByMover[iss.Mover]++

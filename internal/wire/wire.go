@@ -24,14 +24,17 @@ import (
 const (
 	TagShardMeta byte = 0xC1 // checkpoint.ShardSnapshots "shard/meta"
 	TagRunState  byte = 0xC2 // core run state ("summary")
-	TagProfiler  byte = 0xC3 // lowlevel.Profiler
-	TagArea      byte = 0xC4 // lowlevel.AreaMonitor
-	TagSynopses  byte = 0xC5 // synopses.Generator
-	TagLinkdisc  byte = 0xC6 // linkdisc.Discoverer
-	TagCER       byte = 0xC7 // cer.Forecaster
+	// 0xC3 was lowlevel.Profiler with every observed value, now TagProfiler.
+	TagArea     byte = 0xC4 // lowlevel.AreaMonitor
+	TagSynopses byte = 0xC5 // synopses.Generator
+	TagLinkdisc byte = 0xC6 // linkdisc.Discoverer
+	TagCER      byte = 0xC7 // cer.Forecaster
 	// 0xC8 was core's per-mover predictor map, now part of TagMovers.
 	TagCriticalPoint byte = 0xC9 // synopses.CriticalPoint record
-	TagMovers        byte = 0xCA // core shard worker's mover table
+	// 0xCA was core's mover table with value-log profiles and JSON RMF*
+	// windows, now TagMovers.
+	TagProfiler byte = 0xCB // lowlevel.Profiler, fixed-size P² profiles
+	TagMovers   byte = 0xCC // core shard worker's mover table
 )
 
 // Version is the layout version every operator snapshot currently writes.
@@ -86,16 +89,6 @@ func AppendBytes(dst, b []byte) []byte {
 	return append(AppendUvarint(dst, uint64(len(b))), b...)
 }
 
-// AppendFloat64s appends a uvarint count followed by the raw bit pattern of
-// every value.
-func AppendFloat64s(dst []byte, vs []float64) []byte {
-	dst = AppendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = AppendFloat64(dst, v)
-	}
-	return dst
-}
-
 // AppendTime appends t as signed Unix seconds and a nanosecond part. The
 // zero Time round-trips to the zero Time; the location is not kept (every
 // time the operators hold comes off the wire codec in UTC).
@@ -127,9 +120,6 @@ func StringLen(s string) int { return UvarintLen(uint64(len(s))) + len(s) }
 
 // BytesLen is the encoded size of b with its length prefix.
 func BytesLen(b []byte) int { return UvarintLen(uint64(len(b))) + len(b) }
-
-// Float64sLen is the encoded size of vs with its count prefix.
-func Float64sLen(vs []float64) int { return UvarintLen(uint64(len(vs))) + 8*len(vs) }
 
 // TimeLen is the encoded size of t.
 func TimeLen(t time.Time) int {
@@ -297,21 +287,6 @@ func (r *Reader) Bytes() []byte {
 // Str reads a length-prefixed string. (Not String: a Reader is not a
 // fmt.Stringer, and printing one must not consume it.)
 func (r *Reader) Str() string { return string(r.Bytes()) }
-
-// Float64s reads a counted run of raw float64 values into a fresh slice
-// (nil for an empty run).
-func (r *Reader) Float64s() []float64 {
-	n := r.Count(8)
-	if r.failed || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.pos:]))
-		r.pos += 8
-	}
-	return out
-}
 
 // Time reads a time written by AppendTime, in UTC.
 func (r *Reader) Time() time.Time {
