@@ -22,7 +22,7 @@
 //
 //	datacron [-domain maritime|aviation] [-duration 2h] [-vessels 16] [-flights 12] [-seed 1] [-shards N] [-v] [-metrics]
 //	         [-admin ADDR] [-log-level debug|info|warn|error] [-log-format text|json]
-//	         [-slo-lag 5s] [-slo-stage predict] [-slo-window 1m] [-slo-quantile 0.99]
+//	         [-slo-lag 5s] [-slo-stage ingest|decode|predict|emit] [-slo-window 1m] [-slo-quantile 0.99]
 //	         [-trace-sample N] [-trace-jsonl FILE]
 //	         [-checkpoint-dir DIR] [-checkpoint-interval 1s] [-checkpoint-every N]
 //	         [-fault-seed S -fault-kill N]
@@ -37,6 +37,8 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -105,7 +107,7 @@ func main() {
 	flag.StringVar(&o.logLevel, "log-level", "", "structured log level: debug, info, warn or error (empty disables logging)")
 	flag.StringVar(&o.logFormat, "log-format", "text", "structured log format: text or json")
 	flag.DurationVar(&o.sloLag, "slo-lag", 0, "arm a freshness SLO: the stage's lag quantile must stay under this per window (0 disables)")
-	flag.StringVar(&o.sloStage, "slo-stage", "predict", "pipeline stage the freshness SLO watches: ingest, queue, decode, process, predict or emit")
+	flag.StringVar(&o.sloStage, "slo-stage", "predict", "pipeline stage the freshness SLO watches: ingest, decode, predict or emit (with -queue-cap also ingest.bulk, ingest.standard or ingest.critical)")
 	flag.DurationVar(&o.sloWindow, "slo-window", time.Minute, "freshness SLO evaluation window")
 	flag.Float64Var(&o.sloQuantile, "slo-quantile", 0.99, "freshness SLO lag quantile in (0,1]")
 	flag.IntVar(&o.traceSample, "trace-sample", 256, "trace one record in every N admitted (0 disables record span trees)")
@@ -124,8 +126,27 @@ func main() {
 
 	if err := run(ctx, o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "datacron:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
+}
+
+// errUsage marks a flag value run refuses before it starts; main exits 2
+// on it, as the flag package does for a flag it cannot parse.
+var errUsage = errors.New("usage")
+
+// sloStages lists the stages whose lag.<stage>.seconds family a run
+// registers, so an SLO armed on one of them has a distribution to judge.
+// The per-priority ingest families exist only with the backpressure plane
+// (-queue-cap).
+func sloStages(queueCap int) []string {
+	stages := []string{"ingest", "decode", "predict", "emit"}
+	if queueCap > 0 {
+		stages = append(stages, "ingest.bulk", "ingest.standard", "ingest.critical")
+	}
+	return stages
 }
 
 // logger builds the slog logger the pipeline components share, or nil when
@@ -150,6 +171,10 @@ func logger(o options) (*slog.Logger, error) {
 }
 
 func run(ctx context.Context, o options, out io.Writer) error {
+	if stages := sloStages(o.queueCap); o.sloLag > 0 && !slices.Contains(stages, o.sloStage) {
+		return fmt.Errorf("%w: -slo-stage %q has no lag family in this run; want one of %s",
+			errUsage, o.sloStage, strings.Join(stages, ", "))
+	}
 	region := geo.Rect{MinLon: 22, MinLat: 36, MaxLon: 28, MaxLat: 41}
 	var cfg core.Config
 	var reports []mobility.Report

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -83,6 +84,33 @@ func TestBadFlags(t *testing.T) {
 	o := options{domain: "aviation", flights: 1, logLevel: "loud"}
 	if err := run(context.Background(), o, &out); err == nil {
 		t.Error("bad -log-level must fail")
+	}
+}
+
+// TestSLOStages: an SLO armed on a stage whose lag family the run does not
+// register is refused as a usage error, and every stage -slo-stage accepts
+// has its family in a short run's merged metrics, so the list cannot drift
+// from what the pipeline registers.
+func TestSLOStages(t *testing.T) {
+	var out bytes.Buffer
+	for _, stage := range []string{"process", "queue", "ingest.bulk", ""} {
+		o := options{domain: "maritime", duration: 30 * time.Minute, vessels: 4, seed: 1,
+			sloLag: time.Second, sloStage: stage}
+		if err := run(context.Background(), o, &out); !errors.Is(err, errUsage) {
+			t.Errorf("-slo-stage %q: err = %v, want a usage error", stage, err)
+		}
+	}
+
+	out.Reset()
+	o := options{domain: "maritime", duration: 30 * time.Minute, vessels: 4, seed: 1,
+		queueCap: 4096, overloadPolicy: "block", metrics: true}
+	if err := run(context.Background(), o, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range sloStages(o.queueCap) {
+		if !strings.Contains(out.String(), "hist    lag."+stage+".seconds ") {
+			t.Errorf("accepted -slo-stage %s, but the run's metrics have no lag.%s.seconds:\n%s", stage, stage, out.String())
+		}
 	}
 }
 

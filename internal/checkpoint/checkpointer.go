@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"time"
 
 	"datacron/internal/msg"
 	"datacron/internal/obs"
@@ -113,10 +112,6 @@ func (c *Checkpointer) NextGeneration() uint64 { return c.nextGen }
 // prunes old generations beyond the retention limit. It returns the new
 // generation number.
 func (c *Checkpointer) Capture(b *msg.Broker) (uint64, error) {
-	var start time.Time
-	if c.m != nil {
-		start = c.m.clock.Now()
-	}
 	cp := &Checkpoint{
 		Generation: c.nextGen,
 		Operators:  make(map[string][]byte, len(c.ops)),
@@ -165,7 +160,7 @@ func (c *Checkpointer) Capture(b *msg.Broker) (uint64, error) {
 	c.captures++
 	c.prune()
 	if c.m != nil {
-		c.m.recordCapture(c.m.clock.Now().Sub(start), len(data))
+		c.m.recordCapture()
 	}
 	c.log.Debug("checkpoint captured",
 		"generation", cp.Generation, "bytes", len(data), "operators", len(cp.Operators))
@@ -254,13 +249,6 @@ func (c *Checkpointer) Latest() (*Checkpoint, error) {
 // fails, is an error returned before the broker is touched; checkpointed
 // operators that are no longer registered are ignored.
 func (c *Checkpointer) Restore(b *msg.Broker) (*Checkpoint, error) {
-	var start time.Time
-	if c.m != nil {
-		start = c.m.clock.Now()
-		defer func() {
-			c.m.restoreSeconds.ObserveDuration(c.m.clock.Now().Sub(start))
-		}()
-	}
 	cp, err := c.Latest()
 	if err != nil {
 		if errors.Is(err, ErrNoCheckpoint) {

@@ -10,13 +10,10 @@ import (
 	"datacron/internal/flow"
 	"datacron/internal/gen"
 	"datacron/internal/health"
-	"datacron/internal/linkdisc"
-	"datacron/internal/lowlevel"
 	"datacron/internal/mobility"
 	"datacron/internal/msg"
 	"datacron/internal/obs"
 	"datacron/internal/obs/slo"
-	"datacron/internal/synopses"
 )
 
 // Option configures a Pipeline built with New. Options replace the old
@@ -55,26 +52,6 @@ func WithDomain(d mobility.Domain) Option {
 	return func(o *options) { o.cfg.Domain = d }
 }
 
-// WithSynopses overrides the synopses generator thresholds (default: the
-// domain's tuned configuration).
-func WithSynopses(cfg synopses.Config) Option {
-	return func(o *options) { o.cfg.Synopses = cfg }
-}
-
-// WithLink enables spatio-temporal link discovery against the given static
-// entities. Without statics the link-discovery stage is skipped entirely.
-func WithLink(cfg linkdisc.Config, statics []linkdisc.StaticEntity) Option {
-	return func(o *options) {
-		o.cfg.Link = cfg
-		o.cfg.Statics = statics
-	}
-}
-
-// WithRegions sets the monitored zones for low-level area events.
-func WithRegions(regions ...lowlevel.Region) Option {
-	return func(o *options) { o.cfg.Regions = regions }
-}
-
 // WithPartitions sets the broker partition count (default 4).
 func WithPartitions(n int) Option {
 	return func(o *options) { o.cfg.Partitions = n }
@@ -98,19 +75,6 @@ func WithFLP(steps int, sample time.Duration) Option {
 	return func(o *options) {
 		o.cfg.PredictSteps = steps
 		o.cfg.SampleInterval = sample
-	}
-}
-
-// WithCER enables complex event forecasting: a Wayeb pattern over the
-// critical-point type alphabet, a symbol model of the given order trained
-// on train, and a forecast confidence threshold theta (default 0.5).
-func WithCER(pattern string, alphabet []string, order int, theta float64, train []string) Option {
-	return func(o *options) {
-		o.cfg.Pattern = pattern
-		o.cfg.Alphabet = alphabet
-		o.cfg.ModelOrder = order
-		o.cfg.Theta = theta
-		o.cfg.TrainSymbols = train
 	}
 }
 
@@ -231,7 +195,7 @@ func New(opts ...Option) (*Pipeline, error) {
 		// The ring holds 512 spans: a sampled record emits up to ~8 spans,
 		// so even interleaved with the per-batch poll/process spans a few
 		// dozen complete record trees stay reconstructable from /traces.
-		p.tracer = obs.NewTracer(reg, 512)
+		p.tracer = obs.NewTracer(clock, 512)
 		p.Broker.Instrument(reg)
 		sample := 256
 		if o.sampleSet {

@@ -385,7 +385,6 @@ func (p *Pipeline) BuildKnowledgeGraph(cfg store.STCellConfig, layout store.Layo
 		return nil, err
 	}
 	st := store.New(cfg, layout)
-	st.Instrument(p.obs)
 	loadBatched(st, triples)
 	return st, nil
 }

@@ -183,14 +183,11 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 	// layer's event-time front; the health watchdog pairs it with
 	// core.records to detect a stalled run.
 	var (
-		mRecords     = p.obs.Counter("core.records")
-		mPredictions = p.obs.Counter("core.predictions")
-		mAreaEvents  = p.obs.Counter("core.area_events")
-		mWatermark   = p.obs.Gauge("core.watermark.unixsec")
+		mRecords   = p.obs.Counter("core.records")
+		mWatermark = p.obs.Gauge("core.watermark.unixsec")
 		// Freshness accounting (processing time − record event time) for
 		// the serial-merge stages; the per-trajectory stages observe their
 		// own lag in the shard workers' registries (lag.decode.*).
-		lagProcess = obs.NewLagStage(p.obs, "process")
 		lagPredict = obs.NewLagStage(p.obs, "predict")
 		lagEmit    = obs.NewLagStage(p.obs, "emit")
 	)
@@ -403,17 +400,14 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		}
 		sum.RawIn++
 		mRecords.Inc()
-		lagProcess.Observe(now, out.eventTime)
 		if out.eventTime.After(maxEventTime) {
 			maxEventTime = out.eventTime
 			mWatermark.Set(float64(maxEventTime.Unix()))
 		}
 		if out.valid {
 			sum.AreaEvents += out.areaEvents
-			mAreaEvents.Add(out.areaEvents)
 			if out.predicted {
 				sum.Predictions++
-				mPredictions.Inc()
 				// Prediction freshness is the headline SLO family: the lag
 				// between a mover's event time and the moment its future
 				// locations became available to serve.

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"datacron/internal/core"
 	"datacron/internal/obs"
 	"datacron/internal/synopses"
@@ -41,24 +39,21 @@ func newPipeline(cfg core.Config) (*core.Pipeline, error) {
 	return p, err
 }
 
-// Row is one machine-readable experiment result, the unit benchrunner's
-// -json output accumulates.
+// Row is one experiment's metric reading, the line benchrunner -metrics
+// prints.
 type Row struct {
-	Name             string  `json:"name"`
-	WallSeconds      float64 `json:"wallSeconds"`
-	Records          int64   `json:"records"`
-	RecordsPerSec    float64 `json:"recordsPerSecond"`
-	CriticalPoints   int64   `json:"criticalPoints"`
-	EntitiesPerSec   float64 `json:"entitiesPerSecond"`
-	CompressionRatio float64 `json:"compressionRatio"`
+	Name             string
+	Records          int64
+	RecordsPerSec    float64
+	CriticalPoints   int64
+	EntitiesPerSec   float64
+	CompressionRatio float64
 }
 
 // MetricsRow snapshots the shared registry into one Row and resets it so
 // the next experiment starts a fresh window. ok is false without
-// EnableMetrics or when the experiment built no pipeline. The wall-clock
-// duration is the caller's measurement — the registry only knows its own
-// observation window.
-func MetricsRow(name string, wall time.Duration) (Row, bool) {
+// EnableMetrics or when the experiment built no pipeline.
+func MetricsRow(name string) (Row, bool) {
 	if metered == nil {
 		return Row{}, false
 	}
@@ -72,7 +67,6 @@ func MetricsRow(name string, wall time.Duration) (Row, bool) {
 	}
 	return Row{
 		Name:             name,
-		WallSeconds:      wall.Seconds(),
 		Records:          s.Counter("core.records"),
 		RecordsPerSec:    s.Rate("core.records"),
 		CriticalPoints:   s.Counter("synopses.critical"),

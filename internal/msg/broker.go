@@ -38,29 +38,20 @@ type topic struct {
 	m     *topicMetrics // nil when the broker is not instrumented
 }
 
-// topicMetrics caches the per-topic metric handles so the produce hot path
-// never resolves names.
+// topicMetrics caches the per-topic overload counters the health overload
+// checker reads, so the produce path never resolves names. A topic's
+// records, bytes and backlog are in Broker.Stats, not in metrics.
 type topicMetrics struct {
-	clock        obs.Clock
-	produced     *obs.Counter
-	bytes        *obs.Counter
-	depth        *obs.Gauge
-	evicted      *obs.Counter   // records shed by DropOldestUncommitted
-	rejected     *obs.Counter   // produces rejected at capacity
-	blocked      *obs.Counter   // produces that had to wait under Block
-	blockSeconds *obs.Histogram // time spent blocked, per blocking produce
+	evicted  *obs.Counter // records shed by DropOldestUncommitted
+	rejected *obs.Counter // produces rejected at capacity
+	blocked  *obs.Counter // produces that had to wait under Block
 }
 
 func newTopicMetrics(reg *obs.Registry, name string) *topicMetrics {
 	return &topicMetrics{
-		clock:        reg.Clock(),
-		produced:     reg.Counter("msg.produced." + name),
-		bytes:        reg.Counter("msg.bytes." + name),
-		depth:        reg.Gauge("msg.depth." + name),
-		evicted:      reg.Counter("msg.evicted." + name),
-		rejected:     reg.Counter("msg.rejected." + name),
-		blocked:      reg.Counter("msg.blocked." + name),
-		blockSeconds: reg.Histogram("msg.block.seconds"),
+		evicted:  reg.Counter("msg.evicted." + name),
+		rejected: reg.Counter("msg.rejected." + name),
+		blocked:  reg.Counter("msg.blocked." + name),
 	}
 }
 
@@ -192,9 +183,9 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 	}
 }
 
-// Instrument attaches a metrics registry: per-topic produced/bytes counters
-// and retained-depth gauges, plus poll latency and consumer lag on consumers
-// created afterwards. Call it before producing; topics created later are
+// Instrument attaches a metrics registry: per-topic evicted, rejected and
+// blocked counters, plus the consumer-lag gauge of consumers created
+// afterwards. Call it before producing; topics created later are
 // instrumented automatically. A nil registry detaches instrumentation for
 // new topics/consumers but leaves existing handles live.
 func (b *Broker) Instrument(reg *obs.Registry) {
@@ -341,8 +332,6 @@ func (b *Broker) produceTo(ctx context.Context, t *topic, pIdx int, key string, 
 	}
 	p.next++
 	p.log.push(rec.Offset, key, value, ts)
-	st.appended++
-	st.valueBytes += int64(len(value))
 	st.pending = true
 	st.flush(p, t)
 	return rec, nil
@@ -473,8 +462,6 @@ func (b *Broker) produceBatchTo(ctx context.Context, t *topic, pIdx int, recs []
 		recs[i].Offset = p.next
 		p.next++
 		p.log.push(recs[i].Offset, recs[i].Key, recs[i].Value, recs[i].Time)
-		st.appended++
-		st.valueBytes += int64(len(recs[i].Value))
 		st.pending = true
 		admitted++
 		i = next
@@ -494,14 +481,11 @@ func (b *Broker) produceBatchTo(ctx context.Context, t *topic, pIdx int, recs []
 // episode, whether appended records still need a consumer wakeup, and the
 // metric deltas deferred so a whole batch flushes them once.
 type produceState struct {
-	appended   int
-	evictedN   int
-	rejectedN  int
-	valueBytes int64
-	pending    bool // records appended since the last Broadcast
-	blocked    bool
-	blockStart time.Time
-	stop       func() bool // context watcher from the blocking path
+	evictedN  int
+	rejectedN int
+	pending   bool // records appended since the last Broadcast
+	blocked   bool
+	stop      func() bool // context watcher from the blocking path
 }
 
 func (st *produceState) stopWatching() {
@@ -518,26 +502,19 @@ func (st *produceState) flush(p *partition, t *topic) {
 		p.cond.Broadcast()
 		st.pending = false
 	}
-	p.noteBlocked(t.m, st.blocked, st.blockStart)
+	if t.m != nil {
+		if st.blocked {
+			t.m.blocked.Inc()
+		}
+		if st.evictedN > 0 {
+			t.m.evicted.Add(int64(st.evictedN))
+		}
+		if st.rejectedN > 0 {
+			t.m.rejected.Add(int64(st.rejectedN))
+		}
+	}
 	st.blocked = false
-	if t.m == nil {
-		st.appended, st.evictedN, st.rejectedN, st.valueBytes = 0, 0, 0, 0
-		return
-	}
-	if st.appended > 0 {
-		t.m.produced.Add(int64(st.appended))
-		t.m.bytes.Add(st.valueBytes)
-	}
-	if d := st.appended - st.evictedN; d != 0 {
-		t.m.depth.Add(float64(d))
-	}
-	if st.evictedN > 0 {
-		t.m.evicted.Add(int64(st.evictedN))
-	}
-	if st.rejectedN > 0 {
-		t.m.rejected.Add(int64(st.rejectedN))
-	}
-	st.appended, st.evictedN, st.rejectedN, st.valueBytes = 0, 0, 0, 0
+	st.evictedN, st.rejectedN = 0, 0
 }
 
 // Admission verdicts returned by partition.admit.
@@ -574,9 +551,6 @@ func (p *partition) admit(ctx context.Context, t *topic, st *produceState) (int,
 			}
 			if !st.blocked {
 				st.blocked = true
-				if t.m != nil {
-					st.blockStart = t.m.clock.Now()
-				}
 				// Wake the cond wait when the context is cancelled, exactly
 				// like Fetch's blocking path.
 				st.stop = context.AfterFunc(ctx, p.wakeWaiters)
@@ -622,15 +596,6 @@ func (p *partition) wakeWaiters() {
 	p.mu.Lock()
 	p.cond.Broadcast()
 	p.mu.Unlock()
-}
-
-// noteBlocked records one completed blocking episode. Callers hold p.mu.
-func (p *partition) noteBlocked(m *topicMetrics, blocked bool, start time.Time) {
-	if !blocked || m == nil {
-		return
-	}
-	m.blocked.Inc()
-	m.blockSeconds.ObserveDuration(m.clock.Now().Sub(start))
 }
 
 // noteCommit recomputes a partition's commit floor — the minimum committed
@@ -768,11 +733,7 @@ func (b *Broker) Truncate(topicName string, partitionIdx int, end int64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if end < p.next {
-		i := p.log.search(end)
-		if t.m != nil {
-			t.m.depth.Add(float64(i - p.log.len()))
-		}
-		p.log.truncate(i)
+		p.log.truncate(p.log.search(end))
 		p.next = end
 	}
 	return nil

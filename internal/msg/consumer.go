@@ -165,33 +165,11 @@ type Consumer struct {
 	polled    int64         // records returned by Poll since creation
 	closed    bool
 
-	m *consumerMetrics // nil when the broker is not instrumented
-}
-
-// consumerMetrics caches this consumer's metric handles so Poll never
-// resolves names. Lag is a gauge keyed by group/topic: the latest reading
-// wins, which is what a rebalancing group wants.
-type consumerMetrics struct {
-	clock    obs.Clock
-	polls    *obs.Counter
-	records  *obs.Counter
-	latency  *obs.Histogram
-	lag      *obs.Gauge
-	queueLag obs.LagStage
-}
-
-func newConsumerMetrics(reg *obs.Registry, groupID, topicName string) *consumerMetrics {
-	return &consumerMetrics{
-		clock:   reg.Clock(),
-		polls:   reg.Counter("msg.poll.count"),
-		records: reg.Counter("msg.poll.records"),
-		latency: reg.Histogram("msg.poll.seconds"),
-		lag:     reg.Gauge("msg.lag." + groupKey(groupID, topicName)),
-		// Event-time dwell at the moment of delivery: how stale each record
-		// already is when the consumer picks it up ("lag.queue.*") —
-		// upstream staleness plus broker residency, before any processing.
-		queueLag: obs.NewLagStage(reg, "queue"),
-	}
+	// lag is the "msg.lag.<group>/<topic>" gauge the health lag checker
+	// reads, resolved once so Poll never looks it up; nil when the broker
+	// is not instrumented. The latest reading wins, which is what a
+	// rebalancing group wants.
+	lag *obs.Gauge
 }
 
 // registry returns the broker's attached registry, nil when uninstrumented.
@@ -218,7 +196,7 @@ func (b *Broker) NewConsumer(groupID, topicName, member string) (*Consumer, erro
 		positions: make(map[int]int64),
 	}
 	if reg := b.registry(); reg != nil {
-		c.m = newConsumerMetrics(reg, groupID, topicName)
+		c.lag = reg.Gauge("msg.lag." + groupKey(groupID, topicName))
 	}
 	return c, nil
 }
@@ -269,34 +247,19 @@ func (c *Consumer) Poll(ctx context.Context, max int) ([]Record, error) {
 // returns no records and a nil error at once — it neither blocks nor reports
 // end-of-stream. A caller pipelining its work polls the next batch with it
 // while the previous one is still being processed, without ever waiting on
-// a quiet stream. An empty TryPoll is not counted as a poll.
+// a quiet stream. An empty TryPoll leaves the lag gauge as it was.
 func (c *Consumer) TryPoll(max int) ([]Record, error) {
 	return c.observedPoll(context.Background(), max, false)
 }
 
 func (c *Consumer) observedPoll(ctx context.Context, max int, block bool) ([]Record, error) {
-	if c.m == nil {
-		recs, err := c.poll(ctx, max, block)
-		c.polled += int64(len(recs))
+	recs, err := c.poll(ctx, max, block)
+	c.polled += int64(len(recs))
+	if c.lag == nil || (!block && len(recs) == 0 && err == nil) {
 		return recs, err
 	}
-	start := c.m.clock.Now()
-	recs, err := c.poll(ctx, max, block)
-	if !block && len(recs) == 0 && err == nil {
-		return nil, nil
-	}
-	c.m.latency.ObserveDuration(c.m.clock.Now().Sub(start))
-	c.m.polls.Inc()
-	if n := int64(len(recs)); n > 0 {
-		c.polled += n
-		c.m.records.Add(n)
-		now := c.m.clock.Now()
-		for i := range recs {
-			c.m.queueLag.Observe(now, recs[i].Time)
-		}
-	}
 	if lag, lerr := c.Lag(); lerr == nil {
-		c.m.lag.Set(float64(lag))
+		c.lag.Set(float64(lag))
 	}
 	return recs, err
 }

@@ -4,17 +4,15 @@
 // of the observability layer it is built exclusively on the standard
 // library.
 //
-// The internal metric namespace is dotted ("msg.depth.surveillance.raw");
+// The internal metric namespace is dotted ("msg.lag.realtime/surveillance.raw");
 // Prometheus names must match [a-zA-Z_:][a-zA-Z0-9_:]*. The renderer maps
 // an internal name to an exposition family plus labels (mapName), so
-// per-topic and per-operator series collapse into one labelled family
+// per-group and per-component series collapse into one labelled family
 // instead of exploding the name space; unmapped names fall back to
 // character sanitisation.
 //
-// Every sample value is sanitised to a finite number: snapshots taken
-// against a never-advanced ManualClock derive 0 rates (see obs.Snapshot.
-// Rate), and NaN/±Inf readings from any other source are rendered as 0 —
-// non-finite values are not valid exposition output.
+// Every sample value is sanitised to a finite number: NaN/±Inf readings
+// are rendered as 0 — non-finite values are not valid exposition output.
 package export
 
 import (
@@ -32,9 +30,7 @@ type label struct {
 // mapName rewrites an internal metric name into an exposition family name
 // and labels, encoding this repository's metric naming conventions:
 //
-//	msg.depth.<topic>        → msg_depth{topic=...}   (likewise produced, bytes)
 //	msg.lag.<group>/<topic>  → msg_lag{group=..., topic=...}
-//	trace.<span>.<metric>    → trace_<metric>{span=...}
 //	health.<component>.status→ health_status{component=...}
 //
 // Everything else keeps its dotted name. The family is sanitised
@@ -42,19 +38,12 @@ type label struct {
 // escapes.
 func mapName(name string) (string, []label) {
 	switch {
-	case hasSegPrefix(name, "msg.depth."), hasSegPrefix(name, "msg.produced."), hasSegPrefix(name, "msg.bytes."):
-		parts := strings.SplitN(name, ".", 3)
-		return "msg_" + parts[1], []label{{Name: "topic", Value: parts[2]}}
 	case hasSegPrefix(name, "msg.lag."):
 		rest := strings.TrimPrefix(name, "msg.lag.")
 		if group, topic, ok := strings.Cut(rest, "/"); ok {
 			return "msg_lag", []label{{Name: "group", Value: group}, {Name: "topic", Value: topic}}
 		}
 		return "msg_lag", []label{{Name: "group", Value: rest}}
-	case hasSegPrefix(name, "trace."):
-		if span, metric, ok := splitMiddle(name, "trace."); ok {
-			return "trace_" + metric, []label{{Name: "span", Value: span}}
-		}
 	case hasSegPrefix(name, "health."):
 		if comp, metric, ok := splitMiddle(name, "health."); ok {
 			return "health_" + metric, []label{{Name: "component", Value: comp}}

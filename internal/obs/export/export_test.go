@@ -25,9 +25,7 @@ func fixedRegistry() *obs.Registry {
 	clk := obs.NewManualClock(epoch)
 	r := obs.NewRegistry(clk)
 	r.Counter("core.records").Add(1500)
-	r.Counter("msg.produced.surveillance.raw").Add(1500)
 	r.Gauge("flow.level").Set(2)
-	r.Gauge("msg.depth.trajectory.synopses").Set(96)
 	r.Gauge("msg.lag.realtime/surveillance.raw").Set(42)
 	r.Gauge("health.watermark.status").Set(0)
 	h := r.Histogram("checkpoint.capture.seconds", 0.001, 0.01, 0.1, 1)
@@ -68,9 +66,6 @@ func TestPrometheusExpositionShape(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE core_records_total counter",
 		"core_records_total 1500",
-		"# TYPE core_records_per_second gauge",
-		"core_records_per_second 150",
-		`msg_produced_total{topic="surveillance.raw"} 1500`,
 		`msg_lag{group="realtime",topic="surveillance.raw"} 42`,
 		`health_status{component="watermark"} 0`,
 		"# TYPE checkpoint_capture_seconds histogram",
@@ -86,7 +81,7 @@ func TestPrometheusExpositionShape(t *testing.T) {
 		}
 	}
 	// One TYPE line per family, even though several internal metrics map
-	// onto the labelled msg_depth / msg_lag families.
+	// onto the labelled msg_lag family.
 	if got := strings.Count(out, "# TYPE msg_lag gauge"); got != 1 {
 		t.Errorf("msg_lag TYPE lines = %d, want 1", got)
 	}
@@ -95,8 +90,8 @@ func TestPrometheusExpositionShape(t *testing.T) {
 func TestLabelValueEscaping(t *testing.T) {
 	clk := obs.NewManualClock(epoch)
 	r := obs.NewRegistry(clk)
-	r.Gauge("msg.depth.C:\\tmp").Set(1)
-	r.Gauge("msg.depth.say \"hi\"\nbye").Set(2)
+	r.Gauge("msg.lag.g/C:\\tmp").Set(1)
+	r.Gauge("msg.lag.g/say \"hi\"\nbye").Set(2)
 
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, r.Snapshot()); err != nil {
@@ -104,7 +99,7 @@ func TestLabelValueEscaping(t *testing.T) {
 	}
 	out := buf.String()
 	// Label values escape backslash, quote and newline.
-	if !strings.Contains(out, `msg_depth{topic="C:\\tmp"} 1`) || !strings.Contains(out, `msg_depth{topic="say \"hi\"\nbye"} 2`) {
+	if !strings.Contains(out, `msg_lag{group="g",topic="C:\\tmp"} 1`) || !strings.Contains(out, `msg_lag{group="g",topic="say \"hi\"\nbye"} 2`) {
 		t.Errorf("label escaping wrong:\n%s", out)
 	}
 	if strings.Contains(out, "\nbye") {
@@ -169,9 +164,6 @@ func TestNonFiniteSanitised(t *testing.T) {
 		if strings.Contains(buf.String(), bad) {
 			t.Errorf("exposition contains %q:\n%s", bad, buf.String())
 		}
-	}
-	if !strings.Contains(buf.String(), "events_per_second 0") {
-		t.Errorf("zero-window rate must render 0:\n%s", buf.String())
 	}
 
 	jb, err := json.Marshal(JSONSnapshot(s))

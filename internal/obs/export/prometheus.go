@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"datacron/internal/obs"
 )
@@ -66,19 +65,16 @@ func (r *renderer) add(f *family, suffix string, labels []label, value string) {
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format, version 0.0.4: for every family a # TYPE line, then its series.
-// Counters gain the conventional _total suffix, and each counter
-// additionally yields a <family>_per_second gauge derived over the snapshot
-// window (a zero window derives 0, see obs.Snapshot.Rate). Histograms
-// render cumulative le-buckets, _sum and _count. Every value is finite:
-// NaN and ±Inf sanitise to 0, which the format would otherwise reject.
+// Counters gain the conventional _total suffix; a scraper derives rates
+// from them. Histograms render cumulative le-buckets, _sum and _count.
+// Every value is finite: NaN and ±Inf sanitise to 0, which the format
+// would otherwise reject.
 func WritePrometheus(w io.Writer, s obs.Snapshot) error {
 	r := &renderer{families: make(map[string]*family)}
 
 	for _, c := range s.Counters {
 		f, labels := r.resolve(c.Name, "counter", "_total")
 		r.add(f, "", labels, formatValue(float64(c.Value)))
-		rf := r.ensure(strings.TrimSuffix(f.name, "_total")+"_per_second", "gauge")
-		r.add(rf, "", labels, formatValue(s.Rate(c.Name)))
 	}
 	for _, g := range s.Gauges {
 		f, labels := r.resolve(g.Name, "gauge", "")

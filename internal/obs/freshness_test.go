@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -119,7 +120,14 @@ func TestSamplerDisabledAndNil(t *testing.T) {
 func TestRuntimeSampler(t *testing.T) {
 	reg := NewRegistry(nil)
 	rs := NewRuntimeSampler(reg)
+	// A test binary that has allocated little can read the live heap as 0
+	// while its allocations sit in per-P caches. Keep a large allocation
+	// live (large objects are counted when allocated) and run a GC, which
+	// flushes the caches, before sampling.
+	live := make([]byte, 1<<20)
+	runtime.GC()
 	rs.Sample()
+	runtime.KeepAlive(live)
 	s := reg.Snapshot()
 	if v, ok := s.Gauge("runtime.goroutines"); !ok || v < 1 {
 		t.Errorf("runtime.goroutines = %v, want >= 1", v)

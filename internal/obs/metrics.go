@@ -194,16 +194,6 @@ func LatencyBuckets() []float64 {
 	return out
 }
 
-// SizeBuckets returns the default byte-size buckets, 64 B to 64 MB in
-// powers of four.
-func SizeBuckets() []float64 {
-	out := make([]float64, 0, 11)
-	for v := 64.0; v <= 64<<20; v *= 4 {
-		out = append(out, v)
-	}
-	return out
-}
-
 // CounterSnapshot is one counter reading.
 type CounterSnapshot struct {
 	Name  string

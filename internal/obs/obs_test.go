@@ -212,26 +212,21 @@ func TestWriteText(t *testing.T) {
 
 func TestTracerSpans(t *testing.T) {
 	clk := NewManualClock(epoch)
-	r := NewRegistry(clk)
-	tr := NewTracer(r, 16)
+	tr := NewTracer(clk, 16)
 	for i := 0; i < 20; i++ {
 		sp := tr.Start("poll")
 		clk.Advance(time.Millisecond)
 		sp.End()
 	}
-	if got := r.Snapshot().Counter("trace.poll.count"); got != 20 {
-		t.Fatalf("span count = %d, want 20", got)
-	}
-	h, _ := r.Snapshot().Histogram("trace.poll.seconds")
-	if h.Count != 20 || math.Abs(h.Sum-0.020) > 1e-9 {
-		t.Fatalf("span histogram = count %d sum %v", h.Count, h.Sum)
-	}
 	recent := tr.Recent()
 	if len(recent) != 16 {
 		t.Fatalf("ring retained %d spans, want 16", len(recent))
 	}
-	for i := 1; i < len(recent); i++ {
-		if recent[i].Start.Before(recent[i-1].Start) {
+	for i := range recent {
+		if recent[i].Duration != time.Millisecond {
+			t.Fatalf("span %d lasted %v on the tracer's clock, want 1ms", i, recent[i].Duration)
+		}
+		if i > 0 && recent[i].Start.Before(recent[i-1].Start) {
 			t.Fatal("recent spans must be ordered oldest first")
 		}
 	}
@@ -301,8 +296,7 @@ func TestRateZeroElapsed(t *testing.T) {
 
 func TestSpanIDs(t *testing.T) {
 	clk := NewManualClock(epoch)
-	r := NewRegistry(clk)
-	tr := NewTracer(r, 16)
+	tr := NewTracer(clk, 16)
 	a := tr.Start("poll")
 	b := tr.Start("process")
 	if a.ID() == 0 || b.ID() == 0 || a.ID() == b.ID() {

@@ -7,21 +7,20 @@ import (
 )
 
 // Tracer records lightweight spans: named, timed stages of the pipeline
-// (poll, process, checkpoint, ...). Each completed span feeds a per-name
-// duration histogram and counter in the registry — "trace.<name>.seconds",
-// "trace.<name>.count" — and is kept in a bounded ring of recent spans for
-// dumps (the admin server's /traces endpoint). Spans carry a tracer-unique
+// (poll, process, checkpoint, ...). Each completed span is kept in a
+// bounded ring of recent spans for dumps (the admin server's /traces
+// endpoint, -trace-jsonl); spans feed no metric. Spans carry a tracer-unique
 // ID so log lines tagged with it correlate with the dumped records, and an
 // optional parent-span ID plus key/value attrs so a sampled record yields a
 // span *tree* (ingest→submit→decode→synopses→flp→cer→emit) instead of
 // disjoint timings. A nil *Tracer is a valid no-op tracer.
 type Tracer struct {
-	reg  *Registry
-	seq  atomic.Int64
-	mu   sync.Mutex
-	ring []SpanRecord
-	next int
-	full bool
+	clock Clock
+	seq   atomic.Int64
+	mu    sync.Mutex
+	ring  []SpanRecord
+	next  int
+	full  bool
 }
 
 // Attr is one key/value annotation on a span (mover ID, partition, shard).
@@ -42,13 +41,13 @@ type SpanRecord struct {
 	Attrs    []Attr
 }
 
-// NewTracer returns a tracer recording into reg and retaining the last
+// NewTracer returns a tracer timing spans on clock and retaining the last
 // ringSize completed spans (minimum 16).
-func NewTracer(reg *Registry, ringSize int) *Tracer {
+func NewTracer(clock Clock, ringSize int) *Tracer {
 	if ringSize < 16 {
 		ringSize = 16
 	}
-	return &Tracer{reg: reg, ring: make([]SpanRecord, ringSize)}
+	return &Tracer{clock: clock, ring: make([]SpanRecord, ringSize)}
 }
 
 // Span is an in-flight stage timing; call End exactly once. The zero Span
@@ -64,7 +63,7 @@ type Span struct {
 	attrs  []Attr
 }
 
-// Start opens a root span. Time comes from the registry's injected Clock.
+// Start opens a root span. Time comes from the tracer's Clock.
 func (t *Tracer) Start(name string) Span {
 	return t.StartSpan(name)
 }
@@ -74,7 +73,7 @@ func (t *Tracer) StartSpan(name string, attrs ...Attr) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{t: t, id: t.seq.Add(1), name: name, start: t.reg.Clock().Now(), attrs: attrs}
+	return Span{t: t, id: t.seq.Add(1), name: name, start: t.clock.Now(), attrs: attrs}
 }
 
 // Child opens a sub-span parented to s, starting now. On the zero Span it
@@ -84,7 +83,7 @@ func (s Span) Child(name string, attrs ...Attr) Span {
 	if s.t == nil {
 		return Span{}
 	}
-	return Span{t: s.t, id: s.t.seq.Add(1), parent: s.id, name: name, start: s.t.reg.Clock().Now(), attrs: attrs}
+	return Span{t: s.t, id: s.t.seq.Add(1), parent: s.id, name: name, start: s.t.clock.Now(), attrs: attrs}
 }
 
 // ChildAt opens a sub-span parented to s with an explicit start instant —
@@ -107,9 +106,7 @@ func (s Span) End() {
 	if s.t == nil {
 		return
 	}
-	d := s.t.reg.Clock().Now().Sub(s.start)
-	s.t.reg.Histogram("trace." + s.name + ".seconds").ObserveDuration(d)
-	s.t.reg.Counter("trace." + s.name + ".count").Inc()
+	d := s.t.clock.Now().Sub(s.start)
 	s.t.mu.Lock()
 	s.t.ring[s.t.next] = SpanRecord{ID: s.id, Parent: s.parent, Name: s.name, Start: s.start, Duration: d, Attrs: s.attrs}
 	s.t.next = (s.t.next + 1) % len(s.t.ring)

@@ -7,8 +7,7 @@ import (
 
 func TestSpanTreeParentLinkageAndAttrs(t *testing.T) {
 	clk := NewManualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	reg := NewRegistry(clk)
-	tr := NewTracer(reg, 16)
+	tr := NewTracer(clk, 16)
 
 	root := tr.StartSpan("record", Attr{Key: "mover", Value: "m1"}, Attr{Key: "partition", Value: "2"})
 	clk.Advance(time.Millisecond)
@@ -51,8 +50,7 @@ func TestSpanTreeParentLinkageAndAttrs(t *testing.T) {
 
 func TestChildAtBackdatesDwell(t *testing.T) {
 	clk := NewManualClock(time.Date(2026, 1, 1, 0, 0, 10, 0, time.UTC))
-	reg := NewRegistry(clk)
-	tr := NewTracer(reg, 16)
+	tr := NewTracer(clk, 16)
 
 	root := tr.Start("record")
 	eventTime := clk.Now().Add(-3 * time.Second)
@@ -74,8 +72,7 @@ func TestChildAtBackdatesDwell(t *testing.T) {
 // contract: after the ring wraps, Recent still returns spans in completion
 // order, oldest first.
 func TestRecentWraparoundOldestFirst(t *testing.T) {
-	reg := NewRegistry(NewManualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)))
-	tr := NewTracer(reg, 16)
+	tr := NewTracer(NewManualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)), 16)
 	for i := 0; i < 25; i++ {
 		tr.Start("s").End()
 	}

@@ -24,7 +24,6 @@ type Store struct {
 	idAtTime ID
 
 	workers int
-	m       *storeMetrics // nil when uninstrumented
 }
 
 // Option configures a Store.
@@ -70,13 +69,6 @@ func (s *Store) Len() int { return s.layout.Len() }
 // so stream loaders should deliver a node's triples in one batch (the
 // datAcron RDFizers do: each critical point is one record).
 func (s *Store) Load(triples []rdf.Triple) {
-	if s.m != nil {
-		start := s.m.clock.Now()
-		defer func() {
-			s.m.loadSeconds.ObserveDuration(s.m.clock.Now().Sub(start))
-			s.m.loadTriples.Add(int64(len(triples)))
-		}()
-	}
 	type stInfo struct {
 		pos  geo.Point
 		ts   time.Time
@@ -181,10 +173,6 @@ type QueryStats struct {
 // subjects (decoded), plus execution statistics.
 func (s *Store) StarJoin(q StarQuery, plan Plan) ([]rdf.Term, QueryStats, error) {
 	var stats QueryStats
-	if s.m != nil {
-		start := s.m.clock.Now()
-		defer func() { s.m.recordJoin(s.m.clock.Now().Sub(start), stats) }()
-	}
 	if len(q.Patterns) == 0 {
 		return nil, stats, fmt.Errorf("store: star query needs at least one pattern")
 	}
