@@ -86,3 +86,38 @@ func TestDashboardAfterRecovery(t *testing.T) {
 		})
 	}
 }
+
+// ringsDigest is the recorded digest of the manoeuvre-like run's end-of-run
+// Dashboard rings: its recent critical points, links and event notes,
+// recorded from a merge that added each note to the Dashboard as the point
+// that raised it was merged.
+const ringsDigest = "55befe3885670bf0"
+
+// TestDashboardRingsDigest: the recent critical points, links and event
+// notes the merge leaves on the Dashboard are the recorded ones at every
+// shard count.
+func TestDashboardRingsDigest(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			p := manoeuvrePipeline(t, shards)
+			if _, err := p.RunRealTime(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			snap := p.Dashboard.Snapshot(gen.DefaultStart)
+			if len(snap.Criticals) == 0 || len(snap.Links) == 0 || len(snap.Events) == 0 {
+				t.Fatalf("rings hold %d critical points, %d links and %d notes, want all three filled",
+					len(snap.Criticals), len(snap.Links), len(snap.Events))
+			}
+			b, err := json.Marshal(struct {
+				Criticals, Links, Events any
+			}{snap.Criticals, snap.Links, snap.Events})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:8]); got != ringsDigest {
+				t.Errorf("rings digest %s, want %s", got, ringsDigest)
+			}
+		})
+	}
+}

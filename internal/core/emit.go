@@ -5,36 +5,42 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+	"unsafe"
 
 	"datacron/internal/cer"
 	"datacron/internal/linkdisc"
 	"datacron/internal/msg"
 	"datacron/internal/rdf"
 	"datacron/internal/rdfgen"
+	"datacron/internal/va"
 )
 
-// arenaSlab is the size of the slabs an arena carves values from: a few
-// dozen critical points' worth of records per allocation.
+// arenaSlab is the size in bytes of the slabs an arena carves values from: a
+// few dozen critical points' worth of records per allocation.
 const arenaSlab = 32 << 10
 
-// arena hands out broker record values carved from fixed slabs. The broker
-// retains record values in its log, so a slab is filled once and never
-// reused; each value is a sub-slice with capped capacity, so nothing
-// appended to one value can overwrite the next. An arena belongs to one
-// goroutine, and the broker owns every value it hands out.
-type arena struct {
-	slab []byte // current slab; the broker owns what is filled
+// arena hands out values carved from fixed slabs: broker record values, and
+// a shard worker's finished points. The broker retains record values in its
+// log, and the merge reads finished points while the worker carves the next,
+// so a slab is filled once and never reused; each value is a sub-slice with
+// capped capacity, so nothing appended to one value can overwrite the next.
+// An arena belongs to one goroutine, and every value it hands out is its
+// taker's.
+type arena[T any] struct {
+	slab []T // current slab; what is filled belongs to the takers
 }
 
-// alloc returns an empty value with room for exactly n bytes. A value that
+// alloc returns an empty value with room for exactly n elements. A value that
 // does not fit the current slab's remainder starts a fresh slab; one larger
 // than a whole slab gets its own allocation.
-func (a *arena) alloc(n int) []byte {
+func (a *arena[T]) alloc(n int) []T {
 	if n > cap(a.slab)-len(a.slab) {
-		if n > arenaSlab {
-			return make([]byte, 0, n)
+		var zero T
+		size := arenaSlab / int(unsafe.Sizeof(zero))
+		if n > size {
+			return make([]T, 0, n)
 		}
-		a.slab = make([]byte, 0, arenaSlab)
+		a.slab = make([]T, 0, size)
 	}
 	start := len(a.slab)
 	a.slab = a.slab[:start+n]
@@ -42,7 +48,7 @@ func (a *arena) alloc(n int) []byte {
 }
 
 // clone returns a copy of b placed in the arena.
-func (a *arena) clone(b []byte) []byte { return append(a.alloc(len(b)), b...) }
+func (a *arena[T]) clone(b []T) []T { return append(a.alloc(len(b)), b...) }
 
 // TriplePublisher is the real-time layer's triple emit path: it places
 // N-Triples lines in an arena, stages their TopicTriples records, and sends
@@ -50,10 +56,19 @@ func (a *arena) clone(b []byte) []byte { return append(a.alloc(len(b)), b...) }
 // one goroutine — the run loop builds its own per run.
 type TriplePublisher struct {
 	broker *msg.Broker
-	arena  arena        // the encoded lines, owned by the broker once produced
+	arena  arena[byte]  // the encoded lines, owned by the broker once produced
 	line   []byte       // one triple's encoding, before it is placed in the arena
 	recs   []msg.Record // staged for the next send, reused across sends
+	// The staged graphs' subject keys, back to back, and where record i's
+	// key sits in them: send turns them into one string. Staged records are
+	// always the first len(keySpans) of recs, as Publish sends what it
+	// appends at once.
+	keys     []byte
+	keySpans []keySpan
 }
+
+// keySpan places a staged record's key at keys[start:end].
+type keySpan struct{ start, end int }
 
 // NewTriplePublisher returns a publisher producing to b's TopicTriples.
 func NewTriplePublisher(b *msg.Broker) *TriplePublisher {
@@ -86,26 +101,38 @@ func (tp *TriplePublisher) Publish(ctx context.Context, triples []rdf.Triple, ts
 
 // stage appends a rendered graph's TopicTriples records to the stage, one
 // per line stamped ts: the lines are copied into the arena in one piece, each
-// record's value capped to its own line, and the keys become one string —
-// the point's one allocation — that every record's key is a slice of, so a
-// run of one subject's records shares its key bytes. It returns the graph's
-// records, a window of the stage valid until the next stage or send; a
-// caller may produce their values to another topic as well, since the broker
-// never writes a value it holds.
+// record's value capped to its own line, and the keys to the stage's key
+// buffer. It returns the graph's records, a window of the stage valid until
+// the next stage or send, whose keys send fills in; a caller may produce
+// their values to another topic as well, since the broker never writes a
+// value it holds.
 func (tp *TriplePublisher) stage(g *rdfgen.PointGraph, ts time.Time) []msg.Record {
 	lines := tp.arena.clone(g.Lines)
-	keys := string(g.Keys)
+	base := len(tp.keys)
+	//lint:ignore boundedchan emptied by every send: at most one poll batch's graphs
+	tp.keys = append(tp.keys, g.Keys...)
 	start := len(tp.recs)
 	for _, t := range g.Triples {
 		//lint:ignore boundedchan emptied by every send: at most one poll batch's graphs
-		tp.recs = append(tp.recs, msg.Record{Key: keys[t.KeyStart:t.KeyEnd], Value: lines[t.Start:t.End:t.End], Time: ts})
+		tp.keySpans = append(tp.keySpans, keySpan{start: base + t.KeyStart, end: base + t.KeyEnd})
+		//lint:ignore boundedchan emptied by every send: at most one poll batch's graphs
+		tp.recs = append(tp.recs, msg.Record{Value: lines[t.Start:t.End:t.End], Time: ts})
 	}
 	return tp.recs[start:]
 }
 
 // send produces the staged records to the triples topic in one broker batch
-// and empties the stage.
+// and empties the stage. The staged graphs' keys become one string — the
+// batch's one allocation for them — that every staged record's key is a
+// slice of, so a run of one subject's records shares its key bytes.
 func (tp *TriplePublisher) send(ctx context.Context) error {
+	if len(tp.keySpans) > 0 {
+		keys := string(tp.keys)
+		for i, k := range tp.keySpans {
+			tp.recs[i].Key = keys[k.start:k.end]
+		}
+		tp.keys, tp.keySpans = tp.keys[:0], tp.keySpans[:0]
+	}
 	err := produceAll(ctx, tp.broker, TopicTriples, tp.recs)
 	tp.recs = tp.recs[:0]
 	return err
@@ -121,11 +148,16 @@ type batchEmit struct {
 	triples TriplePublisher // its arena also holds the links' values
 	links   []msg.Record
 	events  []msg.Record
-	notes   arena // the TopicEvents values
+	notes   arena[byte] // the TopicEvents values
+	// The Dashboard's event notes of the batch, back to back, and where
+	// each ends: flushBatch adds them to dash from one string.
+	dash     *va.Dashboard
+	dashText []byte
+	dashEnds []int
 }
 
-func newBatchEmit(b *msg.Broker) *batchEmit {
-	return &batchEmit{triples: TriplePublisher{broker: b}}
+func newBatchEmit(b *msg.Broker, dash *va.Dashboard) *batchEmit {
+	return &batchEmit{triples: TriplePublisher{broker: b}, dash: dash}
 }
 
 // stageLink stages l's TopicLinks record: keyed by its source, stamped with
@@ -142,11 +174,28 @@ func (e *batchEmit) stageEvent(id string, note []byte, ts time.Time) {
 	e.events = append(e.events, msg.Record{Key: id, Value: e.notes.clone(note), Time: ts})
 }
 
-// flushBatch produces every staged record — the triples, then the links,
-// then the events, one ProduceBatch per topic — and empties the stage.
-// Within each topic the records keep their staging order, so every partition
-// receives what one produce per record would have given it.
+// stageNote stages a Dashboard event note, a copy of note.
+func (e *batchEmit) stageNote(note []byte) {
+	//lint:ignore boundedchan emptied by every flushBatch: at most two notes per critical point of a poll batch
+	e.dashText = append(e.dashText, note...)
+	//lint:ignore boundedchan emptied by every flushBatch: at most two notes per critical point of a poll batch
+	e.dashEnds = append(e.dashEnds, len(e.dashText))
+}
+
+// flushBatch adds the staged notes to the Dashboard in staging order, then
+// produces every staged record — the triples, then the links, then the
+// events, one ProduceBatch per topic — and empties the stage. Within each
+// topic the records keep their staging order, so every partition receives
+// what one produce per record would have given it.
 func (e *batchEmit) flushBatch(ctx context.Context) error {
+	if len(e.dashEnds) > 0 {
+		text, start := string(e.dashText), 0
+		for _, end := range e.dashEnds {
+			e.dash.AddEventNote(text[start:end])
+			start = end
+		}
+		e.dashText, e.dashEnds = e.dashText[:0], e.dashEnds[:0]
+	}
 	err := e.triples.send(ctx)
 	if err == nil {
 		err = produceAll(ctx, e.triples.broker, TopicLinks, e.links)

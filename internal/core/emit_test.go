@@ -148,7 +148,7 @@ func TestPublishArenaValuesAreStable(t *testing.T) {
 // its own bytes as capacity, so appending to one — by a broker consumer, or
 // by mistake — reallocates instead of writing into the next.
 func TestArenaValuesDoNotAlias(t *testing.T) {
-	var a arena
+	var a arena[byte]
 	sizes := []int{10, 0, 7, arenaSlab - 20, 30, arenaSlab + 1, 5}
 	var vals [][]byte
 	for i, n := range sizes {

@@ -318,7 +318,7 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 	// The emit path's reused state: the batch's output stage (arenas and
 	// staged records), the graph every critical point is rendered into and
 	// the links buffer it reads, and the CER notes' buffer.
-	emit := newBatchEmit(p.Broker)
+	emit := newBatchEmit(p.Broker, p.Dashboard)
 	var (
 		graph rdfgen.PointGraph
 		links []linkdisc.Link
@@ -374,12 +374,12 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 			if detected {
 				sum.Detections++
 				note = appendDetectionNote(note[:0], cp.ID, cp.Time)
-				p.Dashboard.AddEventNote(string(note))
+				emit.stageNote(note)
 			}
 			if ok {
 				sum.Forecasts++
 				note = appendForecastNote(note[:0], cp.ID, fc)
-				p.Dashboard.AddEventNote(string(note))
+				emit.stageNote(note)
 				emit.stageEvent(cp.ID, note, cp.Time)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -218,52 +219,85 @@ func TestShardedCheckpointShardCountPinned(t *testing.T) {
 	}
 }
 
-// TestShardWorkerProcessAllocs: a shard worker processing an unsampled
-// record that yields no critical point allocates nothing: FLP predicts into
-// the mover's reused buffer and the Dashboard slot copies it into its own.
-// The stage spans are no-ops then, and must not allocate a variadic
-// attribute slice per call either.
+// TestShardWorkerProcessAllocs: a shard worker processing unsampled records
+// allocates nothing at steady state. FLP predicts into the mover's reused
+// buffer and the Dashboard slot copies it into its own; a critical point is
+// finished into slices carved from the worker's two arenas, so 200 records
+// that yield critical points cost at most one fresh slab of each. The stage
+// spans are no-ops then, and must not allocate a variadic attribute slice per
+// call either. It runs one mover steaming due east at constant speed, which
+// after its first report yields no critical point, and one zigzagging 80°
+// at every report, which yields one at every other report or more often.
 func TestShardWorkerProcessAllocs(t *testing.T) {
 	p, err := New(WithObs(obs.NewRegistry(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := p.newShardWorker(0, obs.NewRegistry(nil))
-	// One mover steaming due east at constant speed: after its first report
-	// no critical point, and a prediction from the third on.
-	const n = 400
-	recs := make([]msg.Record, n)
-	pos := geo.Pt(23.5, 37.9)
-	for i := range recs {
-		r := mobility.Report{ID: "v-1", Time: gen.DefaultStart.Add(time.Duration(i) * 10 * time.Second),
-			Pos: pos, SpeedKn: 10, Heading: 90, Source: "ais"}
-		recs[i] = msg.Record{Key: r.ID, Value: r.AppendBinary(nil), Time: r.Time}
-		pos = geo.Destination(pos, 90, 10*mobility.KnotsToMS*10)
-	}
-	next := 0
-	process := func() workerOut {
-		out := w.Process(workerIn{rec: recs[next]})
-		next++
-		return out
-	}
-	for next < 20 {
-		process()
-	}
-	var cps int
-	allocs := testing.AllocsPerRun(200, func() {
-		out := process()
-		if !out.ok || !out.valid || !out.predicted {
-			t.Fatalf("record %d: ok=%v valid=%v predicted=%v", next-1, out.ok, out.valid, out.predicted)
+	const warm, runs = 20, 200
+	track := func(id string, heading func(i int) float64) []msg.Record {
+		recs := make([]msg.Record, warm+runs)
+		pos := geo.Pt(23.5, 37.9)
+		for i := range recs {
+			r := mobility.Report{ID: id, Time: gen.DefaultStart.Add(time.Duration(i) * 10 * time.Second),
+				Pos: pos, SpeedKn: 10, Heading: heading(i), Source: "ais"}
+			recs[i] = msg.Record{Key: r.ID, Value: r.AppendBinary(nil), Time: r.Time}
+			pos = geo.Destination(pos, r.Heading, 10*mobility.KnotsToMS*10)
 		}
-		cps += len(out.cps)
-	})
-	if cps != 0 {
-		t.Fatalf("the fixture yielded %d critical points, want none", cps)
+		return recs
 	}
-	if allocs != 0 {
-		t.Errorf("Process made %v allocations per record, want 0", allocs)
+	for _, tc := range []struct {
+		id        string
+		heading   func(i int) float64
+		critical  bool
+		maxAllocs uint64 // over the runs records
+	}{
+		{"v-1", func(int) float64 { return 90 }, false, 0},
+		{"v-2", func(i int) float64 { return 50 + 80*float64(i%2) }, true, 2},
+	} {
+		recs := track(tc.id, tc.heading)
+		for _, rec := range recs[:warm] {
+			w.Process(workerIn{rec: rec})
+		}
+		outs := make([]workerOut, runs)
+		allocs := mallocsDuring(func() {
+			for i, rec := range recs[warm:] {
+				outs[i] = w.Process(workerIn{rec: rec})
+			}
+		})
+		var cps, withCP int
+		for i, out := range outs {
+			if !out.ok || !out.valid || !out.predicted {
+				t.Fatalf("%s record %d: ok=%v valid=%v predicted=%v", tc.id, warm+i, out.ok, out.valid, out.predicted)
+			}
+			cps += len(out.cps)
+			if len(out.cps) > 0 {
+				withCP++
+			}
+		}
+		if tc.critical && 2*withCP < runs {
+			t.Fatalf("%s: %d of %d records yielded a critical point, want at least half", tc.id, withCP, runs)
+		}
+		if !tc.critical && cps != 0 {
+			t.Fatalf("%s yielded %d critical points, want none", tc.id, cps)
+		}
+		if allocs > tc.maxAllocs {
+			t.Errorf("%s: Process made %d allocations over %d records (%d critical points), want at most %d", tc.id, allocs, runs, cps, tc.maxAllocs)
+		}
+		if got := p.Dashboard.Snapshot(gen.DefaultStart).Predictions[tc.id]; !reflect.DeepEqual(got, w.movers[tc.id].future) {
+			t.Errorf("%s: dashboard prediction %v, want the worker's last %v", tc.id, got, w.movers[tc.id].future)
+		}
 	}
-	if got := p.Dashboard.Snapshot(gen.DefaultStart).Predictions["v-1"]; !reflect.DeepEqual(got, w.movers["v-1"].future) {
-		t.Errorf("dashboard prediction %v, want the worker's last %v", got, w.movers["v-1"].future)
-	}
+}
+
+// mallocsDuring returns the heap allocations f makes, counted as
+// testing.AllocsPerRun counts them (on one P), but in total rather than
+// rounded down to whole allocations per call.
+func mallocsDuring(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -120,11 +120,14 @@ type shardWorker struct {
 	scratch mobility.Report
 
 	// Finishing critical points: cps is the generator's reused output
-	// buffer, records the arena their synopsis records are encoded into
-	// (the broker owns each once the merge produces it), and weather the
-	// pipeline's field, read-only and so shared by every worker.
+	// buffer, points the arena the finished points are carved from (the
+	// merge reads each record's while the worker carves the next's), records
+	// the arena their synopsis records are encoded into (the broker owns
+	// each once the merge produces it), and weather the pipeline's field,
+	// read-only and so shared by every worker.
 	cps     []synopses.CriticalPoint
-	records arena
+	points  arena[finishedPoint]
+	records arena[byte]
 	weather *gen.WeatherField
 }
 
@@ -200,14 +203,14 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 	return out
 }
 
-// finish returns cps as finished points, in one allocation (none for no
-// points): each point's synopsis record encoded into the worker's arena and,
-// with a weather field, its wind and wave read.
+// finish returns cps as finished points carved from the worker's points
+// arena (nil for no points): each point's synopsis record encoded into its
+// records arena and, with a weather field, its wind and wave read.
 func (w *shardWorker) finish(cps []synopses.CriticalPoint) []finishedPoint {
 	if len(cps) == 0 {
 		return nil
 	}
-	out := make([]finishedPoint, len(cps))
+	out := w.points.alloc(len(cps))[:len(cps)]
 	for i := range cps {
 		fp := &out[i]
 		fp.CriticalPoint = cps[i]

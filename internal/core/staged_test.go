@@ -55,12 +55,18 @@ const manoeuvreKill = 6 * pollBatch
 // CER trained on the critical points of the first third of the input.
 func manoeuvrePipeline(t *testing.T, shards int) *Pipeline {
 	t.Helper()
+	return manoeuvrePipelineFor(t, shards, 35*time.Minute)
+}
+
+// manoeuvrePipelineFor is manoeuvrePipeline over a simulation of length d.
+func manoeuvrePipelineFor(t *testing.T, shards int, d time.Duration) *Pipeline {
+	t.Helper()
 	region := gen.AegeanRegion
 	sim := gen.NewVesselSim(gen.VesselSimConfig{
 		Seed: 1, Region: region, GapProb: 0.005,
 		Counts: map[gen.VesselClass]int{gen.Fishing: 24},
 	})
-	reports := sim.Run(35 * time.Minute)
+	reports := sim.Run(d)
 	cfg := Config{
 		Domain:   mobility.Maritime,
 		Synopses: synopses.DefaultMaritime(),

@@ -75,17 +75,37 @@ func (g *Grid) CellRect(col, row int) Rect {
 	}
 }
 
-// CoveringCells returns the dense indices of all cells intersecting r,
-// clipped to the grid extent. The result is empty when r misses the extent.
-func (g *Grid) CoveringCells(r Rect) []int {
+// CellRange is a block of grid cells: columns C0..C1 of rows R0..R1,
+// inclusive. It is empty when C0 > C1.
+type CellRange struct{ C0, R0, C1, R1 int }
+
+// Contains reports whether cell (col, row) lies in the block.
+func (cr CellRange) Contains(col, row int) bool {
+	return col >= cr.C0 && col <= cr.C1 && row >= cr.R0 && row <= cr.R1
+}
+
+// Covering returns the block of cells intersecting r, clipped to the grid
+// extent; it is empty when r misses the extent.
+func (g *Grid) Covering(r Rect) CellRange {
 	if !g.Extent.Intersects(r) {
-		return nil
+		return CellRange{C0: 0, C1: -1}
 	}
 	c0, r0, _ := g.Locate(Point{Lon: r.MinLon, Lat: r.MinLat})
 	c1, r1, _ := g.Locate(Point{Lon: r.MaxLon, Lat: r.MaxLat})
-	out := make([]int, 0, (c1-c0+1)*(r1-r0+1))
-	for row := r0; row <= r1; row++ {
-		for col := c0; col <= c1; col++ {
+	return CellRange{C0: c0, R0: r0, C1: c1, R1: r1}
+}
+
+// CoveringCells returns the dense indices of all cells intersecting r,
+// clipped to the grid extent, row by row. The result is empty when r misses
+// the extent.
+func (g *Grid) CoveringCells(r Rect) []int {
+	cr := g.Covering(r)
+	if cr.C0 > cr.C1 {
+		return nil
+	}
+	out := make([]int, 0, (cr.C1-cr.C0+1)*(cr.R1-cr.R0+1))
+	for row := cr.R0; row <= cr.R1; row++ {
+		for col := cr.C0; col <= cr.C1; col++ {
 			out = append(out, g.Index(col, row))
 		}
 	}

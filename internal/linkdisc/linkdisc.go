@@ -148,8 +148,8 @@ type Discoverer struct {
 	cfg     Config
 	statics []StaticEntity
 	grid    *geo.Grid
-	cells   map[int][]cellEntry
-	masks   map[int][]bool // cell -> sub-cell raster, built on first probe; true = in mask (skip); nil map = masks off
+	cells   geo.CellLists[cellEntry] // each cell's entries by ascending static index
+	masks   map[int][]bool           // cell -> sub-cell raster, built on first probe; true = in mask (skip); nil map = masks off
 	recent  map[int][]recentPoint
 	stats   Stats
 	m       *discMetrics // nil when uninstrumented
@@ -165,31 +165,38 @@ func NewDiscoverer(cfg Config, statics []StaticEntity) *Discoverer {
 	if cfg.Extent.IsEmpty() {
 		cfg.Extent = geo.Rect{MinLon: -180, MinLat: -90, MaxLon: 180, MaxLat: 90}
 	}
+	grid := geo.NewGrid(cfg.Extent, cfg.GridCols, cfg.GridRows)
 	d := &Discoverer{
 		cfg:     cfg,
 		statics: statics,
-		grid:    geo.NewGrid(cfg.Extent, cfg.GridCols, cfg.GridRows),
-		cells:   make(map[int][]cellEntry),
+		grid:    grid,
 		recent:  make(map[int][]recentPoint),
 	}
-	for i, s := range statics {
-		b := s.Geom.Bounds()
-		for _, c := range d.grid.CoveringCells(b) {
-			d.cells[c] = append(d.cells[c], cellEntry{idx: i})
-		}
-		if cfg.NearDistanceM > 0 {
-			buffered := b.Buffer(cfg.NearDistanceM)
-			covered := map[int]bool{} //lint:ignore hotalloc construction-time: runs once per static object at startup, not per record
-			for _, c := range d.grid.CoveringCells(b) {
-				covered[c] = true
+	// A static is a within candidate of the cells its bounds cover, and a
+	// nearTo-only one of the further cells its bounds buffered by the nearTo
+	// distance cover.
+	d.cells = geo.NewCellLists(grid.NumCells(), func(add func(int, cellEntry)) {
+		for i, s := range statics {
+			b := s.Geom.Bounds()
+			covered := grid.Covering(b)
+			for row := covered.R0; row <= covered.R1; row++ {
+				for col := covered.C0; col <= covered.C1; col++ {
+					add(grid.Index(col, row), cellEntry{idx: i})
+				}
 			}
-			for _, c := range d.grid.CoveringCells(buffered) {
-				if !covered[c] {
-					d.cells[c] = append(d.cells[c], cellEntry{idx: i, near: true})
+			if cfg.NearDistanceM <= 0 {
+				continue
+			}
+			near := grid.Covering(b.Buffer(cfg.NearDistanceM))
+			for row := near.R0; row <= near.R1; row++ {
+				for col := near.C0; col <= near.C1; col++ {
+					if !covered.Contains(col, row) {
+						add(grid.Index(col, row), cellEntry{idx: i, near: true})
+					}
 				}
 			}
 		}
-	}
+	})
 	if cfg.MaskResolution > 0 {
 		d.masks = make(map[int][]bool)
 	}
@@ -200,7 +207,7 @@ func NewDiscoverer(cfg Config, statics []StaticEntity) *Discoverer {
 // stationary geometry (buffered by the nearTo distance) intersects it.
 func (d *Discoverer) buildMask(cell int) []bool {
 	k := d.cfg.MaskResolution
-	entries := d.cells[cell]
+	entries := d.cells.Cell(cell)
 	col, row := d.grid.ColRow(cell)
 	cellRect := d.grid.CellRect(col, row)
 	raster := make([]bool, k*k)
@@ -258,8 +265,10 @@ func (d *Discoverer) BuildMasks() {
 	if d.masks == nil {
 		return
 	}
-	for cell := range d.cells {
-		d.mask(cell)
+	for cell := 0; cell < d.grid.NumCells(); cell++ {
+		if len(d.cells.Cell(cell)) > 0 {
+			d.mask(cell)
+		}
 	}
 }
 
@@ -338,7 +347,7 @@ func (d *Discoverer) AppendPoint(dst []Link, id string, t time.Time, p geo.Point
 	start := len(dst)
 
 	// Stationary candidates, unless masked out.
-	if entries := d.cells[cell]; len(entries) > 0 {
+	if entries := d.cells.Cell(cell); len(entries) > 0 {
 		if d.masks != nil && d.inMask(cell, p) {
 			d.stats.MaskSkips++
 		} else {

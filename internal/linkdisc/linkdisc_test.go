@@ -112,8 +112,8 @@ func TestMaskAndNoMaskAgree(t *testing.T) {
 	eager := NewDiscoverer(baseConfig(8), statics)
 	eager.BuildMasks()
 	noMask.BuildMasks() // masks off: nothing to build
-	if len(eager.masks) != len(eager.cells) || noMask.masks != nil {
-		t.Fatalf("BuildMasks built %d masks for %d occupied cells (masks off: %v)", len(eager.masks), len(eager.cells), noMask.masks)
+	if len(eager.masks) != occupiedCells(eager) || noMask.masks != nil {
+		t.Fatalf("BuildMasks built %d masks for %d occupied cells (masks off: %v)", len(eager.masks), occupiedCells(eager), noMask.masks)
 	}
 
 	sim := gen.NewVesselSim(gen.VesselSimConfig{Seed: 7,
@@ -143,8 +143,8 @@ func TestMaskAndNoMaskAgree(t *testing.T) {
 	if withMask.Stats() != eager.Stats() {
 		t.Errorf("lazy masks changed the stats: %v vs %v", withMask.Stats(), eager.Stats())
 	}
-	if n := len(withMask.masks); n == 0 || n >= len(withMask.cells) {
-		t.Errorf("the stream should have built some masks, not all: %d of %d cells", n, len(withMask.cells))
+	if n := len(withMask.masks); n == 0 || n >= occupiedCells(withMask) {
+		t.Errorf("the stream should have built some masks, not all: %d of %d cells", n, occupiedCells(withMask))
 	}
 	for cell, want := range eager.masks {
 		got := withMask.mask(cell) // the first probe, for the cells the stream never visited
@@ -342,6 +342,71 @@ func TestLinkAppendsMatchTriple(t *testing.T) {
 		}
 		if got, want := l.AppendKey([]byte("x")), "x"+tr.S.Key(); string(got) != want {
 			t.Errorf("AppendKey = %q, want %q", got, want)
+		}
+	}
+}
+
+// occupiedCells counts the grid cells that hold a stationary candidate.
+func occupiedCells(d *Discoverer) int {
+	n := 0
+	for cell := 0; cell < d.grid.NumCells(); cell++ {
+		if len(d.cells.Cell(cell)) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCellIndexMatchesPerCellAppend: the flat cell index holds, cell by
+// cell and in order, the entries appending each static's within cells and
+// then its further nearTo cells to a per-cell list gives — with and without
+// nearTo, for statics inside, straddling and outside the extent.
+func TestCellIndexMatchesPerCellAppend(t *testing.T) {
+	region := geo.Rect{MinLon: 22, MinLat: 36, MaxLon: 26, MaxLat: 40}
+	statics := testStatics()
+	for i, a := range gen.Areas(5, gen.ProtectedArea, 40, region, 3_000, 25_000) {
+		statics = append(statics, StaticEntity{ID: fmt.Sprintf("area-%d", i), Geom: a.Geom})
+	}
+	for i, p := range gen.Ports(6, 20, region) {
+		statics = append(statics, StaticEntity{ID: fmt.Sprintf("port-%d", i), Geom: p.Pos})
+	}
+	statics = append(statics,
+		StaticEntity{ID: "edge", Geom: squarePoly(25.8, 39.8, 26.3, 40.3)},
+		StaticEntity{ID: "off-grid", Geom: geo.Pt(26.02, 37)})
+	for _, near := range []float64{0, 5_000} {
+		cfg := baseConfig(8)
+		cfg.NearDistanceM = near
+		d := NewDiscoverer(cfg, statics)
+		want := map[int][]cellEntry{}
+		for i, s := range statics {
+			b := s.Geom.Bounds()
+			covered := map[int]bool{}
+			for _, c := range d.grid.CoveringCells(b) {
+				want[c] = append(want[c], cellEntry{idx: i})
+				covered[c] = true
+			}
+			if near > 0 {
+				for _, c := range d.grid.CoveringCells(b.Buffer(near)) {
+					if !covered[c] {
+						want[c] = append(want[c], cellEntry{idx: i, near: true})
+					}
+				}
+			}
+		}
+		nearEntries := 0
+		for cell := 0; cell < d.grid.NumCells(); cell++ {
+			got := d.cells.Cell(cell)
+			if fmt.Sprint(got) != fmt.Sprint(want[cell]) && len(got)+len(want[cell]) > 0 {
+				t.Fatalf("near=%v cell %d: %v, want %v", near, cell, got, want[cell])
+			}
+			for _, e := range got {
+				if e.near {
+					nearEntries++
+				}
+			}
+		}
+		if occupiedCells(d) != len(want) || (near > 0) != (nearEntries > 0) {
+			t.Errorf("near=%v: %d occupied cells (%d nearTo entries), want %d", near, occupiedCells(d), nearEntries, len(want))
 		}
 	}
 }

@@ -46,7 +46,7 @@ type AreaEvent struct {
 type AreaMonitor struct {
 	regions []Region
 	grid    *geo.Grid
-	cells   [][]int            // cell index -> region indices with bbox overlap
+	cells   geo.CellLists[int] // cell index -> region indices with bbox overlap, ascending
 	inside  map[string]Regions // Update's movers -> regions currently inside, none empty
 	// Step's scratch: the regions containing the position being stepped,
 	// and the regions whose membership it changed.
@@ -98,13 +98,18 @@ func NewAreaMonitor(regions []Region, gridN int) *AreaMonitor {
 	if extent.IsEmpty() {
 		return m
 	}
-	m.grid = geo.NewGrid(extent, gridN, gridN)
-	m.cells = make([][]int, m.grid.NumCells())
-	for ri, rg := range regions {
-		for _, c := range m.grid.CoveringCells(rg.Geom.Bounds()) {
-			m.cells[c] = append(m.cells[c], ri)
+	grid := geo.NewGrid(extent, gridN, gridN)
+	m.grid = grid
+	m.cells = geo.NewCellLists(grid.NumCells(), func(add func(int, int)) {
+		for ri, rg := range regions {
+			cr := grid.Covering(rg.Geom.Bounds())
+			for row := cr.R0; row <= cr.R1; row++ {
+				for col := cr.C0; col <= cr.C1; col++ {
+					add(grid.Index(col, row), ri)
+				}
+			}
 		}
-	}
+	})
 	return m
 }
 
@@ -118,7 +123,7 @@ func (m *AreaMonitor) Step(in *Regions, p geo.Point) Regions {
 	clear(cur)
 	if m.grid != nil {
 		if cell, ok := m.grid.CellIndex(p); ok {
-			for _, ri := range m.cells[cell] {
+			for _, ri := range m.cells.Cell(cell) {
 				if m.regions[ri].Geom.Contains(p) {
 					cur[ri>>6] |= 1 << (ri & 63)
 				}

@@ -26,9 +26,12 @@ type Broker struct {
 	mu     sync.RWMutex
 	topics map[string]*topic
 	groups map[string]*group // keyed by groupID + "/" + topic
-	closed bool
-	obs    *obs.Registry
-	log    *slog.Logger
+	// topicGroups lists each topic's groups in creation order. A list only
+	// grows, so a reader may keep its slice after releasing mu.
+	topicGroups map[string][]*group
+	closed      bool
+	obs         *obs.Registry
+	log         *slog.Logger
 }
 
 // topic is a named set of partition logs.
@@ -109,9 +112,10 @@ func (p *partition) shedOldest() bool {
 // NewBroker returns an empty broker.
 func NewBroker() *Broker {
 	return &Broker{
-		topics: make(map[string]*topic),
-		groups: make(map[string]*group),
-		log:    obs.NopLogger(),
+		topics:      make(map[string]*topic),
+		groups:      make(map[string]*group),
+		topicGroups: make(map[string][]*group),
+		log:         obs.NopLogger(),
 	}
 }
 
@@ -590,8 +594,9 @@ func blockedCancelErr(topicName string, pIdx, capacity int, err error) error {
 }
 
 // wakeWaiters broadcasts to the partition's cond under its lock. Registered
-// as a context-cancellation callback by admit's blocking path, it runs on
-// the AfterFunc goroutine — never synchronously under a caller-held p.mu.
+// as a context-cancellation callback by admit's blocking path and Fetch's
+// wait, it runs on the AfterFunc goroutine — never synchronously under a
+// caller-held p.mu.
 func (p *partition) wakeWaiters() {
 	p.mu.Lock()
 	p.cond.Broadcast()
@@ -606,20 +611,14 @@ func (p *partition) wakeWaiters() {
 func (b *Broker) noteCommit(topicName string, part int) {
 	b.mu.RLock()
 	t, ok := b.topics[topicName]
-	groups := make([]*group, 0, len(b.groups))
-	for _, g := range b.groups {
-		if g.topicName == topicName {
-			groups = append(groups, g)
-		}
-	}
+	groups := b.topicGroups[topicName]
 	b.mu.RUnlock()
 	if !ok || part < 0 || part >= len(t.parts) {
 		return
 	}
 	floor := int64(-1)
 	for _, g := range groups {
-		off := g.committedOffset(part)
-		if floor < 0 || off < floor {
+		if off := g.committedOffset(part); floor < 0 || off < floor {
 			floor = off
 		}
 	}
@@ -662,14 +661,16 @@ func (b *Broker) Fetch(ctx context.Context, topicName string, partitionIdx int, 
 	}
 	p := t.parts[partitionIdx]
 
-	// Wake the cond wait when the context is cancelled.
-	stop := context.AfterFunc(ctx, func() {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	})
-	defer stop()
-
+	// The context's cancellation wakes the cond wait. It is registered just
+	// before the first wait, so a fetch that finds records allocates nothing
+	// for it; registering under p.mu loses no wake-up, since the callback
+	// must take p.mu, which only the wait releases.
+	var stop func() bool
+	defer func() {
+		if stop != nil {
+			stop()
+		}
+	}()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if offset < 0 {
@@ -681,6 +682,9 @@ func (b *Broker) Fetch(ctx context.Context, topicName string, partitionIdx int, 
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
+		}
+		if stop == nil {
+			stop = context.AfterFunc(ctx, p.wakeWaiters)
 		}
 		p.cond.Wait()
 	}

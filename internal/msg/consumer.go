@@ -36,6 +36,8 @@ func (b *Broker) group(groupID, topicName string) *group {
 	if !ok {
 		g = &group{id: groupID, topicName: topicName, committed: make(map[int]int64)}
 		b.groups[k] = g
+		//lint:ignore boundedchan one entry per consumer group the process creates; groups are not per-record state
+		b.topicGroups[topicName] = append(b.topicGroups[topicName], g)
 	}
 	return g
 }
@@ -71,10 +73,14 @@ func (g *group) leave(member string) int {
 }
 
 // assignment returns the partitions owned by member under range assignment,
-// along with the generation the assignment is valid for.
-func (g *group) assignment(member string, numPartitions int) ([]int, int) {
+// along with the generation the assignment is valid for. When that is still
+// generation have, it returns no partitions: the caller's are current.
+func (g *group) assignment(member string, numPartitions, have int) ([]int, int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.gen == have {
+		return nil, have
+	}
 	idx := -1
 	for i, m := range g.members {
 		if m == member {
@@ -208,7 +214,7 @@ func (c *Consumer) refresh() error {
 	if err != nil {
 		return err
 	}
-	parts, gen := c.grp.assignment(c.member, n)
+	parts, gen := c.grp.assignment(c.member, n, c.gen)
 	if gen == c.gen {
 		return nil
 	}

@@ -403,3 +403,43 @@ func TestTryPollMatchesPollWithoutWaiting(t *testing.T) {
 		t.Fatalf("TryPoll after Close: %v, want ErrConsumerClosed", err)
 	}
 }
+
+// TestPollCommitAllocs: a warm consumer polling buffered records and
+// committing them allocates only the batch it returns — no fetch-wait
+// registration, no assignment rebuilt at an unchanged generation, and no
+// per-commit list of the topic's groups. Both the instrumented (lag gauge)
+// path and a second group on the topic are exercised.
+func TestPollCommitAllocs(t *testing.T) {
+	b := NewBroker()
+	b.Instrument(obs.NewRegistry(obs.NewManualClock(time.Unix(0, 0).UTC())))
+	if err := b.CreateTopic("t", 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.ProduceBatch(context.Background(), "t", batchOf(4000, time.Unix(5000, 0).UTC())); err != nil {
+		t.Fatal(err)
+	}
+	c, err := b.NewConsumer("g", "t", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := b.NewConsumer("other", "t", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	pollCommit := func(poll func() ([]Record, error)) {
+		recs, err := poll()
+		if err != nil || len(recs) == 0 {
+			t.Fatalf("poll = %d records, %v; want a batch", len(recs), err)
+		}
+		c.Commit(recs[len(recs)-1])
+	}
+	try := func() ([]Record, error) { return c.TryPoll(8) }
+	block := func() ([]Record, error) { return c.Poll(context.Background(), 8) }
+	pollCommit(try) // joins the assignment
+	for name, poll := range map[string]func() ([]Record, error){"TryPoll": try, "Poll": block} {
+		if n := testing.AllocsPerRun(100, func() { pollCommit(poll) }); n != 1 {
+			t.Errorf("warm %s + Commit made %v allocations, want 1 (the returned batch)", name, n)
+		}
+	}
+}

@@ -272,6 +272,7 @@ func TestRateZeroElapsed(t *testing.T) {
 	clk := NewManualClock(epoch)
 	r := NewRegistry(clk)
 	r.Counter("core.records").Add(1234)
+	r.Histogram("lag.ingest.standard.seconds") // registered, never observed
 	s := r.Snapshot()
 	if s.Elapsed != 0 {
 		t.Fatalf("elapsed = %v, want 0", s.Elapsed)
@@ -291,6 +292,9 @@ func TestRateZeroElapsed(t *testing.T) {
 		if strings.Contains(b.String(), bad) {
 			t.Fatalf("WriteText contains %s:\n%s", bad, b.String())
 		}
+	}
+	if !strings.Contains(b.String(), "lag.ingest.standard.seconds") {
+		t.Fatalf("WriteText left out the empty histogram:\n%s", b.String())
 	}
 }
 

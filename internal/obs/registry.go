@@ -311,8 +311,9 @@ func (s Snapshot) Prefixed(prefix string) Snapshot {
 
 // WriteText renders the snapshot as a plain-text metrics dump: one line per
 // metric, sorted by name within each kind. Counters include the per-second
-// rate over the snapshot window, histograms their count/mean/p50/p99 — the
-// live counterparts of the paper's §4.2 throughput figures.
+// rate over the snapshot window, histograms their count/mean/p50/p99 (the
+// count alone while empty) — the live counterparts of the paper's §4.2
+// throughput figures.
 func (s Snapshot) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# metrics snapshot (window %s)\n", s.Elapsed.Round(time.Millisecond)); err != nil {
 		return err
@@ -328,8 +329,15 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	for _, h := range s.Histograms {
-		if _, err := fmt.Fprintf(w, "hist    %-42s count=%d mean=%.3g p50=%.3g p99=%.3g\n",
-			h.Name, h.Count, h.Mean(), h.Quantile(0.5), h.Quantile(0.99)); err != nil {
+		var err error
+		if h.Count == 0 {
+			// No observations: there is no mean or quantile to print.
+			_, err = fmt.Fprintf(w, "hist    %-42s count=0\n", h.Name)
+		} else {
+			_, err = fmt.Fprintf(w, "hist    %-42s count=%d mean=%.3g p50=%.3g p99=%.3g\n",
+				h.Name, h.Count, h.Mean(), h.Quantile(0.5), h.Quantile(0.99))
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -192,7 +192,7 @@ func (o *objState) closeWindow(cur obs.HistogramSnapshot) {
 	if delta.Count > 0 {
 		q := delta.Quantile(o.cfg.Quantile)
 		o.current = q
-		o.violated = q > o.cfg.Threshold.Seconds()
+		o.violated = q > o.cfg.Threshold.Seconds() || pastBounds(delta, o.cfg.Quantile)
 	}
 	if o.violated {
 		o.violations++
@@ -208,6 +208,19 @@ func (o *objState) closeWindow(cur obs.HistogramSnapshot) {
 		o.gViolated.Set(0)
 	}
 	o.gBurn.Set(float64(o.violations) / float64(o.windows))
+}
+
+// pastBounds reports whether h's q-quantile falls in its overflow bucket,
+// past every finite bound. Quantile then reports the largest finite bound,
+// which says nothing of how far past it the quantile lies, so a window whose
+// quantile is there cannot be shown compliant with any threshold. h holds
+// observations.
+func pastBounds(h obs.HistogramSnapshot, q float64) bool {
+	var finite int64
+	for _, c := range h.Counts[:min(len(h.Bounds), len(h.Counts))] {
+		finite += c
+	}
+	return finite == 0 || float64(finite) < q*float64(h.Count)
 }
 
 // sub returns cur − base bucket-wise. Mismatched shapes (bounds changed,

@@ -82,6 +82,29 @@ func TestWindowCloseJudgesOnlyTheWindow(t *testing.T) {
 	}
 }
 
+// TestOverflowQuantileViolates: a threshold past the largest finite bucket
+// bound (83.9 s) still fires when the window's quantile lies beyond every
+// bound — lags of years, as a replay of old event times reads — and a window
+// whose quantile is inside the bounds is judged by its value.
+func TestOverflowQuantileViolates(t *testing.T) {
+	clk := obs.NewManualClock(epoch)
+	reg := obs.NewRegistry(clk)
+	tr := NewTracker(reg, Objective{Family: "lag.predict.seconds", Threshold: 2 * time.Minute, Window: time.Minute})
+	tr.Observe(reg.Snapshot())
+	observeLag(reg, 60, 100)
+	clk.Advance(time.Minute)
+	tr.Observe(reg.Snapshot())
+	if st := tr.Status()[0]; st.Windows != 1 || st.Violated {
+		t.Fatalf("a window of 60 s lags against a 2 m threshold: %+v, want compliant", st)
+	}
+	observeLag(reg, 3e8, 100)
+	clk.Advance(time.Minute)
+	tr.Observe(reg.Snapshot())
+	if st := tr.Status()[0]; st.Windows != 2 || !st.Violated || st.Violations != 1 {
+		t.Fatalf("a window of 3e8 s lags against a 2 m threshold: %+v, want violated", st)
+	}
+}
+
 func TestEmptyWindowVacuouslyCompliant(t *testing.T) {
 	clk, reg, tr := harness()
 	tr.Observe(reg.Snapshot())
