@@ -525,36 +525,6 @@ func BenchmarkTripleAppend(b *testing.B) {
 	b.SetBytes(int64(len(buf)))
 }
 
-// Encoding and publishing one 13-triple critical point as one broker batch.
-func BenchmarkPublishCriticalPoint(b *testing.B) {
-	broker := msg.NewBroker()
-	if err := broker.CreateTopic(core.TopicTriples, 4); err != nil {
-		b.Fatal(err)
-	}
-	pub := core.NewTriplePublisher(broker)
-	triples := benchPointTriples(4211)
-	ctx := context.Background()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := pub.Publish(ctx, triples, gen.DefaultStart); err != nil {
-			b.Fatal(err)
-		}
-		if i%4096 == 4095 {
-			// The broker keeps what it is given; drop the log so a long
-			// run measures publishing, not heap growth.
-			b.StopTimer()
-			for part := 0; part < 4; part++ {
-				if err := broker.Truncate(core.TopicTriples, part, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StartTimer()
-		}
-	}
-	b.ReportMetric(float64(len(triples)), "triples/op")
-}
-
 // Rendering one critical point's graph — 11 template triples, two weather
 // annotations and two links — to N-Triples lines and keys with the typed
 // renderer, into a reused graph. Compare BenchmarkRDFGeneratorPerRecord plus

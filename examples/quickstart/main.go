@@ -22,7 +22,7 @@ func main() {
 	region := geo.Rect{MinLon: 22, MinLat: 36, MaxLon: 28, MaxLat: 41}
 
 	// 1. A pipeline with default (maritime) settings.
-	pipeline, err := core.New(core.WithDomain(mobility.Maritime))
+	pipeline, err := core.New(core.WithConfig(core.Config{Domain: mobility.Maritime}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func getURL(t *testing.T, url string) (int, string) {
 // from the run, and a clean Shutdown.
 func TestAdminServesPipeline(t *testing.T) {
 	p, err := New(
-		WithDomain(mobility.Maritime),
+		WithConfig(Config{Domain: mobility.Maritime}),
 		WithAdmin("127.0.0.1:0"),
 		WithWatchdogInterval(time.Hour), // ticked manually below
 	)

@@ -10,7 +10,6 @@ import (
 	"datacron/internal/cer"
 	"datacron/internal/linkdisc"
 	"datacron/internal/msg"
-	"datacron/internal/rdf"
 	"datacron/internal/rdfgen"
 	"datacron/internal/va"
 )
@@ -50,54 +49,23 @@ func (a *arena[T]) alloc(n int) []T {
 // clone returns a copy of b placed in the arena.
 func (a *arena[T]) clone(b []T) []T { return append(a.alloc(len(b)), b...) }
 
-// TriplePublisher is the real-time layer's triple emit path: it places
-// N-Triples lines in an arena, stages their TopicTriples records, and sends
-// everything staged in a single Broker.ProduceBatch. A publisher belongs to
-// one goroutine — the run loop builds its own per run.
-type TriplePublisher struct {
+// triplePublisher is the real-time layer's triple emit path: it places
+// rendered graphs' N-Triples lines in an arena, stages their TopicTriples
+// records, and sends everything staged in a single Broker.ProduceBatch. A
+// publisher belongs to one goroutine — the run loop builds its own per run.
+type triplePublisher struct {
 	broker *msg.Broker
 	arena  arena[byte]  // the encoded lines, owned by the broker once produced
-	line   []byte       // one triple's encoding, before it is placed in the arena
 	recs   []msg.Record // staged for the next send, reused across sends
 	// The staged graphs' subject keys, back to back, and where record i's
-	// key sits in them: send turns them into one string. Staged records are
-	// always the first len(keySpans) of recs, as Publish sends what it
-	// appends at once.
+	// key sits in them (stage appends to recs and keySpans together): send
+	// turns them into one string.
 	keys     []byte
 	keySpans []keySpan
 }
 
 // keySpan places a staged record's key at keys[start:end].
 type keySpan struct{ start, end int }
-
-// NewTriplePublisher returns a publisher producing to b's TopicTriples.
-func NewTriplePublisher(b *msg.Broker) *TriplePublisher {
-	return &TriplePublisher{broker: b}
-}
-
-// encode returns t's N-Triples line as an arena-backed value that is safe to
-// hand to the broker.
-func (tp *TriplePublisher) encode(t rdf.Triple) []byte {
-	tp.line = t.AppendNT(tp.line[:0])
-	return tp.arena.clone(tp.line)
-}
-
-// Publish sends triples to the triples topic as N-Triples lines, in order,
-// keyed by subject and stamped ts, in one broker batch.
-func (tp *TriplePublisher) Publish(ctx context.Context, triples []rdf.Triple, ts time.Time) error {
-	// Consecutive triples mostly share a subject (a template lists a node's
-	// properties together), so the key is built once per run of equal ones.
-	var subject rdf.Term
-	var key string
-	for _, t := range triples {
-		if t.S != subject {
-			subject, key = t.S, t.S.Key()
-		}
-		//lint:ignore boundedchan emptied by the send below: one call's triples
-		tp.recs = append(tp.recs, msg.Record{Key: key, Value: tp.encode(t), Time: ts})
-	}
-	return tp.send(ctx)
-}
 
 // stage appends a rendered graph's TopicTriples records to the stage, one
 // per line stamped ts: the lines are copied into the arena in one piece, each
@@ -106,7 +74,7 @@ func (tp *TriplePublisher) Publish(ctx context.Context, triples []rdf.Triple, ts
 // the next stage or send, whose keys send fills in; a caller may produce
 // their values to another topic as well, since the broker never writes a
 // value it holds.
-func (tp *TriplePublisher) stage(g *rdfgen.PointGraph, ts time.Time) []msg.Record {
+func (tp *triplePublisher) stage(g *rdfgen.PointGraph, ts time.Time) []msg.Record {
 	lines := tp.arena.clone(g.Lines)
 	base := len(tp.keys)
 	//lint:ignore boundedchan emptied by every send: at most one poll batch's graphs
@@ -125,7 +93,7 @@ func (tp *TriplePublisher) stage(g *rdfgen.PointGraph, ts time.Time) []msg.Recor
 // and empties the stage. The staged graphs' keys become one string — the
 // batch's one allocation for them — that every staged record's key is a
 // slice of, so a run of one subject's records shares its key bytes.
-func (tp *TriplePublisher) send(ctx context.Context) error {
+func (tp *triplePublisher) send(ctx context.Context) error {
 	if len(tp.keySpans) > 0 {
 		keys := string(tp.keys)
 		for i, k := range tp.keySpans {
@@ -145,7 +113,7 @@ func (tp *TriplePublisher) send(ctx context.Context) error {
 // written against, so each is still produced the moment its point is merged
 // rather than charged half a batch's apply time.
 type batchEmit struct {
-	triples TriplePublisher // its arena also holds the links' values
+	triples triplePublisher // its arena also holds the links' values
 	links   []msg.Record
 	events  []msg.Record
 	notes   arena[byte] // the TopicEvents values
@@ -157,7 +125,7 @@ type batchEmit struct {
 }
 
 func newBatchEmit(b *msg.Broker, dash *va.Dashboard) *batchEmit {
-	return &batchEmit{triples: TriplePublisher{broker: b}, dash: dash}
+	return &batchEmit{triples: triplePublisher{broker: b}, dash: dash}
 }
 
 // stageLink stages l's TopicLinks record: keyed by its source, stamped with

@@ -30,34 +30,54 @@ func triplesBroker(t testing.TB) *msg.Broker {
 	return b
 }
 
-// pointTriples is what the run loop builds for one critical point with
-// weather enrichment: 11 template triples plus two annotations.
-func pointTriples(seq int) []rdf.Triple {
-	cp := synopses.CriticalPoint{Type: synopses.ChangeInHeading, Report: mobility.Report{
-		ID: "v-17", Time: gen.DefaultStart.Add(time.Duration(seq) * time.Second),
+// fixturePoint is the critical point of seq of mover id.
+func fixturePoint(seq int, id string) *synopses.CriticalPoint {
+	return &synopses.CriticalPoint{Type: synopses.ChangeInHeading, Report: mobility.Report{
+		ID: id, Time: gen.DefaultStart.Add(time.Duration(seq) * time.Second),
 		Pos: geo.Pt(23.5+float64(seq)*1e-4, 37.9), SpeedKn: 11.5, Heading: 270,
 	}}
-	triples := rdfgen.CriticalPointGenerator().Generate(rdfgen.CriticalPointRecord(seq, cp))
+}
+
+// pointTriples is v-17's point of seq with weather enrichment as the
+// generic generator builds it: 11 template triples plus two annotations.
+func pointTriples(seq int) []rdf.Triple {
+	cp := fixturePoint(seq, "v-17")
+	triples := rdfgen.CriticalPointGenerator().Generate(rdfgen.CriticalPointRecord(seq, *cp))
 	node := ontology.NodeIRI(cp.ID, seq)
 	return append(triples,
 		rdf.Triple{S: node, P: ontology.PropWindSpeed, O: rdf.Float(7.25)},
 		rdf.Triple{S: node, P: ontology.PropWaveHeight, O: rdf.Float(1.5)})
 }
 
-// TestPublishMatchesPerTripleProduce: one batch per point leaves the triples
-// topic record for record what one Produce per triple left — same keys (so
-// same partitions and offsets), same bytes, same times.
+// renderPoint renders mover id's point of seq into g as the run loop does,
+// with the weather pointTriples carries.
+func renderPoint(g *rdfgen.PointGraph, seq int, id string) *rdfgen.PointGraph {
+	row := rdfgen.PointRow{Seq: seq, Point: fixturePoint(seq, id), Weather: true, Wind: 7.25, Wave: 1.5}
+	rdfgen.NewPointRenderer().Render(g, &row)
+	return g
+}
+
+// publish stages g's records stamped ts and sends them: the run loop's
+// triple emit of one critical point.
+func publish(ctx context.Context, tp *triplePublisher, g *rdfgen.PointGraph, ts time.Time) error {
+	tp.stage(g, ts)
+	return tp.send(ctx)
+}
+
+// TestPublishMatchesPerTripleProduce: one batch per rendered point leaves
+// the triples topic record for record what one Produce per generated triple
+// left — same keys (so same partitions and offsets), same bytes, same times.
 func TestPublishMatchesPerTripleProduce(t *testing.T) {
 	ctx := context.Background()
 	batched, single := triplesBroker(t), triplesBroker(t)
-	pub := NewTriplePublisher(batched)
+	pub := &triplePublisher{broker: batched}
+	var g rdfgen.PointGraph
 	for seq := 0; seq < 40; seq++ {
-		triples := pointTriples(seq)
 		ts := gen.DefaultStart.Add(time.Duration(seq) * time.Minute)
-		if err := pub.Publish(ctx, triples, ts); err != nil {
+		if err := publish(ctx, pub, renderPoint(&g, seq, "v-17"), ts); err != nil {
 			t.Fatal(err)
 		}
-		for _, tr := range triples {
+		for _, tr := range pointTriples(seq) {
 			if _, err := single.Produce(ctx, TopicTriples, tr.S.Key(), []byte(tr.String()), ts); err != nil {
 				t.Fatal(err)
 			}
@@ -84,35 +104,50 @@ func TestPublishMatchesPerTripleProduce(t *testing.T) {
 }
 
 // TestPublishArenaValuesAreStable: the broker keeps the values it is handed,
-// so later publishes — across slab boundaries, and around lines too large
+// so later publishes — across slab boundaries, and around graphs too large
 // for a slab's remainder or for any slab — must leave earlier ones untouched.
 func TestPublishArenaValuesAreStable(t *testing.T) {
 	ctx := context.Background()
 	b := triplesBroker(t)
-	pub := NewTriplePublisher(b)
-	node := ontology.NodeIRI("v-1", 0)
-	wkt := func(n int) rdf.Triple {
-		return rdf.Triple{S: node, P: ontology.PropAsWKT, O: rdf.WKT("LINESTRING (" + strings.Repeat("23.5 37.9, ", n/11) + "0 0)")}
+	pub := &triplePublisher{broker: b}
+	// A mover ID appears in every line of its graph, so a long one makes a
+	// large graph: renderSized renders one whose lines take at least n
+	// bytes, and at most a line per triple more.
+	var short rdfgen.PointGraph
+	renderPoint(&short, 0, "v")
+	perChar := len(renderPoint(&rdfgen.PointGraph{}, 0, "vv").Lines) - len(short.Lines)
+	renderSized := func(n int) *rdfgen.PointGraph {
+		return renderPoint(&rdfgen.PointGraph{}, 0, strings.Repeat("v", 1+(n-len(short.Lines)+perChar-1)/perChar))
 	}
-	var want []string
-	publish := func(triples []rdf.Triple) {
+	// want holds each key's lines in publish order.
+	want := map[string][]string{}
+	published := 0
+	publishGraph := func(g *rdfgen.PointGraph) {
 		t.Helper()
-		for _, tr := range triples {
-			want = append(want, tr.String())
+		for _, l := range g.Triples {
+			key := string(g.Keys[l.KeyStart:l.KeyEnd])
+			want[key] = append(want[key], string(g.Lines[l.Start:l.End]))
 		}
-		if err := pub.Publish(ctx, triples, gen.DefaultStart); err != nil {
+		published += len(g.Triples)
+		if err := publish(ctx, pub, g, gen.DefaultStart); err != nil {
 			t.Fatal(err)
 		}
 	}
-	publish(pointTriples(0))
-	publish([]rdf.Triple{wkt(arenaSlab - 1000)}) // fits a fresh slab, not the remainder
-	publish(pointTriples(1))
-	publish([]rdf.Triple{wkt(2 * arenaSlab)}) // larger than any slab
+	remainder := func() int { return cap(pub.arena.slab) - len(pub.arena.slab) }
+	var g rdfgen.PointGraph
+	publishGraph(renderPoint(&g, 0, "v-17"))
+	fresh := renderSized(arenaSlab - 1000) // fits a fresh slab, not the remainder
+	if len(fresh.Lines) <= remainder() || len(fresh.Lines) > arenaSlab {
+		t.Fatalf("fixture graph of %d bytes must exceed the remainder %d and fit a %d-byte slab", len(fresh.Lines), remainder(), arenaSlab)
+	}
+	publishGraph(fresh)
+	publishGraph(renderPoint(&g, 1, "v-17"))
+	publishGraph(renderSized(2 * arenaSlab)) // larger than any slab
 	slabs := 0
 	for seq := 2; slabs < 3; seq++ { // run across three more slab boundaries
-		before := cap(pub.arena.slab) - len(pub.arena.slab)
-		publish(pointTriples(seq))
-		if cap(pub.arena.slab)-len(pub.arena.slab) > before {
+		before := remainder()
+		publishGraph(renderPoint(&g, seq, "v-17"))
+		if remainder() > before {
 			slabs++
 		}
 	}
@@ -120,24 +155,16 @@ func TestPublishArenaValuesAreStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(want) {
-		t.Fatalf("log has %d records, published %d", len(recs), len(want))
+	if len(recs) != published {
+		t.Fatalf("log has %d records, published %d", len(recs), published)
 	}
-	// One subject key per point, so each point sits in one partition, in order.
-	byPartition := map[string][]string{}
-	for _, tr := range want {
-		parsed, err := rdf.ParseNTriple([]byte(tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		byPartition[parsed.S.Key()] = append(byPartition[parsed.S.Key()], tr)
-	}
+	// One key's records sit in one partition, in publish order.
 	for _, r := range recs {
-		q := byPartition[r.Key]
+		q := want[r.Key]
 		if len(q) == 0 || string(r.Value) != q[0] {
-			t.Fatalf("retained value for key %s was overwritten or reordered:\n got %.120s", r.Key, r.Value)
+			t.Fatalf("retained value for key %.80s was overwritten or reordered:\n got %.120s", r.Key, r.Value)
 		}
-		byPartition[r.Key] = q[1:]
+		want[r.Key] = q[1:]
 		if cap(r.Value) != len(r.Value) {
 			t.Fatalf("value has spare capacity %d: an append to it would write into its neighbour", cap(r.Value)-len(r.Value))
 		}
@@ -206,23 +233,51 @@ func TestCERNotesMatchSprintf(t *testing.T) {
 func TestPublishAllocations(t *testing.T) {
 	ctx := context.Background()
 	b := triplesBroker(t)
-	pub := NewTriplePublisher(b)
-	triples := pointTriples(3)
-	if len(triples) != 13 {
-		t.Fatalf("fixture point has %d triples, want 13", len(triples))
+	pub := &triplePublisher{broker: b}
+	g := renderPoint(&rdfgen.PointGraph{}, 3, "v-17")
+	if len(g.Triples) != 13 {
+		t.Fatalf("fixture point has %d triples, want 13", len(g.Triples))
 	}
-	publish := func() {
-		if err := pub.Publish(ctx, triples, gen.DefaultStart); err != nil {
+	publishOne := func() {
+		if err := publish(ctx, pub, g, gen.DefaultStart); err != nil {
 			t.Fatal(err)
 		}
 	}
-	publish() // sizes the scratch
-	// Four subject keys (trajectory, node, event, node again) and the amortised
-	// shares of a slab and of the partition logs' growth: a constant, where
-	// the per-triple path made three allocations for each of the 13 triples.
-	if n := testing.AllocsPerRun(200, publish); n > 8 {
+	publishOne() // sizes the scratch
+	// One key string per send and the amortised shares of a slab and of the
+	// partition logs' growth: a constant, where the per-triple path made
+	// three allocations for each of the 13 triples.
+	if n := testing.AllocsPerRun(200, publishOne); n > 8 {
 		t.Errorf("publishing a 13-triple critical point made %v allocations, want at most 8", n)
 	}
+}
+
+// BenchmarkPublishCriticalPoint stages one rendered 13-triple critical point
+// and sends it as one broker batch, the run loop's triple emit.
+func BenchmarkPublishCriticalPoint(b *testing.B) {
+	broker := triplesBroker(b)
+	pub := &triplePublisher{broker: broker}
+	g := renderPoint(&rdfgen.PointGraph{}, 4211, "v-17")
+	ctx := context.Background()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := publish(ctx, pub, g, gen.DefaultStart); err != nil {
+			b.Fatal(err)
+		}
+		if i%4096 == 4095 {
+			// The broker keeps what it is given; drop the log so a long
+			// run measures publishing, not heap growth.
+			b.StopTimer()
+			for part := 0; part < 4; part++ {
+				if err := broker.Truncate(TopicTriples, part, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+	}
+	b.ReportMetric(float64(len(g.Triples)), "triples/op")
 }
 
 // TestPublishRefusedTriplesFailTheRun: a drop policy on the triples topic
@@ -232,9 +287,9 @@ func TestPublishRefusedTriplesFailTheRun(t *testing.T) {
 	if err := b.LimitTopic(TopicTriples, msg.TopicLimit{Capacity: 2, Policy: msg.DropNewest}); err != nil {
 		t.Fatal(err)
 	}
-	err := NewTriplePublisher(b).Publish(context.Background(), pointTriples(0), gen.DefaultStart)
+	err := publish(context.Background(), &triplePublisher{broker: b}, renderPoint(&rdfgen.PointGraph{}, 0, "v-17"), gen.DefaultStart)
 	if !errors.Is(err, msg.ErrTopicFull) {
-		t.Fatalf("Publish on a full drop-newest topic = %v, want ErrTopicFull", err)
+		t.Fatalf("publishing on a full drop-newest topic = %v, want ErrTopicFull", err)
 	}
 }
 
@@ -246,8 +301,8 @@ func TestUnparsableTripleRecordsAreCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := pointTriples(0)
-	if err := NewTriplePublisher(p.Broker).Publish(ctx, good, gen.DefaultStart); err != nil {
+	good := renderPoint(&rdfgen.PointGraph{}, 0, "v-17")
+	if err := publish(ctx, &triplePublisher{broker: p.Broker}, good, gen.DefaultStart); err != nil {
 		t.Fatal(err)
 	}
 	for _, junk := range []string{"not a triple", "", "# comment"} {
@@ -259,15 +314,15 @@ func TestUnparsableTripleRecordsAreCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kg.Len() != len(good) {
-		t.Errorf("knowledge graph holds %d triples, want the %d parsable ones", kg.Len(), len(good))
+	if kg.Len() != len(good.Triples) {
+		t.Errorf("knowledge graph holds %d triples, want the %d parsable ones", kg.Len(), len(good.Triples))
 	}
 	if got := p.Obs().Snapshot().Counter("core.triples.unparsable"); got != 3 {
 		t.Errorf("core.triples.unparsable = %d, want 3", got)
 	}
 	var sb strings.Builder
 	n, err := p.ExportTriples(&sb)
-	if err != nil || n != int64(len(good)) {
-		t.Errorf("ExportTriples = %d, %v; want %d", n, err, len(good))
+	if err != nil || n != int64(len(good.Triples)) {
+		t.Errorf("ExportTriples = %d, %v; want %d", n, err, len(good.Triples))
 	}
 }

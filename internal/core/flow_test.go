@@ -22,8 +22,7 @@ import (
 func flowPipeline(t *testing.T, shards int, fc flow.Config) (*Pipeline, []mobility.Report) {
 	t.Helper()
 	p, err := New(
-		WithDomain(mobility.Maritime),
-		WithPartitions(1),
+		WithConfig(Config{Domain: mobility.Maritime, Partitions: 1}),
 		WithShards(shards),
 		WithFlow(fc),
 	)

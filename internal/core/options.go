@@ -8,22 +8,20 @@ import (
 
 	"datacron/internal/admin"
 	"datacron/internal/flow"
-	"datacron/internal/gen"
 	"datacron/internal/health"
-	"datacron/internal/mobility"
 	"datacron/internal/msg"
 	"datacron/internal/obs"
 	"datacron/internal/obs/slo"
 )
 
-// Option configures a Pipeline built with New. Options replace the old
-// pattern of filling a Config struct and relying on zero-value defaulting:
-// each option states one intent, unset aspects keep their documented
-// defaults, and new knobs can be added without breaking callers.
+// Option configures a Pipeline built with New. The pipeline's own settings
+// are one Config, set with WithConfig, whose zero fields take their
+// documented defaults; the other options attach what runs around the
+// pipeline — metrics, clock, logger, admin server, SLOs, flow control — and
+// WithShards sets the shard count alone.
 type Option func(*options)
 
-// options is the accumulated build state. cfg reuses the legacy Config
-// layout internally so both construction paths share one defaulting rule.
+// options is the accumulated build state.
 type options struct {
 	cfg       Config
 	reg       *obs.Registry
@@ -39,22 +37,10 @@ type options struct {
 	slos      []slo.Objective
 }
 
-// WithConfig applies a legacy Config wholesale. Later options override the
-// fields they touch. This is the bridge for callers still holding a filled
-// Config from the pre-options construction path.
+// WithConfig sets the pipeline's Config wholesale; its zero fields take
+// their defaults. A later WithShards overrides the shard count.
 func WithConfig(cfg Config) Option {
 	return func(o *options) { o.cfg = cfg }
-}
-
-// WithDomain selects the mobility domain (maritime or aviation); the
-// domain picks the default synopses thresholds.
-func WithDomain(d mobility.Domain) Option {
-	return func(o *options) { o.cfg.Domain = d }
-}
-
-// WithPartitions sets the broker partition count (default 4).
-func WithPartitions(n int) Option {
-	return func(o *options) { o.cfg.Partitions = n }
 }
 
 // WithShards runs the real-time loop's per-trajectory stages (synopses,
@@ -67,20 +53,6 @@ func WithPartitions(n int) Option {
 // fleet size — shards beyond the number of distinct movers sit idle.
 func WithShards(n int) Option {
 	return func(o *options) { o.cfg.Shards = n }
-}
-
-// WithFLP tunes future-location prediction: look-ahead steps per mover
-// (default 8) and the sampling interval (default 10s).
-func WithFLP(steps int, sample time.Duration) Option {
-	return func(o *options) {
-		o.cfg.PredictSteps = steps
-		o.cfg.SampleInterval = sample
-	}
-}
-
-// WithWeather enables weather enrichment of critical points.
-func WithWeather(w *gen.WeatherField) Option {
-	return func(o *options) { o.cfg.Weather = w }
 }
 
 // WithObs attaches the given metrics registry instead of the default

@@ -30,9 +30,7 @@ func TestNewDefaults(t *testing.T) {
 func TestOptionsApply(t *testing.T) {
 	clk := obs.NewManualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	p, err := New(
-		WithDomain(mobility.Aviation),
-		WithPartitions(2),
-		WithFLP(4, 5*time.Second),
+		WithConfig(Config{Domain: mobility.Aviation, Partitions: 2, PredictSteps: 4, SampleInterval: 5 * time.Second}),
 		WithClock(clk),
 	)
 	if err != nil {
@@ -78,11 +76,11 @@ func TestWithObsNilDisablesInstrumentation(t *testing.T) {
 
 func TestSharedRegistryAcrossPipelines(t *testing.T) {
 	reg := obs.NewRegistry(nil)
-	a, err := New(WithObs(reg), WithPartitions(1))
+	a, err := New(WithObs(reg), WithConfig(Config{Partitions: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(WithObs(reg), WithPartitions(1))
+	b, err := New(WithObs(reg), WithConfig(Config{Partitions: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,6 +68,12 @@ func shardedMaritimePipeline(t testing.TB, withCER bool, shards int, extra ...Op
 	return p, reports
 }
 
+// withConfigEdit edits the Config an earlier WithConfig set: a test's
+// variation on shardedMaritimePipeline's fixture.
+func withConfigEdit(edit func(*Config)) Option {
+	return func(o *options) { edit(&o.cfg) }
+}
+
 func criticalAlphabet() []string {
 	return []string{
 		string(synopses.TrajectoryStart), string(synopses.TrajectoryEnd),

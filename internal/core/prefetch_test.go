@@ -158,7 +158,8 @@ func TestPrefetchIntervalTriggerOnManualClock(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			clk := obs.NewManualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-			p, reports := shardedMaritimePipeline(t, false, shards, WithPartitions(1), WithClock(clk))
+			p, reports := shardedMaritimePipeline(t, false, shards,
+				withConfigEdit(func(c *Config) { c.Partitions = 1 }), WithClock(clk))
 			store := checkpoint.NewMemStore()
 			cpr, err := checkpoint.NewCheckpointer(store, 1<<20)
 			if err != nil {

@@ -281,8 +281,8 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		return shardSnaps.SetEpoch(epoch, states)
 	}
 
-	// The consumer is created after the restore so its first rebalance
-	// picks up the restored committed offsets.
+	// The consumer is created after the restore: it starts at the
+	// committed offsets as they stand when it opens.
 	cons, err := p.Broker.NewConsumer(sourceGroup, TopicRaw, sourceMember)
 	if err != nil {
 		return sum, err

@@ -85,7 +85,8 @@ func TestShardedByteIdenticalOutput(t *testing.T) {
 // the workers share the read-only weather field and write only their own
 // arenas.
 func TestFinishedPointsMatchSerialSummarize(t *testing.T) {
-	weather := WithWeather(gen.NewWeatherField(7, gen.DefaultStart))
+	field := gen.NewWeatherField(7, gen.DefaultStart)
+	weather := withConfigEdit(func(c *Config) { c.Weather = field })
 	var base *Pipeline
 	for _, shards := range []int{1, 2, 4} {
 		p, reports := shardedMaritimePipeline(t, true, shards, weather)

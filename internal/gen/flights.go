@@ -176,15 +176,6 @@ func (s *FlightSim) makeVariant(r *rand.Rand, dep, arr Airport, pairIdx, v int) 
 	}
 }
 
-// Variants returns the route-variant names, useful for cluster ground truth.
-func (s *FlightSim) Variants() []string {
-	out := make([]string, len(s.variants))
-	for i, v := range s.variants {
-		out[i] = v.name
-	}
-	return out
-}
-
 // flightProfile holds per-flight performance numbers.
 type flightProfile struct {
 	climbFPS   float64 // climb rate feet/second

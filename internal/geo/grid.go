@@ -37,9 +37,6 @@ func NewGrid(extent Rect, cols, rows int) *Grid {
 // NumCells returns Cols*Rows.
 func (g *Grid) NumCells() int { return g.Cols * g.Rows }
 
-// CellSizeDeg returns the cell extent in degrees.
-func (g *Grid) CellSizeDeg() (dLon, dLat float64) { return g.dLon, g.dLat }
-
 // Locate returns the (col, row) of the cell containing p, clamping points on
 // or outside the extent boundary to the nearest edge cell, and ok=false when
 // p is strictly outside the extent.

@@ -29,9 +29,9 @@ var hotPathRootNames = []string{
 // the ingest and shard-worker paths), the broker's batch produce and
 // non-blocking poll, the pipeline's batch ingest, the critical-point emit
 // path (triple generation, the typed graph renderer, N-Triples encoding,
-// link discovery into a reused buffer, batched publish, the merge's
-// per-batch output flush), the weather read of every critical point, and
-// the per-trajectory kernels that run on every report (future-location
+// link discovery into a reused buffer, the merge's per-batch output
+// flush), the weather read of every critical point, and the
+// per-trajectory kernels that run on every report (future-location
 // prediction, the synopses generator and its record encoder, the in-situ
 // profiler), and the per-mover step functions a shard worker's mover table
 // drives them through (the ID-bytes decode, the synopses track step, the
@@ -43,7 +43,7 @@ var HotPathExtraRoots = map[string][]string{
 	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "Decode", "DecodeFields"},
 	"internal/msg":      {"ProduceBatch", "TryPoll"},
 	"internal/shard":    {"SubmitBatch"},
-	"internal/core":     {"Ingest", "Publish", "flushBatch", "moverOf"},
+	"internal/core":     {"Ingest", "flushBatch", "moverOf"},
 	"internal/gen":      {"WindAndWave"},
 	"internal/rdf":      {"AppendNT"},
 	"internal/rdfgen":   {"Generate", "Render"},

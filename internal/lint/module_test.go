@@ -33,7 +33,7 @@ func TestHotAllocExtraRoots(t *testing.T) {
 
 func TestHotAllocEmitPathRoots(t *testing.T) {
 	// The critical-point emit path's three entry points — rdf AppendNT,
-	// rdfgen Generate, core Publish — are extra roots, each in its own
+	// rdfgen Generate, core flushBatch — are extra roots, each in its own
 	// package: one fixture per package, loaded under that package's path.
 	for _, pkg := range []string{"rdf", "rdfgen", "core"} {
 		runFixture(t, "hotalloc", "hotallocemit/"+pkg, "datacron/internal/"+pkg+"/lintfixture")

@@ -1,31 +1,31 @@
-// Package fixture stands in for internal/core's emit path: Publish matches
-// no root name prefix of the hot-path scope, so it is rooted by name in
-// HotPathExtraRoots.
+// Package fixture stands in for internal/core's emit path: flushBatch
+// matches no root name prefix of the hot-path scope, so it is rooted by name
+// in HotPathExtraRoots.
 package fixture
 
 import "errors"
 
-// Publisher stands in for core.TriplePublisher.
-type Publisher struct{ sent [][]byte }
+// batchEmit stands in for core.batchEmit.
+type batchEmit struct{ sent [][]byte }
 
-// Publish is the batched triple publish.
-func (p *Publisher) Publish(lines []string) error {
+// flushBatch is the merge's per-batch output flush.
+func (e *batchEmit) flushBatch(lines []string) error {
 	for _, l := range lines {
 		if l == "" {
 			return errors.New("empty line") // want "errors.New allocates"
 		}
-		p.sent = append(p.sent, []byte(l))
+		e.sent = append(e.sent, []byte(l))
 	}
 	return nil
 }
 
 // Reset is neither rooted nor reached from a root.
-func (p *Publisher) Reset(lines []string) error {
+func (e *batchEmit) Reset(lines []string) error {
 	for _, l := range lines {
 		if l == "" {
 			return errors.New("empty line")
 		}
 	}
-	p.sent = nil
+	e.sent = nil
 	return nil
 }

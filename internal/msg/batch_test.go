@@ -108,12 +108,11 @@ func TestProduceBatchAdmissionPerRecord(t *testing.T) {
 			t.Fatalf("record %d got offset %d, want RejectedOffset", i, batch[i].Offset)
 		}
 	}
-	lim, _ := b.Limit("raw")
-	if lim.Capacity != 3 {
-		t.Fatalf("limit changed: %+v", lim)
-	}
 	ts, ok := b.Stats().Topic("raw")
-	if !ok || ts.Rejected != 5 {
+	if !ok || ts.Capacity != 3 {
+		t.Fatalf("limit changed: %+v", ts)
+	}
+	if ts.Rejected != 5 {
 		t.Fatalf("rejected = %d, want 5", ts.Rejected)
 	}
 }

@@ -695,7 +695,7 @@ func (b *Broker) Fetch(ctx context.Context, topicName string, partitionIdx int, 
 
 // PeekTime returns the event time of the first retained record at or past
 // offset without consuming it. ok is false when no such record exists.
-// Consumers use it to merge their assigned partitions in event-time order.
+// Consumers use it to merge their topic's partitions in event-time order.
 func (b *Broker) PeekTime(topicName string, partitionIdx int, offset int64) (time.Time, bool, error) {
 	t, err := b.topic(topicName)
 	if err != nil {
@@ -798,35 +798,4 @@ func (b *Broker) Close() {
 			p.mu.Unlock()
 		}
 	}
-}
-
-// TotalRecords reports the number of records currently retained in a topic,
-// summed over partitions. Used by monitoring and benchmarks.
-func (b *Broker) TotalRecords(topicName string) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for _, p := range t.parts {
-		p.mu.Lock()
-		n += int64(p.log.len())
-		p.mu.Unlock()
-	}
-	return n, nil
-}
-
-// TotalBytes reports the summed value sizes retained in a topic.
-func (b *Broker) TotalBytes(topicName string) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for _, p := range t.parts {
-		p.mu.Lock()
-		n += p.log.bytes
-		p.mu.Unlock()
-	}
-	return n, nil
 }

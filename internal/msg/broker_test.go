@@ -219,12 +219,8 @@ func TestConcurrentProducersTotalCount(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	n, err := b.TotalRecords("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != producers*each {
-		t.Errorf("total records = %d, want %d", n, producers*each)
+	if st, _ := b.Stats().Topic("t"); st.Records != producers*each {
+		t.Errorf("total records = %d, want %d", st.Records, producers*each)
 	}
 }
 
@@ -258,66 +254,6 @@ func TestConsumerGroupSinglePartitionOrder(t *testing.T) {
 		if v != byte(i) {
 			t.Fatalf("record %d = %d, out of order", i, v)
 		}
-	}
-}
-
-func TestConsumerGroupRebalance(t *testing.T) {
-	b := NewBroker()
-	if err := b.CreateTopic("t", 4); err != nil {
-		t.Fatal(err)
-	}
-	c1, err := b.NewConsumer("g", "t", "m1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c1.Assignment(); len(got) != 4 {
-		t.Errorf("single member should own all 4 partitions, got %v", got)
-	}
-	c2, err := b.NewConsumer("g", "t", "m2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, a2 := c1.Assignment(), c2.Assignment()
-	if len(a1)+len(a2) != 4 || len(a1) != 2 || len(a2) != 2 {
-		t.Errorf("rebalanced assignment uneven: %v / %v", a1, a2)
-	}
-	seen := map[int]bool{}
-	for _, p := range append(a1, a2...) {
-		if seen[p] {
-			t.Errorf("partition %d assigned twice", p)
-		}
-		seen[p] = true
-	}
-	c2.Close()
-	if got := c1.Assignment(); len(got) != 4 {
-		t.Errorf("after leave, m1 should re-own all partitions, got %v", got)
-	}
-}
-
-func TestMoreConsumersThanPartitions(t *testing.T) {
-	b := NewBroker()
-	if err := b.CreateTopic("t", 2); err != nil {
-		t.Fatal(err)
-	}
-	c1, _ := b.NewConsumer("g", "t", "m1")
-	c2, _ := b.NewConsumer("g", "t", "m2")
-	c3, _ := b.NewConsumer("g", "t", "m3") // no partition for this one
-	defer c1.Close()
-	defer c2.Close()
-	a1, a2, a3 := c1.Assignment(), c2.Assignment(), c3.Assignment()
-	if len(a1)+len(a2)+len(a3) != 2 {
-		t.Errorf("assignments = %v %v %v", a1, a2, a3)
-	}
-	if len(a3) != 0 {
-		t.Errorf("overflow consumer should idle, got %v", a3)
-	}
-	if _, err := c3.Poll(context.Background(), 1); err == nil {
-		t.Error("poll with no assignment should error")
-	}
-	// When a member leaves, the idle consumer picks up its partition.
-	c1.Close()
-	if got := c3.Assignment(); len(got) != 1 {
-		t.Errorf("after rebalance, overflow consumer owns %v", got)
 	}
 }
 
@@ -441,50 +377,6 @@ func TestDrainMergesByTime(t *testing.T) {
 	}
 }
 
-func TestParallelConsumersPartitionDisjoint(t *testing.T) {
-	b := NewBroker()
-	if err := b.CreateTopic("t", 4); err != nil {
-		t.Fatal(err)
-	}
-	const total = 400
-	for i := 0; i < total; i++ {
-		if _, err := b.Produce(context.Background(), "t", fmt.Sprintf("key-%d", i), []byte{1}, base); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.CloseTopic("t")
-	c1, _ := b.NewConsumer("g", "t", "m1")
-	c2, _ := b.NewConsumer("g", "t", "m2")
-	defer c1.Close()
-	defer c2.Close()
-	count := func(c *Consumer) int {
-		n := 0
-		for {
-			recs, err := c.Poll(context.Background(), 64)
-			if errors.Is(err, ErrClosed) {
-				return n
-			}
-			if err != nil {
-				t.Errorf("poll: %v", err)
-				return n
-			}
-			n += len(recs)
-		}
-	}
-	var n1, n2 int
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); n1 = count(c1) }()
-	go func() { defer wg.Done(); n2 = count(c2) }()
-	wg.Wait()
-	if n1+n2 != total {
-		t.Errorf("consumed %d+%d=%d, want %d", n1, n2, n1+n2, total)
-	}
-	if n1 == 0 || n2 == 0 {
-		t.Errorf("load should be shared: %d / %d", n1, n2)
-	}
-}
-
 func TestTopicsProduceToAndClose(t *testing.T) {
 	b := NewBroker()
 	if err := b.CreateTopic("beta", 2); err != nil {
@@ -534,12 +426,8 @@ func TestBrokerVolumeAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bytes, err := b.TotalBytes("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes != 70 {
-		t.Errorf("bytes = %d, want 70", bytes)
+	if st, _ := b.Stats().Topic("t"); st.Bytes != 70 {
+		t.Errorf("bytes = %d, want 70", st.Bytes)
 	}
 }
 

@@ -15,14 +15,17 @@ import (
 // It is distinct from ErrClosed, which signals end-of-stream on the topic.
 var ErrConsumerClosed = errors.New("msg: consumer closed")
 
-// group holds the coordination state for one (groupID, topic) pair:
-// member list, partition assignment generation, and committed offsets.
+// ErrGroupBusy is returned by NewConsumer while another consumer of the
+// same group and topic is open: a consumer owns every partition of its
+// topic, so a group has at most one.
+var ErrGroupBusy = errors.New("msg: consumer group already has an open consumer")
+
+// group holds the state of one (groupID, topic) pair: whether a consumer
+// of it is open, and its committed offsets.
 type group struct {
 	mu        sync.Mutex
 	id        string
-	topicName string
-	members   []string      // sorted member IDs
-	gen       int           // bumped on every membership change
+	open      bool          // a consumer of the group is open
 	committed map[int]int64 // partition -> next offset to consume
 }
 
@@ -34,70 +37,12 @@ func (b *Broker) group(groupID, topicName string) *group {
 	k := groupKey(groupID, topicName)
 	g, ok := b.groups[k]
 	if !ok {
-		g = &group{id: groupID, topicName: topicName, committed: make(map[int]int64)}
+		g = &group{id: groupID, committed: make(map[int]int64)}
 		b.groups[k] = g
 		//lint:ignore boundedchan one entry per consumer group the process creates; groups are not per-record state
 		b.topicGroups[topicName] = append(b.topicGroups[topicName], g)
 	}
 	return g
-}
-
-// join adds a member and returns the new generation.
-func (g *group) join(member string) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, m := range g.members {
-		if m == member {
-			return g.gen
-		}
-	}
-	//lint:ignore boundedchan bounded by the number of consumers the pipeline constructs; membership is not per-record state
-	g.members = append(g.members, member)
-	sort.Strings(g.members)
-	g.gen++
-	return g.gen
-}
-
-// leave removes a member and returns the new generation.
-func (g *group) leave(member string) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i, m := range g.members {
-		if m == member {
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			g.gen++
-			break
-		}
-	}
-	return g.gen
-}
-
-// assignment returns the partitions owned by member under range assignment,
-// along with the generation the assignment is valid for. When that is still
-// generation have, it returns no partitions: the caller's are current.
-func (g *group) assignment(member string, numPartitions, have int) ([]int, int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.gen == have {
-		return nil, have
-	}
-	idx := -1
-	for i, m := range g.members {
-		if m == member {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 || len(g.members) == 0 {
-		return nil, g.gen
-	}
-	parts := make([]int, 0, numPartitions/len(g.members)+1)
-	for p := 0; p < numPartitions; p++ {
-		if p%len(g.members) == idx {
-			parts = append(parts, p)
-		}
-	}
-	return parts, g.gen
 }
 
 func (g *group) committedOffset(partition int) int64 {
@@ -137,9 +82,8 @@ func (b *Broker) CommittedOffsets(groupID, topicName string) map[int]int64 {
 // RestoreOffsets overwrites a group's committed offsets with a checkpointed
 // snapshot. Unlike Commit it moves offsets backwards as well as forwards —
 // recovery must be able to rewind a group past commits that were made after
-// the checkpoint being restored. Live consumers of the group pick the
-// restored offsets up at their next rebalance; recovery normally creates
-// its consumers after restoring.
+// the checkpoint being restored. A consumer takes its group's committed
+// offsets when it opens, so recovery opens its consumer after restoring.
 func (b *Broker) RestoreOffsets(groupID, topicName string, offsets map[int]int64) {
 	g := b.group(groupID, topicName)
 	g.mu.Lock()
@@ -157,24 +101,22 @@ func (b *Broker) RestoreOffsets(groupID, topicName string, offsets map[int]int64
 	}
 }
 
-// Consumer reads a topic as part of a consumer group. Consumers are not
-// safe for concurrent use; create one per goroutine.
+// Consumer reads every partition of a topic for a consumer group, which has
+// at most one open consumer per topic. Consumers are not safe for
+// concurrent use; create one per goroutine.
 type Consumer struct {
 	broker    *Broker
 	grp       *group
 	topicName string
 	member    string
 
-	gen       int
-	parts     []int
-	positions map[int]int64 // partition -> next fetch offset
-	polled    int64         // records returned by Poll since creation
+	positions []int64 // next fetch offset, indexed by partition
+	polled    int64   // records returned by Poll since creation
 	closed    bool
 
 	// lag is the "msg.lag.<group>/<topic>" gauge the health lag checker
 	// reads, resolved once so Poll never looks it up; nil when the broker
-	// is not instrumented. The latest reading wins, which is what a
-	// rebalancing group wants.
+	// is not instrumented. The group's one consumer sets it.
 	lag *obs.Gauge
 }
 
@@ -185,21 +127,35 @@ func (b *Broker) registry() *obs.Registry {
 	return b.obs
 }
 
-// NewConsumer joins the consumer group for a topic. Member IDs must be
-// unique within a group.
+// NewConsumer opens the consumer group's consumer of a topic. It owns every
+// partition, and starts each at the group's committed offset as it stands
+// now. While it is open, NewConsumer fails for the same group and topic
+// with ErrGroupBusy; Close releases the group. member names the consumer in
+// its Stats.
 func (b *Broker) NewConsumer(groupID, topicName, member string) (*Consumer, error) {
-	if _, err := b.Partitions(topicName); err != nil {
+	n, err := b.Partitions(topicName)
+	if err != nil {
 		return nil, err
 	}
 	g := b.group(groupID, topicName)
-	g.join(member)
 	c := &Consumer{
 		broker:    b,
 		grp:       g,
 		topicName: topicName,
 		member:    member,
-		gen:       -1,
-		positions: make(map[int]int64),
+		positions: make([]int64, n),
+	}
+	g.mu.Lock()
+	busy := g.open
+	if !busy {
+		g.open = true
+		for p := range c.positions {
+			c.positions[p] = g.committed[p]
+		}
+	}
+	g.mu.Unlock()
+	if busy {
+		return nil, fmt.Errorf("%w: %s", ErrGroupBusy, groupKey(groupID, topicName))
 	}
 	if reg := b.registry(); reg != nil {
 		c.lag = reg.Gauge("msg.lag." + groupKey(groupID, topicName))
@@ -207,35 +163,7 @@ func (b *Broker) NewConsumer(groupID, topicName, member string) (*Consumer, erro
 	return c, nil
 }
 
-// refresh re-reads the assignment after a rebalance and resets fetch
-// positions of newly owned partitions to the group's committed offsets.
-func (c *Consumer) refresh() error {
-	n, err := c.broker.Partitions(c.topicName)
-	if err != nil {
-		return err
-	}
-	parts, gen := c.grp.assignment(c.member, n, c.gen)
-	if gen == c.gen {
-		return nil
-	}
-	c.gen = gen
-	c.parts = parts
-	c.positions = make(map[int]int64, len(parts))
-	for _, p := range parts {
-		c.positions[p] = c.grp.committedOffset(p)
-	}
-	return nil
-}
-
-// Assignment returns the partitions currently owned by this consumer.
-func (c *Consumer) Assignment() []int {
-	if err := c.refresh(); err != nil {
-		return nil
-	}
-	return append([]int(nil), c.parts...)
-}
-
-// Poll returns up to max records from the consumer's assigned partitions.
+// Poll returns up to max records from the topic's partitions.
 // When several partitions have buffered records it fetches from the one
 // whose head record has the earliest event time (ties broken by partition
 // index), so consumption order is a pure function of the fetch positions:
@@ -248,8 +176,8 @@ func (c *Consumer) Poll(ctx context.Context, max int) ([]Record, error) {
 	return c.observedPoll(ctx, max, true)
 }
 
-// TryPoll is Poll without the wait: when some assigned partition has
-// buffered records it returns exactly the batch Poll would, and otherwise it
+// TryPoll is Poll without the wait: when some partition has buffered
+// records it returns exactly the batch Poll would, and otherwise it
 // returns no records and a nil error at once — it neither blocks nor reports
 // end-of-stream. A caller pipelining its work polls the next batch with it
 // while the previous one is still being processed, without ever waiting on
@@ -276,12 +204,6 @@ func (c *Consumer) poll(ctx context.Context, max int, block bool) ([]Record, err
 	if c.closed {
 		return nil, ErrConsumerClosed
 	}
-	if err := c.refresh(); err != nil {
-		return nil, err
-	}
-	if len(c.parts) == 0 {
-		return nil, fmt.Errorf("msg: consumer %s has no assigned partitions", c.member)
-	}
 	if max <= 0 {
 		max = 1
 	}
@@ -301,10 +223,10 @@ func (c *Consumer) poll(ctx context.Context, max int, block bool) ([]Record, err
 	if !block {
 		return nil, nil
 	}
-	// Nothing buffered anywhere: block on the lowest assigned partition.
-	// ErrClosed from it only means end-of-stream for the whole consumer if
-	// no other partition received records while we were blocked.
-	recs, err := fetch(ctx, c.parts[0])
+	// Nothing buffered anywhere: block on partition 0. ErrClosed from it
+	// only means end-of-stream for the whole consumer if no other
+	// partition received records while we were blocked.
+	recs, err := fetch(ctx, 0)
 	if errors.Is(err, ErrClosed) {
 		// The topic is closed, so partition contents are final: one more
 		// non-blocking scan either drains a remaining partition or
@@ -316,14 +238,14 @@ func (c *Consumer) poll(ctx context.Context, max int, block bool) ([]Record, err
 	return recs, err
 }
 
-// earliestReady returns the assigned partition with buffered records whose
-// head record has the earliest event time, or ok=false when no assigned
-// partition has records at the current positions.
+// earliestReady returns the partition with buffered records whose head
+// record has the earliest event time, or ok=false when no partition has
+// records at the current positions.
 func (c *Consumer) earliestReady() (part int, ok bool, err error) {
 	best := -1
 	var bestTime time.Time
-	for _, p := range c.parts {
-		t, has, err := c.broker.PeekTime(c.topicName, p, c.positions[p])
+	for p, pos := range c.positions {
+		t, has, err := c.broker.PeekTime(c.topicName, p, pos)
 		if err != nil {
 			return 0, false, err
 		}
@@ -342,60 +264,54 @@ func (c *Consumer) Commit(rec Record) {
 	c.broker.noteCommit(c.topicName, rec.Partition)
 }
 
-// SeekTo moves the consumer's fetch position of an assigned partition to
-// offset: the next Poll touching that partition resumes there. It rewinds
-// as well as fast-forwards — recovery and redelivery both need to re-read
-// records that were fetched but whose effects were lost. The committed
-// offset is not changed.
+// SeekTo moves the consumer's fetch position of a partition to offset: the
+// next Poll touching that partition resumes there. It rewinds as well as
+// fast-forwards — recovery and redelivery both need to re-read records that
+// were fetched but whose effects were lost. The committed offset is not
+// changed.
 func (c *Consumer) SeekTo(partition int, offset int64) error {
 	if c.closed {
 		return ErrConsumerClosed
 	}
-	if err := c.refresh(); err != nil {
-		return err
-	}
 	if offset < 0 {
 		return fmt.Errorf("%w: %d", ErrOffsetOutRange, offset)
 	}
-	for _, p := range c.parts {
-		if p == partition {
-			c.positions[partition] = offset
-			return nil
-		}
+	if partition < 0 || partition >= len(c.positions) {
+		return fmt.Errorf("%w: %d", ErrBadPartition, partition)
 	}
-	return fmt.Errorf("msg: consumer %s does not own partition %d", c.member, partition)
+	c.positions[partition] = offset
+	return nil
 }
 
-// Lag returns the total number of records in assigned partitions that have
-// been produced but not yet fetched by this consumer.
+// Lag returns the total number of records in the topic that have been
+// produced but not yet fetched by this consumer.
 func (c *Consumer) Lag() (int64, error) {
 	if c.closed {
 		return 0, ErrConsumerClosed
 	}
-	if err := c.refresh(); err != nil {
-		return 0, err
-	}
 	var lag int64
-	for _, p := range c.parts {
+	for p, pos := range c.positions {
 		end, err := c.broker.EndOffset(c.topicName, p)
 		if err != nil {
 			return 0, err
 		}
-		if d := end - c.positions[p]; d > 0 {
+		if d := end - pos; d > 0 {
 			lag += d
 		}
 	}
 	return lag, nil
 }
 
-// Close leaves the consumer group, triggering a rebalance for remaining
-// members.
+// Close releases the consumer group, so a new consumer of it may open and
+// resume at its committed offsets.
 func (c *Consumer) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	c.grp.leave(c.member)
+	c.grp.mu.Lock()
+	c.grp.open = false
+	c.grp.mu.Unlock()
 }
 
 // Drain reads all records currently in the topic from the beginning,

@@ -91,19 +91,6 @@ func (b *Broker) LimitTopic(name string, l TopicLimit) error {
 	return nil
 }
 
-// Limit reports the topic's configured backlog limit (the zero TopicLimit
-// when unbounded).
-func (b *Broker) Limit(name string) (TopicLimit, error) {
-	t, err := b.topic(name)
-	if err != nil {
-		return TopicLimit{}, err
-	}
-	p := t.parts[0]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return TopicLimit{Capacity: p.cap, Policy: p.policy}, nil
-}
-
 // Backlog reports the number of retained records not yet committed by every
 // consumer group, summed over the topic's partitions — the queue depth the
 // admission-control watermarks are measured against.

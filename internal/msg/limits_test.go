@@ -245,22 +245,30 @@ func TestDropOldestFallsBackToRejectWhenPinned(t *testing.T) {
 	}
 }
 
-// TestLimitTopicRoundTripAndUnlimit: Limit reads back what LimitTopic set,
-// and a zero capacity restores the unbounded seed behaviour.
+// TestLimitTopicRoundTripAndUnlimit: Stats reads back the capacity
+// LimitTopic set and a produce at capacity follows its policy, and a zero
+// capacity restores the unbounded seed behaviour.
 func TestLimitTopicRoundTripAndUnlimit(t *testing.T) {
 	b := boundedTopic(t, 2, DropNewest)
-	l, err := b.Limit("raw")
-	if err != nil || l.Capacity != 2 || l.Policy != DropNewest {
-		t.Fatalf("Limit = %+v, %v", l, err)
+	if st, _ := b.Stats().Topic("raw"); st.Capacity != 2 {
+		t.Fatalf("capacity = %d, want 2", st.Capacity)
+	}
+	ts := time.Unix(0, 0)
+	mustProduce(t, b, "a", ts)
+	mustProduce(t, b, "b", ts)
+	if _, err := b.Produce(context.Background(), "raw", "c", nil, ts); !errors.Is(err, ErrTopicFull) {
+		t.Fatalf("produce at capacity under DropNewest: %v, want ErrTopicFull", err)
 	}
 	if err := b.LimitTopic("raw", TopicLimit{}); err != nil {
 		t.Fatal(err)
 	}
-	ts := time.Unix(0, 0)
+	if st, _ := b.Stats().Topic("raw"); st.Capacity != 0 {
+		t.Fatalf("capacity after unlimit = %d, want 0", st.Capacity)
+	}
 	for i := 0; i < 10; i++ {
 		mustProduce(t, b, fmt.Sprintf("k%d", i), ts)
 	}
-	if backlog, _ := b.Backlog("raw"); backlog != 10 {
-		t.Fatalf("unlimited backlog = %d, want 10", backlog)
+	if backlog, _ := b.Backlog("raw"); backlog != 12 {
+		t.Fatalf("unlimited backlog = %d, want 12", backlog)
 	}
 }

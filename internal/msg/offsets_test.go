@@ -31,19 +31,19 @@ func TestCommittedOffsetsUnknownGroup(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("unknown group: %v", got)
 	}
-	// Reading offsets must not create the group: a consumer joining later
-	// still triggers the first generation.
+	// Reading offsets must not create the group: a consumer opened later
+	// reads both partitions from the start.
 	c, err := b.NewConsumer("ghost", "t", "m1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if parts := c.Assignment(); len(parts) != 2 {
-		t.Fatalf("assignment after probe: %v", parts)
+	if st := c.Stats(); fmt.Sprint(st.Partitions) != "[0 1]" || st.Lag != 4 {
+		t.Fatalf("consumer after probe: partitions %v, lag %d; want [0 1], 4", st.Partitions, st.Lag)
 	}
 }
 
-func TestCommittedOffsetsSurviveCloseRejoinAndRebalance(t *testing.T) {
+func TestCommittedOffsetsSurviveCloseRejoin(t *testing.T) {
 	b := offsetsTestBroker(t, 2, 20)
 	ctx := context.Background()
 
@@ -82,45 +82,139 @@ func TestCommittedOffsetsSurviveCloseRejoinAndRebalance(t *testing.T) {
 		}
 	}
 
-	// Rejoin plus a second member: rebalance must hand each member the
-	// group's committed offset for its partitions, not zero.
+	// Rejoin: the new consumer starts every partition at the group's
+	// committed offset, not zero.
 	c2, err := b.NewConsumer("g", "t", "m1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	c3, err := b.NewConsumer("g", "t", "m2")
-	if err != nil {
+	if err := b.CloseTopic("t"); err != nil {
 		t.Fatal(err)
 	}
-	defer c3.Close()
 	seen := map[string]bool{}
-	drain := func(c *Consumer) {
-		for {
-			recs, err := c.Poll(ctx, 100)
-			if errors.Is(err, ErrClosed) {
-				return
+	for {
+		recs, err := c2.Poll(ctx, 100)
+		if errors.Is(err, ErrClosed) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			key := fmt.Sprintf("%d/%d", r.Partition, r.Offset)
+			if seen[key] {
+				t.Fatalf("record %s delivered twice after rejoin", key)
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				key := fmt.Sprintf("%d/%d", r.Partition, r.Offset)
-				if seen[key] {
-					t.Fatalf("record %s delivered twice after rebalance", key)
-				}
-				seen[key] = true
-				c.Commit(r)
-			}
+			seen[key] = true
+			c2.Commit(r)
+		}
+	}
+	if len(seen) != 10 {
+		t.Fatalf("after rejoin consumed %d records, want the remaining 10", len(seen))
+	}
+}
+
+// TestConsumerOwnsWholeTopic pins the consumer contract: a group's one open
+// consumer reads every partition of its topic in event-time order, a second
+// consumer of the group is refused while it is open, and a consumer starts
+// at the committed offsets as they stand when it opens — after a Close and
+// after a RestoreOffsets alike.
+func TestConsumerOwnsWholeTopic(t *testing.T) {
+	b := NewBroker()
+	if err := b.CreateTopic("t", 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CreateTopic("u", 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	t0 := time.Unix(7000, 0).UTC()
+	const total = 30
+	for i := 0; i < total; i++ {
+		if _, err := b.ProduceTo(ctx, "t", (i*5)%3, "k", []byte{byte(i)}, t0.Add(time.Duration(i)*time.Second)); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := b.CloseTopic("t"); err != nil {
 		t.Fatal(err)
 	}
-	drain(c2)
-	drain(c3)
-	if len(seen) != 10 {
-		t.Fatalf("after rejoin consumed %d records, want the remaining 10", len(seen))
+	// readAll polls c one record at a time (a batch comes from one
+	// partition) to end-of-stream, committing the first commit records, and
+	// returns the values it read.
+	readAll := func(c *Consumer, commit int) []byte {
+		var got []byte
+		for {
+			recs, err := c.Poll(ctx, 1)
+			if errors.Is(err, ErrClosed) {
+				return got
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				if len(got) < commit {
+					c.Commit(r)
+				}
+				got = append(got, r.Value[0])
+			}
+		}
+	}
+	inOrder := func(from int) string {
+		var want []byte
+		for i := from; i < total; i++ {
+			want = append(want, byte(i))
+		}
+		return fmt.Sprint(want)
+	}
+
+	c, err := b.NewConsumer("g", "t", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); fmt.Sprint(st.Partitions) != "[0 1 2]" {
+		t.Fatalf("partitions = %v, want [0 1 2]", st.Partitions)
+	}
+	if _, err := b.NewConsumer("g", "t", "m2"); !errors.Is(err, ErrGroupBusy) {
+		t.Fatalf("second consumer of an open group: %v, want ErrGroupBusy", err)
+	}
+	other, err := b.NewConsumer("other", "t", "m1")
+	if err != nil {
+		t.Fatalf("consumer of another group: %v", err)
+	}
+	other.Close()
+	onU, err := b.NewConsumer("g", "u", "m1")
+	if err != nil {
+		t.Fatalf("consumer of the group on another topic: %v", err)
+	}
+	onU.Close()
+	if got := readAll(c, 12); fmt.Sprint(got) != inOrder(0) {
+		t.Fatalf("one consumer read %v, want every record in event-time order %v", got, inOrder(0))
+	}
+	c.Close()
+
+	// After Close the group is free, and a new consumer resumes where the
+	// commits left off: the 12 committed records are not read again.
+	c, err = b.NewConsumer("g", "t", "m2")
+	if err != nil {
+		t.Fatalf("consumer after Close: %v", err)
+	}
+	if got := readAll(c, 0); fmt.Sprint(got) != inOrder(12) {
+		t.Fatalf("resumed consumer read %v, want %v", got, inOrder(12))
+	}
+	c.Close()
+
+	// Offsets restored before a consumer opens are where it starts: record
+	// i sits at offset i/3 of partition (i*5)%3, so records 0-5 are the
+	// first two of each partition.
+	b.RestoreOffsets("g", "t", map[int]int64{0: 2, 1: 2, 2: 2})
+	c, err = b.NewConsumer("g", "t", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := readAll(c, 0); fmt.Sprint(got) != inOrder(6) {
+		t.Fatalf("consumer after RestoreOffsets read %v, want %v", got, inOrder(6))
 	}
 }
 
@@ -214,8 +308,11 @@ func TestSeekTo(t *testing.T) {
 	if err := c.SeekTo(0, -1); !errors.Is(err, ErrOffsetOutRange) {
 		t.Fatalf("negative seek: %v", err)
 	}
-	if err := c.SeekTo(5, 0); err == nil {
-		t.Fatal("seek to unowned partition succeeded")
+	if err := c.SeekTo(5, 0); !errors.Is(err, ErrBadPartition) {
+		t.Fatalf("seek past the topic's partitions: %v", err)
+	}
+	if err := c.SeekTo(-1, 0); !errors.Is(err, ErrBadPartition) {
+		t.Fatalf("seek to a negative partition: %v", err)
 	}
 }
 
@@ -406,9 +503,9 @@ func TestTryPollMatchesPollWithoutWaiting(t *testing.T) {
 
 // TestPollCommitAllocs: a warm consumer polling buffered records and
 // committing them allocates only the batch it returns — no fetch-wait
-// registration, no assignment rebuilt at an unchanged generation, and no
-// per-commit list of the topic's groups. Both the instrumented (lag gauge)
-// path and a second group on the topic are exercised.
+// registration and no per-commit list of the topic's groups. Both the
+// instrumented (lag gauge) path and a second group on the topic are
+// exercised.
 func TestPollCommitAllocs(t *testing.T) {
 	b := NewBroker()
 	b.Instrument(obs.NewRegistry(obs.NewManualClock(time.Unix(0, 0).UTC())))
@@ -436,7 +533,7 @@ func TestPollCommitAllocs(t *testing.T) {
 	}
 	try := func() ([]Record, error) { return c.TryPoll(8) }
 	block := func() ([]Record, error) { return c.Poll(context.Background(), 8) }
-	pollCommit(try) // joins the assignment
+	pollCommit(try)
 	for name, poll := range map[string]func() ([]Record, error){"TryPoll": try, "Poll": block} {
 		if n := testing.AllocsPerRun(100, func() { pollCommit(poll) }); n != 1 {
 			t.Errorf("warm %s + Commit made %v allocations, want 1 (the returned batch)", name, n)

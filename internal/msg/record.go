@@ -1,8 +1,8 @@
 // Package msg implements the in-process message broker that substitutes for
 // Apache Kafka in the datAcron architecture: named topics split into
 // partitions, each an append-only offset-addressed log, with producers that
-// partition by key hash and consumer groups with partition assignment and
-// committed offsets.
+// partition by key hash and consumer groups with committed offsets. A
+// group's one open consumer reads every partition of its topic.
 //
 // The broker provides the same contract the pipeline relies on from Kafka:
 // records within a partition are totally ordered and replayable from any

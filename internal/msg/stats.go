@@ -65,12 +65,12 @@ type ConsumerStats struct {
 	Group      string
 	Topic      string
 	Member     string
-	Partitions []int // current assignment
+	Partitions []int // every partition of the topic
 	Polled     int64 // records returned by Poll since creation
-	Lag        int64 // produced but not yet fetched, over the assignment
+	Lag        int64 // produced but not yet fetched, over every partition
 }
 
-// Stats captures the consumer's current assignment, poll progress and lag.
+// Stats captures the consumer's partitions, poll progress and lag.
 func (c *Consumer) Stats() ConsumerStats {
 	s := ConsumerStats{
 		Group:  c.grp.id,
@@ -78,7 +78,10 @@ func (c *Consumer) Stats() ConsumerStats {
 		Member: c.member,
 		Polled: c.polled,
 	}
-	s.Partitions = append([]int(nil), c.parts...)
+	s.Partitions = make([]int, len(c.positions))
+	for p := range s.Partitions {
+		s.Partitions[p] = p
+	}
 	if lag, err := c.Lag(); err == nil {
 		s.Lag = lag
 	}

@@ -120,8 +120,8 @@ type Binding struct {
 
 	// kind and fields declare what a field binding reads, and segs are a
 	// BindIRI pattern's literal segments, so that NewPointRenderer can
-	// compile the binding over a typed row. Zero for BindFunc, and for a
-	// BindIRI pattern that fmt formats.
+	// compile the binding over a typed row. Zero for a BindIRI pattern that
+	// fmt formats.
 	kind   bindKind
 	fields []string
 	segs   []string
@@ -131,7 +131,7 @@ type Binding struct {
 type bindKind uint8
 
 const (
-	bindOpaque bindKind = iota // BindFunc: a closure, nothing to compile
+	bindOpaque bindKind = iota // a BindIRI pattern fmt formats: nothing to compile
 	bindStr
 	bindFloat
 	bindTime
@@ -242,11 +242,6 @@ func splitVerbs(format string, n int) []string {
 		return nil
 	}
 	return segs
-}
-
-// BindFunc binds an arbitrary computed term.
-func BindFunc(v string, fn func(Record) rdf.Term) Binding {
-	return Binding{Var: v, From: fn}
 }
 
 // TermSpec is one slot of a triple pattern: a constant term, a variable

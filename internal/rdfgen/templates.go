@@ -2,15 +2,14 @@ package rdfgen
 
 import (
 	"datacron/internal/geo"
-	"datacron/internal/mobility"
 	"datacron/internal/ontology"
 	"datacron/internal/rdf"
 	"datacron/internal/synopses"
 )
 
 // This file instantiates the generic framework for the concrete datAcron
-// sources: critical-point streams, region shapefiles and port registers.
-// Each instantiation is a (record adapter, bindings, template) triple — the
+// sources: critical-point streams and region shapefiles. Each
+// instantiation is a (record adapter, bindings, template) triple — the
 // pattern every new source follows.
 
 // CriticalPointRecord adapts a synopsis critical point to a Record.
@@ -125,38 +124,4 @@ func RegionConnector(records []Record) *Connector {
 			}
 			return nil
 		})
-}
-
-// PortRecord adapts a port register row.
-func PortRecord(id, name string, pos geo.Point) Record {
-	return Record{"id": id, "name": name, "wkt": pos.WKT()}
-}
-
-// PortGenerator returns the generator for port registers.
-func PortGenerator() *Generator {
-	bindings := []Binding{
-		BindIRI("port", string(rdf.NSDatAcron)+"port/%v", "id"),
-		BindStr("name", "name"),
-		BindWKT("wkt", "wkt"),
-	}
-	template := Template{
-		{S: V("port"), P: C(rdf.RDFType), O: C(ontology.ClassPort)},
-		{S: V("port"), P: C(ontology.PropHasName), O: V("name")},
-		{S: V("port"), P: C(ontology.PropAsWKT), O: V("wkt")},
-	}
-	return NewGenerator(bindings, template)
-}
-
-// ReportRecord adapts a raw surveillance report (used when lifting the full
-// stream rather than the synopsis).
-func ReportRecord(seq int, r mobility.Report) Record {
-	return Record{
-		"id":      r.ID,
-		"seq":     seq,
-		"time":    r.Time,
-		"wkt":     r.Pos.WKT(),
-		"speed":   r.SpeedKn,
-		"heading": r.Heading,
-		"alt":     r.AltFt,
-	}
 }

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
+
+	"datacron/internal/obs"
 )
 
 func runPlaneBatched(t *testing.T, shards int, in []string) []string {
@@ -37,8 +40,8 @@ func runPlaneBatched(t *testing.T, shards int, in []string) []string {
 }
 
 // TestSubmitBatchMatchesSubmit pins the batch plane to the merge contract:
-// the same stream through SubmitBatch produces exactly the per-record
-// Submit output, at every shard count.
+// the same stream through whole SubmitBatch bursts produces exactly the
+// output of one-record submits, at every shard count.
 func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	in := inputs(4096)
 	want := runPlane(t, 1, in)
@@ -56,10 +59,12 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 }
 
 // TestSubmitBatchCancelRollsBack: when a batch waiting for credits is
-// cancelled, no record is submitted and no credit is kept, so the plane
-// stays usable for the next batch.
+// cancelled, it fails with the saturation error, counts one credit wait, and
+// submits no record and keeps no credit, so the plane stays usable for the
+// next batch.
 func TestSubmitBatchCancelRollsBack(t *testing.T) {
-	p := New(Config{Shards: 1, Queue: 4}, func(s string) string { return s }, newCountWorker)
+	reg := obs.NewRegistry(nil)
+	p := New(Config{Shards: 1, Queue: 4, Metrics: reg}, func(s string) string { return s }, newCountWorker)
 	p.Start()
 	defer p.Close()
 
@@ -71,13 +76,25 @@ func TestSubmitBatchCancelRollsBack(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	err := p.SubmitBatch(ctx, []string{"a", "a", "a"})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked batch: %v, want deadline exceeded", err)
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "blocked on credits") {
+		t.Fatalf("blocked batch: %v, want the saturation error wrapping deadline exceeded", err)
 	}
 	if got := p.Pending(); got != 3 {
 		t.Fatalf("Pending after cancelled batch = %d, want 3 (first batch only)", got)
 	}
-	for i := 0; i < 3; i++ {
+	// A one-record batch takes the last credit; the next one waits too.
+	if err := p.SubmitBatch(context.Background(), []string{"a"}); err != nil {
+		t.Fatalf("last credit: %v", err)
+	}
+	ctx1, cancel1 := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel1()
+	if err := p.SubmitBatch(ctx1, []string{"a"}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("one-record submit on a saturated lane: %v, want deadline exceeded", err)
+	}
+	if got := reg.Snapshot().Counter("flow.credit.waits"); got != 2 {
+		t.Fatalf("flow.credit.waits = %d, want 2", got)
+	}
+	for i := 0; i < 4; i++ {
 		if _, err := p.Next(); err != nil {
 			t.Fatalf("Next: %v", err)
 		}

@@ -10,7 +10,7 @@
 // while cross-entity operators (link discovery, event recognition, RDF
 // sequence numbering) stay on the coordinator.
 //
-// Determinism contract: the coordinator calls Submit in the global
+// Determinism contract: the coordinator calls SubmitBatch in the global
 // event-time order produced by the broker's Poll merge, and Next returns
 // worker outputs in exactly that submit order — so downstream of the merge
 // the record sequence is byte-identical whatever the shard count, including
@@ -63,7 +63,7 @@ type Stats struct {
 	Credits   int   // submit credits currently available for this shard
 }
 
-// ErrNotStarted is returned by Submit/Next/Barrier before Start.
+// ErrNotStarted is returned by SubmitBatch/Next/Barrier before Start.
 var ErrNotStarted = errors.New("shard: plane not started")
 
 // ErrClosed is returned by operations on a closed plane.
@@ -91,15 +91,15 @@ type lane[I, O any] struct {
 	w Worker[I, O]
 	// Inputs and outputs both travel through rings, and only their counts
 	// through channels. The coordinator writes a burst — a SubmitBatch
-	// lane share, or one Submit — into inRing and sends its size on in,
-	// one send per burst; the worker writes its outputs slot after slot
-	// into ring and publishes them with one count on done at the end of
-	// the burst, so the coordinator is woken once per burst it submitted,
-	// not once per record, and never waits on a later burst to drain an
-	// earlier one. A wake-up of a parked goroutine on another thread costs
-	// tens to hundreds of microseconds and varies with the host; one per
-	// record made sharded throughput depend on how often the merge happened
-	// to catch up with a worker. At most Queue records are in flight per
+	// lane share — into inRing and sends its size on in, one send per
+	// burst; the worker writes its outputs slot after slot into ring and
+	// publishes them with one count on done at the end of the burst, so
+	// the coordinator is woken once per burst it submitted, not once per
+	// record, and never waits on a later burst to drain an earlier one. A
+	// wake-up of a parked goroutine on another thread costs tens to
+	// hundreds of microseconds and varies with the host; one per record
+	// made sharded throughput depend on how often the merge happened to
+	// catch up with a worker. At most Queue records are in flight per
 	// lane (the credit pool), so neither ring overwrites an unread slot and
 	// neither channel fills. inWr, rd and avail belong to the coordinator.
 	inRing []I
@@ -119,11 +119,10 @@ type lane[I, O any] struct {
 	credits   atomic.Int64
 	submitted atomic.Int64 // records submitted to the lane
 	processed atomic.Int64 // records processed on the worker goroutine
-	waits     atomic.Int64 // submits that had to wait for credits
 }
 
 // Plane coordinates N shard workers. It is operated by a single coordinator
-// goroutine: Submit, Next, Barrier and Close are not safe for concurrent
+// goroutine: SubmitBatch, Next, Barrier and Close are not safe for concurrent
 // use with each other (Stats is safe from anywhere). At most Queue records
 // per shard may be in flight (submitted, not yet drained with Next); a
 // coordinator can keep several bursts within that bound, submitting burst
@@ -137,7 +136,7 @@ type Plane[I, O any] struct {
 	head        int   // next fifo entry to drain
 	started     bool
 	closed      bool
-	creditWaits *obs.Counter // nil-safe; counts Submits that waited
+	creditWaits *obs.Counter // nil-safe; counts submits that waited
 
 	// SubmitBatch scratch, reused across batches so a steady-state batch
 	// submit performs no per-record allocations. Coordinator-only, like the
@@ -152,10 +151,10 @@ type Config struct {
 	// Queue is the per-shard input and output ring capacity (default 512).
 	// It is also the size of each shard's submit-credit pool: at most Queue
 	// records per shard may be in flight (queued or processing, output not
-	// yet drained) before Submit blocks.
+	// yet drained) before SubmitBatch blocks.
 	Queue int
 	// Metrics optionally observes the credit protocol: per-shard
-	// flow.credits gauges and a flow.credit.waits counter for Submits that
+	// flow.credits gauges and a flow.credit.waits counter for submits that
 	// had to wait on a saturated shard. Nil disables observation.
 	Metrics *obs.Registry
 }
@@ -176,7 +175,7 @@ func New[I, O any](cfg Config, key func(I) string, build func(shard int) Worker[
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		// Lane buffers share one auditable bound: Config.Queue, clamped at
-		// construction, is also the size of the credit pool that gates Submit.
+		// construction, is also the size of the credit pool that gates SubmitBatch.
 		l := &lane[I, O]{
 			w:      build(i),
 			inRing: make([]I, cfg.Queue),
@@ -200,7 +199,7 @@ func (p *Plane[I, O]) Shards() int { return len(p.lanes) }
 func (p *Plane[I, O]) Worker(i int) Worker[I, O] { return p.lanes[i].w }
 
 // Start launches the worker goroutines. Must be called exactly once, after
-// any Restore and before the first Submit.
+// any Restore and before the first SubmitBatch.
 func (p *Plane[I, O]) Start() {
 	if p.started {
 		return
@@ -238,47 +237,22 @@ func (p *Plane[I, O]) run(l *lane[I, O]) {
 	}
 }
 
-// Submit routes one input to its shard's queue as a burst of one, first
-// taking one of the shard's submit credits. When the shard is saturated —
-// Queue records in flight with outputs not yet drained — Submit waits until
-// ctx is cancelled and fails: credits come back only through Next, on this
-// same coordinator goroutine, so a saturated lane tells the coordinator to
-// drain before it submits more. Outputs must be drained in submit order with
-// Next.
-func (p *Plane[I, O]) Submit(ctx context.Context, in I) error {
-	if !p.started {
-		return ErrNotStarted
-	}
-	if p.closed {
-		return ErrClosed
-	}
-	i := Route(p.key(in), len(p.lanes))
-	l := p.lanes[i]
-	if l.credits.Load() < 1 {
-		return p.saturated(ctx, i)
-	}
-	l.credits.Add(-1)
-	l.write(in)
-	l.send(1)
-	p.enqueue(i)
-	return nil
-}
-
 // SubmitBatch routes a whole poll batch to the shard queues: it routes every
 // record, takes each lane's credits for its share of the batch at once,
 // writes the records into the lanes' input rings in batch order and sends
-// each lane its share as one burst. The merge contract is unchanged —
-// outputs drain in submit order with Next, so a stream fed through
-// SubmitBatch is byte-identical to the same stream fed through Submit.
+// each lane its share as one burst. Outputs must be drained in submit order
+// with Next, so a stream's output is the same however it is cut into
+// batches.
 //
 // Credit acquisition is all-or-nothing: when a lane lacks the credits for
-// its share, SubmitBatch waits until ctx is cancelled (as Submit does) and
-// fails with no credit taken and no record of the batch submitted, so the
-// coordinator can retry or abort the batch as a unit. The credits a lane's
-// share needs, plus those its undrained records still hold, must not exceed
-// Queue (the credit pool size): credits come back only through Next. The
-// recovery loop keeps at most two poll batches in flight against a queue of
-// twice the poll batch.
+// its share, SubmitBatch waits until ctx is cancelled and fails with no
+// credit taken and no record of the batch submitted, so the coordinator can
+// retry or abort the batch as a unit. Credits come back only through Next,
+// on this same coordinator goroutine, so a saturated lane tells the
+// coordinator to drain before it submits more. The credits a lane's share
+// needs, plus those its undrained records still hold, must not exceed
+// Queue (the credit pool size). The recovery loop keeps at most two poll
+// batches in flight against a queue of twice the poll batch.
 //
 // The worker publishes a lane's outputs when it finishes the lane's share,
 // so Next can drain this batch while a later batch is still being processed.
@@ -332,7 +306,6 @@ func (p *Plane[I, O]) SubmitBatch(ctx context.Context, ins []I) error {
 // needs, waits for ctx — nothing else can return credits while the
 // coordinator waits here — and returns the cancellation.
 func (p *Plane[I, O]) saturated(ctx context.Context, li int) error {
-	p.lanes[li].waits.Add(1)
 	p.creditWaits.Inc()
 	<-ctx.Done()
 	return submitBlockedErr(li, ctx.Err())
@@ -373,7 +346,8 @@ func submitBlockedErr(shard int, err error) error {
 	return fmt.Errorf("shard: submit to shard %d blocked on credits: %w", shard, err)
 }
 
-// Next blocks for and returns the output of the oldest undrained Submit.
+// Next blocks for and returns the output of the oldest undrained submitted
+// record.
 // Because each worker's outputs arrive in its input order and Next follows
 // the global submit order, the merged stream is identical to processing
 // every record serially. A worker publishes its outputs at the end of each
@@ -385,7 +359,7 @@ func (p *Plane[I, O]) Next() (O, error) {
 		return zero, ErrNotStarted
 	}
 	if p.head >= len(p.fifo) {
-		return zero, errors.New("shard: Next without pending Submit")
+		return zero, errors.New("shard: Next without a pending submit")
 	}
 	i := p.fifo[p.head]
 	p.head++

@@ -57,6 +57,8 @@ func inputs(n int) []string {
 	return out
 }
 
+// runPlane feeds in through the plane one record per SubmitBatch, in bursts
+// of up to 64 records drained after each burst, and returns the outputs.
 func runPlane(t *testing.T, shards int, in []string) []string {
 	t.Helper()
 	p := New(Config{Shards: shards, Queue: 64}, func(s string) string { return s }, newCountWorker)
@@ -69,8 +71,8 @@ func runPlane(t *testing.T, shards int, in []string) []string {
 			batch = 64
 		}
 		for j := 0; j < batch; j++ {
-			if err := p.Submit(context.Background(), in[i+j]); err != nil {
-				t.Fatalf("Submit: %v", err)
+			if err := p.SubmitBatch(context.Background(), []string{in[i+j]}); err != nil {
+				t.Fatalf("SubmitBatch: %v", err)
 			}
 		}
 		for j := 0; j < batch; j++ {
@@ -175,7 +177,7 @@ func TestBarrierSnapshotRestore(t *testing.T) {
 	var firstHalf []string
 	for i := 0; i < 500; i += 50 {
 		for j := 0; j < 50; j++ {
-			p.Submit(context.Background(), in[i+j])
+			p.SubmitBatch(context.Background(), []string{in[i+j]})
 		}
 		for j := 0; j < 50; j++ {
 			o, _ := p.Next()
@@ -202,7 +204,7 @@ func TestBarrierSnapshotRestore(t *testing.T) {
 	got := firstHalf
 	for i := 500; i < 1000; i += 50 {
 		for j := 0; j < 50; j++ {
-			p2.Submit(context.Background(), in[i+j])
+			p2.SubmitBatch(context.Background(), []string{in[i+j]})
 		}
 		for j := 0; j < 50; j++ {
 			o, _ := p2.Next()
@@ -259,7 +261,7 @@ func TestBarrierRetryAfterSnapshotError(t *testing.T) {
 		t.Fatalf("Barrier retry returned %d shard snapshots, want 4", len(blobs))
 	}
 	// The plane must still process and drain records after the failed epoch.
-	p.Submit(context.Background(), "a")
+	p.SubmitBatch(context.Background(), []string{"a"})
 	if _, err := p.Next(); err != nil {
 		t.Fatalf("Next after barrier retry: %v", err)
 	}
@@ -271,7 +273,7 @@ func TestBarrierRequiresDrainedPlane(t *testing.T) {
 	p := New(Config{Shards: 2, Queue: 8}, func(s string) string { return s }, newCountWorker)
 	p.Start()
 	defer p.Close()
-	p.Submit(context.Background(), "a")
+	p.SubmitBatch(context.Background(), []string{"a"})
 	if _, err := p.Barrier(1); !errors.Is(err, ErrPending) {
 		t.Fatalf("Barrier with pending output: err = %v, want ErrPending", err)
 	}
@@ -285,8 +287,8 @@ func TestBarrierRequiresDrainedPlane(t *testing.T) {
 
 func TestLifecycleErrors(t *testing.T) {
 	p := New(Config{Shards: 2}, func(s string) string { return s }, newCountWorker)
-	if err := p.Submit(context.Background(), "a"); !errors.Is(err, ErrNotStarted) {
-		t.Fatalf("Submit before Start: %v", err)
+	if err := p.SubmitBatch(context.Background(), []string{"a"}); !errors.Is(err, ErrNotStarted) {
+		t.Fatalf("SubmitBatch before Start: %v", err)
 	}
 	if _, err := p.Barrier(1); !errors.Is(err, ErrNotStarted) {
 		t.Fatalf("Barrier before Start: %v", err)
@@ -294,8 +296,8 @@ func TestLifecycleErrors(t *testing.T) {
 	p.Start()
 	p.Close()
 	p.Close() // idempotent
-	if err := p.Submit(context.Background(), "a"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close: %v", err)
+	if err := p.SubmitBatch(context.Background(), []string{"a"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubmitBatch after Close: %v", err)
 	}
 }
 
@@ -305,7 +307,7 @@ func TestCloseWithUndrainedOutputs(t *testing.T) {
 	p := New(Config{Shards: 2, Queue: 4}, func(s string) string { return s }, newCountWorker)
 	p.Start()
 	for i := 0; i < 8; i++ {
-		p.Submit(context.Background(), fmt.Sprintf("k%d", i))
+		p.SubmitBatch(context.Background(), []string{fmt.Sprintf("k%d", i)})
 	}
 	done := make(chan struct{})
 	go func() { p.Close(); close(done) }()
@@ -343,7 +345,7 @@ func TestStatsConcurrent(t *testing.T) {
 	in := inputs(2000)
 	for i := 0; i < len(in); i += 32 {
 		for j := i; j < i+32 && j < len(in); j++ {
-			p.Submit(context.Background(), in[j])
+			p.SubmitBatch(context.Background(), []string{in[j]})
 		}
 		for j := i; j < i+32 && j < len(in); j++ {
 			p.Next()

@@ -22,34 +22,13 @@ type Store struct {
 	// Cached property IDs for the spatio-temporal access paths.
 	idAsWKT  ID
 	idAtTime ID
-
-	workers int
-}
-
-// Option configures a Store.
-type Option func(*Store)
-
-// WithWorkers fixes the parallel scan width (default: GOMAXPROCS).
-func WithWorkers(n int) Option {
-	return func(s *Store) {
-		if n > 0 {
-			s.workers = n
-		}
-	}
 }
 
 // New creates a store over the given cell configuration and layout.
-func New(cfg STCellConfig, layout Layout, opts ...Option) *Store {
-	s := &Store{
-		dict:    NewDict(cfg),
-		layout:  layout,
-		workers: runtime.GOMAXPROCS(0),
-	}
+func New(cfg STCellConfig, layout Layout) *Store {
+	s := &Store{dict: NewDict(cfg), layout: layout}
 	s.idAsWKT = s.dict.Encode(ontology.PropAsWKT)
 	s.idAtTime = s.dict.Encode(ontology.PropAtTime)
-	for _, o := range opts {
-		o(s)
-	}
 	return s
 }
 
@@ -267,17 +246,13 @@ func (s *Store) StarJoin(q StarQuery, plan Plan) ([]rdf.Term, QueryStats, error)
 }
 
 // stFilter applies the spatio-temporal constraint over candidates in
-// parallel chunks.
+// GOMAXPROCS parallel chunks.
 func (s *Store) stFilter(candidates []ID, q StarQuery, plan Plan, matcher *CellMatcher, stats *QueryStats) []ID {
 	type verdict struct {
 		accepted                    []ID
 		cellAccepted, preciseChecks int
 	}
-	n := s.workers
-	if n < 1 {
-		n = 1
-	}
-	chunks := chunkIDs(candidates, n)
+	chunks := chunkIDs(candidates, runtime.GOMAXPROCS(0))
 	results := make([]verdict, len(chunks))
 	var wg sync.WaitGroup
 	for ci, chunk := range chunks {
