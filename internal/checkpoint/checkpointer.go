@@ -243,37 +243,27 @@ func (c *Checkpointer) Latest() (*Checkpoint, error) {
 // checkpoint and rewinds the broker to it: each registered operator is
 // restored from its snapshot, then source groups' committed offsets are
 // overwritten and output topics truncated back to the checkpointed ends (0
-// for partitions the checkpoint does not mention). Returns (nil, nil) when
-// the store holds no checkpoint — the pipeline then starts cold. An
-// operator registered but missing from the checkpoint, or one whose Restore
-// fails, is an error returned before the broker is touched; checkpointed
-// operators that are no longer registered are ignored.
+// for partitions the checkpoint does not mention). When the store holds no
+// valid checkpoint it rewinds the broker to generation zero — no committed
+// offsets, every output partition empty, each source's replay floor pinned
+// at 0 — leaves operators as they are, and returns (nil, nil): the pipeline
+// then starts cold. An operator registered but missing from the checkpoint,
+// or one whose Restore fails, is an error returned before the broker is
+// touched; checkpointed operators that are no longer registered are ignored.
 func (c *Checkpointer) Restore(b *msg.Broker) (*Checkpoint, error) {
 	cp, err := c.Latest()
-	if err != nil {
-		if errors.Is(err, ErrNoCheckpoint) {
-			// Cold start: replay restarts from offset zero, so nothing may be
-			// shed until the first checkpoint raises the floor.
-			for _, s := range c.sources {
-				if perr := b.PinReplayFloor(s.topic, nil); perr != nil {
-					return nil, pinFloorErr(perr)
-				}
-			}
-			return nil, nil
-		}
+	cold := errors.Is(err, ErrNoCheckpoint)
+	if err != nil && !cold {
 		return nil, err
 	}
-	// Operators first, in registration order: a checkpoint that lacks a
-	// registered operator, or whose state an operator rejects, fails with
-	// the broker's offsets and outputs as they were.
-	for _, name := range c.names {
-		blob, ok := cp.Operators[name]
-		if !ok {
-			return nil, missingOperatorErr(cp.Generation, name)
-		}
-		if err := c.ops[name].Restore(blob); err != nil {
-			return nil, operatorErr("restore", name, err)
-		}
+	if cold {
+		// A previous crashed attempt may have committed offsets and produced
+		// output: the empty checkpoint rewinds both for effectively-once
+		// replay from offset zero, and pins the floor there so nothing is
+		// shed until the first checkpoint raises it.
+		cp = &Checkpoint{}
+	} else if err := c.restoreOperators(cp); err != nil {
+		return nil, err
 	}
 	restored := make([]SourceOffsets, 0, len(c.sources))
 	for _, s := range c.sources {
@@ -296,6 +286,9 @@ func (c *Checkpointer) Restore(b *msg.Broker) (*Checkpoint, error) {
 			}
 		}
 	}
+	if cold {
+		return nil, nil
+	}
 	c.nextGen = cp.Generation + 1
 	if c.m != nil {
 		c.m.restores.Inc()
@@ -303,6 +296,22 @@ func (c *Checkpointer) Restore(b *msg.Broker) (*Checkpoint, error) {
 	c.log.Info("restored from checkpoint",
 		"generation", cp.Generation, "operators", len(cp.Operators))
 	return cp, nil
+}
+
+// restoreOperators restores every registered operator from cp, in
+// registration order: a checkpoint that lacks a registered operator, or
+// whose state an operator rejects, fails before Restore touches the broker.
+func (c *Checkpointer) restoreOperators(cp *Checkpoint) error {
+	for _, name := range c.names {
+		blob, ok := cp.Operators[name]
+		if !ok {
+			return missingOperatorErr(cp.Generation, name)
+		}
+		if err := c.ops[name].Restore(blob); err != nil {
+			return operatorErr("restore", name, err)
+		}
+	}
+	return nil
 }
 
 // Cold-path error constructors for the capture and restore loops, kept out

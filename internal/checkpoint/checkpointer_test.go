@@ -144,6 +144,51 @@ func TestRestoreNoCheckpoint(t *testing.T) {
 	}
 }
 
+// TestColdRestoreRewindsToGenerationZero: with no checkpoint in the store,
+// Restore undoes what a crashed first attempt left in the broker — its
+// commits and its output — and leaves operators as they are.
+func TestColdRestoreRewindsToGenerationZero(t *testing.T) {
+	b := newTestBroker(t)
+	t0 := time.Unix(1000, 0).UTC()
+	produceN(t, b, "raw", 10, t0)
+	produceN(t, b, "out", 6, t0)
+	c, err := b.NewConsumer("g", "raw", "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := c.Poll(context.Background(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Commit(recs[len(recs)-1])
+	c.Close()
+	if len(b.CommittedOffsets("g", "raw")) == 0 {
+		t.Fatal("no commit to rewind: the test set nothing up")
+	}
+
+	cpr, err := NewCheckpointer(NewMemStore(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpr.RegisterSource("g", "raw")
+	cpr.RegisterOutput("out")
+	op := &counterOp{n: 7}
+	cpr.Register("counter", op)
+	cp, err := cpr.Restore(b)
+	if err != nil || cp != nil {
+		t.Fatalf("empty store: cp=%v err=%v, want nil,nil", cp, err)
+	}
+	if got := b.CommittedOffsets("g", "raw"); len(got) != 0 {
+		t.Errorf("committed offsets after a cold restore: %v, want none", got)
+	}
+	if got := endOffsets(t, b, "out"); !reflect.DeepEqual(got, []int64{0, 0}) {
+		t.Errorf("output ends after a cold restore: %v, want [0 0]", got)
+	}
+	if op.n != 7 {
+		t.Errorf("cold restore changed operator state to %d", op.n)
+	}
+}
+
 func TestCorruptedLatestFallsBack(t *testing.T) {
 	b := newTestBroker(t)
 	op := &counterOp{}

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"datacron/internal/analytics"
-	"datacron/internal/msg"
 	"datacron/internal/rdf"
 	"datacron/internal/store"
 	"datacron/internal/synopses"
@@ -106,27 +104,4 @@ func (p *Pipeline) MinePatterns(cfg analytics.MineConfig, k int) ([]analytics.Fr
 		p.log.Warn("skipped unparsable synopsis records", "skipped", bad, "of", len(recs), "first_error", firstErr)
 	}
 	return analytics.ProposePatterns(cps, cfg, k), nil
-}
-
-// ReplayTopic republishes an archived topic's records into another broker,
-// supporting the paper's "reprocess the archive through the real-time
-// layer" workflows (e.g. re-running synopses with new thresholds). The
-// context cancels the replay when the destination topic is bounded and
-// producing blocks on backpressure.
-func ReplayTopic(ctx context.Context, from *msg.Broker, topic string, to *msg.Broker) (int64, error) {
-	recs, err := from.Drain(topic)
-	if err != nil {
-		return 0, err
-	}
-	if err := to.EnsureTopic(topic, 4); err != nil {
-		return 0, err
-	}
-	var n int64
-	for _, rec := range recs {
-		if _, err := to.Produce(ctx, topic, rec.Key, rec.Value, rec.Time); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"datacron/internal/analytics"
 	"datacron/internal/gen"
-	"datacron/internal/msg"
 	"datacron/internal/obs"
 	"datacron/internal/ontology"
 	"datacron/internal/rdf"
@@ -146,23 +145,5 @@ func TestUnparsableSynopsisRecordsAreCounted(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("proposals with one corrupt record differ from the clean archive's:\n got %v\nwant %v", got, want)
-	}
-}
-
-func TestReplayTopic(t *testing.T) {
-	p, reports := maritimePipeline(t, false)
-	if err := p.Ingest(context.Background(), reports); err != nil {
-		t.Fatal(err)
-	}
-	fresh := msg.NewBroker()
-	n, err := ReplayTopic(context.Background(), p.Broker, TopicRaw, fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(reports)) {
-		t.Errorf("replayed %d, want %d", n, len(reports))
-	}
-	if st, _ := fresh.Stats().Topic(TopicRaw); st.Records != n {
-		t.Errorf("fresh broker holds %d", st.Records)
 	}
 }

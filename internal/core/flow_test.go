@@ -33,6 +33,18 @@ func flowPipeline(t *testing.T, shards int, fc flow.Config) (*Pipeline, []mobili
 	return p, sim.Run(time.Hour)
 }
 
+// limitedPipeline is flowPipeline without the plane: no shedder, and the raw
+// topic bounded directly, so the broker's overload policy takes all the
+// pressure and Ingest produces in batches.
+func limitedPipeline(t *testing.T, shards int, l msg.TopicLimit) (*Pipeline, []mobility.Report) {
+	t.Helper()
+	p, reports := flowPipeline(t, shards, flow.Config{})
+	if err := p.Broker.LimitTopic(TopicRaw, l); err != nil {
+		t.Fatal(err)
+	}
+	return p, reports
+}
+
 // TestSentinelErrorsAreDistinct pins the errors.Is contract of the three
 // overload sentinels: each wrapped error matches its own sentinel and no
 // other, so callers can branch on the failure class.
@@ -66,10 +78,7 @@ func TestSentinelErrorsAreDistinct(t *testing.T) {
 // draining, Ingest must stop at the caller's deadline and surface the stall
 // as ErrBackpressure wrapping the context error.
 func TestIngestBackpressureHonorsContext(t *testing.T) {
-	p, reports := flowPipeline(t, 1, flow.Config{
-		QueueCap: 8, Policy: msg.Block,
-		ShedLow: 1 << 20, ShedHigh: 1 << 20, // shedder out of the way
-	})
+	p, reports := limitedPipeline(t, 1, msg.TopicLimit{Capacity: 8, Policy: msg.Block})
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	err := p.Ingest(ctx, reports)
@@ -84,10 +93,7 @@ func TestIngestBackpressureHonorsContext(t *testing.T) {
 // TestIngestDropNewestCountsRejects: rejected records are bookkeeping, not
 // failures — Ingest completes and reports them in the flow stats.
 func TestIngestDropNewestCountsRejects(t *testing.T) {
-	p, reports := flowPipeline(t, 1, flow.Config{
-		QueueCap: 64, Policy: msg.DropNewest,
-		ShedLow: 1 << 20, ShedHigh: 1 << 20,
-	})
+	p, reports := limitedPipeline(t, 1, msg.TopicLimit{Capacity: 64, Policy: msg.DropNewest})
 	if err := p.Ingest(context.Background(), reports); err != nil {
 		t.Fatalf("Ingest with drop-newest must not fail: %v", err)
 	}
@@ -99,6 +105,41 @@ func TestIngestDropNewestCountsRejects(t *testing.T) {
 	if raw.Backlog > 64 {
 		t.Fatalf("backlog %d exceeds the configured capacity", raw.Backlog)
 	}
+}
+
+// TestIngestSheddedProduceErrors drives every outcome of a produce behind
+// the shedder: Block stalls until the deadline and surfaces
+// ErrBackpressure, DropNewest refusals are counted beside the sheds, and a
+// closed raw topic fails the Ingest.
+func TestIngestSheddedProduceErrors(t *testing.T) {
+	t.Run("block", func(t *testing.T) {
+		p, reports := flowPipeline(t, 1, flow.Config{QueueCap: 8, Policy: msg.Block})
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		err := p.Ingest(ctx, reports)
+		if !errors.Is(err, ErrBackpressure) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Ingest past capacity: err = %v, want ErrBackpressure wrapping the deadline", err)
+		}
+	})
+	t.Run("drop-newest", func(t *testing.T) {
+		p, reports := flowPipeline(t, 1, flow.Config{QueueCap: 64, Policy: msg.DropNewest})
+		if err := p.Ingest(context.Background(), reports); err != nil {
+			t.Fatalf("Ingest with drop-newest must not fail: %v", err)
+		}
+		st := p.Stats().Flow
+		if st.RejectedFull == 0 || st.Shedder.Shed() == 0 {
+			t.Fatalf("flow stats %+v: want both sheds and rejections", st)
+		}
+	})
+	t.Run("closed", func(t *testing.T) {
+		p, reports := flowPipeline(t, 1, flow.Config{QueueCap: 64, Policy: msg.DropNewest})
+		if err := p.Broker.CloseTopic(TopicRaw); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Ingest(context.Background(), reports); !errors.Is(err, msg.ErrClosed) {
+			t.Fatalf("Ingest into a closed raw topic: %v, want msg.ErrClosed", err)
+		}
+	})
 }
 
 // TestShardsByteIdenticalUnderPressure extends the shard determinism
@@ -146,16 +187,13 @@ func TestShardsByteIdenticalUnderPressure(t *testing.T) {
 // injected crashes and checkpoint replays must publish byte-identical
 // outputs to a clean run over the same thinned log.
 func TestOverloadCrashRecoveryByteIdentical(t *testing.T) {
-	// Watermarks above any reachable depth disable the shedder, forcing the
-	// pressure into the broker so evictions (not just sheds) are replayed.
-	// The capacity keeps the thinned log several poll batches long:
-	// checkpoints are captured only between batches, so a log shorter than
-	// one batch could never checkpoint and the restart loop would livelock.
-	fc := flow.Config{
-		QueueCap: 2048, Policy: msg.DropOldestUncommitted,
-		ShedLow: 1 << 20, ShedHigh: 1 << 20,
-	}
-	base, reports := flowPipeline(t, 1, fc)
+	// No shedder: the pressure goes into the broker, so evictions (not
+	// just sheds) are replayed. The capacity keeps the thinned log several
+	// poll batches long: checkpoints are captured only between batches, so a
+	// log shorter than one batch could never checkpoint and the restart loop
+	// would livelock.
+	limit := msg.TopicLimit{Capacity: 2048, Policy: msg.DropOldestUncommitted}
+	base, reports := limitedPipeline(t, 1, limit)
 	if err := base.Ingest(context.Background(), reports); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +206,7 @@ func TestOverloadCrashRecoveryByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	faulty, reports2 := flowPipeline(t, 1, fc)
+	faulty, reports2 := limitedPipeline(t, 1, limit)
 	if err := faulty.Ingest(context.Background(), reports2); err != nil {
 		t.Fatal(err)
 	}

@@ -128,8 +128,8 @@ func WithSLO(objectives ...slo.Objective) Option {
 
 // WithFlow arms the backpressure and admission-control plane: the raw topic
 // is bounded at cfg.QueueCap records of uncommitted backlog per partition
-// under cfg.Policy, a priority-aware shedder drops low-value records at the
-// configured watermarks, and (with WithAdmin) an overload health checker
+// under cfg.Policy, a priority-aware shedder drops low-value records at
+// watermarks derived from that capacity (flow.Config.Shedder), and (with WithAdmin) an overload health checker
 // reports the new Overloaded state while records are being shed, rejected
 // or blocked. The zero Config (QueueCap 0) leaves the plane off — the
 // pipeline behaves exactly as without the option.
@@ -182,14 +182,13 @@ func New(opts ...Option) (*Pipeline, error) {
 		p.slos = slo.NewTracker(reg, o.slos...)
 	}
 	if o.flow.Enabled() {
-		fc := o.flow.WithDefaults(p.cfg.Partitions)
 		if err := p.Broker.LimitTopic(TopicRaw, msg.TopicLimit{
-			Capacity: fc.QueueCap,
-			Policy:   fc.Policy,
+			Capacity: o.flow.QueueCap,
+			Policy:   o.flow.Policy,
 		}); err != nil {
 			return nil, fmt.Errorf("core: limit raw topic: %w", err)
 		}
-		p.shedder = flow.NewShedder(fc.ShedLow, fc.ShedHigh, fc.CoverageWindow, reg)
+		p.shedder = o.flow.Shedder(p.cfg.Partitions, reg)
 	}
 	if o.adminSet {
 		if reg == nil {

@@ -219,10 +219,7 @@ func TestBlockLimitedRawTopicDrainsWithConcurrentIngest(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			p, reports := flowPipeline(t, shards, flow.Config{
-				QueueCap: pollBatch / 3, Policy: msg.Block,
-				ShedLow: 1 << 20, ShedHigh: 1 << 20, // shedder out of the way
-			})
+			p, reports := limitedPipeline(t, shards, msg.TopicLimit{Capacity: pollBatch / 3, Policy: msg.Block})
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
 			type result struct {

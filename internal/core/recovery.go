@@ -245,25 +245,10 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 			p.log.Info("restored from checkpoint",
 				"generation", cp.Generation, "records", sum.RawIn, "shards", shards)
 		}
-		if cp == nil {
-			// No checkpoint: cold start. A previous crashed attempt may
-			// still have committed offsets and produced output, so rewind
-			// the world to generation zero for effectively-once replay.
-			p.Broker.RestoreOffsets(sourceGroup, TopicRaw, nil)
-			for _, t := range outputTopics {
-				n, err := p.Broker.Partitions(t)
-				if err != nil {
-					return sum, err
-				}
-				for i := 0; i < n; i++ {
-					if err := p.Broker.Truncate(t, i, 0); err != nil {
-						return sum, err
-					}
-				}
-			}
-			if p.forecaster != nil {
-				p.forecaster.Reset()
-			}
+		if cp == nil && p.forecaster != nil {
+			// Cold start: Restore rewound the broker to generation zero, and
+			// the forecaster restarts with it.
+			p.forecaster.Reset()
 		}
 	}
 

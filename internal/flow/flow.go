@@ -72,41 +72,23 @@ type Config struct {
 	QueueCap int
 	// Policy is what Produce does when a partition is at capacity.
 	Policy msg.OverloadPolicy
-	// ShedLow and ShedHigh are total-backlog watermarks (summed over
-	// partitions) for the shedder: at ShedLow, Bulk records are shed; at
-	// ShedHigh everything but Critical is shed. Zero values derive defaults
-	// from QueueCap (50% and 85% of the total capacity).
-	ShedLow  int
-	ShedHigh int
-	// CoverageWindow is the per-mover event-time gap above which a record
-	// counts as Critical (it refreshes a stale synopsis). Records within
-	// half the window of the last kept one are Bulk. Default 5 minutes.
-	CoverageWindow time.Duration
 }
+
+// coverageWindow is the per-mover event-time gap above which a record counts
+// as Critical (it refreshes a stale synopsis). Records within half the
+// window of the last kept one are Bulk.
+const coverageWindow = 5 * time.Minute
 
 // Enabled reports whether the plane is active.
 func (c Config) Enabled() bool { return c.QueueCap > 0 }
 
-// WithDefaults fills derived fields given the number of partitions the
-// capacity applies to.
-func (c Config) WithDefaults(partitions int) Config {
-	if partitions < 1 {
-		partitions = 1
-	}
+// Shedder builds the shedder the plane arms in front of a raw topic of the
+// given number of partitions. Its watermarks are derived from the total
+// capacity, QueueCap × partitions: at half of it Bulk records are shed, and
+// at 85 % everything but Critical is. Its coverage window is 5 minutes.
+func (c Config) Shedder(partitions int, reg *obs.Registry) *Shedder {
 	total := c.QueueCap * partitions
-	if c.ShedLow <= 0 {
-		c.ShedLow = total / 2
-	}
-	if c.ShedHigh <= 0 {
-		c.ShedHigh = total * 85 / 100
-	}
-	if c.ShedHigh < c.ShedLow {
-		c.ShedHigh = c.ShedLow
-	}
-	if c.CoverageWindow <= 0 {
-		c.CoverageWindow = 5 * time.Minute
-	}
-	return c
+	return NewShedder(total/2, total*85/100, coverageWindow, reg)
 }
 
 // Stats is a value-type snapshot of a Shedder.
@@ -148,7 +130,7 @@ func NewShedder(low, high int, coverage time.Duration, reg *obs.Registry) *Shedd
 		high = low
 	}
 	if coverage <= 0 {
-		coverage = 5 * time.Minute
+		coverage = coverageWindow
 	}
 	return &Shedder{
 		low:      low,

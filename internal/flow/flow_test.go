@@ -147,22 +147,19 @@ func TestShedderMetrics(t *testing.T) {
 	}
 }
 
-// TestConfigDefaults pins the derived watermarks and the Enabled gate.
+// TestConfigDefaults pins the watermarks and coverage window the plane
+// derives from its capacity, and the Enabled gate.
 func TestConfigDefaults(t *testing.T) {
 	if (Config{}).Enabled() {
 		t.Fatal("zero Config must be disabled")
 	}
-	c := Config{QueueCap: 100}.WithDefaults(4)
-	if !c.Enabled() || c.ShedLow != 200 || c.ShedHigh != 340 {
-		t.Fatalf("derived config = %+v, want low 200 high 340", c)
+	c := Config{QueueCap: 100}
+	if !c.Enabled() {
+		t.Fatal("a positive QueueCap must enable the plane")
 	}
-	if c.CoverageWindow != 5*time.Minute {
-		t.Fatalf("default coverage = %v", c.CoverageWindow)
-	}
-	// Explicit watermarks survive, inverted ones are clamped.
-	c = Config{QueueCap: 10, ShedLow: 9, ShedHigh: 3}.WithDefaults(1)
-	if c.ShedLow != 9 || c.ShedHigh != 9 {
-		t.Fatalf("clamped config = %+v, want high clamped to low", c)
+	s := c.Shedder(4, nil)
+	if s.low != 200 || s.high != 340 || s.coverage != 5*time.Minute {
+		t.Fatalf("derived shedder: low %d high %d coverage %v; want 200, 340, 5m", s.low, s.high, s.coverage)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 	"time"
 
@@ -34,11 +33,22 @@ type Broker struct {
 	log         *slog.Logger
 }
 
-// topic is a named set of partition logs.
+// topic is a named set of partition logs under one lock. Each partition's
+// cond wakes the Fetch waiters and blocked producers of that partition; polls
+// wakes consumers waiting on any partition. Every append, CloseTopic and
+// Close broadcasts polls.
 type topic struct {
-	name  string
-	parts []*partition
-	m     *topicMetrics // nil when the broker is not instrumented
+	name   string
+	mu     sync.Mutex
+	parts  []partition
+	polls  *sync.Cond
+	closed bool
+
+	// Admission control (zero values: unbounded, the seed behaviour).
+	cap    int            // max uncommitted retained records per partition; 0 = unbounded
+	policy OverloadPolicy // what Produce does at capacity
+
+	m *topicMetrics // nil when the broker is not instrumented
 }
 
 // topicMetrics caches the per-topic overload counters the health overload
@@ -58,43 +68,32 @@ func newTopicMetrics(reg *obs.Registry, name string) *topicMetrics {
 	}
 }
 
-// partition is an offset-addressed log with a broadcast condition for
-// blocking fetches and blocking (backpressured) produces. Records are kept
-// sorted by offset; the DropOldestUncommitted policy may shed records from
-// the middle of the retained window, so the log is sparse where records were
-// shed and readers address it by offset, never by index.
+// partition is an offset-addressed log. Records are kept sorted by offset;
+// the DropOldestUncommitted policy may shed records from the middle of the
+// retained window, so the log is sparse where records were shed and readers
+// address it by offset, never by index. The topic's mutex guards it.
 type partition struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	log    partLog
-	next   int64 // next offset to assign
-	closed bool
+	cond *sync.Cond // on the topic's mutex
+	log  partLog
+	next int64 // next offset to assign
 
-	// Admission control (zero values: unbounded, the seed behaviour).
-	cap         int            // max uncommitted retained records; 0 = unbounded
-	policy      OverloadPolicy // what Produce does at capacity
-	floor       int64          // lowest offset some consumer group has not committed
-	replayFloor int64          // lowest offset a checkpoint replay may re-read
-	pinned      bool           // replayFloor has been pinned
-	evicted     int64          // records shed by DropOldestUncommitted
-	rejected    int64          // produces rejected at capacity
-}
-
-func newPartition() *partition {
-	p := &partition{}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+	floor       int64 // lowest offset some consumer group has not committed
+	replayFloor int64 // lowest offset a checkpoint replay may re-read
+	pinned      bool  // replayFloor has been pinned
+	evicted     int64 // records shed by DropOldestUncommitted
+	rejected    int64 // produces rejected at capacity
 }
 
 // backlog counts retained records not yet committed by every consumer group.
-// Callers hold p.mu.
+// Callers hold the topic's mutex.
 func (p *partition) backlog() int {
 	return p.log.len() - p.log.search(p.floor)
 }
 
 // shedOldest removes the oldest retained record that is both uncommitted and
 // above the pinned replay floor. It reports false when nothing is sheddable —
-// every retained record is committed or replay-protected. Callers hold p.mu.
+// every retained record is committed or replay-protected. Callers hold the
+// topic's mutex.
 func (p *partition) shedOldest() bool {
 	bound := p.floor
 	if p.pinned && p.replayFloor > bound {
@@ -107,6 +106,25 @@ func (p *partition) shedOldest() bool {
 	p.log.removeAt(i)
 	p.evicted++
 	return true
+}
+
+// part returns partition i, or ErrBadPartition when i is outside the topic.
+func (t *topic) part(i int) (*partition, error) {
+	if i < 0 || i >= len(t.parts) {
+		return nil, fmt.Errorf("%w: %d of %d", ErrBadPartition, i, len(t.parts))
+	}
+	return &t.parts[i], nil
+}
+
+// close marks the topic closed and wakes every waiter on it.
+func (t *topic) close() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.closed = true
+	for i := range t.parts {
+		t.parts[i].cond.Broadcast()
+	}
+	t.polls.Broadcast()
 }
 
 // NewBroker returns an empty broker.
@@ -139,9 +157,10 @@ func (b *Broker) CreateTopic(name string, partitions int) error {
 	if partitions < 1 {
 		partitions = 1
 	}
-	t := &topic{name: name, parts: make([]*partition, partitions)}
+	t := &topic{name: name, parts: make([]partition, partitions)}
+	t.polls = sync.NewCond(&t.mu)
 	for i := range t.parts {
-		t.parts[i] = newPartition()
+		t.parts[i].cond = sync.NewCond(&t.mu)
 	}
 	for {
 		b.mu.RLock()
@@ -226,27 +245,6 @@ func (b *Broker) Instrument(reg *obs.Registry) {
 	}
 }
 
-// EnsureTopic creates the topic if it does not exist and returns nil either way.
-func (b *Broker) EnsureTopic(name string, partitions int) error {
-	err := b.CreateTopic(name, partitions)
-	if errors.Is(err, ErrTopicExists) {
-		return nil
-	}
-	return err
-}
-
-// Topics returns the sorted topic names.
-func (b *Broker) Topics() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.topics))
-	for name := range b.topics {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Partitions returns the number of partitions of a topic.
 func (b *Broker) Partitions(topicName string) (int, error) {
 	b.mu.RLock()
@@ -273,72 +271,41 @@ func (b *Broker) topic(name string) (*topic, error) {
 
 // Produce appends a record to the topic, choosing the partition by key hash
 // (or partition 0 for an empty key on a single-partition topic). It returns
-// the record as stored, with partition and offset filled in.
+// the record as stored, with partition and offset filled in. It is a
+// ProduceBatch of one record.
 //
 // On a topic limited with LimitTopic, Produce applies the topic's overload
 // policy when the partition's uncommitted backlog is at capacity: Block
 // waits until the backlog drains (returning ctx.Err() if the context is
-// cancelled or its deadline passes first), DropNewest returns ErrTopicFull,
-// and DropOldestUncommitted sheds the oldest uncommitted record to make
-// room. On unbounded topics the context is not consulted.
+// cancelled or its deadline passes first), DropNewest and a
+// DropOldestUncommitted with nothing sheddable return an error wrapping
+// ErrTopicFull, and DropOldestUncommitted otherwise sheds the oldest
+// uncommitted record to make room. On unbounded topics the context is not
+// consulted.
 func (b *Broker) Produce(ctx context.Context, topicName, key string, value []byte, ts time.Time) (Record, error) {
-	t, err := b.topic(topicName)
+	recs := [1]Record{{Key: key, Value: value, Time: ts}}
+	n, err := b.ProduceBatch(ctx, topicName, recs[:])
 	if err != nil {
 		return Record{}, err
 	}
-	pIdx := HashKey(key, len(t.parts))
-	return b.produceTo(ctx, t, pIdx, key, value, ts)
+	if n == 0 {
+		return Record{}, b.refusedErr(topicName, recs[0].Partition)
+	}
+	return recs[0], nil
 }
 
-// ProduceTo appends a record to an explicit partition, with the same
-// overload behaviour as Produce.
-func (b *Broker) ProduceTo(ctx context.Context, topicName string, partitionIdx int, key string, value []byte, ts time.Time) (Record, error) {
+// refusedErr describes a record the topic's overload policy refused. It is
+// the cold path of Produce, kept out of it so the hot path never touches fmt.
+func (b *Broker) refusedErr(topicName string, pIdx int) error {
 	t, err := b.topic(topicName)
 	if err != nil {
-		return Record{}, err
+		return err
 	}
-	if partitionIdx < 0 || partitionIdx >= len(t.parts) {
-		return Record{}, fmt.Errorf("%w: %d of %d", ErrBadPartition, partitionIdx, len(t.parts))
-	}
-	return b.produceTo(ctx, t, partitionIdx, key, value, ts)
-}
-
-func (b *Broker) produceTo(ctx context.Context, t *topic, pIdx int, key string, value []byte, ts time.Time) (Record, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	p := t.parts[pIdx]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var st produceState
-	defer st.stopWatching()
-	verdict, err := p.admit(ctx, t, &st)
-	if err != nil || verdict != admitOK {
-		st.flush(p, t)
-		switch {
-		case errors.Is(err, ErrClosed):
-			return Record{}, ErrClosed
-		case err != nil:
-			return Record{}, blockedCancelErr(t.name, pIdx, p.cap, err)
-		case verdict == admitDropNewest:
-			return Record{}, dropNewestErr(t.name, pIdx, p.cap)
-		default: // admitNothingSheddable
-			return Record{}, nothingSheddableErr(t.name, pIdx, p.cap)
-		}
-	}
-	rec := Record{
-		Topic:     t.name,
-		Partition: pIdx,
-		Offset:    p.next,
-		Key:       key,
-		Value:     value,
-		Time:      ts,
-	}
-	p.next++
-	p.log.push(rec.Offset, key, value, ts)
-	st.pending = true
-	st.flush(p, t)
-	return rec, nil
+	t.mu.Lock()
+	capacity, policy := t.cap, t.policy
+	t.mu.Unlock()
+	return fmt.Errorf("%w: %s/%d backlog at capacity %d under %s",
+		ErrTopicFull, topicName, pIdx, capacity, policy)
 }
 
 // RejectedOffset marks a batch record that was refused admission: after
@@ -347,11 +314,10 @@ func (b *Broker) produceTo(ctx context.Context, t *topic, pIdx int, key string, 
 const RejectedOffset int64 = -1
 
 // ProduceBatch appends a batch of records to the topic, routing each by key
-// hash exactly like Produce, with one lock acquisition and one metrics flush
-// per touched partition instead of one per record. Each record's Key, Value
-// and Time must be set by the caller; Topic, Partition and Offset are
-// assigned in place. A run of consecutive records with equal keys is hashed
-// once.
+// hash exactly like Produce, under one lock acquisition with one metrics
+// flush per touched partition. Each record's Key, Value and Time must be set
+// by the caller; Topic, Partition and Offset are assigned in place. A run of
+// consecutive records with equal keys is hashed once.
 //
 // Admission is still per record: on a topic limited with LimitTopic, each
 // record runs the topic's overload policy individually, so a batch straddling
@@ -381,7 +347,7 @@ func (b *Broker) ProduceBatch(ctx context.Context, topicName string, recs []Reco
 	// Group the batch by partition in one pass, without allocating: each
 	// partition's records are threaded into a chain in batch order through
 	// their Offset fields (the index of the partition's next record, or
-	// RejectedOffset at the chain's end). produceBatchTo walks a chain and
+	// RejectedOffset at the chain's end). produceChain walks a chain and
 	// overwrites every link with the assigned offset or RejectedOffset.
 	nParts := len(t.parts)
 	var onStack [2 * 8]int // heads then tails, for up to 8 partitions
@@ -410,12 +376,14 @@ func (b *Broker) ProduceBatch(ctx context.Context, topicName string, recs []Reco
 		}
 		tails[part] = i
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	admitted := 0
 	for pIdx, head := range heads {
 		if head < 0 {
 			continue
 		}
-		n, err := b.produceBatchTo(ctx, t, pIdx, recs, head)
+		n, err := t.produceChain(ctx, pIdx, recs, head)
 		admitted += n
 		if err != nil {
 			for _, rest := range heads[pIdx+1:] {
@@ -437,28 +405,26 @@ func rejectChain(recs []Record, i int) {
 	}
 }
 
-// produceBatchTo appends the batch records of partition pIdx — the chain
-// ProduceBatch threaded from index head — under a single lock acquisition,
-// running per-record admission. Records the overload policy refuses get
-// RejectedOffset; a closed partition or a context cancellation while blocked
-// aborts the partition's remaining records, which get RejectedOffset too.
-func (b *Broker) produceBatchTo(ctx context.Context, t *topic, pIdx int, recs []Record, head int) (int, error) {
-	p := t.parts[pIdx]
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// produceChain appends the batch records of partition pIdx — the chain
+// ProduceBatch threaded from index head — running per-record admission.
+// Callers hold t.mu. Records the overload policy refuses get RejectedOffset;
+// a closed topic or a context cancellation while blocked aborts the
+// partition's remaining records, which get RejectedOffset too.
+func (t *topic) produceChain(ctx context.Context, pIdx int, recs []Record, head int) (int, error) {
+	p := &t.parts[pIdx]
 	var st produceState
 	defer st.stopWatching()
 	admitted := 0
 	var admitErr error
 	for i := head; i >= 0; {
-		verdict, err := p.admit(ctx, t, &st)
+		ok, err := t.admit(ctx, p, &st)
 		if err != nil {
 			admitErr = err
 			rejectChain(recs, i)
 			break
 		}
 		next := int(recs[i].Offset)
-		if verdict != admitOK {
+		if !ok {
 			recs[i].Offset = RejectedOffset
 			i = next
 			continue
@@ -470,14 +436,14 @@ func (b *Broker) produceBatchTo(ctx context.Context, t *topic, pIdx int, recs []
 		admitted++
 		i = next
 	}
-	st.flush(p, t)
+	st.flush(t, p)
 	switch {
 	case admitErr == nil:
 		return admitted, nil
 	case errors.Is(admitErr, ErrClosed):
 		return admitted, ErrClosed
 	default:
-		return admitted, blockedCancelErr(t.name, pIdx, p.cap, admitErr)
+		return admitted, blockedCancelErr(t.name, pIdx, t.cap, admitErr)
 	}
 }
 
@@ -499,11 +465,13 @@ func (st *produceState) stopWatching() {
 	}
 }
 
-// flush publishes the pass's consumer wakeup and metric deltas. Callers hold
-// p.mu. It is idempotent: the deltas reset to zero once published.
-func (st *produceState) flush(p *partition, t *topic) {
+// flush publishes the pass's consumer wakeup for partition p and the metric
+// deltas. Callers hold t.mu. It is idempotent: the deltas reset to zero once
+// published.
+func (st *produceState) flush(t *topic, p *partition) {
 	if st.pending {
 		p.cond.Broadcast()
+		t.polls.Broadcast()
 		st.pending = false
 	}
 	if t.m != nil {
@@ -521,24 +489,18 @@ func (st *produceState) flush(p *partition, t *topic) {
 	st.evictedN, st.rejectedN = 0, 0
 }
 
-// Admission verdicts returned by partition.admit.
-const (
-	admitOK               = iota
-	admitDropNewest       // at capacity under DropNewest: record refused
-	admitNothingSheddable // at capacity with nothing evictable above the floors
-)
-
-// admit runs the overload-admission loop for one incoming record. Callers
-// hold p.mu. A non-nil error means the partition closed or the context was
-// cancelled while blocked; refusals under the drop policies are verdicts,
-// not errors, so a batch caller can skip the one record and continue.
-func (p *partition) admit(ctx context.Context, t *topic, st *produceState) (int, error) {
-	for p.cap > 0 && p.backlog() >= p.cap && !p.closed {
-		switch p.policy {
+// admit runs the overload-admission loop for one incoming record of
+// partition p and reports whether it may be appended. Callers hold t.mu. A
+// non-nil error means the topic closed or the context was cancelled while
+// blocked; refusals under the drop policies are a false verdict, not an
+// error, so a batch caller can skip the one record and continue.
+func (t *topic) admit(ctx context.Context, p *partition, st *produceState) (bool, error) {
+	for t.cap > 0 && p.backlog() >= t.cap && !t.closed {
+		switch t.policy {
 		case DropNewest:
 			p.rejected++
 			st.rejectedN++
-			return admitDropNewest, nil
+			return false, nil
 		case DropOldestUncommitted:
 			if p.shedOldest() {
 				st.evictedN++
@@ -548,44 +510,33 @@ func (p *partition) admit(ctx context.Context, t *topic, st *produceState) (int,
 			// nothing may be shed, so the incoming record is the one lost.
 			p.rejected++
 			st.rejectedN++
-			return admitNothingSheddable, nil
+			return false, nil
 		default: // Block
 			if err := ctx.Err(); err != nil {
-				return admitOK, err
+				return false, err
 			}
 			if !st.blocked {
 				st.blocked = true
 				// Wake the cond wait when the context is cancelled, exactly
 				// like Fetch's blocking path.
-				st.stop = context.AfterFunc(ctx, p.wakeWaiters)
+				st.stop = context.AfterFunc(ctx, p.wake)
 			}
 			// Records this batch already appended must become visible to
 			// consumers before we wait on them: without the wakeup a consumer
-			// blocked in Fetch would never drain the backlog, deadlocking the
-			// produce against its own batch.
+			// blocked in Poll or Fetch would never drain the backlog,
+			// deadlocking the produce against its own batch.
 			if st.pending {
 				p.cond.Broadcast()
+				t.polls.Broadcast()
 				st.pending = false
 			}
 			p.cond.Wait()
 		}
 	}
-	if p.closed {
-		return admitOK, ErrClosed
+	if t.closed {
+		return false, ErrClosed
 	}
-	return admitOK, nil
-}
-
-// Cold-path error constructors, kept out of the admission loop so the hot
-// path never touches fmt.
-func dropNewestErr(topicName string, pIdx, capacity int) error {
-	return fmt.Errorf("%w: %s/%d backlog at capacity %d (drop-newest)",
-		ErrTopicFull, topicName, pIdx, capacity)
-}
-
-func nothingSheddableErr(topicName string, pIdx, capacity int) error {
-	return fmt.Errorf("%w: %s/%d backlog at capacity %d and nothing sheddable above the replay floor",
-		ErrTopicFull, topicName, pIdx, capacity)
+	return true, nil
 }
 
 func blockedCancelErr(topicName string, pIdx, capacity int, err error) error {
@@ -593,14 +544,21 @@ func blockedCancelErr(topicName string, pIdx, capacity int, err error) error {
 		topicName, pIdx, capacity, err)
 }
 
-// wakeWaiters broadcasts to the partition's cond under its lock. Registered
-// as a context-cancellation callback by admit's blocking path and Fetch's
-// wait, it runs on the AfterFunc goroutine — never synchronously under a
-// caller-held p.mu.
-func (p *partition) wakeWaiters() {
-	p.mu.Lock()
+// wake broadcasts the partition's cond under the topic's lock, and
+// wakePolls does the same for the topic's polls cond. Registered as
+// context-cancellation callbacks by admit's blocking path, Fetch and Poll,
+// they run on the AfterFunc goroutine — never synchronously under a
+// caller-held t.mu.
+func (p *partition) wake() {
+	p.cond.L.Lock()
 	p.cond.Broadcast()
-	p.mu.Unlock()
+	p.cond.L.Unlock()
+}
+
+func (t *topic) wakePolls() {
+	t.mu.Lock()
+	t.polls.Broadcast()
+	t.mu.Unlock()
 }
 
 // noteCommit recomputes a partition's commit floor — the minimum committed
@@ -608,14 +566,13 @@ func (p *partition) wakeWaiters() {
 // blocked on backpressure, whose backlog may just have shrunk. Called by
 // Consumer.Commit and RestoreOffsets (the floor moves backwards on a
 // recovery rewind, growing the backlog again).
-func (b *Broker) noteCommit(topicName string, part int) {
-	b.mu.RLock()
-	t, ok := b.topics[topicName]
-	groups := b.topicGroups[topicName]
-	b.mu.RUnlock()
-	if !ok || part < 0 || part >= len(t.parts) {
+func (b *Broker) noteCommit(t *topic, part int) {
+	if part < 0 || part >= len(t.parts) {
 		return
 	}
+	b.mu.RLock()
+	groups := b.topicGroups[t.name]
+	b.mu.RUnlock()
 	floor := int64(-1)
 	for _, g := range groups {
 		if off := g.committedOffset(part); floor < 0 || off < floor {
@@ -625,8 +582,9 @@ func (b *Broker) noteCommit(topicName string, part int) {
 	if floor < 0 {
 		return
 	}
-	p := t.parts[part]
-	p.mu.Lock()
+	p := &t.parts[part]
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if floor != p.floor {
 		p.floor = floor
 		// On pinned (checkpointed) topics the replay floor is a high-water
@@ -639,12 +597,11 @@ func (b *Broker) noteCommit(topicName string, part int) {
 		}
 		p.cond.Broadcast()
 	}
-	p.mu.Unlock()
 }
 
 // Fetch returns up to max records from the partition at offsets at or past
 // offset. When no such records are available it blocks until some are
-// produced, the partition is closed (returns io-style empty slice with
+// produced, the topic is closed (returns io-style empty slice with
 // ErrClosed), or the context is cancelled. On topics shedding under
 // DropOldestUncommitted the log may be sparse: the first returned record's
 // offset can be greater than the requested one.
@@ -653,68 +610,43 @@ func (b *Broker) Fetch(ctx context.Context, topicName string, partitionIdx int, 
 	if err != nil {
 		return nil, err
 	}
-	if partitionIdx < 0 || partitionIdx >= len(t.parts) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrBadPartition, partitionIdx, len(t.parts))
+	p, err := t.part(partitionIdx)
+	if err != nil {
+		return nil, err
+	}
+	if offset < 0 {
+		return nil, fmt.Errorf("%w: %d", ErrOffsetOutRange, offset)
 	}
 	if max <= 0 {
 		max = 1
 	}
-	p := t.parts[partitionIdx]
-
 	// The context's cancellation wakes the cond wait. It is registered just
 	// before the first wait, so a fetch that finds records allocates nothing
-	// for it; registering under p.mu loses no wake-up, since the callback
-	// must take p.mu, which only the wait releases.
+	// for it; registering under t.mu loses no wake-up, since the callback
+	// must take t.mu, which only the wait releases.
 	var stop func() bool
 	defer func() {
 		if stop != nil {
 			stop()
 		}
 	}()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if offset < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrOffsetOutRange, offset)
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for p.log.search(offset) >= p.log.len() {
-		if p.closed {
+		if t.closed {
 			return nil, ErrClosed
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		if stop == nil {
-			stop = context.AfterFunc(ctx, p.wakeWaiters)
+			stop = context.AfterFunc(ctx, p.wake)
 		}
 		p.cond.Wait()
 	}
 	i := p.log.search(offset)
 	j := min(i+max, p.log.len())
 	return p.log.copyOut(i, j, t.name, partitionIdx), nil
-}
-
-// PeekTime returns the event time of the first retained record at or past
-// offset without consuming it. ok is false when no such record exists.
-// Consumers use it to merge their topic's partitions in event-time order.
-func (b *Broker) PeekTime(topicName string, partitionIdx int, offset int64) (time.Time, bool, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return time.Time{}, false, err
-	}
-	if partitionIdx < 0 || partitionIdx >= len(t.parts) {
-		return time.Time{}, false, fmt.Errorf("%w: %d of %d", ErrBadPartition, partitionIdx, len(t.parts))
-	}
-	if offset < 0 {
-		return time.Time{}, false, fmt.Errorf("%w: %d", ErrOffsetOutRange, offset)
-	}
-	p := t.parts[partitionIdx]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i := p.log.search(offset)
-	if i >= p.log.len() {
-		return time.Time{}, false, nil
-	}
-	return p.log.at(i).time, true, nil
 }
 
 // Truncate discards the tail of a partition: records at offsets >= end are
@@ -727,15 +659,15 @@ func (b *Broker) Truncate(topicName string, partitionIdx int, end int64) error {
 	if err != nil {
 		return err
 	}
-	if partitionIdx < 0 || partitionIdx >= len(t.parts) {
-		return fmt.Errorf("%w: %d of %d", ErrBadPartition, partitionIdx, len(t.parts))
+	p, err := t.part(partitionIdx)
+	if err != nil {
+		return err
 	}
 	if end < 0 {
 		return fmt.Errorf("%w: %d", ErrOffsetOutRange, end)
 	}
-	p := t.parts[partitionIdx]
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if end < p.next {
 		p.log.truncate(p.log.search(end))
 		p.next = end
@@ -749,17 +681,17 @@ func (b *Broker) EndOffset(topicName string, partitionIdx int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if partitionIdx < 0 || partitionIdx >= len(t.parts) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBadPartition, partitionIdx, len(t.parts))
+	p, err := t.part(partitionIdx)
+	if err != nil {
+		return 0, err
 	}
-	p := t.parts[partitionIdx]
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return p.next, nil
 }
 
-// CloseTopic marks a topic's partitions closed: pending and future fetches
-// past the end return ErrClosed, signalling end-of-stream to consumers, and
+// CloseTopic marks a topic closed: pending and future fetches and polls past
+// the end return ErrClosed, signalling end-of-stream to consumers, and
 // producers blocked on backpressure give up with ErrClosed. Already-buffered
 // records remain fetchable.
 func (b *Broker) CloseTopic(topicName string) error {
@@ -767,35 +699,23 @@ func (b *Broker) CloseTopic(topicName string) error {
 	if err != nil {
 		return err
 	}
-	for _, p := range t.parts {
-		p.mu.Lock()
-		p.closed = true
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	}
+	t.close()
 	b.logger().Debug("topic closed", "topic", topicName)
 	return nil
 }
 
-// Close closes every topic and the broker itself.
+// Close closes every topic, as CloseTopic does, and the broker itself:
+// every later call that names a topic fails with ErrClosed. An open consumer
+// reads what its topic buffered and then reaches end-of-stream.
 func (b *Broker) Close() {
 	b.mu.Lock()
-	names := make([]string, 0, len(b.topics))
-	for name := range b.topics {
-		names = append(names, name)
-	}
 	b.closed = true
+	topics := make([]*topic, 0, len(b.topics))
+	for _, t := range b.topics {
+		topics = append(topics, t)
+	}
 	b.mu.Unlock()
-	for _, name := range names {
-		// topics map is never mutated after close; CloseTopic re-reads it.
-		b.mu.Lock()
-		t := b.topics[name]
-		b.mu.Unlock()
-		for _, p := range t.parts {
-			p.mu.Lock()
-			p.closed = true
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		}
+	for _, t := range topics {
+		t.close()
 	}
 }

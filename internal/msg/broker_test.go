@@ -22,9 +22,6 @@ func TestCreateTopicAndProduce(t *testing.T) {
 	if err := b.CreateTopic("ais", 4); !errors.Is(err, ErrTopicExists) {
 		t.Errorf("duplicate create: %v", err)
 	}
-	if err := b.EnsureTopic("ais", 4); err != nil {
-		t.Errorf("EnsureTopic on existing: %v", err)
-	}
 	if _, err := b.Produce(context.Background(), "nope", "k", nil, base); !errors.Is(err, ErrUnknownTopic) {
 		t.Errorf("produce to unknown topic: %v", err)
 	}
@@ -377,41 +374,39 @@ func TestDrainMergesByTime(t *testing.T) {
 	}
 }
 
-func TestTopicsProduceToAndClose(t *testing.T) {
+// TestBrokerCloseFailsLookups: broker Close is full shutdown. Producing,
+// creating and fetching by name fail with ErrClosed, and an open consumer
+// reads what its topic buffered and then reaches end-of-stream.
+func TestBrokerCloseFailsLookups(t *testing.T) {
 	b := NewBroker()
 	if err := b.CreateTopic("beta", 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.CreateTopic("alpha", 1); err != nil {
+	if _, err := b.Produce(context.Background(), "beta", "k", []byte("x"), base); err != nil {
 		t.Fatal(err)
 	}
-	got := b.Topics()
-	if len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
-		t.Errorf("topics = %v", got)
+	c, err := b.NewConsumer("g", "beta", "m")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Explicit-partition produce.
-	rec, err := b.ProduceTo(context.Background(), "beta", 1, "k", []byte("x"), base)
-	if err != nil || rec.Partition != 1 {
-		t.Errorf("ProduceTo: %+v, %v", rec, err)
-	}
-	if _, err := b.ProduceTo(context.Background(), "beta", 9, "k", nil, base); !errors.Is(err, ErrBadPartition) {
-		t.Errorf("bad partition: %v", err)
-	}
-	if _, err := b.ProduceTo(context.Background(), "nope", 0, "k", nil, base); !errors.Is(err, ErrUnknownTopic) {
-		t.Errorf("unknown topic: %v", err)
-	}
-	// Broker-wide close: producing and creating fail afterwards.
+	defer c.Close()
 	b.Close()
-	if _, err := b.Produce(context.Background(), "alpha", "k", nil, base); !errors.Is(err, ErrClosed) {
+	if _, err := b.Produce(context.Background(), "beta", "k", nil, base); !errors.Is(err, ErrClosed) {
 		t.Errorf("produce after close: %v", err)
 	}
 	if err := b.CreateTopic("gamma", 1); !errors.Is(err, ErrClosed) {
 		t.Errorf("create after close: %v", err)
 	}
 	// Unlike CloseTopic (end-of-stream), broker Close is full shutdown:
-	// reads fail too.
+	// reads by name fail too.
 	if _, err := b.Fetch(context.Background(), "beta", 1, 0, 10); !errors.Is(err, ErrClosed) {
 		t.Errorf("fetch after broker close: %v", err)
+	}
+	if recs, err := c.Poll(context.Background(), 10); err != nil || len(recs) != 1 {
+		t.Fatalf("poll of the buffered record after close: %d records, %v", len(recs), err)
+	}
+	if _, err := c.Poll(context.Background(), 10); !errors.Is(err, ErrClosed) {
+		t.Errorf("poll past the buffered records after close: %v, want ErrClosed", err)
 	}
 }
 

@@ -94,9 +94,9 @@ func (b *Broker) RestoreOffsets(groupID, topicName string, offsets map[int]int64
 	g.mu.Unlock()
 	// The rewind moves the commit floor backwards, growing the uncommitted
 	// backlog admission control is measured against.
-	if n, err := b.Partitions(topicName); err == nil {
-		for p := 0; p < n; p++ {
-			b.noteCommit(topicName, p)
+	if t, err := b.topic(topicName); err == nil {
+		for p := range t.parts {
+			b.noteCommit(t, p)
 		}
 	}
 }
@@ -105,10 +105,10 @@ func (b *Broker) RestoreOffsets(groupID, topicName string, offsets map[int]int64
 // at most one open consumer per topic. Consumers are not safe for
 // concurrent use; create one per goroutine.
 type Consumer struct {
-	broker    *Broker
-	grp       *group
-	topicName string
-	member    string
+	broker *Broker
+	grp    *group
+	t      *topic
+	member string
 
 	positions []int64 // next fetch offset, indexed by partition
 	polled    int64   // records returned by Poll since creation
@@ -133,7 +133,7 @@ func (b *Broker) registry() *obs.Registry {
 // with ErrGroupBusy; Close releases the group. member names the consumer in
 // its Stats.
 func (b *Broker) NewConsumer(groupID, topicName, member string) (*Consumer, error) {
-	n, err := b.Partitions(topicName)
+	t, err := b.topic(topicName)
 	if err != nil {
 		return nil, err
 	}
@@ -141,9 +141,9 @@ func (b *Broker) NewConsumer(groupID, topicName, member string) (*Consumer, erro
 	c := &Consumer{
 		broker:    b,
 		grp:       g,
-		topicName: topicName,
+		t:         t,
 		member:    member,
-		positions: make([]int64, n),
+		positions: make([]int64, len(t.parts)),
 	}
 	g.mu.Lock()
 	busy := g.open
@@ -169,8 +169,8 @@ func (b *Broker) NewConsumer(groupID, topicName, member string) (*Consumer, erro
 // index), so consumption order is a pure function of the fetch positions:
 // a consumer resuming from restored offsets replays the exact sequence the
 // original consumer saw — the property crash recovery relies on. It blocks
-// until at least one record is available, the topic is closed (ErrClosed),
-// or the context is cancelled. Polled records are NOT committed
+// until a record is available on any partition, the topic is closed
+// (ErrClosed), or the context is cancelled. Polled records are NOT committed
 // automatically; call Commit.
 func (c *Consumer) Poll(ctx context.Context, max int) ([]Record, error) {
 	return c.observedPoll(ctx, max, true)
@@ -198,8 +198,9 @@ func (c *Consumer) observedPoll(ctx context.Context, max int, block bool) ([]Rec
 	return recs, err
 }
 
-// poll is the one fetch path behind Poll and TryPoll; with block false it
-// returns (nil, nil) where Poll would wait for records.
+// poll is the one fetch path behind Poll and TryPoll: it reads every
+// partition's head and copies the batch in one critical section on the
+// topic. With block false it returns (nil, nil) where Poll would wait.
 func (c *Consumer) poll(ctx context.Context, max int, block bool) ([]Record, error) {
 	if c.closed {
 		return nil, ErrConsumerClosed
@@ -207,53 +208,48 @@ func (c *Consumer) poll(ctx context.Context, max int, block bool) ([]Record, err
 	if max <= 0 {
 		max = 1
 	}
-	fetch := func(ctx context.Context, p int) ([]Record, error) {
-		recs, err := c.broker.Fetch(ctx, c.topicName, p, c.positions[p], max)
-		if err != nil {
+	t := c.t
+	// As in Fetch, the context's cancellation wakes the wait, registered
+	// under t.mu just before the first wait.
+	var stop func() bool
+	defer func() {
+		if stop != nil {
+			stop()
+		}
+	}()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for {
+		best, head := -1, 0
+		var bestTime time.Time
+		for p := range t.parts {
+			l := &t.parts[p].log
+			if i := l.search(c.positions[p]); i < l.len() {
+				if ts := l.at(i).time; best < 0 || ts.Before(bestTime) {
+					best, head, bestTime = p, i, ts
+				}
+			}
+		}
+		if best >= 0 {
+			l := &t.parts[best].log
+			recs := l.copyOut(head, min(head+max, l.len()), t.name, best)
+			c.positions[best] = recs[len(recs)-1].Offset + 1
+			return recs, nil
+		}
+		if !block {
+			return nil, nil
+		}
+		if t.closed {
+			return nil, ErrClosed
+		}
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		c.positions[p] = recs[len(recs)-1].Offset + 1
-		return recs, nil
-	}
-	if p, ok, err := c.earliestReady(); err != nil {
-		return nil, err
-	} else if ok {
-		return fetch(ctx, p)
-	}
-	if !block {
-		return nil, nil
-	}
-	// Nothing buffered anywhere: block on partition 0. ErrClosed from it
-	// only means end-of-stream for the whole consumer if no other
-	// partition received records while we were blocked.
-	recs, err := fetch(ctx, 0)
-	if errors.Is(err, ErrClosed) {
-		// The topic is closed, so partition contents are final: one more
-		// non-blocking scan either drains a remaining partition or
-		// confirms end-of-stream.
-		if p, ok, serr := c.earliestReady(); serr == nil && ok {
-			return fetch(ctx, p)
+		if stop == nil {
+			stop = context.AfterFunc(ctx, t.wakePolls)
 		}
+		t.polls.Wait()
 	}
-	return recs, err
-}
-
-// earliestReady returns the partition with buffered records whose head
-// record has the earliest event time, or ok=false when no partition has
-// records at the current positions.
-func (c *Consumer) earliestReady() (part int, ok bool, err error) {
-	best := -1
-	var bestTime time.Time
-	for p, pos := range c.positions {
-		t, has, err := c.broker.PeekTime(c.topicName, p, pos)
-		if err != nil {
-			return 0, false, err
-		}
-		if has && (best < 0 || t.Before(bestTime)) {
-			best, bestTime = p, t
-		}
-	}
-	return best, best >= 0, nil
 }
 
 // Commit records that every record of rec's partition up to and including
@@ -261,7 +257,7 @@ func (c *Consumer) earliestReady() (part int, ok bool, err error) {
 // uncommitted backlog and wake producers blocked on backpressure.
 func (c *Consumer) Commit(rec Record) {
 	c.grp.commit(rec.Partition, rec.Offset+1)
-	c.broker.noteCommit(c.topicName, rec.Partition)
+	c.broker.noteCommit(c.t, rec.Partition)
 }
 
 // SeekTo moves the consumer's fetch position of a partition to offset: the
@@ -290,12 +286,10 @@ func (c *Consumer) Lag() (int64, error) {
 		return 0, ErrConsumerClosed
 	}
 	var lag int64
+	c.t.mu.Lock()
+	defer c.t.mu.Unlock()
 	for p, pos := range c.positions {
-		end, err := c.broker.EndOffset(c.topicName, p)
-		if err != nil {
-			return 0, err
-		}
-		if d := end - pos; d > 0 {
+		if d := c.t.parts[p].next - pos; d > 0 {
 			lag += d
 		}
 	}
@@ -318,30 +312,17 @@ func (c *Consumer) Close() {
 // independent of any group — a convenience for batch-layer components that
 // re-process a full log. It does not block for future records.
 func (b *Broker) Drain(topicName string) ([]Record, error) {
-	n, err := b.Partitions(topicName)
+	t, err := b.topic(topicName)
 	if err != nil {
 		return nil, err
 	}
 	var out []Record
-	for p := 0; p < n; p++ {
-		end, err := b.EndOffset(topicName, p)
-		if err != nil {
-			return nil, err
-		}
-		// Check retained records, not just the end offset: on a limited topic
-		// shedding can leave end > 0 with nothing retained, and a blocking
-		// fetch against an open, empty partition would never return.
-		if _, has, err := b.PeekTime(topicName, p, 0); err != nil {
-			return nil, err
-		} else if end == 0 || !has {
-			continue
-		}
-		recs, err := b.Fetch(context.Background(), topicName, p, 0, int(end))
-		if err != nil && !errors.Is(err, ErrClosed) {
-			return nil, err
-		}
-		out = append(out, recs...)
+	t.mu.Lock()
+	for p := range t.parts {
+		l := &t.parts[p].log
+		out = append(out, l.copyOut(0, l.len(), t.name, p)...)
 	}
+	t.mu.Unlock()
 	// Merge partitions by time to give the batch layer a coherent order.
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
 	return out, nil

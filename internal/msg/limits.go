@@ -80,13 +80,12 @@ func (b *Broker) LimitTopic(name string, l TopicLimit) error {
 	if err != nil {
 		return err
 	}
-	for _, p := range t.parts {
-		p.mu.Lock()
-		p.cap = l.Capacity
-		p.policy = l.Policy
-		p.cond.Broadcast()
-		p.mu.Unlock()
+	t.mu.Lock()
+	t.cap, t.policy = l.Capacity, l.Policy
+	for i := range t.parts {
+		t.parts[i].cond.Broadcast()
 	}
+	t.mu.Unlock()
 	b.logger().Debug("topic limited", "topic", name, "capacity", l.Capacity, "policy", l.Policy.String())
 	return nil
 }
@@ -100,10 +99,10 @@ func (b *Broker) Backlog(name string) (int64, error) {
 		return 0, err
 	}
 	var n int64
-	for _, p := range t.parts {
-		p.mu.Lock()
-		n += int64(p.backlog())
-		p.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.parts {
+		n += int64(t.parts[i].backlog())
 	}
 	return n, nil
 }
@@ -119,8 +118,10 @@ func (b *Broker) PinReplayFloor(name string, offsets map[int]int64) error {
 	if err != nil {
 		return err
 	}
-	for i, p := range t.parts {
-		p.mu.Lock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.parts {
+		p := &t.parts[i]
 		// The replay floor is monotone: pinning an older generation (e.g.
 		// falling back past a corrupted checkpoint) must not expose records
 		// protected by a newer pin — everything below the high-water mark
@@ -129,7 +130,6 @@ func (b *Broker) PinReplayFloor(name string, offsets map[int]int64) error {
 			p.replayFloor = offsets[i]
 		}
 		p.pinned = true
-		p.mu.Unlock()
 	}
 	return nil
 }

@@ -237,7 +237,7 @@ func (m *logModel) fetch(p int, offset int64, lim int) []Record {
 // Produce, ProduceBatch of up to three segments, Commit, RestoreOffsets,
 // SeekTo, TryPoll, Truncate at, inside and past segment edges, limit changes
 // that make DropOldestUncommitted shed from the middle, PinReplayFloor, and
-// Fetch/PeekTime spanning segments — against a naive slice model, and after
+// Fetch spanning segments — against a naive slice model, and after
 // every step compares offsets, the retained records, Backlog and Stats.
 func TestPartitionLogModel(t *testing.T) {
 	seeds, steps := 12, 300
@@ -294,15 +294,11 @@ func runLogModel(t *testing.T, rng *rand.Rand, steps int) {
 		case r < 25:
 			op = "produce"
 			key, value, ts := newRecord()
-			p := HashKey(key, nParts)
-			var got Record
-			var err error
 			if rng.Intn(2) == 0 {
-				p = rng.Intn(nParts)
-				got, err = b.ProduceTo(ctx, "log", p, key, value, ts)
-			} else {
-				got, err = b.Produce(ctx, "log", key, value, ts)
+				key = keyFor(rng.Intn(nParts), nParts)
 			}
+			p := HashKey(key, nParts)
+			got, err := b.Produce(ctx, "log", key, value, ts)
 			want, ok := m.produce(p, key, value, ts)
 			if ok != (err == nil) || (ok && !sameRecord(got, want)) {
 				t.Fatalf("step %d produce: got %+v, %v; model %+v, admitted %v", step, got, err, want, ok)
@@ -451,10 +447,6 @@ func runLogModel(t *testing.T, rng *rand.Rand, steps int) {
 			if (err != nil) != (len(want) == 0) || !sameRecords(got, want) {
 				t.Fatalf("step %d fetch %d@%d max %d: got %d records, %v; model %d", step, p, off, lim, len(got), err, len(want))
 			}
-			ts, ok, err := b.PeekTime("log", p, off)
-			if err != nil || ok != (len(want) > 0) || (ok && !ts.Equal(want[0].Time)) {
-				t.Fatalf("step %d peek %d@%d: %v, %v, %v; model %v", step, p, off, ts, ok, err, want)
-			}
 		}
 		checkLogModel(t, b, m, done, fmt.Sprintf("step %d (%s)", step, op))
 	}
@@ -483,9 +475,8 @@ func checkLogModel(t *testing.T, b *Broker, m *logModel, done context.Context, w
 		rejected += mp.rejected
 
 		topic, _ := b.topic("log")
-		part := topic.parts[p]
-		part.mu.Lock()
-		l := &part.log
+		topic.mu.Lock()
+		l := &topic.parts[p].log
 		if used := (l.n + segSize - 1) / segSize; len(l.segs) > used+1 {
 			t.Errorf("%s: partition %d keeps %d segments for %d entries", where, p, len(l.segs), l.n)
 		}
@@ -495,7 +486,7 @@ func checkLogModel(t *testing.T, b *Broker, m *logModel, done context.Context, w
 				break
 			}
 		}
-		part.mu.Unlock()
+		topic.mu.Unlock()
 	}
 	if got, _ := b.Backlog("log"); got != backlog {
 		t.Fatalf("%s: backlog %d, model %d", where, got, backlog)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -23,6 +24,16 @@ func offsetsTestBroker(t *testing.T, parts, n int) *Broker {
 		}
 	}
 	return b
+}
+
+// keyFor returns a key that HashKey routes to partition p of n, so a test
+// can produce to a chosen partition through the keyed path.
+func keyFor(p, n int) string {
+	for i := 0; ; i++ {
+		if k := "k" + strconv.Itoa(i); HashKey(k, n) == p {
+			return k
+		}
+	}
 }
 
 func TestCommittedOffsetsUnknownGroup(t *testing.T) {
@@ -132,7 +143,7 @@ func TestConsumerOwnsWholeTopic(t *testing.T) {
 	t0 := time.Unix(7000, 0).UTC()
 	const total = 30
 	for i := 0; i < total; i++ {
-		if _, err := b.ProduceTo(ctx, "t", (i*5)%3, "k", []byte{byte(i)}, t0.Add(time.Duration(i)*time.Second)); err != nil {
+		if _, err := b.Produce(ctx, "t", keyFor((i*5)%3, 3), []byte{byte(i)}, t0.Add(time.Duration(i)*time.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -355,13 +366,13 @@ func TestPollMergesByEventTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Unix(5000, 0).UTC()
-	// Interleave event times across explicit partitions.
+	// Interleave event times across chosen partitions.
 	times := []struct {
 		part int
 		sec  int
 	}{{2, 0}, {0, 1}, {1, 2}, {0, 3}, {2, 4}, {1, 5}}
 	for i, pt := range times {
-		if _, err := b.ProduceTo(context.Background(), "t", pt.part, "k", []byte{byte(i)}, t0.Add(time.Duration(pt.sec)*time.Second)); err != nil {
+		if _, err := b.Produce(context.Background(), "t", keyFor(pt.part, 3), []byte{byte(i)}, t0.Add(time.Duration(pt.sec)*time.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -396,24 +407,118 @@ func TestPollMergesByEventTime(t *testing.T) {
 	}
 }
 
-func TestTruncateAndPeekTime(t *testing.T) {
-	b := offsetsTestBroker(t, 1, 5)
+// TestPollWakesOnAnyPartition: a Poll blocked on a quiet topic returns as
+// soon as a record lands on any partition, not only on partition 0.
+func TestPollWakesOnAnyPartition(t *testing.T) {
+	b := NewBroker()
+	if err := b.CreateTopic("t", 2); err != nil {
+		t.Fatal(err)
+	}
+	c, err := b.NewConsumer("g", "t", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const deadline = 300 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	produced := make(chan error, 1)
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		_, err := b.Produce(context.Background(), "t", keyFor(1, 2), []byte("p1"), base)
+		produced <- err
+	}()
+	start := time.Now()
+	recs, err := c.Poll(ctx, 10)
+	took := time.Since(start)
+	if perr := <-produced; perr != nil {
+		t.Fatal(perr)
+	}
+	if err != nil || len(recs) != 1 || recs[0].Partition != 1 {
+		t.Fatalf("Poll after %v: %+v, %v; want the partition-1 record", took, recs, err)
+	}
+	if took >= deadline/2 {
+		t.Fatalf("Poll woke after %v, want well before the %v deadline", took, deadline)
+	}
+}
 
-	ts, ok, err := b.PeekTime("t", 0, 2)
-	if err != nil || !ok {
-		t.Fatalf("PeekTime: ok=%v err=%v", ok, err)
+// TestPollConcurrentProducersPerPartition runs one producer per partition
+// against one blocking consumer: every record is polled exactly once, and
+// each partition's records arrive in the order they were produced.
+func TestPollConcurrentProducersPerPartition(t *testing.T) {
+	const parts, perPart = 4, 500
+	b := NewBroker()
+	if err := b.CreateTopic("t", parts); err != nil {
+		t.Fatal(err)
 	}
-	if ts.IsZero() {
-		t.Fatal("PeekTime returned zero time")
+	c, err := b.NewConsumer("g", "t", "m1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok, err := b.PeekTime("t", 0, 5); err != nil || ok {
-		t.Fatalf("PeekTime past end: ok=%v err=%v", ok, err)
+	defer c.Close()
+	errs := make(chan error, parts)
+	for p := 0; p < parts; p++ {
+		go func(p int) {
+			key := keyFor(p, parts)
+			for i := 0; i < perPart; i++ {
+				ts := base.Add(time.Duration(i) * time.Millisecond)
+				if _, err := b.Produce(context.Background(), "t", key, []byte(strconv.Itoa(i)), ts); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(p)
 	}
-	if _, _, err := b.PeekTime("t", 0, -1); !errors.Is(err, ErrOffsetOutRange) {
-		t.Fatalf("PeekTime negative: %v", err)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var next [parts]int
+	for got := 0; got < parts*perPart; {
+		recs, err := c.Poll(ctx, 64)
+		if err != nil {
+			t.Fatalf("after %d records: %v", got, err)
+		}
+		for _, r := range recs {
+			if want := strconv.Itoa(next[r.Partition]); string(r.Value) != want {
+				t.Fatalf("partition %d: record %q, want %q", r.Partition, r.Value, want)
+			}
+			next[r.Partition]++
+			got++
+		}
 	}
-	if _, _, err := b.PeekTime("ghost", 0, 0); !errors.Is(err, ErrUnknownTopic) {
-		t.Fatalf("PeekTime unknown topic: %v", err)
+	for p := 0; p < parts; p++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recs, err := c.TryPoll(64); err != nil || len(recs) != 0 {
+		t.Fatalf("records past the produced ones: %d, %v", len(recs), err)
+	}
+}
+
+// TestTruncateAndFetch: Fetch reads a partition's head at any retained
+// offset, and Truncate cuts the tail so the next produce reuses the cut
+// offset.
+func TestTruncateAndFetch(t *testing.T) {
+	b := offsetsTestBroker(t, 1, 5)
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	recs, err := b.Fetch(done, "t", 0, 2, 1)
+	if err != nil || len(recs) != 1 || recs[0].Offset != 2 {
+		t.Fatalf("Fetch at 2: %+v, %v", recs, err)
+	}
+	if want := time.Unix(1002, 0).UTC(); !recs[0].Time.Equal(want) {
+		t.Fatalf("head time at 2 = %v, want %v", recs[0].Time, want)
+	}
+	if _, err := b.Fetch(done, "t", 0, 5, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fetch past end: %v, want the context's error", err)
+	}
+	if _, err := b.Fetch(done, "t", 0, -1, 1); !errors.Is(err, ErrOffsetOutRange) {
+		t.Fatalf("Fetch negative: %v", err)
+	}
+	if _, err := b.Fetch(done, "ghost", 0, 0, 1); !errors.Is(err, ErrUnknownTopic) {
+		t.Fatalf("Fetch unknown topic: %v", err)
 	}
 
 	if err := b.Truncate("t", 0, 3); err != nil {
@@ -453,7 +558,7 @@ func TestTryPollMatchesPollWithoutWaiting(t *testing.T) {
 	}
 	t0 := time.Unix(5000, 0).UTC()
 	for i := 0; i < 20; i++ {
-		if _, err := b.ProduceTo(context.Background(), "t", (i*7)%3, "k", []byte{byte(i)}, t0.Add(time.Duration(i)*time.Second)); err != nil {
+		if _, err := b.Produce(context.Background(), "t", keyFor((i*7)%3, 3), []byte{byte(i)}, t0.Add(time.Duration(i)*time.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -33,16 +33,17 @@ func (b *Broker) Stats() BrokerStats {
 	var s BrokerStats
 	for _, t := range topics {
 		ts := TopicStats{Name: t.name, Partitions: len(t.parts)}
-		for _, p := range t.parts {
-			p.mu.Lock()
+		t.mu.Lock()
+		ts.Capacity = t.cap
+		for i := range t.parts {
+			p := &t.parts[i]
 			ts.Records += int64(p.log.len())
 			ts.Bytes += p.log.bytes
 			ts.Backlog += int64(p.backlog())
-			ts.Capacity = p.cap
 			ts.Evicted += p.evicted
 			ts.Rejected += p.rejected
-			p.mu.Unlock()
 		}
+		t.mu.Unlock()
 		s.Topics = append(s.Topics, ts)
 	}
 	sort.Slice(s.Topics, func(i, j int) bool { return s.Topics[i].Name < s.Topics[j].Name })
@@ -74,7 +75,7 @@ type ConsumerStats struct {
 func (c *Consumer) Stats() ConsumerStats {
 	s := ConsumerStats{
 		Group:  c.grp.id,
-		Topic:  c.topicName,
+		Topic:  c.t.name,
 		Member: c.member,
 		Polled: c.polled,
 	}
