@@ -4,20 +4,17 @@
 //
 // Usage:
 //
-//	datacronlint [-list] [-only=name,name] [-json] [-sarif=file]
-//	             [-baseline=file] [-update-baseline] [packages]
+//	datacronlint [-list] [-only=name,name] [packages]
 //
 // With no package arguments (or "./...") the whole module is analyzed.
 // Arguments are directories relative to the current working directory.
 //
-// With -baseline, findings recorded in the baseline file are reported but do
-// not fail the build; -update-baseline rewrites the file from the current
-// findings. Exit codes distinguish the outcomes:
+// Every finding fails the run; the only way to accept one is a
+// //lint:ignore <analyzer> <reason> directive at the site. Exit codes:
 //
 //	0  no findings
-//	1  new findings (not covered by the baseline)
+//	1  findings
 //	2  usage or load error
-//	3  findings, all covered by the baseline
 package main
 
 import (
@@ -38,10 +35,6 @@ func main() {
 func run() int {
 	listFlag := flag.Bool("list", false, "print available analyzers and exit")
 	onlyFlag := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	jsonFlag := flag.Bool("json", false, "emit findings as a JSON array on stdout instead of text")
-	sarifFlag := flag.String("sarif", "", "also write a SARIF 2.1.0 log to this file")
-	baselineFlag := flag.String("baseline", "", "baseline file; findings recorded in it do not fail the build")
-	updateFlag := flag.Bool("update-baseline", false, "rewrite the -baseline file from current findings and exit")
 	flag.Parse()
 
 	if *listFlag {
@@ -49,10 +42,6 @@ func run() int {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *updateFlag && *baselineFlag == "" {
-		fmt.Fprintln(os.Stderr, "datacronlint: -update-baseline requires -baseline")
-		return 2
 	}
 
 	analyzers := lint.Analyzers()
@@ -92,67 +81,15 @@ func run() int {
 	}
 
 	diags := lint.Run(pkgs, analyzers)
-
-	if *updateFlag {
-		if err := lint.NewBaseline(diags, root).Write(*baselineFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "datacronlint:", err)
-			return 2
+	for _, d := range diags {
+		if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			d.Pos.Filename = rel
 		}
-		fmt.Fprintf(os.Stderr, "datacronlint: wrote %s with %d finding(s)\n", *baselineFlag, len(diags))
-		return 0
+		fmt.Println(d)
 	}
-
-	var known map[*lint.Diagnostic]bool
-	if *baselineFlag != "" {
-		b, err := lint.LoadBaseline(*baselineFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datacronlint:", err)
-			return 2
-		}
-		known = b.KnownSet(diags, root)
-	}
-
-	if *sarifFlag != "" {
-		data, err := lint.EncodeSARIF(diags, known, root)
-		if err == nil {
-			err = os.WriteFile(*sarifFlag, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datacronlint:", err)
-			return 2
-		}
-	}
-
-	if *jsonFlag {
-		data, err := lint.EncodeJSON(diags, known, root)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datacronlint:", err)
-			return 2
-		}
-		_, _ = os.Stdout.Write(data)
-	} else {
-		for i := range diags {
-			d := &diags[i]
-			pos := d.Pos
-			if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-				pos.Filename = rel
-			}
-			suffix := ""
-			if known[d] {
-				suffix = " (baseline)"
-			}
-			fmt.Printf("%s:%d:%d: [%s] %s%s\n", pos.Filename, pos.Line, pos.Column, d.Analyzer, d.Message, suffix)
-		}
-	}
-
-	newCount := len(diags) - len(known)
-	switch {
-	case newCount > 0:
-		fmt.Fprintf(os.Stderr, "datacronlint: %d new finding(s), %d in baseline\n", newCount, len(known))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "datacronlint: %d finding(s)\n", len(diags))
 		return 1
-	case len(diags) > 0:
-		fmt.Fprintf(os.Stderr, "datacronlint: %d finding(s), all in baseline\n", len(diags))
-		return 3
 	}
 	return 0
 }

@@ -1,6 +1,6 @@
 // Package faultinject provides deterministic, seed-driven fault injection
 // for exercising the checkpoint/recovery machinery: scheduled crashes of the
-// processing loop, dropped or delayed fetch batches, and targeted corruption
+// processing loop, dropped fetch batches, and targeted corruption
 // of persisted checkpoints. All randomness flows from one seeded source, so
 // a given seed reproduces the same fault schedule run after run.
 package faultinject
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"datacron/internal/checkpoint"
 )
@@ -35,12 +34,6 @@ type Config struct {
 	// pipeline rewinds the consumer and re-polls, simulating a lost fetch
 	// response.
 	DropProb float64
-
-	// DelayProb and MaxDelay inject fetch latency: with probability
-	// DelayProb the pipeline sleeps uniform(0, MaxDelay] once per polled
-	// batch, before deciding whether to drop it.
-	DelayProb float64
-	MaxDelay  time.Duration
 }
 
 // Injector produces a deterministic fault schedule. Safe for use from one
@@ -114,17 +107,6 @@ func (i *Injector) DropBatch() bool {
 	}
 	i.drops++
 	return true
-}
-
-// Delay returns how long the pipeline should sleep for the batch it just
-// polled (zero for no delay).
-func (i *Injector) Delay() time.Duration {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.cfg.DelayProb <= 0 || i.cfg.MaxDelay <= 0 || i.rng.Float64() >= i.cfg.DelayProb {
-		return 0
-	}
-	return time.Duration(i.rng.Int63n(int64(i.cfg.MaxDelay))) + 1
 }
 
 // Kills reports how many crashes the injector has fired.

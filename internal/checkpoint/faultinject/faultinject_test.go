@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"datacron/internal/checkpoint"
 )
@@ -89,32 +88,23 @@ func TestKillDisabled(t *testing.T) {
 }
 
 func TestDropAndDelayProbabilities(t *testing.T) {
-	inj := New(Config{Seed: 3, DropProb: 0.5, DelayProb: 0.5, MaxDelay: time.Millisecond})
-	drops, delays := 0, 0
+	inj := New(Config{Seed: 3, DropProb: 0.5})
+	drops := 0
 	for i := 0; i < 1000; i++ {
 		if inj.DropBatch() {
 			drops++
 		}
-		if d := inj.Delay(); d > 0 {
-			delays++
-			if d > time.Millisecond {
-				t.Fatalf("delay %v exceeds MaxDelay", d)
-			}
-		}
 	}
 	if drops < 350 || drops > 650 {
 		t.Errorf("drops = %d, want ~500", drops)
-	}
-	if delays < 350 || delays > 650 {
-		t.Errorf("delays = %d, want ~500", delays)
 	}
 	if inj.Drops() != drops {
 		t.Errorf("Drops() = %d, want %d", inj.Drops(), drops)
 	}
 
 	off := New(Config{Seed: 3})
-	if off.DropBatch() || off.Delay() != 0 {
-		t.Error("zero-config injector dropped or delayed")
+	if off.DropBatch() {
+		t.Error("zero-config injector dropped a batch")
 	}
 }
 

@@ -208,7 +208,7 @@ func New(opts ...Option) (*Pipeline, error) {
 		// /healthz as "shard.<i>" instead of hiding inside aggregate
 		// throughput.
 		for i := 0; i < p.cfg.Shards; i++ {
-			p.watchdog.Register(health.NewShardChecker(i))
+			p.watchdog.Register(health.NewShardChecker(i, p.shardProgress))
 		}
 		p.admin = admin.New(admin.Config{
 			Addr:     o.adminAddr,

@@ -31,7 +31,7 @@ type RecoveryConfig struct {
 	// passed since the previous one (0 disables the timer trigger).
 	Interval time.Duration
 	// Injector, when non-nil, drives deterministic fault injection: crashes
-	// (ErrInjectedCrash), dropped poll batches, and fetch delays.
+	// (ErrInjectedCrash) and dropped poll batches.
 	Injector *faultinject.Injector
 }
 
@@ -509,16 +509,11 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		if err != nil || len(recs) == 0 {
 			return nil, err
 		}
-		if inj != nil {
-			if d := inj.Delay(); d > 0 {
-				time.Sleep(d)
-			}
-			if inj.DropBatch() {
-				// Simulated lost fetch response: rewind the consumer's
-				// position so the batch is polled again, as a real client
-				// would re-fetch after a fetch timeout.
-				return nil, cons.SeekTo(recs[0].Partition, recs[0].Offset)
-			}
+		if inj != nil && inj.DropBatch() {
+			// Simulated lost fetch response: rewind the consumer's position
+			// so the batch is polled again, as a real client would re-fetch
+			// after a fetch timeout.
+			return nil, cons.SeekTo(recs[0].Partition, recs[0].Offset)
 		}
 		// Sampling is decided here, in batch order: the decision stream is
 		// identical whatever the shard count, and — because it depends only

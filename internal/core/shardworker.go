@@ -109,7 +109,6 @@ type shardWorker struct {
 	sample    time.Duration
 	steps     int
 	dash      *va.Dashboard
-	mRecords  *obs.Counter // "shard.<i>.records" in the pipeline registry
 	clock     obs.Clock
 	lagDecode obs.LagStage // "lag.decode.*" in the worker's own registry
 
@@ -143,7 +142,6 @@ func (p *Pipeline) newShardWorker(shard int, reg *obs.Registry) *shardWorker {
 		sample:     p.cfg.SampleInterval,
 		steps:      p.cfg.PredictSteps,
 		dash:       p.Dashboard,
-		mRecords:   p.obs.Counter(fmt.Sprintf("shard.%d.records", shard)),
 		clock:      reg.Clock(),
 		lagDecode:  obs.NewLagStage(reg, "decode"),
 		weather:    p.cfg.Weather,
@@ -156,7 +154,6 @@ func (w *shardWorker) Process(in workerIn) workerOut {
 		in.trace.submit.End() // queue wait, coordinator submit → worker pickup
 	}
 	root := in.trace.rootSpan()
-	w.mRecords.Inc()
 	decodeSpan := root.Child("decode", w.shardAttrs...)
 	// In-place decode with zero steady-state allocations: the report's ID
 	// bytes find its mover, whose strings the report then carries. A

@@ -84,20 +84,30 @@ func (p *Pipeline) Stats() PipelineStats {
 	s.Consumer = p.lastCons
 	s.Summary = p.lastSum
 	s.Flow = p.lastFlow
-	regs, stats := p.shardRegs, p.shardStats
+	regs := p.shardRegs
 	p.mu.Unlock()
-	if stats != nil {
-		for _, row := range stats() {
-			sr := ShardStats{Shard: row.Shard, Records: row.Processed, Queue: row.Queue}
-			if row.Shard < len(regs) {
-				snap := regs[row.Shard].Snapshot()
-				sr.Critical = snap.Counter("synopses.critical")
-				sr.Dropped = snap.Counter("synopses.dropped")
-			}
-			s.Shards = append(s.Shards, sr)
+	for _, row := range p.shardProgress() {
+		sr := ShardStats{Shard: row.Shard, Records: row.Processed, Queue: row.Queue}
+		if row.Shard < len(regs) {
+			snap := regs[row.Shard].Snapshot()
+			sr.Critical = snap.Counter("synopses.critical")
+			sr.Dropped = snap.Counter("synopses.dropped")
 		}
+		s.Shards = append(s.Shards, sr)
 	}
 	return s
+}
+
+// shardProgress reads the current (or last) run's per-shard progress rows;
+// none before the first run. /statz and the shard health checkers read it.
+func (p *Pipeline) shardProgress() []shard.Stats {
+	p.mu.Lock()
+	stats := p.shardStats
+	p.mu.Unlock()
+	if stats == nil {
+		return nil
+	}
+	return stats()
 }
 
 // setShardView publishes a run's shard registries and plane progress for

@@ -2,7 +2,8 @@
 // observability layer's metric snapshots. Nothing here probes components
 // directly: a Watchdog periodically snapshots the obs.Registry the pipeline
 // already writes to and lets a set of Checkers compare consecutive
-// snapshots. That keeps the health model passive (no extra load on the
+// snapshots (the shard checkers read the shard plane's own progress rows
+// instead). That keeps the health model passive (no extra load on the
 // data path) and deterministic — driven by an injectable obs.Clock, the
 // same registry state always yields the same verdict, so every rule is
 // testable against a ManualClock.

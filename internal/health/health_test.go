@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"datacron/internal/obs"
+	"datacron/internal/shard"
 )
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -196,69 +197,83 @@ type checkerFunc func(prev, cur obs.Snapshot) Result
 func (f checkerFunc) Name() string                   { return "custom" }
 func (f checkerFunc) Check(p, c obs.Snapshot) Result { return f(p, c) }
 
+// planeRows is a settable stand-in for a running plane's Stats.
+type planeRows []shard.Stats
+
+func (r *planeRows) stats() []shard.Stats { return *r }
+
+func (r *planeRows) set(i int, processed int64, queue int) {
+	(*r)[i] = shard.Stats{Shard: i, Processed: processed, Queue: queue}
+}
+
 func TestShardCheckerStallIdleProgress(t *testing.T) {
-	clk, reg, w := setup()
-	w.Register(NewShardChecker(0))
-	w.Register(NewShardChecker(1))
-	core := reg.Counter("core.records")
-	s0 := reg.Counter("shard.0.records")
-	s1 := reg.Counter("shard.1.records")
+	clk, _, w := setup()
+	rows := make(planeRows, 2)
+	w.Register(NewShardChecker(0, rows.stats))
+	w.Register(NewShardChecker(1, rows.stats))
 
-	// Baseline: shard 1 has never received a record — idle, not stuck.
-	core.Add(50)
-	s0.Add(50)
+	// First reading: both shards have processed records; shard 1 has
+	// drained its queue.
+	rows.set(0, 50, 10)
+	rows.set(1, 30, 0)
 	w.Tick()
-	if r := result(t, w, "shard.1"); r.Status != Healthy || !strings.Contains(r.Detail, "no records routed") {
-		t.Fatalf("idle shard must be healthy: %+v", r)
-	}
 
-	// Progress on both: healthy.
+	// Shard 1 gets nothing for a tick while shard 0 progresses (sparse
+	// input): nothing is queued for it, so it is idle and healthy.
 	clk.Advance(time.Second)
-	core.Add(100)
-	s0.Add(60)
-	s1.Add(40)
+	rows.set(0, 150, 10)
 	w.Tick()
+	if r := result(t, w, "shard.1"); r.Status != Healthy {
+		t.Fatalf("idle shard must be healthy while others progress: %+v", r)
+	}
 	if r := result(t, w, "shard.0"); r.Status != Healthy {
 		t.Fatalf("progressing shard must be healthy: %+v", r)
 	}
 
-	// Shard 0 stops while the pipeline advances: ONE tick must flip it.
+	// Shard 1 gets input and processes none of it over one tick: stuck.
 	clk.Advance(time.Second)
-	core.Add(100)
-	s1.Add(100)
+	rows.set(0, 250, 10)
+	rows.set(1, 30, 20)
 	w.Tick()
-	r := result(t, w, "shard.0")
-	if r.Status != Unhealthy || !strings.Contains(r.Detail, "shard 0") {
-		t.Fatalf("stalled shard must be unhealthy within one tick: %+v", r)
+	r := result(t, w, "shard.1")
+	if r.Status != Unhealthy || !strings.Contains(r.Detail, "shard 1") || !strings.Contains(r.Detail, "20 queued") {
+		t.Fatalf("shard with input queued and no progress must be unhealthy within one tick: %+v", r)
 	}
 	if w.Ready() {
 		t.Fatal("a stalled shard must cost readiness")
 	}
 
-	// Shard 0 resumes: verdict recovers immediately.
+	// Shard 1 resumes: verdict recovers immediately.
 	clk.Advance(time.Second)
-	core.Add(100)
-	s0.Add(50)
-	s1.Add(50)
+	rows.set(0, 350, 10)
+	rows.set(1, 45, 5)
 	w.Tick()
-	if r := result(t, w, "shard.0"); r.Status != Healthy {
+	if r := result(t, w, "shard.1"); r.Status != Healthy {
 		t.Fatalf("resumed shard must recover: %+v", r)
+	}
+	if !w.Ready() {
+		t.Fatalf("recovered plane must be ready: %+v", w.Report())
 	}
 }
 
 func TestShardCheckerQuietPipeline(t *testing.T) {
-	clk, reg, w := setup()
-	w.Register(NewShardChecker(0))
-	core := reg.Counter("core.records")
-	s0 := reg.Counter("shard.0.records")
-	core.Add(10)
-	s0.Add(10)
+	clk, _, w := setup()
+	rows := make(planeRows, 1)
+	w.Register(NewShardChecker(0, rows.stats))
+	rows.set(0, 10, 0)
 	w.Tick()
 
-	// Nothing moves at all — a quiet pipeline is not a shard stall.
+	// Nothing moves and nothing is queued — a quiet pipeline is not a
+	// shard stall.
 	clk.Advance(time.Second)
 	w.Tick()
 	if r := result(t, w, "shard.0"); r.Status != Healthy {
 		t.Fatalf("quiet pipeline must not flag the shard: %+v", r)
+	}
+
+	// Before a run there are no rows at all.
+	none := NewShardChecker(0, func() []shard.Stats { return nil })
+	if r := none.Check(obs.Snapshot{}, obs.Snapshot{}); r.Status != Healthy {
+		t.Fatalf("no run must read healthy: %+v", r)
 	}
 }

@@ -4,46 +4,53 @@ import (
 	"fmt"
 
 	"datacron/internal/obs"
+	"datacron/internal/shard"
 )
 
 // shardChecker files a per-shard verdict for one worker of the sharded run
-// loop. It pairs the worker's "shard.<i>.records" progress counter with
-// the pipeline-wide "core.records": a shard that processes nothing for
-// faultTicks consecutive ticks while the pipeline as a whole advances is
-// stuck — its queue will fill and stall the coordinator's merge. A shard
-// that has never received a record is idle, not stuck (with few movers,
-// the key hash may simply route nothing to it).
+// loop, read from the plane's own progress rows rather than from metrics: a
+// shard with inputs queued whose processed count has not moved for
+// faultTicks consecutive ticks is stuck — its queue will fill and stall the
+// merge, which applies outputs in submit order. A shard with nothing queued
+// is idle, not stuck, however long it waits (sparse live input, or a key
+// hash that routes nothing to it).
 type shardChecker struct {
-	shard  int
-	streak int
+	shard    int
+	progress func() []shard.Stats
+	last     int64 // Processed at the previous reading
+	primed   bool  // last holds a reading
+	streak   int
 }
 
 // NewShardChecker builds a checker for one shard worker; register one per
-// shard on the watchdog.
-func NewShardChecker(shard int) Checker {
-	return &shardChecker{shard: shard}
+// shard on the watchdog. progress returns the running plane's per-shard rows
+// (shard.Plane.Stats), or none before the first run.
+func NewShardChecker(i int, progress func() []shard.Stats) Checker {
+	return &shardChecker{shard: i, progress: progress}
 }
 
 func (c *shardChecker) Name() string { return fmt.Sprintf("shard.%d", c.shard) }
 
-func (c *shardChecker) Check(prev, cur obs.Snapshot) Result {
-	name := fmt.Sprintf("shard.%d.records", c.shard)
-	if cur.Counter(name) == 0 {
-		return Result{Component: c.Name(), Status: Healthy, Detail: "no records routed to this shard"}
+func (c *shardChecker) Check(_, _ obs.Snapshot) Result {
+	rows := c.progress()
+	if c.shard >= len(rows) {
+		return Result{Component: c.Name(), Status: Healthy, Detail: "no run in progress"}
 	}
-	mine := cur.Counter(name) - prev.Counter(name)
-	total := cur.Counter("core.records") - prev.Counter("core.records")
-	if total > 0 && mine == 0 {
+	s := rows[c.shard]
+	// A stall is judged against the previous reading, so the first one only
+	// sets the baseline.
+	if c.primed && s.Queue > 0 && s.Processed == c.last {
 		c.streak++
 	} else {
 		c.streak = 0
 	}
+	c.last, c.primed = s.Processed, true
 	if c.streak >= faultTicks {
 		return Result{
 			Component: c.Name(),
 			Status:    Unhealthy,
-			Detail:    fmt.Sprintf("shard %d processed 0 records over %d tick(s) while the pipeline advanced", c.shard, c.streak),
+			Detail:    fmt.Sprintf("shard %d processed 0 records over %d tick(s) with %d queued", c.shard, c.streak, s.Queue),
 		}
 	}
-	return Result{Component: c.Name(), Status: Healthy, Detail: fmt.Sprintf("processed %d record(s) this tick", mine)}
+	return Result{Component: c.Name(), Status: Healthy, Detail: fmt.Sprintf("%d record(s) processed, %d queued", s.Processed, s.Queue)}
 }

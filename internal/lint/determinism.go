@@ -25,7 +25,9 @@ var determinismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc: "forbids wall-clock reads (time.Now/Since/Until), the global math/rand " +
 		"source, and map iteration that feeds encoders or outputs inside replayable " +
-		"operator packages; replayed input must reproduce byte-identical state",
+		"operator packages; replayed input must reproduce byte-identical state; " +
+		"in every package's in-package tests, forbids map iteration that draws " +
+		"from a seeded source declared outside the loop",
 	Run: runDeterminism,
 }
 
@@ -52,10 +54,10 @@ func inReplayableScope(p *Package) bool {
 }
 
 func runDeterminism(p *Package) []Diagnostic {
+	diags := testDraws(p)
 	if !inReplayableScope(p) {
-		return nil
+		return diags
 	}
-	var diags []Diagnostic
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -81,6 +83,7 @@ func runDeterminism(p *Package) []Diagnostic {
 								name, p.position(call.Pos()).Line))
 						}
 						diags = append(diags, floatAccumIn(p, n.Body)...)
+						diags = append(diags, mapDrawIn(p, n)...)
 					}
 				}
 			}
@@ -88,6 +91,93 @@ func runDeterminism(p *Package) []Diagnostic {
 		})
 	}
 	return diags
+}
+
+// testDraws applies mapDrawIn to the package's in-package tests, in every
+// package: a seeded test whose draws follow map order is not reproducible.
+func testDraws(p *Package) []Diagnostic {
+	t := p.Tests
+	if t == nil {
+		return nil
+	}
+	var diags []Diagnostic
+	for _, f := range t.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if rs, ok := n.(*ast.RangeStmt); ok && isMapRange(t, rs) {
+				diags = append(diags, mapDrawIn(t, rs)...)
+			}
+			return true
+		})
+	}
+	return diags
+}
+
+func isMapRange(p *Package, rs *ast.RangeStmt) bool {
+	t := p.Info.TypeOf(rs.X)
+	if t == nil {
+		return false
+	}
+	_, isMap := t.Underlying().(*types.Map)
+	return isMap
+}
+
+// mapDrawIn flags the first draw, inside a map-range body, from a *rand.Rand
+// declared outside the loop: a method call on it, or the source passed to a
+// call. Which key gets which draws then follows Go's randomized map order,
+// so a seeded run is not reproducible. A source declared inside the loop
+// (one per key) is fine.
+func mapDrawIn(p *Package, rs *ast.RangeStmt) []Diagnostic {
+	var draw *ast.CallExpr
+	var src types.Object
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if draw != nil || !ok {
+			return draw == nil
+		}
+		operands := call.Args
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			operands = append([]ast.Expr{sel.X}, operands...)
+		}
+		for _, e := range operands {
+			obj := rootObject(p, e)
+			if obj != nil && isRandSource(p.Info.TypeOf(e)) && (obj.Pos() < rs.Pos() || obj.Pos() >= rs.End()) {
+				draw, src = call, obj
+				return false
+			}
+		}
+		return true
+	})
+	if draw == nil {
+		return nil
+	}
+	return []Diagnostic{p.diag("determinism", rs.Pos(),
+		"map iteration order is unspecified but this loop draws from %s, declared outside it (line %d); range over sorted keys or seed a source per key",
+		src.Name(), p.position(draw.Pos()).Line)}
+}
+
+// isRandSource reports whether t is *rand.Rand of math/rand or math/rand/v2.
+func isRandSource(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	return ok && named.Obj().Name() == "Rand" && named.Obj().Pkg() != nil && randPkg(named.Obj().Pkg().Path())
+}
+
+// rootObject resolves the variable at the root of an identifier or selector
+// chain (rnd, s.rnd, s.gen.rnd), or nil.
+func rootObject(p *Package, e ast.Expr) types.Object {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return p.Info.Uses[x]
+		case *ast.SelectorExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 func randPkg(path string) bool { return path == "math/rand" || path == "math/rand/v2" }

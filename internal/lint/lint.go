@@ -10,8 +10,9 @@
 //
 // # Suppression
 //
-// A finding can be silenced with an explicit, justified directive placed on
-// the flagged line or on the line directly above it:
+// Every finding fails the suite; the only way to accept one is an explicit,
+// justified directive placed on the flagged line or on the line directly
+// above it:
 //
 //	//lint:ignore <analyzer>[,<analyzer>...] <reason>
 //
@@ -25,6 +26,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -49,6 +51,10 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
+	// Tests is the package's in-package _test.go files, type-checked
+	// together with Files (Tests.Files holds only the test files); nil
+	// when there are none. Only the determinism analyzer reads it.
+	Tests *Package
 }
 
 func (p *Package) position(pos token.Pos) token.Position {
@@ -184,7 +190,11 @@ func collectIgnores(p *Package) (map[ignoreKey]*ignoreDirective, []Diagnostic) {
 	}
 	dirs := make(map[ignoreKey]*ignoreDirective)
 	var bad []Diagnostic
-	for _, f := range p.Files {
+	files := p.Files
+	if p.Tests != nil {
+		files = append(slices.Clip(files), p.Tests.Files...)
+	}
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if !strings.HasPrefix(c.Text, ignorePrefix) {

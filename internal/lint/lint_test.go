@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -110,16 +111,24 @@ func runFixture(t *testing.T, analyzerName, fixture, importPath string) {
 		t.Fatalf("no analyzer %q", analyzerName)
 	}
 	p := loadFixture(t, fixture, importPath)
-	wants := make(map[int][]*want)
-	for _, f := range p.Files {
+	type fileLine struct {
+		file string
+		line int
+	}
+	wants := make(map[fileLine][]*want)
+	files := slices.Clip(p.Files)
+	if p.Tests != nil {
+		files = append(files, p.Tests.Files...)
+	}
+	for _, f := range files {
 		path := p.Fset.Position(f.Pos()).Filename
 		for line, ws := range parseWants(t, path) {
-			wants[line] = append(wants[line], ws...)
+			wants[fileLine{path, line}] = append(wants[fileLine{path, line}], ws...)
 		}
 	}
 	for _, d := range runAnalyzer(a, p) {
 		matched := false
-		for _, w := range wants[d.Pos.Line] {
+		for _, w := range wants[fileLine{d.Pos.Filename, d.Pos.Line}] {
 			if !w.matched && strings.Contains(d.Message, w.substr) && (w.col == 0 || w.col == d.Pos.Column) {
 				w.matched = true
 				matched = true
@@ -130,10 +139,10 @@ func runFixture(t *testing.T, analyzerName, fixture, importPath string) {
 			t.Errorf("unexpected diagnostic at %s:%d:%d: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message)
 		}
 	}
-	for line, ws := range wants {
+	for at, ws := range wants {
 		for _, w := range ws {
 			if !w.matched {
-				t.Errorf("missing diagnostic at line %d: want message containing %q", line, w.substr)
+				t.Errorf("missing diagnostic at %s:%d: want message containing %q", filepath.Base(at.file), at.line, w.substr)
 			}
 		}
 	}
@@ -149,6 +158,26 @@ func TestDeterminismOutOfScope(t *testing.T) {
 	p := loadFixture(t, "determinism", "datacron/internal/va/lintfixture")
 	if diags := Lookup("determinism").Run(p); len(diags) != 0 {
 		t.Fatalf("determinism fired outside the replayable scope: %v", diags)
+	}
+}
+
+func TestDeterminismTests(t *testing.T) {
+	runFixture(t, "determinism", "determinismtests", "datacron/internal/lowlevel/lintfixture")
+}
+
+func TestDeterminismTestsOutOfScope(t *testing.T) {
+	// Outside the replayable scope only the in-package test file is read:
+	// its map-ordered draws are flagged, the operator file's is not, and
+	// the one under //lint:ignore is dropped.
+	p := loadFixture(t, "determinismtests", "datacron/internal/gen/lintfixture")
+	diags := Run([]*Package{p}, []*Analyzer{Lookup("determinism")})
+	for _, d := range diags {
+		if !strings.HasSuffix(d.Pos.Filename, "_test.go") {
+			t.Errorf("determinism fired on operator code outside the replayable scope: %s", d)
+		}
+	}
+	if len(diags) != 4 {
+		t.Fatalf("got %d diagnostics, want the test file's 4: %v", len(diags), diags)
 	}
 }
 
@@ -297,19 +326,11 @@ func TestExactPosition(t *testing.T) {
 }
 
 // TestModuleIsClean runs the full suite over the real module: the tree must
-// stay free of findings beyond the committed baseline (CI enforces the same
-// through make lint).
+// have no findings at all (make lint enforces the same); a finding is
+// accepted only by a //lint:ignore directive at its site.
 func TestModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
-	}
-	root, err := moduleRoot()
-	if err != nil {
-		t.Fatalf("module root: %v", err)
-	}
-	baseline, err := LoadBaseline(filepath.Join(root, "lint.baseline.json"))
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
 	}
 	l, err := sharedLoader()
 	if err != nil {
@@ -322,23 +343,9 @@ func TestModuleIsClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
-	newDiags, known := baseline.Partition(Run(pkgs, Analyzers()), root)
-	for _, d := range newDiags {
-		t.Errorf("new finding: %s", d)
+	for _, d := range Run(pkgs, Analyzers()) {
+		t.Errorf("finding: %s", d)
 	}
-	// The baseline must not pad beyond reality: stale entries hide future
-	// regressions, so fixing an accepted finding must shrink the baseline.
-	if have, accepted := len(known), baselineCount(baseline); have < accepted {
-		t.Errorf("baseline lists %d finding(s) but only %d occur; run make lint-update-baseline to drop the stale entries", accepted, have)
-	}
-}
-
-func baselineCount(b *Baseline) int {
-	n := 0
-	for _, f := range b.Findings {
-		n += f.Count
-	}
-	return n
 }
 
 func TestBoundedChan(t *testing.T) {

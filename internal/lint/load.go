@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -162,30 +163,18 @@ func (l *Loader) load(importPath string) (*Package, error) {
 }
 
 func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
-	names, err := goFileNames(dir)
+	names, testNames, err := goFileNames(dir)
 	if err != nil {
 		return nil, err
 	}
 	if len(names) == 0 {
 		return nil, fmt.Errorf("no buildable Go files in %s", dir)
 	}
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	files, err := l.parse(dir, names)
+	if err != nil {
+		return nil, err
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	conf := types.Config{Importer: l, Sizes: types.SizesFor("gc", build.Default.GOARCH)}
-	tpkg, err := conf.Check(importPath, l.Fset, files, info)
+	tpkg, info, err := l.check(importPath, files)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +184,7 @@ func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	} else if importPath == l.modulePath {
 		rel = "."
 	}
-	return &Package{
+	p := &Package{
 		ImportPath: importPath,
 		RelPath:    rel,
 		Dir:        dir,
@@ -203,33 +192,77 @@ func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
-	}, nil
-}
-
-// goFileNames lists the non-test Go files of dir that match the current
-// build constraints, in lexical order.
-func goFileNames(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
+	}
+	// In-package test files (package x, not x_test) are type-checked with
+	// the package's own files into a view of their own, which only the
+	// determinism analyzer reads.
+	tests, err := l.parse(dir, testNames)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
+	tests = slices.DeleteFunc(tests, func(f *ast.File) bool { return f.Name.Name != tpkg.Name() })
+	if len(tests) > 0 {
+		ttpkg, tinfo, err := l.check(importPath, append(slices.Clip(files), tests...))
+		if err != nil {
+			return nil, err
+		}
+		t := *p
+		t.Files, t.Types, t.Info, t.Tests = tests, ttpkg, tinfo, nil
+		p.Tests = &t
+	}
+	return p, nil
+}
+
+func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+func (l *Loader) check(importPath string, files []*ast.File) (*types.Package, *types.Info, error) {
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+	}
+	conf := types.Config{Importer: l, Sizes: types.SizesFor("gc", build.Default.GOARCH)}
+	tpkg, err := conf.Check(importPath, l.Fset, files, info)
+	return tpkg, info, err
+}
+
+// goFileNames lists the non-test and the test Go files of dir that match
+// the current build constraints, each in lexical order.
+func goFileNames(dir string) (names, testNames []string, err error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
 		match, err := build.Default.MatchFile(dir, name)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if match {
+		switch {
+		case !match:
+		case strings.HasSuffix(name, "_test.go"):
+			testNames = append(testNames, name)
+		default:
 			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
-	return names, nil
+	return names, testNames, nil
 }
 
 func hasGoFiles(dir string) bool {

@@ -1,9 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
-	"go/token"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -132,174 +129,5 @@ func TestCallGraphEdges(t *testing.T) {
 	}
 	if g.Node(sp.Callee) == nil {
 		t.Fatal("runLoop is not in the graph")
-	}
-}
-
-func mkDiag(file string, line int, analyzer, msg string) Diagnostic {
-	return Diagnostic{
-		Pos:      token.Position{Filename: file, Line: line, Column: 1},
-		Analyzer: analyzer,
-		Message:  msg,
-	}
-}
-
-func TestBaselinePartition(t *testing.T) {
-	root := filepath.FromSlash("/mod")
-	f := filepath.Join(root, "internal", "a", "f.go")
-	known1 := mkDiag(f, 10, "lockblock", "send under lock")
-	known2a := mkDiag(f, 20, "hotalloc", "sprintf in loop")
-	known2b := mkDiag(f, 30, "hotalloc", "sprintf in loop")
-
-	b := NewBaseline([]Diagnostic{known1, known2a, known2b}, root)
-	if len(b.Findings) != 2 {
-		t.Fatalf("baseline has %d entries, want 2 (same-message findings aggregate)", len(b.Findings))
-	}
-
-	// Same findings at shifted lines stay known; a third same-message
-	// occurrence and a brand-new message are new.
-	current := []Diagnostic{
-		mkDiag(f, 12, "lockblock", "send under lock"),
-		mkDiag(f, 21, "hotalloc", "sprintf in loop"),
-		mkDiag(f, 33, "hotalloc", "sprintf in loop"),
-		mkDiag(f, 40, "hotalloc", "sprintf in loop"), // third occurrence: over budget
-		mkDiag(f, 50, "goroleak", "leaked goroutine"),
-	}
-	newDiags, knownDiags := b.Partition(current, root)
-	if len(knownDiags) != 3 {
-		t.Fatalf("known = %d, want 3: %v", len(knownDiags), knownDiags)
-	}
-	if len(newDiags) != 2 {
-		t.Fatalf("new = %d, want 2: %v", len(newDiags), newDiags)
-	}
-	for _, d := range newDiags {
-		if d.Pos.Line != 40 && d.Pos.Line != 50 {
-			t.Errorf("unexpected new finding at line %d", d.Pos.Line)
-		}
-	}
-}
-
-func TestBaselineRoundtrip(t *testing.T) {
-	root := t.TempDir()
-	f := filepath.Join(root, "pkg", "x.go")
-	diags := []Diagnostic{
-		mkDiag(f, 5, "goroleak", "leak"),
-		mkDiag(f, 9, "lockblock", "block"),
-	}
-	path := filepath.Join(root, "lint.baseline.json")
-	if err := NewBaseline(diags, root).Write(path); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	newDiags, known := b.Partition(diags, root)
-	if len(newDiags) != 0 || len(known) != 2 {
-		t.Fatalf("roundtrip partition: new=%d known=%d, want 0/2", len(newDiags), len(known))
-	}
-	// File keys must be slash-relative so the baseline is portable.
-	for _, fd := range b.Findings {
-		if strings.Contains(fd.File, "\\") || filepath.IsAbs(fd.File) {
-			t.Errorf("baseline file key %q is not a relative slash path", fd.File)
-		}
-	}
-}
-
-func TestLoadBaselineMissing(t *testing.T) {
-	b, err := LoadBaseline(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil {
-		t.Fatalf("missing baseline must yield an empty one, got error %v", err)
-	}
-	if len(b.Findings) != 0 {
-		t.Fatalf("missing baseline yielded %d findings", len(b.Findings))
-	}
-}
-
-func TestEncodeSARIF(t *testing.T) {
-	root := filepath.FromSlash("/mod")
-	f := filepath.Join(root, "internal", "a", "f.go")
-	diags := []Diagnostic{
-		mkDiag(f, 10, "goroleak", "leaked goroutine"),
-		mkDiag(f, 20, "hotalloc", "sprintf in loop"),
-	}
-	known := map[*Diagnostic]bool{&diags[1]: true}
-	data, err := EncodeSARIF(diags, known, root)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var log struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Baseline  string `json:"baselineState"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &log); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif-2.1.0") {
-		t.Fatalf("not a SARIF 2.1.0 log: version=%q schema=%q", log.Version, log.Schema)
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "datacronlint" {
-		t.Fatalf("driver name = %q", run.Tool.Driver.Name)
-	}
-	ruleIDs := make(map[string]bool)
-	for _, r := range run.Tool.Driver.Rules {
-		ruleIDs[r.ID] = true
-	}
-	for _, want := range []string{"goroleak", "lockblock", "atomicsafety", "hotalloc", "determinism"} {
-		if !ruleIDs[want] {
-			t.Errorf("rules missing %q", want)
-		}
-	}
-	if len(run.Results) != 2 {
-		t.Fatalf("results = %d, want 2", len(run.Results))
-	}
-	if run.Results[0].Baseline != "new" || run.Results[1].Baseline != "unchanged" {
-		t.Errorf("baselineState = %q/%q, want new/unchanged", run.Results[0].Baseline, run.Results[1].Baseline)
-	}
-	loc := run.Results[0].Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "internal/a/f.go" || loc.Region.StartLine != 10 {
-		t.Errorf("location = %q:%d, want internal/a/f.go:10", loc.ArtifactLocation.URI, loc.Region.StartLine)
-	}
-}
-
-func TestEncodeJSON(t *testing.T) {
-	root := filepath.FromSlash("/mod")
-	f := filepath.Join(root, "internal", "a", "f.go")
-	diags := []Diagnostic{mkDiag(f, 7, "atomicsafety", "plain access")}
-	data, err := EncodeJSON(diags, nil, root)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var out []JSONFinding
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(out) != 1 || out[0].File != "internal/a/f.go" || out[0].Line != 7 || out[0].Analyzer != "atomicsafety" {
-		t.Fatalf("unexpected JSON payload: %+v", out)
 	}
 }

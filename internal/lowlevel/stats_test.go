@@ -2,6 +2,7 @@ package lowlevel
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -91,7 +92,6 @@ const (
 // profile record at random points, and must read bit for bit like a twin
 // that never was.
 func TestRunningStatsMatchesSortOracle(t *testing.T) {
-	rnd := rand.New(rand.NewSource(7))
 	negZero := math.Copysign(0, -1)
 	speed := 12.0
 	// The rank error of a continuous sequence — no ties, so it is the
@@ -106,12 +106,12 @@ func TestRunningStatsMatchesSortOracle(t *testing.T) {
 		independent
 	)
 	sequences := map[string]struct {
-		next func(i int) float64
+		next func(rnd *rand.Rand, i int) float64
 		kind int
 	}{
-		"random":      {func(int) float64 { return rnd.NormFloat64() * 50 }, independent},
-		"exponential": {func(int) float64 { return rnd.ExpFloat64() * 10 }, independent},
-		"speed-like": {func(int) float64 {
+		"random":      {func(rnd *rand.Rand, _ int) float64 { return rnd.NormFloat64() * 50 }, independent},
+		"exponential": {func(rnd *rand.Rand, _ int) float64 { return rnd.ExpFloat64() * 10 }, independent},
+		"speed-like": {func(rnd *rand.Rand, _ int) float64 {
 			// A fleet's speeds over ground: one report in seven from a
 			// vessel at rest, the others cruising around 12 kn.
 			if rnd.Intn(7) == 0 {
@@ -119,21 +119,21 @@ func TestRunningStatsMatchesSortOracle(t *testing.T) {
 			}
 			return math.Max(12+rnd.NormFloat64()*3, 0)
 		}, independent},
-		"speed-walk": {func(int) float64 {
+		"speed-walk": {func(rnd *rand.Rand, _ int) float64 {
 			// One vessel's speed: mean-reverting around 12 kn.
 			speed += 0.1*(12-speed) + rnd.NormFloat64()*0.8
 			return math.Max(speed, 0)
 		}, continuous},
-		"few-values":  {func(int) float64 { return float64(rnd.Intn(4)) }, ties},
-		"ascending":   {func(i int) float64 { return float64(i) }, ties},
-		"descending":  {func(i int) float64 { return float64(-i) }, ties},
-		"constant":    {func(int) float64 { return 12.5 }, ties},
-		"alternating": {func(i int) float64 { return float64(i%2) * 100 }, ties},
-		"zig-zag-out": {func(i int) float64 { return float64(i) * float64(1-2*(i%2)) }, ties},
-		"signed-zeros": {func(int) float64 {
+		"few-values":  {func(rnd *rand.Rand, _ int) float64 { return float64(rnd.Intn(4)) }, ties},
+		"ascending":   {func(_ *rand.Rand, i int) float64 { return float64(i) }, ties},
+		"descending":  {func(_ *rand.Rand, i int) float64 { return float64(-i) }, ties},
+		"constant":    {func(*rand.Rand, int) float64 { return 12.5 }, ties},
+		"alternating": {func(_ *rand.Rand, i int) float64 { return float64(i%2) * 100 }, ties},
+		"zig-zag-out": {func(_ *rand.Rand, i int) float64 { return float64(i) * float64(1-2*(i%2)) }, ties},
+		"signed-zeros": {func(rnd *rand.Rand, _ int) float64 {
 			return [...]float64{0, negZero, 1, -1}[rnd.Intn(4)]
 		}, ties},
-		"with-nan-inf": {func(i int) float64 {
+		"with-nan-inf": {func(rnd *rand.Rand, i int) float64 {
 			switch i % 11 {
 			case 3:
 				return math.NaN()
@@ -144,11 +144,16 @@ func TestRunningStatsMatchesSortOracle(t *testing.T) {
 		}, ties},
 	}
 	for name, seq := range sequences {
+		// Each sequence draws from its own source, seeded from its name, so
+		// its values depend neither on map order nor on the other sequences.
+		h := fnv.New64a()
+		h.Write([]byte(name)) // a hash.Hash's Write never fails
+		rnd := rand.New(rand.NewSource(int64(h.Sum64())))
 		var early, late float64
 		for trial := 0; trial < 4; trial++ {
 			p, twin, want := NewTrajectoryProfile("m"), NewRunningStats(), &oracleStats{}
 			for i, n := 0, 1+rnd.Intn(2000); i < n; i++ {
-				v := seq.next(i)
+				v := seq.next(rnd, i)
 				p.Speed.Observe(v)
 				twin.Observe(v)
 				want.observe(v)

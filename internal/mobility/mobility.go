@@ -89,16 +89,6 @@ func (r Report) Marshal() []byte {
 	return b
 }
 
-// UnmarshalReport decodes the JSON form Marshal produces. Binary payloads
-// decode through UnmarshalReportBinary or a Decoder.
-func UnmarshalReport(b []byte) (Report, error) {
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return Report{}, fmt.Errorf("mobility: decoding report: %w", err)
-	}
-	return r, nil
-}
-
 // Trajectory is a time-ordered sequence of reports of one mover.
 type Trajectory struct {
 	ID      string

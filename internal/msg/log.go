@@ -29,7 +29,7 @@ type segment [segSize]entry
 // a full last segment allocates exactly one new segment, so nothing already
 // appended is copied again as the log grows. Offsets are sparse where
 // DropOldestUncommitted shed records, so callers find an offset with search,
-// never by assuming index = offset. The owning partition's mutex guards it.
+// never by assuming index = offset. The owning topic's mutex guards it.
 type partLog struct {
 	segs  []*segment // every segment holding an entry, plus at most one empty spare
 	n     int        // entries retained
