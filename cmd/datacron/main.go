@@ -14,7 +14,10 @@
 //
 // With -admin the pipeline serves its operational plane over HTTP:
 // /metrics (Prometheus text exposition), /statz (JSON), /healthz, /readyz,
-// /traces and /debug/pprof/*. SIGINT/SIGTERM interrupt the run gracefully:
+// /traces and /debug/pprof/*. The server outlives the run: once the run
+// has printed its results, datacron says so on one line and keeps serving
+// the finished run's readings until SIGINT/SIGTERM, then shuts the server
+// down and exits 0. SIGINT/SIGTERM during the run interrupt it gracefully:
 // a final checkpoint is captured (when checkpointing is on), the admin
 // server is shut down, and a last stats dump is printed before exit 0.
 //
@@ -422,6 +425,13 @@ func run(ctx context.Context, o options, out io.Writer) error {
 			fmt.Fprintf(out, "  profile %s: speed min/mean/median/max %.1f/%.1f/%.1f/%.1f kn, acceleration mean %.4f m/s²\n",
 				id, p.Speed.Min(), p.Speed.Mean(), p.Speed.Median(), p.Speed.Max(), p.Accel.Mean())
 		}
+	}
+	if o.adminAddr != "" {
+		// The finished run's metrics, stats, health and traces stay
+		// readable until the operator stops the process; the deferred
+		// Shutdown then closes the server.
+		fmt.Fprintf(out, "run complete; admin server still serving on %s until SIGINT/SIGTERM\n", pipeline.Admin().Addr())
+		<-ctx.Done()
 	}
 	return nil
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -56,15 +58,45 @@ func TestGracefulShutdown(t *testing.T) {
 }
 
 // TestRunCompletes checks the normal end-to-end path still works with the
-// admin server attached and structured logging configured.
+// admin server attached and structured logging configured, and that the
+// server outlives the run: it still answers after the run has printed its
+// results, until the context is cancelled, and run then returns nil.
 func TestRunCompletes(t *testing.T) {
-	var out bytes.Buffer
+	var out syncBuffer
 	o := options{
 		domain: "maritime", duration: 30 * time.Minute, vessels: 4, seed: 1,
 		adminAddr: "127.0.0.1:0",
 		logLevel:  "error", logFormat: "text",
 	}
-	if err := run(context.Background(), o, &out); err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, o, &out) }()
+
+	var addr string
+	for deadline := time.Now().Add(time.Minute); addr == ""; time.Sleep(10 * time.Millisecond) {
+		select {
+		case err := <-done:
+			t.Fatalf("run returned %v before the context was cancelled:\n%s", err, out.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("run never reported the admin server still serving:\n%s", out.String())
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "run complete; admin server still serving on "); ok {
+				addr, _, _ = strings.Cut(rest, " ")
+			}
+		}
+	}
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatalf("admin server after the run: %v", err)
+	}
+	resp.Body.Close()
+
+	cancel()
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -73,6 +105,27 @@ func TestRunCompletes(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
+	if strings.Contains(got, "interrupt:") {
+		t.Errorf("a stop after the run completed took the interrupt path:\n%s", got)
+	}
+}
+
+// syncBuffer is a bytes.Buffer a test may read while run writes to it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestBadFlags checks option validation fails fast.

@@ -69,7 +69,7 @@ func TestWorkerAreaEventsMatchAreaMonitor(t *testing.T) {
 		}
 		r := mobility.Report{ID: fmt.Sprintf("m%02d", i), Source: "AIS", Time: gen.DefaultStart.Add(time.Duration(k) * time.Second),
 			Pos: pos[i], SpeedKn: 10, Heading: 90}
-		out := w.Process(workerIn{rec: msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}})
+		out := w.Process(workerIn{rec: &msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}})
 		want := mon.Update(r)
 		if out.areaEvents != int64(len(want)) {
 			t.Fatalf("record %d (%s at %v): worker counts %d area events, AreaMonitor.Update reports %v", k, r.ID, r.Pos, out.areaEvents, want)
@@ -211,7 +211,7 @@ func TestMoverSizeDoesNotGrowWithTheRun(t *testing.T) {
 	var restN, restN2 int
 	var statsN, statsN2 synopses.Stats
 	for k, r := range reports {
-		w.Process(workerIn{rec: msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}})
+		w.Process(workerIn{rec: &msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}})
 		switch k + 1 {
 		case half / 2:
 			restN, statsN = rest()

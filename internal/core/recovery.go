@@ -420,7 +420,7 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		defer procSpan.End()
 		now := p.clock.Now()
 		commits = commits[:0]
-		var last msg.Record
+		var last *msg.Record
 		dirty := false
 		for i := range recs {
 			if inj != nil {
@@ -439,10 +439,10 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 				return err
 			}
 			if out.ok {
-				last, dirty = recs[i], true
+				last, dirty = &recs[i], true
 			}
 			if dirty && (i == len(recs)-1 || recs[i+1].Partition != recs[i].Partition) {
-				commits = append(commits, last)
+				commits = append(commits, *last)
 				dirty = false
 			}
 		}
@@ -492,28 +492,29 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		return nil
 	}
 
-	// poll fetches the next batch — with block false, only what is already
-	// buffered — applies the injector's fetch faults, and fans a kept batch
-	// out to the shard workers. It returns no records for an empty
+	// poll fetches the next batch into buf, overwriting what buf held —
+	// with block false, only what is already buffered — applies the
+	// injector's fetch faults, and fans a kept batch out to the shard
+	// workers. It returns buf holding the batch, empty for an empty
 	// non-blocking poll and for a dropped batch.
-	poll := func(block bool) ([]msg.Record, error) {
+	poll := func(block bool, buf []msg.Record) ([]msg.Record, error) {
 		pollSpan := p.tracer.Start("poll")
 		var recs []msg.Record
 		var err error
 		if block {
-			recs, err = cons.Poll(ctx, pollBatch)
+			recs, err = cons.PollInto(ctx, buf[:0], pollBatch)
 		} else {
-			recs, err = cons.TryPoll(pollBatch)
+			recs, err = cons.TryPollInto(buf[:0], pollBatch)
 		}
 		pollSpan.End()
 		if err != nil || len(recs) == 0 {
-			return nil, err
+			return recs, err
 		}
 		if inj != nil && inj.DropBatch() {
 			// Simulated lost fetch response: rewind the consumer's position
 			// so the batch is polled again, as a real client would re-fetch
 			// after a fetch timeout.
-			return nil, cons.SeekTo(recs[0].Partition, recs[0].Offset)
+			return recs[:0], cons.SeekTo(recs[0].Partition, recs[0].Offset)
 		}
 		// Sampling is decided here, in batch order: the decision stream is
 		// identical whatever the shard count, and — because it depends only
@@ -522,17 +523,18 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 		// The batch goes to the plane through SubmitBatch — one credit
 		// acquisition pass per lane instead of one select per record — via a
 		// reused workerIn scratch, so the steady-state fan-out allocates
-		// nothing per record. Two poll batches in flight fit the plane's
-		// queue of twice the poll batch, inside SubmitBatch's per-lane bound.
+		// nothing per record. Each workerIn points at its record in buf.
+		// Two poll batches in flight fit the plane's queue of twice the poll
+		// batch, inside SubmitBatch's per-lane bound.
 		if cap(submitScratch) < len(recs) {
 			submitScratch = make([]workerIn, len(recs))
 		}
 		ins := submitScratch[:len(recs)]
-		for i, rec := range recs {
-			ins[i] = p.newWorkerIn(rec)
+		for i := range recs {
+			ins[i] = p.newWorkerIn(&recs[i])
 		}
 		if err := plane.SubmitBatch(ctx, ins); err != nil {
-			return nil, err
+			return recs[:0], err
 		}
 		return recs, nil
 	}
@@ -547,9 +549,16 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 	// crash must find the fault schedule exactly as an unpipelined run
 	// leaves it), or when nothing is buffered — a quiet live stream never
 	// waits on k+1.
-	var cur []msg.Record // the batch in flight: submitted, not yet applied
+	//
+	// The two batches live in two poll buffers that swap after every batch:
+	// cur holds the batch in flight (submitted, not yet applied) and next
+	// the batch fetched ahead. The workers read their records in place, so
+	// a buffer is refilled only after the batch it holds has been applied
+	// in full.
+	cur := make([]msg.Record, 0, pollBatch)
+	next := make([]msg.Record, 0, pollBatch)
 	for {
-		if cur == nil {
+		if len(cur) == 0 {
 			// The broker returns buffered records regardless of ctx state, so
 			// a cancelled context (SIGINT/SIGTERM in cmd/datacron) must be
 			// checked here for shutdown to interrupt a drain of queued
@@ -558,22 +567,21 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 			if err := ctx.Err(); err != nil {
 				return sum, err
 			}
-			recs, err := poll(true)
+			recs, err := poll(true, cur)
 			if errors.Is(err, msg.ErrClosed) {
 				break
 			}
 			if err != nil {
 				return sum, err
 			}
-			if len(recs) == 0 {
+			if cur = recs; len(cur) == 0 {
 				continue // dropped: poll it again
 			}
-			cur = recs
 		}
 		due := checkpointDue(len(cur))
-		var next []msg.Record
+		next = next[:0]
 		if !p.noPrefetch && !due && ctx.Err() == nil && (inj == nil || !inj.CrashWithin(len(cur))) {
-			recs, err := poll(false)
+			recs, err := poll(false, next)
 			if err != nil {
 				return sum, err
 			}
@@ -593,7 +601,7 @@ func (p *Pipeline) RunWithRecovery(ctx context.Context, rc *RecoveryConfig) (sum
 				return sum, err
 			}
 		}
-		cur = next
+		cur, next = next, cur
 	}
 	// Flush trajectory ends. Each worker flushes its own movers sorted by
 	// (time, ID); the k-way merge with the same comparator reproduces the

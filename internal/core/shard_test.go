@@ -257,13 +257,13 @@ func TestShardWorkerProcessAllocs(t *testing.T) {
 		{"v-2", func(i int) float64 { return 50 + 80*float64(i%2) }, true, 2},
 	} {
 		recs := track(tc.id, tc.heading)
-		for _, rec := range recs[:warm] {
-			w.Process(workerIn{rec: rec})
+		for i := range recs[:warm] {
+			w.Process(workerIn{rec: &recs[i]})
 		}
 		outs := make([]workerOut, runs)
 		allocs := mallocsDuring(func() {
-			for i, rec := range recs[warm:] {
-				outs[i] = w.Process(workerIn{rec: rec})
+			for i := range outs {
+				outs[i] = w.Process(workerIn{rec: &recs[warm+i]})
 			}
 		})
 		var cps, withCP int

@@ -39,9 +39,12 @@ func (t *recordTrace) rootSpan() obs.Span {
 }
 
 // workerIn is one record on its way to a shard worker, together with its
-// trace, nil when the record is not sampled.
+// trace, nil when the record is not sampled. rec points into the run loop's
+// poll buffer, which is not refilled until the record's batch is applied, so
+// the record is copied once, out of the broker's log, and never again on its
+// way to the worker.
 type workerIn struct {
-	rec   msg.Record
+	rec   *msg.Record
 	trace *recordTrace
 }
 
@@ -77,7 +80,7 @@ type finishedPoint struct {
 // dwell (event time → coordinator pickup), and an open "submit" child the
 // worker closes on pickup. The unsampled majority carries no trace, so every
 // downstream stage span no-ops.
-func (p *Pipeline) newWorkerIn(rec msg.Record) workerIn {
+func (p *Pipeline) newWorkerIn(rec *msg.Record) workerIn {
 	if !p.sampler.Admit() {
 		return workerIn{rec: rec}
 	}

@@ -23,7 +23,7 @@ func BenchmarkOperatorSnapshot(b *testing.B) {
 		p, _ := shardedMaritimePipeline(b, false, 1)
 		w := p.newShardWorker(0, nil)
 		for _, r := range sim.Run(d) {
-			w.Process(workerIn{rec: msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}})
+			w.Process(workerIn{rec: &msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}})
 		}
 		blob := w.snapshotMovers()
 		b.Run("movers/snapshot/"+d.String(), func(b *testing.B) {

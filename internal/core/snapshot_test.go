@@ -31,7 +31,7 @@ func busyWorker(t testing.TB, n int) *shardWorker {
 	t.Helper()
 	w, reports := freshWorker(t)
 	for _, r := range reports[:n] {
-		w.Process(workerIn{rec: msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}})
+		w.Process(workerIn{rec: &msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}})
 	}
 	return w
 }
@@ -94,7 +94,7 @@ func TestMoversSnapshotLayout(t *testing.T) {
 		t.Fatal("restored movers snapshot differently")
 	}
 	for _, r := range reports[6000:7000] {
-		in := workerIn{rec: msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}}
+		in := workerIn{rec: &msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}}
 		a, b := w.Process(in), restored.Process(in)
 		if a.areaEvents != b.areaEvents || len(a.cps) != len(b.cps) || a.predicted != b.predicted ||
 			!reflect.DeepEqual(w.movers[r.ID].future, restored.movers[r.ID].future) {
@@ -223,7 +223,7 @@ func FuzzMoversRestore(f *testing.F) {
 	p, reports := shardedMaritimePipeline(f, false, 1)
 	base := p.newShardWorker(0, nil)
 	for _, r := range reports[:1500] {
-		base.Process(workerIn{rec: msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}})
+		base.Process(workerIn{rec: &msg.Record{Key: r.ID, Value: r.AppendBinary(nil)}})
 	}
 	full := base.snapshotMovers()
 	empty := p.newShardWorker(0, nil).snapshotMovers()

@@ -26,11 +26,11 @@ var hotPathRootNames = []string{
 
 // HotPathExtraRoots names per-record and per-batch entry points that the
 // prefix rule misses: the wire codec (encoded/decoded once per record on
-// the ingest and shard-worker paths), the broker's batch produce and
-// non-blocking poll, the pipeline's batch ingest, the critical-point emit
-// path (triple generation, the typed graph renderer, N-Triples encoding,
-// link discovery into a reused buffer, the merge's per-batch output
-// flush), the weather read of every critical point, and the
+// the ingest and shard-worker paths), the broker's batch produce and its
+// polls into a caller's buffer, the pipeline's batch ingest, the
+// critical-point emit path (triple generation, the typed graph renderer,
+// N-Triples encoding, link discovery into a reused buffer, the merge's
+// per-batch output flush), the weather read of every critical point, and the
 // per-trajectory kernels that run on every report (future-location
 // prediction, the synopses generator and its record encoder, the in-situ
 // profiler), and the per-mover step functions a shard worker's mover table
@@ -41,7 +41,7 @@ var hotPathRootNames = []string{
 // exact function or method names.
 var HotPathExtraRoots = map[string][]string{
 	"internal/mobility": {"AppendBinary", "UnmarshalReportBinary", "Decode", "DecodeFields"},
-	"internal/msg":      {"ProduceBatch", "TryPoll"},
+	"internal/msg":      {"ProduceBatch", "PollInto", "TryPollInto"},
 	"internal/shard":    {"SubmitBatch"},
 	"internal/core":     {"Ingest", "flushBatch", "moverOf"},
 	"internal/gen":      {"WindAndWave"},

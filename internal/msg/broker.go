@@ -646,7 +646,7 @@ func (b *Broker) Fetch(ctx context.Context, topicName string, partitionIdx int, 
 	}
 	i := p.log.search(offset)
 	j := min(i+max, p.log.len())
-	return p.log.copyOut(i, j, t.name, partitionIdx), nil
+	return p.log.appendOut(nil, i, j, t.name, partitionIdx), nil
 }
 
 // Truncate discards the tail of a partition: records at offsets >= end are

@@ -102,8 +102,10 @@ func (b *Broker) RestoreOffsets(groupID, topicName string, offsets map[int]int64
 }
 
 // Consumer reads every partition of a topic for a consumer group, which has
-// at most one open consumer per topic. Consumers are not safe for
-// concurrent use; create one per goroutine.
+// at most one open consumer per topic. A polled batch belongs to the
+// caller: its records are copies, valid until the caller overwrites them
+// (see PollInto). Consumers are not safe for concurrent use; create one per
+// goroutine.
 type Consumer struct {
 	broker *Broker
 	grp    *group
@@ -111,7 +113,7 @@ type Consumer struct {
 	member string
 
 	positions []int64 // next fetch offset, indexed by partition
-	polled    int64   // records returned by Poll since creation
+	polled    int64   // records returned by the polls since creation
 	closed    bool
 
 	// lag is the "msg.lag.<group>/<topic>" gauge the health lag checker
@@ -163,47 +165,64 @@ func (b *Broker) NewConsumer(groupID, topicName, member string) (*Consumer, erro
 	return c, nil
 }
 
-// Poll returns up to max records from the topic's partitions.
-// When several partitions have buffered records it fetches from the one
-// whose head record has the earliest event time (ties broken by partition
-// index), so consumption order is a pure function of the fetch positions:
-// a consumer resuming from restored offsets replays the exact sequence the
-// original consumer saw — the property crash recovery relies on. It blocks
-// until a record is available on any partition, the topic is closed
-// (ErrClosed), or the context is cancelled. Polled records are NOT committed
-// automatically; call Commit.
+// Poll returns up to max records from the topic's partitions in a fresh
+// slice: it is PollInto with a nil dst, for callers that keep their batches.
 func (c *Consumer) Poll(ctx context.Context, max int) ([]Record, error) {
-	return c.observedPoll(ctx, max, true)
+	return c.PollInto(ctx, nil, max)
 }
 
-// TryPoll is Poll without the wait: when some partition has buffered
-// records it returns exactly the batch Poll would, and otherwise it
-// returns no records and a nil error at once — it neither blocks nor reports
-// end-of-stream. A caller pipelining its work polls the next batch with it
-// while the previous one is still being processed, without ever waiting on
-// a quiet stream. An empty TryPoll leaves the lag gauge as it was.
-func (c *Consumer) TryPoll(max int) ([]Record, error) {
-	return c.observedPoll(context.Background(), max, false)
+// PollInto appends up to max records from the topic's partitions to dst and
+// returns the extended slice. When several partitions have buffered records
+// it fetches from the one whose head record has the earliest event time
+// (ties broken by partition index), so consumption order is a pure function
+// of the fetch positions: a consumer resuming from restored offsets replays
+// the exact sequence the original consumer saw — the property crash
+// recovery relies on. It blocks until a record is available on any
+// partition, the topic is closed (ErrClosed), or the context is cancelled;
+// on an error it returns dst unchanged. Polled records are NOT committed
+// automatically; call Commit.
+//
+// The caller owns dst and the records appended to it: they are copies, and
+// stay valid until the caller overwrites them, whatever the broker does to
+// its log afterwards. A dst with room for max more records is filled in
+// place with no allocation, so a run loop that polls into a reused buffer
+// copies each record once on its way out of the log. A record's Key and
+// Value share the log's storage and must not be modified.
+func (c *Consumer) PollInto(ctx context.Context, dst []Record, max int) ([]Record, error) {
+	return c.observedPoll(ctx, dst, max, true)
 }
 
-func (c *Consumer) observedPoll(ctx context.Context, max int, block bool) ([]Record, error) {
-	recs, err := c.poll(ctx, max, block)
-	c.polled += int64(len(recs))
-	if c.lag == nil || (!block && len(recs) == 0 && err == nil) {
-		return recs, err
+// TryPollInto is PollInto without the wait: when some partition has
+// buffered records it appends exactly the batch PollInto would, and
+// otherwise it returns dst unchanged and a nil error at once — it neither
+// blocks nor reports end-of-stream. A caller pipelining its work polls the
+// next batch with it while the previous one is still being processed,
+// without ever waiting on a quiet stream. An empty TryPollInto leaves the
+// lag gauge as it was.
+func (c *Consumer) TryPollInto(dst []Record, max int) ([]Record, error) {
+	return c.observedPoll(context.Background(), dst, max, false)
+}
+
+func (c *Consumer) observedPoll(ctx context.Context, dst []Record, max int, block bool) ([]Record, error) {
+	n := len(dst)
+	dst, err := c.poll(ctx, dst, max, block)
+	c.polled += int64(len(dst) - n)
+	if c.lag == nil || (!block && len(dst) == n && err == nil) {
+		return dst, err
 	}
 	if lag, lerr := c.Lag(); lerr == nil {
 		c.lag.Set(float64(lag))
 	}
-	return recs, err
+	return dst, err
 }
 
-// poll is the one fetch path behind Poll and TryPoll: it reads every
-// partition's head and copies the batch in one critical section on the
-// topic. With block false it returns (nil, nil) where Poll would wait.
-func (c *Consumer) poll(ctx context.Context, max int, block bool) ([]Record, error) {
+// poll is the one fetch path behind PollInto and TryPollInto: it reads every
+// partition's head and appends the batch to dst in one critical section on
+// the topic. With block false it returns (dst, nil) where PollInto would
+// wait.
+func (c *Consumer) poll(ctx context.Context, dst []Record, max int, block bool) ([]Record, error) {
 	if c.closed {
-		return nil, ErrConsumerClosed
+		return dst, ErrConsumerClosed
 	}
 	if max <= 0 {
 		max = 1
@@ -232,18 +251,18 @@ func (c *Consumer) poll(ctx context.Context, max int, block bool) ([]Record, err
 		}
 		if best >= 0 {
 			l := &t.parts[best].log
-			recs := l.copyOut(head, min(head+max, l.len()), t.name, best)
-			c.positions[best] = recs[len(recs)-1].Offset + 1
-			return recs, nil
+			dst = l.appendOut(dst, head, min(head+max, l.len()), t.name, best)
+			c.positions[best] = dst[len(dst)-1].Offset + 1
+			return dst, nil
 		}
 		if !block {
-			return nil, nil
+			return dst, nil
 		}
 		if t.closed {
-			return nil, ErrClosed
+			return dst, ErrClosed
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		if stop == nil {
 			stop = context.AfterFunc(ctx, t.wakePolls)
@@ -316,11 +335,15 @@ func (b *Broker) Drain(topicName string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Record
 	t.mu.Lock()
+	n := 0
+	for p := range t.parts {
+		n += t.parts[p].log.len()
+	}
+	out := make([]Record, 0, n)
 	for p := range t.parts {
 		l := &t.parts[p].log
-		out = append(out, l.copyOut(0, l.len(), t.name, p)...)
+		out = l.appendOut(out, 0, l.len(), t.name, p)
 	}
 	t.mu.Unlock()
 	// Merge partitions by time to give the batch layer a coherent order.

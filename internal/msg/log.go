@@ -102,19 +102,24 @@ func (l *partLog) removeAt(i int) {
 	}
 }
 
-// copyOut returns entries [i, j) as records of the given topic and partition.
-func (l *partLog) copyOut(i, j int, topicName string, partitionIdx int) []Record {
-	out := make([]Record, j-i)
-	for k := range out {
-		e := l.at(i + k)
-		out[k] = Record{
+// appendOut appends entries [i, j) to dst as records of the given topic and
+// partition, growing dst at most once.
+func (l *partLog) appendOut(dst []Record, i, j int, topicName string, partitionIdx int) []Record {
+	if n := len(dst) + j - i; n > cap(dst) {
+		grown := make([]Record, len(dst), n)
+		copy(grown, dst)
+		dst = grown
+	}
+	for k := i; k < j; k++ {
+		e := l.at(k)
+		dst = append(dst, Record{
 			Topic:     topicName,
 			Partition: partitionIdx,
 			Offset:    e.offset,
 			Key:       e.key,
 			Value:     e.value,
 			Time:      e.time,
-		}
+		})
 	}
-	return out
+	return dst
 }

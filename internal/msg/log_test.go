@@ -235,7 +235,7 @@ func (m *logModel) fetch(p int, offset int64, lim int) []Record {
 
 // TestPartitionLogModel drives the broker with random operation sequences —
 // Produce, ProduceBatch of up to three segments, Commit, RestoreOffsets,
-// SeekTo, TryPoll, Truncate at, inside and past segment edges, limit changes
+// SeekTo, TryPollInto, Truncate at, inside and past segment edges, limit changes
 // that make DropOldestUncommitted shed from the middle, PinReplayFloor, and
 // Fetch spanning segments — against a naive slice model, and after
 // every step compares offsets, the retained records, Backlog and Stats.
@@ -262,6 +262,9 @@ func runLogModel(t *testing.T, rng *rand.Rand, steps int) {
 		m.parts[i] = &modelPart{}
 	}
 	var cons [2]*Consumer
+	// Each consumer polls into one reused buffer, so a poll overwrites the
+	// records an earlier poll returned, as the run loop's polls do.
+	var polled [2][]Record
 	for g := range cons {
 		c, err := b.NewConsumer("g"+strconv.Itoa(g), "log", "m")
 		if err != nil {
@@ -372,7 +375,8 @@ func runLogModel(t *testing.T, rng *rand.Rand, steps int) {
 		case r < 70:
 			op = "trypoll"
 			g, lim := rng.Intn(2), 1+rng.Intn(2*segSize)
-			got, err := cons[g].TryPoll(lim)
+			got, err := cons[g].TryPollInto(polled[g][:0], lim)
+			polled[g] = got
 			if err != nil {
 				t.Fatalf("step %d trypoll: %v", step, err)
 			}

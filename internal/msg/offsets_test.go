@@ -491,7 +491,7 @@ func TestPollConcurrentProducersPerPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if recs, err := c.TryPoll(64); err != nil || len(recs) != 0 {
+	if recs, err := c.TryPollInto(nil, 64); err != nil || len(recs) != 0 {
 		t.Fatalf("records past the produced ones: %d, %v", len(recs), err)
 	}
 }
@@ -545,12 +545,12 @@ func TestTruncateAndFetch(t *testing.T) {
 	}
 }
 
-// TestTryPollMatchesPollWithoutWaiting pins the non-blocking poll: while
+// TestTryPollIntoMatchesPollWithoutWaiting pins the non-blocking poll: while
 // records are buffered it returns exactly the batches Poll returns, in the
 // same event-time merge order; once the consumer has caught up it returns
 // nothing at once — on an open topic and on a closed one, where only Poll
 // reports end-of-stream.
-func TestTryPollMatchesPollWithoutWaiting(t *testing.T) {
+func TestTryPollIntoMatchesPollWithoutWaiting(t *testing.T) {
 	b := NewBroker()
 	b.Instrument(obs.NewRegistry(obs.NewManualClock(time.Unix(0, 0).UTC())))
 	if err := b.CreateTopic("t", 3); err != nil {
@@ -571,8 +571,10 @@ func TestTryPollMatchesPollWithoutWaiting(t *testing.T) {
 		t.Fatal(err)
 	}
 	polls := 0
+	var buf []Record
 	for {
-		got, err := try.TryPoll(3)
+		got, err := try.TryPollInto(buf[:0], 3)
+		buf = got
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -585,32 +587,32 @@ func TestTryPollMatchesPollWithoutWaiting(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("poll %d: TryPoll %v, Poll %v", polls, got, want)
+			t.Fatalf("poll %d: TryPollInto %v, Poll %v", polls, got, want)
 		}
 	}
 	if lag, _ := try.Lag(); lag != 0 {
-		t.Fatalf("TryPoll stopped with %d records unfetched", lag)
+		t.Fatalf("TryPollInto stopped with %d records unfetched", lag)
 	}
 	if err := b.CloseTopic("t"); err != nil {
 		t.Fatal(err)
 	}
-	if recs, err := try.TryPoll(3); len(recs) != 0 || err != nil {
-		t.Fatalf("TryPoll on a drained closed topic = %v, %v; want nothing, nil", recs, err)
+	if recs, err := try.TryPollInto(nil, 3); len(recs) != 0 || err != nil {
+		t.Fatalf("TryPollInto on a drained closed topic = %v, %v; want nothing, nil", recs, err)
 	}
 	if _, err := try.Poll(context.Background(), 3); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Poll on a drained closed topic: %v, want ErrClosed", err)
 	}
 	try.Close()
-	if _, err := try.TryPoll(3); !errors.Is(err, ErrConsumerClosed) {
-		t.Fatalf("TryPoll after Close: %v, want ErrConsumerClosed", err)
+	if _, err := try.TryPollInto(nil, 3); !errors.Is(err, ErrConsumerClosed) {
+		t.Fatalf("TryPollInto after Close: %v, want ErrConsumerClosed", err)
 	}
 }
 
-// TestPollCommitAllocs: a warm consumer polling buffered records and
-// committing them allocates only the batch it returns — no fetch-wait
-// registration and no per-commit list of the topic's groups. Both the
-// instrumented (lag gauge) path and a second group on the topic are
-// exercised.
+// TestPollCommitAllocs: a warm consumer polling buffered records into a
+// buffer with room and committing them allocates nothing — no fetch-wait
+// registration and no per-commit list of the topic's groups — and Poll
+// allocates only the batch it returns. Both the instrumented (lag gauge)
+// path and a second group on the topic are exercised.
 func TestPollCommitAllocs(t *testing.T) {
 	b := NewBroker()
 	b.Instrument(obs.NewRegistry(obs.NewManualClock(time.Unix(0, 0).UTC())))
@@ -636,12 +638,95 @@ func TestPollCommitAllocs(t *testing.T) {
 		}
 		c.Commit(recs[len(recs)-1])
 	}
-	try := func() ([]Record, error) { return c.TryPoll(8) }
-	block := func() ([]Record, error) { return c.Poll(context.Background(), 8) }
-	pollCommit(try)
-	for name, poll := range map[string]func() ([]Record, error){"TryPoll": try, "Poll": block} {
-		if n := testing.AllocsPerRun(100, func() { pollCommit(poll) }); n != 1 {
-			t.Errorf("warm %s + Commit made %v allocations, want 1 (the returned batch)", name, n)
+	buf := make([]Record, 0, 8)
+	polls := []struct {
+		name   string
+		poll   func() ([]Record, error)
+		allocs float64
+	}{
+		{"TryPollInto", func() ([]Record, error) { return c.TryPollInto(buf[:0], 8) }, 0},
+		{"PollInto", func() ([]Record, error) { return c.PollInto(context.Background(), buf[:0], 8) }, 0},
+		{"Poll", func() ([]Record, error) { return c.Poll(context.Background(), 8) }, 1},
+	}
+	pollCommit(polls[0].poll)
+	for _, p := range polls {
+		if n := testing.AllocsPerRun(100, func() { pollCommit(p.poll) }); n != p.allocs {
+			t.Errorf("warm %s + Commit made %v allocations, want %v", p.name, n, p.allocs)
 		}
+	}
+}
+
+// TestPollIntoMatchesPoll: polling into one reused slice returns exactly
+// the records Poll returns — topic, partition, offset, key, value and time,
+// in the same event-time merge order — over a 4-partition topic whose
+// partitions' event times interleave, with ties across partitions. The
+// records land in the caller's slice, a quiet topic yields nothing at once,
+// and an error leaves dst as it was.
+func TestPollIntoMatchesPoll(t *testing.T) {
+	const parts, n, max = 4, 203, 5
+	b := NewBroker()
+	for _, name := range []string{"t", "quiet"} {
+		if err := b.CreateTopic(name, parts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t0 := time.Unix(5000, 0).UTC()
+	for i := 0; i < n; i++ {
+		key := keyFor((i*i+i/3)%parts, parts)
+		if _, err := b.Produce(context.Background(), "t", key, []byte(strconv.Itoa(i)), t0.Add(time.Duration(i/2)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := b.NewConsumer("poll", "t", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	into, err := b.NewConsumer("into", "t", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet, err := b.NewConsumer("into", "quiet", "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := quiet.TryPollInto(nil, max); len(got) != 0 || err != nil {
+		t.Fatalf("TryPollInto on a quiet topic = %v, %v; want nothing, nil", got, err)
+	}
+
+	buf := make([]Record, 0, max)
+	ctx := context.Background()
+	seen, partsSeen := 0, map[int]bool{}
+	for seen < n {
+		want, err := ref.Poll(ctx, max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := into.PollInto(ctx, buf[:0], max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRecords(got, want) {
+			t.Fatalf("after %d records: PollInto %v, Poll %v", seen, got, want)
+		}
+		if &got[0] != &buf[:1][0] {
+			t.Fatalf("after %d records: PollInto did not fill the caller's slice", seen)
+		}
+		for _, r := range got {
+			partsSeen[r.Partition] = true
+		}
+		seen += len(got)
+	}
+	if len(partsSeen) != parts {
+		t.Fatalf("records came from %d partitions, want %d", len(partsSeen), parts)
+	}
+	if got, err := into.TryPollInto(buf[:0], max); len(got) != 0 || err != nil {
+		t.Fatalf("TryPollInto past the produced records = %v, %v; want nothing, nil", got, err)
+	}
+	if err := b.CloseTopic("t"); err != nil {
+		t.Fatal(err)
+	}
+	prefix := []Record{{Topic: "kept", Offset: 7}}
+	if got, err := into.PollInto(ctx, prefix, max); !errors.Is(err, ErrClosed) || !sameRecords(got, prefix) {
+		t.Fatalf("PollInto on a drained closed topic = %v, %v; want dst unchanged, ErrClosed", got, err)
 	}
 }

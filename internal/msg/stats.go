@@ -67,7 +67,7 @@ type ConsumerStats struct {
 	Topic      string
 	Member     string
 	Partitions []int // every partition of the topic
-	Polled     int64 // records returned by Poll since creation
+	Polled     int64 // records returned by the consumer's polls since creation
 	Lag        int64 // produced but not yet fetched, over every partition
 }
 

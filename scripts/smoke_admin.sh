@@ -7,8 +7,11 @@
 # Prometheus exposition carries runtime self-metrics, the SLO standing
 # decodes, the stats snapshot decodes with its summary, shard rows and SLO
 # standing, the readiness probe reports its components, and a parent-linked
-# span tree is reconstructable, then stops the run with SIGTERM and expects
-# a graceful zero exit. Needs curl and jq.
+# span tree is reconstructable, then stops datacron with SIGTERM and expects
+# a zero exit. With -admin, datacron keeps serving after the run completes
+# until it is signalled, so the probes never race the end of the run: the
+# SIGTERM either interrupts the run gracefully or stops the server of a
+# completed one. Needs curl and jq.
 set -eu
 
 tmp=$(mktemp -d)
@@ -115,23 +118,25 @@ if [ -z "$tree_ok" ]; then
     exit 1
 fi
 
-# SIGTERM must end the run gracefully (exit 0, interrupt message). When the
-# short run already finished on its own the signal has nobody to stop —
-# that is not a failure, only the graceful-path assertions are skipped.
-if kill -TERM "$pid" 2>/dev/null; then
-    if ! wait "$pid"; then
-        echo "smoke_admin: datacron did not exit cleanly on SIGTERM:" >&2
-        cat "$tmp/out.log" >&2
-        exit 1
-    fi
-    if ! grep -q 'interrupt: shutting down gracefully' "$tmp/out.log" &&
-        ! grep -q 'dashboard:' "$tmp/out.log"; then
-        echo "smoke_admin: neither graceful shutdown nor completion in log:" >&2
-        cat "$tmp/out.log" >&2
-        exit 1
-    fi
-else
-    wait "$pid" || true
+# datacron is still running — mid-run or serving a completed run — so
+# SIGTERM must reach it and end it with exit 0.
+if ! kill -TERM "$pid"; then
+    echo "smoke_admin: datacron exited before SIGTERM:" >&2
+    cat "$tmp/out.log" >&2
+    exit 1
 fi
+status=0
+wait "$pid" || status=$?
 pid=""
+if [ "$status" -ne 0 ]; then
+    echo "smoke_admin: datacron exited $status on SIGTERM:" >&2
+    cat "$tmp/out.log" >&2
+    exit 1
+fi
+if ! grep -q 'interrupt: shutting down gracefully' "$tmp/out.log" &&
+    ! grep -q 'admin server still serving' "$tmp/out.log"; then
+    echo "smoke_admin: neither graceful shutdown nor a served completed run in log:" >&2
+    cat "$tmp/out.log" >&2
+    exit 1
+fi
 echo "smoke_admin: OK ($addr)"
