@@ -103,7 +103,7 @@ func main() {
 	flag.IntVar(&o.shards, "shards", 1, "parallel shard workers for the real-time layer (output is byte-identical for any count)")
 	flag.IntVar(&o.queueCap, "queue-cap", 0, "bound the raw topic's per-partition uncommitted backlog (0 = unbounded) and arm the backpressure plane")
 	flag.StringVar(&o.overloadPolicy, "overload-policy", "block", "what a full raw partition does to producers: block, drop-newest or drop-oldest")
-	flag.BoolVar(&o.verbose, "v", false, "print dashboard event notes and every mover's speed and acceleration profile")
+	flag.BoolVar(&o.verbose, "v", false, "print the run loop's stage shares, dashboard event notes and every mover's speed and acceleration profile")
 	flag.BoolVar(&o.metrics, "metrics", false, "print the pipeline's metric registry after the run")
 	flag.StringVar(&o.export, "export", "", "write the RDF-ized stream to this N-Triples file")
 	flag.StringVar(&o.adminAddr, "admin", "", "serve /metrics, /statz, /healthz, /readyz, /traces and pprof on this address (empty disables)")
@@ -416,6 +416,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	fmt.Fprintf(out, "dashboard: %d movers, %d critical points, %d links, %d predictions, %d event notes\n",
 		len(snap.Positions), len(snap.Criticals), len(snap.Links), len(snap.Predictions), len(snap.Events))
 	if o.verbose {
+		writeStages(out, pipeline.Stats())
 		for _, note := range snap.Events {
 			fmt.Fprintln(out, "  event:", note)
 		}
@@ -434,6 +435,38 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		<-ctx.Done()
 	}
 	return nil
+}
+
+// stageNames are the real-time run loop's stages in the order a poll batch
+// passes them, then idle: core.stage.<name>.ns holds each one's time.
+var stageNames = []string{"poll", "drain", "link", "render", "cer", "publish", "commit", "checkpoint", "idle"}
+
+// writeStages prints -v's stage line: each run-loop stage's share of the
+// loop's time, the time the merge spent waiting on the shard workers, and
+// each worker's busy share of the same time.
+func writeStages(out io.Writer, st core.PipelineStats) {
+	var total int64
+	for _, s := range stageNames {
+		total += st.Metrics.Counter("core.stage." + s + ".ns")
+	}
+	if total == 0 {
+		return
+	}
+	pct := func(ns int64) float64 { return 100 * float64(ns) / float64(total) }
+	var b strings.Builder
+	fmt.Fprintf(&b, "stages over %s:", time.Duration(total).Round(time.Microsecond))
+	for _, s := range stageNames {
+		fmt.Fprintf(&b, " %s %.1f%%", s, pct(st.Metrics.Counter("core.stage."+s+".ns")))
+	}
+	var wait int64
+	for _, sh := range st.Shards {
+		wait += sh.WaitNS
+	}
+	fmt.Fprintf(&b, "; merge wait %.1f%%; worker busy", pct(wait))
+	for _, sh := range st.Shards {
+		fmt.Fprintf(&b, " %d:%.1f%%", sh.Shard, pct(sh.BusyNS))
+	}
+	fmt.Fprintln(out, b.String())
 }
 
 // writeTraceJSONL dumps the tracer's flight-recorder ring — completion

@@ -229,3 +229,37 @@ func TestVerboseProfiles(t *testing.T) {
 		t.Errorf("profiled movers %v, want %v:\n%s", ids, want, out.String())
 	}
 }
+
+// TestVerboseStageLine: -v prints one stage line whose stage shares add up
+// to the whole loop, and one busy share per worker.
+func TestVerboseStageLine(t *testing.T) {
+	var out bytes.Buffer
+	o := options{domain: "maritime", duration: 30 * time.Minute, vessels: 4, seed: 1, shards: 2, verbose: true}
+	if err := run(context.Background(), o, &out); err != nil {
+		t.Fatal(err)
+	}
+	var line string
+	for _, l := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(l, "stages over ") {
+			line = l
+		}
+	}
+	stages, rest, ok := strings.Cut(line, "; merge wait ")
+	if !ok {
+		t.Fatalf("no stage line:\n%s", out.String())
+	}
+	var sum float64
+	for _, name := range stageNames {
+		var share float64
+		if _, err := fmt.Sscanf(stages[strings.Index(stages, " "+name+" "):], " "+name+" %f%%", &share); err != nil {
+			t.Fatalf("stage %s in %q: %v", name, line, err)
+		}
+		sum += share
+	}
+	if sum < 99 || sum > 101 {
+		t.Errorf("stage shares add up to %.1f%%, want 100: %q", sum, line)
+	}
+	if _, busy, _ := strings.Cut(rest, "worker busy"); strings.Count(busy, ":") != 2 {
+		t.Errorf("want a busy share for each of 2 workers: %q", line)
+	}
+}

@@ -57,11 +57,15 @@ func renderPoint(g *rdfgen.PointGraph, seq int, id string) *rdfgen.PointGraph {
 	return g
 }
 
-// publish stages g's records stamped ts and sends them: the run loop's
+// publisher is a merge whose output goes to b, for driving its triple
+// emit alone.
+func publisher(b *msg.Broker) *merge { return &merge{p: &Pipeline{Broker: b}} }
+
+// publish stages g's records stamped ts and flushes them: the run loop's
 // triple emit of one critical point.
-func publish(ctx context.Context, tp *triplePublisher, g *rdfgen.PointGraph, ts time.Time) error {
-	tp.stage(g, ts)
-	return tp.send(ctx)
+func publish(ctx context.Context, m *merge, g *rdfgen.PointGraph, ts time.Time) error {
+	m.stageTriples(g, ts)
+	return m.flushBatch(ctx)
 }
 
 // TestPublishMatchesPerTripleProduce: one batch per rendered point leaves
@@ -70,7 +74,7 @@ func publish(ctx context.Context, tp *triplePublisher, g *rdfgen.PointGraph, ts 
 func TestPublishMatchesPerTripleProduce(t *testing.T) {
 	ctx := context.Background()
 	batched, single := triplesBroker(t), triplesBroker(t)
-	pub := &triplePublisher{broker: batched}
+	pub := publisher(batched)
 	var g rdfgen.PointGraph
 	for seq := 0; seq < 40; seq++ {
 		ts := gen.DefaultStart.Add(time.Duration(seq) * time.Minute)
@@ -109,7 +113,7 @@ func TestPublishMatchesPerTripleProduce(t *testing.T) {
 func TestPublishArenaValuesAreStable(t *testing.T) {
 	ctx := context.Background()
 	b := triplesBroker(t)
-	pub := &triplePublisher{broker: b}
+	pub := publisher(b)
 	// A mover ID appears in every line of its graph, so a long one makes a
 	// large graph: renderSized renders one whose lines take at least n
 	// bytes, and at most a line per triple more.
@@ -233,7 +237,7 @@ func TestCERNotesMatchSprintf(t *testing.T) {
 func TestPublishAllocations(t *testing.T) {
 	ctx := context.Background()
 	b := triplesBroker(t)
-	pub := &triplePublisher{broker: b}
+	pub := publisher(b)
 	g := renderPoint(&rdfgen.PointGraph{}, 3, "v-17")
 	if len(g.Triples) != 13 {
 		t.Fatalf("fixture point has %d triples, want 13", len(g.Triples))
@@ -256,7 +260,7 @@ func TestPublishAllocations(t *testing.T) {
 // and sends it as one broker batch, the run loop's triple emit.
 func BenchmarkPublishCriticalPoint(b *testing.B) {
 	broker := triplesBroker(b)
-	pub := &triplePublisher{broker: broker}
+	pub := publisher(broker)
 	g := renderPoint(&rdfgen.PointGraph{}, 4211, "v-17")
 	ctx := context.Background()
 	b.ResetTimer()
@@ -287,7 +291,7 @@ func TestPublishRefusedTriplesFailTheRun(t *testing.T) {
 	if err := b.LimitTopic(TopicTriples, msg.TopicLimit{Capacity: 2, Policy: msg.DropNewest}); err != nil {
 		t.Fatal(err)
 	}
-	err := publish(context.Background(), &triplePublisher{broker: b}, renderPoint(&rdfgen.PointGraph{}, 0, "v-17"), gen.DefaultStart)
+	err := publish(context.Background(), publisher(b), renderPoint(&rdfgen.PointGraph{}, 0, "v-17"), gen.DefaultStart)
 	if !errors.Is(err, msg.ErrTopicFull) {
 		t.Fatalf("publishing on a full drop-newest topic = %v, want ErrTopicFull", err)
 	}
@@ -302,7 +306,7 @@ func TestUnparsableTripleRecordsAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := renderPoint(&rdfgen.PointGraph{}, 0, "v-17")
-	if err := publish(ctx, &triplePublisher{broker: p.Broker}, good, gen.DefaultStart); err != nil {
+	if err := publish(ctx, publisher(p.Broker), good, gen.DefaultStart); err != nil {
 		t.Fatal(err)
 	}
 	for _, junk := range []string{"not a triple", "", "# comment"} {

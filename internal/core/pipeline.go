@@ -66,8 +66,9 @@ type Config struct {
 	// FLP configuration.
 	PredictSteps   int           // look-ahead steps per mover (default 8)
 	SampleInterval time.Duration // FLP sampling interval (default 10s)
-	// CER configuration: when Pattern is non-empty, critical-point type
-	// streams per mover are fed to a Wayeb forecaster.
+	// CER configuration: when Pattern is non-empty, one Wayeb forecaster
+	// sees the type of every mover's critical points, in merge order, as a
+	// single stream (a forecaster per mover is ROADMAP item 15).
 	Pattern      string
 	Alphabet     []string
 	ModelOrder   int

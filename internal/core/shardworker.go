@@ -23,10 +23,12 @@ var shardOps = []string{"movers"}
 
 // recordTrace is a sampled record's span tree in flight: root is the
 // "record" span, submit the queue-wait child the worker closes when it picks
-// the record up. Records travel with a nil *recordTrace unless sampled (1 in
-// 256 by default), so the per-record hop copies one pointer, not two spans.
+// the record up, and emit the merge's child from the drain of the record's
+// critical points to their publish. Records travel with a nil *recordTrace
+// unless sampled (1 in 256 by default), so the per-record hop copies one
+// pointer, not three spans.
 type recordTrace struct {
-	root, submit obs.Span
+	root, submit, emit obs.Span
 }
 
 // rootSpan returns the record's trace root, or the zero Span — whose every

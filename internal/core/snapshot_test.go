@@ -247,8 +247,8 @@ func FuzzMoversRestore(f *testing.F) {
 	})
 }
 
-func runStateOf(seq int, sum Summary) runStateSnapshotter {
-	return runStateSnapshotter{seq: &seq, sum: &sum}
+func runStateOf(seq int, sum Summary) *merge {
+	return &merge{seq: seq, sum: sum}
 }
 
 func TestRunStateSnapshotRoundTrip(t *testing.T) {
@@ -262,8 +262,8 @@ func TestRunStateSnapshotRoundTrip(t *testing.T) {
 	if err := got.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
-	if *got.seq != 81 || *got.sum != want {
-		t.Fatalf("restored seq %d sum %+v, want 81 %+v", *got.seq, *got.sum, want)
+	if got.seq != 81 || got.sum != want {
+		t.Fatalf("restored seq %d sum %+v, want 81 %+v", got.seq, got.sum, want)
 	}
 	negative, _ := runStateOf(-1, want).Snapshot()
 	for name, blob := range map[string][]byte{
@@ -275,7 +275,7 @@ func TestRunStateSnapshotRoundTrip(t *testing.T) {
 		if err := st.Restore(blob); err == nil {
 			t.Errorf("%s: restored", name)
 		}
-		if *st.seq != 5 || *st.sum != want {
+		if st.seq != 5 || st.sum != want {
 			t.Errorf("%s: a rejected restore changed the run state", name)
 		}
 	}

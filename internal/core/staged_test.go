@@ -58,8 +58,9 @@ func manoeuvrePipeline(t *testing.T, shards int) *Pipeline {
 	return manoeuvrePipelineFor(t, shards, 35*time.Minute)
 }
 
-// manoeuvrePipelineFor is manoeuvrePipeline over a simulation of length d.
-func manoeuvrePipelineFor(t *testing.T, shards int, d time.Duration) *Pipeline {
+// manoeuvrePipelineFor is manoeuvrePipeline over a simulation of length d,
+// built with opts after its configuration.
+func manoeuvrePipelineFor(t *testing.T, shards int, d time.Duration, opts ...Option) *Pipeline {
 	t.Helper()
 	region := gen.AegeanRegion
 	sim := gen.NewVesselSim(gen.VesselSimConfig{
@@ -94,7 +95,7 @@ func manoeuvrePipelineFor(t *testing.T, shards int, d time.Duration) *Pipeline {
 	for _, cp := range train {
 		cfg.TrainSymbols = append(cfg.TrainSymbols, string(cp.Type))
 	}
-	p, err := New(WithConfig(cfg))
+	p, err := New(append([]Option{WithConfig(cfg)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

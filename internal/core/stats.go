@@ -67,6 +67,8 @@ type ShardStats struct {
 	Queue    int   `json:"queue"`    // inputs waiting in the shard's queue
 	Critical int64 `json:"critical"` // critical points emitted by this shard
 	Dropped  int64 `json:"dropped"`  // records dropped by this shard's noise filters
+	BusyNS   int64 `json:"busy_ns"`  // time the worker spent processing
+	WaitNS   int64 `json:"wait_ns"`  // time the merge spent blocked on this shard
 }
 
 // Stats snapshots the pipeline. Safe to call concurrently with a run; the
@@ -87,7 +89,8 @@ func (p *Pipeline) Stats() PipelineStats {
 	regs := p.shardRegs
 	p.mu.Unlock()
 	for _, row := range p.shardProgress() {
-		sr := ShardStats{Shard: row.Shard, Records: row.Processed, Queue: row.Queue}
+		sr := ShardStats{Shard: row.Shard, Records: row.Processed, Queue: row.Queue,
+			BusyNS: int64(row.Busy), WaitNS: int64(row.Wait)}
 		if row.Shard < len(regs) {
 			snap := regs[row.Shard].Snapshot()
 			sr.Critical = snap.Counter("synopses.critical")
@@ -151,10 +154,7 @@ func (p *Pipeline) Tracer() *obs.Tracer { return p.tracer }
 // per-topic broker depths, then every registry metric with rates — the
 // output behind cmd/datacron's -metrics flag.
 func (s PipelineStats) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# run summary\n%s\n", s.Summary); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "# topics\n"); err != nil {
+	if _, err := fmt.Fprintf(w, "# run summary\n%s\n# topics\n", s.Summary); err != nil {
 		return err
 	}
 	for _, t := range s.Broker.Topics {

@@ -177,7 +177,9 @@ func (c *Consumer) Poll(ctx context.Context, max int) ([]Record, error) {
 // (ties broken by partition index), so consumption order is a pure function
 // of the fetch positions: a consumer resuming from restored offsets replays
 // the exact sequence the original consumer saw — the property crash
-// recovery relies on. It blocks until a record is available on any
+// recovery relies on. A batch is one partition's run: consecutive offsets of
+// that one partition from its fetch position, so committing a batch's last
+// record commits the whole batch (TestPollBatchIsOnePartitionsRun). It blocks until a record is available on any
 // partition, the topic is closed (ErrClosed), or the context is cancelled;
 // on an error it returns dst unchanged. Polled records are NOT committed
 // automatically; call Commit.

@@ -730,3 +730,68 @@ func TestPollIntoMatchesPoll(t *testing.T) {
 		t.Fatalf("PollInto on a drained closed topic = %v, %v; want dst unchanged, ErrClosed", got, err)
 	}
 }
+
+// TestPollBatchIsOnePartitionsRun pins the batch shape a run loop commits
+// by: on a 4-partition topic whose partitions interleave in event time,
+// every PollInto and TryPollInto batch holds consecutive offsets of exactly
+// one partition, each batch resuming its partition where the last one left
+// it, so committing a batch's last record commits the whole batch.
+func TestPollBatchIsOnePartitionsRun(t *testing.T) {
+	const parts, n, max = 4, 400, 16
+	b := NewBroker()
+	if err := b.CreateTopic("t", parts); err != nil {
+		t.Fatal(err)
+	}
+	// Each partition's times rise by a gap of 1 to 6 s drawn from a fixed
+	// sequence, so partitions overtake one another in runs of varying length.
+	t0 := time.Unix(5000, 0).UTC()
+	var next [parts]time.Duration
+	for i := 0; i < n; i++ {
+		p := (i*7 + i/5) % parts
+		next[p] += time.Duration(1+(i*13)%6) * time.Second
+		if _, err := b.Produce(context.Background(), "t", keyFor(p, parts), []byte{byte(i)}, t0.Add(next[p])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.CloseTopic("t"); err != nil {
+		t.Fatal(err)
+	}
+	for _, blocking := range []bool{true, false} {
+		c, err := b.NewConsumer(fmt.Sprintf("blocking=%v", blocking), "t", "m1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pos [parts]int64
+		var buf []Record
+		total, runs := 0, 0
+		for {
+			if blocking {
+				buf, err = c.PollInto(context.Background(), buf[:0], max)
+			} else {
+				buf, err = c.TryPollInto(buf[:0], max)
+			}
+			if errors.Is(err, ErrClosed) || (!blocking && err == nil && len(buf) == 0) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := buf[0].Partition
+			for j, r := range buf {
+				if r.Partition != p || r.Offset != pos[p]+int64(j) {
+					t.Fatalf("blocking=%v: batch at partition %d offset %d holds partition %d offset %d at %d",
+						blocking, p, pos[p], r.Partition, r.Offset, j)
+				}
+			}
+			pos[p] += int64(len(buf))
+			total += len(buf)
+			if len(buf) > 1 {
+				runs++
+			}
+		}
+		if total != n || runs == 0 {
+			t.Fatalf("blocking=%v: polled %d of %d records in %d multi-record batches; want all, in some", blocking, total, n, runs)
+		}
+		c.Close()
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"datacron/internal/msg"
 	"datacron/internal/obs"
@@ -57,10 +58,11 @@ func Route(key string, n int) int { return msg.HashKey(key, n) }
 
 // Stats is one shard's progress reading.
 type Stats struct {
-	Shard     int   // shard index
-	Processed int64 // records processed on the worker goroutine
-	Queue     int   // records submitted to the shard and not yet processed
-	Credits   int   // submit credits currently available for this shard
+	Shard     int           // shard index
+	Processed int64         // records processed on the worker goroutine
+	Queue     int           // records submitted to the shard and not yet processed
+	Busy      time.Duration // time the worker spent processing its bursts
+	Wait      time.Duration // time the coordinator spent blocked in Next on this shard
 }
 
 // ErrNotStarted is returned by SubmitBatch/Next/Barrier before Start.
@@ -114,11 +116,12 @@ type lane[I, O any] struct {
 	// per record and Next returns it when the record's output is drained.
 	// The pool starts at the lane's queue capacity, so a slow shard exerts
 	// backpressure on the coordinator instead of growing an unbounded
-	// queue. Only the coordinator changes it; it is atomic so that Stats
-	// can read it from anywhere.
-	credits   atomic.Int64
+	// queue. Only the coordinator reads or changes it.
+	credits   int
 	submitted atomic.Int64 // records submitted to the lane
 	processed atomic.Int64 // records processed on the worker goroutine
+	busy      atomic.Int64 // ns the worker spent in bursts, two clock reads a burst
+	wait      atomic.Int64 // ns Next spent blocked on the lane, read only when it blocks
 }
 
 // Plane coordinates N shard workers. It is operated by a single coordinator
@@ -129,14 +132,14 @@ type lane[I, O any] struct {
 // k+1 before it drains burst k so the workers process k+1 while it applies
 // k.
 type Plane[I, O any] struct {
-	key         func(I) string
-	lanes       []*lane[I, O]
-	wg          sync.WaitGroup
-	fifo        []int // shard index per undrained submit, in submit order
-	head        int   // next fifo entry to drain
-	started     bool
-	closed      bool
-	creditWaits *obs.Counter // nil-safe; counts submits that waited
+	key     func(I) string
+	lanes   []*lane[I, O]
+	clock   obs.Clock // times the lanes' busy and wait
+	wg      sync.WaitGroup
+	fifo    []int // shard index per undrained submit, in submit order
+	head    int   // next fifo entry to drain
+	started bool
+	closed  bool
 
 	// SubmitBatch scratch, reused across batches so a steady-state batch
 	// submit performs no per-record allocations. Coordinator-only, like the
@@ -153,9 +156,8 @@ type Config struct {
 	// records per shard may be in flight (queued or processing, output not
 	// yet drained) before SubmitBatch blocks.
 	Queue int
-	// Metrics optionally observes the credit protocol: per-shard
-	// flow.credits gauges and a flow.credit.waits counter for submits that
-	// had to wait on a saturated shard. Nil disables observation.
+	// Metrics supplies the clock (its Clock: the wall clock when nil) that
+	// times each shard's Stats.Busy and Stats.Wait.
 	Metrics *obs.Registry
 }
 
@@ -169,34 +171,22 @@ func New[I, O any](cfg Config, key func(I) string, build func(shard int) Worker[
 	if cfg.Queue < 1 {
 		cfg.Queue = 512
 	}
-	p := &Plane[I, O]{
-		key:         key,
-		creditWaits: cfg.Metrics.Counter("flow.credit.waits"),
-	}
-	for i := 0; i < cfg.Shards; i++ {
+	p := &Plane[I, O]{key: key, clock: cfg.Metrics.Clock(), lanes: make([]*lane[I, O], cfg.Shards)}
+	for i := range p.lanes {
 		// Lane buffers share one auditable bound: Config.Queue, clamped at
 		// construction, is also the size of the credit pool that gates SubmitBatch.
-		l := &lane[I, O]{
-			w:      build(i),
-			inRing: make([]I, cfg.Queue),
-			in:     make(chan message, cfg.Queue), //lint:ignore boundedchan capacity is Config.Queue, clamped in New and matched by the credit pool
-			ring:   make([]O, cfg.Queue),
-			done:   make(chan int, cfg.Queue), //lint:ignore boundedchan capacity is Config.Queue, clamped in New and matched by the credit pool
-			ack:    make(chan barrierAck, 1),
+		p.lanes[i] = &lane[I, O]{
+			w:       build(i),
+			inRing:  make([]I, cfg.Queue),
+			in:      make(chan message, cfg.Queue), //lint:ignore boundedchan capacity is Config.Queue, clamped in New and matched by the credit pool
+			ring:    make([]O, cfg.Queue),
+			done:    make(chan int, cfg.Queue), //lint:ignore boundedchan capacity is Config.Queue, clamped in New and matched by the credit pool
+			ack:     make(chan barrierAck, 1),
+			credits: cfg.Queue,
 		}
-		l.credits.Store(int64(cfg.Queue))
-		//lint:ignore boundedchan construction-time growth bounded by Config.Shards
-		p.lanes = append(p.lanes, l)
 	}
 	return p
 }
-
-// Shards returns the number of workers.
-func (p *Plane[I, O]) Shards() int { return len(p.lanes) }
-
-// Worker returns shard i's worker. Only valid for single-threaded access:
-// before Start (checkpoint restore) or after Close (final flush).
-func (p *Plane[I, O]) Worker(i int) Worker[I, O] { return p.lanes[i].w }
 
 // Start launches the worker goroutines. Must be called exactly once, after
 // any Restore and before the first SubmitBatch.
@@ -222,6 +212,7 @@ func (p *Plane[I, O]) run(l *lane[I, O]) {
 			l.ack <- barrierAck{epoch: m.epoch, ops: ops, err: err}
 			continue
 		}
+		start := p.clock.Now()
 		for k := 0; k < m.n; k++ {
 			in := l.inRing[i]
 			l.inRing[i] = zero // the ring must not keep the input alive
@@ -232,6 +223,7 @@ func (p *Plane[I, O]) run(l *lane[I, O]) {
 		}
 		// Publish the burst, so the coordinator can drain it while the
 		// worker starts on the next one.
+		l.busy.Add(int64(p.clock.Now().Sub(start)))
 		l.processed.Add(int64(m.n))
 		l.done <- m.n
 	}
@@ -282,12 +274,14 @@ func (p *Plane[I, O]) SubmitBatch(ctx context.Context, ins []I) error {
 		need[r]++
 	}
 	for li, k := range need {
-		if k > 0 && p.lanes[li].credits.Load() < int64(k) {
-			return p.saturated(ctx, li)
+		if k > 0 && p.lanes[li].credits < k {
+			// Nothing else can return credits while the coordinator waits.
+			<-ctx.Done()
+			return submitBlockedErr(li, ctx.Err())
 		}
 	}
 	for li, k := range need {
-		p.lanes[li].credits.Add(-int64(k))
+		p.lanes[li].credits -= k
 	}
 	for i := range ins {
 		p.lanes[routes[i]].write(ins[i])
@@ -300,15 +294,6 @@ func (p *Plane[I, O]) SubmitBatch(ctx context.Context, ins []I) error {
 	// routes is exactly the per-submit lane sequence the drain order needs.
 	p.enqueue(routes...)
 	return nil
-}
-
-// saturated counts a submit that found lane li without the credits it
-// needs, waits for ctx — nothing else can return credits while the
-// coordinator waits here — and returns the cancellation.
-func (p *Plane[I, O]) saturated(ctx context.Context, li int) error {
-	p.creditWaits.Inc()
-	<-ctx.Done()
-	return submitBlockedErr(li, ctx.Err())
 }
 
 // write puts one input into the lane's input ring; send hands the worker
@@ -369,7 +354,13 @@ func (p *Plane[I, O]) Next() (O, error) {
 	}
 	l := p.lanes[i]
 	if l.avail == 0 {
-		l.avail = <-l.done
+		select {
+		case l.avail = <-l.done:
+		default:
+			start := p.clock.Now()
+			l.avail = <-l.done
+			l.wait.Add(int64(p.clock.Now().Sub(start)))
+		}
 	}
 	out := l.ring[l.rd]
 	l.ring[l.rd] = zero // the ring must not keep the output alive
@@ -378,7 +369,7 @@ func (p *Plane[I, O]) Next() (O, error) {
 	}
 	l.avail--
 	// The record left the plane: return its submit credit.
-	l.credits.Add(1)
+	l.credits++
 	return out, nil
 }
 
@@ -436,8 +427,8 @@ func epochMismatchErr(shard int, marker, ack uint64) error {
 }
 
 // Close shuts the worker goroutines down and waits for them to exit. After
-// Close the workers are again safe for single-threaded access via Worker
-// (the coordinator uses this for the final flush). Undrained outputs are
+// Close the workers are again safe for single-threaded access by the caller
+// that built them (the coordinator's final flush). Undrained outputs are
 // discarded. Idempotent.
 func (p *Plane[I, O]) Close() {
 	if !p.started || p.closed {
@@ -462,7 +453,8 @@ func (p *Plane[I, O]) Stats() []Stats {
 		// processed is read first: submitted only grows, so the difference
 		// is never negative.
 		processed := l.processed.Load()
-		out[i] = Stats{Shard: i, Processed: processed, Queue: int(l.submitted.Load() - processed), Credits: int(l.credits.Load())}
+		out[i] = Stats{Shard: i, Processed: processed, Queue: int(l.submitted.Load() - processed),
+			Busy: time.Duration(l.busy.Load()), Wait: time.Duration(l.wait.Load())}
 	}
 	return out
 }

@@ -193,9 +193,13 @@ func TestBarrierSnapshotRestore(t *testing.T) {
 	}
 	p.Close()
 
-	p2 := New(Config{Shards: 4, Queue: 64}, func(s string) string { return s }, newCountWorker)
-	for i := 0; i < 4; i++ {
-		if err := p2.Worker(i).Restore(blobs[i]); err != nil {
+	workers := make([]Worker[string, string], 4)
+	p2 := New(Config{Shards: 4, Queue: 64}, func(s string) string { return s }, func(i int) Worker[string, string] {
+		workers[i] = newCountWorker(i)
+		return workers[i]
+	})
+	for i, w := range workers {
+		if err := w.Restore(blobs[i]); err != nil {
 			t.Fatalf("Restore shard %d: %v", i, err)
 		}
 	}
